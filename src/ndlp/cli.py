@@ -86,9 +86,16 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise NdlpError(f"{path}: not valid UTF-8 ({err.reason} at byte {err.start})") from err
+
+
 def _load(paths: list[str], horizon: int | None) -> tuple[Program, GroundProgram]:
-    text = "".join(open(p, encoding="utf-8").read() for p in paths)
-    program = parse_program(text)
+    program = parse_program("".join(_read(p) for p in paths))
     return program, ground(program, horizon=horizon)
 
 
@@ -155,14 +162,25 @@ def _ground_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cap(text: str) -> int:
+    """A --max-* value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("files", nargs="+", metavar="FILE", help="input .ndlp file(s)")
     sub.add_argument(
         "--semantics", choices=("least", "stable", "wf"), default="stable"
     )
     sub.add_argument("--horizon", type=int, default=None, help="override #horizon")
-    sub.add_argument("--max-models", type=int, default=None)
-    sub.add_argument("--max-answer-sets", type=int, default=None)
+    sub.add_argument("--max-models", type=_cap, default=None)
+    sub.add_argument("--max-answer-sets", type=_cap, default=None)
     sub.add_argument("--subset-minimal", action="store_true")
     sub.add_argument("--dump-ground", action="store_true")
     sub.add_argument("--format", choices=("text", "json"), default="text")

@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable
 
+from .compiled import CompiledProgram
 from .errors import GroundingError
 from .syntax import (
     Atom,
@@ -53,6 +54,12 @@ class GroundProgram:
     @cached_property
     def heads_set(self) -> frozenset[NdAtom]:
         return frozenset(self.heads)
+
+    @cached_property
+    def compiled(self) -> CompiledProgram:
+        """The int form the solvers run on, built on first use so that
+        grounding alone never pays for it."""
+        return CompiledProgram(self.rules, self.base)
 
     def is_positive(self) -> bool:
         return all(r.is_positive() for r in self.rules)

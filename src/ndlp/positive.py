@@ -95,12 +95,11 @@ def tp_step(gp: GroundProgram, interp: Interpretation) -> Interpretation:
 
 
 def least_model(gp: GroundProgram) -> Interpretation:
-    """Iterate the one-step operator from the empty interpretation.
-
-    Termination is guaranteed: the operator is monotone over a finite base.
-    """
+    """The least fixpoint of the one-step operator, as one worklist pass
+    over the compiled program; `lfp` is the reference."""
     _check_positive(gp.rules)
-    return lfp(gp.rules)
+    program = gp.compiled
+    return program.decode(program.lfp(bytes(program.n), optimistic=True))
 
 
 def intersect_all(models: Iterable[Interpretation]) -> Interpretation:

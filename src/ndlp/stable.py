@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .compiled import IN, OPEN, OUT
 from .grounder import GroundProgram
 from .positive import Interpretation, lfp
-from .syntax import NdAtom, Rule, interpretation_key, sort_nd_atoms
+from .syntax import Rule, interpretation_key, sort_nd_atoms
 
 
 @dataclass(frozen=True)
@@ -70,156 +71,87 @@ class StableModels:
         return len(self.models)
 
 
-# assignment codes for negated NdAtoms during the search
-_OPEN, _OUT, _IN = 0, 1, 2
-
-
-class _Indexed:
-    """Int-indexed copy of a ground program for the search inner loop."""
-
-    def __init__(self, gp: GroundProgram):
-        self.atoms: list[NdAtom] = list(gp.base)
-        self.n = len(self.atoms)
-        index = {a: i for i, a in enumerate(self.atoms)}
-        self.rules: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        neg_occ: dict[int, list[int]] = {}
-        for rule in gp.rules:
-            head = index[rule.head]
-            pos = tuple(dict.fromkeys(index[b] for b in rule.positive_body()))
-            neg = tuple(dict.fromkeys(index[b] for b in rule.negative_body()))
-            ridx = len(self.rules)
-            self.rules.append((head, pos, neg))
-            for n in neg:
-                neg_occ.setdefault(n, []).append(ridx)
-        self.neg_occ = neg_occ
-        self.negated = sorted(neg_occ)
-        # static worklist structure: rules watching each atom positively
-        self.watchers: list[list[int]] = [[] for _ in range(self.n)]
-        self.pos_len: list[int] = []
-        for ridx, (_, pos, _) in enumerate(self.rules):
-            self.pos_len.append(len(pos))
-            for b in pos:
-                self.watchers[b].append(ridx)
-
-    def lfp(self, assign: bytearray, optimistic: bool) -> bytearray:
-        """Least-fixpoint truth flags over the rules whose negated atoms are
-        all assigned out (pessimistic) or merely not assigned in
-        (optimistic). Worklist evaluation, linear in program size."""
-        rules = self.rules
-        derived = bytearray(self.n)
-        enabled = bytearray(len(rules))
-        remaining = self.pos_len.copy()
-        stack: list[int] = []
-        for ridx, (head, _, neg) in enumerate(rules):
-            if optimistic:
-                if any(assign[n] == _IN for n in neg):
-                    continue
-            elif any(assign[n] != _OUT for n in neg):
-                continue
-            enabled[ridx] = 1
-            if remaining[ridx] == 0 and not derived[head]:
-                derived[head] = 1
-                stack.append(head)
-        while stack:
-            atom = stack.pop()
-            for ridx in self.watchers[atom]:
-                if enabled[ridx]:
-                    remaining[ridx] -= 1
-                    if remaining[ridx] == 0:
-                        head = rules[ridx][0]
-                        if not derived[head]:
-                            derived[head] = 1
-                            stack.append(head)
-        return derived
-
-    def pick_pivot(self, assign: bytearray, upper: bytearray) -> int | None:
-        """First undecided negated atom with a live negative occurrence.
-
-        A rule is live when no negated atom of it is assigned in and its
-        positive body lies inside the optimistic bound; any other rule can
-        never fire in a completion of this assignment, so atoms negated only
-        there cannot influence a reduct and need no case split: their final
-        value is whatever derivability makes it.
-        """
-        for n in self.negated:
-            if assign[n] != _OPEN:
-                continue
-            for ridx in self.neg_occ[n]:
-                head, pos, neg = self.rules[ridx]
-                if any(assign[m] == _IN for m in neg):
-                    continue
-                if all(upper[b] for b in pos):
-                    return n
-        return None
-
-
 def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> StableModels:
     """All stable models, in canonical order.
 
     Branches over the negated-occurring NdAtoms only; the reduct depends on
-    the interpretation through nothing else, and a final stability check
-    guards each emitted model. Deterministic regardless of evaluation order.
+    the interpretation through nothing else, and a final stability check on
+    the compiled program guards each emitted model. Deterministic regardless
+    of evaluation order.
+
+    With `max_models=k` the search stops at the k-th model it meets, so the
+    result is a deterministic subset of the stable models in canonical
+    order, not a prefix of the full list, and `truncated` is set.
     """
-    indexed = _Indexed(gp)
-    negated = indexed.negated
+    program = gp.compiled
+    negated = program.negated
+    assign = bytearray(program.n)
     found: list[bytearray] = []
     truncated = False
-    assign = bytearray(indexed.n)
 
-    def search() -> None:
-        nonlocal truncated
-        if truncated:
-            return
-        trail: list[int] = []
-        try:
-            while True:
-                lower = indexed.lfp(assign, optimistic=False)
-                upper = indexed.lfp(assign, optimistic=True)
-                forced: list[tuple[int, int]] = []
-                for n in negated:
-                    decided = assign[n]
-                    if decided == _OUT:
-                        if lower[n]:
-                            return  # assumed out, but derived in every completion
-                    elif decided == _IN:
-                        if not upper[n]:
-                            return  # assumed in, but underivable in every completion
-                    elif lower[n]:
-                        forced.append((n, _IN))
-                    elif not upper[n]:
-                        forced.append((n, _OUT))
-                if not forced:
+    def propagate(trail: list[int]) -> tuple[bytearray, bytearray] | None:
+        """Force what the bounds of the assignment decide, recording each
+        forced atom on `trail`; the final bounds, or None on a conflict."""
+        while True:
+            lower = program.lfp(assign, optimistic=False)
+            upper = program.lfp(assign, optimistic=True)
+            forced: list[tuple[int, int]] = []
+            for n in negated:
+                decided = assign[n]
+                if decided == OUT:
+                    if lower[n]:
+                        return None  # assumed out, but derived in every completion
+                elif decided == IN:
+                    if not upper[n]:
+                        return None  # assumed in, but underivable in every completion
+                elif lower[n]:
+                    forced.append((n, IN))
+                elif not upper[n]:
+                    forced.append((n, OUT))
+            if not forced:
+                return lower, upper
+            for n, value in forced:
+                assign[n] = value
+                trail.append(n)
+
+    # Depth-first over an explicit decision stack, OUT before IN; a frame is
+    # (pivot, value, atoms forced under that decision).
+    stack: list[tuple[int, int, list[int]]] = []
+    bounds = propagate([])
+    while True:
+        if bounds is not None:
+            lower, upper = bounds
+            pivot = program.pick_pivot(assign, upper)
+            if pivot is not None:
+                assign[pivot] = OUT
+                trail: list[int] = []
+                stack.append((pivot, OUT, trail))
+                bounds = propagate(trail)
+                continue
+            # Leaf: the pessimistic bound is the reduct's least model.
+            if all(lower[n] for n in negated if assign[n] == IN):
+                found.append(lower)
+                if max_models is not None and len(found) >= max_models:
+                    truncated = True
                     break
-                for n, value in forced:
-                    assign[n] = value
-                    trail.append(n)
-            pivot = indexed.pick_pivot(assign, upper)
-            if pivot is None:
-                # Leaf: the pessimistic bound is the reduct's least model.
-                if all(lower[n] for n in negated if assign[n] == _IN):
-                    found.append(lower)
-                    if max_models is not None and len(found) >= max_models:
-                        truncated = True
-                return
-            for value in (_OUT, _IN):
-                assign[pivot] = value
-                search()
-            assign[pivot] = _OPEN
-        finally:
+        while stack:
+            pivot, value, trail = stack.pop()
             for n in trail:
-                assign[n] = _OPEN
+                assign[n] = OPEN
+            if value == OUT:
+                assign[pivot] = IN
+                trail = []
+                stack.append((pivot, IN, trail))
+                bounds = propagate(trail)
+                break
+            assign[pivot] = OPEN
+        else:
+            break
 
-    search()
-
-    models = []
-    for flags in found:
-        model = frozenset(a for i, a in enumerate(indexed.atoms) if flags[i])
-        if is_stable(gp, model):  # guard; holds by construction
-            models.append(model)
+    # guard, one fixpoint per model; holds by construction
+    models = [program.decode(flags) for flags in found if program.reduct_model(flags) == flags]
     unique = {interpretation_key(m): m for m in models}
     ordered = tuple(unique[k] for k in sorted(unique))
-    if truncated and max_models is not None:
-        ordered = ordered[:max_models]
     return StableModels(models=ordered, truncated=truncated)
 
 

@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, report formats, determinism."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
-from ndlp.cli import main
+from ndlp.cli import _load, main
 from ndlp.corpus import corpus_path
 
 
@@ -53,6 +55,35 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "nowhere.ndlp")
         assert code == 2
+
+    def test_non_utf8_input(self, capsys, tmp_path):
+        latin = tmp_path / "latin.ndlp"
+        latin.write_bytes("{caf\u00e9}.".encode("latin-1"))
+        code, out, err = run(capsys, "solve", str(latin))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ndlp: error:") and "UTF-8" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_models_below_one_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "--max-models", value, str(corpus_path("teaching.ndlp"))])
+        assert exit_.value.code == 2
+        assert "--max-models" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_answer_sets_below_one_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(["expand", "--max-answer-sets", value, str(corpus_path("teaching.ndlp"))])
+        assert exit_.value.code == 2
+        assert "--max-answer-sets" in capsys.readouterr().err
+
+    def test_load_closes_its_files(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            _load([str(corpus_path("teaching.ndlp"))], None)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestWfOutput:

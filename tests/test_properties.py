@@ -29,6 +29,7 @@ from ndlp import (
 from ndlp.detlp import desingletonize
 from ndlp.positive import intersect_all, lfp
 from ndlp.stable import brute_force_stable, reduct
+from ndlp.syntax import Atom, canonicalize
 from ndlp.wf import PartialInterpretation
 
 from conftest import random_det_program, random_ground_program, random_interpretations
@@ -132,6 +133,29 @@ def test_wf_total_on_negation_free_programs(seed):
     assert wf.is_total(gp.base), f"seed={seed}"
     assert wf.pos == least_model(gp), f"seed={seed}"
     assert wf.neg == gp.base_set - wf.pos, f"seed={seed}"
+
+
+# ---------------------------------------------------------------------------
+# compiled program against the object-level references
+# ---------------------------------------------------------------------------
+
+OUTSIDE = canonicalize([Atom(pred="outside")])
+
+
+@pytest.mark.parametrize("seed", seeds(3600))
+def test_compiled_stability_check_matches_reference(seed):
+    gp = random_ground_program(seed, max_nd=8, max_rules=12)
+    program = gp.compiled
+    candidates = [random_interpretations(seed, gp), frozenset(gp.heads)]
+    candidates += [m | {OUTSIDE} for m in candidates] + brute_force_stable(gp)
+    for interp in candidates:
+        assert program.is_stable(interp) == is_stable(gp, interp), f"seed={seed} {interp}"
+
+
+@pytest.mark.parametrize("seed", seeds(3800))
+def test_compiled_least_model_matches_reference(seed):
+    gp = random_ground_program(seed, neg_prob=0.0, max_nd=8, max_rules=12)
+    assert least_model(gp) == lfp(gp.rules), f"seed={seed}"
 
 
 @pytest.mark.parametrize("seed", seeds(8500))

@@ -1,5 +1,7 @@
 """Reduct construction, stability checks, and stable-model enumeration."""
 
+import sys
+
 from ndlp import (
     enumerate_stable,
     is_model,
@@ -122,6 +124,30 @@ class TestEnumerateStable:
         result = enumerate_stable(teaching, max_models=1)
         assert len(result.models) == 1
         assert result.truncated
+
+    def test_max_models_is_a_subset_not_a_prefix(self):
+        gp = gp_from("{a} :- not {b}. {b} :- not {a}.")
+        full = enumerate_stable(gp).models
+        capped = enumerate_stable(gp, max_models=1).models
+        assert model_strs(full) == [["{a}"], ["{b}"]]
+        assert model_strs(capped) == [["{b}"]]
+        assert set(capped) <= set(full)
+
+    def test_deep_search_needs_no_recursion(self):
+        # one decision level per even loop; the search must not recurse
+        loops = 300
+        text = "".join(f"{{a{i}}} :- not {{b{i}}}. {{b{i}}} :- not {{a{i}}}.\n" for i in range(loops))
+        gp = gp_from(text)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            result = enumerate_stable(gp, max_models=1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.truncated
+        (model,) = result.models
+        assert len(model) == loops
+        assert all(len({str(a) for a in model} & {f"{{a{i}}}", f"{{b{i}}}"}) == 1 for i in range(loops))
 
     def test_matches_brute_force_on_deferral_heavy_program(self):
         # dead rules make their negated atoms branch-free; the result set
