@@ -9,7 +9,6 @@ expansion of any model into the branches of its solution tree.
 from .answersets import AnswerSet, Expansion, count, expand
 from .detlp import DetRule, det_least_model, det_stable, det_wf, embed
 from .errors import (
-    BaseCapExceeded,
     EvaluationError,
     GroundingError,
     InconsistencyError,
@@ -20,7 +19,6 @@ from .errors import (
 from .grounder import GroundProgram, ground, make_ground_program, restricted_base
 from .parser import parse_program, parse_rule
 from .positive import (
-    enumerate_models,
     is_model,
     least_model,
     satisfies_rule,
@@ -60,7 +58,6 @@ from .wf import (
 __all__ = [
     "AnswerSet",
     "Atom",
-    "BaseCapExceeded",
     "Compound",
     "Constant",
     "DetRule",
@@ -89,7 +86,6 @@ __all__ = [
     "det_stable",
     "det_wf",
     "embed",
-    "enumerate_models",
     "enumerate_stable",
     "expand",
     "greatest_unfounded",

@@ -211,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "dump_ground", False) and args.format == "json":
+        parser.error("--dump-ground cannot be combined with --format json")
     try:
         if args.command == "ground":
             return _ground_cmd(args)

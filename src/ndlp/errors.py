@@ -36,9 +36,5 @@ class EvaluationError(NdlpError):
     """A semantic operation was called outside its contract."""
 
 
-class BaseCapExceeded(EvaluationError):
-    """Brute-force enumeration refused: restricted base larger than the cap."""
-
-
 class InconsistencyError(EvaluationError):
     """A well-founded step produced overlapping positive and negative sets."""

@@ -6,6 +6,20 @@ like T+1 are evaluated after substitution, so heads may mention time points
 one past the horizon. Ground instances whose built-in comparison evaluates
 false are dropped; true comparisons are removed from the body.
 
+Only instances whose positive body can be derived are kept: every positive
+body NdAtom must lie in the positive closure that ignores negation. No other
+instance fires under any semantics. Instantiation is semi-naive and driven by
+joins, in the style of lparse and gringo: each NdAtom that becomes derivable
+is matched against the positive body literals it fits and joined with the
+NdAtoms derived before it. A set-literal matches an NdAtom it grounds to
+exactly, so members that coincide collapse into one. A variable that no
+positive body literal binds ranges over its domain; a bound value outside
+the domain is rejected, so a time point derived past the horizon binds no
+time variable. Each rule's instances come out in the order of the product
+of its sorted variables' domains, without duplicates. The result is the
+product grounding less its dead instances. Rules without variables are kept
+as written, and a program without variables is grounded in one pass.
+
 All semantics downstream operate over the *restricted* non-deterministic
 base: the NdAtoms that occur somewhere in the ground rules. NdAtoms outside
 it are false (total semantics) or negative (well-founded) by convention and
@@ -36,6 +50,7 @@ from .syntax import (
     canonicalize,
     is_time_variable,
     sort_nd_atoms,
+    term_variables,
 )
 
 
@@ -160,8 +175,237 @@ def _ground_instance(rule: Rule, env: dict[str, Term]) -> Rule | None:
     return Rule(head=canonicalize(head_atoms), body=tuple(body), origin=rule.origin)
 
 
+def _undo(env: dict[str, Term], trail: list[str], mark: int) -> None:
+    while len(trail) > mark:
+        del env[trail.pop()]
+
+
+def _bind(pattern: Term, value: Term, env: dict[str, Term], trail: list[str], admits) -> bool:
+    """Extend `env` so that `pattern` grounds to `value`. Names bound on the
+    way go on the trail, also when the match fails; the caller undoes them."""
+    if isinstance(pattern, Variable):
+        bound = env.get(pattern.name)
+        if bound is not None:
+            return bound == value
+        if not admits(pattern.name, value):
+            return False
+        env[pattern.name] = value
+        trail.append(pattern.name)
+        return True
+    if isinstance(pattern, Sum):
+        return isinstance(value, Integer) and _bind(
+            pattern.base, Integer(value.value - pattern.offset), env, trail, admits
+        )
+    if isinstance(pattern, Compound):
+        return (
+            isinstance(value, Compound)
+            and value.name == pattern.name
+            and len(value.args) == len(pattern.args)
+            and all(_bind(p, v, env, trail, admits) for p, v in zip(pattern.args, value.args))
+        )
+    return pattern == value
+
+
+def _bind_atom(pattern: Atom, atom: Atom, env, trail, admits) -> bool:
+    return (
+        pattern.pred == atom.pred
+        and len(pattern.args) == len(atom.args)
+        and all(_bind(p, v, env, trail, admits) for p, v in zip(pattern.args, atom.args))
+    )
+
+
+def _bind_nd(pattern: NdAtom, nd: NdAtom, env, trail, admits):
+    """Yield once per binding under which `pattern` grounds to exactly `nd`:
+    every pattern member matches some member of `nd` and every member of
+    `nd` is matched, so coinciding pattern members may collapse."""
+    patterns, members = pattern.atoms, nd.atoms
+    hits = [0] * len(members)
+
+    def place(k: int):
+        if k == len(patterns):
+            if all(hits):
+                yield
+            return
+        for j, member in enumerate(members):
+            mark = len(trail)
+            if _bind_atom(patterns[k], member, env, trail, admits):
+                hits[j] += 1
+                yield from place(k + 1)
+                hits[j] -= 1
+            _undo(env, trail, mark)
+
+    if len(members) <= len(patterns):
+        yield from place(0)
+
+
+def _signature(nd: NdAtom) -> frozenset[str]:
+    return frozenset(atom.pred for atom in nd)
+
+
+class _Source:
+    """One source rule during instantiation: the positive body literals its
+    instances are joined on, the variables no such literal binds, and the
+    instances found, keyed by the ranks of their values in product order
+    (None marks an instance whose comparison or arithmetic failed). A rule
+    without variables has its one instance fixed up front."""
+
+    def __init__(self, rule: Rule, names: list[str]):
+        self.rule = rule
+        self.names = names
+        self.fixed: Rule | None = None
+        if names:
+            body = [nd for nd in rule.positive_body() if not nd.atoms[0].is_builtin()]
+        else:
+            self.fixed = _ground_instance(rule, {})
+            body = list(self.fixed.positive_body()) if self.fixed is not None else []
+        self.joins = [(nd, {n for atom in nd for n in atom.variables()}) for nd in body]
+        joined = {n for _, bound in self.joins for n in bound}
+        self.free = [name for name in names if name not in joined]
+        self.instances: dict[tuple[int, ...], Rule | None] = {}
+
+
+class _Instantiator:
+    """Semi-naive instantiation over the positive closure that ignores
+    negation. Each NdAtom taken off the queue is indexed, then matched
+    against the join literals it fits; the rest of each such rule body is
+    joined against the NdAtoms indexed so far. An instance is thus found
+    when the last of its positive body NdAtoms is taken off the queue."""
+
+    def __init__(self, rules: list[tuple[Rule, list[str]]], horizon: int | None,
+                 constants: tuple[Term, ...]):
+        self.sources = sources = [_Source(rule, names) for rule, names in rules]
+        self.horizon = horizon
+        self.constants = constants
+        self.rank = {term: i for i, term in enumerate(constants)}
+        self.time = {
+            name: is_time_variable(name) for source in sources for name in source.names
+        }
+        self.time_domain: list[Term] | None = None
+        self.derived: set[NdAtom] = set()
+        self.queue: list[NdAtom] = []
+        self.known: set[NdAtom] = set()
+        self.by_signature: dict[tuple[frozenset[str], int], list[NdAtom]] = {}
+        self.by_argument: dict[tuple[str, int, Term], list[NdAtom]] = {}
+        # trigger key -> (source, join literal position); ground literals are
+        # keyed by themselves, the others by each signature they can match
+        self.triggers: dict = {}
+        for source in sources:
+            for pos, (nd, names) in enumerate(source.joins):
+                if not names:
+                    self.triggers.setdefault(nd, []).append((source, pos))
+                    continue
+                signature = _signature(nd)
+                for size in range(len(signature), len(nd) + 1):
+                    self.triggers.setdefault((signature, size), []).append((source, pos))
+
+    def admits(self, name: str, value: Term) -> bool:
+        if self.time[name]:
+            return isinstance(value, Integer) and 0 <= value.value <= self.horizon
+        return value in self.rank
+
+    def run(self) -> None:
+        for source in self.sources:
+            if not source.joins:
+                self.emit(source, {})
+        env: dict[str, Term] = {}
+        trail: list[str] = []
+        while self.queue:
+            nd = self.queue.pop()
+            self.index(nd)
+            signature = _signature(nd)
+            triggered = self.triggers.get(nd, []) + self.triggers.get((signature, len(nd)), [])
+            for source, pos in triggered:
+                rest = [i for i in range(len(source.joins)) if i != pos]
+                for _ in _bind_nd(source.joins[pos][0], nd, env, trail, self.admits):
+                    self.join(source, rest, env, trail)
+
+    def index(self, nd: NdAtom) -> None:
+        self.known.add(nd)
+        self.by_signature.setdefault((_signature(nd), len(nd)), []).append(nd)
+        if len(nd) == 1:
+            atom = nd.atoms[0]
+            for i, value in enumerate(atom.args):
+                self.by_argument.setdefault((atom.pred, i, value), []).append(nd)
+
+    def candidates(self, pattern: NdAtom, env: dict[str, Term]) -> Iterable[NdAtom]:
+        """Indexed NdAtoms the pattern might ground to under `env`."""
+        if pattern.is_ground():
+            return (pattern,) if pattern in self.known else ()
+        if len(pattern) == 1:
+            atom = pattern.atoms[0]
+            for i, arg in enumerate(atom.args):
+                if all(name in env for name in term_variables(arg)):
+                    value = _substitute(arg, env)
+                    if value is None:
+                        return ()
+                    return self.by_argument.get((atom.pred, i, value), ())
+            return self.by_signature.get((_signature(pattern), 1), ())
+        signature = _signature(pattern)
+        found: list[NdAtom] = []
+        for size in range(len(signature), len(pattern) + 1):
+            found += self.by_signature.get((signature, size), ())
+        return found
+
+    def join(self, source: _Source, todo: list[int], env, trail) -> None:
+        if not todo:
+            self.emit(source, env)
+            return
+        # the literal with the fewest unbound variables goes next
+        pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][1]))
+        rest = [i for i in todo if i != pick]
+        pattern = source.joins[pick][0]
+        for nd in self.candidates(pattern, env):
+            for _ in _bind_nd(pattern, nd, env, trail, self.admits):
+                self.join(source, rest, env, trail)
+
+    def emit(self, source: _Source, env: dict[str, Term]) -> None:
+        if source.fixed is not None:
+            self.derive(source.fixed.head)
+            return
+        full = dict(env)
+        for values in product(*(self.domain(name) for name in source.free)):
+            full.update(zip(source.free, values))
+            key = tuple(self.rank_of(name, full[name]) for name in source.names)
+            if key in source.instances:
+                continue
+            instance = _ground_instance(source.rule, full)
+            source.instances[key] = instance
+            if instance is not None:
+                self.derive(instance.head)
+
+    def derive(self, nd: NdAtom) -> None:
+        if nd not in self.derived:
+            self.derived.add(nd)
+            self.queue.append(nd)
+
+    def domain(self, name: str) -> Iterable[Term]:
+        if not self.time[name]:
+            return self.constants
+        if self.time_domain is None:
+            self.time_domain = [Integer(t) for t in range(self.horizon + 1)]
+        return self.time_domain
+
+    def rank_of(self, name: str, value: Term) -> int:
+        return value.value if self.time[name] else self.rank[value]
+
+    def rules(self) -> Iterable[Rule]:
+        """Each source rule's instances in product order, first-wins."""
+        for source in self.sources:
+            if not source.names:
+                if source.fixed is not None:
+                    yield source.fixed
+                continue
+            seen: set[Rule] = set()
+            for key in sorted(source.instances):
+                instance = source.instances[key]
+                if instance is not None and instance not in seen:
+                    seen.add(instance)
+                    yield instance
+
+
 def ground(program: Program, horizon: int | None = None) -> GroundProgram:
-    """Replace every rule by all its ground instances.
+    """The ground instances of every rule whose positive body can be derived,
+    plus every rule written without variables.
 
     `horizon` overrides the program's own `#horizon`. Missing horizon with
     time variables present, or a non-time variable with no constants to
@@ -169,36 +413,30 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
     """
     if horizon is None:
         horizon = program.horizon
-    constants = program_constants(program)
-    time_domain: tuple[Term, ...] = ()
-    if horizon is not None:
-        if horizon < 0:
-            raise GroundingError("horizon must be non-negative")
-        time_domain = tuple(Integer(t) for t in range(horizon + 1))
-
-    ground_rules: list[Rule] = []
+    if horizon is not None and horizon < 0:
+        raise GroundingError("horizon must be non-negative")
+    constants: tuple[Term, ...] | None = None
+    rules: list[tuple[Rule, list[str]]] = []
     for rule in program.rules:
-        variables = sorted(rule.variables())
-        domains: list[tuple[Term, ...]] = []
-        for name in variables:
+        names = sorted(rule.variables())
+        for name in names:
             if is_time_variable(name):
                 if horizon is None:
                     raise GroundingError(
                         f"time variable {name} needs a horizon; "
                         f"pass --horizon or add #horizon ({rule.origin})"
                     )
-                domains.append(time_domain)
             else:
+                if constants is None:
+                    constants = program_constants(program)
                 if not constants:
                     raise GroundingError(
                         f"variable {name} has no constants to range over ({rule.origin})"
                     )
-                domains.append(constants)
-        seen: set[Rule] = set()
-        for values in product(*domains):
-            env = dict(zip(variables, values))
-            instance = _ground_instance(rule, env)
-            if instance is not None and instance not in seen:
-                seen.add(instance)
-                ground_rules.append(instance)
-    return make_ground_program(ground_rules)
+        rules.append((rule, names))
+    if not any(names for _, names in rules):
+        instances = (_ground_instance(rule, {}) for rule, _ in rules)
+        return make_ground_program(r for r in instances if r is not None)
+    instantiator = _Instantiator(rules, horizon, constants or ())
+    instantiator.run()
+    return make_ground_program(instantiator.rules())

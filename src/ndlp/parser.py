@@ -17,7 +17,8 @@ Grammar, with `%` starting a line comment:
 NAMEs start with a lowercase letter and may carry a leading "-", which spells
 classical negation as part of the name. VARIABLEs start with an uppercase
 letter; those named T, T0, T1, ... are time variables (see the grounder).
-Comparisons must be the sole member of a positive body NdAtom.
+Comparisons must be the sole member of a positive body NdAtom. Function
+symbols nest at most MAX_TERM_DEPTH levels deep.
 
 Load-time checks beyond the grammar: consistent predicate arities, and rule
 safety (every variable in the head or in a negated NdAtom must occur in a
@@ -44,6 +45,12 @@ from .syntax import (
     canonicalize,
     is_time_variable,
 )
+
+
+# Deepest nesting of function symbols a term may have. Terms are walked
+# recursively from parsing through grounding to printing, so deeper input is
+# a parse error rather than a RecursionError further on.
+MAX_TERM_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -275,7 +282,7 @@ class _Parser:
             return Atom(pred=op.value, args=(left, right))
         raise ParseError(f"expected atom, found {tok.value!r}", tok.line, tok.column)
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
         tok = self.next()
         base: Term
         if tok.kind == "INT":
@@ -284,11 +291,17 @@ class _Parser:
             base = Variable(tok.value)
         elif tok.kind == "NAME":
             if self.peek().kind == "LPAREN":
+                if depth == MAX_TERM_DEPTH:
+                    raise ParseError(
+                        f"term nested deeper than {MAX_TERM_DEPTH} function symbols",
+                        tok.line,
+                        tok.column,
+                    )
                 self.next()
-                args = [self.term()]
+                args = [self.term(depth + 1)]
                 while self.peek().kind == "COMMA":
                     self.next()
-                    args.append(self.term())
+                    args.append(self.term(depth + 1))
                 self.expect("RPAREN", "')'")
                 return Compound(name=tok.value, args=tuple(args))
             base = Constant(tok.value)

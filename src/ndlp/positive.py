@@ -1,29 +1,19 @@
 """Declarative and fixpoint semantics for negation-free ground programs.
 
 An interpretation is a finite set of ground NdAtoms drawn from the
-restricted base. `enumerate_models` is the deliberately naive test oracle:
-it walks every subset of the base and keeps the models, sharing no logic
-with the one-step operator it is used to check.
+restricted base. The brute-force model enumeration that checks the
+one-step operator lives with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
 
-from .errors import BaseCapExceeded, EvaluationError
+from .errors import EvaluationError
 from .grounder import GroundProgram
 from .syntax import NdAtom, Rule
 
 Interpretation = frozenset  # of NdAtom
-
-DEFAULT_BASE_CAP = 20
-
-
-def base_cap(default: int = DEFAULT_BASE_CAP) -> int:
-    """Brute-force cap, overridable through the NDLP_MAX_BASE env var."""
-    value = os.environ.get("NDLP_MAX_BASE")
-    return int(value) if value else default
 
 
 def satisfies_rule(interp: Interpretation, rule: Rule) -> bool:
@@ -42,23 +32,6 @@ def satisfies_rule(interp: Interpretation, rule: Rule) -> bool:
 
 def is_model(interp: Interpretation, gp: GroundProgram) -> bool:
     return all(satisfies_rule(interp, rule) for rule in gp.rules)
-
-
-def enumerate_models(gp: GroundProgram, max_base: int | None = None) -> list[Interpretation]:
-    """All subsets of the restricted base that are models, in subset-vector
-    order over the sorted base. Exponential; test use only."""
-    cap = max_base if max_base is not None else base_cap()
-    atoms = gp.base
-    if len(atoms) > cap:
-        raise BaseCapExceeded(
-            f"restricted base has {len(atoms)} NdAtoms, enumeration cap is {cap}"
-        )
-    models = []
-    for mask in range(1 << len(atoms)):
-        subset = frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
-        if is_model(subset, gp):
-            models.append(subset)
-    return models
 
 
 def _check_positive(rules: Iterable[Rule]) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .compiled import IN, OPEN, OUT
 from .grounder import GroundProgram
 from .positive import Interpretation, lfp
-from .syntax import Rule, interpretation_key, sort_nd_atoms
+from .syntax import Rule, interpretation_key
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,3 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
     unique = {interpretation_key(m): m for m in models}
     ordered = tuple(unique[k] for k in sorted(unique))
     return StableModels(models=ordered, truncated=truncated)
-
-
-def brute_force_stable(gp: GroundProgram) -> list[Interpretation]:
-    """Independent oracle: filter every subset of the head atoms through the
-    stability check. Exponential; test use only."""
-    heads = sort_nd_atoms(gp.heads)
-    models = []
-    for mask in range(1 << len(heads)):
-        subset = frozenset(heads[i] for i in range(len(heads)) if mask >> i & 1)
-        if is_stable(gp, subset):
-            models.append(subset)
-    return sorted(models, key=interpretation_key)

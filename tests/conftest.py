@@ -108,3 +108,99 @@ def random_det_program(
             (neg if rng.random() < neg_prob else pos).append(atom)
         rules.append(DetRule(head=head, pos=tuple(pos), neg=tuple(neg)))
     return rules
+
+
+# ---------------------------------------------------------------------------
+# Random non-ground programs (for the grounding oracle)
+# ---------------------------------------------------------------------------
+
+# predicate -> arity; the last argument of h is a time point
+_NG_ARITIES = {"p": 1, "q": 1, "e": 2, "h": 2, "g": 0}
+
+
+def random_nonground_program(seed: int) -> tuple[str, int | None]:
+    """Program text plus horizon: a few facts, some of them set-atoms, and
+    rules with variables over a handful of constants, time variables with
+    `T+1` heads, `!=`/`==` comparisons, multi-atom body set-literals,
+    function terms and negation. Heads may build values that are no
+    constants of the program (`f(X)`, `X+1`, time points past the horizon),
+    which no variable may then bind. Every rule passes the parser's safety
+    check."""
+    rng = random.Random(seed)
+    horizon = rng.choice((None, 0, 1, 2))
+    consts = ["a", "b", "c"][: rng.randint(1, 3)]
+    preds = [p for p in _NG_ARITIES if horizon is not None or p != "h"]
+
+    facts: list[list[tuple[str, list[str]]]] = []
+
+    def ground_atom(pred: str) -> str:
+        args = [rng.choice(consts) for _ in range(_NG_ARITIES[pred])]
+        if pred == "h":
+            args[1] = str(rng.randint(0, horizon + 1))
+        facts[-1].append((pred, args))
+        return f"{pred}({', '.join(args)})" if args else pred
+
+    def generalized_fact(names: list[str], time: str | None) -> str:
+        """A set-atom fact with some of its arguments made variables, so
+        that set-literals, collapsing ones included, find a match."""
+        members = []
+        for pred, args in rng.choice(facts):
+            args = [rng.choice(names) if rng.random() < 0.6 else arg for arg in args]
+            if pred == "h":
+                args[1] = time if time is not None and rng.random() < 0.5 else args[1]
+            members.append(f"{pred}({', '.join(args)})" if args else pred)
+        return "{" + ", ".join(members) + "}"
+
+    def term(names: list[str], in_head: bool) -> str:
+        value = rng.choice(names + consts)
+        roll = rng.random()
+        if roll < 0.1:
+            return f"f({value})"
+        if in_head and roll < 0.15 and value[0].isupper():
+            return f"{value}+1"
+        return value
+
+    def atom(pred: str, names: list[str], time: str | None, in_head: bool) -> str:
+        args = [term(names, in_head) for _ in range(_NG_ARITIES[pred])]
+        if pred == "h":
+            args[1] = time if time is not None and rng.random() < 0.8 else rng.choice(names + ["0"])
+        return f"{pred}({', '.join(args)})" if args else pred
+
+    def members(make, time: str | None, pairs: float = 0.3) -> str:
+        choices = preds if time is not None else [p for p in preds if p != "h"]
+        first = rng.choice(choices)
+        chosen = [first]
+        if rng.random() < pairs:
+            # a second member, of the same predicate half the time
+            chosen.append(first if rng.random() < 0.5 else rng.choice(choices))
+        return "{" + ", ".join(make(pred) for pred in chosen) + "}"
+
+    lines = []
+    for _ in range(rng.randint(2, 6)):
+        facts.append([])
+        lines.append(members(ground_atom, 0, pairs=0.5) + ".")
+    for _ in range(rng.randint(1, 5)):
+        names = rng.sample(["X", "Y", "Z"], rng.randint(1, 2))
+        time = "T" if horizon is not None and rng.random() < 0.5 else None
+        body = [
+            generalized_fact(names, time) if rng.random() < 0.3
+            else members(lambda pred: atom(pred, names, time, False), time)
+            for _ in range(rng.randint(0, 2))
+        ]
+        bound = sorted({n for lit in body for n in names if n in lit})
+        if bound and rng.random() < 0.3:
+            left = rng.choice(bound)
+            right = rng.choice(bound + consts)
+            body.append(f"{{{left} {rng.choice(('!=', '=='))} {right}}}")
+        if rng.random() < 0.15:
+            # a variable only a comparison binds ranges over the constants
+            body.append(f"{{W != {rng.choice(consts)}}}")
+            bound.append("W")
+        safe = bound or consts[:1]
+        head_time = None if time is None else rng.choice(("T", "T+1"))
+        head = members(lambda pred: atom(pred, safe, head_time, True), head_time)
+        for _ in range(rng.randint(0, 2)):
+            neg_time = time or ("T" if horizon is not None else None)
+            body.append("not " + members(lambda pred: atom(pred, safe, neg_time, False), neg_time))
+        lines.append(head + (" :- " + ", ".join(body) if body else "") + ".")
+    return "\n".join(lines) + "\n", horizon

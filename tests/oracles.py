@@ -1,0 +1,143 @@
+"""Independent test oracles, deliberately naive and kept out of the package.
+
+- `product_ground` is the Cartesian-product grounder: every rule is
+  instantiated over the full domain of each variable and every instance is
+  kept. It shares only the construction of one instance with the package.
+  `live_instances` filters it down to what the join-driven grounder must
+  produce.
+- `enumerate_models` walks every subset of the restricted base and keeps
+  the models; `brute_force_stable` filters every subset of the head atoms
+  through the object-level stability check. Both are exponential and refuse
+  bases past a cap, overridable through the NDLP_MAX_BASE environment
+  variable.
+"""
+
+from __future__ import annotations
+
+import os
+from itertools import product
+
+from ndlp.errors import EvaluationError, GroundingError
+from ndlp.grounder import (
+    GroundProgram,
+    _ground_instance,
+    make_ground_program,
+    program_constants,
+)
+from ndlp.positive import Interpretation, is_model, lfp
+from ndlp.stable import is_stable
+from ndlp.syntax import (
+    Integer,
+    Program,
+    Rule,
+    Term,
+    interpretation_key,
+    is_time_variable,
+    sort_nd_atoms,
+)
+
+DEFAULT_BASE_CAP = 20
+
+
+class BaseCapExceeded(EvaluationError):
+    """Brute-force enumeration refused: restricted base larger than the cap."""
+
+
+def base_cap(default: int = DEFAULT_BASE_CAP) -> int:
+    """Brute-force cap, overridable through the NDLP_MAX_BASE env var."""
+    value = os.environ.get("NDLP_MAX_BASE")
+    return int(value) if value else default
+
+
+# ---------------------------------------------------------------------------
+# Grounding
+# ---------------------------------------------------------------------------
+
+def product_instances(program: Program, horizon: int | None = None) -> list[list[Rule]]:
+    """Per source rule, all its ground instances over the product of its
+    sorted variables' domains, deduplicated first-wins."""
+    if horizon is None:
+        horizon = program.horizon
+    constants = program_constants(program)
+    time_domain: tuple[Term, ...] = ()
+    if horizon is not None:
+        if horizon < 0:
+            raise GroundingError("horizon must be non-negative")
+        time_domain = tuple(Integer(t) for t in range(horizon + 1))
+
+    grouped: list[list[Rule]] = []
+    for rule in program.rules:
+        variables = sorted(rule.variables())
+        domains: list[tuple[Term, ...]] = []
+        for name in variables:
+            if is_time_variable(name):
+                if horizon is None:
+                    raise GroundingError(f"time variable {name} needs a horizon")
+                domains.append(time_domain)
+            else:
+                if not constants:
+                    raise GroundingError(f"variable {name} has no constants to range over")
+                domains.append(constants)
+        seen: set[Rule] = set()
+        kept: list[Rule] = []
+        for values in product(*domains):
+            instance = _ground_instance(rule, dict(zip(variables, values)))
+            if instance is not None and instance not in seen:
+                seen.add(instance)
+                kept.append(instance)
+        grouped.append(kept)
+    return grouped
+
+
+def product_ground(program: Program, horizon: int | None = None) -> GroundProgram:
+    """Every instance of every rule over the full variable domains."""
+    return make_ground_program(r for group in product_instances(program, horizon) for r in group)
+
+
+def live_instances(program: Program, horizon: int | None = None) -> list[Rule]:
+    """The product grounding less the instances, of rules with variables,
+    whose positive body lies outside the closure that ignores negation."""
+    grouped = product_instances(program, horizon)
+    closure = lfp(
+        Rule(head=r.head, body=tuple(lit for lit in r.body if not lit.negated))
+        for group in grouped
+        for r in group
+    )
+    kept: list[Rule] = []
+    for rule, group in zip(program.rules, grouped):
+        for instance in group:
+            if not rule.variables() or all(nd in closure for nd in instance.positive_body()):
+                kept.append(instance)
+    return kept
+
+
+# ---------------------------------------------------------------------------
+# Brute-force model enumeration
+# ---------------------------------------------------------------------------
+
+def enumerate_models(gp: GroundProgram, max_base: int | None = None) -> list[Interpretation]:
+    """All subsets of the restricted base that are models, in subset-vector
+    order over the sorted base."""
+    cap = max_base if max_base is not None else base_cap()
+    atoms = gp.base
+    if len(atoms) > cap:
+        raise BaseCapExceeded(
+            f"restricted base has {len(atoms)} NdAtoms, enumeration cap is {cap}"
+        )
+    models = []
+    for mask in range(1 << len(atoms)):
+        subset = frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
+        if is_model(subset, gp):
+            models.append(subset)
+    return models
+
+
+def brute_force_stable(gp: GroundProgram) -> list[Interpretation]:
+    """Every subset of the head atoms that passes the stability check."""
+    heads = sort_nd_atoms(gp.heads)
+    models = []
+    for mask in range(1 << len(heads)):
+        subset = frozenset(heads[i] for i in range(len(heads)) if mask >> i & 1)
+        if is_stable(gp, subset):
+            models.append(subset)
+    return sorted(models, key=interpretation_key)

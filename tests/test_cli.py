@@ -8,6 +8,7 @@ import pytest
 
 from ndlp.cli import _load, main
 from ndlp.corpus import corpus_path
+from ndlp.parser import MAX_TERM_DEPTH
 
 
 def run(capsys, *argv):
@@ -77,6 +78,38 @@ class TestExitCodes:
             main(["expand", "--max-answer-sets", value, str(corpus_path("teaching.ndlp"))])
         assert exit_.value.code == 2
         assert "--max-answer-sets" in capsys.readouterr().err
+
+    def test_dump_ground_with_json_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "--dump-ground", "--format", "json",
+                  str(corpus_path("teaching.ndlp"))])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--dump-ground" in captured.err
+
+    def test_term_nested_too_deep(self, capsys, tmp_path):
+        deep = tmp_path / "deep.ndlp"
+        deep.write_text("{p(" + "f(" * 3000 + "a" + ")" * 3000 + ")}.")
+        code, out, err = run(capsys, "solve", "--semantics", "least", str(deep))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ndlp: error:") and "nested deeper" in err
+
+    def test_term_at_the_nesting_limit_solves(self, capsys, tmp_path):
+        term = "f(" * MAX_TERM_DEPTH + "X" + ")" * MAX_TERM_DEPTH
+        source = tmp_path / "limit.ndlp"
+        source.write_text(f"{{q(a)}}. {{p({term})}} :- {{q(X)}}.\n{{r}} :- {{p({term})}}.\n")
+        code, out, _ = run(capsys, "solve", "--semantics", "least", str(source))
+        assert code == 0
+        assert "  {r}" in out
+
+    def test_large_horizon_without_time_variables(self, capsys):
+        # the horizon bounds time variables only; none occurs here
+        code, out, _ = run(
+            capsys, "solve", "--horizon", "1000000000", str(corpus_path("teaching.ndlp"))
+        )
+        assert code == 0
+        assert "ground rules: 2, base size: 2" in out
 
     def test_load_closes_its_files(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -193,8 +226,8 @@ class TestGroundCommand:
 
 class TestEnvCap:
     def test_max_base_env_var(self, monkeypatch):
-        from ndlp import BaseCapExceeded, enumerate_models
         from conftest import gp_from
+        from oracles import BaseCapExceeded, enumerate_models
 
         gp = gp_from("{p(X)} :- {q(X)}. {q(c1)}. {q(c2)}.")
         monkeypatch.setenv("NDLP_MAX_BASE", "2")

@@ -42,8 +42,40 @@ class TestInstantiation:
         assert [str(r.head) for r in p_rules] == ["{p(a)}"]
 
     def test_head_time_points_past_horizon_kept(self):
-        gp = ground(parse_program("{p(T+1)} :- {q(T)}. {q(0)}."), horizon=1)
+        gp = ground(parse_program("{p(T+1)} :- {q(T)}. {q(0)}. {q(1)}."), horizon=1)
         assert "{p(2)}" in heads_str(gp)
+
+    def test_time_point_past_horizon_binds_no_variable(self):
+        # p(2) is derived, but T = 2 lies outside 0..1
+        gp = ground(parse_program("{p(T+1)} :- {p(T)}. {p(0)}."), horizon=1)
+        assert heads_str(gp) == ["{p(0)}", "{p(1)}", "{p(2)}"]
+        assert len(gp.rules) == 3
+
+    def test_underivable_instance_absent(self):
+        gp = gp_from("{p(X)} :- {q(X)}, not {r(X)}. {q(c1)}. {r(c2)}.")
+        assert [str(r) for r in gp.rules] == [
+            "{p(c1)} :- {q(c1)}, not {r(c1)}.", "{q(c1)}.", "{r(c2)}.",
+        ]
+        assert "{q(c2)}" not in [str(a) for a in gp.base]
+
+    def test_rule_without_variables_kept_verbatim(self):
+        gp = gp_from("{a} :- {missing}. {p(X)} :- {q(X)}. {q(c)}.")
+        assert [str(r) for r in gp.rules] == ["{a} :- {missing}.", "{p(c)} :- {q(c)}.", "{q(c)}."]
+
+    def test_set_literal_matches_collapsed_members(self):
+        # X = Y grounds {q(X), q(Y)} to the singleton {q(a)}
+        gp = gp_from("{p(X, Y)} :- {q(X), q(Y)}. {q(a)}. {q(a), q(b)}.")
+        assert [str(r) for r in gp.rules] == [
+            "{p(a, a)} :- {q(a)}.",
+            "{p(a, b)} :- {q(a), q(b)}.",
+            "{p(b, a)} :- {q(a), q(b)}.",
+            "{q(a)}.",
+            "{q(a), q(b)}.",
+        ]
+
+    def test_large_horizon_with_bound_time_variables(self):
+        gp = ground(parse_program("{p(T+1)} :- {q(T)}. {q(0)}."), horizon=10**9)
+        assert [str(r) for r in gp.rules] == ["{p(1)} :- {q(0)}.", "{q(0)}."]
 
     def test_missing_horizon(self):
         with pytest.raises(GroundingError):
@@ -82,9 +114,12 @@ class TestRestrictedBase:
         heads = set(heads_str(gp))
         assert "{salad(salmon), soup(beef)}" in heads
         assert "{fish(seafood), meat(buffalo)}" in heads
-        # lunch instantiates over all 4x4 constant pairs
+        # of the 4x4 constant pairs, lunch keeps the 4 whose body is derivable
         lunches = [h for h in heads if h.startswith("{lunch")]
-        assert len(lunches) == 16
+        assert sorted(lunches) == [
+            "{lunch(beef, salmon)}", "{lunch(beef, seafood)}",
+            "{lunch(buffalo, salmon)}", "{lunch(buffalo, seafood)}",
+        ]
 
     def test_heads_subset_of_base(self):
         gp = gp_from("{a} :- {b}, not {c}. {b}.")

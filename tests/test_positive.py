@@ -3,9 +3,7 @@
 import pytest
 
 from ndlp import (
-    BaseCapExceeded,
     EvaluationError,
-    enumerate_models,
     is_model,
     least_model,
     satisfies_rule,
@@ -14,6 +12,7 @@ from ndlp import (
 from ndlp.corpus import corpus_text
 
 from conftest import gp_from
+from oracles import BaseCapExceeded, enumerate_models
 
 
 def nd(gp, text: str):

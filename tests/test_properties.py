@@ -15,7 +15,6 @@ from ndlp import (
     det_stable,
     det_wf,
     embed,
-    enumerate_models,
     enumerate_stable,
     greatest_unfounded,
     ground,
@@ -28,11 +27,12 @@ from ndlp import (
 )
 from ndlp.detlp import desingletonize
 from ndlp.positive import intersect_all, lfp
-from ndlp.stable import brute_force_stable, reduct
+from ndlp.stable import reduct
 from ndlp.syntax import Atom, canonicalize
 from ndlp.wf import PartialInterpretation
 
 from conftest import random_det_program, random_ground_program, random_interpretations
+from oracles import brute_force_stable, enumerate_models
 
 CASES = 200
 

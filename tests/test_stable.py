@@ -12,9 +12,9 @@ from ndlp import (
     tprime_step,
 )
 from ndlp.corpus import corpus_text
-from ndlp.stable import brute_force_stable
 
 from conftest import gp_from
+from oracles import brute_force_stable
 
 
 def nd(gp, text):
