@@ -121,9 +121,9 @@ def tokenize(text: str) -> list[Token]:
             if word not in ("#horizon", "#const"):
                 raise ParseError(f"unknown directive {word}", start_line, start_col)
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", take(j - i), start_line, start_col))
             continue

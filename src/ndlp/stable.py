@@ -4,10 +4,12 @@ A stable model is an interpretation equal to the least model of its own
 reduct. `enumerate_stable` realizes the guess-and-check: truth assignments
 over the NdAtoms that occur negated fix the reduct, whose least model is
 kept when it agrees with the assignment. The assignments are explored as a
-tree with sound interval pruning (an underivable assumed-true atom or an
-unavoidable assumed-false atom closes a branch), which changes nothing
-about the result set but makes planning-sized programs tractable. The
-output is sorted, so it is independent of exploration order.
+tree; at every node `CompiledProgram.bounds` propagates the assignment
+(an underivable assumed-true atom or an unavoidable assumed-false atom
+closes a branch), which changes nothing about the result set but makes
+planning-sized programs tractable. At the root that propagation is the
+well-founded model, so every stable model lies above it. The output is
+sorted, so it is independent of exploration order.
 """
 
 from __future__ import annotations
@@ -89,35 +91,10 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
     found: list[bytearray] = []
     truncated = False
 
-    def propagate(trail: list[int]) -> tuple[bytearray, bytearray] | None:
-        """Force what the bounds of the assignment decide, recording each
-        forced atom on `trail`; the final bounds, or None on a conflict."""
-        while True:
-            lower = program.lfp(assign, optimistic=False)
-            upper = program.lfp(assign, optimistic=True)
-            forced: list[tuple[int, int]] = []
-            for n in negated:
-                decided = assign[n]
-                if decided == OUT:
-                    if lower[n]:
-                        return None  # assumed out, but derived in every completion
-                elif decided == IN:
-                    if not upper[n]:
-                        return None  # assumed in, but underivable in every completion
-                elif lower[n]:
-                    forced.append((n, IN))
-                elif not upper[n]:
-                    forced.append((n, OUT))
-            if not forced:
-                return lower, upper
-            for n, value in forced:
-                assign[n] = value
-                trail.append(n)
-
     # Depth-first over an explicit decision stack, OUT before IN; a frame is
     # (pivot, value, atoms forced under that decision).
     stack: list[tuple[int, int, list[int]]] = []
-    bounds = propagate([])
+    bounds = program.bounds(assign, [])
     while True:
         if bounds is not None:
             lower, upper = bounds
@@ -126,7 +103,8 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
                 assign[pivot] = OUT
                 trail: list[int] = []
                 stack.append((pivot, OUT, trail))
-                bounds = propagate(trail)
+                # an atom assigned out leaves the upper bound valid
+                bounds = program.bounds(assign, trail, upper=upper)
                 continue
             # Leaf: the pessimistic bound is the reduct's least model.
             if all(lower[n] for n in negated if assign[n] == IN):
@@ -142,14 +120,13 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
                 assign[pivot] = IN
                 trail = []
                 stack.append((pivot, IN, trail))
-                bounds = propagate(trail)
+                bounds = program.bounds(assign, trail)
                 break
             assign[pivot] = OPEN
         else:
             break
 
-    # guard, one fixpoint per model; holds by construction
+    # guard, one fixpoint per model; holds by construction. Leaves differ on
+    # some pivot, so the models are distinct.
     models = [program.decode(flags) for flags in found if program.reduct_model(flags) == flags]
-    unique = {interpretation_key(m): m for m in models}
-    ordered = tuple(unique[k] for k in sorted(unique))
-    return StableModels(models=ordered, truncated=truncated)
+    return StableModels(models=tuple(sorted(models, key=interpretation_key)), truncated=truncated)

@@ -4,8 +4,9 @@ A partial interpretation keeps disjoint positive and negative sets of
 NdAtoms; anything in neither is undefined. One W step joins the one-step
 positive consequences with the negated greatest unfounded set, and the
 iteration from the empty interpretation grows monotonically to the
-well-founded model. `well_founded_model` reaches the same model by the
-alternating fixpoint on the compiled program; W is the reference.
+well-founded model. `well_founded_model` reaches the same model as the
+stable search's root propagation on the compiled program, which is why it
+lies below every stable model; W is the reference.
 
 The greatest unfounded set is computed as the complement of the "founded"
 atoms, the least fixpoint closing rule heads whose bodies are not false and
@@ -121,22 +122,13 @@ def wp_step(gp: GroundProgram, interp: PartialInterpretation) -> PartialInterpre
 
 
 def well_founded_model(gp: GroundProgram) -> PartialInterpretation:
-    """Van Gelder's alternating fixpoint on the compiled program.
-
-    From L = {} repeat U = least model of the reduct against L (an upper
-    bound on the true atoms) and L' = least model of the reduct against U
-    (a lower bound) until L' = L; then L is the true set and base - U the
-    false one. Equal to the fixpoint of W, which the tests iterate as the
-    reference. Totality is judged against gp.base.
-    """
+    """The stable search's root propagation, `CompiledProgram.bounds` from
+    the all-open assignment, which never conflicts: the lower bound is the
+    true set and the base less the upper bound the false set. This is Van
+    Gelder's alternating fixpoint one forced atom at a time, equal to the
+    fixpoint of W, which the tests iterate as the reference."""
     program = gp.compiled
-    lower = bytearray(program.n)
-    while True:
-        upper = program.reduct_model(lower)
-        following = program.reduct_model(upper)
-        if following == lower:
-            break
-        lower = following
+    lower, upper = program.bounds(bytearray(program.n), [])
     return PartialInterpretation(
         pos=program.decode(lower),
         neg=frozenset(a for a, flag in zip(program.atoms, upper) if not flag),

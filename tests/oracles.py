@@ -10,6 +10,9 @@
   through the object-level stability check. Both are exponential and refuse
   bases past a cap, overridable through the NDLP_MAX_BASE environment
   variable.
+- `propagate_by_rounds` is the stable search's propagation done the plain
+  way, both bounds recomputed every round, against which the compiled
+  `bounds` is checked.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import os
 from itertools import product
 
+from ndlp.compiled import IN, OUT, CompiledProgram
 from ndlp.errors import EvaluationError, GroundingError
 from ndlp.grounder import (
     GroundProgram,
@@ -141,3 +145,34 @@ def brute_force_stable(gp: GroundProgram) -> list[Interpretation]:
         if is_stable(gp, subset):
             models.append(subset)
     return sorted(models, key=interpretation_key)
+
+
+# ---------------------------------------------------------------------------
+# Propagation
+# ---------------------------------------------------------------------------
+
+def propagate_by_rounds(program: CompiledProgram, assign: bytearray, trail: list[int]):
+    """Force what the bounds of the assignment decide, recomputing both
+    bounds every round and recording each forced atom on `trail`; the final
+    (lower, upper) bounds, or None on a conflict."""
+    while True:
+        lower = program.lfp(assign, optimistic=False)
+        upper = program.lfp(assign, optimistic=True)
+        forced: list[tuple[int, int]] = []
+        for n in program.negated:
+            decided = assign[n]
+            if decided == OUT:
+                if lower[n]:
+                    return None  # assumed out, but derived in every completion
+            elif decided == IN:
+                if not upper[n]:
+                    return None  # assumed in, but underivable in every completion
+            elif lower[n]:
+                forced.append((n, IN))
+            elif not upper[n]:
+                forced.append((n, OUT))
+        if not forced:
+            return lower, upper
+        for n, value in forced:
+            assign[n] = value
+            trail.append(n)

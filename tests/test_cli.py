@@ -65,6 +65,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("ndlp: error:") and "UTF-8" in err
 
+    @pytest.mark.parametrize("text", ["{p(\u2460)}.", "#horizon \u00b22."])
+    def test_non_decimal_digit_is_a_parse_error(self, capsys, tmp_path, text):
+        source = tmp_path / "digit.ndlp"
+        source.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(source))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ndlp: error:") and "unexpected character" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_models_below_one_is_a_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exit_:

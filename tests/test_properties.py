@@ -8,6 +8,8 @@ reference engines) share no evaluation code with the paths they check.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ndlp import (
@@ -25,14 +27,14 @@ from ndlp import (
     tprime_step,
     well_founded_model,
 )
+from ndlp.compiled import IN, OPEN, OUT
 from ndlp.detlp import desingletonize
 from ndlp.positive import intersect_all, lfp
 from ndlp.stable import reduct
-from ndlp.syntax import Atom, canonicalize
 from ndlp.wf import PartialInterpretation
 
 from conftest import random_det_program, random_ground_program, random_interpretations
-from oracles import brute_force_stable, enumerate_models
+from oracles import brute_force_stable, enumerate_models, propagate_by_rounds
 
 CASES = 200
 
@@ -139,17 +141,41 @@ def test_wf_total_on_negation_free_programs(seed):
 # compiled program against the object-level references
 # ---------------------------------------------------------------------------
 
-OUTSIDE = canonicalize([Atom(pred="outside")])
-
-
 @pytest.mark.parametrize("seed", seeds(3600))
 def test_compiled_stability_check_matches_reference(seed):
+    # the guard enumerate_stable runs on each model it finds
     gp = random_ground_program(seed, max_nd=8, max_rules=12)
     program = gp.compiled
     candidates = [random_interpretations(seed, gp), frozenset(gp.heads)]
-    candidates += [m | {OUTSIDE} for m in candidates] + brute_force_stable(gp)
+    candidates += brute_force_stable(gp)
     for interp in candidates:
-        assert program.is_stable(interp) == is_stable(gp, interp), f"seed={seed} {interp}"
+        flags = bytearray(program.n)
+        for atom in interp:
+            flags[program.index[atom]] = 1
+        stable = program.reduct_model(flags) == flags
+        assert stable == is_stable(gp, interp), f"seed={seed} {interp}"
+
+
+@pytest.mark.parametrize("seed", seeds(3700))
+def test_bounds_match_round_based_propagation(seed):
+    # random partial assignments of the negated atoms, with and without the
+    # upper bound passed in
+    gp = random_ground_program(seed, max_nd=8, max_rules=12)
+    program = gp.compiled
+    rng = random.Random(seed)
+    for case in range(6):
+        assign = bytearray(program.n)
+        for n in program.negated:
+            assign[n] = rng.choice((OPEN, OPEN, OUT, IN))
+        expected_assign, expected_trail = assign.copy(), []
+        expected = propagate_by_rounds(program, expected_assign, expected_trail)
+        upper = program.lfp(assign, optimistic=True) if case % 2 else None
+        trail: list[int] = []
+        got = program.bounds(assign, trail, upper)
+        assert got == expected, f"seed={seed} case={case}"
+        if got is not None:
+            assert assign == expected_assign, f"seed={seed} case={case}"
+            assert trail == expected_trail, f"seed={seed} case={case}"
 
 
 @pytest.mark.parametrize("seed", seeds(3800))

@@ -132,6 +132,16 @@ class TestEnumerateStable:
         assert model_strs(full) == [["{a}"], ["{b}"]]
         assert model_strs(capped) == [["{b}"]]
         assert set(capped) <= set(full)
+        # robot at horizon 2, pinned: the last three of its 64 models
+        gp = gp_from(corpus_text("robot.ndlp"), horizon=2)
+        full = enumerate_stable(gp).models
+        capped = enumerate_stable(gp, max_models=3).models
+        assert len(full) == 64 and list(capped) == list(full[61:])
+        assert [sorted(str(a) for a in m if str(a).startswith("{occ(")) for m in capped] == [
+            ["{occ(check, 0)}", "{occ(check, 1)}", "{occ(flip_lock, 2)}"],
+            ["{occ(check, 0)}", "{occ(check, 1)}", "{occ(close, 2)}"],
+            ["{occ(check, 0)}", "{occ(check, 1)}", "{occ(check, 2)}"],
+        ]
 
     def test_deep_search_needs_no_recursion(self):
         # one decision level per even loop; the search must not recurse
@@ -148,6 +158,8 @@ class TestEnumerateStable:
         (model,) = result.models
         assert len(model) == loops
         assert all(len({str(a) for a in model} & {f"{{a{i}}}", f"{{b{i}}}"}) == 1 for i in range(loops))
+        # pinned: out before in on each first-open a_i leaves every b_i
+        assert {str(a) for a in model} == {f"{{b{i}}}" for i in range(loops)}
 
     def test_matches_brute_force_on_deferral_heavy_program(self):
         # dead rules make their negated atoms branch-free; the result set

@@ -130,6 +130,14 @@ class TestParser:
             parse_program("{a} :-\n{b} {c}.")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, column", [("{p(\u2460)}.", 4), ("#horizon \u00b22.", 10)])
+    def test_non_decimal_digit_is_an_unexpected_character(self, text, column):
+        # str.isdigit accepts these, int() does not
+        with pytest.raises(ParseError) as err:
+            parse_program("{a}.\n" + text)
+        assert "unexpected character" in str(err.value)
+        assert (err.value.line, err.value.column) == (2, column)
+
     def test_arity_clash(self):
         with pytest.raises(ProgramError):
             parse_program("{p(a)}. {p(a, b)}.")
