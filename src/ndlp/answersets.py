@@ -80,7 +80,9 @@ def expand(model: Model, cap: int | None = None, subset_minimal: bool = False) -
     """Enumerate the distinct answer sets of a model, in canonical order.
 
     `cap` bounds the number of distinct sets collected; hitting it sets the
-    truncation flag. The empty model expands to a single empty branch.
+    truncation flag. With `subset_minimal`, the cap applies after the filter,
+    to the minimal sets in canonical order. The empty model expands to a
+    single empty branch.
     """
     collected: dict = {}
     truncated = False
@@ -88,13 +90,15 @@ def expand(model: Model, cap: int | None = None, subset_minimal: bool = False) -
         key = answer_set.key
         if key in collected:
             continue
-        if cap is not None and len(collected) >= cap:
+        if cap is not None and len(collected) >= cap and not subset_minimal:
             truncated = True
             break
         collected[key] = answer_set
     ordered = [collected[k] for k in sorted(collected)]
     if subset_minimal:
         ordered = _minimal_only(ordered)
+        truncated = cap is not None and len(ordered) > cap
+        ordered = ordered[:cap]
     return Expansion(answer_sets=tuple(ordered), truncated=truncated)
 
 

@@ -76,9 +76,6 @@ class GroundProgram:
         grounding alone never pays for it."""
         return CompiledProgram(self.rules, self.base)
 
-    def is_positive(self) -> bool:
-        return all(r.is_positive() for r in self.rules)
-
     def __str__(self) -> str:
         return "".join(f"{rule}\n" for rule in self.rules)
 
@@ -217,25 +214,32 @@ def _bind_atom(pattern: Atom, atom: Atom, env, trail, admits) -> bool:
 def _bind_nd(pattern: NdAtom, nd: NdAtom, env, trail, admits):
     """Yield once per binding under which `pattern` grounds to exactly `nd`:
     every pattern member matches some member of `nd` and every member of
-    `nd` is matched, so coinciding pattern members may collapse."""
+    `nd` is matched, so coinciding pattern members may collapse. Pattern
+    members are placed in order on an explicit stack, so a set-literal of
+    any width matches without recursion."""
     patterns, members = pattern.atoms, nd.atoms
     hits = [0] * len(members)
-
-    def place(k: int):
-        if k == len(patterns):
-            if all(hits):
-                yield
-            return
-        for j, member in enumerate(members):
+    placed: list[tuple[int, int]] = []  # per placed pattern: member, trail mark
+    j = 0
+    while True:
+        if len(placed) < len(patterns) and j < len(members):
             mark = len(trail)
-            if _bind_atom(patterns[k], member, env, trail, admits):
+            if _bind_atom(patterns[len(placed)], members[j], env, trail, admits):
                 hits[j] += 1
-                yield from place(k + 1)
-                hits[j] -= 1
-            _undo(env, trail, mark)
-
-    if len(members) <= len(patterns):
-        yield from place(0)
+                placed.append((j, mark))
+                j = 0
+            else:
+                _undo(env, trail, mark)
+                j += 1
+            continue
+        if len(placed) == len(patterns) and all(hits):
+            yield
+        if not placed:
+            return
+        j, mark = placed.pop()  # backtrack: try the next member for it
+        hits[j] -= 1
+        _undo(env, trail, mark)
+        j += 1
 
 
 def _signature(nd: NdAtom) -> frozenset[str]:
@@ -347,16 +351,28 @@ class _Instantiator:
         return found
 
     def join(self, source: _Source, todo: list[int], env, trail) -> None:
-        if not todo:
-            self.emit(source, env)
-            return
-        # the literal with the fewest unbound variables goes next
+        """Emit an instance for each binding of the join literals in `todo`.
+        One match generator per bound literal waits on an explicit stack, so
+        bodies of any length ground without recursion."""
+        stack = [iter((todo,))]
+        while stack:
+            rest = next(stack[-1], None)
+            if rest is None:
+                stack.pop()
+            elif rest:
+                stack.append(self.matches(source, rest, env, trail))
+            else:
+                self.emit(source, env)
+
+    def matches(self, source: _Source, todo: list[int], env, trail) -> Iterable[list[int]]:
+        """Bind the join literal with the fewest unbound variables in every
+        way `env` allows, yielding the literals still to join each time."""
         pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][1]))
         rest = [i for i in todo if i != pick]
         pattern = source.joins[pick][0]
         for nd in self.candidates(pattern, env):
             for _ in _bind_nd(pattern, nd, env, trail, self.admits):
-                self.join(source, rest, env, trail)
+                yield rest
 
     def emit(self, source: _Source, env: dict[str, Term]) -> None:
         if source.fixed is not None:

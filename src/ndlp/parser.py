@@ -14,11 +14,14 @@ Grammar, with `%` starting a line comment:
     term       := INT | NAME | VARIABLE ("+" INT)? | INT "+" INT
                 | NAME "(" term ("," term)* ")"
 
-NAMEs start with a lowercase letter and may carry a leading "-", which spells
-classical negation as part of the name. VARIABLEs start with an uppercase
-letter; those named T, T0, T1, ... are time variables (see the grounder).
-Comparisons must be the sole member of a positive body NdAtom. Function
-symbols nest at most MAX_TERM_DEPTH levels deep.
+Tokens, as the one pattern `_TOKEN` reads them: an INT is a run of Unicode
+decimal digits, optionally after a "-"; a word is a run of `str.isalnum`
+characters and "_" whose first letter decides its class. A lowercase one
+makes a NAME (or the keyword "not"), which may carry a leading "-" that
+spells classical negation; an uppercase one makes a VARIABLE, those named
+T, T0, T1, ... being time variables (see the grounder); any other is an
+error. Comparisons must be the sole member of a positive body NdAtom.
+Function symbols nest at most MAX_TERM_DEPTH levels deep.
 
 Load-time checks beyond the grammar: consistent predicate arities, and rule
 safety (every variable in the head or in a negated NdAtom must occur in a
@@ -27,7 +30,8 @@ positive body NdAtom or be a time variable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError, ProgramError
 from .syntax import (
@@ -53,8 +57,7 @@ from .syntax import (
 MAX_TERM_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -75,74 +78,51 @@ _PUNCT = {
     "=": "EQUALS",
 }
 
+# One alternative per token class, tried in order. WORD takes any other
+# character and the word characters after it; `tokenize` classifies it.
+_TOKEN = re.compile(
+    r"""
+      (?P<NEWLINE> \n )
+    | (?P<SPACE> [^\S\n]+ )
+    | (?P<COMMENT> %[^\n]* )
+    | (?P<PUNCT> :- | != | == | [{}(),.+=] )
+    | (?P<DIRECTIVE> \#\w* )
+    | (?P<INT> -?\d+ )
+    | (?P<WORD> .\w* )
+    """,
+    re.VERBOSE,
+)
+
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-
-        def take(count: int) -> str:
-            nonlocal i, col
-            lexeme = text[i : i + count]
-            i += count
-            col += count
-            return lexeme
-
-        two = text[i : i + 2]
-        if two in (":-", "!=", "=="):
-            tokens.append(Token(_PUNCT[two], take(2), start_line, start_col))
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], take(1), start_line, start_col))
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("DIRECTIVE", take(j - i), start_line, start_col))
-            if word not in ("#horizon", "#const"):
-                raise ParseError(f"unknown directive {word}", start_line, start_col)
-            continue
-        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("INT", take(j - i), start_line, start_col))
-            continue
-        if ch.islower() or (ch == "-" and i + 1 < n and text[i + 1].islower()):
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "NOT" if word == "not" else "NAME"
-            tokens.append(Token(kind, take(j - i), start_line, start_col))
-            continue
-        if ch.isupper():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("VAR", take(j - i), start_line, start_col))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    pos = end = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        kind, value, start = match.lastgroup, match.group(), pos
+        column = start - line_start + 1
+        pos = end = match.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+        elif kind == "COMMENT":
+            end = start  # input ending in a comment ends where the comment starts
+        elif kind == "PUNCT":
+            tokens.append(Token(_PUNCT[value], value, line, column))
+        elif kind == "DIRECTIVE" and value not in ("#horizon", "#const"):
+            raise ParseError(f"unknown directive {value}", line, column)
+        elif kind in ("DIRECTIVE", "INT"):
+            tokens.append(Token(kind, value, line, column))
+        elif kind == "WORD":
+            # a "-" starts a name only when a lowercase letter follows it
+            letter = text[start + 1 : start + 2] if value[0] == "-" else value[0]
+            if letter.islower():
+                tokens.append(Token("NOT" if value == "not" else "NAME", value, line, column))
+            elif letter.isupper() and value[0] != "-":
+                tokens.append(Token("VAR", value, line, column))
+            else:
+                raise ParseError(f"unexpected character {value[0]!r}", line, column)
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 

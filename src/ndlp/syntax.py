@@ -203,9 +203,6 @@ class NdAtom:
     def is_ground(self) -> bool:
         return all(a.is_ground() for a in self.atoms)
 
-    def is_singleton(self) -> bool:
-        return len(self.atoms) == 1
-
     def __iter__(self) -> Iterator[Atom]:
         return iter(self.atoms)
 

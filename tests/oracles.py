@@ -13,6 +13,8 @@
 - `propagate_by_rounds` is the stable search's propagation done the plain
   way, both bounds recomputed every round, against which the compiled
   `bounds` is checked.
+- `scan_characters` is the tokenizer written one character at a time, the
+  reference of the pattern-driven `ndlp.parser.tokenize`.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import os
 from itertools import product
 
 from ndlp.compiled import IN, OUT, CompiledProgram
-from ndlp.errors import EvaluationError, GroundingError
+from ndlp.errors import EvaluationError, GroundingError, ParseError
 from ndlp.grounder import (
     GroundProgram,
     _ground_instance,
     make_ground_program,
     program_constants,
 )
+from ndlp.parser import _PUNCT, Token
 from ndlp.positive import Interpretation, is_model, lfp
 from ndlp.stable import is_stable
 from ndlp.syntax import (
@@ -176,3 +179,78 @@ def propagate_by_rounds(program: CompiledProgram, assign: bytearray, trail: list
         for n, value in forced:
             assign[n] = value
             trail.append(n)
+
+
+# ---------------------------------------------------------------------------
+# Tokenizing
+# ---------------------------------------------------------------------------
+
+def scan_characters(text: str) -> list[Token]:
+    """The tokens of `text`, read one character at a time."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+
+        def take(count: int) -> str:
+            nonlocal i, col
+            lexeme = text[i : i + count]
+            i += count
+            col += count
+            return lexeme
+
+        two = text[i : i + 2]
+        if two in (":-", "!=", "=="):
+            tokens.append(Token(_PUNCT[two], take(2), start_line, start_col))
+            continue
+        if ch in _PUNCT:
+            tokens.append(Token(_PUNCT[ch], take(1), start_line, start_col))
+            continue
+        if ch == "#":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(Token("DIRECTIVE", take(j - i), start_line, start_col))
+            if word not in ("#horizon", "#const"):
+                raise ParseError(f"unknown directive {word}", start_line, start_col)
+            continue
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(Token("INT", take(j - i), start_line, start_col))
+            continue
+        if ch.islower() or (ch == "-" and i + 1 < n and text[i + 1].islower()):
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "NOT" if word == "not" else "NAME"
+            tokens.append(Token(kind, take(j - i), start_line, start_col))
+            continue
+        if ch.isupper():
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("VAR", take(j - i), start_line, start_col))
+            continue
+        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens

@@ -50,6 +50,23 @@ class TestExpand:
         sets = [str(s) for s in expand(model, subset_minimal=True)]
         assert sets == ["{math(102)}"]
 
+    def test_subset_minimal_filters_before_the_cap(self, teaching2):
+        # the first distinct set met is the superset {math(101), math(102)}
+        model = enumerate_stable(teaching2).models[0]
+        result = expand(model, cap=1, subset_minimal=True)
+        assert [str(s) for s in result] == ["{math(102)}"]
+        assert not result.truncated
+
+    def test_subset_minimal_cap_keeps_the_first_minimal_sets(self):
+        gp = gp_from("{a1, a2}. {b1, b2}. {c} :- {a1, a2}. {a1} :- {b1, b2}.")
+        model = least_model(gp)
+        minimal = [str(s) for s in expand(model, subset_minimal=True)]
+        assert len(minimal) == 2
+        for cap in (1, 2, 3):
+            result = expand(model, cap=cap, subset_minimal=True)
+            assert [str(s) for s in result] == minimal[:cap]
+            assert result.truncated == (cap < len(minimal))
+
     def test_wf_total_model_signed_sets(self):
         gp = gp_from("{a1, a2} :- not {b1, b2}.")
         sets = [str(s) for s in expand(well_founded_model(gp))]

@@ -233,6 +233,18 @@ class TestGroundCommand:
         assert "truncated: yes" in out
         assert "truncated" in err
 
+    def test_subset_minimal_filters_before_the_answer_set_cap(self, capsys):
+        code, out, err = run(
+            capsys,
+            "expand", "--semantics", "stable", "--subset-minimal",
+            "--max-answer-sets", "1", str(corpus_path("teaching2.ndlp")),
+        )
+        assert code == 0
+        assert "answer set 1.1: {math(102)}\n" in out
+        assert "answer set 2.1: {stat(101)}\n" in out
+        assert "answer set 1.2" not in out and "answer set 2.2" not in out
+        assert "truncated" not in out and "truncated" not in err
+
 
 class TestEnvCap:
     def test_max_base_env_var(self, monkeypatch):

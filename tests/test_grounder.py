@@ -2,7 +2,7 @@
 
 import pytest
 
-from ndlp import GroundingError, ground, parse_program
+from ndlp import GroundingError, ground, least_model, parse_program
 from ndlp.grounder import make_ground_program, restricted_base
 from ndlp.syntax import Program
 
@@ -155,3 +155,27 @@ def test_make_ground_program_matches_restricted_base():
     gp = gp_from("{a} :- {b}, not {c}. {b}.")
     rebuilt = make_ground_program(gp.rules)
     assert (rebuilt.base, rebuilt.heads) == restricted_base(gp.rules)
+
+
+class TestLongBodies:
+    # Each needs more nesting than the default recursion limit allows, had
+    # the grounder recursed once per body literal or set-literal member.
+    SIZE = 1000
+
+    def test_many_join_literals(self):
+        body = ", ".join(f"{{p{i}(X)}}" for i in range(self.SIZE))
+        facts = "".join(f"{{p{i}(a)}}.\n" for i in range(self.SIZE))
+        gp = gp_from(f"{{h(X)}} :- {body}.\n{facts}")
+        assert "{h(a)}" in {str(nd) for nd in least_model(gp)}
+
+    def test_many_ground_literals_beside_a_rule_with_variables(self):
+        body = ", ".join(f"{{g{i}}}" for i in range(self.SIZE))
+        facts = "".join(f"{{g{i}}}.\n" for i in range(self.SIZE))
+        gp = gp_from(f"{{h}} :- {body}.\n{facts}{{q(X)}} :- {{r(X)}}. {{r(a)}}.\n")
+        assert {"{h}", "{q(a)}"} <= {str(nd) for nd in least_model(gp)}
+
+    def test_wide_set_literal(self):
+        pattern = ", ".join(f"p(X, {i})" for i in range(self.SIZE))
+        fact = ", ".join(f"p(a, {i})" for i in range(self.SIZE))
+        gp = gp_from(f"{{h(X)}} :- {{{pattern}}}.\n{{{fact}}}.\n")
+        assert "{h(a)}" in {str(nd) for nd in least_model(gp)}

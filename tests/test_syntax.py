@@ -1,9 +1,13 @@
-"""Canonical forms, the parser, and the printer round trip."""
+"""Canonical forms, the tokenizer, the parser, and the printer round trip."""
+
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ndlp import ParseError, ProgramError, canonicalize, parse_program, parse_rule
+from ndlp.corpus import CORPUS_NAMES, corpus_text
+from ndlp.parser import Token, tokenize
 from ndlp.syntax import (
     Atom,
     Compound,
@@ -11,6 +15,8 @@ from ndlp.syntax import (
     Integer,
     program_to_str,
 )
+
+from oracles import scan_characters
 
 
 def atom(pred, *args):
@@ -169,6 +175,59 @@ class TestParser:
             parse_program("#frobnicate 1.")
 
 
+def lex(tokenizer, text):
+    """The token list, or the (message, line, column) of the parse error."""
+    try:
+        return tokenizer(text)
+    except ParseError as err:
+        return (err.message, err.line, err.column)
+
+
+class TestTokenizer:
+    # Pieces of random input. Common: every token class and its edge cases,
+    # and the Unicode whitespace and letters where str methods and regular
+    # expressions might part ways. Rare, since each ends the token stream:
+    # stray ASCII punctuation, non-decimal digits, uncased letters, and
+    # cased characters that are not alphanumeric (circled letters, the
+    # combining ypogegrammeni).
+    COMMON = [
+        "#horizon", "#const", "not", "nota", "-", ":-", "!=", "==", "{", "}", "(",
+        ")", ",", ".", "+", "=", "%", "a", "b1", "X", "T0", "0", "42", " ", "\n",
+        "\r", "\t", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u3000",
+        "\u0660", "\u00aa", "\u0130", "\u00df",
+    ]
+    RARE = list("!\"#$&'*/:;<>?@[\\]^_`|~") + [
+        "\u2460", "\u00b2", "\u4e2d", "\u01c5", "\u24d0", "\u24b6", "\u0345",
+    ]
+    WEIGHTS = [8] * len(COMMON) + [1] * len(RARE)
+    MALFORMED = [
+        "{p(\u2460)}.", "#horizon \u00b22.", "{\u4e2d}.", "{-X}.", "{_a}.",
+        "#foo.", "{a} % no dot", "{a}.\n% trailing", "-\u24d0b", "\u24d0b(X).",
+    ]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_character_scanner_on_random_text(self, seed):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            pieces = rng.choices(self.COMMON + self.RARE, self.WEIGHTS, k=rng.randrange(16))
+            text = "".join(pieces)
+            assert lex(tokenize, text) == lex(scan_characters, text), repr(text)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_matches_character_scanner_on_corpus(self, name):
+        text = corpus_text(name)
+        tokens = tokenize(text)
+        assert tokens == scan_characters(text)
+        assert tokens[-1].kind == "EOF"
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_matches_character_scanner_on_malformed_input(self, text):
+        assert lex(tokenize, text) == lex(scan_characters, text)
+
+    def test_input_ending_in_a_comment_ends_at_the_comment(self):
+        assert tokenize("{a}.\n  % done")[-1] == Token("EOF", "", 2, 3)
+
+
 class TestRoundTrip:
     CASES = [
         "{a} :- {b}, not {c}.\n",
@@ -186,8 +245,6 @@ class TestRoundTrip:
         assert program_to_str(parse_program(printed)) == printed
 
     def test_corpus_round_trips(self):
-        from ndlp.corpus import CORPUS_NAMES, corpus_text
-
         for name in CORPUS_NAMES:
             program = parse_program(corpus_text(name))
             assert parse_program(program_to_str(program)) == program
