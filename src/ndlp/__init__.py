@@ -7,7 +7,6 @@ expansion of any model into the branches of its solution tree.
 """
 
 from .answersets import AnswerSet, Expansion, count, expand
-from .detlp import DetRule, det_least_model, det_stable, det_wf, embed
 from .errors import (
     EvaluationError,
     GroundingError,
@@ -25,7 +24,6 @@ from .positive import (
     tp_step,
 )
 from .stable import (
-    ReductProgram,
     StableModels,
     enumerate_stable,
     is_stable,
@@ -60,7 +58,6 @@ __all__ = [
     "Atom",
     "Compound",
     "Constant",
-    "DetRule",
     "EvaluationError",
     "Expansion",
     "GroundProgram",
@@ -74,7 +71,6 @@ __all__ = [
     "PartialInterpretation",
     "Program",
     "ProgramError",
-    "ReductProgram",
     "Rule",
     "StableModels",
     "Sum",
@@ -82,10 +78,6 @@ __all__ = [
     "Variable",
     "canonicalize",
     "count",
-    "det_least_model",
-    "det_stable",
-    "det_wf",
-    "embed",
     "enumerate_stable",
     "expand",
     "greatest_unfounded",

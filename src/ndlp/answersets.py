@@ -5,8 +5,7 @@ every NdAtom of a model; for well-founded models the negative NdAtoms
 contribute signed "not" entries. Duplicates across overlapping NdAtoms
 collapse, identical results are deduplicated, and no subset-minimality
 filter is applied across distinct choices by default: a choice may
-legitimately yield a superset of another. The stricter filter is available
-behind `subset_minimal` for experimentation.
+legitimately yield a superset of another.
 """
 
 from __future__ import annotations

@@ -95,7 +95,11 @@ def _read(path: str) -> str:
 
 
 def _load(paths: list[str], horizon: int | None) -> tuple[Program, GroundProgram]:
-    program = parse_program("".join(_read(p) for p in paths))
+    """Parse the files in order as one program. Every file but the last ends
+    its last line, so a trailing comment cannot swallow the next file."""
+    texts = [_read(p) for p in paths]
+    ended = (t if t.endswith("\n") or not t else t + "\n" for t in texts[:-1])
+    program = parse_program("".join(ended) + texts[-1])
     return program, ground(program, horizon=horizon)
 
 

@@ -67,10 +67,6 @@ class GroundProgram:
         return frozenset(self.base)
 
     @cached_property
-    def heads_set(self) -> frozenset[NdAtom]:
-        return frozenset(self.heads)
-
-    @cached_property
     def compiled(self) -> CompiledProgram:
         """The int form the solvers run on, built on first use so that
         grounding alone never pays for it."""
@@ -331,9 +327,11 @@ class _Instantiator:
             for i, value in enumerate(atom.args):
                 self.by_argument.setdefault((atom.pred, i, value), []).append(nd)
 
-    def candidates(self, pattern: NdAtom, env: dict[str, Term]) -> Iterable[NdAtom]:
-        """Indexed NdAtoms the pattern might ground to under `env`."""
-        if pattern.is_ground():
+    def candidates(self, pattern: NdAtom, names: set[str],
+                   env: dict[str, Term]) -> Iterable[NdAtom]:
+        """Indexed NdAtoms the pattern, with variables `names`, might ground
+        to under `env`."""
+        if not names:
             return (pattern,) if pattern in self.known else ()
         if len(pattern) == 1:
             atom = pattern.atoms[0]
@@ -369,8 +367,8 @@ class _Instantiator:
         way `env` allows, yielding the literals still to join each time."""
         pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][1]))
         rest = [i for i in todo if i != pick]
-        pattern = source.joins[pick][0]
-        for nd in self.candidates(pattern, env):
+        pattern, names = source.joins[pick]
+        for nd in self.candidates(pattern, names, env):
             for _ in _bind_nd(pattern, nd, env, trail, self.admits):
                 yield rest
 

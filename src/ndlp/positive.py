@@ -73,14 +73,3 @@ def least_model(gp: GroundProgram) -> Interpretation:
     _check_positive(gp.rules)
     program = gp.compiled
     return program.decode(program.lfp(bytes(program.n), optimistic=True))
-
-
-def intersect_all(models: Iterable[Interpretation]) -> Interpretation:
-    models = list(models)
-    if not models:
-        return frozenset()
-    result = models[0]
-    for m in models[1:]:
-        result &= m
-    return result
-

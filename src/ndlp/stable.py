@@ -22,28 +22,21 @@ from .positive import Interpretation, lfp
 from .syntax import Rule, interpretation_key
 
 
-@dataclass(frozen=True)
-class ReductProgram:
-    """Negation-free rules left after reducing against an interpretation."""
-
-    rules: tuple[Rule, ...]
-    witness: Interpretation
-
-
-def reduct(gp: GroundProgram, interp: Interpretation) -> ReductProgram:
-    """Drop rules with an assumed-true negated NdAtom, strip the rest."""
+def reduct(gp: GroundProgram, interp: Interpretation) -> tuple[Rule, ...]:
+    """The negation-free rules left after reducing against an interpretation:
+    drop rules with an assumed-true negated NdAtom, strip the rest."""
     kept = []
     for rule in gp.rules:
         if any(b in interp for b in rule.negative_body()):
             continue
         positives = tuple(lit for lit in rule.body if not lit.negated)
         kept.append(Rule(head=rule.head, body=positives, origin=rule.origin))
-    return ReductProgram(rules=tuple(kept), witness=interp)
+    return tuple(kept)
 
 
 def is_stable(gp: GroundProgram, interp: Interpretation) -> bool:
     """True when the interpretation is the least model of its own reduct."""
-    return lfp(reduct(gp, interp).rules) == interp
+    return lfp(reduct(gp, interp)) == interp
 
 
 def tprime_step(gp: GroundProgram, interp: Interpretation) -> Interpretation:

@@ -44,9 +44,6 @@ class Constant:
     def key(self):
         return (1, self.name)
 
-    def is_ground(self) -> bool:
-        return True
-
     def __str__(self) -> str:
         return self.name
 
@@ -60,9 +57,6 @@ class Integer:
     @cached_property
     def key(self):
         return (0, self.value)
-
-    def is_ground(self) -> bool:
-        return True
 
     def __str__(self) -> str:
         return str(self.value)
@@ -78,9 +72,6 @@ class Variable:
     def key(self):
         return (2, self.name)
 
-    def is_ground(self) -> bool:
-        return False
-
     def __str__(self) -> str:
         return self.name
 
@@ -95,9 +86,6 @@ class Compound:
     @cached_property
     def key(self):
         return (3, self.name, len(self.args), tuple(a.key for a in self.args))
-
-    def is_ground(self) -> bool:
-        return all(a.is_ground() for a in self.args)
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
@@ -116,9 +104,6 @@ class Sum:
     @cached_property
     def key(self):
         return (4, self.base.key, self.offset)
-
-    def is_ground(self) -> bool:
-        return False
 
     def __str__(self) -> str:
         return f"{self.base}+{self.offset}"
@@ -160,9 +145,6 @@ class Atom:
     def is_builtin(self) -> bool:
         return self.pred in BUILTIN_PREDICATES
 
-    def is_ground(self) -> bool:
-        return all(a.is_ground() for a in self.args)
-
     def variables(self) -> set[str]:
         names: set[str] = set()
         for arg in self.args:
@@ -199,9 +181,6 @@ class NdAtom:
     @cached_property
     def key(self):
         return tuple(a.key for a in self.atoms)
-
-    def is_ground(self) -> bool:
-        return all(a.is_ground() for a in self.atoms)
 
     def __iter__(self) -> Iterator[Atom]:
         return iter(self.atoms)

@@ -10,10 +10,12 @@ import random
 
 import pytest
 
-from ndlp import DetRule, ground, make_ground_program, parse_program
+from ndlp import ground, make_ground_program, parse_program
 from ndlp.corpus import corpus_text
 from ndlp.grounder import GroundProgram
 from ndlp.syntax import Atom, Literal, Rule, canonicalize
+
+from detlp import DetRule
 
 
 def gp_from(text: str, horizon: int | None = None) -> GroundProgram:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .syntax import Atom, Literal, Program, Rule, canonicalize
+from ndlp.syntax import Atom, Literal, Program, Rule, canonicalize
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@
   `live_instances` filters it down to what the join-driven grounder must
   produce.
 - `enumerate_models` walks every subset of the restricted base and keeps
-  the models; `brute_force_stable` filters every subset of the head atoms
+  the models, and `intersect_all` meets them into the least model's
+  reference; `brute_force_stable` filters every subset of the head atoms
   through the object-level stability check. Both are exponential and refuse
   bases past a cap, overridable through the NDLP_MAX_BASE environment
   variable.
@@ -15,12 +16,18 @@
   `bounds` is checked.
 - `scan_characters` is the tokenizer written one character at a time, the
   reference of the pattern-driven `ndlp.parser.tokenize`.
+- `capped_images` expands a model into its answer sets by walking the
+  choice product, the reference of the capped `expand` and `count`.
+
+The deterministic reference semantics and the singleton embedding sit
+beside this file, in `detlp.py`.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import product
+from typing import Iterable
 
 from ndlp.compiled import IN, OUT, CompiledProgram
 from ndlp.errors import EvaluationError, GroundingError, ParseError
@@ -33,6 +40,7 @@ from ndlp.grounder import (
 from ndlp.parser import _PUNCT, Token
 from ndlp.positive import Interpretation, is_model, lfp
 from ndlp.stable import is_stable
+from ndlp.wf import PartialInterpretation
 from ndlp.syntax import (
     Integer,
     Program,
@@ -139,6 +147,16 @@ def enumerate_models(gp: GroundProgram, max_base: int | None = None) -> list[Int
     return models
 
 
+def intersect_all(models: Iterable[Interpretation]) -> Interpretation:
+    models = list(models)
+    if not models:
+        return frozenset()
+    result = models[0]
+    for m in models[1:]:
+        result &= m
+    return result
+
+
 def brute_force_stable(gp: GroundProgram) -> list[Interpretation]:
     """Every subset of the head atoms that passes the stability check."""
     heads = sort_nd_atoms(gp.heads)
@@ -179,6 +197,46 @@ def propagate_by_rounds(program: CompiledProgram, assign: bytearray, trail: list
         for n, value in forced:
             assign[n] = value
             trail.append(n)
+
+
+# ---------------------------------------------------------------------------
+# Answer sets
+# ---------------------------------------------------------------------------
+
+def _image_key(image):
+    atoms, negatives = image
+    return sorted(a.key for a in atoms), sorted(a.key for a in negatives)
+
+
+def capped_images(model, cap: int | None = None, subset_minimal: bool = False):
+    """The answer sets of a total or partial model as (atoms, negatives)
+    pairs, sorted, and whether the cap cut any off.
+
+    Choices are walked in product order over the NdAtoms sorted by key,
+    positives before negatives; a choice that picks one atom both ways is no
+    branch. Without `subset_minimal` the first `cap` distinct images met are
+    kept. With it, every distinct image is filtered to the componentwise
+    minimal ones, and the first `cap` of those in sorted order are kept.
+    """
+    if isinstance(model, PartialInterpretation):
+        pos, neg = model.pos, model.neg
+    else:
+        pos, neg = model, frozenset()
+    pos = sorted(pos, key=lambda nd: nd.key)
+    neg = sorted(neg, key=lambda nd: nd.key)
+    images: list = []
+    for picks in product(*(nd.atoms for nd in pos), *(nd.atoms for nd in neg)):
+        image = (frozenset(picks[: len(pos)]), frozenset(picks[len(pos):]))
+        if not image[0] & image[1] and image not in images:
+            images.append(image)
+    if subset_minimal:
+        images = sorted(
+            (a for a in images
+             if not any(b != a and b[0] <= a[0] and b[1] <= a[1] for b in images)),
+            key=_image_key,
+        )
+    kept = images if cap is None else images[:cap]
+    return sorted(kept, key=_image_key), len(kept) < len(images)
 
 
 # ---------------------------------------------------------------------------

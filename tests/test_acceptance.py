@@ -9,9 +9,7 @@ from __future__ import annotations
 import time
 
 from ndlp import (
-    DetRule,
     count,
-    embed,
     enumerate_stable,
     expand,
     ground,
@@ -25,6 +23,7 @@ from ndlp.grounder import make_ground_program
 from ndlp.wf import EMPTY, wp_step
 
 from conftest import gp_from
+from detlp import DetRule, embed
 
 
 def verdict(number: int, label: str) -> None:

@@ -1,13 +1,18 @@
 """Choice-function expansion of models into answer sets."""
 
+import random
 from itertools import product
+
+import pytest
 
 from ndlp import count, expand, least_model, enumerate_stable
 from ndlp.corpus import corpus_text
+from ndlp.syntax import Atom, canonicalize
 from ndlp.wf import PartialInterpretation
 from ndlp import well_founded_model
 
 from conftest import gp_from
+from oracles import capped_images
 
 
 def nd(gp, text):
@@ -141,3 +146,41 @@ class TestCount:
     def test_cap_reports_inexact(self):
         gp = gp_from(corpus_text("fred.ndlp"))
         assert count(least_model(gp), cap=10) == (10, False)
+
+
+def random_model(seed):
+    """A total or partial model over a five-atom pool. NdAtoms are drawn
+    with repeated members and overlap one another; a partial model's
+    negatives share atoms with its positives, so some of its choices
+    contradict themselves."""
+    rng = random.Random(seed)
+    pool = [Atom(pred=f"a{i}") for i in range(5)]
+
+    def nd_atoms(n):
+        return {canonicalize(rng.choices(pool, k=rng.randint(1, 3))) for _ in range(n)}
+
+    pos = frozenset(nd_atoms(rng.randint(0, 5)))
+    if rng.random() < 0.5:
+        return pos
+    return PartialInterpretation(pos=pos, neg=frozenset(nd_atoms(rng.randint(1, 3)) - pos))
+
+
+class TestCappedContract:
+    """Under a cap, the first k distinct images in product order, sorted;
+    with `subset_minimal`, the first k minimal images in sorted order."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_matches_the_product_oracle(self, seed):
+        model = random_model(seed)
+        total = len(capped_images(model)[0])
+        for cap in (None, 1, 2, 3, 4, 5):
+            for minimal in (False, True):
+                result = expand(model, cap=cap, subset_minimal=minimal)
+                expected, truncated = capped_images(model, cap, minimal)
+                got = [(s.atoms, s.negatives) for s in result]
+                assert got == expected, f"seed={seed} cap={cap} minimal={minimal}"
+                assert result.truncated == truncated, f"seed={seed} cap={cap}"
+            exact = cap is None or total <= cap
+            assert count(model, cap=cap) == ((total, True) if exact else (cap, False)), (
+                f"seed={seed} cap={cap}"
+            )

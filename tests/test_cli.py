@@ -129,6 +129,26 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+class TestMultipleFiles:
+    def test_trailing_comment_does_not_swallow_the_next_file(self, capsys, tmp_path):
+        first, second = tmp_path / "a.ndlp", tmp_path / "b.ndlp"
+        first.write_text("{a}. % note")
+        second.write_text("{b}.")
+        code, out, _ = run(capsys, "solve", str(first), str(second))
+        assert code == 0
+        assert "  {a}\n  {b}\n" in out
+
+    def test_error_lines_count_through_the_files(self, capsys, tmp_path):
+        paths = []
+        for name, text in [("c", "{c}.\n"), ("a", "{a}. % note"), ("d", "{d} :- .\n")]:
+            paths.append(tmp_path / f"{name}.ndlp")
+            paths[-1].write_text(text)
+        code, out, err = run(capsys, "ground", *map(str, paths))
+        assert code == 2
+        assert out == ""
+        assert err == "ndlp: error: 3:8: expected atom, found '.'\n"
+
+
 class TestWfOutput:
     def test_partial_model_reports_undefined(self, capsys):
         code, out, _ = run(

@@ -2,18 +2,10 @@
 
 import pytest
 
-from ndlp import (
-    DetRule,
-    det_least_model,
-    det_stable,
-    det_wf,
-    embed,
-    enumerate_stable,
-    ground,
-    least_model,
-)
-from ndlp.detlp import desingletonize
+from ndlp import enumerate_stable, ground, least_model
 from ndlp.syntax import program_to_str
+
+from detlp import DetRule, desingletonize, det_least_model, det_stable, det_wf, embed
 
 
 def rules_of(*specs):

@@ -13,10 +13,6 @@ import random
 import pytest
 
 from ndlp import (
-    det_least_model,
-    det_stable,
-    det_wf,
-    embed,
     enumerate_stable,
     greatest_unfounded,
     ground,
@@ -28,13 +24,13 @@ from ndlp import (
     well_founded_model,
 )
 from ndlp.compiled import IN, OPEN, OUT
-from ndlp.detlp import desingletonize
-from ndlp.positive import intersect_all, lfp
+from ndlp.positive import lfp
 from ndlp.stable import reduct
 from ndlp.wf import PartialInterpretation
 
 from conftest import random_det_program, random_ground_program, random_interpretations
-from oracles import brute_force_stable, enumerate_models, propagate_by_rounds
+from detlp import desingletonize, det_least_model, det_stable, det_wf, embed
+from oracles import brute_force_stable, enumerate_models, intersect_all, propagate_by_rounds
 
 CASES = 200
 
@@ -109,7 +105,7 @@ def test_enumerate_stable_matches_brute_force(seed):
 def test_stable_models_are_head_supported(seed):
     gp = random_ground_program(seed, max_nd=6)
     for s in enumerate_stable(gp).models:
-        assert s <= gp.heads_set, f"seed={seed}"
+        assert s <= frozenset(gp.heads), f"seed={seed}"
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,7 @@ def test_unfounded_set_complements_reduct_on_total_models(seed):
         if not is_model(pos, gp):
             continue
         total = PartialInterpretation(pos=pos, neg=gp.base_set - pos)
-        complement = gp.base_set - lfp(reduct(gp, pos).rules)
+        complement = gp.base_set - lfp(reduct(gp, pos))
         assert complement == greatest_unfounded(gp, total), f"seed={seed}"
 
 

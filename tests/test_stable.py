@@ -32,22 +32,22 @@ class TestReduct:
     def test_teaching_reduct_keeps_one_fact(self, teaching):
         math = nd(teaching, "{math(101), math(102)}")
         r = reduct(teaching, frozenset([math]))
-        assert len(r.rules) == 1
-        assert r.rules[0].head == math and r.rules[0].is_fact()
+        assert len(r) == 1
+        assert r[0].head == math and r[0].is_fact()
 
     def test_reduct_of_positive_program_is_identity(self):
         gp = gp_from("{a} :- {b}. {b}.")
-        assert reduct(gp, frozenset()).rules == gp.rules
-        assert reduct(gp, frozenset(gp.base)).rules == gp.rules
+        assert reduct(gp, frozenset()) == gp.rules
+        assert reduct(gp, frozenset(gp.base)) == gp.rules
 
     def test_reduct_against_everything_is_empty(self, teaching):
         r = reduct(teaching, frozenset(teaching.base))
-        assert r.rules == ()
+        assert r == ()
 
     def test_no_negative_literals_remain(self):
         gp = gp_from("{a} :- {b}, not {c}. {b}.")
         r = reduct(gp, frozenset())
-        assert all(not lit.negated for rule in r.rules for lit in rule.body)
+        assert all(not lit.negated for rule in r for lit in rule.body)
 
 
 class TestIsStable:
@@ -187,4 +187,4 @@ class TestStableInvariantsOnCorpus:
 
     def test_head_support(self, teaching2):
         for m in enumerate_stable(teaching2).models:
-            assert m <= teaching2.heads_set
+            assert m <= frozenset(teaching2.heads)
