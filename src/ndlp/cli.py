@@ -142,14 +142,16 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
 
     if want_answer_sets:
         report.answer_sets = []
+        truncated = False
         for model in models:
             expansion = expand(
                 model, cap=args.max_answer_sets, subset_minimal=args.subset_minimal
             )
             report.answer_sets.append(list(expansion.answer_sets))
-            report.truncated |= expansion.truncated
-            if expansion.truncated:
-                print("answer-set expansion truncated by --max-answer-sets", file=sys.stderr)
+            truncated |= expansion.truncated
+        report.truncated |= truncated
+        if truncated:
+            print("answer-set expansion truncated by --max-answer-sets", file=sys.stderr)
 
     report.timing_s = time.perf_counter() - started
     if args.format == "json":

@@ -17,7 +17,12 @@
 - `scan_characters` is the tokenizer written one character at a time, the
   reference of the pattern-driven `ndlp.parser.tokenize`.
 - `capped_images` expands a model into its answer sets by walking the
-  choice product, the reference of the capped `expand` and `count`.
+  choice product, the reference of every uncapped `expand` and `count`,
+  and of capped ones on models whose NdAtoms share no atom. `part_images`
+  is the reference of the capped rule: it finds the atom-disjoint parts by
+  counting atom uses and walks the raw product of the shared part.
+  `grown_images` grows a model's images NdAtom by NdAtom without splitting
+  it, for models whose choice product is too large to walk.
 
 The deterministic reference semantics and the singleton embedding sit
 beside this file, in `detlp.py`.
@@ -237,6 +242,70 @@ def capped_images(model, cap: int | None = None, subset_minimal: bool = False):
         )
     kept = images if cap is None else images[:cap]
     return sorted(kept, key=_image_key), len(kept) < len(images)
+
+
+def _signed(model):
+    """The NdAtoms of a model sorted by key, positives first, each paired
+    with whether it is negative."""
+    if isinstance(model, PartialInterpretation):
+        pos, neg = model.pos, model.neg
+    else:
+        pos, neg = model, frozenset()
+    return ([(nd, False) for nd in sorted(pos, key=lambda nd: nd.key)]
+            + [(nd, True) for nd in sorted(neg, key=lambda nd: nd.key)])
+
+
+def part_images(model, cap: int | None = None, subset_minimal: bool = False):
+    """The answer sets of a model under the parts cap rule, as sorted
+    (atoms, negatives) pairs, and whether the cap cut any off.
+
+    An NdAtom none of whose members occurs in another NdAtom is a part of
+    its own, one image per member. The other NdAtoms form the last part: the
+    distinct non-contradictory images of their raw choice product, only the
+    minimal ones with `subset_minimal`, sorted. The first `cap` combinations
+    of the parts in product order are kept.
+    """
+    signed = _signed(model)
+    uses: dict = {}
+    for nd, _ in signed:
+        for atom in nd.atoms:
+            uses[atom] = uses.get(atom, 0) + 1
+    parts, shared = [], []
+    for nd, negative in signed:
+        if all(uses[atom] == 1 for atom in nd.atoms):
+            parts.append([(frozenset(), frozenset([a])) if negative else (frozenset([a]), frozenset())
+                          for a in nd.atoms])
+        else:
+            shared.append((nd, negative))
+    signs = [negative for _, negative in shared]
+    images: list = []
+    for picks in product(*(nd.atoms for nd, _ in shared)):
+        image = (frozenset(a for a, n in zip(picks, signs) if not n),
+                 frozenset(a for a, n in zip(picks, signs) if n))
+        if not image[0] & image[1] and image not in images:
+            images.append(image)
+    if subset_minimal:
+        images = [a for a in images
+                  if not any(b != a and b[0] <= a[0] and b[1] <= a[1] for b in images)]
+    parts.append(sorted(images, key=_image_key))
+    unions = [(frozenset().union(*(p[0] for p in combo)), frozenset().union(*(p[1] for p in combo)))
+              for combo in product(*parts)]
+    kept = unions if cap is None else unions[:cap]
+    return sorted(kept, key=_image_key), len(kept) < len(unions)
+
+
+def grown_images(model) -> set:
+    """Every answer set of a model as an (atoms, negatives) pair, grown
+    NdAtom by NdAtom over the whole model, positives first; duplicates and
+    picks that take one atom both ways drop out at each step."""
+    images = {(frozenset(), frozenset())}
+    for nd, negative in _signed(model):
+        if negative:
+            images = {(atoms, negs | {a}) for atoms, negs in images
+                      for a in nd.atoms if a not in atoms}
+        else:
+            images = {(atoms | {a}, negs) for atoms, negs in images for a in nd.atoms}
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
 """Choice-function expansion of models into answer sets."""
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from ndlp import count, expand, least_model, enumerate_stable
 from ndlp.corpus import corpus_text
-from ndlp.syntax import Atom, canonicalize
+from ndlp.syntax import Atom, canonicalize, sort_nd_atoms
 from ndlp.wf import PartialInterpretation
 from ndlp import well_founded_model
 
 from conftest import gp_from
-from oracles import capped_images
+from oracles import capped_images, grown_images, part_images
 
 
 def nd(gp, text):
@@ -165,9 +165,30 @@ def random_model(seed):
     return PartialInterpretation(pos=pos, neg=frozenset(nd_atoms(rng.randint(1, 3)) - pos))
 
 
+def random_disjoint_model(seed):
+    """A total or partial model whose NdAtoms share no atom: a shuffled
+    eight-atom pool cut into NdAtoms of one to three members, some dropped,
+    and in a partial model some of the rest made negative."""
+    rng = random.Random(seed)
+    pool = [Atom(pred=f"a{i}") for i in range(8)]
+    rng.shuffle(pool)
+    cuts = [0, *sorted(rng.sample(range(1, 8), rng.randint(2, 6))), 8]
+    groups = [canonicalize(pool[i:j]) for i, j in zip(cuts, cuts[1:]) if j - i <= 3]
+    kept = [nd for nd in groups if rng.random() < 0.8]
+    if rng.random() < 0.5:
+        return frozenset(kept)
+    neg = {nd for nd in kept if rng.random() < 0.4}
+    return PartialInterpretation(pos=frozenset(kept) - neg, neg=frozenset(neg))
+
+
+def images_of(expansion):
+    return [(s.atoms, s.negatives) for s in expansion]
+
+
 class TestCappedContract:
-    """Under a cap, the first k distinct images in product order, sorted;
-    with `subset_minimal`, the first k minimal images in sorted order."""
+    """Uncapped, every distinct image of the choice product, sorted. Under a
+    cap, with or without `subset_minimal`, the first k combinations of the
+    atom-disjoint parts in product order, sorted."""
 
     @pytest.mark.parametrize("seed", range(300))
     def test_matches_the_product_oracle(self, seed):
@@ -176,11 +197,79 @@ class TestCappedContract:
         for cap in (None, 1, 2, 3, 4, 5):
             for minimal in (False, True):
                 result = expand(model, cap=cap, subset_minimal=minimal)
-                expected, truncated = capped_images(model, cap, minimal)
-                got = [(s.atoms, s.negatives) for s in result]
+                oracle = capped_images if cap is None else part_images
+                expected, truncated = oracle(model, cap, minimal)
+                got = images_of(result)
                 assert got == expected, f"seed={seed} cap={cap} minimal={minimal}"
                 assert result.truncated == truncated, f"seed={seed} cap={cap}"
             exact = cap is None or total <= cap
             assert count(model, cap=cap) == ((total, True) if exact else (cap, False)), (
                 f"seed={seed} cap={cap}"
             )
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_disjoint_models_keep_the_product_order_cap(self, seed):
+        # with no atom shared every NdAtom is a part of its own, so the plain
+        # cap keeps the first k distinct images of the raw choice product
+        model = random_disjoint_model(seed)
+        for cap in (None, 1, 2, 3, 4, 5):
+            result = expand(model, cap=cap)
+            assert (images_of(result), result.truncated) == capped_images(model, cap), (
+                f"seed={seed} cap={cap}"
+            )
+            minimal = expand(model, cap=cap, subset_minimal=True)
+            assert (images_of(minimal), minimal.truncated) == part_images(model, cap, True), (
+                f"seed={seed} cap={cap}"
+            )
+
+    def test_subset_minimal_cap_is_a_product_prefix(self):
+        # every image of disjoint NdAtoms is minimal; product order meets
+        # {a5, a6} before {a3, a7}, which sorts earlier
+        a = [Atom(pred=f"a{i}") for i in range(8)]
+        model = frozenset([canonicalize([a[2], a[5], a[7]]), canonicalize([a[3], a[6]])])
+        result = expand(model, cap=4, subset_minimal=True)
+        assert [str(s) for s in result] == ["{a2, a3}", "{a2, a6}", "{a3, a5}", "{a5, a6}"]
+        assert result.truncated
+
+
+def disjoint_pairs(n):
+    return frozenset(
+        canonicalize([Atom(pred=f"p{i:02d}a"), Atom(pred=f"p{i:02d}b")]) for i in range(n)
+    )
+
+
+class TestWorkBound:
+    """Models whose choice product is too large to walk."""
+
+    @pytest.fixture(scope="class")
+    def connection(self):
+        return gp_from(corpus_text("connection.ndlp"))
+
+    @pytest.mark.parametrize("semantics", ["least", "stable", "wf"])
+    def test_connection_expands_to_its_grown_images(self, connection, semantics):
+        if semantics == "least":
+            model = least_model(connection)
+        elif semantics == "stable":
+            [model] = enumerate_stable(connection).models
+        else:
+            model = well_founded_model(connection)
+        images = grown_images(model)
+        result = expand(model)
+        assert len(result) == len(images) == 63
+        assert set(images_of(result)) == images and not result.truncated
+        capped = expand(model, cap=40)
+        keys = [s.key for s in capped]
+        assert len(capped) == 40 and capped.truncated
+        assert keys == sorted(set(keys))
+        assert set(images_of(capped)) <= images
+
+    def test_sixty_disjoint_pairs_count_exactly(self):
+        assert count(disjoint_pairs(60)) == (2 ** 60, True)
+        assert count(disjoint_pairs(60), cap=10) == (10, False)
+
+    def test_sixty_disjoint_pairs_cap_to_the_first_choices(self):
+        model = disjoint_pairs(60)
+        first = [frozenset(picks) for picks in islice(product(*sort_nd_atoms(model)), 5)]
+        result = expand(model, cap=5)
+        assert [s.atoms for s in result] == sorted(first, key=lambda s: sorted(a.key for a in s))
+        assert result.truncated

@@ -253,6 +253,14 @@ class TestGroundCommand:
         assert "truncated: yes" in out
         assert "truncated" in err
 
+    def test_answer_set_truncation_is_reported_once_per_run(self, capsys):
+        code, out, err = run(
+            capsys, "expand", "--max-answer-sets", "1", str(corpus_path("robot.ndlp"))
+        )
+        assert code == 0
+        assert out.count("model ") == 64
+        assert err.count("answer-set expansion truncated by --max-answer-sets") == 1
+
     def test_subset_minimal_filters_before_the_answer_set_cap(self, capsys):
         code, out, err = run(
             capsys,
