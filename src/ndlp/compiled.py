@@ -2,14 +2,23 @@
 
 NdAtoms are interned to ints in restricted-base order and each rule
 becomes a head int plus tuples of its positive and negated body ints, with
-per-atom watcher lists (rules using the atom positively) and
-negated-occurrence lists. One worklist least fixpoint, linear in program
-size, serves the least model and the stability guard. `bounds`, the one
-propagation routine, closes a partial assignment under both fixpoints; the
-stable search runs it at every node, and from the all-open assignment it
-is the well-founded model. The object-level operators in `positive`,
-`stable` and `wf` stay as the references the tests check this form
-against.
+per-atom lists of the rules that use the atom positively, that negate it
+and that define it. One worklist least fixpoint, linear in program size,
+serves the least model and the stability guard.
+
+`Propagator` closes a partial assignment of the negated atoms under both
+bounds incrementally. The lower bound is smodels' atleast: each rule
+counts the body literals it still waits for and fires at zero. The upper
+bound is its atmost, kept with clasp-style source pointers: an atom
+assigned in removes the heads that relied on the rules it blocks, the
+removal cascades through the sources, the heads that still have a usable
+rule are re-supported, and the rest are unfounded. Each change goes onto
+one trail, so a decision costs the rules that read the atoms it settles
+and `undo` costs the same again; no decision reruns a whole fixpoint. The
+stable search decides and undoes on one propagator, and its root
+propagation is the well-founded model. The object-level operators in
+`positive`, `stable` and `wf` stay as the references the tests check this
+form against.
 """
 
 from __future__ import annotations
@@ -31,6 +40,10 @@ _DECIDED = bytes.maketrans(b"\x00\x01", bytes((OUT, IN)))
 _BLOCKS = [bytes(int(code != OUT) for code in range(256)),
            bytes(int(code == IN) for code in range(256))]
 
+# Trail entries are `atom << 2 | kind`: the atom was assigned, entered the
+# lower bound, or left the upper bound.
+ASSIGNED, LOWERED, UNFOUNDED = 0, 1, 2
+
 
 class CompiledProgram:
     """Int form of a ground program over its restricted base."""
@@ -44,22 +57,23 @@ class CompiledProgram:
         self.pos: list[tuple[int, ...]] = []
         self.neg: list[tuple[int, ...]] = []
         self.watchers: list[list[int]] = [[] for _ in range(self.n)]
-        self.neg_occ: dict[int, list[int]] = {}
+        self.neg_occ: list[list[int]] = [[] for _ in range(self.n)]
+        self.defining: list[list[int]] = [[] for _ in range(self.n)]
         index = self.index
         for ridx, rule in enumerate(rules):
             pos = tuple(dict.fromkeys(index[b] for b in rule.positive_body()))
             neg = tuple(dict.fromkeys(index[b] for b in rule.negative_body()))
-            self.heads.append(index[rule.head])
+            head = index[rule.head]
+            self.heads.append(head)
             self.pos.append(pos)
             self.neg.append(neg)
+            self.defining[head].append(ridx)
             for b in pos:
                 self.watchers[b].append(ridx)
             for m in neg:
-                self.neg_occ.setdefault(m, []).append(ridx)
+                self.neg_occ[m].append(ridx)
         self.pos_len = [len(pos) for pos in self.pos]
-        self.negated = sorted(self.neg_occ)
-        self.negated_mask = int.from_bytes(
-            bytes(i in self.neg_occ for i in range(self.n)), "little")
+        self.negated = [m for m, occ in enumerate(self.neg_occ) if occ]
         # rules enabled under every assignment, and the guarded rest
         self.unguarded = bytearray(not neg for neg in self.neg)
         self.guarded = [(ridx, neg) for ridx, neg in enumerate(self.neg) if neg]
@@ -105,56 +119,215 @@ class CompiledProgram:
         one pessimistic fixpoint with every atom decided in or out."""
         return self.lfp(flags.translate(_DECIDED), optimistic=False)
 
-    def bounds(self, assign: bytearray, trail: list[int],
-               upper: bytes | None = None) -> tuple[bytes, bytes] | None:
-        """The pessimistic (lower) and optimistic (upper) fixpoints of
-        `assign` once each open negated atom lower derives is forced in and
-        each one upper lacks is forced out, in place and onto `trail`; None
-        on a conflict. Lower reads only atoms assigned out and upper only
-        atoms assigned in, so each is recomputed only when forcing changed
-        what it reads; a caller may pass an upper bound still valid."""
-        lower = self.lfp(assign, optimistic=False)
-        if upper is None:
-            upper = self.lfp(assign, optimistic=True)
-        while True:
-            # one 0/1 byte per atom, as ints for whole-string bit operations
-            low, high = (int.from_bytes(flags, "little") for flags in (lower, upper))
-            not_out, is_in = (int.from_bytes(assign.translate(t), "little") for t in _BLOCKS)
-            if low & ~not_out or is_in & ~high:
-                return None  # derived but out, or underivable but in
-            free = not_out & ~is_in & self.negated_mask
-            now_in, now_out = free & low, free & ~high
-            if not (now_in or now_out):
-                return lower, upper
-            forced = (now_in | now_out).to_bytes(self.n, "little")
-            n = forced.find(1)
-            while n >= 0:
-                assign[n] = IN if lower[n] else OUT
-                trail.append(n)
-                n = forced.find(1, n + 1)
-            if now_out:
-                lower = self.lfp(assign, optimistic=False)
-            if now_in:
-                upper = self.lfp(assign, optimistic=True)
-
     def decode(self, flags: bytes) -> frozenset[NdAtom]:
         return frozenset(a for a, flag in zip(self.atoms, flags) if flag)
 
-    def pick_pivot(self, assign: bytes, upper: bytes) -> int | None:
-        """First undecided negated atom with a live negative occurrence.
+
+class Propagator:
+    """A partial assignment of a program's negated atoms, closed under its
+    pessimistic (lower) and optimistic (upper) least fixpoints.
+
+    An open negated atom the lower bound derives is forced in, one outside
+    the upper bound is forced out, and an atom assigned out but derived or
+    assigned in but underivable is a conflict. Construction propagates the
+    all-open assignment, which never conflicts. `decide` assigns one open
+    atom and propagates; every change goes onto `trail`, and `undo(mark)`
+    restores the assignment, both bounds and the rule counters as they were
+    when the trail had `mark` entries. Source pointers are not restored: an
+    atom's source stays a usable rule whenever the atom is in the upper
+    bound, and their graph stays acyclic.
+    """
+
+    def __init__(self, program: CompiledProgram):
+        self.program = program
+        n = program.n
+        self.assign = bytearray(n)
+        self.lower = bytearray(n)
+        self.upper = upper = bytearray(n)
+        self.trail: list[int] = []
+        # body literals a rule waits for before it fires (lower) and that
+        # keep it unusable (upper: positive atoms outside upper, negated
+        # atoms assigned in)
+        self.low_wait = [size + len(neg) for size, neg in zip(program.pos_len, program.neg)]
+        self.up_wait = program.pos_len.copy()
+        # a usable rule that derives each atom in the upper bound
+        self.source = [-1] * n
+        self._support(range(n))
+        fired = [program.heads[ridx] for ridx, wait in enumerate(self.low_wait) if not wait]
+        self._propagate(fired, [], [m for m in program.negated if not upper[m]])
+
+    def decide(self, atom: int, value: int) -> bool:
+        """Assign an open negated atom of a consistent state and propagate;
+        False on a conflict, after which the caller undoes to a mark taken
+        before the call. An open atom lies between the bounds, so the
+        decision itself never conflicts; what it forces may."""
+        derived: list[int] = []
+        ins: list[int] = []
+        self._assign(atom, value, derived, ins)
+        return self._propagate(derived, ins, [])
+
+    def undo(self, mark: int) -> None:
+        """Replay the trail backwards down to `mark` entries."""
+        program = self.program
+        watchers, neg_occ = program.watchers, program.neg_occ
+        assign, lower, upper = self.assign, self.lower, self.upper
+        low_wait, up_wait = self.low_wait, self.up_wait
+        trail = self.trail
+        for entry in reversed(trail[mark:]):
+            atom = entry >> 2
+            kind = entry & 3
+            if kind == ASSIGNED:
+                if assign[atom] == OUT:
+                    for ridx in neg_occ[atom]:
+                        low_wait[ridx] += 1
+                else:
+                    for ridx in neg_occ[atom]:
+                        up_wait[ridx] -= 1
+                assign[atom] = OPEN
+            elif kind == LOWERED:
+                lower[atom] = 0
+                for ridx in watchers[atom]:
+                    low_wait[ridx] += 1
+            else:
+                upper[atom] = 1
+                for ridx in watchers[atom]:
+                    up_wait[ridx] -= 1
+        del trail[mark:]
+
+    def pick_pivot(self, start: int) -> int | None:
+        """Position in `negated`, from `start` on, of the first open atom
+        with a live negative occurrence.
 
         A rule is live when no negated atom of it is assigned in and its
-        positive body lies inside the optimistic bound; any other rule can
-        never fire in a completion of this assignment, so atoms negated only
-        there cannot influence a reduct and need no case split: their final
-        value is whatever derivability makes it.
+        positive body lies inside the upper bound, that is when it waits for
+        nothing in the upper count; any other rule can never fire in a
+        completion of this assignment, so atoms negated only there cannot
+        influence a reduct and need no case split: their final value is
+        whatever derivability makes it. Deeper in the search assigned atoms
+        stay assigned and dead rules stay dead, so a child node resumes the
+        scan from its parent's pivot.
         """
-        for n in self.negated:
-            if assign[n] != OPEN:
-                continue
-            for ridx in self.neg_occ[n]:
-                if any(assign[m] == IN for m in self.neg[ridx]):
-                    continue
-                if all(upper[b] for b in self.pos[ridx]):
-                    return n
+        program = self.program
+        negated, neg_occ = program.negated, program.neg_occ
+        assign, up_wait = self.assign, self.up_wait
+        for position in range(start, len(negated)):
+            atom = negated[position]
+            if assign[atom] == OPEN:
+                for ridx in neg_occ[atom]:
+                    if not up_wait[ridx]:
+                        return position
         return None
+
+    def _assign(self, atom: int, value: int, derived: list[int], ins: list[int]) -> None:
+        """Set an open atom with its counter updates: out lowers the rules
+        negating it toward firing (heads that fire go on `derived`), in
+        makes them unusable (the atom goes on `ins`)."""
+        self.assign[atom] = value
+        self.trail.append(atom << 2 | ASSIGNED)
+        heads = self.program.heads
+        if value == OUT:
+            low_wait = self.low_wait
+            for ridx in self.program.neg_occ[atom]:
+                wait = low_wait[ridx] - 1
+                low_wait[ridx] = wait
+                if not wait:
+                    derived.append(heads[ridx])
+        else:
+            up_wait = self.up_wait
+            for ridx in self.program.neg_occ[atom]:
+                up_wait[ridx] += 1
+            ins.append(atom)
+
+    def _propagate(self, derived: list[int], ins: list[int], unfounded: list[int]) -> bool:
+        """Force until nothing changes: `derived` atoms enter the lower
+        bound, `ins` atoms (assigned in) shrink the upper bound, and
+        `unfounded` atoms (already outside it) are forced out."""
+        program = self.program
+        heads, watchers, neg_occ = program.heads, program.watchers, program.neg_occ
+        assign, lower = self.assign, self.lower
+        low_wait = self.low_wait
+        trail = self.trail
+        while True:
+            for atom in unfounded:
+                if neg_occ[atom]:
+                    value = assign[atom]
+                    if value == IN:
+                        return False  # assigned in, but underivable
+                    if value == OPEN:
+                        self._assign(atom, OUT, derived, ins)
+            while derived:
+                atom = derived.pop()
+                if lower[atom]:
+                    continue
+                lower[atom] = 1
+                trail.append(atom << 2 | LOWERED)
+                for ridx in watchers[atom]:
+                    wait = low_wait[ridx] - 1
+                    low_wait[ridx] = wait
+                    if not wait:
+                        derived.append(heads[ridx])
+                if neg_occ[atom]:
+                    value = assign[atom]
+                    if value == OUT:
+                        return False  # assigned out, but derived
+                    if value == OPEN:
+                        self._assign(atom, IN, derived, ins)
+            if not ins:
+                return True
+            unfounded = self._retract(ins)
+            ins = []
+
+    def _retract(self, ins: list[int]) -> list[int]:
+        """Shrink the upper bound after `ins` were assigned in; the atoms it
+        loses, trailed."""
+        program = self.program
+        heads, watchers, neg_occ = program.heads, program.watchers, program.neg_occ
+        upper, up_wait, source = self.upper, self.up_wait, self.source
+        removed: list[int] = []
+        for atom in ins:
+            for ridx in neg_occ[atom]:
+                head = heads[ridx]
+                if source[head] == ridx and upper[head]:
+                    upper[head] = 0
+                    removed.append(head)
+        # atoms whose source reads a removed atom go too
+        for atom in removed:
+            for ridx in watchers[atom]:
+                up_wait[ridx] += 1
+                head = heads[ridx]
+                if source[head] == ridx and upper[head]:
+                    upper[head] = 0
+                    removed.append(head)
+        self._support(removed)
+        unfounded = [atom for atom in removed if not upper[atom]]
+        self.trail.extend(atom << 2 | UNFOUNDED for atom in unfounded)
+        return unfounded
+
+    def _support(self, atoms: Iterable[int]) -> None:
+        """Put each of `atoms` outside the upper bound that has a usable
+        rule back into it, and forward-chain from there, setting the source
+        of each atom regained."""
+        program = self.program
+        heads, watchers, defining = program.heads, program.watchers, program.defining
+        upper, up_wait, source = self.upper, self.up_wait, self.source
+        for atom in atoms:
+            if upper[atom]:
+                continue
+            for ridx in defining[atom]:
+                if not up_wait[ridx]:
+                    break
+            else:
+                continue
+            upper[atom] = 1
+            source[atom] = ridx
+            stack = [atom]
+            while stack:
+                for ridx in watchers[stack.pop()]:
+                    wait = up_wait[ridx] - 1
+                    up_wait[ridx] = wait
+                    if not wait:
+                        head = heads[ridx]
+                        if not upper[head]:
+                            upper[head] = 1
+                            source[head] = ridx
+                            stack.append(head)

@@ -4,19 +4,20 @@ A stable model is an interpretation equal to the least model of its own
 reduct. `enumerate_stable` realizes the guess-and-check: truth assignments
 over the NdAtoms that occur negated fix the reduct, whose least model is
 kept when it agrees with the assignment. The assignments are explored as a
-tree; at every node `CompiledProgram.bounds` propagates the assignment
-(an underivable assumed-true atom or an unavoidable assumed-false atom
-closes a branch), which changes nothing about the result set but makes
-planning-sized programs tractable. At the root that propagation is the
-well-founded model, so every stable model lies above it. The output is
-sorted, so it is independent of exploration order.
-"""
+tree on one `compiled.Propagator`: each decision propagates both bounds
+through its trail (an underivable assumed-true atom or an unavoidable
+assumed-false atom closes a branch) and backtracking undoes it, so a
+decision costs the rules that read what it settles, not a whole fixpoint.
+This changes nothing about the result set but makes planning-sized
+programs tractable. At the root that propagation is the well-founded
+model, so every stable model lies above it. The output is sorted, so it is
+independent of exploration order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compiled import IN, OPEN, OUT
+from .compiled import IN, OUT, Propagator
 from .grounder import GroundProgram
 from .positive import Interpretation, lfp
 from .syntax import Rule, interpretation_key
@@ -80,42 +81,36 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
     """
     program = gp.compiled
     negated = program.negated
-    assign = bytearray(program.n)
-    found: list[bytearray] = []
+    state = Propagator(program)
+    assign, lower = state.assign, state.lower
+    found: list[bytes] = []
     truncated = False
 
     # Depth-first over an explicit decision stack, OUT before IN; a frame is
-    # (pivot, value, atoms forced under that decision).
-    stack: list[tuple[int, int, list[int]]] = []
-    bounds = program.bounds(assign, [])
+    # (pivot position in `negated`, value, trail mark before the decision),
+    # and a node's pivot scan resumes past its parent's pivot.
+    stack: list[tuple[int, int, int]] = []
+    consistent = True
     while True:
-        if bounds is not None:
-            lower, upper = bounds
-            pivot = program.pick_pivot(assign, upper)
-            if pivot is not None:
-                assign[pivot] = OUT
-                trail: list[int] = []
-                stack.append((pivot, OUT, trail))
-                # an atom assigned out leaves the upper bound valid
-                bounds = program.bounds(assign, trail, upper=upper)
+        if consistent:
+            position = state.pick_pivot(stack[-1][0] + 1 if stack else 0)
+            if position is not None:
+                stack.append((position, OUT, len(state.trail)))
+                consistent = state.decide(negated[position], OUT)
                 continue
-            # Leaf: the pessimistic bound is the reduct's least model.
+            # Leaf: the lower bound is the reduct's least model.
             if all(lower[n] for n in negated if assign[n] == IN):
-                found.append(lower)
+                found.append(bytes(lower))
                 if max_models is not None and len(found) >= max_models:
                     truncated = True
                     break
         while stack:
-            pivot, value, trail = stack.pop()
-            for n in trail:
-                assign[n] = OPEN
+            position, value, mark = stack.pop()
+            state.undo(mark)
             if value == OUT:
-                assign[pivot] = IN
-                trail = []
-                stack.append((pivot, IN, trail))
-                bounds = program.bounds(assign, trail)
+                stack.append((position, IN, mark))
+                consistent = state.decide(negated[position], IN)
                 break
-            assign[pivot] = OPEN
         else:
             break
 

@@ -6,7 +6,9 @@ positive consequences with the negated greatest unfounded set, and the
 iteration from the empty interpretation grows monotonically to the
 well-founded model. `well_founded_model` reaches the same model as the
 stable search's root propagation on the compiled program, which is why it
-lies below every stable model; W is the reference.
+lies below every stable model; that propagation forces one atom at a time
+through a trail, each costing only the rules that read it, so the model
+takes time linear in the program. W is the reference.
 
 The greatest unfounded set is computed as the complement of the "founded"
 atoms, the least fixpoint closing rule heads whose bodies are not false and
@@ -19,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .compiled import Propagator
 from .errors import InconsistencyError
 from .grounder import GroundProgram
 from .syntax import NdAtom, sort_nd_atoms
@@ -122,14 +125,15 @@ def wp_step(gp: GroundProgram, interp: PartialInterpretation) -> PartialInterpre
 
 
 def well_founded_model(gp: GroundProgram) -> PartialInterpretation:
-    """The stable search's root propagation, `CompiledProgram.bounds` from
+    """The stable search's root propagation, a `compiled.Propagator` over
     the all-open assignment, which never conflicts: the lower bound is the
     true set and the base less the upper bound the false set. This is Van
-    Gelder's alternating fixpoint one forced atom at a time, equal to the
-    fixpoint of W, which the tests iterate as the reference."""
+    Gelder's alternating fixpoint one forced atom at a time, each costing
+    only the rules that read it, and equal to the fixpoint of W, which the
+    tests iterate as the reference."""
     program = gp.compiled
-    lower, upper = program.bounds(bytearray(program.n), [])
+    state = Propagator(program)
     return PartialInterpretation(
-        pos=program.decode(lower),
-        neg=frozenset(a for a, flag in zip(program.atoms, upper) if not flag),
+        pos=program.decode(state.lower),
+        neg=frozenset(a for a, flag in zip(program.atoms, state.upper) if not flag),
     )

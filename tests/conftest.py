@@ -11,6 +11,7 @@ import random
 import pytest
 
 from ndlp import ground, make_ground_program, parse_program
+from ndlp.compiled import CompiledProgram
 from ndlp.corpus import corpus_text
 from ndlp.grounder import GroundProgram
 from ndlp.syntax import Atom, Literal, Rule, canonicalize
@@ -20,6 +21,27 @@ from detlp import DetRule
 
 def gp_from(text: str, horizon: int | None = None) -> GroundProgram:
     return ground(parse_program(text), horizon=horizon)
+
+
+@pytest.fixture
+def lfp_calls(monkeypatch):
+    """Run a callable and return how many whole fixpoints
+    (`CompiledProgram.lfp` calls) it made."""
+    lfp = CompiledProgram.lfp
+    calls = []
+
+    def counted(self, assign, optimistic):
+        calls.append(optimistic)
+        return lfp(self, assign, optimistic)
+
+    monkeypatch.setattr(CompiledProgram, "lfp", counted)
+
+    def count(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    return count
 
 
 @pytest.fixture

@@ -12,8 +12,9 @@
   bases past a cap, overridable through the NDLP_MAX_BASE environment
   variable.
 - `propagate_by_rounds` is the stable search's propagation done the plain
-  way, both bounds recomputed every round, against which the compiled
-  `bounds` is checked.
+  way, both bounds recomputed as whole fixpoints every round, against
+  which the trail-based `Propagator` is checked after every decision of a
+  random decide/undo walk.
 - `scan_characters` is the tokenizer written one character at a time, the
   reference of the pattern-driven `ndlp.parser.tokenize`.
 - `capped_images` expands a model into its answer sets by walking the

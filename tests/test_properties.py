@@ -23,9 +23,11 @@ from ndlp import (
     tprime_step,
     well_founded_model,
 )
-from ndlp.compiled import IN, OPEN, OUT
+from ndlp.compiled import ASSIGNED, IN, OPEN, OUT, Propagator
+from ndlp.grounder import make_ground_program
 from ndlp.positive import lfp
 from ndlp.stable import reduct
+from ndlp.syntax import Literal, Rule
 from ndlp.wf import PartialInterpretation
 
 from conftest import random_det_program, random_ground_program, random_interpretations
@@ -154,24 +156,65 @@ def test_compiled_stability_check_matches_reference(seed):
 
 @pytest.mark.parametrize("seed", seeds(3700))
 def test_bounds_match_round_based_propagation(seed):
-    # random partial assignments of the negated atoms, with and without the
-    # upper bound passed in
-    gp = random_ground_program(seed, max_nd=8, max_rules=12)
-    program = gp.compiled
+    # a random walk of decisions on open negated atoms and undos to random
+    # earlier marks; every decision is checked against the round-based
+    # propagation of the decisions alone, and every undo restores the whole
+    # state, counters included
     rng = random.Random(seed)
-    for case in range(6):
-        assign = bytearray(program.n)
-        for n in program.negated:
-            assign[n] = rng.choice((OPEN, OPEN, OUT, IN))
-        expected_assign, expected_trail = assign.copy(), []
-        expected = propagate_by_rounds(program, expected_assign, expected_trail)
-        upper = program.lfp(assign, optimistic=True) if case % 2 else None
-        trail: list[int] = []
-        got = program.bounds(assign, trail, upper)
-        assert got == expected, f"seed={seed} case={case}"
-        if got is not None:
-            assert assign == expected_assign, f"seed={seed} case={case}"
-            assert trail == expected_trail, f"seed={seed} case={case}"
+    program = _with_even_loops(random_ground_program(seed, max_nd=10, max_rules=12), rng).compiled
+    state = Propagator(program)
+    _check_against_rounds(program, state, [], True, f"seed={seed} root")
+    frames = []  # (trail mark, state snapshot, decisions) before each decision
+    decisions: list[tuple[int, int]] = []
+    consistent = True
+    for step in range(16):
+        where = f"seed={seed} step={step}"
+        open_atoms = [n for n in program.negated if state.assign[n] == OPEN]
+        if consistent and open_atoms and rng.random() < 0.7:
+            frames.append((len(state.trail), _snapshot(state), list(decisions)))
+            atom, value = rng.choice(open_atoms), rng.choice((OUT, IN))
+            decisions.append((atom, value))
+            consistent = state.decide(atom, value)
+            _check_against_rounds(program, state, decisions, consistent, where)
+        elif frames:
+            del frames[rng.randrange(len(frames)) + 1:]
+            mark, before, decisions = frames.pop()
+            state.undo(mark)
+            assert _snapshot(state) == before, where
+            consistent = True
+
+
+def _with_even_loops(gp, rng):
+    """The program plus four even loops over random pairs of its atoms, so
+    that decision walks get past the odd loops random rules are full of."""
+    rules = list(gp.rules)
+    if len(gp.base) >= 2:
+        for _ in range(4):
+            x, y = rng.sample(gp.base, 2)
+            rules += [Rule(head=x, body=(Literal(atom=y, negated=True),)),
+                      Rule(head=y, body=(Literal(atom=x, negated=True),))]
+    return make_ground_program(rules)
+
+
+def _snapshot(state):
+    return (bytes(state.assign), bytes(state.lower), bytes(state.upper),
+            list(state.low_wait), list(state.up_wait), list(state.trail))
+
+
+def _check_against_rounds(program, state, decisions, consistent, where):
+    assign = bytearray(program.n)
+    for atom, value in decisions:
+        assign[atom] = value
+    forced: list[int] = []
+    expected = propagate_by_rounds(program, assign, forced)
+    assert consistent == (expected is not None), where
+    if expected is None:
+        return
+    assert (state.lower, state.upper) == expected, where
+    assert state.assign == assign, where
+    # the trail records the same assignments, in its own order
+    trailed = [entry >> 2 for entry in state.trail if entry & 3 == ASSIGNED]
+    assert sorted(trailed) == sorted([atom for atom, _ in decisions] + forced), where
 
 
 @pytest.mark.parametrize("seed", seeds(3800))

@@ -172,6 +172,19 @@ class TestEnumerateStable:
         assert list(enumerate_stable(gp).models) == brute_force_stable(gp)
 
 
+class TestWorkBound:
+    def test_whole_fixpoints_do_not_grow_with_the_loops(self, lfp_calls):
+        # decisions propagate through the trail; only the per-model
+        # stability guard runs a whole fixpoint
+        def loops(n):
+            return gp_from("".join(f"{{a{i}}} :- not {{b{i}}}. {{b{i}}} :- not {{a{i}}}.\n"
+                                   for i in range(n)))
+
+        small, large = loops(150), loops(300)
+        assert (lfp_calls(lambda: enumerate_stable(small, max_models=1))
+                == lfp_calls(lambda: enumerate_stable(large, max_models=1)))
+
+
 class TestStableInvariantsOnCorpus:
     def test_models_are_minimal_models(self, teaching2):
         models = enumerate_stable(teaching2).models

@@ -144,3 +144,14 @@ class TestWellFoundedModel:
         assert model.pos == least_model(gp)
         assert model.neg == gp.base_set - model.pos
         assert model.is_total(gp.base)
+
+
+class TestWorkBound:
+    def test_whole_fixpoints_do_not_grow_with_the_chain(self, lfp_calls):
+        # each forced atom propagates through the trail, not a whole fixpoint
+        def chain(n):
+            return gp_from("".join(f"{{x{i}}} :- not {{x{i - 1}}}.\n" for i in range(1, n)))
+
+        small, large = chain(200), chain(400)
+        assert (lfp_calls(lambda: well_founded_model(small))
+                == lfp_calls(lambda: well_founded_model(large)))
