@@ -78,14 +78,13 @@ def _parts(model: Model, subset_minimal: bool) -> tuple[list, int]:
         pos, neg = sort_nd_atoms(model.pos), sort_nd_atoms(model.neg)
     else:
         pos, neg = sort_nd_atoms(model), ()
-    # member keys are equal exactly when atoms are, and cheaper to hash
-    uses = Counter(key for nd in (*pos, *neg) for key in nd.key)
-    repeated = {key for key, n in uses.items() if n > 1}
+    uses = Counter(atom for nd in (*pos, *neg) for atom in nd)
+    repeated = {atom for atom, n in uses.items() if n > 1}
     own = [[], []]
     shared = {(frozenset(), frozenset())}
     for negative, side in enumerate((pos, neg)):
         for nd in side:
-            if repeated.isdisjoint(nd.key):
+            if repeated.isdisjoint(nd.atoms):
                 own[negative].append(nd.atoms)
             elif negative:
                 shared = {(atoms, negs | {a}) for atoms, negs in shared

@@ -23,6 +23,7 @@ form against.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
 from .syntax import NdAtom, Rule
@@ -120,7 +121,7 @@ class CompiledProgram:
         return self.lfp(flags.translate(_DECIDED), optimistic=False)
 
     def decode(self, flags: bytes) -> frozenset[NdAtom]:
-        return frozenset(a for a, flag in zip(self.atoms, flags) if flag)
+        return frozenset(compress(self.atoms, flags))
 
 
 class Propagator:

@@ -56,7 +56,9 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class GroundProgram:
-    """A variable-free program plus its restricted base and head subset."""
+    """A variable-free program plus its restricted base and head subset,
+    both in key order; the solvers intern the base in that order and sort
+    their models by it."""
 
     rules: tuple[Rule, ...]
     base: tuple[NdAtom, ...]
@@ -168,6 +170,14 @@ def _ground_instance(rule: Rule, env: dict[str, Term]) -> Rule | None:
     return Rule(head=canonicalize(head_atoms), body=tuple(body), origin=rule.origin)
 
 
+def _fixed_instance(rule: Rule) -> Rule | None:
+    """The one instance of a rule without variables: the rule itself unless
+    a comparison must be evaluated."""
+    if any(lit.atom.atoms[0].is_builtin() for lit in rule.body):
+        return _ground_instance(rule, {})
+    return rule
+
+
 def _undo(env: dict[str, Term], trail: list[str], mark: int) -> None:
     while len(trail) > mark:
         del env[trail.pop()]
@@ -256,7 +266,7 @@ class _Source:
         if names:
             body = [nd for nd in rule.positive_body() if not nd.atoms[0].is_builtin()]
         else:
-            self.fixed = _ground_instance(rule, {})
+            self.fixed = _fixed_instance(rule)
             body = list(self.fixed.positive_body()) if self.fixed is not None else []
         self.joins = [(nd, {n for atom in nd for n in atom.variables()}) for nd in body]
         joined = {n for _, bound in self.joins for n in bound}
@@ -449,7 +459,7 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
                     )
         rules.append((rule, names))
     if not any(names for _, names in rules):
-        instances = (_ground_instance(rule, {}) for rule, _ in rules)
+        instances = (_fixed_instance(rule) for rule, _ in rules)
         return make_ground_program(r for r in instances if r is not None)
     instantiator = _Instantiator(rules, horizon, constants or ())
     instantiator.run()

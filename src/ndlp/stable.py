@@ -16,11 +16,12 @@ independent of exploration order."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .compiled import IN, OUT, Propagator
 from .grounder import GroundProgram
 from .positive import Interpretation, lfp
-from .syntax import Rule, interpretation_key
+from .syntax import Rule
 
 
 def reduct(gp: GroundProgram, interp: Interpretation) -> tuple[Rule, ...]:
@@ -115,6 +116,9 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
             break
 
     # guard, one fixpoint per model; holds by construction. Leaves differ on
-    # some pivot, so the models are distinct.
-    models = [program.decode(flags) for flags in found if program.reduct_model(flags) == flags]
-    return StableModels(models=tuple(sorted(models, key=interpretation_key)), truncated=truncated)
+    # some pivot, so the models are distinct. Atoms are interned in base
+    # order, which is key order, so sorting by the sorted atom indices is
+    # the canonical order of the decoded models.
+    kept = [flags for flags in found if program.reduct_model(flags) == flags]
+    kept.sort(key=lambda flags: tuple(compress(range(program.n), flags)))
+    return StableModels(models=tuple(map(program.decode, kept)), truncated=truncated)

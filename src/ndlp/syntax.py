@@ -6,14 +6,19 @@ holds in each world. NdAtoms are stored in a canonical sorted,
 duplicate-free form, so set equality is plain structural equality
 everywhere else in the engine, and every output order is reproducible.
 
-All values here are immutable after construction and safe to share.
+All values here are immutable after construction and safe to share. Each
+term, atom and NdAtom computes its sort key and its hash once, when it is
+built, from those of its parts, and each atom also renders its text then;
+hashing and printing them later re-walk no term, and sorting compares the
+stored keys. There is one class per kind and no intern table: equal values
+built apart stay distinct objects, and equality is structural.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from .errors import ProgramError
@@ -34,64 +39,109 @@ def is_time_variable(name: str) -> bool:
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Each value sets its `key` (a total order across kinds) and `_hash` in
+# `__post_init__`. A stored hash is only valid in the process that computed
+# it (str hashes are salted per process), so `__reduce__` pickles the
+# fields alone and unpickling rebuilds the value through its constructor.
+
+_set = object.__setattr__
+_by_key = attrgetter("key")
+
+_DERIVED = dict(init=False, repr=False, compare=False)
+
+
+def _store(value, key: tuple, parts: tuple) -> None:
+    """Set a value's key, and its hash from those of its parts."""
+    _set(value, "key", key)
+    _set(value, "_hash", hash(parts))
+
+
+def _stored_hash(value) -> int:
+    return value._hash
+
+
+def _rebuilt(value):
+    return type(value), tuple(getattr(value, f.name) for f in fields(value) if f.init)
+
+
+@dataclass(frozen=True, slots=True)
 class Constant:
     """A symbol constant; a leading '-' in the name spells classical negation."""
 
     name: str
+    key: tuple = field(**_DERIVED)
+    _hash: int = field(**_DERIVED)
 
-    @cached_property
-    def key(self):
-        return (1, self.name)
+    def __post_init__(self):
+        key = (1, self.name)
+        _store(self, key, key)
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Integer:
     """A signed machine integer constant."""
 
     value: int
+    key: tuple = field(**_DERIVED)
+    _hash: int = field(**_DERIVED)
 
-    @cached_property
-    def key(self):
-        return (0, self.value)
+    def __post_init__(self):
+        key = (0, self.value)
+        _store(self, key, key)
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     """A capitalized symbol, replaced during grounding."""
 
     name: str
+    key: tuple = field(**_DERIVED)
+    _hash: int = field(**_DERIVED)
 
-    @cached_property
-    def key(self):
-        return (2, self.name)
+    def __post_init__(self):
+        key = (2, self.name)
+        _store(self, key, key)
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compound:
     """A function symbol applied to argument terms."""
 
     name: str
     args: tuple["Term", ...]
+    key: tuple = field(**_DERIVED)
+    _hash: int = field(**_DERIVED)
 
-    @cached_property
-    def key(self):
-        return (3, self.name, len(self.args), tuple(a.key for a in self.args))
+    def __post_init__(self):
+        name, args = self.name, self.args
+        _store(self, (3, name, len(args), tuple(a.key for a in args)), (3, name, args))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     """A term plus a positive integer offset, e.g. T+1.
 
@@ -100,10 +150,14 @@ class Sum:
 
     base: "Term"
     offset: int
+    key: tuple = field(**_DERIVED)
+    _hash: int = field(**_DERIVED)
 
-    @cached_property
-    def key(self):
-        return (4, self.base.key, self.offset)
+    def __post_init__(self):
+        _store(self, (4, self.base.key, self.offset), (4, self.base, self.offset))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return f"{self.base}+{self.offset}"
@@ -127,20 +181,32 @@ def term_variables(term: Term) -> Iterator[str]:
 # Atoms and non-deterministic atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
-    """A predicate applied to terms; the unit the Herbrand base is made of."""
+    """A predicate applied to terms; the unit the Herbrand base is made of.
+    Its text is rendered once, at construction."""
 
     pred: str
     args: tuple[Term, ...] = ()
+    key: tuple = field(**_DERIVED)
+    _hash: int = field(**_DERIVED)
+    _text: str = field(**_DERIVED)
 
     def __post_init__(self):
-        if not self.pred:
+        pred, args = self.pred, self.args
+        if not pred:
             raise ProgramError("empty predicate name")
+        _store(self, (pred, len(args), tuple(a.key for a in args)), (pred, args))
+        if pred in BUILTIN_PREDICATES:
+            text = f"{args[0]} {pred} {args[1]}"
+        elif args:
+            text = f"{pred}({', '.join(str(a) for a in args)})"
+        else:
+            text = pred
+        _set(self, "_text", text)
 
-    @cached_property
-    def key(self):
-        return (self.pred, len(self.args), tuple(a.key for a in self.args))
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def is_builtin(self) -> bool:
         return self.pred in BUILTIN_PREDICATES
@@ -152,14 +218,10 @@ class Atom:
         return names
 
     def __str__(self) -> str:
-        if self.is_builtin():
-            return f"{self.args[0]} {self.pred} {self.args[1]}"
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({', '.join(str(a) for a in self.args)})"
+        return self._text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NdAtom:
     """A canonical non-empty set of atoms, stored sorted and duplicate-free.
 
@@ -168,19 +230,21 @@ class NdAtom:
     """
 
     atoms: tuple[Atom, ...]
+    key: tuple = field(**_DERIVED)
+    _hash: int = field(**_DERIVED)
 
     def __post_init__(self):
         if not self.atoms:
             raise ProgramError("empty non-deterministic atom")
-        keys = [a.key for a in self.atoms]
-        if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
+        key = tuple(a.key for a in self.atoms)
+        if any(k2 <= k1 for k1, k2 in zip(key, key[1:])):
             raise ProgramError(
                 "non-canonical atom sequence; build NdAtoms with canonicalize()"
             )
+        _store(self, key, self.atoms)
 
-    @cached_property
-    def key(self):
-        return tuple(a.key for a in self.atoms)
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __iter__(self) -> Iterator[Atom]:
         return iter(self.atoms)
@@ -198,13 +262,10 @@ def canonicalize(atoms: Iterable[Atom]) -> NdAtom:
     Idempotent: canonicalizing the atoms of an NdAtom returns an equal value.
     Raises on an empty input.
     """
-    unique: dict = {}
-    for atom in atoms:
-        unique.setdefault(atom.key, atom)
+    unique = set(atoms)
     if not unique:
         raise ProgramError("empty non-deterministic atom")
-    ordered = tuple(unique[k] for k in sorted(unique))
-    return NdAtom(ordered)
+    return NdAtom(tuple(sorted(unique, key=_by_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +348,4 @@ def program_to_str(program: Program) -> str:
 
 def sort_nd_atoms(nd_atoms: Iterable[NdAtom]) -> tuple[NdAtom, ...]:
     """Deterministic order for any collection of NdAtoms."""
-    return tuple(sorted(nd_atoms, key=lambda a: a.key))
-
-
-def interpretation_key(nd_atoms: Iterable[NdAtom]):
-    """Total order on interpretations: the sorted tuple of member keys."""
-    return tuple(sorted(a.key for a in nd_atoms))
+    return tuple(sorted(nd_atoms, key=_by_key))

@@ -49,10 +49,10 @@ from ndlp.stable import is_stable
 from ndlp.wf import PartialInterpretation
 from ndlp.syntax import (
     Integer,
+    NdAtom,
     Program,
     Rule,
     Term,
-    interpretation_key,
     is_time_variable,
     sort_nd_atoms,
 )
@@ -161,6 +161,11 @@ def intersect_all(models: Iterable[Interpretation]) -> Interpretation:
     for m in models[1:]:
         result &= m
     return result
+
+
+def interpretation_key(nd_atoms: Iterable[NdAtom]):
+    """Canonical order on interpretations: the sorted tuple of member keys."""
+    return tuple(sorted(a.key for a in nd_atoms))
 
 
 def brute_force_stable(gp: GroundProgram) -> list[Interpretation]:

@@ -59,8 +59,13 @@ class TestInstantiation:
         assert "{q(c2)}" not in [str(a) for a in gp.base]
 
     def test_rule_without_variables_kept_verbatim(self):
-        gp = gp_from("{a} :- {missing}. {p(X)} :- {q(X)}. {q(c)}.")
-        assert [str(r) for r in gp.rules] == ["{a} :- {missing}.", "{p(c)} :- {q(c)}.", "{q(c)}."]
+        program = parse_program("{a} :- {missing}. {p(X)} :- {q(X)}. {q(c)}. {b} :- {c != d}.")
+        gp = ground(program)
+        assert [str(r) for r in gp.rules] == [
+            "{a} :- {missing}.", "{p(c)} :- {q(c)}.", "{q(c)}.", "{b}.",
+        ]
+        # kept as the same object, only the comparison rule is rebuilt
+        assert gp.rules[0] is program.rules[0] and gp.rules[2] is program.rules[2]
 
     def test_set_literal_matches_collapsed_members(self):
         # X = Y grounds {q(X), q(Y)} to the singleton {q(a)}
@@ -139,7 +144,7 @@ class TestIdempotence:
     def test_ground_program_grounds_to_itself(self, text, horizon):
         gp = ground(parse_program(text), horizon=horizon)
         again = ground(Program(rules=gp.rules), horizon=horizon)
-        assert again.rules == gp.rules
+        assert all(a is b for a, b in zip(again.rules, gp.rules, strict=True))
         assert again.base == gp.base and again.heads == gp.heads
 
     def test_instances_trace_to_source_rules(self):

@@ -1,10 +1,19 @@
-"""Canonical forms, the tokenizer, the parser, and the printer round trip."""
+"""Canonical forms, stored hashes and text, the tokenizer, the parser, and
+the printer round trip."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ndlp
 from ndlp import ParseError, ProgramError, canonicalize, parse_program, parse_rule
 from ndlp.corpus import CORPUS_NAMES, corpus_text
 from ndlp.parser import Token, tokenize
@@ -72,6 +81,66 @@ class TestCanonicalizeProperties:
     @given(st.lists(atoms, min_size=1, max_size=6))
     def test_order_insensitive(self, atom_list):
         assert canonicalize(atom_list) == canonicalize(list(reversed(atom_list)))
+
+
+def rebuild(term):
+    """An equal term built from scratch, sharing no value object."""
+    if isinstance(term, Compound):
+        return Compound(term.name, tuple(rebuild(a) for a in term.args))
+    if isinstance(term, Integer):
+        return Integer(term.value)
+    return Constant(term.name)
+
+
+class TestStoredValues:
+    @given(atoms)
+    def test_equal_values_built_apart_agree(self, value):
+        twin = Atom(value.pred, tuple(rebuild(a) for a in value.args))
+        assert twin == value and twin is not value
+        assert (hash(twin), twin.key, str(twin)) == (hash(value), value.key, str(value))
+        nd, nd_twin = canonicalize([value]), canonicalize([twin])
+        assert (hash(nd_twin), nd_twin.key, str(nd_twin)) == (hash(nd), nd.key, str(nd))
+
+    @given(atoms)
+    def test_fields_stay_frozen(self, value):
+        with pytest.raises(FrozenInstanceError):
+            value.pred = "z"
+        with pytest.raises(FrozenInstanceError):
+            canonicalize([value]).atoms = ()
+
+    def test_hash_and_text_are_not_recomputed(self, monkeypatch):
+        term = Constant("a")
+        for _ in range(100):
+            term = Compound("f", (term,))
+        deep = Atom("p", (term,))
+        str(deep)
+        calls = Counter()
+        for method in ("__hash__", "__str__"):
+            def counted(self, original=getattr(Compound, method), method=method):
+                calls[method] += 1
+                return original(self)
+            monkeypatch.setattr(Compound, method, counted)
+        hash(deep)
+        hash(canonicalize([deep]))
+        str(deep)
+        assert calls == Counter()
+
+    def test_pickled_set_is_found_under_another_hash_seed(self):
+        text = "{p(f(a, 1), -b), q}. {r(g(h(c)))}."
+        stored = pickle.dumps(frozenset(rule.head for rule in parse_program(text).rules))
+        check = (
+            "import pickle, sys\n"
+            "from ndlp import parse_program\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            f"fresh = [rule.head for rule in parse_program({text!r}).rules]\n"
+            "assert all(nd in loaded for nd in fresh), 'fresh NdAtom not found'\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(ndlp.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", check], input=stored, env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
 
 
 class TestParser:
