@@ -43,15 +43,18 @@ class SolveReport:
     timing_s: float = 0.0
 
     def to_json(self) -> str:
+        """`json.dumps(payload, indent=2, sort_keys=True)` of the report.
+
+        The `answer_sets` array, whose key sorts first, is laid out here from
+        each atom's JSON string, encoded once per atom table, and spliced in
+        front of the dumped rest of the payload.
+        """
         def nd(atom: NdAtom) -> list[str]:
-            return [str(a) for a in atom]
+            return [a.text for a in atom]
 
         payload: dict = {
             "semantics": self.semantics,
             "models": [[nd(a) for a in model] for model in self.models],
-            "answer_sets": [
-                [s.entries() for s in per_model] for per_model in (self.answer_sets or [])
-            ],
             "truncated": self.truncated,
             "stats": {"rules": self.rule_count, "base_size": self.base_size},
         }
@@ -59,7 +62,9 @@ class SolveReport:
             payload["total"] = bool(self.total)
             payload["negatives"] = [nd(a) for a in (self.negatives or [])]
             payload["undefined"] = [nd(a) for a in (self.undefined or [])]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        answer_sets = _answer_sets_json(self.answer_sets or [])
+        rest = json.dumps(payload, indent=2, sort_keys=True)
+        return '{\n  "answer_sets": ' + answer_sets + ",\n" + rest[2:] + "\n"
 
     def to_text(self) -> str:
         lines = [f"semantics: {self.semantics}"]
@@ -84,6 +89,36 @@ class SolveReport:
         if self.truncated:
             lines.append("truncated: yes")
         return "\n".join(lines) + "\n"
+
+
+# A line break and the indent of `json.dumps(indent=2)` at each depth.
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(5))
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    """`json.dumps(indent=2)`'s layout of an array at `depth` whose items
+    are already encoded, each after its own `_NEWLINE[depth + 1]`."""
+    if not items:
+        return "[]"
+    return "[" + ",".join(items) + _NEWLINE[depth] + "]"
+
+
+def _answer_sets_json(answer_sets: list[list[AnswerSet]]) -> str:
+    """The `answer_sets` value of the JSON report, at depth 1. Each atom's
+    entries, `a` and `not a`, are encoded once per atom table."""
+    encoded: dict = {}
+    models = []
+    for sets in answer_sets:
+        rows = []
+        for s in sets:
+            if s.table not in encoded:
+                encoded[s.table] = [[_NEWLINE[4] + json.dumps(t) for t in texts]
+                                    for texts in (s.table.texts, s.table.nots)]
+            texts, nots = encoded[s.table]
+            entries = [*map(texts.__getitem__, s.pos), *map(nots.__getitem__, s.neg)]
+            rows.append(_NEWLINE[3] + _json_array(entries, 3))
+        models.append(_NEWLINE[2] + _json_array(rows, 2))
+    return _json_array(models, 1)
 
 
 def _read(path: str) -> str:

@@ -184,13 +184,13 @@ def term_variables(term: Term) -> Iterator[str]:
 @dataclass(frozen=True, slots=True)
 class Atom:
     """A predicate applied to terms; the unit the Herbrand base is made of.
-    Its text is rendered once, at construction."""
+    Its text, `text`, is rendered once, at construction."""
 
     pred: str
     args: tuple[Term, ...] = ()
     key: tuple = field(**_DERIVED)
     _hash: int = field(**_DERIVED)
-    _text: str = field(**_DERIVED)
+    text: str = field(**_DERIVED)
 
     def __post_init__(self):
         pred, args = self.pred, self.args
@@ -203,7 +203,7 @@ class Atom:
             text = f"{pred}({', '.join(str(a) for a in args)})"
         else:
             text = pred
-        _set(self, "_text", text)
+        _set(self, "text", text)
 
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
@@ -218,7 +218,7 @@ class Atom:
         return names
 
     def __str__(self) -> str:
-        return self._text
+        return self.text
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,7 +253,7 @@ class NdAtom:
         return len(self.atoms)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(a) for a in self.atoms) + "}"
+        return "{" + ", ".join(a.text for a in self.atoms) + "}"
 
 
 def canonicalize(atoms: Iterable[Atom]) -> NdAtom:

@@ -24,6 +24,9 @@
   counting atom uses and walks the raw product of the shared part.
   `grown_images` grows a model's images NdAtom by NdAtom without splitting
   it, for models whose choice product is too large to walk.
+- `report_json` is the JSON report built as one payload and dumped whole,
+  every answer-set entry rendered from its atom, the reference of
+  `SolveReport.to_json`, which lays out the answer sets itself.
 
 The deterministic reference semantics and the singleton embedding sit
 beside this file, in `detlp.py`.
@@ -31,6 +34,7 @@ beside this file, in `detlp.py`.
 
 from __future__ import annotations
 
+import json
 import os
 from itertools import product
 from typing import Iterable
@@ -312,6 +316,32 @@ def grown_images(model) -> set:
         else:
             images = {(atoms | {a}, negs) for atoms, negs in images for a in nd.atoms}
     return images
+
+
+def report_json(report) -> str:
+    """A `SolveReport` as `json.dumps(payload, indent=2, sort_keys=True)`
+    of its whole payload; answer-set entries are each atom's `str`, positives
+    then `not` negatives, each side sorted by key."""
+    def nd(atom: NdAtom) -> list[str]:
+        return [str(a) for a in atom]
+
+    def entries(answer_set) -> list[str]:
+        atoms = sorted(answer_set.atoms, key=lambda a: a.key)
+        negatives = sorted(answer_set.negatives, key=lambda a: a.key)
+        return [str(a) for a in atoms] + [f"not {a}" for a in negatives]
+
+    payload: dict = {
+        "semantics": report.semantics,
+        "models": [[nd(a) for a in model] for model in report.models],
+        "answer_sets": [[entries(s) for s in sets] for sets in (report.answer_sets or [])],
+        "truncated": report.truncated,
+        "stats": {"rules": report.rule_count, "base_size": report.base_size},
+    }
+    if report.semantics == "wf":
+        payload["total"] = bool(report.total)
+        payload["negatives"] = [nd(a) for a in (report.negatives or [])]
+        payload["undefined"] = [nd(a) for a in (report.undefined or [])]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Choice-function expansion of models into answer sets."""
 
+import json
 import random
+from collections import Counter
 from itertools import islice, product
 
 import pytest
 
 from ndlp import count, expand, least_model, enumerate_stable
+from ndlp.cli import SolveReport
 from ndlp.corpus import corpus_text
 from ndlp.syntax import Atom, canonicalize, sort_nd_atoms
 from ndlp.wf import PartialInterpretation
@@ -273,3 +276,53 @@ class TestWorkBound:
         result = expand(model, cap=5)
         assert [s.atoms for s in result] == sorted(first, key=lambda s: sorted(a.key for a in s))
         assert result.truncated
+
+
+class TestAnswerSetValues:
+    """Answer sets are values: equal when their atoms are, whichever
+    expansion built them."""
+
+    @pytest.mark.parametrize("name, semantics", [
+        ("fred.ndlp", "least"), ("teaching2.ndlp", "stable"), ("wf_partial.ndlp", "wf"),
+    ])
+    def test_two_expansions_give_equal_sets(self, name, semantics):
+        gp = gp_from(corpus_text(name))
+        if semantics == "least":
+            model = least_model(gp)
+        elif semantics == "stable":
+            model = enumerate_stable(gp).models[0]
+        else:
+            model = well_founded_model(gp)
+        first, second = expand(model), expand(model)
+        assert len(first) > 1
+        for a, b in zip(first, second, strict=True):
+            assert a == b and hash(a) == hash(b) and a.key == b.key
+            assert type(a.atoms) is frozenset and type(a.negatives) is frozenset
+            assert (a.atoms, a.negatives) == (b.atoms, b.negatives)
+        assert len(set(first) | set(second)) == len(first)
+        assert first.answer_sets[0] != second.answer_sets[1]
+        if semantics == "wf":
+            assert any(s.negatives for s in first)
+
+
+class TestRenderedOnce:
+    def test_each_atom_is_rendered_at_most_once(self, monkeypatch):
+        # 10 disjoint pairs: 1 024 answer sets of 10 entries each, over 20 atoms
+        model = disjoint_pairs(10)
+        calls = Counter()
+        original = Atom.__str__
+
+        def counted(self):
+            calls[self] += 1
+            return original(self)
+
+        monkeypatch.setattr(Atom, "__str__", counted)
+        expansion = expand(model)
+        report = SolveReport(semantics="least", models=[list(sort_nd_atoms(model))],
+                             answer_sets=[list(expansion)])
+        text, data = report.to_text(), report.to_json()
+        assert sum(calls.values()) <= 20
+        assert len(expansion) == 1024
+        last = ", ".join(f"p{i:02d}b" for i in range(10))
+        assert f"  answer set 1.1024: {{{last}}}\n" in text
+        assert json.loads(data)["answer_sets"][0][0] == [f"p{i:02d}a" for i in range(10)]

@@ -6,9 +6,14 @@ import warnings
 
 import pytest
 
-from ndlp.cli import _load, main
-from ndlp.corpus import corpus_path
+from ndlp.answersets import expand
+from ndlp.cli import SolveReport, _load, main
+from ndlp.corpus import CORPUS_NAMES, corpus_path
 from ndlp.parser import MAX_TERM_DEPTH
+from ndlp.syntax import Atom, canonicalize
+from ndlp.wf import PartialInterpretation
+
+from oracles import report_json
 
 
 def run(capsys, *argv):
@@ -220,6 +225,87 @@ class TestJson:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestJsonLayout:
+    """`SolveReport.to_json` lays out the answer sets itself; its bytes must
+    be those of the whole payload dumped by `json.dumps`."""
+
+    @staticmethod
+    def checked_run(capsys, monkeypatch, *argv):
+        """Run the CLI, checking every report it renders as JSON against the
+        oracle; the exit code and the number of reports rendered."""
+        rendered = []
+        to_json = SolveReport.to_json
+
+        def checked(report):
+            out = to_json(report)
+            assert out == report_json(report), f"argv={argv}"
+            rendered.append(out)
+            return out
+
+        monkeypatch.setattr(SolveReport, "to_json", checked)
+        code, out, _ = run(capsys, *argv)
+        assert out == "".join(rendered)
+        return code, len(rendered)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    @pytest.mark.parametrize("semantics", ["least", "stable", "wf"])
+    @pytest.mark.parametrize("flags", [
+        ("solve",),
+        ("solve", "--answer-sets"),
+        ("expand",),
+        ("expand", "--max-answer-sets", "3"),
+        ("expand", "--subset-minimal"),
+    ])
+    def test_corpus_reports(self, capsys, monkeypatch, name, semantics, flags):
+        argv = (*flags, "--semantics", semantics, "--format", "json", str(corpus_path(name)))
+        code, rendered = self.checked_run(capsys, monkeypatch, *argv)
+        assert rendered == (code != 2)
+
+    @pytest.mark.parametrize("semantics", ["least", "wf"])
+    def test_non_ascii_atoms_are_escaped(self, capsys, monkeypatch, tmp_path, semantics):
+        # names start with a lowercase letter, so CJK goes after one
+        source = tmp_path / "accents.ndlp"
+        text = "{x\u4e2d, caf\u00e9}. {caf\u00e9, b}. {x}.\n"
+        if semantics == "wf":
+            text = "{x\u4e2d, caf\u00e9}. {y} :- not {caf\u00e9, b}.\n"
+        source.write_text(text, encoding="utf-8")
+        argv = ("expand", "--semantics", semantics, "--format", "json", str(source))
+        code, rendered = self.checked_run(capsys, monkeypatch, *argv)
+        assert (code, rendered) == (0, 1)
+        _, out, _ = run(capsys, *argv)
+        assert "x\\u4e2d" in out and "caf\\u00e9" in out and out.isascii()
+
+    def test_names_the_parser_rejects_are_escaped_too(self):
+        # built through the library: no lowercase letter, and one astral
+        # character that JSON escapes as a surrogate pair
+        atoms = [Atom("\u4e2d"), Atom("caf\u00e9"), Atom("\U0001d465")]
+        model = PartialInterpretation(pos=frozenset([canonicalize(atoms[:2])]),
+                                      neg=frozenset([canonicalize(atoms[1:])]))
+        report = SolveReport(semantics="wf", models=[list(model.pos)],
+                             negatives=list(model.neg), undefined=[], total=True,
+                             answer_sets=[list(expand(model))])
+        out = report.to_json()
+        assert '"not \\ud835\\udc65"' in out and '"\\u4e2d"' in out
+        assert out == report_json(report)
+
+    def test_report_without_answer_sets(self):
+        for report in (SolveReport(semantics="stable"),
+                       SolveReport(semantics="wf", models=[[canonicalize([Atom("a")])]])):
+            assert report.answer_sets is None
+            assert report.to_json() == report_json(report)
+
+    def test_model_whose_every_choice_contradicts_itself(self):
+        a, b = canonicalize([Atom("a")]), canonicalize([Atom("b")])
+        both = canonicalize([Atom("a"), Atom("b")])
+        model = PartialInterpretation(pos=frozenset([a, b]), neg=frozenset([both]))
+        expansion = expand(model)
+        assert len(expansion) == 0
+        report = SolveReport(semantics="wf", models=[[a, b]], negatives=[both], undefined=[],
+                             total=True, answer_sets=[list(expansion)])
+        assert '"answer_sets": [\n    []\n  ],' in report.to_json()
+        assert report.to_json() == report_json(report)
 
 
 class TestGroundCommand:
