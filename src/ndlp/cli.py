@@ -173,7 +173,7 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
         report.undefined = list(
             sort_nd_atoms(gp.base_set - wf_model.pos - wf_model.neg)
         )
-        report.total = wf_model.is_total(gp.base)
+        report.total = not report.undefined
 
     if want_answer_sets:
         report.answer_sets = []

@@ -3,8 +3,10 @@
 NdAtoms are interned to ints in restricted-base order and each rule
 becomes a head int plus tuples of its positive and negated body ints, with
 per-atom lists of the rules that use the atom positively, that negate it
-and that define it. One worklist least fixpoint, linear in program size,
-serves the least model and the stability guard.
+and that define it. One batch fixpoint, `reduct_model`, gives the least
+model of the reduct against a 0/1 interpretation in time linear in the
+program: against the empty interpretation it is the least model of a
+negation-free program, and a model that equals its own is stable.
 
 `Propagator` closes a partial assignment of the negated atoms under both
 bounds incrementally. The lower bound is smodels' atleast: each rule
@@ -28,18 +30,8 @@ from typing import Iterable
 
 from .syntax import NdAtom, Rule
 
-# Truth assignment codes. Only atoms occurring negated matter to the rules
-# an assignment enables; every other entry is ignored.
+# Truth assignment codes of the propagator's negated atoms.
 OPEN, OUT, IN = 0, 1, 2
-
-# Truth flags (0/1) to the total assignment they spell.
-_DECIDED = bytes.maketrans(b"\x00\x01", bytes((OUT, IN)))
-
-# Assignment codes to 1 where a negated atom so assigned blocks its rule:
-# the pessimistic fixpoint (index 0) needs it out, the optimistic one (1)
-# only needs it not in.
-_BLOCKS = [bytes(int(code != OUT) for code in range(256)),
-           bytes(int(code == IN) for code in range(256))]
 
 # Trail entries are `atom << 2 | kind`: the atom was assigned, entered the
 # lower bound, or left the upper bound.
@@ -75,50 +67,39 @@ class CompiledProgram:
                 self.neg_occ[m].append(ridx)
         self.pos_len = [len(pos) for pos in self.pos]
         self.negated = [m for m, occ in enumerate(self.neg_occ) if occ]
-        # rules enabled under every assignment, and the guarded rest
-        self.unguarded = bytearray(not neg for neg in self.neg)
-        self.guarded = [(ridx, neg) for ridx, neg in enumerate(self.neg) if neg]
         self.bodiless = [ridx for ridx, size in enumerate(self.pos_len) if not size]
 
-    def lfp(self, assign: bytes, optimistic: bool) -> bytearray:
-        """Least-fixpoint truth flags over the rules whose negated atoms are
-        all assigned out (pessimistic) or merely not assigned in
-        (optimistic). Worklist evaluation, linear in program size."""
-        blocked = assign.translate(_BLOCKS[optimistic])
-        enabled = self.unguarded.copy()
-        for ridx, neg in self.guarded:
-            for m in neg:
-                if blocked[m]:
-                    break
-            else:
-                enabled[ridx] = 1
+    def reduct_model(self, interp: bytes) -> bytearray:
+        """Truth flags of the least model of the reduct against the 0/1
+        interpretation `interp`. A rule negating an atom `interp` holds waits
+        for -1 body atoms, so it never counts down to zero and fires.
+        Worklist evaluation, linear in program size."""
+        remaining = self.pos_len.copy()
+        neg_occ = self.neg_occ
+        for m in self.negated:
+            if interp[m]:
+                for ridx in neg_occ[m]:
+                    remaining[ridx] = -1
         heads = self.heads
         watchers = self.watchers
         derived = bytearray(self.n)
         stack: list[int] = []
         for ridx in self.bodiless:
-            if enabled[ridx]:
+            if not remaining[ridx]:
                 head = heads[ridx]
                 if not derived[head]:
                     derived[head] = 1
                     stack.append(head)
-        remaining = self.pos_len.copy()
         while stack:
             for ridx in watchers[stack.pop()]:
-                if enabled[ridx]:
-                    left = remaining[ridx] - 1
-                    remaining[ridx] = left
-                    if not left:
-                        head = heads[ridx]
-                        if not derived[head]:
-                            derived[head] = 1
-                            stack.append(head)
+                left = remaining[ridx] - 1
+                remaining[ridx] = left
+                if not left:
+                    head = heads[ridx]
+                    if not derived[head]:
+                        derived[head] = 1
+                        stack.append(head)
         return derived
-
-    def reduct_model(self, flags: bytes) -> bytearray:
-        """Least model of the reduct against the interpretation `flags`:
-        one pessimistic fixpoint with every atom decided in or out."""
-        return self.lfp(flags.translate(_DECIDED), optimistic=False)
 
     def decode(self, flags: bytes) -> frozenset[NdAtom]:
         return frozenset(compress(self.atoms, flags))
@@ -126,7 +107,8 @@ class CompiledProgram:
 
 class Propagator:
     """A partial assignment of a program's negated atoms, closed under its
-    pessimistic (lower) and optimistic (upper) least fixpoints.
+    lower and upper bounds: the least models of the reducts against the
+    atoms not assigned out and against the atoms assigned in.
 
     An open negated atom the lower bound derives is forced in, one outside
     the upper bound is forced out, and an atom assigned out but derived or

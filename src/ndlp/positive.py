@@ -34,13 +34,14 @@ def is_model(interp: Interpretation, gp: GroundProgram) -> bool:
     return all(satisfies_rule(interp, rule) for rule in gp.rules)
 
 
+_NOT_POSITIVE = ("operator is defined for negation-free programs only; "
+                 "use the stable or well-founded evaluators")
+
+
 def _check_positive(rules: Iterable[Rule]) -> None:
     for rule in rules:
         if not rule.is_positive():
-            raise EvaluationError(
-                "operator is defined for negation-free programs only; "
-                "use the stable or well-founded evaluators"
-            )
+            raise EvaluationError(_NOT_POSITIVE)
 
 
 def lfp(rules: Iterable[Rule]) -> Interpretation:
@@ -68,8 +69,10 @@ def tp_step(gp: GroundProgram, interp: Interpretation) -> Interpretation:
 
 
 def least_model(gp: GroundProgram) -> Interpretation:
-    """The least fixpoint of the one-step operator, as one worklist pass
-    over the compiled program; `lfp` is the reference."""
-    _check_positive(gp.rules)
+    """The least fixpoint of the one-step operator: the compiled program's
+    reduct model against the empty interpretation, which blocks no rule;
+    `lfp` is the reference."""
     program = gp.compiled
-    return program.decode(program.lfp(bytes(program.n), optimistic=True))
+    if program.negated:
+        raise EvaluationError(_NOT_POSITIVE)
+    return program.decode(program.reduct_model(bytes(program.n)))

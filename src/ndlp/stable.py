@@ -115,7 +115,8 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
         else:
             break
 
-    # guard, one fixpoint per model; holds by construction. Leaves differ on
+    # guard: each model is the least model of its own reduct, one batch
+    # fixpoint per model; holds by construction. Leaves differ on
     # some pivot, so the models are distinct. Atoms are interned in base
     # order, which is key order, so sorting by the sorted atom indices is
     # the canonical order of the decoded models.

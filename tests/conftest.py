@@ -26,15 +26,15 @@ def gp_from(text: str, horizon: int | None = None) -> GroundProgram:
 @pytest.fixture
 def lfp_calls(monkeypatch):
     """Run a callable and return how many whole fixpoints
-    (`CompiledProgram.lfp` calls) it made."""
-    lfp = CompiledProgram.lfp
+    (`CompiledProgram.reduct_model` calls) it made."""
+    reduct_model = CompiledProgram.reduct_model
     calls = []
 
-    def counted(self, assign, optimistic):
-        calls.append(optimistic)
-        return lfp(self, assign, optimistic)
+    def counted(self, interp):
+        calls.append(interp)
+        return reduct_model(self, interp)
 
-    monkeypatch.setattr(CompiledProgram, "lfp", counted)
+    monkeypatch.setattr(CompiledProgram, "reduct_model", counted)
 
     def count(run) -> int:
         calls.clear()

@@ -190,10 +190,12 @@ def brute_force_stable(gp: GroundProgram) -> list[Interpretation]:
 def propagate_by_rounds(program: CompiledProgram, assign: bytearray, trail: list[int]):
     """Force what the bounds of the assignment decide, recomputing both
     bounds every round and recording each forced atom on `trail`; the final
-    (lower, upper) bounds, or None on a conflict."""
+    (lower, upper) bounds, or None on a conflict. The lower bound is the
+    reduct model against every atom not assigned out, the upper bound the
+    one against the atoms assigned in."""
     while True:
-        lower = program.lfp(assign, optimistic=False)
-        upper = program.lfp(assign, optimistic=True)
+        lower = program.reduct_model(bytes(value != OUT for value in assign))
+        upper = program.reduct_model(bytes(value == IN for value in assign))
         forced: list[tuple[int, int]] = []
         for n in program.negated:
             decided = assign[n]

@@ -14,6 +14,7 @@ from ndlp.syntax import Atom, canonicalize
 from ndlp.wf import PartialInterpretation
 
 from oracles import report_json
+from record_cli_outputs import PINS, sha256, untimed
 
 
 def run(capsys, *argv):
@@ -358,6 +359,24 @@ class TestGroundCommand:
         assert "answer set 2.1: {stat(101)}\n" in out
         assert "answer set 1.2" not in out and "answer set 2.2" not in out
         assert "truncated" not in out and "truncated" not in err
+
+
+_PINNED = json.loads(PINS.read_text(encoding="utf-8"))
+
+
+class TestPinnedOutputs:
+    """Stdout, exit code and untimed stderr of each call recorded in
+    `cli_outputs.json` (see `record_cli_outputs.py`)."""
+
+    @pytest.mark.parametrize(
+        "pin", _PINNED,
+        ids=["-".join(a.lstrip("-") for a in [*p["args"], p["program"]]) for p in _PINNED],
+    )
+    def test_output_is_unchanged(self, capsys, pin):
+        code, out, err = run(capsys, *pin["args"], str(corpus_path(pin["program"])))
+        assert code == pin["exit"]
+        assert sha256(out) == pin["stdout_sha256"]
+        assert sha256(untimed(err)) == pin["stderr_sha256"]
 
 
 class TestEnvCap:

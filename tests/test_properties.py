@@ -150,7 +150,9 @@ def test_compiled_stability_check_matches_reference(seed):
         flags = bytearray(program.n)
         for atom in interp:
             flags[program.index[atom]] = 1
-        stable = program.reduct_model(flags) == flags
+        model = program.reduct_model(flags)
+        assert program.decode(model) == lfp(reduct(gp, interp)), f"seed={seed} {interp}"
+        stable = model == flags
         assert stable == is_stable(gp, interp), f"seed={seed} {interp}"
 
 
