@@ -1,9 +1,11 @@
-"""Record the CLI's outputs on the corpus into `cli_outputs.json`.
+"""Record the CLI's outputs on the corpus and on generated programs into
+`cli_outputs.json`.
 
 Each call is run in process through `ndlp.cli.main` and stored as its
-arguments (the corpus program is appended as the last one), its exit code,
+arguments (the program's path is appended as the last one), its exit code,
 and sha256 digests of its stdout and of its stderr without the `solved in`
-timing line. `test_cli.py::TestPinnedOutputs` replays the calls and
+timing line. A program is a corpus file or one of `GENERATED`, written to a
+temporary directory first. `test_cli.py::TestPinnedOutputs` replays the calls and
 requires the same three values, so a refactor that changes what the CLI
 prints fails tier-1. Rerun this only when an output change is intended:
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,6 +25,36 @@ from ndlp.cli import main
 from ndlp.corpus import CORPUS_NAMES, corpus_path
 
 PINS = Path(__file__).with_name("cli_outputs.json")
+
+CONSTS = """\
+% #const values apply to the rules before and after their definitions
+#const n = 3.
+#horizon n.
+{p(0, k)}.
+{p(T+1, k)} :- {p(T, k)}.
+{q(m, f(k)), q(n, g(k))} :- {p(n, k)}, not {r(m)}.
+{r(c)} :- not {s(k)}.
+{s(c)} :- not {r(c)}.
+#const k = c.
+#const m = 7.
+"""
+
+
+def _nd(i: int) -> str:
+    return f"{{cx_{i}, cy_{i}}}"
+
+
+# Generated programs, by file name: large enough that the parser's sharing
+# and load checks run at scale.
+GENERATED = {
+    "neg_chain_400.ndlp": lambda: f"{_nd(0)}.\n" + "".join(
+        f"{_nd(i)} :- not {_nd(i - 1)}.\n" for i in range(1, 401)),
+    "even_loops_500.ndlp": lambda: "".join(
+        f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n" for i in range(500)),
+    "facts_5000.ndlp": lambda: "".join(
+        f"{{p({i}, c{i % 7}, d{i % 11})}}.\n" for i in range(5000)),
+    "consts.ndlp": lambda: CONSTS,
+}
 
 
 def calls() -> list[tuple[str, list[str]]]:
@@ -35,7 +68,30 @@ def calls() -> list[tuple[str, list[str]]]:
         matrix.append((name, ["ground"]))
     for k in ("1", "3", "5"):
         matrix.append(("robot.ndlp", ["solve", "--semantics", "stable", "--max-models", k]))
+    matrix += [
+        ("neg_chain_400.ndlp", ["ground"]),
+        ("neg_chain_400.ndlp", ["solve", "--semantics", "wf", "--format", "json"]),
+        ("even_loops_500.ndlp", ["ground"]),
+        ("even_loops_500.ndlp", ["solve", "--semantics", "stable", "--max-models", "1"]),
+        ("facts_5000.ndlp", ["ground"]),
+        ("facts_5000.ndlp", ["solve", "--semantics", "least"]),
+        ("robot.ndlp", ["ground", "--horizon", "3"]),
+        ("robot.ndlp", ["solve", "--semantics", "stable", "--horizon", "3"]),
+        ("consts.ndlp", ["ground"]),
+        ("consts.ndlp", ["solve", "--semantics", "stable", "--format", "json"]),
+    ]
     return matrix
+
+
+def program_path(name: str, directory: Path) -> str:
+    """The path of a corpus program, or of a generated one written into
+    `directory` on first use."""
+    if name not in GENERATED:
+        return str(corpus_path(name))
+    path = directory / name
+    if not path.exists():
+        path.write_text(GENERATED[name](), encoding="utf-8")
+    return str(path)
 
 
 def sha256(text: str) -> str:
@@ -48,16 +104,17 @@ def untimed(stderr: str) -> str:
                    if not line.startswith("solved in "))
 
 
-def run(name: str, args: list[str]) -> dict:
+def run(name: str, args: list[str], directory: Path) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([*args, str(corpus_path(name))])
+        code = main([*args, program_path(name, directory)])
     return {"program": name, "args": args, "exit": code,
             "stdout_sha256": sha256(out.getvalue()),
             "stderr_sha256": sha256(untimed(err.getvalue()))}
 
 
 if __name__ == "__main__":
-    records = [run(name, args) for name, args in calls()]
+    with tempfile.TemporaryDirectory() as directory:
+        records = [run(name, args, Path(directory)) for name, args in calls()]
     PINS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"{len(records)} calls written to {PINS}")

@@ -14,7 +14,7 @@ from ndlp.syntax import Atom, canonicalize
 from ndlp.wf import PartialInterpretation
 
 from oracles import report_json
-from record_cli_outputs import PINS, sha256, untimed
+from record_cli_outputs import PINS, program_path, sha256, untimed
 
 
 def run(capsys, *argv):
@@ -368,12 +368,16 @@ class TestPinnedOutputs:
     """Stdout, exit code and untimed stderr of each call recorded in
     `cli_outputs.json` (see `record_cli_outputs.py`)."""
 
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("generated")
+
     @pytest.mark.parametrize(
         "pin", _PINNED,
         ids=["-".join(a.lstrip("-") for a in [*p["args"], p["program"]]) for p in _PINNED],
     )
-    def test_output_is_unchanged(self, capsys, pin):
-        code, out, err = run(capsys, *pin["args"], str(corpus_path(pin["program"])))
+    def test_output_is_unchanged(self, capsys, generated, pin):
+        code, out, err = run(capsys, *pin["args"], program_path(pin["program"], generated))
         assert code == pin["exit"]
         assert sha256(out) == pin["stdout_sha256"]
         assert sha256(untimed(err)) == pin["stderr_sha256"]
