@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .answersets import AnswerSet, expand
 from .errors import NdlpError
 from .grounder import GroundProgram, ground
-from .parser import parse_program
+from .parser import parse_files
 from .positive import least_model
 from .stable import enumerate_stable
 from .syntax import NdAtom, Program, sort_nd_atoms
@@ -130,11 +130,8 @@ def _read(path: str) -> str:
 
 
 def _load(paths: list[str], horizon: int | None) -> tuple[Program, GroundProgram]:
-    """Parse the files in order as one program. Every file but the last ends
-    its last line, so a trailing comment cannot swallow the next file."""
-    texts = [_read(p) for p in paths]
-    ended = (t if t.endswith("\n") or not t else t + "\n" for t in texts[:-1])
-    program = parse_program("".join(ended) + texts[-1])
+    """Parse the files in order as one program (see `parse_files`)."""
+    program = parse_files([(p, _read(p)) for p in paths])
     return program, ground(program, horizon=horizon)
 
 

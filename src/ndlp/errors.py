@@ -1,7 +1,8 @@
 """Exception types shared across the engine.
 
 Errors that originate in a source file carry a line/column pair so the CLI
-can point at the offending text.
+can point at the offending text, and the file's path when a program is read
+from several files.
 """
 
 from __future__ import annotations
@@ -10,14 +11,11 @@ from __future__ import annotations
 class NdlpError(Exception):
     """Base class for all engine errors."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.message = message
-        self.line = line
-        self.column = column
-        if line is not None:
-            super().__init__(f"{line}:{column}: {message}")
-        else:
-            super().__init__(message)
+    def __init__(self, message: str, line: int | None = None, column: int | None = None,
+                 path: str | None = None):
+        self.message, self.line, self.column, self.path = message, line, column, path
+        where = f"{line}:{column}: " if path is None else f"{path}:{line}:{column}: "
+        super().__init__(message if line is None else where + message)
 
 
 class ParseError(NdlpError):

@@ -14,24 +14,33 @@ Grammar, with `%` starting a line comment:
     term       := INT | NAME | VARIABLE ("+" INT)? | INT "+" INT
                 | NAME "(" term ("," term)* ")"
 
-Tokens, as the one pattern `_TOKEN` reads them: an INT is a run of Unicode
-decimal digits, optionally after a "-"; a word is a run of `str.isalnum`
-characters and "_" whose first letter decides its class. A lowercase one
-makes a NAME (or the keyword "not"), which may carry a leading "-" that
-spells classical negation; an uppercase one makes a VARIABLE, those named
-T, T0, T1, ... being time variables (see the grounder); any other is an
-error. Comparisons must be the sole member of a positive body NdAtom.
-Function symbols nest at most MAX_TERM_DEPTH levels deep.
+Tokens, as the one pattern `_TOKEN` reads them between whitespace and
+comments: an INT is a run of Unicode decimal digits, optionally after a
+"-"; a word is a run of `str.isalnum` characters and "_" whose first letter
+decides its class. A lowercase one makes a NAME (or the keyword "not"),
+which may carry a leading "-" that spells classical negation; an uppercase
+one makes a VARIABLE, those named T, T0, T1, ... being time variables (see
+the grounder); any other is an error. Comparisons must be the sole member
+of a positive body NdAtom. Function symbols nest at most MAX_TERM_DEPTH
+levels deep.
 
-Load-time checks beyond the grammar: consistent predicate arities, and rule
-safety (every variable in the head or in a negated NdAtom must occur in a
-positive body NdAtom or be a time variable).
+A token keeps its kind, text and start offset; lines and columns are worked
+out only for a `ParseError` and a rule's `origin`. Within one parse, each
+distinct text of a term, atom or NdAtom is built once, and a repeated NdAtom
+is not read again. `#const` values are put in place as terms are built.
+
+Load-time checks beyond the grammar, made as each distinct NdAtom is built
+and raised after every `ParseError`: consistent predicate arities, then
+rule safety (every variable in the head or in a negated NdAtom must occur
+in a positive body NdAtom or be a time variable).
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_right
+from itertools import accumulate, compress, count
+from operator import itemgetter, not_
 
 from .errors import ParseError, ProgramError
 from .syntax import (
@@ -57,13 +66,6 @@ from .syntax import (
 MAX_TERM_DEPTH = 100
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
 _PUNCT = {
     ":-": "IF",
     "!=": "NEQ",
@@ -78,306 +80,324 @@ _PUNCT = {
     "=": "EQUALS",
 }
 
-# One alternative per token class, tried in order. WORD takes any other
-# character and the word characters after it; `tokenize` classifies it.
-_TOKEN = re.compile(
-    r"""
-      (?P<NEWLINE> \n )
-    | (?P<SPACE> [^\S\n]+ )
-    | (?P<COMMENT> %[^\n]* )
-    | (?P<PUNCT> :- | != | == | [{}(),.+=] )
-    | (?P<DIRECTIVE> \#\w* )
-    | (?P<INT> -?\d+ )
-    | (?P<WORD> .\w* )
-    """,
-    re.VERBOSE,
-)
+# Whitespace and comments, then one token or the end of the text: the pattern
+# matches where its last match ended, so `split` reads the text end to end.
+# A word, the last token alternative, takes any other character and the word
+# characters after it; `_word_kind` classifies it.
+_TOKEN = re.compile(r"(\s*(?:%.*\s*)*)([{}(),.+]|:-|!=|==?|\#\w*|-?\d+|.\w*|\Z)")
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    pos = end = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        kind, value, start = match.lastgroup, match.group(), pos
-        column = start - line_start + 1
-        pos = end = match.end()
-        if kind == "NEWLINE":
-            line, line_start = line + 1, pos
-        elif kind == "COMMENT":
-            end = start  # input ending in a comment ends where the comment starts
-        elif kind == "PUNCT":
-            tokens.append(Token(_PUNCT[value], value, line, column))
-        elif kind == "DIRECTIVE" and value not in ("#horizon", "#const"):
-            raise ParseError(f"unknown directive {value}", line, column)
-        elif kind in ("DIRECTIVE", "INT"):
-            tokens.append(Token(kind, value, line, column))
-        elif kind == "WORD":
-            # a "-" starts a name only when a lowercase letter follows it
-            letter = text[start + 1 : start + 2] if value[0] == "-" else value[0]
-            if letter.islower():
-                tokens.append(Token("NOT" if value == "not" else "NAME", value, line, column))
-            elif letter.isupper() and value[0] != "-":
-                tokens.append(Token("VAR", value, line, column))
-            else:
-                raise ParseError(f"unexpected character {value[0]!r}", line, column)
-    tokens.append(Token("EOF", "", line, end - line_start + 1))
-    return tokens
+def _word_kind(value: str, after: str) -> str | None:
+    """The kind of a word, given the character after its first; None if it is
+    no token. A "-" starts a name only when a lowercase letter follows it."""
+    first = value[0]
+    if first == "#":
+        return "DIRECTIVE" if value in ("#horizon", "#const") else None
+    if first.isdecimal() or first == "-" and after.isdecimal():
+        return "INT"
+    letter = after if first == "-" else first
+    if letter.islower():
+        return "NOT" if value == "not" else "NAME"
+    return "VAR" if letter.isupper() and first != "-" else None
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+    def __init__(self, text: str, files: tuple[tuple[int, str], ...] = ()):
+        self.text = text
+        self.files = files  # (first line, path) of each file joined into `text`
+        self.kinds, self.values, self.starts = self.scan()
         self.pos = 0
+        self.line, self.line_start = 1, 0  # where the last rule started
         self.rules: list[Rule] = []
-        self.horizon_token: Token | None = None
-        self.consts: dict[str, Term] = {}
+        self.horizon_index: int | None = None
+        self.consts = self.read_consts()
+        # each distinct text of the parse, mapped to what was built from it
+        self.terms: dict[str, Term] = {}
+        self.atoms: dict[str, Atom] = {}
+        # NdAtom texts: (value, its variables' names, whether it is a comparison)
+        self.set_atoms: dict[str, tuple[NdAtom, frozenset[str], bool]] = {}
+        self.names: set[str] = set()  # variables of the NdAtom being read
+        self.arities: dict[str, int] = {}
+        self.arity_error = self.safety_error = None  # the first of each
 
-    # -- token helpers ------------------------------------------------------
+    # -- tokens and positions -------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def scan(self) -> tuple[list[str], list[str], list[int]]:
+        """The kind, text and start offset of every token, ending with EOF."""
+        text = self.text
+        # ["", skip, token] per match; the first empty token is the end
+        pieces = _TOKEN.split(text)
+        values = pieces[2::3]
+        del values[values.index("") + 1 :]
+        starts = list(accumulate(map(len, pieces)))[1 : 3 * len(values) : 3]
+        # each distinct word classified once; a lone "-" and faults in order
+        known = {**_PUNCT, "": "EOF"}
+        for value in set(compress(values, map(not_, map(known.get, values)))):
+            known[value] = _word_kind(value, value[1:2])
+        kinds = list(map(known.get, values))
+        for i in list(compress(count(), map(not_, kinds))):
+            value, start = values[i], starts[i]
+            kinds[i] = _word_kind(value, text[start + 1 : start + 2])
+            if kinds[i] is None:
+                if value[0] == "#":
+                    raise self.error(f"unknown directive {value}", start)
+                raise self.error(f"unexpected character {value[0]!r}", start)
+        # input ending in a comment ends where the comment starts
+        end = starts[-2] + len(values[-2]) if len(values) > 1 else 0
+        comment = text.find("%", max(end, text.rfind("\n", end) + 1))
+        if comment >= 0:
+            starts[-1] = comment
+        return kinds, values, starts
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def locate(self, line: int) -> tuple[str | None, int]:
+        """The file holding a line of the text, and the line within it."""
+        if not self.files:
+            return None, line
+        first, path = self.files[bisect_right(self.files, line, key=itemgetter(0)) - 1]
+        return path, line - first + 1
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {tok.value!r}" if tok.value else f"expected {what}",
-                tok.line,
-                tok.column,
-            )
-        return tok
+    def error(self, message: str, offset: int) -> ParseError:
+        text = self.text
+        path, line = self.locate(text.count("\n", 0, offset) + 1)
+        return ParseError(message, line, offset - text.rfind("\n", 0, offset), path)
+
+    def origin(self, offset: int) -> str:
+        """The source tag of a rule starting at `offset`, past the last one."""
+        self.line += self.text.count("\n", self.line_start, offset)
+        self.line_start = offset
+        path, line = self.locate(self.line)
+        return f"line {line}" if path is None else f"{path} line {line}"
+
+    def expect(self, kind: str, what: str) -> int:
+        i = self.pos
+        self.pos = i + 1
+        if self.kinds[i] != kind:
+            found = f", found {self.values[i]!r}" if self.values[i] else ""
+            raise self.error(f"expected {what}{found}", self.starts[i])
+        return i
+
+    def source(self, first: int) -> str:
+        """The text from token `first` to the end of the last token read."""
+        last = self.pos - 1
+        return self.text[self.starts[first] : self.starts[last] + len(self.values[last])]
 
     # -- grammar ------------------------------------------------------------
 
+    def read_consts(self) -> dict[str, Term]:
+        """Each `#const` value, the last of a name winning; `directive` checks."""
+        kinds, values, consts, i = self.kinds, self.values, {}, -1
+        for _ in range(values.count("#const")):
+            i = values.index("#const", i + 1)
+            if kinds[i + 1 : i + 3] == ["NAME", "EQUALS"] and kinds[i + 3] in ("INT", "NAME"):
+                name, value = values[i + 1], values[i + 3]
+                consts[name] = Integer(int(value)) if kinds[i + 3] == "INT" else Constant(value)
+        return consts
+
     def parse(self) -> Program:
-        while self.peek().kind != "EOF":
-            if self.peek().kind == "DIRECTIVE":
+        kinds = self.kinds
+        while kinds[self.pos] != "EOF":
+            if kinds[self.pos] == "DIRECTIVE":
                 self.directive()
             else:
                 self.rule()
-        rules = tuple(self.apply_consts(r) for r in self.rules)
         horizon = self.resolve_horizon()
-        check_arities(rules)
-        for rule in rules:
-            check_safety(rule)
-        return Program(rules=rules, horizon=horizon)
+        for fault in (self.arity_error, self.safety_error):
+            if fault is not None:
+                raise fault
+        return Program(rules=tuple(self.rules), horizon=horizon)
 
     def directive(self) -> None:
-        tok = self.next()
-        if tok.value == "#horizon":
-            value = self.next()
-            if value.kind not in ("INT", "NAME"):
-                raise ParseError("expected horizon value", value.line, value.column)
-            if self.horizon_token is not None:
-                raise ParseError("duplicate #horizon directive", tok.line, tok.column)
-            self.horizon_token = value
-        else:  # #const
-            name = self.expect("NAME", "constant name")
+        i = self.pos
+        self.pos += 1
+        what = "horizon"
+        if self.values[i] == "#const":
+            self.expect("NAME", "constant name")
             self.expect("EQUALS", "'='")
-            value = self.next()
-            if value.kind == "INT":
-                self.consts[name.value] = Integer(int(value.value))
-            elif value.kind == "NAME":
-                self.consts[name.value] = Constant(value.value)
-            else:
-                raise ParseError("expected constant value", value.line, value.column)
+            what = "constant"
+        value = self.pos
+        self.pos += 1
+        if self.kinds[value] not in ("INT", "NAME"):
+            raise self.error(f"expected {what} value", self.starts[value])
+        if what == "horizon":
+            if self.horizon_index is not None:
+                raise self.error("duplicate #horizon directive", self.starts[i])
+            self.horizon_index = value
         self.expect("DOT", "'.'")
 
     def rule(self) -> None:
-        start = self.peek()
-        head = self.nd_atom()
-        if any(a.is_builtin() for a in head):
-            raise ParseError("comparison atom not allowed in rule head", start.line, start.column)
-        body: list[Literal] = []
-        if self.peek().kind == "IF":
-            self.next()
-            body.append(self.literal())
-            while self.peek().kind == "COMMA":
-                self.next()
-                body.append(self.literal())
+        kinds, start = self.kinds, self.starts[self.pos]
+        origin = self.origin(start)
+        head, unsafe, builtin = self.set_atom(origin)
+        if builtin:
+            raise self.error("comparison atom not allowed in rule head", start)
+        bound, body = frozenset(), []
+        if kinds[self.pos] == "IF":
+            self.pos += 1
+            while True:
+                at = self.starts[self.pos]
+                negated = kinds[self.pos] == "NOT"
+                self.pos += negated
+                nd, names, builtin = self.set_atom(origin)
+                if not negated:
+                    bound |= names
+                elif builtin:
+                    raise self.error(
+                        "comparison atom cannot be negated; use the complementary operator", at
+                    )
+                else:
+                    unsafe |= names
+                body.append(Literal(nd, negated))
+                if kinds[self.pos] != "COMMA":
+                    break
+                self.pos += 1
         self.expect("DOT", "'.'")
-        origin = f"line {start.line}"
-        self.rules.append(Rule(head=head, body=tuple(body), origin=origin))
+        if unsafe and self.safety_error is None:
+            loose = [name for name in sorted(unsafe - bound) if not is_time_variable(name)]
+            if loose:
+                self.safety_error = ProgramError(f"unsafe variable {loose[0]} in rule ({origin})")
+        self.rules.append(Rule(head, tuple(body), origin))
 
-    def literal(self) -> Literal:
-        if self.peek().kind == "NOT":
-            tok = self.next()
-            atom = self.nd_atom()
-            if any(a.is_builtin() for a in atom):
-                raise ParseError(
-                    "comparison atom cannot be negated; use the complementary operator",
-                    tok.line,
-                    tok.column,
-                )
-            return Literal(atom=atom, negated=True)
-        return Literal(atom=self.nd_atom())
-
-    def nd_atom(self) -> NdAtom:
-        tok = self.peek()
-        if tok.kind == "LBRACE":
-            self.next()
-            atoms = [self.atom()]
-            while self.peek().kind == "COMMA":
-                self.next()
+    def set_atom(self, origin: str) -> tuple[NdAtom, frozenset[str], bool]:
+        """The NdAtom at the current token, with its entry in `set_atoms`. A
+        text read before is not read again: the first "}" after a "{" ends it."""
+        kinds, starts, first = self.kinds, self.starts, self.pos
+        braced = kinds[first] == "LBRACE"
+        if braced:
+            try:
+                end = kinds.index("RBRACE", first)
+            except ValueError:  # no "}": reading on reports the fault
+                end = first
+            key = self.text[starts[first] : starts[end] + 1]
+            made = self.set_atoms.get(key)
+            if made is not None:
+                self.pos = end + 1
+                return made
+        self.names = names = set()
+        self.pos += braced
+        atoms = [self.atom()]
+        if braced:
+            while kinds[self.pos] == "COMMA":
+                self.pos += 1
                 atoms.append(self.atom())
             self.expect("RBRACE", "'}'")
             if len(atoms) > 1 and any(a.is_builtin() for a in atoms):
-                raise ParseError(
-                    "comparison atom must be the only member of its NdAtom",
-                    tok.line,
-                    tok.column,
+                raise self.error(
+                    "comparison atom must be the only member of its NdAtom", starts[first]
                 )
-            return canonicalize(atoms)
-        # bare atom sugar for a singleton NdAtom
-        return canonicalize([self.atom()])
+        else:  # bare atom sugar for a singleton NdAtom
+            key = self.source(first)
+            made = self.set_atoms.get(key)
+            if made is not None:
+                return made
+        value = NdAtom((atoms[0],)) if len(atoms) == 1 else canonicalize(atoms)
+        builtin = atoms[0].is_builtin()
+        if self.arity_error is None and not builtin:
+            for atom in value.atoms:  # record the first predicate used at two arities
+                seen = self.arities.setdefault(atom.pred, len(atom.args))
+                if seen != len(atom.args):
+                    self.arity_error = ProgramError(
+                        f"predicate {atom.pred!r} used with arity {len(atom.args)} "
+                        f"and {seen} ({origin})"
+                    )
+                    break
+        made = self.set_atoms[key] = value, frozenset(names), builtin
+        return made
 
     def atom(self) -> Atom:
-        tok = self.peek()
-        if tok.kind == "NAME" and self.tokens[self.pos + 1].kind not in ("NEQ", "EQEQ", "PLUS"):
-            name = self.next().value
-            args: list[Term] = []
-            if self.peek().kind == "LPAREN":
-                self.next()
-                args.append(self.term())
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    args.append(self.term())
-                self.expect("RPAREN", "')'")
-            return Atom(pred=name, args=tuple(args))
-        if tok.kind in ("VAR", "INT", "NAME"):
+        kinds, values, first = self.kinds, self.values, self.pos
+        if kinds[first] == "NAME" and kinds[first + 1] not in ("NEQ", "EQEQ", "PLUS"):
+            self.pos += 1
+            pred = values[first]
+            args = self.arguments(0) if kinds[self.pos] == "LPAREN" else ()
+        elif kinds[first] in ("VAR", "INT", "NAME"):
             left = self.term()
-            op = self.next()
-            if op.kind not in ("NEQ", "EQEQ"):
-                raise ParseError(
-                    f"expected comparison operator, found {op.value!r}", op.line, op.column
+            op = self.pos
+            self.pos += 1
+            if kinds[op] not in ("NEQ", "EQEQ"):
+                raise self.error(
+                    f"expected comparison operator, found {values[op]!r}", self.starts[op]
                 )
-            right = self.term()
-            return Atom(pred=op.value, args=(left, right))
-        raise ParseError(f"expected atom, found {tok.value!r}", tok.line, tok.column)
+            pred, args = values[op], (left, self.term())
+        else:
+            raise self.error(f"expected atom, found {values[first]!r}", self.starts[first])
+        key = self.source(first)
+        made = self.atoms.get(key)
+        if made is None:
+            made = self.atoms[key] = Atom(pred, args)
+        return made
+
+    def arguments(self, depth: int) -> tuple[Term, ...]:
+        """The terms, at nesting `depth`, between "(" and ")"."""
+        self.pos += 1
+        args = [self.term(depth)]
+        while self.kinds[self.pos] == "COMMA":
+            self.pos += 1
+            args.append(self.term(depth))
+        self.expect("RPAREN", "')'")
+        return tuple(args)
 
     def term(self, depth: int = 0) -> Term:
-        tok = self.next()
-        base: Term
-        if tok.kind == "INT":
-            base = Integer(int(tok.value))
-        elif tok.kind == "VAR":
-            base = Variable(tok.value)
-        elif tok.kind == "NAME":
-            if self.peek().kind == "LPAREN":
-                if depth == MAX_TERM_DEPTH:
-                    raise ParseError(
-                        f"term nested deeper than {MAX_TERM_DEPTH} function symbols",
-                        tok.line,
-                        tok.column,
-                    )
-                self.next()
-                args = [self.term(depth + 1)]
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    args.append(self.term(depth + 1))
-                self.expect("RPAREN", "')'")
-                return Compound(name=tok.value, args=tuple(args))
-            base = Constant(tok.value)
-        else:
-            raise ParseError(f"expected term, found {tok.value!r}", tok.line, tok.column)
-        if self.peek().kind == "PLUS":
-            plus = self.next()
-            if isinstance(base, Compound) or isinstance(base, Constant):
-                raise ParseError(
-                    "arithmetic base must be a variable or integer", plus.line, plus.column
+        kinds, values, first = self.kinds, self.values, self.pos
+        kind, value = kinds[first], values[first]
+        self.pos += 1
+        if kind == "NAME" and kinds[self.pos] == "LPAREN":
+            if depth == MAX_TERM_DEPTH:
+                raise self.error(
+                    f"term nested deeper than {MAX_TERM_DEPTH} function symbols",
+                    self.starts[first],
                 )
-            offset = self.expect("INT", "integer offset")
-            value = int(offset.value)
-            if isinstance(base, Integer):
-                return Integer(base.value + value)
-            return Sum(base=base, offset=value)
-        return base
+            args = self.arguments(depth + 1)
+            key = self.source(first)
+            made = self.terms.get(key)
+            if made is None:
+                made = self.terms[key] = Compound(value, args)
+            return made
+        if kind not in ("INT", "VAR", "NAME"):
+            raise self.error(f"expected term, found {value!r}", self.starts[first])
+        if kind == "VAR":
+            self.names.add(value)
+        base = self.terms.get(value)
+        if base is None:
+            base = self.terms[value] = (
+                Integer(int(value)) if kind == "INT"
+                else Variable(value) if kind == "VAR"
+                else self.consts.get(value) or Constant(value)
+            )
+        if kinds[self.pos] != "PLUS":
+            return base
+        if kind == "NAME":
+            raise self.error("arithmetic base must be a variable or integer", self.starts[self.pos])
+        self.pos += 1
+        offset = int(values[self.expect("INT", "integer offset")])
+        key = self.source(first)
+        made = self.terms.get(key)
+        if made is None:
+            made = self.terms[key] = (
+                Integer(base.value + offset) if kind == "INT" else Sum(base, offset)
+            )
+        return made
 
     # -- directive resolution -----------------------------------------------
 
-    def apply_consts(self, rule: Rule) -> Rule:
-        if not self.consts:
-            return rule
-
-        def sub(term: Term) -> Term:
-            if isinstance(term, Constant):
-                return self.consts.get(term.name, term)
-            if isinstance(term, Compound):
-                return Compound(term.name, tuple(sub(a) for a in term.args))
-            if isinstance(term, Sum):
-                return Sum(sub(term.base), term.offset)
-            return term
-
-        def sub_nd(nd: NdAtom) -> NdAtom:
-            return canonicalize(
-                Atom(a.pred, tuple(sub(t) for t in a.args)) for a in nd
-            )
-
-        return Rule(
-            head=sub_nd(rule.head),
-            body=tuple(Literal(sub_nd(l.atom), l.negated) for l in rule.body),
-            origin=rule.origin,
-        )
-
     def resolve_horizon(self) -> int | None:
-        tok = self.horizon_token
-        if tok is None:
+        i = self.horizon_index
+        if i is None:
             return None
-        if tok.kind == "INT":
-            value = int(tok.value)
-        else:
-            defined = self.consts.get(tok.value)
-            if not isinstance(defined, Integer):
-                raise ParseError(
-                    f"horizon {tok.value!r} is not a defined integer constant",
-                    tok.line,
-                    tok.column,
-                )
-            value = defined.value
-        if value < 0:
-            raise ParseError("horizon must be non-negative", tok.line, tok.column)
-        return value
+        value = self.values[i]
+        defined = Integer(int(value)) if self.kinds[i] == "INT" else self.consts.get(value)
+        if not isinstance(defined, Integer):
+            raise self.error(
+                f"horizon {value!r} is not a defined integer constant", self.starts[i]
+            )
+        if defined.value < 0:
+            raise self.error("horizon must be non-negative", self.starts[i])
+        return defined.value
 
 
-def check_arities(rules: tuple[Rule, ...]) -> None:
-    """Reject programs using one predicate name at two arities."""
-    arities: dict[str, int] = {}
-    for rule in rules:
-        for nd in [rule.head] + [lit.atom for lit in rule.body]:
-            for atom in nd:
-                if atom.is_builtin():
-                    continue
-                seen = arities.setdefault(atom.pred, len(atom.args))
-                if seen != len(atom.args):
-                    raise ProgramError(
-                        f"predicate {atom.pred!r} used with arity {len(atom.args)} "
-                        f"and {seen} ({rule.origin})"
-                    )
-
-
-def check_safety(rule: Rule) -> None:
-    """Head and negated-literal variables must be bound positively or be time
-    variables."""
-    bound: set[str] = set()
-    for nd in rule.positive_body():
-        for atom in nd:
-            bound.update(atom.variables())
-    unsafe: set[str] = set()
-    for atom in rule.head:
-        unsafe.update(atom.variables())
-    for nd in rule.negative_body():
-        for atom in nd:
-            unsafe.update(atom.variables())
-    for name in sorted(unsafe - bound):
-        if not is_time_variable(name):
-            raise ProgramError(f"unsafe variable {name} in rule ({rule.origin})")
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, start offset) of each token of `text`, ending with EOF."""
+    parser = _Parser(text)
+    return list(zip(parser.kinds, parser.values, parser.starts))
 
 
 def parse_program(text: str) -> Program:
@@ -387,6 +407,19 @@ def parse_program(text: str) -> Program:
     are sugar for singleton NdAtoms.
     """
     return _Parser(text).parse()
+
+
+def parse_files(files: list[tuple[str, str]]) -> Program:
+    """Parse the (path, text) of each file, in order, as one program. Every
+    text but the last ends its last line, so a trailing comment cannot swallow
+    the next file. With two or more files, error positions and rule origins
+    name the file and count its lines."""
+    if len(files) == 1:
+        return parse_program(files[0][1])
+    texts = [t + "\n" if t and not t.endswith("\n") else t for _, t in files[:-1]]
+    texts.append(files[-1][1])
+    first_lines = accumulate((t.count("\n") for t in texts[:-1]), initial=1)
+    return _Parser("".join(texts), tuple(zip(first_lines, (p for p, _ in files)))).parse()
 
 
 def parse_rule(text: str) -> Rule:

@@ -11,14 +11,15 @@ term, atom and NdAtom computes its sort key and its hash once, when it is
 built, from those of its parts, and each atom also renders its text then;
 hashing and printing them later re-walk no term, and sorting compares the
 stored keys. There is one class per kind and no intern table: equal values
-built apart stay distinct objects, and equality is structural.
+built apart stay distinct objects, and equality is structural; the parser
+shares the value of a repeated text only within one parse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Iterable, Iterator, Union
 
 from .errors import ProgramError
@@ -132,13 +133,13 @@ class Compound:
 
     def __post_init__(self):
         name, args = self.name, self.args
-        _store(self, (3, name, len(args), tuple(a.key for a in args)), (3, name, args))
+        _store(self, (3, name, len(args), tuple(map(_by_key, args))), (3, name, args))
 
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
 
     def __str__(self) -> str:
-        return f"{self.name}({', '.join(str(a) for a in self.args)})"
+        return f"{self.name}({', '.join(map(str, self.args))})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,11 +197,11 @@ class Atom:
         pred, args = self.pred, self.args
         if not pred:
             raise ProgramError("empty predicate name")
-        _store(self, (pred, len(args), tuple(a.key for a in args)), (pred, args))
+        _store(self, (pred, len(args), tuple(map(_by_key, args))), (pred, args))
         if pred in BUILTIN_PREDICATES:
             text = f"{args[0]} {pred} {args[1]}"
         elif args:
-            text = f"{pred}({', '.join(str(a) for a in args)})"
+            text = f"{pred}({', '.join(map(str, args))})"
         else:
             text = pred
         _set(self, "text", text)
@@ -236,8 +237,8 @@ class NdAtom:
     def __post_init__(self):
         if not self.atoms:
             raise ProgramError("empty non-deterministic atom")
-        key = tuple(a.key for a in self.atoms)
-        if any(k2 <= k1 for k1, k2 in zip(key, key[1:])):
+        key = tuple(map(_by_key, self.atoms))
+        if not all(map(lt, key, key[1:])):
             raise ProgramError(
                 "non-canonical atom sequence; build NdAtoms with canonicalize()"
             )

@@ -15,8 +15,10 @@
   way, both bounds recomputed as whole fixpoints every round, against
   which the trail-based `Propagator` is checked after every decision of a
   random decide/undo walk.
-- `scan_characters` is the tokenizer written one character at a time, the
-  reference of the pattern-driven `ndlp.parser.tokenize`.
+- `scan_characters` is the tokenizer written one character at a time,
+  counting lines and columns as it goes, the reference of the
+  pattern-driven `ndlp.parser.tokenize` and of the positions worked out
+  from its offsets.
 - `capped_images` expands a model into its answer sets by walking the
   choice product, the reference of every uncapped `expand` and `count`,
   and of capped ones on models whose NdAtoms share no atom. `part_images`
@@ -47,7 +49,7 @@ from ndlp.grounder import (
     make_ground_program,
     program_constants,
 )
-from ndlp.parser import _PUNCT, Token
+from ndlp.parser import _PUNCT
 from ndlp.positive import Interpretation, is_model, lfp
 from ndlp.stable import is_stable
 from ndlp.wf import PartialInterpretation
@@ -350,9 +352,10 @@ def report_json(report) -> str:
 # Tokenizing
 # ---------------------------------------------------------------------------
 
-def scan_characters(text: str) -> list[Token]:
-    """The tokens of `text`, read one character at a time."""
-    tokens: list[Token] = []
+def scan_characters(text: str) -> list[tuple[str, str, int, int]]:
+    """The (kind, value, line, column) of each token of `text`, read one
+    character at a time."""
+    tokens: list[tuple[str, str, int, int]] = []
     line, col = 1, 1
     i = 0
     n = len(text)
@@ -382,17 +385,17 @@ def scan_characters(text: str) -> list[Token]:
 
         two = text[i : i + 2]
         if two in (":-", "!=", "=="):
-            tokens.append(Token(_PUNCT[two], take(2), start_line, start_col))
+            tokens.append((_PUNCT[two], take(2), start_line, start_col))
             continue
         if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], take(1), start_line, start_col))
+            tokens.append((_PUNCT[ch], take(1), start_line, start_col))
             continue
         if ch == "#":
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            tokens.append(Token("DIRECTIVE", take(j - i), start_line, start_col))
+            tokens.append(("DIRECTIVE", take(j - i), start_line, start_col))
             if word not in ("#horizon", "#const"):
                 raise ParseError(f"unknown directive {word}", start_line, start_col)
             continue
@@ -400,7 +403,7 @@ def scan_characters(text: str) -> list[Token]:
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(Token("INT", take(j - i), start_line, start_col))
+            tokens.append(("INT", take(j - i), start_line, start_col))
             continue
         if ch.islower() or (ch == "-" and i + 1 < n and text[i + 1].islower()):
             j = i + 1
@@ -408,14 +411,14 @@ def scan_characters(text: str) -> list[Token]:
                 j += 1
             word = text[i:j]
             kind = "NOT" if word == "not" else "NAME"
-            tokens.append(Token(kind, take(j - i), start_line, start_col))
+            tokens.append((kind, take(j - i), start_line, start_col))
             continue
         if ch.isupper():
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("VAR", take(j - i), start_line, start_col))
+            tokens.append(("VAR", take(j - i), start_line, start_col))
             continue
         raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(("EOF", "", line, col))
     return tokens

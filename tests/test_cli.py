@@ -144,15 +144,91 @@ class TestMultipleFiles:
         assert code == 0
         assert "  {a}\n  {b}\n" in out
 
-    def test_error_lines_count_through_the_files(self, capsys, tmp_path):
+    def files(self, tmp_path, *texts):
         paths = []
-        for name, text in [("c", "{c}.\n"), ("a", "{a}. % note"), ("d", "{d} :- .\n")]:
-            paths.append(tmp_path / f"{name}.ndlp")
-            paths[-1].write_text(text)
-        code, out, err = run(capsys, "ground", *map(str, paths))
+        for i, text in enumerate(texts, start=1):
+            paths.append(str(tmp_path / f"f{i}.ndlp"))
+            (tmp_path / f"f{i}.ndlp").write_text(text)
+        return paths
+
+    def test_parse_error_names_the_file_and_its_line(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{c}.\n", "{a}. % note", "{d} :- .\n")
+        code, out, err = run(capsys, "ground", *paths)
         assert code == 2
         assert out == ""
-        assert err == "ndlp: error: 3:8: expected atom, found '.'\n"
+        assert err == f"ndlp: error: {paths[2]}:1:8: expected atom, found '.'\n"
+
+    def test_parse_error_in_the_first_file(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{a}.\n  {b} :- .\n", "{c}.\n")
+        code, _, err = run(capsys, "solve", *paths)
+        assert code == 2
+        assert err == f"ndlp: error: {paths[0]}:2:10: expected atom, found '.'\n"
+
+    def test_parse_error_counts_lines_within_its_file(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{a}.\n{b}.\n", "", "{c}.\n{d} :- .")
+        code, _, err = run(capsys, "solve", paths[0], paths[2])
+        assert code == 2
+        assert err == f"ndlp: error: {paths[2]}:2:8: expected atom, found '.'\n"
+        code, _, err = run(capsys, "solve", *paths)
+        assert err == f"ndlp: error: {paths[2]}:2:8: expected atom, found '.'\n"
+
+    def test_one_file_keeps_the_bare_position(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{c}.\n{d} :- .")
+        code, _, err = run(capsys, "solve", *paths)
+        assert code == 2
+        assert err == "ndlp: error: 2:8: expected atom, found '.'\n"
+
+    def test_unsafe_rule_names_its_file(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{q(a)}.\n", "\n{p(X)} :- not {q(X)}.\n")
+        code, _, err = run(capsys, "solve", *paths)
+        assert code == 2
+        assert err == f"ndlp: error: unsafe variable X in rule ({paths[1]} line 2)\n"
+
+    def test_arity_clash_names_its_file(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{p(a)}.\n", "{q}.\n{r} :- {p(a, b)}.\n")
+        code, _, err = run(capsys, "ground", *paths)
+        assert code == 2
+        assert err == (
+            f"ndlp: error: predicate 'p' used with arity 2 and 1 ({paths[1]} line 2)\n"
+        )
+
+    def test_grounding_error_names_its_file(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{a}.\n", "{exec(close, T)}.\n")
+        code, _, err = run(capsys, "ground", *paths)
+        assert code == 2
+        assert f"({paths[1]} line 1)" in err
+
+    def test_directives_apply_across_files(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "#horizon n.\n{p(k, T)}.\n", "#const n = 1.\n#const k = c.\n")
+        code, out, _ = run(capsys, "ground", *paths)
+        assert code == 0
+        assert out == "{p(c, 0)}.\n{p(c, 1)}.\n"
+
+    def test_duplicate_horizon_names_the_second_file(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "#horizon 1.\n", "{a}.\n#horizon 2.\n")
+        code, _, err = run(capsys, "ground", *paths)
+        assert code == 2
+        assert err == f"ndlp: error: {paths[1]}:2:1: duplicate #horizon directive\n"
+
+    def test_undefined_horizon_names_its_file(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{a}.\n", "{b}.\n#horizon h.\n")
+        code, _, err = run(capsys, "ground", *paths)
+        assert code == 2
+        assert err == (
+            f"ndlp: error: {paths[1]}:2:10: horizon 'h' is not a defined integer constant\n"
+        )
+
+    def test_tokenizer_error_names_its_file(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{a}.", "{b} $\n")
+        code, _, err = run(capsys, "ground", *paths)
+        assert code == 2
+        assert err == f"ndlp: error: {paths[1]}:1:5: unexpected character '$'\n"
+
+    def test_error_at_the_end_of_the_last_file(self, capsys, tmp_path):
+        paths = self.files(tmp_path, "{a}.\n", "{b} :- {c} % open")
+        code, _, err = run(capsys, "ground", *paths)
+        assert code == 2
+        assert err == f"ndlp: error: {paths[1]}:1:12: expected '.'\n"
 
 
 class TestWfOutput:

@@ -16,12 +16,13 @@ from hypothesis import given, strategies as st
 import ndlp
 from ndlp import ParseError, ProgramError, canonicalize, parse_program, parse_rule
 from ndlp.corpus import CORPUS_NAMES, corpus_text
-from ndlp.parser import Token, tokenize
+from ndlp.parser import parse_files, tokenize
 from ndlp.syntax import (
     Atom,
     Compound,
     Constant,
     Integer,
+    Sum,
     program_to_str,
 )
 
@@ -244,6 +245,16 @@ class TestParser:
             parse_program("#frobnicate 1.")
 
 
+def located(text):
+    """`tokenize(text)` as (kind, value, line, column) per token, the line and
+    column counted from the text before the token's offset."""
+    tokens = []
+    for kind, value, start in tokenize(text):
+        lines = text[:start].split("\n")
+        tokens.append((kind, value, len(lines), len(lines[-1]) + 1))
+    return tokens
+
+
 def lex(tokenizer, text):
     """The token list, or the (message, line, column) of the parse error."""
     try:
@@ -280,21 +291,94 @@ class TestTokenizer:
         for _ in range(1000):
             pieces = rng.choices(self.COMMON + self.RARE, self.WEIGHTS, k=rng.randrange(16))
             text = "".join(pieces)
-            assert lex(tokenize, text) == lex(scan_characters, text), repr(text)
+            assert lex(located, text) == lex(scan_characters, text), repr(text)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_matches_character_scanner_on_corpus(self, name):
         text = corpus_text(name)
-        tokens = tokenize(text)
+        tokens = located(text)
         assert tokens == scan_characters(text)
-        assert tokens[-1].kind == "EOF"
+        assert tokens[-1][0] == "EOF"
 
     @pytest.mark.parametrize("text", MALFORMED)
     def test_matches_character_scanner_on_malformed_input(self, text):
-        assert lex(tokenize, text) == lex(scan_characters, text)
+        assert lex(located, text) == lex(scan_characters, text)
 
     def test_input_ending_in_a_comment_ends_at_the_comment(self):
-        assert tokenize("{a}.\n  % done")[-1] == Token("EOF", "", 2, 3)
+        assert tokenize("{a}.\n  % done")[-1] == ("EOF", "", 7)
+        assert located("{a}.\n  % done")[-1] == ("EOF", "", 2, 3)
+
+
+def values(rules):
+    """Every literal, NdAtom, atom and term the rules hold, by id."""
+    found = {}
+
+    def walk(value):
+        found[id(value)] = value
+        for part in getattr(value, "args", ()):
+            walk(part)
+        if isinstance(value, Sum):
+            walk(value.base)
+
+    for rule in rules:
+        found.update((id(lit), lit) for lit in rule.body)
+        for nd in [rule.head, *(lit.atom for lit in rule.body)]:
+            found[id(nd)] = nd
+            for atom in nd:
+                walk(atom)
+    return found
+
+
+class TestSharing:
+    """Within one parse, equal texts of a term, atom or NdAtom come back as
+    one object; two parses share none."""
+
+    TEXT = (
+        "{p(f(a), X+1)} :- {q(X)}, not {r}.\n"
+        "{s} :- {q(X)}, {p(f(a), X+1), r}, not {r}.\n"
+        "r :- {q(X)}, r, {t(f(a))}.\n"
+    )
+
+    def test_equal_texts_are_one_object(self):
+        first, second, third = parse_program(self.TEXT).rules
+        assert first.body[0].atom is second.body[0].atom is third.body[0].atom
+        assert first.body[1].atom is second.body[2].atom
+        p_atom = first.head.atoms[0]
+        assert p_atom is second.body[1].atom.atoms[0]
+        assert p_atom.args[0] is third.body[2].atom.atoms[0].args[0]
+        assert third.head is third.body[1].atom
+        assert third.head.atoms[0] is first.body[1].atom.atoms[0]
+
+    def test_two_parses_share_nothing(self):
+        first, second = parse_program(self.TEXT).rules, parse_program(self.TEXT).rules
+        assert first == second
+        assert not values(first).keys() & values(second).keys()
+
+    def test_constants_keep_the_sharing(self):
+        text = "#const n = 2.\n{p(f(n))} :- {q(n)}.\n{r} :- {q(n)}, {p(f(n))}.\n"
+        first, second = parse_program(text).rules
+        assert first.body[0].atom is second.body[0].atom
+        assert first.head is second.body[1].atom
+        assert str(first.head) == "{p(f(2))}"
+
+    def test_set_atoms_repeat_past_comments(self):
+        first, second = parse_program("{a, % }\n b}.\n{c} :- {a, % }\n b}.\n").rules
+        assert first.head is second.body[0].atom
+        assert str(first.head) == "{a, b}"
+
+
+class TestParseFiles:
+    def test_origins_name_the_file_and_its_line(self):
+        program = parse_files([("a.ndlp", "{a}.\n{b}."), ("b.ndlp", "% c\n\n{c} :- {a}.\n")])
+        assert [r.origin for r in program.rules] == ["a.ndlp line 1", "a.ndlp line 2",
+                                                     "b.ndlp line 3"]
+
+    def test_error_names_the_file(self):
+        with pytest.raises(ParseError) as caught:
+            parse_files([("a.ndlp", "{a}.\n"), ("b.ndlp", "{b}.\n{c} :- .\n")])
+        err = caught.value
+        assert (err.path, err.line, err.column) == ("b.ndlp", 2, 8)
+        assert str(err) == "b.ndlp:2:8: expected atom, found '.'"
 
 
 class TestRoundTrip:
