@@ -18,7 +18,9 @@ the domain is rejected, so a time point derived past the horizon binds no
 time variable. Each rule's instances come out in the order of the product
 of its sorted variables' domains, without duplicates. The result is the
 product grounding less its dead instances. Rules without variables are kept
-as written, and a program without variables is grounded in one pass.
+as written and never joined: each counts down its positive body literals
+and derives its head once the NdAtom of the last of them is taken off the
+queue. A program without variables is grounded in one pass.
 
 All semantics downstream operate over the *restricted* non-deterministic
 base: the NdAtoms that occur somewhere in the ground rules. NdAtoms outside
@@ -56,13 +58,11 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class GroundProgram:
-    """A variable-free program plus its restricted base and head subset,
-    both in key order; the solvers intern the base in that order and sort
-    their models by it."""
+    """A variable-free program plus its restricted base in key order; the
+    solvers intern the base in that order and sort their models by it."""
 
     rules: tuple[Rule, ...]
     base: tuple[NdAtom, ...]
-    heads: tuple[NdAtom, ...]
 
     @cached_property
     def base_set(self) -> frozenset[NdAtom]:
@@ -78,23 +78,20 @@ class GroundProgram:
         return "".join(f"{rule}\n" for rule in self.rules)
 
 
-def restricted_base(rules: Iterable[Rule]) -> tuple[tuple[NdAtom, ...], tuple[NdAtom, ...]]:
-    """All NdAtoms occurring in the rules, and the subset occurring as heads."""
+def restricted_base(rules: Iterable[Rule]) -> tuple[NdAtom, ...]:
+    """All NdAtoms occurring in the rules, in key order."""
     base: set[NdAtom] = set()
-    heads: set[NdAtom] = set()
     for rule in rules:
-        heads.add(rule.head)
         base.add(rule.head)
         for lit in rule.body:
             base.add(lit.atom)
-    return sort_nd_atoms(base), sort_nd_atoms(heads)
+    return sort_nd_atoms(base)
 
 
 def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
     """Wrap already-ground rules with their restricted base."""
     rules = tuple(rules)
-    base, heads = restricted_base(rules)
-    return GroundProgram(rules=rules, base=base, heads=heads)
+    return GroundProgram(rules=rules, base=restricted_base(rules))
 
 
 def program_constants(program: Program) -> tuple[Term, ...]:
@@ -257,17 +254,17 @@ class _Source:
     instances are joined on, the variables no such literal binds, and the
     instances found, keyed by the ranks of their values in product order
     (None marks an instance whose comparison or arithmetic failed). A rule
-    without variables has its one instance fixed up front."""
+    without variables has its one instance fixed up front and, instead of
+    join literals, the NdAtoms of its positive body literals, `missing` of
+    which are still to be taken off the queue."""
 
     def __init__(self, rule: Rule, names: list[str]):
         self.rule = rule
         self.names = names
-        self.fixed: Rule | None = None
-        if names:
-            body = [nd for nd in rule.positive_body() if not nd.atoms[0].is_builtin()]
-        else:
-            self.fixed = _fixed_instance(rule)
-            body = list(self.fixed.positive_body()) if self.fixed is not None else []
+        self.fixed = None if names else _fixed_instance(rule)
+        self.needs = [] if self.fixed is None else list(self.fixed.positive_body())
+        self.missing = len(self.needs)
+        body = [nd for nd in rule.positive_body() if names and not nd.atoms[0].is_builtin()]
         self.joins = [(nd, {n for atom in nd for n in atom.variables()}) for nd in body]
         joined = {n for _, bound in self.joins for n in bound}
         self.free = [name for name in names if name not in joined]
@@ -276,10 +273,11 @@ class _Source:
 
 class _Instantiator:
     """Semi-naive instantiation over the positive closure that ignores
-    negation. Each NdAtom taken off the queue is indexed, then matched
-    against the join literals it fits; the rest of each such rule body is
-    joined against the NdAtoms indexed so far. An instance is thus found
-    when the last of its positive body NdAtoms is taken off the queue."""
+    negation. Each NdAtom taken off the queue counts down the rules without
+    variables that need it, is indexed, then is matched against the join
+    literals it fits; the rest of each such rule body is joined against the
+    NdAtoms indexed so far. An instance is thus found when the last of its
+    positive body NdAtoms is taken off the queue."""
 
     def __init__(self, rules: list[tuple[Rule, list[str]]], horizon: int | None,
                  constants: tuple[Term, ...]):
@@ -293,17 +291,17 @@ class _Instantiator:
         self.time_domain: list[Term] | None = None
         self.derived: set[NdAtom] = set()
         self.queue: list[NdAtom] = []
-        self.known: set[NdAtom] = set()
         self.by_signature: dict[tuple[frozenset[str], int], list[NdAtom]] = {}
         self.by_argument: dict[tuple[str, int, Term], list[NdAtom]] = {}
-        # trigger key -> (source, join literal position); ground literals are
-        # keyed by themselves, the others by each signature they can match
-        self.triggers: dict = {}
+        # NdAtom -> the rules without variables still waiting for it
+        self.waiting: dict[NdAtom, list[_Source]] = {}
+        # (signature, size) -> (source, join literal position), for each
+        # signature and size of NdAtom the join literal can match
+        self.triggers: dict[tuple[frozenset[str], int], list[tuple[_Source, int]]] = {}
         for source in sources:
-            for pos, (nd, names) in enumerate(source.joins):
-                if not names:
-                    self.triggers.setdefault(nd, []).append((source, pos))
-                    continue
+            for nd in source.needs:
+                self.waiting.setdefault(nd, []).append(source)
+            for pos, (nd, _) in enumerate(source.joins):
                 signature = _signature(nd)
                 for size in range(len(signature), len(nd) + 1):
                     self.triggers.setdefault((signature, size), []).append((source, pos))
@@ -315,34 +313,34 @@ class _Instantiator:
 
     def run(self) -> None:
         for source in self.sources:
-            if not source.joins:
+            if source.fixed is not None and not source.missing:
+                self.derive(source.fixed.head)
+            elif source.names and not source.joins:
                 self.emit(source, {})
         env: dict[str, Term] = {}
         trail: list[str] = []
         while self.queue:
             nd = self.queue.pop()
-            self.index(nd)
-            signature = _signature(nd)
-            triggered = self.triggers.get(nd, []) + self.triggers.get((signature, len(nd)), [])
-            for source, pos in triggered:
+            for source in self.waiting.pop(nd, ()):
+                source.missing -= 1
+                if not source.missing:
+                    self.derive(source.fixed.head)
+            key = (_signature(nd), len(nd))
+            self.index(nd, key)
+            for source, pos in self.triggers.get(key, ()):
                 rest = [i for i in range(len(source.joins)) if i != pos]
                 for _ in _bind_nd(source.joins[pos][0], nd, env, trail, self.admits):
                     self.join(source, rest, env, trail)
 
-    def index(self, nd: NdAtom) -> None:
-        self.known.add(nd)
-        self.by_signature.setdefault((_signature(nd), len(nd)), []).append(nd)
+    def index(self, nd: NdAtom, key: tuple[frozenset[str], int]) -> None:
+        self.by_signature.setdefault(key, []).append(nd)
         if len(nd) == 1:
             atom = nd.atoms[0]
             for i, value in enumerate(atom.args):
                 self.by_argument.setdefault((atom.pred, i, value), []).append(nd)
 
-    def candidates(self, pattern: NdAtom, names: set[str],
-                   env: dict[str, Term]) -> Iterable[NdAtom]:
-        """Indexed NdAtoms the pattern, with variables `names`, might ground
-        to under `env`."""
-        if not names:
-            return (pattern,) if pattern in self.known else ()
+    def candidates(self, pattern: NdAtom, env: dict[str, Term]) -> Iterable[NdAtom]:
+        """Indexed NdAtoms the pattern might ground to under `env`."""
         if len(pattern) == 1:
             atom = pattern.atoms[0]
             for i, arg in enumerate(atom.args):
@@ -377,15 +375,12 @@ class _Instantiator:
         way `env` allows, yielding the literals still to join each time."""
         pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][1]))
         rest = [i for i in todo if i != pick]
-        pattern, names = source.joins[pick]
-        for nd in self.candidates(pattern, names, env):
+        pattern = source.joins[pick][0]
+        for nd in self.candidates(pattern, env):
             for _ in _bind_nd(pattern, nd, env, trail, self.admits):
                 yield rest
 
     def emit(self, source: _Source, env: dict[str, Term]) -> None:
-        if source.fixed is not None:
-            self.derive(source.fixed.head)
-            return
         full = dict(env)
         for values in product(*(self.domain(name) for name in source.free)):
             full.update(zip(source.free, values))

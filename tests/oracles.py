@@ -176,7 +176,7 @@ def interpretation_key(nd_atoms: Iterable[NdAtom]):
 
 def brute_force_stable(gp: GroundProgram) -> list[Interpretation]:
     """Every subset of the head atoms that passes the stability check."""
-    heads = sort_nd_atoms(gp.heads)
+    heads = sort_nd_atoms({r.head for r in gp.rules})
     models = []
     for mask in range(1 << len(heads)):
         subset = frozenset(heads[i] for i in range(len(heads)) if mask >> i & 1)

@@ -109,7 +109,7 @@ def test_criterion_4_teaching_program():
         ["{math(101), math(102)}"],
         ["{stat(101), stat(102)}"],
     ]
-    combined = frozenset(gp.heads)
+    combined = frozenset(r.head for r in gp.rules)
     assert not is_stable(gp, combined)
     expansions = [[str(s) for s in expand(m)] for m in result.models]
     assert expansions == [

@@ -95,6 +95,36 @@ class TestExitCodes:
         assert exit_.value.code == 2
         assert "--max-answer-sets" in capsys.readouterr().err
 
+    def test_max_models_not_an_integer_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "--max-models", "abc", str(corpus_path("teaching.ndlp"))])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "error: argument --max-models: expected an integer of at least 1, got 'abc'\n"
+        )
+
+    @pytest.mark.parametrize("command,name", [("solve", "robot.ndlp"), ("ground", "fred.ndlp")])
+    def test_negative_horizon(self, capsys, command, name):
+        code, out, err = run(capsys, command, "--horizon", "-1", str(corpus_path(name)))
+        assert code == 2
+        assert out == ""
+        assert err == "ndlp: error: horizon must be non-negative\n"
+
+    def test_dump_ground_writes_the_rules_before_the_report(self, capsys):
+        code, out, _ = run(capsys, "solve", "--dump-ground", str(corpus_path("teaching.ndlp")))
+        assert code == 0
+        assert out == (
+            "{math(101), math(102)} :- not {stat(101), stat(102)}.\n"
+            "{stat(101), stat(102)} :- not {math(101), math(102)}.\n"
+            "semantics: stable\n"
+            "ground rules: 2, base size: 2\n"
+            "model 1:\n"
+            "  {math(101), math(102)}\n"
+            "model 2:\n"
+            "  {stat(101), stat(102)}\n"
+        )
+
     def test_dump_ground_with_json_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["solve", "--dump-ground", "--format", "json",

@@ -3,14 +3,14 @@
 import pytest
 
 from ndlp import GroundingError, ground, least_model, parse_program
-from ndlp.grounder import make_ground_program, restricted_base
+from ndlp.grounder import _Instantiator, make_ground_program, restricted_base
 from ndlp.syntax import Program
 
 from conftest import gp_from
 
 
 def heads_str(gp):
-    return sorted(str(a) for a in gp.heads)
+    return sorted(str(a) for a in {r.head for r in gp.rules})
 
 
 class TestInstantiation:
@@ -95,6 +95,19 @@ class TestInstantiation:
         assert "{p(2)}" in heads_str(gp)
         assert not any("p(a" in h for h in heads_str(gp))
 
+    def test_symbol_in_arithmetic_inside_a_compound_drops_instance(self):
+        gp = gp_from("{q(a)}. {q(1)}. {p(f(X+1))} :- {q(X)}.")
+        assert [str(r) for r in gp.rules if r.head.atoms[0].pred == "p"] == [
+            "{p(f(2))} :- {q(1)}."
+        ]
+
+    def test_symbol_in_arithmetic_of_a_bound_join_argument_finds_nothing(self):
+        # once {q(a)} binds X, {p(X+1)} has no value to look up
+        gp = gp_from("{h(X)} :- {q(X)}, {p(X+1)}. {q(a)}. {q(1)}. {p(2)}.")
+        assert [str(r) for r in gp.rules if r.head.atoms[0].pred == "h"] == [
+            "{h(1)} :- {q(1)}, {p(2)}."
+        ]
+
     def test_horizon_argument_overrides_directive(self):
         program = parse_program("#horizon 1.\n{exec(close, T)}.")
         assert len(ground(program).rules) == 2
@@ -128,9 +141,10 @@ class TestRestrictedBase:
 
     def test_heads_subset_of_base(self):
         gp = gp_from("{a} :- {b}, not {c}. {b}.")
-        assert set(gp.heads) <= set(gp.base)
+        heads = {r.head for r in gp.rules}
+        assert heads <= set(gp.base)
         bodies = {lit.atom for r in gp.rules for lit in r.body}
-        assert set(gp.base) == set(gp.heads) | bodies
+        assert set(gp.base) == heads | bodies
 
 
 class TestIdempotence:
@@ -145,7 +159,8 @@ class TestIdempotence:
         gp = ground(parse_program(text), horizon=horizon)
         again = ground(Program(rules=gp.rules), horizon=horizon)
         assert all(a is b for a, b in zip(again.rules, gp.rules, strict=True))
-        assert again.base == gp.base and again.heads == gp.heads
+        assert again.base == gp.base
+        assert [r.head for r in again.rules] == [r.head for r in gp.rules]
 
     def test_instances_trace_to_source_rules(self):
         program = parse_program("{p(X)} :- {q(X)}.\n{q(c1)}. {q(c2)}.")
@@ -159,7 +174,7 @@ class TestIdempotence:
 def test_make_ground_program_matches_restricted_base():
     gp = gp_from("{a} :- {b}, not {c}. {b}.")
     rebuilt = make_ground_program(gp.rules)
-    assert (rebuilt.base, rebuilt.heads) == restricted_base(gp.rules)
+    assert rebuilt.base == restricted_base(gp.rules)
 
 
 class TestLongBodies:
@@ -177,6 +192,21 @@ class TestLongBodies:
         body = ", ".join(f"{{g{i}}}" for i in range(self.SIZE))
         facts = "".join(f"{{g{i}}}.\n" for i in range(self.SIZE))
         gp = gp_from(f"{{h}} :- {body}.\n{facts}{{q(X)}} :- {{r(X)}}. {{r(a)}}.\n")
+        assert {"{h}", "{q(a)}"} <= {str(nd) for nd in least_model(gp)}
+
+    def test_rules_without_variables_are_never_joined(self, monkeypatch):
+        joined = []
+        join = _Instantiator.join
+
+        def spy(self, source, todo, env, trail):
+            joined.append(source.rule)
+            return join(self, source, todo, env, trail)
+
+        monkeypatch.setattr(_Instantiator, "join", spy)
+        body = ", ".join(f"{{g{i}}}" for i in range(self.SIZE))
+        facts = "".join(f"{{g{i}}}.\n" for i in range(self.SIZE))
+        gp = gp_from(f"{{h}} :- {body}.\n{facts}{{q(X)}} :- {{r(X)}}. {{r(a)}}.\n")
+        assert [str(rule) for rule in joined] == ["{q(X)} :- {r(X)}."]
         assert {"{h}", "{q(a)}"} <= {str(nd) for nd in least_model(gp)}
 
     def test_wide_set_literal(self):

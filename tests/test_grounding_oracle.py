@@ -32,6 +32,22 @@ GRAPHS = {
     "chain": [(i, i + 1) for i in range(7)],
     "cycle with a tail": [(0, 1), (1, 2), (2, 0), (2, 3), (4, 3)],
 }
+# Rules without variables count down their body beside rules with
+# variables; ground literals of rules with variables are joined like any other.
+COUNT_DOWN = {
+    "fixed rule repeating a body literal":
+        "{h} :- {g}, {g}.\n{g}.\n{q(X)} :- {h}, {r(X)}.\n{r(a)}.\n",
+    "fixed rule with a false comparison":
+        "{h} :- {g}, {a == b}.\n{g}.\n{q(X)} :- {h}, {r(X)}.\n{r(a)}.\n",
+    "fixed rule waiting for an underived literal":
+        "{h} :- {g}, {y}.\n{g}.\n{q(X)} :- {h}, {r(X)}.\n{r(a)}.\n",
+    "ground literal derived after the variable literal":
+        "{q(X)} :- {r(X)}, {go}.\n{go} :- {s}.\n{s}.\n{r(a)}.\n",
+    "multi-member ground literal":
+        "{q(X)} :- {r(X)}, {m2, m1}.\n{m1, m2} :- {s}.\n{s}.\n{r(a)}.\n{r(b)}.\n",
+    "rule with variables repeating a body literal":
+        "{q(X)} :- {r(X)}, {r(X)}.\n{r(a)}.\n{r(b)}.\n",
+}
 
 
 def check_against_product(program, horizon, label):
@@ -66,3 +82,8 @@ def test_corpus_grounds_to_live_product_instances(name, horizon):
 def test_transitive_closure_grounds_to_live_product_instances(shape):
     edges = "".join(f"{{edge(n{a}, n{b})}}.\n" for a, b in GRAPHS[shape])
     check_against_product(parse_program(CLOSURE + edges), None, shape)
+
+
+@pytest.mark.parametrize("case", COUNT_DOWN)
+def test_count_down_cases_ground_to_live_product_instances(case):
+    check_against_product(parse_program(COUNT_DOWN[case]), None, case)

@@ -107,7 +107,7 @@ def test_enumerate_stable_matches_brute_force(seed):
 def test_stable_models_are_head_supported(seed):
     gp = random_ground_program(seed, max_nd=6)
     for s in enumerate_stable(gp).models:
-        assert s <= frozenset(gp.heads), f"seed={seed}"
+        assert s <= frozenset(r.head for r in gp.rules), f"seed={seed}"
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_compiled_stability_check_matches_reference(seed):
     # the guard enumerate_stable runs on each model it finds
     gp = random_ground_program(seed, max_nd=8, max_rules=12)
     program = gp.compiled
-    candidates = [random_interpretations(seed, gp), frozenset(gp.heads)]
+    candidates = [random_interpretations(seed, gp), frozenset(r.head for r in gp.rules)]
     candidates += brute_force_stable(gp)
     for interp in candidates:
         flags = bytearray(program.n)

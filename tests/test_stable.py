@@ -120,6 +120,11 @@ class TestEnumerateStable:
             ["{stat(101)}", "{stat(101), stat(102)}"],
         ]
 
+    def test_result_iterates_and_counts_its_models(self, teaching):
+        result = enumerate_stable(teaching)
+        assert len(result) == 2
+        assert list(result) == list(result.models)
+
     def test_max_models_truncation(self, teaching):
         result = enumerate_stable(teaching, max_models=1)
         assert len(result.models) == 1
@@ -200,4 +205,4 @@ class TestStableInvariantsOnCorpus:
 
     def test_head_support(self, teaching2):
         for m in enumerate_stable(teaching2).models:
-            assert m <= frozenset(teaching2.heads)
+            assert m <= frozenset(r.head for r in teaching2.rules)

@@ -43,6 +43,13 @@ class TestPartialInterpretation:
         assert wf_truth(interp, b) is Truth.UNDEFINED
         assert wf_truth(PartialInterpretation(neg=frozenset([b])), b) is Truth.FALSE
 
+    def test_text_lists_positives_then_negatives(self, wf_chain):
+        c = nd(wf_chain, "{c1, c2}")
+        b = nd(wf_chain, "{b1, b2}")
+        interp = PartialInterpretation(pos=frozenset([c]), neg=frozenset([b]))
+        assert str(interp) == "{{c1, c2}, not {b1, b2}}"
+        assert str(EMPTY) == "{}"
+
     def test_mutual_program_leaves_all_undefined(self):
         gp = gp_from(corpus_text("wf_mutual.ndlp"))
         model = well_founded_model(gp)
