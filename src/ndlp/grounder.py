@@ -12,7 +12,12 @@ instance fires under any semantics. Instantiation is semi-naive and driven by
 joins, in the style of lparse and gringo: each NdAtom that becomes derivable
 is matched against the positive body literals it fits and joined with the
 NdAtoms derived before it. A set-literal matches an NdAtom it grounds to
-exactly, so members that coincide collapse into one. A variable that no
+exactly, so members that coincide collapse into one; a member whose
+variables are already bound is looked up among the NdAtom's members by
+hash, so a wide set-literal matches in linear time. An instance takes its
+positive body from the NdAtoms the join matched, and each head, negated
+literal and comparison is grounded once per pattern and values of its
+variables, however many instances share it. A variable that no
 positive body literal binds ranges over its domain; a bound value outside
 the domain is rejected, so a time point derived past the horizon binds no
 time variable. Each rule's instances come out in the order of the product
@@ -33,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .compiled import CompiledProgram
 from .errors import GroundingError
@@ -121,13 +126,8 @@ def _substitute(term: Term, env: dict[str, Term]) -> Term | None:
     if isinstance(term, Variable):
         return env[term.name]
     if isinstance(term, Compound):
-        args = []
-        for arg in term.args:
-            value = _substitute(arg, env)
-            if value is None:
-                return None
-            args.append(value)
-        return Compound(term.name, tuple(args))
+        args = _ground_args(term.args, env)
+        return None if args is None else Compound(term.name, args)
     if isinstance(term, Sum):
         base = _substitute(term.base, env)
         if not isinstance(base, Integer):
@@ -136,35 +136,59 @@ def _substitute(term: Term, env: dict[str, Term]) -> Term | None:
     return term
 
 
-def _ground_atom(atom: Atom, env: dict[str, Term]) -> Atom | None:
+def _ground_args(terms: tuple[Term, ...], env: dict[str, Term]) -> tuple[Term, ...] | None:
     args = []
-    for arg in atom.args:
-        value = _substitute(arg, env)
+    for term in terms:
+        value = _substitute(term, env)
         if value is None:
             return None
         args.append(value)
-    return Atom(atom.pred, tuple(args))
+    return tuple(args)
 
 
-def _ground_instance(rule: Rule, env: dict[str, Term]) -> Rule | None:
+def _ground_atom(atom: Atom, env: dict[str, Term]) -> Atom | None:
+    args = _ground_args(atom.args, env)
+    return None if args is None else Atom(atom.pred, args)
+
+
+def _ground_nd(pattern: NdAtom, env: dict[str, Term]) -> NdAtom | None:
+    atoms = []
+    for atom in pattern:
+        ground = _ground_atom(atom, env)
+        if ground is None:
+            return None
+        atoms.append(ground)
+    return canonicalize(atoms)
+
+
+def _ground_instance(rule: Rule, env: dict[str, Term], ground=_ground_nd,
+                     matched: Sequence[NdAtom] = ()) -> Rule | None:
     """One ground instance, or None when arithmetic fails or a comparison is
-    false. True comparisons are removed from the body."""
-    head_atoms = [_ground_atom(a, env) for a in rule.head]
-    if any(a is None for a in head_atoms):
+    false. True comparisons are removed from the body. `ground(pattern,
+    env)` grounds each set-atom; when `matched` is given, the positive body
+    set-atoms other than comparisons are taken from it instead, in order,
+    as the join matched them."""
+    head = ground(rule.head, env)
+    if head is None:
         return None
+    taken = iter(matched)
     body: list[Literal] = []
     for lit in rule.body:
-        atoms = [_ground_atom(a, env) for a in lit.atom]
-        if any(a is None for a in atoms):
+        builtin = lit.atom.atoms[0].is_builtin()
+        if matched and not lit.negated and not builtin:
+            body.append(Literal(next(taken)))
+            continue
+        nd = ground(lit.atom, env)
+        if nd is None:
             return None
-        if len(atoms) == 1 and atoms[0].is_builtin():
-            left, right = atoms[0].args
-            holds = (left == right) if atoms[0].pred == "==" else (left != right)
+        if builtin:
+            left, right = nd.atoms[0].args
+            holds = (left == right) if nd.atoms[0].pred == "==" else (left != right)
             if not holds:
                 return None
             continue
-        body.append(Literal(canonicalize(atoms), lit.negated))
-    return Rule(head=canonicalize(head_atoms), body=tuple(body), origin=rule.origin)
+        body.append(Literal(nd, lit.negated))
+    return Rule(head=head, body=tuple(body), origin=rule.origin)
 
 
 def _fixed_instance(rule: Rule) -> Rule | None:
@@ -207,27 +231,49 @@ def _bind(pattern: Term, value: Term, env: dict[str, Term], trail: list[str], ad
 
 
 def _bind_atom(pattern: Atom, atom: Atom, env, trail, admits) -> bool:
-    return (
-        pattern.pred == atom.pred
-        and len(pattern.args) == len(atom.args)
-        and all(_bind(p, v, env, trail, admits) for p, v in zip(pattern.args, atom.args))
-    )
+    if pattern.pred != atom.pred or len(pattern.args) != len(atom.args):
+        return False
+    for p, v in zip(pattern.args, atom.args):
+        if not _bind(p, v, env, trail, admits):
+            return False
+    return True
 
 
-def _bind_nd(pattern: NdAtom, nd: NdAtom, env, trail, admits):
+def _bind_nd(pattern: NdAtom, names: list[set[str]], nd: NdAtom, env, trail, admits):
     """Yield once per binding under which `pattern` grounds to exactly `nd`:
     every pattern member matches some member of `nd` and every member of
     `nd` is matched, so coinciding pattern members may collapse. Pattern
     members are placed in order on an explicit stack, so a set-literal of
-    any width matches without recursion."""
+    any width matches without recursion. A member whose variables, `names`,
+    are all bound grounds to one value, which is looked up among the members
+    of `nd` by hash instead of being tried against each of them."""
     patterns, members = pattern.atoms, nd.atoms
+    mark = len(trail)
+    if len(patterns) == 1:
+        if len(members) == 1 and _bind_atom(patterns[0], members[0], env, trail, admits):
+            yield
+        _undo(env, trail, mark)
+        return
+    position = None  # (pred, args) of each member of nd -> its index
     hits = [0] * len(members)
     placed: list[tuple[int, int]] = []  # per placed pattern: member, trail mark
     j = 0
     while True:
-        if len(placed) < len(patterns) and j < len(members):
+        i = len(placed)
+        if i < len(patterns) and j < len(members):
             mark = len(trail)
-            if _bind_atom(patterns[len(placed)], members[j], env, trail, admits):
+            if names[i] <= env.keys():
+                if position is None:
+                    position = {(m.pred, m.args): k for k, m in enumerate(members)}
+                atom = patterns[i]
+                k = position.get((atom.pred, _ground_args(atom.args, env)), -1)
+                if k < j:  # its one member is absent or was tried already
+                    j = len(members)
+                    continue
+                j, bound = k, True
+            else:
+                bound = _bind_atom(patterns[i], members[j], env, trail, admits)
+            if bound:
                 hits[j] += 1
                 placed.append((j, mark))
                 j = 0
@@ -235,7 +281,7 @@ def _bind_nd(pattern: NdAtom, nd: NdAtom, env, trail, admits):
                 _undo(env, trail, mark)
                 j += 1
             continue
-        if len(placed) == len(patterns) and all(hits):
+        if i == len(patterns) and all(hits):
             yield
         if not placed:
             return
@@ -251,12 +297,13 @@ def _signature(nd: NdAtom) -> frozenset[str]:
 
 class _Source:
     """One source rule during instantiation: the positive body literals its
-    instances are joined on, the variables no such literal binds, and the
-    instances found, keyed by the ranks of their values in product order
-    (None marks an instance whose comparison or arithmetic failed). A rule
-    without variables has its one instance fixed up front and, instead of
-    join literals, the NdAtoms of its positive body literals, `missing` of
-    which are still to be taken off the queue."""
+    instances are joined on, each with the variables of its members and the
+    NdAtom it is matched to in the join under way, the variables no such
+    literal binds, and the instances found, keyed by the ranks of their
+    values in product order (None marks an instance whose comparison or
+    arithmetic failed). A rule without variables has its one instance fixed
+    up front and, instead of join literals, the NdAtoms of its positive body
+    literals, `missing` of which are still to be taken off the queue."""
 
     def __init__(self, rule: Rule, names: list[str]):
         self.rule = rule
@@ -265,10 +312,17 @@ class _Source:
         self.needs = [] if self.fixed is None else list(self.fixed.positive_body())
         self.missing = len(self.needs)
         body = [nd for nd in rule.positive_body() if names and not nd.atoms[0].is_builtin()]
-        self.joins = [(nd, {n for atom in nd for n in atom.variables()}) for nd in body]
-        joined = {n for _, bound in self.joins for n in bound}
+        self.joins: list[tuple[NdAtom, list[set[str]], set[str]]] = []
+        for nd in body:
+            per_member = [atom.variables() for atom in nd]
+            self.joins.append((nd, per_member, set().union(*per_member)))
+        self.matched: list[NdAtom | None] = [None] * len(body)
+        joined = {n for _, _, bound in self.joins for n in bound}
         self.free = [name for name in names if name not in joined]
         self.instances: dict[tuple[int, ...], Rule | None] = {}
+
+
+_UNSEEN = object()  # no grounding of a pattern stored yet for these values
 
 
 class _Instantiator:
@@ -289,22 +343,27 @@ class _Instantiator:
             name: is_time_variable(name) for source in sources for name in source.names
         }
         self.time_domain: list[Term] | None = None
+        # pattern NdAtom -> its variables and, per tuple of their values,
+        # the pattern grounded (None when its arithmetic fails)
+        self.grounded: dict[NdAtom, tuple[list[str], dict[tuple, NdAtom | None]]] = {}
         self.derived: set[NdAtom] = set()
         self.queue: list[NdAtom] = []
         self.by_signature: dict[tuple[frozenset[str], int], list[NdAtom]] = {}
         self.by_argument: dict[tuple[str, int, Term], list[NdAtom]] = {}
         # NdAtom -> the rules without variables still waiting for it
         self.waiting: dict[NdAtom, list[_Source]] = {}
-        # (signature, size) -> (source, join literal position), for each
-        # signature and size of NdAtom the join literal can match
-        self.triggers: dict[tuple[frozenset[str], int], list[tuple[_Source, int]]] = {}
+        # (signature, size) -> (source, join literal position, the other
+        # positions), for each signature and size of NdAtom the join
+        # literal can match
+        self.triggers: dict[tuple[frozenset[str], int], list[tuple[_Source, int, list[int]]]] = {}
         for source in sources:
             for nd in source.needs:
                 self.waiting.setdefault(nd, []).append(source)
-            for pos, (nd, _) in enumerate(source.joins):
+            for pos, (nd, _, _) in enumerate(source.joins):
+                rest = [i for i in range(len(source.joins)) if i != pos]
                 signature = _signature(nd)
                 for size in range(len(signature), len(nd) + 1):
-                    self.triggers.setdefault((signature, size), []).append((source, pos))
+                    self.triggers.setdefault((signature, size), []).append((source, pos, rest))
 
     def admits(self, name: str, value: Term) -> bool:
         if self.time[name]:
@@ -327,9 +386,10 @@ class _Instantiator:
                     self.derive(source.fixed.head)
             key = (_signature(nd), len(nd))
             self.index(nd, key)
-            for source, pos in self.triggers.get(key, ()):
-                rest = [i for i in range(len(source.joins)) if i != pos]
-                for _ in _bind_nd(source.joins[pos][0], nd, env, trail, self.admits):
+            for source, pos, rest in self.triggers.get(key, ()):
+                pattern, names, _ = source.joins[pos]
+                source.matched[pos] = nd
+                for _ in _bind_nd(pattern, names, nd, env, trail, self.admits):
                     self.join(source, rest, env, trail)
 
     def index(self, nd: NdAtom, key: tuple[frozenset[str], int]) -> None:
@@ -373,11 +433,12 @@ class _Instantiator:
     def matches(self, source: _Source, todo: list[int], env, trail) -> Iterable[list[int]]:
         """Bind the join literal with the fewest unbound variables in every
         way `env` allows, yielding the literals still to join each time."""
-        pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][1]))
+        pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][2]))
         rest = [i for i in todo if i != pick]
-        pattern = source.joins[pick][0]
+        pattern, names, _ = source.joins[pick]
         for nd in self.candidates(pattern, env):
-            for _ in _bind_nd(pattern, nd, env, trail, self.admits):
+            source.matched[pick] = nd
+            for _ in _bind_nd(pattern, names, nd, env, trail, self.admits):
                 yield rest
 
     def emit(self, source: _Source, env: dict[str, Term]) -> None:
@@ -387,10 +448,24 @@ class _Instantiator:
             key = tuple(self.rank_of(name, full[name]) for name in source.names)
             if key in source.instances:
                 continue
-            instance = _ground_instance(source.rule, full)
+            instance = _ground_instance(source.rule, full, self.ground_pattern, source.matched)
             source.instances[key] = instance
             if instance is not None:
                 self.derive(instance.head)
+
+    def ground_pattern(self, pattern: NdAtom, env: dict[str, Term]) -> NdAtom | None:
+        """`pattern` grounded under `env`, once per tuple of values of its
+        variables."""
+        entry = self.grounded.get(pattern)
+        if entry is None:
+            names = sorted({n for atom in pattern for n in atom.variables()})
+            entry = self.grounded[pattern] = (names, {})
+        names, table = entry
+        values = tuple([env[name] for name in names])
+        nd = table.get(values, _UNSEEN)
+        if nd is _UNSEEN:
+            nd = table[values] = _ground_nd(pattern, env)
+        return nd
 
     def derive(self, nd: NdAtom) -> None:
         if nd not in self.derived:

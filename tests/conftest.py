@@ -142,6 +142,13 @@ def random_det_program(
 _NG_ARITIES = {"p": 1, "q": 1, "e": 2, "h": 2, "g": 0}
 
 
+def closure_chain(n_edges: int) -> str:
+    """Transitive closure over a chain of `n_edges` edges, the program the
+    closure benchmark holds at 30 edges."""
+    edges = "".join(f"{{edge(n{i}, n{i + 1})}}.\n" for i in range(n_edges))
+    return edges + "{path(X, Y)} :- {edge(X, Y)}.\n{path(X, Z)} :- {edge(X, Y)}, {path(Y, Z)}.\n"
+
+
 def random_nonground_program(seed: int) -> tuple[str, int | None]:
     """Program text plus horizon: a few facts, some of them set-atoms, and
     rules with variables over a handful of constants, time variables with

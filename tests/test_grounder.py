@@ -2,11 +2,12 @@
 
 import pytest
 
-from ndlp import GroundingError, ground, least_model, parse_program
+from ndlp import GroundingError, ground, grounder, least_model, parse_program
+from ndlp.corpus import corpus_text
 from ndlp.grounder import _Instantiator, make_ground_program, restricted_base
 from ndlp.syntax import Program
 
-from conftest import gp_from
+from conftest import closure_chain, gp_from
 
 
 def heads_str(gp):
@@ -169,6 +170,35 @@ class TestIdempotence:
         assert all(r.origin in origins for r in gp.rules)
         p_origin = program.rules[0].origin
         assert sum(1 for r in gp.rules if r.origin == p_origin) == 2
+
+
+class TestWorkBound:
+    # Positive body set-atoms come from the join, so only heads, negated
+    # literals and comparisons are grounded, each once per pattern and
+    # values of its variables.
+    @pytest.mark.parametrize(
+        "text,horizon,atoms",
+        [(closure_chain(30), None, 465), (corpus_text("robot.ndlp"), 2, 142)],
+        ids=["closure chain of 30 edges", "robot h=2"],
+    )
+    def test_each_pattern_grounded_once_per_binding(self, monkeypatch, text, horizon, atoms):
+        grounded, bindings = [], []
+        ground_atom, ground_nd = grounder._ground_atom, grounder._ground_nd
+
+        def count_atom(atom, env):
+            grounded.append(atom)
+            return ground_atom(atom, env)
+
+        def record_binding(pattern, env):
+            names = sorted({name for atom in pattern for name in atom.variables()})
+            bindings.append((pattern, tuple(env[name] for name in names)))
+            return ground_nd(pattern, env)
+
+        monkeypatch.setattr(grounder, "_ground_atom", count_atom)
+        monkeypatch.setattr(grounder, "_ground_nd", record_binding)
+        ground(parse_program(text), horizon=horizon)
+        assert len(bindings) == len(set(bindings))
+        assert len(grounded) == sum(len(pattern) for pattern, _ in bindings) == atoms
 
 
 def test_make_ground_program_matches_restricted_base():

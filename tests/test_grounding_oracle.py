@@ -49,6 +49,28 @@ COUNT_DOWN = {
         "{q(X)} :- {r(X)}, {r(X)}.\n{r(a)}.\n{r(b)}.\n",
 }
 
+# Positive body set-atoms are taken from the join's matches and the rest of
+# each instance is grounded once per pattern and binding.
+FROM_THE_JOIN = {
+    "join-taken literal with coinciding members":
+        "{p(X, Y)} :- {q(X), q(Y)}, {r(X)}, not {s(Y)}.\n"
+        "{q(a)}.\n{q(a), q(b)}.\n{r(a)}.\n{r(b)}.\n{s(b)} :- {r(b)}.\n",
+    "sum in a body pattern":
+        "#horizon 2.\n{q(T)} :- {p(T+1)}, {r(T)}.\n{w(T)} :- {p(T+1), s(T)}.\n"
+        "{p(0)}.\n{p(1)}.\n{p(3)}.\n{r(0)}.\n{r(2)}.\n"
+        "{p(1), s(0)}.\n{p(3), s(2)}.\n{p(2), s(0)}.\n{p(T+1)} :- {q(T)}.\n",
+    "rule repeating a body literal":
+        "{h(X, Y)} :- {e(X, Y)}, {e(Y, X)}, {e(X, Y)}, not {e(Y, Y)}.\n"
+        "{e(a, b)}.\n{e(b, a)}.\n{e(a, a)}.\n{e(b, c)}.\n",
+    "head and negated set-atoms whose members have other variables":
+        "{p(X), q(Y)} :- {r(X)}, {s(Y)}, not {q(X), u(Y)}.\n"
+        "{r(a)}.\n{r(b)}.\n{s(a)}.\n{s(b)}.\n{u(a)} :- {p(a), q(b)}.\n",
+    "bound members looked up in a set-literal":
+        "{g(X, Y, Z)} :- {p(X, Y), p(X, 1), p(Z, 1)}.\n{h(X)} :- {p(X, 0), p(X, 1), p(X, 2)}.\n"
+        "{p(a, 1), p(b, 1)}.\n{p(a, 0), p(a, 1), p(a, 2)}.\n{p(b, 0), p(b, 1), p(a, 2)}.\n"
+        "{p(a, 1)}.\n",
+}
+
 
 def check_against_product(program, horizon, label):
     gp = ground(program, horizon=horizon)
@@ -87,3 +109,8 @@ def test_transitive_closure_grounds_to_live_product_instances(shape):
 @pytest.mark.parametrize("case", COUNT_DOWN)
 def test_count_down_cases_ground_to_live_product_instances(case):
     check_against_product(parse_program(COUNT_DOWN[case]), None, case)
+
+
+@pytest.mark.parametrize("case", FROM_THE_JOIN)
+def test_instances_from_the_join_ground_to_live_product_instances(case):
+    check_against_product(parse_program(FROM_THE_JOIN[case]), None, case)
