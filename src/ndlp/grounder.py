@@ -15,12 +15,11 @@ NdAtoms derived before it. A set-literal matches an NdAtom it grounds to
 exactly, so members that coincide collapse into one; a member whose
 variables are already bound is looked up among the NdAtom's members by
 hash, so a wide set-literal matches in linear time. An instance takes its
-positive body from the NdAtoms the join matched, and each head, negated
-literal and comparison is grounded once per pattern and values of its
-variables, however many instances share it. A variable that no
-positive body literal binds ranges over its domain; a bound value outside
-the domain is rejected, so a time point derived past the horizon binds no
-time variable. Each rule's instances come out in the order of the product
+positive body from the NdAtoms the join matched and grounds only its head,
+negated literals and comparisons. A variable that no positive body literal
+binds ranges over its domain; a bound value outside the domain is
+rejected, so a time point derived past the horizon binds no time
+variable. Each rule's instances come out in the order of the product
 of its sorted variables' domains, without duplicates. The result is the
 product grounding less its dead instances. Rules without variables are kept
 as written and never joined: each counts down its positive body literals
@@ -161,14 +160,13 @@ def _ground_nd(pattern: NdAtom, env: dict[str, Term]) -> NdAtom | None:
     return canonicalize(atoms)
 
 
-def _ground_instance(rule: Rule, env: dict[str, Term], ground=_ground_nd,
+def _ground_instance(rule: Rule, env: dict[str, Term],
                      matched: Sequence[NdAtom] = ()) -> Rule | None:
     """One ground instance, or None when arithmetic fails or a comparison is
-    false. True comparisons are removed from the body. `ground(pattern,
-    env)` grounds each set-atom; when `matched` is given, the positive body
-    set-atoms other than comparisons are taken from it instead, in order,
-    as the join matched them."""
-    head = ground(rule.head, env)
+    false. True comparisons are removed from the body. When `matched` is
+    given, the positive body set-atoms other than comparisons are taken from
+    it, in order, as the join matched them, instead of being grounded."""
+    head = _ground_nd(rule.head, env)
     if head is None:
         return None
     taken = iter(matched)
@@ -178,7 +176,7 @@ def _ground_instance(rule: Rule, env: dict[str, Term], ground=_ground_nd,
         if matched and not lit.negated and not builtin:
             body.append(Literal(next(taken)))
             continue
-        nd = ground(lit.atom, env)
+        nd = _ground_nd(lit.atom, env)
         if nd is None:
             return None
         if builtin:
@@ -322,9 +320,6 @@ class _Source:
         self.instances: dict[tuple[int, ...], Rule | None] = {}
 
 
-_UNSEEN = object()  # no grounding of a pattern stored yet for these values
-
-
 class _Instantiator:
     """Semi-naive instantiation over the positive closure that ignores
     negation. Each NdAtom taken off the queue counts down the rules without
@@ -343,9 +338,6 @@ class _Instantiator:
             name: is_time_variable(name) for source in sources for name in source.names
         }
         self.time_domain: list[Term] | None = None
-        # pattern NdAtom -> its variables and, per tuple of their values,
-        # the pattern grounded (None when its arithmetic fails)
-        self.grounded: dict[NdAtom, tuple[list[str], dict[tuple, NdAtom | None]]] = {}
         self.derived: set[NdAtom] = set()
         self.queue: list[NdAtom] = []
         self.by_signature: dict[tuple[frozenset[str], int], list[NdAtom]] = {}
@@ -448,24 +440,10 @@ class _Instantiator:
             key = tuple(self.rank_of(name, full[name]) for name in source.names)
             if key in source.instances:
                 continue
-            instance = _ground_instance(source.rule, full, self.ground_pattern, source.matched)
+            instance = _ground_instance(source.rule, full, source.matched)
             source.instances[key] = instance
             if instance is not None:
                 self.derive(instance.head)
-
-    def ground_pattern(self, pattern: NdAtom, env: dict[str, Term]) -> NdAtom | None:
-        """`pattern` grounded under `env`, once per tuple of values of its
-        variables."""
-        entry = self.grounded.get(pattern)
-        if entry is None:
-            names = sorted({n for atom in pattern for n in atom.variables()})
-            entry = self.grounded[pattern] = (names, {})
-        names, table = entry
-        values = tuple([env[name] for name in names])
-        nd = table.get(values, _UNSEEN)
-        if nd is _UNSEEN:
-            nd = table[values] = _ground_nd(pattern, env)
-        return nd
 
     def derive(self, nd: NdAtom) -> None:
         if nd not in self.derived:

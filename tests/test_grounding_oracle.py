@@ -49,8 +49,8 @@ COUNT_DOWN = {
         "{q(X)} :- {r(X)}, {r(X)}.\n{r(a)}.\n{r(b)}.\n",
 }
 
-# Positive body set-atoms are taken from the join's matches and the rest of
-# each instance is grounded once per pattern and binding.
+# Positive body set-atoms are taken from the join's matches; heads, negated
+# literals and comparisons are grounded for each instance.
 FROM_THE_JOIN = {
     "join-taken literal with coinciding members":
         "{p(X, Y)} :- {q(X), q(Y)}, {r(X)}, not {s(Y)}.\n"
