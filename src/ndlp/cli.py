@@ -9,6 +9,12 @@ Exit codes: 0 with at least one model, 1 with none (unsatisfiable under the
 stable semantics), 2 on usage, parse, or grounding errors. Reports are
 deterministic for a fixed input and flag set; the JSON form is byte-stable,
 with timing kept off it and on stderr.
+
+From the search to the report a model stays the sorted indices of its
+NdAtoms in the compiled program, whose atoms are in key order: the report's
+NdAtom lists index them with no sort, and answer sets expand over the
+program's one atom table. The report renders each NdAtom of the models once
+and lays out its JSON arrays itself.
 """
 
 from __future__ import annotations
@@ -18,15 +24,27 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode
+from typing import Iterable
 
-from .answersets import AnswerSet, expand
+from .answersets import AnswerSet, expand_ids
 from .errors import NdlpError
 from .grounder import GroundProgram, ground
 from .parser import parse_files
-from .positive import least_model
 from .stable import enumerate_stable
-from .syntax import NdAtom, Program, sort_nd_atoms
-from .wf import well_founded_model
+from .syntax import NdAtom, Program
+
+
+class _Rendered(dict):
+    """Each NdAtom's rendering, made by `render` on its first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, nd: NdAtom) -> str:
+        value = self[nd] = self.render(nd)
+        return value
 
 
 @dataclass
@@ -45,36 +63,45 @@ class SolveReport:
     def to_json(self) -> str:
         """`json.dumps(payload, indent=2, sort_keys=True)` of the report.
 
-        The `answer_sets` array, whose key sorts first, is laid out here from
-        each atom's JSON string, encoded once per atom table, and spliced in
-        front of the dumped rest of the payload.
+        The arrays of NdAtoms and of answer sets are laid out here and
+        spliced around the dumped scalars: each NdAtom of a model is laid out
+        once per report, each atom of an answer set once per atom table.
         """
-        def nd(atom: NdAtom) -> list[str]:
-            return [a.text for a in atom]
-
-        payload: dict = {
+        arrays = _Rendered(lambda nd: _nd_json(nd, 3))
+        models = [_json_array(map(arrays.__getitem__, model), 2, item=True)
+                  for model in self.models]
+        head = [("answer_sets", _answer_sets_json(self.answer_sets or [])),
+                ("models", _json_array(models, 1))]
+        tail = []
+        scalars: dict = {
             "semantics": self.semantics,
-            "models": [[nd(a) for a in model] for model in self.models],
             "truncated": self.truncated,
             "stats": {"rules": self.rule_count, "base_size": self.base_size},
         }
         if self.semantics == "wf":
-            payload["total"] = bool(self.total)
-            payload["negatives"] = [nd(a) for a in (self.negatives or [])]
-            payload["undefined"] = [nd(a) for a in (self.undefined or [])]
-        answer_sets = _answer_sets_json(self.answer_sets or [])
-        rest = json.dumps(payload, indent=2, sort_keys=True)
-        return '{\n  "answer_sets": ' + answer_sets + ",\n" + rest[2:] + "\n"
+            scalars["total"] = bool(self.total)
+            head.append(("negatives", _nd_arrays(self.negatives or [])))
+            tail.append(("undefined", _nd_arrays(self.undefined or [])))
+        rest = json.dumps(scalars, indent=2, sort_keys=True)
+        # keys sort as answer_sets, models, negatives, the scalars, undefined
+        parts = ["{"]
+        for key, value in head:
+            parts += (_NEWLINE[1], f'"{key}": ', value, ",")
+        parts.append(rest[1:-2])
+        for key, value in tail:
+            parts += (",", _NEWLINE[1], f'"{key}": ', value)
+        parts.append("\n}\n")
+        return "".join(parts)
 
     def to_text(self) -> str:
         lines = [f"semantics: {self.semantics}"]
         lines.append(f"ground rules: {self.rule_count}, base size: {self.base_size}")
         if not self.models:
             lines.append("no models")
+        indented = _Rendered(lambda nd: f"  {nd}")
         for i, model in enumerate(self.models, start=1):
             lines.append(f"model {i}:")
-            for atom in model:
-                lines.append(f"  {atom}")
+            lines.extend(map(indented.__getitem__, model))
             if self.semantics == "wf":
                 for atom in self.negatives or []:
                     lines.append(f"  not {atom}")
@@ -95,12 +122,24 @@ class SolveReport:
 _NEWLINE = tuple("\n" + "  " * depth for depth in range(5))
 
 
-def _json_array(items: list[str], depth: int) -> str:
+def _json_array(items: Iterable[str], depth: int, item: bool = False) -> str:
     """`json.dumps(indent=2)`'s layout of an array at `depth` whose items
-    are already encoded, each after its own `_NEWLINE[depth + 1]`."""
-    if not items:
-        return "[]"
-    return "[" + ",".join(items) + _NEWLINE[depth] + "]"
+    are already encoded, each after its own `_NEWLINE[depth + 1]`. As an
+    `item` of an enclosing array, it comes after its own line break."""
+    lead = _NEWLINE[depth] if item else ""
+    body = ",".join(items)
+    return f"{lead}[{body}{_NEWLINE[depth]}]" if body else lead + "[]"
+
+
+def _nd_json(nd: NdAtom, depth: int) -> str:
+    """An NdAtom's array of atom texts as an item at `depth`."""
+    return _json_array([_NEWLINE[depth + 1] + _encode(a.text) for a in nd.atoms], depth,
+                       item=True)
+
+
+def _nd_arrays(nd_atoms: list[NdAtom]) -> str:
+    """An array of NdAtoms at depth 1."""
+    return _json_array([_nd_json(nd, 2) for nd in nd_atoms], 1)
 
 
 def _answer_sets_json(answer_sets: list[list[AnswerSet]]) -> str:
@@ -112,12 +151,12 @@ def _answer_sets_json(answer_sets: list[list[AnswerSet]]) -> str:
         rows = []
         for s in sets:
             if s.table not in encoded:
-                encoded[s.table] = [[_NEWLINE[4] + json.dumps(t) for t in texts]
+                encoded[s.table] = [[_NEWLINE[4] + _encode(t) for t in texts]
                                     for texts in (s.table.texts, s.table.nots)]
             texts, nots = encoded[s.table]
             entries = [*map(texts.__getitem__, s.pos), *map(nots.__getitem__, s.neg)]
-            rows.append(_NEWLINE[3] + _json_array(entries, 3))
-        models.append(_NEWLINE[2] + _json_array(rows, 2))
+            rows.append(_json_array(entries, 3, item=True))
+        models.append(_json_array(rows, 2, item=True))
     return _json_array(models, 1)
 
 
@@ -146,39 +185,39 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
         rule_count=len(gp.rules),
         base_size=len(gp.base),
     )
-    models: list = []
+    # each model as the ids of its positive and negative NdAtoms, which
+    # index the compiled program's atoms in key order
+    compiled = gp.compiled
+    atom = compiled.atoms.__getitem__
+    models: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     if args.semantics == "least":
         if not program.is_positive():
             raise NdlpError(
                 "least-model semantics is defined for negation-free programs; "
                 "use --semantics stable or wf"
             )
-        models = [least_model(gp)]
-        report.models = [list(sort_nd_atoms(m)) for m in models]
+        models = [(compiled.ids(compiled.least()), ())]
     elif args.semantics == "stable":
         result = enumerate_stable(gp, max_models=args.max_models)
-        models = list(result.models)
-        report.models = [list(sort_nd_atoms(m)) for m in models]
+        models = [(ids, ()) for ids in result.ids]
         report.truncated |= result.truncated
         if result.truncated:
             print("model enumeration truncated by --max-models", file=sys.stderr)
     else:  # wf
-        wf_model = well_founded_model(gp)
-        models = [wf_model]
-        report.models = [list(sort_nd_atoms(wf_model.pos))]
-        report.negatives = list(sort_nd_atoms(wf_model.neg))
-        report.undefined = list(
-            sort_nd_atoms(gp.base_set - wf_model.pos - wf_model.neg)
-        )
-        report.total = not report.undefined
+        true, false = compiled.well_founded()
+        models = [(compiled.ids(true), compiled.ids(false))]
+        undefined = compiled.ids(not (t or f) for t, f in zip(true, false))
+        report.negatives = list(map(atom, models[0][1]))
+        report.undefined = list(map(atom, undefined))
+        report.total = not undefined
+    report.models = [list(map(atom, pos)) for pos, _ in models]
 
     if want_answer_sets:
         report.answer_sets = []
         truncated = False
-        for model in models:
-            expansion = expand(
-                model, cap=args.max_answer_sets, subset_minimal=args.subset_minimal
-            )
+        for pos, neg in models:
+            expansion = expand_ids(compiled.table, pos, neg, cap=args.max_answer_sets,
+                                   subset_minimal=args.subset_minimal)
             report.answer_sets.append(list(expansion.answer_sets))
             truncated |= expansion.truncated
         report.truncated |= truncated

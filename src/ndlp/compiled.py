@@ -21,12 +21,20 @@ stable search decides and undoes on one propagator, and its root
 propagation is the well-founded model. The object-level operators in
 `positive`, `stable` and `wf` stay as the references the tests check this
 form against.
+
+Since the base is interned in key order, a model's sorted index tuple is
+already its canonical order. The least and well-founded models come out as
+truth flags and stable models as index tuples; the library decodes them to
+NdAtom sets, while the command line renders and expands the indices
+through the program's one `AtomTable`, built on first use.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Iterable
+from functools import cached_property
+from itertools import chain, compress
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from .syntax import NdAtom, Rule
 
@@ -36,6 +44,28 @@ OPEN, OUT, IN = 0, 1, 2
 # Trail entries are `atom << 2 | kind`: the atom was assigned, entered the
 # lower bound, or left the upper bound.
 ASSIGNED, LOWERED, UNFOUNDED = 0, 1, 2
+
+# Byte translation swapping 0/1 truth flags.
+_COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+class AtomTable:
+    """The member atoms of a sequence of NdAtoms in key order, with each
+    one's text and signed "not" text, and each NdAtom's members as ranks
+    into them. Ranks follow key order, so sorting them sorts the atoms."""
+
+    def __init__(self, nd_atoms: Sequence[NdAtom]):
+        # in NdAtom order the members come nearly sorted, which the sort
+        # finds in linear time; a set would shuffle them
+        unique = dict.fromkeys(chain.from_iterable(map(attrgetter("atoms"), nd_atoms)))
+        self.atoms = atoms = tuple(sorted(unique, key=attrgetter("key")))
+        self.texts = tuple(map(attrgetter("text"), atoms))
+        rank = dict(zip(atoms, range(len(atoms))))
+        self.members = tuple([tuple(map(rank.__getitem__, nd.atoms)) for nd in nd_atoms])
+
+    @cached_property
+    def nots(self) -> tuple[str, ...]:
+        return tuple(map("not ".__add__, self.texts))
 
 
 class CompiledProgram:
@@ -100,6 +130,27 @@ class CompiledProgram:
                         derived[head] = 1
                         stack.append(head)
         return derived
+
+    def least(self) -> bytearray:
+        """Truth flags of the least model of a negation-free program: the
+        reduct model against the empty interpretation, which blocks no rule."""
+        return self.reduct_model(bytes(self.n))
+
+    def well_founded(self) -> tuple[bytes, bytes]:
+        """Truth flags of the well-founded model's true and false sets: the
+        lower bound of the all-open propagation, which never conflicts, and
+        the complement of its upper bound."""
+        state = Propagator(self)
+        return bytes(state.lower), state.upper.translate(_COMPLEMENT)
+
+    @cached_property
+    def table(self) -> AtomTable:
+        """The base's atom table; NdAtom i has the member ranks `members[i]`."""
+        return AtomTable(self.atoms)
+
+    def ids(self, flags: Iterable) -> tuple[int, ...]:
+        """The indices of the set flags, in key order."""
+        return tuple(compress(range(self.n), flags))
 
     def decode(self, flags: bytes) -> frozenset[NdAtom]:
         return frozenset(compress(self.atoms, flags))

@@ -151,6 +151,10 @@ def _ground_atom(atom: Atom, env: dict[str, Term]) -> Atom | None:
 
 
 def _ground_nd(pattern: NdAtom, env: dict[str, Term]) -> NdAtom | None:
+    if len(pattern.atoms) == 1:
+        # one member is canonical as built
+        ground = _ground_atom(pattern.atoms[0], env)
+        return None if ground is None else NdAtom((ground,))
     atoms = []
     for atom in pattern:
         ground = _ground_atom(atom, env)
@@ -306,6 +310,8 @@ class _Source:
     def __init__(self, rule: Rule, names: list[str]):
         self.rule = rule
         self.names = names
+        # (name, is a time variable) per variable, for the rank key in `emit`
+        self.ranked = [(name, is_time_variable(name)) for name in names]
         self.fixed = None if names else _fixed_instance(rule)
         self.needs = [] if self.fixed is None else list(self.fixed.positive_body())
         self.missing = len(self.needs)
@@ -434,10 +440,12 @@ class _Instantiator:
                 yield rest
 
     def emit(self, source: _Source, env: dict[str, Term]) -> None:
+        rank = self.rank
         full = dict(env)
         for values in product(*(self.domain(name) for name in source.free)):
             full.update(zip(source.free, values))
-            key = tuple(self.rank_of(name, full[name]) for name in source.names)
+            key = tuple([full[name].value if timed else rank[full[name]]
+                         for name, timed in source.ranked])
             if key in source.instances:
                 continue
             instance = _ground_instance(source.rule, full, source.matched)
@@ -456,9 +464,6 @@ class _Instantiator:
         if self.time_domain is None:
             self.time_domain = [Integer(t) for t in range(self.horizon + 1)]
         return self.time_domain
-
-    def rank_of(self, name: str, value: Term) -> int:
-        return value.value if self.time[name] else self.rank[value]
 
     def rules(self) -> Iterable[Rule]:
         """Each source rule's instances in product order, first-wins."""

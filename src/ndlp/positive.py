@@ -69,10 +69,9 @@ def tp_step(gp: GroundProgram, interp: Interpretation) -> Interpretation:
 
 
 def least_model(gp: GroundProgram) -> Interpretation:
-    """The least fixpoint of the one-step operator: the compiled program's
-    reduct model against the empty interpretation, which blocks no rule;
-    `lfp` is the reference."""
+    """The least fixpoint of the one-step operator, decoded from the
+    compiled program's flags; `lfp` is the reference."""
     program = gp.compiled
     if program.negated:
         raise EvaluationError(_NOT_POSITIVE)
-    return program.decode(program.reduct_model(bytes(program.n)))
+    return program.decode(program.least())

@@ -11,14 +11,16 @@ decision costs the rules that read what it settles, not a whole fixpoint.
 This changes nothing about the result set but makes planning-sized
 programs tractable. At the root that propagation is the well-founded
 model, so every stable model lies above it. The output is sorted, so it is
-independent of exploration order."""
+independent of exploration order. Each model is kept as the sorted indices
+of its NdAtoms in the compiled program, which is also its sort key, and is
+decoded to a set of NdAtoms only when `StableModels.models` is read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .compiled import IN, OUT, Propagator
+from .compiled import IN, OUT, CompiledProgram, Propagator
 from .grounder import GroundProgram
 from .positive import Interpretation, lfp
 from .syntax import Rule
@@ -54,18 +56,35 @@ def tprime_step(gp: GroundProgram, interp: Interpretation) -> Interpretation:
     return frozenset(derived)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StableModels:
-    """Search result; `truncated` is set when the model cap cut it short."""
+    """Search result: each model as the sorted indices of its NdAtoms in
+    `program`, in canonical order; `truncated` is set when the model cap cut
+    the search short. Results are equal when their models and flags are."""
 
-    models: tuple[Interpretation, ...]
+    ids: tuple[tuple[int, ...], ...]
     truncated: bool
+    program: CompiledProgram = field(repr=False)
+
+    @cached_property
+    def models(self) -> tuple[Interpretation, ...]:
+        """The models as sets of NdAtoms, decoded on first use."""
+        atoms = self.program.atoms
+        return tuple(frozenset(map(atoms.__getitem__, ids)) for ids in self.ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, StableModels):
+            return NotImplemented
+        return (self.models, self.truncated) == (other.models, other.truncated)
+
+    def __hash__(self) -> int:
+        return hash((self.models, self.truncated))
 
     def __iter__(self):
         return iter(self.models)
 
     def __len__(self):
-        return len(self.models)
+        return len(self.ids)
 
 
 def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> StableModels:
@@ -118,8 +137,7 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
     # guard: each model is the least model of its own reduct, one batch
     # fixpoint per model; holds by construction. Leaves differ on
     # some pivot, so the models are distinct. Atoms are interned in base
-    # order, which is key order, so sorting by the sorted atom indices is
-    # the canonical order of the decoded models.
-    kept = [flags for flags in found if program.reduct_model(flags) == flags]
-    kept.sort(key=lambda flags: tuple(compress(range(program.n), flags)))
-    return StableModels(models=tuple(map(program.decode, kept)), truncated=truncated)
+    # order, which is key order, so the sorted index tuples are in the
+    # canonical order of the decoded models.
+    ids = sorted(program.ids(flags) for flags in found if program.reduct_model(flags) == flags)
+    return StableModels(ids=tuple(ids), truncated=truncated, program=program)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .compiled import Propagator
 from .errors import InconsistencyError
 from .grounder import GroundProgram
 from .syntax import NdAtom, sort_nd_atoms
@@ -125,15 +124,11 @@ def wp_step(gp: GroundProgram, interp: PartialInterpretation) -> PartialInterpre
 
 
 def well_founded_model(gp: GroundProgram) -> PartialInterpretation:
-    """The stable search's root propagation, a `compiled.Propagator` over
-    the all-open assignment, which never conflicts: the lower bound is the
-    true set and the base less the upper bound the false set. This is Van
-    Gelder's alternating fixpoint one forced atom at a time, each costing
-    only the rules that read it, and equal to the fixpoint of W, which the
-    tests iterate as the reference."""
+    """The stable search's root propagation, decoded from the compiled
+    program's flags (`CompiledProgram.well_founded`). This is Van Gelder's
+    alternating fixpoint one forced atom at a time, each costing only the
+    rules that read it, and equal to the fixpoint of W, which the tests
+    iterate as the reference."""
     program = gp.compiled
-    state = Propagator(program)
-    return PartialInterpretation(
-        pos=program.decode(state.lower),
-        neg=frozenset(a for a, flag in zip(program.atoms, state.upper) if not flag),
-    )
+    true, false = program.well_founded()
+    return PartialInterpretation(pos=program.decode(true), neg=program.decode(false))
