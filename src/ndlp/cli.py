@@ -10,6 +10,9 @@ stable semantics), 2 on usage, parse, or grounding errors. Reports are
 deterministic for a fixed input and flag set; the JSON form is byte-stable,
 with timing kept off it and on stderr.
 
+The argparse parser is built once per process. The ground rules are
+spelled out only for `ground` and `--dump-ground`.
+
 From the search to the report a model stays the sorted indices of its
 NdAtoms in the compiled program, whose atoms are in key order: the report's
 NdAtom lists index them with no sort, and answer sets expand over the
@@ -20,6 +23,7 @@ and lays out its JSON arrays itself.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -180,14 +184,14 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
     if args.dump_ground:
         sys.stdout.write(str(gp))
 
-    report = SolveReport(
-        semantics=args.semantics,
-        rule_count=len(gp.rules),
-        base_size=len(gp.base),
-    )
     # each model as the ids of its positive and negative NdAtoms, which
     # index the compiled program's atoms in key order
     compiled = gp.compiled
+    report = SolveReport(
+        semantics=args.semantics,
+        rule_count=len(compiled.heads),
+        base_size=compiled.n,
+    )
     atom = compiled.atoms.__getitem__
     models: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     if args.semantics == "least":
@@ -263,7 +267,9 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's one parser, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="ndlp", description="solver for non-deterministic logic programs"
     )

@@ -1,9 +1,10 @@
 """The compiled ground program that every solver runs on.
 
-NdAtoms are interned to ints in restricted-base order and each rule
-becomes a head int plus tuples of its positive and negated body ints, with
-per-atom lists of the rules that use the atom positively, that negate it
-and that define it. One batch fixpoint, `reduct_model`, gives the least
+NdAtoms are ints in restricted-base order and each rule is a head int plus
+tuples of its positive and negated body ints, which the grounder emits
+directly (`make_ground_program` derives them from `Rule`s), with per-atom
+lists of the rules that use the atom positively, that negate it and that
+define it. One batch fixpoint, `reduct_model`, gives the least
 model of the reduct against a 0/1 interpretation in time linear in the
 program: against the empty interpretation it is the least model of a
 negation-free program, and a model that equals its own is stable.
@@ -36,7 +37,7 @@ from itertools import chain, compress
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .syntax import NdAtom, Rule
+from .syntax import NdAtom
 
 # Truth assignment codes of the propagator's negated atoms.
 OPEN, OUT, IN = 0, 1, 2
@@ -71,31 +72,23 @@ class AtomTable:
 class CompiledProgram:
     """Int form of a ground program over its restricted base."""
 
-    def __init__(self, rules: Iterable[Rule], base: Iterable[NdAtom]):
-        self.atoms: list[NdAtom] = list(base)
-        self.n = len(self.atoms)
-        self.index = {a: i for i, a in enumerate(self.atoms)}
-        # rule r is heads[r] :- pos[r], not neg[r]
-        self.heads: list[int] = []
-        self.pos: list[tuple[int, ...]] = []
-        self.neg: list[tuple[int, ...]] = []
-        self.watchers: list[list[int]] = [[] for _ in range(self.n)]
-        self.neg_occ: list[list[int]] = [[] for _ in range(self.n)]
-        self.defining: list[list[int]] = [[] for _ in range(self.n)]
-        index = self.index
-        for ridx, rule in enumerate(rules):
-            pos = tuple(dict.fromkeys(index[b] for b in rule.positive_body()))
-            neg = tuple(dict.fromkeys(index[b] for b in rule.negative_body()))
-            head = index[rule.head]
-            self.heads.append(head)
-            self.pos.append(pos)
-            self.neg.append(neg)
+    def __init__(self, atoms: Sequence[NdAtom], heads: list[int],
+                 pos: list[tuple[int, ...]], neg: list[tuple[int, ...]]):
+        """Rule r is heads[r] :- pos[r], not neg[r], over `atoms`, the base
+        in key order; no body tuple repeats an id."""
+        self.atoms: tuple[NdAtom, ...] = tuple(atoms)
+        self.n = n = len(self.atoms)
+        self.heads, self.pos, self.neg = heads, pos, neg
+        self.watchers: list[list[int]] = [[] for _ in range(n)]
+        self.neg_occ: list[list[int]] = [[] for _ in range(n)]
+        self.defining: list[list[int]] = [[] for _ in range(n)]
+        for ridx, (head, body, negated) in enumerate(zip(heads, pos, neg)):
             self.defining[head].append(ridx)
-            for b in pos:
+            for b in body:
                 self.watchers[b].append(ridx)
-            for m in neg:
+            for m in negated:
                 self.neg_occ[m].append(ridx)
-        self.pos_len = [len(pos) for pos in self.pos]
+        self.pos_len = list(map(len, pos))
         self.negated = [m for m, occ in enumerate(self.neg_occ) if occ]
         self.bodiless = [ridx for ridx, size in enumerate(self.pos_len) if not size]
 

@@ -26,6 +26,13 @@ as written and never joined: each counts down its positive body literals
 and derives its head once the NdAtom of the last of them is taken off the
 queue. A program without variables is grounded in one pass.
 
+Grounding goes straight into the compiled program, interning as gringo
+does: an instance is the ids of its head and of its positive and negated
+body NdAtoms. Heads and negated literals are grounded to a key, their
+members' `(pred, args)` in pattern order, and an NdAtom is built only for a
+key not met before. One sort renumbers the ids to key order, and the
+`Rule` objects are spelled out only when `GroundProgram.rules` is read.
+
 All semantics downstream operate over the *restricted* non-deterministic
 base: the NdAtoms that occur somewhere in the ground rules. NdAtoms outside
 it are false (total semantics) or negative (well-founded) by convention and
@@ -34,10 +41,9 @@ never enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Sequence
+from itertools import product, repeat
+from typing import Callable, Iterable
 
 from .compiled import CompiledProgram
 from .errors import GroundingError
@@ -60,23 +66,23 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
 class GroundProgram:
-    """A variable-free program plus its restricted base in key order; the
-    solvers intern the base in that order and sort their models by it."""
+    """A variable-free program in the compiled form the solvers run on, over
+    its restricted base in key order, by which the solvers sort their
+    models. Its rules are spelled out as `Rule` objects on first read."""
 
-    rules: tuple[Rule, ...]
-    base: tuple[NdAtom, ...]
+    def __init__(self, compiled: CompiledProgram, spell: Callable[[], tuple[Rule, ...]]):
+        self.compiled = compiled
+        self.base: tuple[NdAtom, ...] = compiled.atoms
+        self._spell = spell
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        return self._spell()
 
     @cached_property
     def base_set(self) -> frozenset[NdAtom]:
         return frozenset(self.base)
-
-    @cached_property
-    def compiled(self) -> CompiledProgram:
-        """The int form the solvers run on, built on first use so that
-        grounding alone never pays for it."""
-        return CompiledProgram(self.rules, self.base)
 
     def __str__(self) -> str:
         return "".join(f"{rule}\n" for rule in self.rules)
@@ -93,9 +99,17 @@ def restricted_base(rules: Iterable[Rule]) -> tuple[NdAtom, ...]:
 
 
 def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
-    """Wrap already-ground rules with their restricted base."""
+    """Compile already-ground rules over their restricted base."""
     rules = tuple(rules)
-    return GroundProgram(rules=rules, base=restricted_base(rules))
+    base = restricted_base(rules)
+    index = {nd: i for i, nd in enumerate(base)}
+    compiled = CompiledProgram(
+        base,
+        [index[rule.head] for rule in rules],
+        [tuple(dict.fromkeys(map(index.__getitem__, rule.positive_body()))) for rule in rules],
+        [tuple(dict.fromkeys(map(index.__getitem__, rule.negative_body()))) for rule in rules],
+    )
+    return GroundProgram(compiled, lambda: rules)
 
 
 def program_constants(program: Program) -> tuple[Term, ...]:
@@ -145,60 +159,34 @@ def _ground_args(terms: tuple[Term, ...], env: dict[str, Term]) -> tuple[Term, .
     return tuple(args)
 
 
-def _ground_atom(atom: Atom, env: dict[str, Term]) -> Atom | None:
+def _ground_member(atom: Atom, env: dict[str, Term]) -> tuple[str, tuple[Term, ...]] | None:
+    """A member atom under `env` as its key, `(pred, args)`, built without
+    an `Atom`; None when its arithmetic is not defined."""
     args = _ground_args(atom.args, env)
-    return None if args is None else Atom(atom.pred, args)
+    return None if args is None else (atom.pred, args)
 
 
-def _ground_nd(pattern: NdAtom, env: dict[str, Term]) -> NdAtom | None:
-    if len(pattern.atoms) == 1:
-        # one member is canonical as built
-        ground = _ground_atom(pattern.atoms[0], env)
-        return None if ground is None else NdAtom((ground,))
-    atoms = []
-    for atom in pattern:
-        ground = _ground_atom(atom, env)
-        if ground is None:
-            return None
-        atoms.append(ground)
-    return canonicalize(atoms)
+def _holds(test: Atom, env: dict[str, Term]) -> bool:
+    """Whether a comparison holds under `env`; False when its arithmetic is
+    not defined."""
+    member = _ground_member(test, env)
+    return member is not None and (member[1][0] == member[1][1]) == (test.pred == "==")
 
 
-def _ground_instance(rule: Rule, env: dict[str, Term],
-                     matched: Sequence[NdAtom] = ()) -> Rule | None:
-    """One ground instance, or None when arithmetic fails or a comparison is
-    false. True comparisons are removed from the body. When `matched` is
-    given, the positive body set-atoms other than comparisons are taken from
-    it, in order, as the join matched them, instead of being grounded."""
-    head = _ground_nd(rule.head, env)
-    if head is None:
-        return None
-    taken = iter(matched)
-    body: list[Literal] = []
-    for lit in rule.body:
-        builtin = lit.atom.atoms[0].is_builtin()
-        if matched and not lit.negated and not builtin:
-            body.append(Literal(next(taken)))
-            continue
-        nd = _ground_nd(lit.atom, env)
-        if nd is None:
-            return None
-        if builtin:
-            left, right = nd.atoms[0].args
-            holds = (left == right) if nd.atoms[0].pred == "==" else (left != right)
-            if not holds:
-                return None
-            continue
-        body.append(Literal(nd, lit.negated))
-    return Rule(head=head, body=tuple(body), origin=rule.origin)
+def _is_test(lit: Literal) -> bool:
+    return lit.atom.atoms[0].is_builtin()
 
 
 def _fixed_instance(rule: Rule) -> Rule | None:
     """The one instance of a rule without variables: the rule itself unless
-    a comparison must be evaluated."""
-    if any(lit.atom.atoms[0].is_builtin() for lit in rule.body):
-        return _ground_instance(rule, {})
-    return rule
+    a comparison must be evaluated, then the rule less its comparisons, or
+    None when one of them is false."""
+    tests = [lit.atom.atoms[0] for lit in rule.body if _is_test(lit)]
+    if not tests:
+        return rule
+    if not all(_holds(test, {}) for test in tests):
+        return None
+    return Rule(rule.head, tuple(lit for lit in rule.body if not _is_test(lit)), rule.origin)
 
 
 def _undo(env: dict[str, Term], trail: list[str], mark: int) -> None:
@@ -300,12 +288,14 @@ def _signature(nd: NdAtom) -> frozenset[str]:
 class _Source:
     """One source rule during instantiation: the positive body literals its
     instances are joined on, each with the variables of its members and the
-    NdAtom it is matched to in the join under way, the variables no such
-    literal binds, and the instances found, keyed by the ranks of their
-    values in product order (None marks an instance whose comparison or
-    arithmetic failed). A rule without variables has its one instance fixed
-    up front and, instead of join literals, the NdAtoms of its positive body
-    literals, `missing` of which are still to be taken off the queue."""
+    id of the NdAtom it is matched to in the join under way, the variables
+    no such literal binds, and the instances found, keyed by the ranks of
+    their values in product order. An instance is the ids of its head,
+    positive body and negated body, in body order; None marks one whose
+    comparison or arithmetic failed. `layout` tells, per body literal left
+    in an instance, whether it is negated. A rule without variables has its
+    one instance, keyed (), fixed up front, and `missing` of its positive
+    body literals still to be taken off the queue."""
 
     def __init__(self, rule: Rule, names: list[str]):
         self.rule = rule
@@ -313,17 +303,21 @@ class _Source:
         # (name, is a time variable) per variable, for the rank key in `emit`
         self.ranked = [(name, is_time_variable(name)) for name in names]
         self.fixed = None if names else _fixed_instance(rule)
-        self.needs = [] if self.fixed is None else list(self.fixed.positive_body())
-        self.missing = len(self.needs)
-        body = [nd for nd in rule.positive_body() if names and not nd.atoms[0].is_builtin()]
+        self.missing = 0
+        self.tests = [lit.atom.atoms[0] for lit in rule.body if _is_test(lit)]
+        kept = [lit for lit in rule.body if not _is_test(lit)]
+        self.layout = [lit.negated for lit in kept]
+        # the set-atoms each instance grounds: its head, then its negated literals
+        self.grounded = [rule.head] + [lit.atom for lit in kept if lit.negated]
         self.joins: list[tuple[NdAtom, list[set[str]], set[str]]] = []
-        for nd in body:
-            per_member = [atom.variables() for atom in nd]
-            self.joins.append((nd, per_member, set().union(*per_member)))
-        self.matched: list[NdAtom | None] = [None] * len(body)
+        for lit in kept:
+            if names and not lit.negated:
+                per_member = [atom.variables() for atom in lit.atom]
+                self.joins.append((lit.atom, per_member, set().union(*per_member)))
+        self.matched = [0] * len(self.joins)
         joined = {n for _, _, bound in self.joins for n in bound}
         self.free = [name for name in names if name not in joined]
-        self.instances: dict[tuple[int, ...], Rule | None] = {}
+        self.instances: dict[tuple[int, ...], tuple | None] = {}
 
 
 class _Instantiator:
@@ -344,19 +338,29 @@ class _Instantiator:
             name: is_time_variable(name) for source in sources for name in source.names
         }
         self.time_domain: list[Term] | None = None
-        self.derived: set[NdAtom] = set()
-        self.queue: list[NdAtom] = []
-        self.by_signature: dict[tuple[frozenset[str], int], list[NdAtom]] = {}
-        self.by_argument: dict[tuple[str, int, Term], list[NdAtom]] = {}
-        # NdAtom -> the rules without variables still waiting for it
-        self.waiting: dict[NdAtom, list[_Source]] = {}
+        self.atoms: list[NdAtom] = []
+        self.ids: dict[NdAtom, int] = {}
+        self.by_key: dict[tuple, int] = {}
+        self.members: dict[tuple, Atom] = {}  # (pred, args) -> the atom built
+        self.derived: set[int] = set()
+        self.queue: list[int] = []
+        self.by_signature: dict[tuple[frozenset[str], int], list[int]] = {}
+        self.by_argument: dict[tuple[str, int, Term], list[int]] = {}
+        # NdAtom id -> the rules without variables still waiting for it
+        self.waiting: dict[int, list[_Source]] = {}
         # (signature, size) -> (source, join literal position, the other
         # positions), for each signature and size of NdAtom the join
         # literal can match
         self.triggers: dict[tuple[frozenset[str], int], list[tuple[_Source, int, list[int]]]] = {}
         for source in sources:
-            for nd in source.needs:
-                self.waiting.setdefault(nd, []).append(source)
+            if source.fixed is not None:
+                rule = source.fixed
+                needs = tuple(map(self.intern_written, rule.positive_body()))
+                negated = tuple(map(self.intern_written, rule.negative_body()))
+                source.instances[()] = (self.intern_written(rule.head), needs, negated)
+                source.missing = len(needs)
+                for i in needs:
+                    self.waiting.setdefault(i, []).append(source)
             for pos, (nd, _, _) in enumerate(source.joins):
                 rest = [i for i in range(len(source.joins)) if i != pos]
                 signature = _signature(nd)
@@ -371,34 +375,36 @@ class _Instantiator:
     def run(self) -> None:
         for source in self.sources:
             if source.fixed is not None and not source.missing:
-                self.derive(source.fixed.head)
+                self.derive(source.instances[()][0])
             elif source.names and not source.joins:
                 self.emit(source, {})
+        atoms = self.atoms
         env: dict[str, Term] = {}
         trail: list[str] = []
         while self.queue:
-            nd = self.queue.pop()
-            for source in self.waiting.pop(nd, ()):
+            i = self.queue.pop()
+            for source in self.waiting.pop(i, ()):
                 source.missing -= 1
                 if not source.missing:
-                    self.derive(source.fixed.head)
+                    self.derive(source.instances[()][0])
+            nd = atoms[i]
             key = (_signature(nd), len(nd))
-            self.index(nd, key)
+            self.index(i, nd, key)
             for source, pos, rest in self.triggers.get(key, ()):
                 pattern, names, _ = source.joins[pos]
-                source.matched[pos] = nd
+                source.matched[pos] = i
                 for _ in _bind_nd(pattern, names, nd, env, trail, self.admits):
                     self.join(source, rest, env, trail)
 
-    def index(self, nd: NdAtom, key: tuple[frozenset[str], int]) -> None:
-        self.by_signature.setdefault(key, []).append(nd)
+    def index(self, i: int, nd: NdAtom, key: tuple[frozenset[str], int]) -> None:
+        self.by_signature.setdefault(key, []).append(i)
         if len(nd) == 1:
             atom = nd.atoms[0]
-            for i, value in enumerate(atom.args):
-                self.by_argument.setdefault((atom.pred, i, value), []).append(nd)
+            for position, value in enumerate(atom.args):
+                self.by_argument.setdefault((atom.pred, position, value), []).append(i)
 
-    def candidates(self, pattern: NdAtom, env: dict[str, Term]) -> Iterable[NdAtom]:
-        """Indexed NdAtoms the pattern might ground to under `env`."""
+    def candidates(self, pattern: NdAtom, env: dict[str, Term]) -> Iterable[int]:
+        """Ids of the indexed NdAtoms the pattern might ground to under `env`."""
         if len(pattern) == 1:
             atom = pattern.atoms[0]
             for i, arg in enumerate(atom.args):
@@ -409,7 +415,7 @@ class _Instantiator:
                     return self.by_argument.get((atom.pred, i, value), ())
             return self.by_signature.get((_signature(pattern), 1), ())
         signature = _signature(pattern)
-        found: list[NdAtom] = []
+        found: list[int] = []
         for size in range(len(signature), len(pattern) + 1):
             found += self.by_signature.get((signature, size), ())
         return found
@@ -434,29 +440,67 @@ class _Instantiator:
         pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][2]))
         rest = [i for i in todo if i != pick]
         pattern, names, _ = source.joins[pick]
-        for nd in self.candidates(pattern, env):
-            source.matched[pick] = nd
-            for _ in _bind_nd(pattern, names, nd, env, trail, self.admits):
+        atoms = self.atoms
+        for i in self.candidates(pattern, env):
+            source.matched[pick] = i
+            for _ in _bind_nd(pattern, names, atoms[i], env, trail, self.admits):
                 yield rest
 
     def emit(self, source: _Source, env: dict[str, Term]) -> None:
         rank = self.rank
         full = dict(env)
+        pos = tuple(source.matched)
         for values in product(*(self.domain(name) for name in source.free)):
             full.update(zip(source.free, values))
             key = tuple([full[name].value if timed else rank[full[name]]
                          for name, timed in source.ranked])
             if key in source.instances:
                 continue
-            instance = _ground_instance(source.rule, full, source.matched)
+            instance = self.instance(source, full, pos)
             source.instances[key] = instance
             if instance is not None:
-                self.derive(instance.head)
+                self.derive(instance[0])
 
-    def derive(self, nd: NdAtom) -> None:
-        if nd not in self.derived:
-            self.derived.add(nd)
-            self.queue.append(nd)
+    def instance(self, source: _Source, env: dict[str, Term], pos: tuple[int, ...]):
+        """One instance with the positive body `pos` from the join, or None
+        when arithmetic fails or a comparison is false. Comparisons are
+        evaluated, and every key grounded, before anything is interned, so
+        an instance dropped interns nothing."""
+        for test in source.tests:
+            if not _holds(test, env):
+                return None
+        keys = [tuple(map(_ground_member, pattern.atoms, repeat(env)))
+                for pattern in source.grounded]
+        if any(None in key for key in keys):
+            return None
+        head, *negated = map(self.intern, keys)
+        return head, pos, tuple(negated)
+
+    def intern(self, key: tuple, nd: NdAtom | None = None) -> int:
+        """The id of the NdAtom whose members have the keys `key`, which is
+        `nd` when given; otherwise it is built, only for a key not met
+        before."""
+        i = self.by_key.get(key)
+        if i is None:
+            if nd is None:
+                members = self.members
+                atoms = [members.get(m) or members.setdefault(m, Atom(*m)) for m in key]
+                # one member is canonical as built
+                nd = NdAtom((atoms[0],)) if len(atoms) == 1 else canonicalize(atoms)
+            i = self.ids.get(nd)
+            if i is None:
+                i = self.ids[nd] = len(self.atoms)
+                self.atoms.append(nd)
+            self.by_key[key] = i
+        return i
+
+    def intern_written(self, nd: NdAtom) -> int:
+        return self.intern(tuple([(atom.pred, atom.args) for atom in nd.atoms]), nd)
+
+    def derive(self, i: int) -> None:
+        if i not in self.derived:
+            self.derived.add(i)
+            self.queue.append(i)
 
     def domain(self, name: str) -> Iterable[Term]:
         if not self.time[name]:
@@ -465,19 +509,40 @@ class _Instantiator:
             self.time_domain = [Integer(t) for t in range(self.horizon + 1)]
         return self.time_domain
 
-    def rules(self) -> Iterable[Rule]:
-        """Each source rule's instances in product order, first-wins."""
+    def program(self) -> GroundProgram:
+        """Each source rule's instances in product order, first-wins, over
+        the interned NdAtoms renumbered to key order by one sort. Since one
+        source rule fixes the layout of its instances, equal ids mean equal
+        rules."""
+        kept = []
         for source in self.sources:
-            if not source.names:
+            found = dict.fromkeys(map(source.instances.__getitem__, sorted(source.instances)))
+            kept += [(source, instance) for instance in found if instance is not None]
+        atoms = self.atoms
+        order = sorted(range(len(atoms)), key=[nd.key for nd in atoms].__getitem__)
+        # the inverse permutation: each old id's position in key order
+        renumbered = sorted(range(len(order)), key=order.__getitem__)
+        renumber = renumbered.__getitem__
+        compiled = CompiledProgram(
+            [atoms[old] for old in order],
+            [renumbered[head] for _, (head, _, _) in kept],
+            [tuple(dict.fromkeys(map(renumber, pos))) for _, (_, pos, _) in kept],
+            [tuple(dict.fromkeys(map(renumber, neg))) for _, (_, _, neg) in kept],
+        )
+
+        def spell() -> tuple[Rule, ...]:
+            rules = []
+            for source, (head, pos, neg) in kept:
                 if source.fixed is not None:
-                    yield source.fixed
-                continue
-            seen: set[Rule] = set()
-            for key in sorted(source.instances):
-                instance = source.instances[key]
-                if instance is not None and instance not in seen:
-                    seen.add(instance)
-                    yield instance
+                    rules.append(source.fixed)
+                    continue
+                positive, negated = iter(pos), iter(neg)
+                body = tuple(Literal(atoms[next(negated)], True) if negative
+                             else Literal(atoms[next(positive)]) for negative in source.layout)
+                rules.append(Rule(head=atoms[head], body=body, origin=source.rule.origin))
+            return tuple(rules)
+
+        return GroundProgram(compiled, spell)
 
 
 def ground(program: Program, horizon: int | None = None) -> GroundProgram:
@@ -516,4 +581,4 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
         return make_ground_program(r for r in instances if r is not None)
     instantiator = _Instantiator(rules, horizon, constants or ())
     instantiator.run()
-    return make_ground_program(instantiator.rules())
+    return instantiator.program()

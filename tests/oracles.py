@@ -2,7 +2,9 @@
 
 - `product_ground` is the Cartesian-product grounder: every rule is
   instantiated over the full domain of each variable and every instance is
-  kept. It shares only the construction of one instance with the package.
+  kept. It builds each instance itself, substituting every literal and
+  evaluating every comparison, and shares only the constants with the
+  package.
   `live_instances` filters it down to what the join-driven grounder must
   produce.
 - `enumerate_models` walks every subset of the restricted base and keeps
@@ -43,22 +45,23 @@ from typing import Iterable
 
 from ndlp.compiled import IN, OUT, CompiledProgram
 from ndlp.errors import EvaluationError, GroundingError, ParseError
-from ndlp.grounder import (
-    GroundProgram,
-    _ground_instance,
-    make_ground_program,
-    program_constants,
-)
+from ndlp.grounder import GroundProgram, make_ground_program, program_constants
 from ndlp.parser import _PUNCT
 from ndlp.positive import Interpretation, is_model, lfp
 from ndlp.stable import is_stable
 from ndlp.wf import PartialInterpretation
 from ndlp.syntax import (
+    Atom,
+    Compound,
     Integer,
+    Literal,
     NdAtom,
     Program,
     Rule,
+    Sum,
     Term,
+    Variable,
+    canonicalize,
     is_time_variable,
     sort_nd_atoms,
 )
@@ -79,6 +82,44 @@ def base_cap(default: int = DEFAULT_BASE_CAP) -> int:
 # ---------------------------------------------------------------------------
 # Grounding
 # ---------------------------------------------------------------------------
+
+def substitute(term: Term, env: dict[str, Term]) -> Term | None:
+    """A term under `env` with its sums evaluated; None when a sum's base is
+    not an integer."""
+    if isinstance(term, Variable):
+        return env[term.name]
+    if isinstance(term, Compound):
+        args = [substitute(arg, env) for arg in term.args]
+        return None if None in args else Compound(term.name, tuple(args))
+    if isinstance(term, Sum):
+        base = substitute(term.base, env)
+        return Integer(base.value + term.offset) if isinstance(base, Integer) else None
+    return term
+
+
+def ground_instance(rule: Rule, env: dict[str, Term]) -> Rule | None:
+    """One instance of `rule`, its comparisons evaluated and removed, or
+    None when arithmetic fails or a comparison is false."""
+    grounded = []
+    for nd in [rule.head] + [lit.atom for lit in rule.body]:
+        atoms = []
+        for atom in nd:
+            args = [substitute(arg, env) for arg in atom.args]
+            if None in args:
+                return None
+            atoms.append(Atom(atom.pred, tuple(args)))
+        grounded.append(canonicalize(atoms))
+    head, *body = grounded
+    literals = []
+    for lit, nd in zip(rule.body, body):
+        test = nd.atoms[0]
+        if test.is_builtin():
+            if (test.args[0] == test.args[1]) != (test.pred == "=="):
+                return None
+        else:
+            literals.append(Literal(nd, lit.negated))
+    return Rule(head=head, body=tuple(literals), origin=rule.origin)
+
 
 def product_instances(program: Program, horizon: int | None = None) -> list[list[Rule]]:
     """Per source rule, all its ground instances over the product of its
@@ -108,7 +149,7 @@ def product_instances(program: Program, horizon: int | None = None) -> list[list
         seen: set[Rule] = set()
         kept: list[Rule] = []
         for values in product(*domains):
-            instance = _ground_instance(rule, dict(zip(variables, values)))
+            instance = ground_instance(rule, dict(zip(variables, values)))
             if instance is not None and instance not in seen:
                 seen.add(instance)
                 kept.append(instance)

@@ -1,13 +1,19 @@
 """Command-line behavior: exit codes, report formats, determinism."""
 
+import functools
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import ndlp
 from ndlp.answersets import expand
-from ndlp.cli import SolveReport, _load, main
+from ndlp.cli import SolveReport, _load, build_parser, main
 from ndlp.corpus import CORPUS_NAMES, corpus_path
 from ndlp.parser import MAX_TERM_DEPTH
 from ndlp.syntax import Atom, canonicalize
@@ -487,6 +493,39 @@ class TestPinnedOutputs:
         assert code == pin["exit"]
         assert sha256(out) == pin["stdout_sha256"]
         assert sha256(untimed(err)) == pin["stderr_sha256"]
+
+
+@functools.cache
+def fresh_process(argv: tuple[str, ...]) -> tuple[int, str, str]:
+    """Exit code, stdout and untimed stderr of `ndlp` run in a new process."""
+    src = str(Path(ndlp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    done = subprocess.run([sys.executable, "-m", "ndlp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, untimed(done.stderr)
+
+
+class TestOneParser:
+    """`main` parses every call with the one parser `build_parser` built."""
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("error", [
+        ("--help",),
+        ("solve", "--max-models", "0", "x.ndlp"),
+        ("solve", "--dump-ground", "--format", "json", "x.ndlp"),
+    ], ids=["help", "bad value", "flags that conflict"])
+    def test_a_usage_error_then_a_call_match_fresh_processes(self, capsys, monkeypatch, error):
+        monkeypatch.setenv("COLUMNS", "80")
+        valid = ("solve", "--semantics", "wf", str(corpus_path("wf_partial.ndlp")))
+        for argv in (error, valid):
+            try:
+                code = main(list(argv))
+            except SystemExit as exit_:
+                code = exit_.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, untimed(captured.err)) == fresh_process(argv), argv
 
 
 class TestEnvCap:

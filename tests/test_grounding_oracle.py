@@ -13,6 +13,7 @@ import pytest
 
 from ndlp import enumerate_stable, ground, least_model, parse_program, well_founded_model
 from ndlp.corpus import corpus_text
+from ndlp.grounder import make_ground_program
 
 from conftest import random_nonground_program
 from oracles import live_instances, product_ground
@@ -50,7 +51,8 @@ COUNT_DOWN = {
 }
 
 # Positive body set-atoms are taken from the join's matches; heads, negated
-# literals and comparisons are grounded for each instance.
+# literals and comparisons are grounded for each instance, and heads and
+# negated literals interned only when the instance is kept.
 FROM_THE_JOIN = {
     "join-taken literal with coinciding members":
         "{p(X, Y)} :- {q(X), q(Y)}, {r(X)}, not {s(Y)}.\n"
@@ -69,6 +71,13 @@ FROM_THE_JOIN = {
         "{g(X, Y, Z)} :- {p(X, Y), p(X, 1), p(Z, 1)}.\n{h(X)} :- {p(X, 0), p(X, 1), p(X, 2)}.\n"
         "{p(a, 1), p(b, 1)}.\n{p(a, 0), p(a, 1), p(a, 2)}.\n{p(b, 0), p(b, 1), p(a, 2)}.\n"
         "{p(a, 1)}.\n",
+    # {s(a)} is grounded for the instance X = a, which its comparison drops
+    "dropped instance interns nothing":
+        "{p(X)} :- {r(X)}, not {s(X)}, {X != a}.\n{r(a)}.\n{r(b)}.\n",
+    # X = b, Y = a grounds the head's members out of key order
+    "multi-member head grounded out of key order":
+        "{s(Y), s(X)} :- {r(X)}, {r(Y)}.\n{u} :- {s(b), s(a)}.\n{v} :- not {s(b), s(a)}.\n"
+        "{r(a)}.\n{r(b)}.\n",
 }
 
 
@@ -77,6 +86,10 @@ def check_against_product(program, horizon, label):
     live = live_instances(program, horizon)
     assert list(gp.rules) == live, label
     assert [r.origin for r in gp.rules] == [r.origin for r in live], label
+    # the ids the grounder emits are those of the same rules compiled
+    got, want = gp.compiled, make_ground_program(live).compiled
+    for field in ("atoms", "heads", "pos", "neg"):
+        assert getattr(got, field) == getattr(want, field), label
 
     full = product_ground(program, horizon)
     if program.is_positive():

@@ -146,10 +146,11 @@ def test_compiled_stability_check_matches_reference(seed):
     program = gp.compiled
     candidates = [random_interpretations(seed, gp), frozenset(r.head for r in gp.rules)]
     candidates += brute_force_stable(gp)
+    index = {atom: i for i, atom in enumerate(program.atoms)}
     for interp in candidates:
         flags = bytearray(program.n)
         for atom in interp:
-            flags[program.index[atom]] = 1
+            flags[index[atom]] = 1
         model = program.reduct_model(flags)
         assert program.decode(model) == lfp(reduct(gp, interp)), f"seed={seed} {interp}"
         stable = model == flags
