@@ -26,10 +26,18 @@ as written and never joined: each counts down its positive body literals
 and derives its head once the NdAtom of the last of them is taken off the
 queue. A program without variables is grounded in one pass.
 
-Grounding goes straight into the compiled program, interning as gringo
-does: an instance is the ids of its head and of its positive and negated
-body NdAtoms. Heads and negated literals are grounded to a key, their
-members' `(pred, args)` in pattern order, and an NdAtom is built only for a
+Matching runs on ints, as gringo interns its terms. Within one `ground()`
+call each ground term gets an id, the program's constants first in key
+order, so an ordinary variable admits exactly the ids below their count,
+and a sum like T+1 binds and evaluates by int arithmetic on an integer's
+value. Each source rule's set-literals are compiled once to member
+patterns over these ids, and every NdAtom is keyed by its members'
+`(pred, arg ids)`; a one-member set-literal, the common case, binds by one
+direct call, not through the generator that matches wider ones.
+
+Grounding goes straight into the compiled program: an instance is the ids
+of its head and of its positive and negated body NdAtoms. Heads and
+negated literals are grounded to keys, and an NdAtom is built only for a
 key not met before. One sort renumbers the ids to key order, and the
 `Rule` objects are spelled out only when `GroundProgram.rules` is read.
 
@@ -59,7 +67,6 @@ from .syntax import (
     Sum,
     Term,
     Variable,
-    canonicalize,
     is_time_variable,
     sort_nd_atoms,
     term_variables,
@@ -133,46 +140,6 @@ def program_constants(program: Program) -> tuple[Term, ...]:
     return tuple(sorted(found, key=lambda t: t.key))
 
 
-def _substitute(term: Term, env: dict[str, Term]) -> Term | None:
-    """Apply an environment and evaluate sums. None marks an instance whose
-    arithmetic is not defined (sum base bound to a symbol)."""
-    if isinstance(term, Variable):
-        return env[term.name]
-    if isinstance(term, Compound):
-        args = _ground_args(term.args, env)
-        return None if args is None else Compound(term.name, args)
-    if isinstance(term, Sum):
-        base = _substitute(term.base, env)
-        if not isinstance(base, Integer):
-            return None
-        return Integer(base.value + term.offset)
-    return term
-
-
-def _ground_args(terms: tuple[Term, ...], env: dict[str, Term]) -> tuple[Term, ...] | None:
-    args = []
-    for term in terms:
-        value = _substitute(term, env)
-        if value is None:
-            return None
-        args.append(value)
-    return tuple(args)
-
-
-def _ground_member(atom: Atom, env: dict[str, Term]) -> tuple[str, tuple[Term, ...]] | None:
-    """A member atom under `env` as its key, `(pred, args)`, built without
-    an `Atom`; None when its arithmetic is not defined."""
-    args = _ground_args(atom.args, env)
-    return None if args is None else (atom.pred, args)
-
-
-def _holds(test: Atom, env: dict[str, Term]) -> bool:
-    """Whether a comparison holds under `env`; False when its arithmetic is
-    not defined."""
-    member = _ground_member(test, env)
-    return member is not None and (member[1][0] == member[1][1]) == (test.pred == "==")
-
-
 def _is_test(lit: Literal) -> bool:
     return lit.atom.atoms[0].is_builtin()
 
@@ -180,140 +147,69 @@ def _is_test(lit: Literal) -> bool:
 def _fixed_instance(rule: Rule) -> Rule | None:
     """The one instance of a rule without variables: the rule itself unless
     a comparison must be evaluated, then the rule less its comparisons, or
-    None when one of them is false."""
+    None when one of them is false. The parser folds `INT+INT`, so a ground
+    comparison compares its two arguments as written."""
     tests = [lit.atom.atoms[0] for lit in rule.body if _is_test(lit)]
     if not tests:
         return rule
-    if not all(_holds(test, {}) for test in tests):
+    if any((test.args[0] == test.args[1]) != (test.pred == "==") for test in tests):
         return None
     return Rule(rule.head, tuple(lit for lit in rule.body if not _is_test(lit)), rule.origin)
 
 
-def _undo(env: dict[str, Term], trail: list[str], mark: int) -> None:
+def _undo(env: dict[str, int], trail: list[str], mark: int) -> None:
     while len(trail) > mark:
         del env[trail.pop()]
 
 
-def _bind(pattern: Term, value: Term, env: dict[str, Term], trail: list[str], admits) -> bool:
-    """Extend `env` so that `pattern` grounds to `value`. Names bound on the
-    way go on the trail, also when the match fails; the caller undoes them."""
-    if isinstance(pattern, Variable):
-        bound = env.get(pattern.name)
-        if bound is not None:
-            return bound == value
-        if not admits(pattern.name, value):
-            return False
-        env[pattern.name] = value
-        trail.append(pattern.name)
-        return True
-    if isinstance(pattern, Sum):
-        return isinstance(value, Integer) and _bind(
-            pattern.base, Integer(value.value - pattern.offset), env, trail, admits
-        )
-    if isinstance(pattern, Compound):
-        return (
-            isinstance(value, Compound)
-            and value.name == pattern.name
-            and len(value.args) == len(pattern.args)
-            and all(_bind(p, v, env, trail, admits) for p, v in zip(pattern.args, value.args))
-        )
-    return pattern == value
+class _Sum:
+    """`name+offset` in a compiled pattern; the parser gives every sum a
+    variable base."""
+
+    __slots__ = ("name", "offset")
+
+    def __init__(self, name: str, offset: int):
+        self.name, self.offset = name, offset
 
 
-def _bind_atom(pattern: Atom, atom: Atom, env, trail, admits) -> bool:
-    if pattern.pred != atom.pred or len(pattern.args) != len(atom.args):
-        return False
-    for p, v in zip(pattern.args, atom.args):
-        if not _bind(p, v, env, trail, admits):
-            return False
-    return True
-
-
-def _bind_nd(pattern: NdAtom, names: list[set[str]], nd: NdAtom, env, trail, admits):
-    """Yield once per binding under which `pattern` grounds to exactly `nd`:
-    every pattern member matches some member of `nd` and every member of
-    `nd` is matched, so coinciding pattern members may collapse. Pattern
-    members are placed in order on an explicit stack, so a set-literal of
-    any width matches without recursion. A member whose variables, `names`,
-    are all bound grounds to one value, which is looked up among the members
-    of `nd` by hash instead of being tried against each of them."""
-    patterns, members = pattern.atoms, nd.atoms
-    mark = len(trail)
-    if len(patterns) == 1:
-        if len(members) == 1 and _bind_atom(patterns[0], members[0], env, trail, admits):
-            yield
-        _undo(env, trail, mark)
-        return
-    position = None  # (pred, args) of each member of nd -> its index
-    hits = [0] * len(members)
-    placed: list[tuple[int, int]] = []  # per placed pattern: member, trail mark
-    j = 0
-    while True:
-        i = len(placed)
-        if i < len(patterns) and j < len(members):
-            mark = len(trail)
-            if names[i] <= env.keys():
-                if position is None:
-                    position = {(m.pred, m.args): k for k, m in enumerate(members)}
-                atom = patterns[i]
-                k = position.get((atom.pred, _ground_args(atom.args, env)), -1)
-                if k < j:  # its one member is absent or was tried already
-                    j = len(members)
-                    continue
-                j, bound = k, True
-            else:
-                bound = _bind_atom(patterns[i], members[j], env, trail, admits)
-            if bound:
-                hits[j] += 1
-                placed.append((j, mark))
-                j = 0
-            else:
-                _undo(env, trail, mark)
-                j += 1
-            continue
-        if i == len(patterns) and all(hits):
-            yield
-        if not placed:
-            return
-        j, mark = placed.pop()  # backtrack: try the next member for it
-        hits[j] -= 1
-        _undo(env, trail, mark)
-        j += 1
-
-
-def _signature(nd: NdAtom) -> frozenset[str]:
-    return frozenset(atom.pred for atom in nd)
+def _signature(members) -> frozenset[str]:
+    return frozenset([pred for pred, _ in members])
 
 
 class _Source:
-    """One source rule during instantiation: the positive body literals its
-    instances are joined on, each with the variables of its members and the
-    id of the NdAtom it is matched to in the join under way, the variables
-    no such literal binds, and the instances found, keyed by the ranks of
-    their values in product order. An instance is the ids of its head,
-    positive body and negated body, in body order; None marks one whose
-    comparison or arithmetic failed. `layout` tells, per body literal left
-    in an instance, whether it is negated. A rule without variables has its
-    one instance, keyed (), fixed up front, and `missing` of its positive
-    body literals still to be taken off the queue."""
+    """One source rule during instantiation, its set-literals compiled to
+    member patterns `(pred, args)` (see `_Instantiator.compile`): the
+    positive body literals its instances are joined on, each with the
+    variables of its members and the id of the NdAtom it is matched to in
+    the join under way, the variables no such literal binds, and the
+    instances found, keyed by the ids their variables are bound to. An
+    instance is the ids of its head, positive body and negated body, in body
+    order; None marks one whose comparison or arithmetic failed. `layout`
+    tells, per body literal left in an instance, whether it is negated. A
+    rule without variables has its one instance, keyed (), fixed up front,
+    and `missing` of its positive body literals still to be taken off the
+    queue."""
 
-    def __init__(self, rule: Rule, names: list[str]):
+    def __init__(self, rule: Rule, names: list[str], compile: Callable):
         self.rule = rule
         self.names = names
-        # (name, is a time variable) per variable, for the rank key in `emit`
-        self.ranked = [(name, is_time_variable(name)) for name in names]
         self.fixed = None if names else _fixed_instance(rule)
         self.missing = 0
-        self.tests = [lit.atom.atoms[0] for lit in rule.body if _is_test(lit)]
         kept = [lit for lit in rule.body if not _is_test(lit)]
         self.layout = [lit.negated for lit in kept]
+        self.tests: list[tuple] = []
         # the set-atoms each instance grounds: its head, then its negated literals
-        self.grounded = [rule.head] + [lit.atom for lit in kept if lit.negated]
-        self.joins: list[tuple[NdAtom, list[set[str]], set[str]]] = []
-        for lit in kept:
-            if names and not lit.negated:
-                per_member = [atom.variables() for atom in lit.atom]
-                self.joins.append((lit.atom, per_member, set().union(*per_member)))
+        self.grounded: list[tuple] = []
+        self.joins: list[tuple[tuple, list[set[str]], set[str]]] = []
+        if names:
+            self.tests = [compile(lit.atom.atoms[0]) for lit in rule.body if _is_test(lit)]
+            self.grounded = [tuple(map(compile, nd.atoms))
+                             for nd in [rule.head] + [lit.atom for lit in kept if lit.negated]]
+            for lit in kept:
+                if not lit.negated:
+                    per_member = [atom.variables() for atom in lit.atom]
+                    self.joins.append((tuple(map(compile, lit.atom.atoms)), per_member,
+                                       set().union(*per_member)))
         self.matched = [0] * len(self.joins)
         joined = {n for _, _, bound in self.joins for n in bound}
         self.free = [name for name in names if name not in joined]
@@ -326,26 +222,36 @@ class _Instantiator:
     variables that need it, is indexed, then is matched against the join
     literals it fits; the rest of each such rule body is joined against the
     NdAtoms indexed so far. An instance is thus found when the last of its
-    positive body NdAtoms is taken off the queue."""
+    positive body NdAtoms is taken off the queue.
+
+    Matching runs on ids. Each ground term gets an id from its key: an int
+    for an Integer, a str for a Constant, `(name, arg ids)` for a Compound.
+    The program's constants come first, in key order, so a constant's id is
+    its rank and an ordinary variable admits exactly the ids below
+    `len(constants)`. A member is keyed `(pred, arg ids)`, and `keys[i]`
+    holds the members of NdAtom `i` in canonical order."""
 
     def __init__(self, rules: list[tuple[Rule, list[str]]], horizon: int | None,
                  constants: tuple[Term, ...]):
-        self.sources = sources = [_Source(rule, names) for rule, names in rules]
         self.horizon = horizon
-        self.constants = constants
-        self.rank = {term: i for i, term in enumerate(constants)}
+        self.nconst = len(constants)
+        self.terms: list[Term] = list(constants)
+        self.term_keys: list = [t.value if isinstance(t, Integer) else t.name for t in constants]
+        self.term_ids = {key: i for i, key in enumerate(self.term_keys)}
+        self.time_domain: list[int] | None = None
+        self.sources = sources = [_Source(rule, names, self.compile) for rule, names in rules]
         self.time = {
             name: is_time_variable(name) for source in sources for name in source.names
         }
-        self.time_domain: list[Term] | None = None
         self.atoms: list[NdAtom] = []
-        self.ids: dict[NdAtom, int] = {}
-        self.by_key: dict[tuple, int] = {}
-        self.members: dict[tuple, Atom] = {}  # (pred, args) -> the atom built
+        self.keys: list[tuple] = []
+        self.by_key: dict[tuple, int] = {}  # members in canonical or pattern order -> id
+        self.members: dict[tuple, Atom] = {}  # member key -> the atom built
         self.derived: set[int] = set()
         self.queue: list[int] = []
+        self.singletons: dict[str, frozenset[str]] = {}  # pred -> its one-member signature
         self.by_signature: dict[tuple[frozenset[str], int], list[int]] = {}
-        self.by_argument: dict[tuple[str, int, Term], list[int]] = {}
+        self.by_argument: dict[tuple[str, int, int], list[int]] = {}
         # NdAtom id -> the rules without variables still waiting for it
         self.waiting: dict[int, list[_Source]] = {}
         # (signature, size) -> (source, join literal position, the other
@@ -361,16 +267,178 @@ class _Instantiator:
                 source.missing = len(needs)
                 for i in needs:
                     self.waiting.setdefault(i, []).append(source)
-            for pos, (nd, _, _) in enumerate(source.joins):
+            for pos, (members, _, _) in enumerate(source.joins):
                 rest = [i for i in range(len(source.joins)) if i != pos]
-                signature = _signature(nd)
-                for size in range(len(signature), len(nd) + 1):
+                signature = _signature(members)
+                for size in range(len(signature), len(members) + 1):
                     self.triggers.setdefault((signature, size), []).append((source, pos, rest))
 
-    def admits(self, name: str, value: Term) -> bool:
+    # -- the term table --------------------------------------------------
+
+    def term_id(self, key, term: Term | None = None) -> int:
+        """The id of the ground term keyed `key`, which is `term` when given;
+        an Integer or Compound is built only for a key not met before."""
+        i = self.term_ids.get(key)
+        if i is None:
+            i = self.term_ids[key] = len(self.terms)
+            self.term_keys.append(key)
+            if term is None:
+                term = (Integer(key) if type(key) is int
+                        else Compound(key[0], tuple(map(self.terms.__getitem__, key[1]))))
+            self.terms.append(term)
+        return i
+
+    def written_id(self, term: Term) -> int:
+        if isinstance(term, Integer):
+            return self.term_id(term.value, term)
+        if isinstance(term, Compound):
+            return self.term_id((term.name, tuple(map(self.written_id, term.args))), term)
+        return self.term_id(term.name, term)
+
+    def compile(self, atom: Atom) -> tuple[str, tuple]:
+        """A member pattern `(pred, args)`. An arg is the id of a ground
+        term, the name of a variable, a `_Sum`, or `(name, args)` for a
+        compound term with variables."""
+        return atom.pred, tuple(map(self.compile_term, atom.args))
+
+    def compile_term(self, term: Term):
+        if isinstance(term, Variable):
+            return term.name
+        if isinstance(term, Sum):
+            return _Sum(term.base.name, term.offset)
+        if isinstance(term, Compound) and any(term_variables(term)):
+            return term.name, tuple(map(self.compile_term, term.args))
+        return self.written_id(term)
+
+    def ground_member(self, member: tuple, env: dict[str, int]) -> tuple | None:
+        """A head, negated or comparison member pattern under `env` as its
+        key `(pred, arg ids)`; None when its arithmetic is not defined."""
+        ids = self.ground_args(member[1], env)
+        return None if ids is None else (member[0], ids)
+
+    def ground_args(self, args: tuple, env: dict[str, int]) -> tuple[int, ...] | None:
+        """The ids of compiled args under `env`; None as above."""
+        ids = []
+        for arg in args:
+            if type(arg) is str:
+                i = env[arg]
+            elif type(arg) is int:
+                i = arg
+            elif type(arg) is _Sum:
+                value = self.term_keys[env[arg.name]]
+                if type(value) is not int:
+                    return None
+                i = self.term_id(value + arg.offset)
+            else:
+                inner = self.ground_args(arg[1], env)
+                if inner is None:
+                    return None
+                i = self.term_id((arg[0], inner))
+            ids.append(i)
+        return tuple(ids)
+
+    # -- matching --------------------------------------------------------
+
+    def bind(self, pattern: tuple, key: tuple, env: dict[str, int], trail: list[str]) -> bool:
+        """Extend `env` so that a member pattern, or a compound term's,
+        grounds to `key`. Names bound on the way go on the trail, also when
+        the match fails; the caller undoes them."""
+        args, ids = pattern[1], key[1]
+        if key[0] != pattern[0] or len(args) != len(ids):
+            return False
+        for arg, i in zip(args, ids):
+            if type(arg) is str:
+                bound = env.get(arg)
+                if bound is None:
+                    if self.time[arg]:
+                        value = self.term_keys[i]
+                        if type(value) is not int or not 0 <= value <= self.horizon:
+                            return False
+                    elif i >= self.nconst:
+                        return False
+                    env[arg] = i
+                    trail.append(arg)
+                elif bound != i:
+                    return False
+            elif type(arg) is int:
+                if arg != i:
+                    return False
+            elif type(arg) is _Sum:
+                if not self.bind_sum(arg, i, env, trail):
+                    return False
+            else:
+                value = self.term_keys[i]
+                if type(value) is not tuple or not self.bind(arg, value, env, trail):
+                    return False
+        return True
+
+    def bind_sum(self, pattern: _Sum, i: int, env: dict[str, int], trail: list[str]) -> bool:
+        """Bind `name+offset` to term `i` by int arithmetic on its value; a
+        value no variable of that kind admits binds nothing."""
+        value = self.term_keys[i]
+        if type(value) is not int:
+            return False
+        value -= pattern.offset
+        name = pattern.name
+        bound = env.get(name)
+        if bound is not None:
+            return self.term_keys[bound] == value
         if self.time[name]:
-            return isinstance(value, Integer) and 0 <= value.value <= self.horizon
-        return value in self.rank
+            if not 0 <= value <= self.horizon:
+                return False
+            i = self.term_id(value)
+        else:
+            i = self.term_ids.get(value, self.nconst)
+            if i >= self.nconst:
+                return False
+        env[name] = i
+        trail.append(name)
+        return True
+
+    def bind_nd(self, patterns: tuple, names: list[set[str]], members: tuple, env, trail):
+        """Yield once per binding under which a set-literal of two or more
+        member patterns grounds to exactly the NdAtom whose members are
+        `members`: every pattern matches some member and every member is
+        matched, so coinciding patterns may collapse. Patterns are placed in
+        order on an explicit stack, so a set-literal of any width matches
+        without recursion. A pattern whose variables, `names`, are all
+        bound grounds to one member key, which is looked up among `members`
+        by hash instead of being tried against each of them."""
+        position = None  # member key -> its index in members
+        hits = [0] * len(members)
+        placed: list[tuple[int, int]] = []  # per placed pattern: member, trail mark
+        j = 0
+        while True:
+            i = len(placed)
+            if i < len(patterns) and j < len(members):
+                mark = len(trail)
+                if names[i] <= env.keys():
+                    if position is None:
+                        position = {member: k for k, member in enumerate(members)}
+                    pred, args = patterns[i]
+                    k = position.get((pred, self.ground_args(args, env)), -1)
+                    if k < j:  # its one member is absent or was tried already
+                        j = len(members)
+                        continue
+                    j, bound = k, True
+                else:
+                    bound = self.bind(patterns[i], members[j], env, trail)
+                if bound:
+                    hits[j] += 1
+                    placed.append((j, mark))
+                    j = 0
+                else:
+                    _undo(env, trail, mark)
+                    j += 1
+                continue
+            if i == len(patterns) and all(hits):
+                yield
+            if not placed:
+                return
+            j, mark = placed.pop()  # backtrack: try the next member for it
+            hits[j] -= 1
+            _undo(env, trail, mark)
+            j += 1
 
     def run(self) -> None:
         for source in self.sources:
@@ -378,8 +446,8 @@ class _Instantiator:
                 self.derive(source.instances[()][0])
             elif source.names and not source.joins:
                 self.emit(source, {})
-        atoms = self.atoms
-        env: dict[str, Term] = {}
+        keys = self.keys
+        env: dict[str, int] = {}
         trail: list[str] = []
         while self.queue:
             i = self.queue.pop()
@@ -387,38 +455,62 @@ class _Instantiator:
                 source.missing -= 1
                 if not source.missing:
                     self.derive(source.instances[()][0])
-            nd = atoms[i]
-            key = (_signature(nd), len(nd))
-            self.index(i, nd, key)
-            for source, pos, rest in self.triggers.get(key, ()):
-                pattern, names, _ = source.joins[pos]
+            key = keys[i]
+            for source, pos, rest in self.triggers.get(self.index(i, key), ()):
+                patterns, names, _ = source.joins[pos]
                 source.matched[pos] = i
-                for _ in _bind_nd(pattern, names, nd, env, trail, self.admits):
-                    self.join(source, rest, env, trail)
+                # a one-member pattern is only triggered by one-member NdAtoms
+                if len(patterns) == 1:
+                    if self.bind(patterns[0], key[0], env, trail):
+                        self.join(source, rest, env, trail)
+                    env.clear()
+                    trail.clear()
+                else:
+                    for _ in self.bind_nd(patterns, names, key, env, trail):
+                        self.join(source, rest, env, trail)
 
-    def index(self, i: int, nd: NdAtom, key: tuple[frozenset[str], int]) -> None:
-        self.by_signature.setdefault(key, []).append(i)
-        if len(nd) == 1:
-            atom = nd.atoms[0]
-            for position, value in enumerate(atom.args):
-                self.by_argument.setdefault((atom.pred, position, value), []).append(i)
+    def signature(self, pred: str) -> frozenset[str]:
+        """The signature of a one-member NdAtom of `pred`, built once."""
+        signature = self.singletons.get(pred)
+        if signature is None:
+            signature = self.singletons[pred] = frozenset((pred,))
+        return signature
 
-    def candidates(self, pattern: NdAtom, env: dict[str, Term]) -> Iterable[int]:
-        """Ids of the indexed NdAtoms the pattern might ground to under `env`."""
-        if len(pattern) == 1:
-            atom = pattern.atoms[0]
-            for i, arg in enumerate(atom.args):
-                if all(name in env for name in term_variables(arg)):
-                    value = _substitute(arg, env)
-                    if value is None:
-                        return ()
-                    return self.by_argument.get((atom.pred, i, value), ())
-            return self.by_signature.get((_signature(pattern), 1), ())
-        signature = _signature(pattern)
-        found: list[int] = []
-        for size in range(len(signature), len(pattern) + 1):
-            found += self.by_signature.get((signature, size), ())
-        return found
+    def index(self, i: int, key: tuple) -> tuple[frozenset[str], int]:
+        """Index NdAtom `i`, whose members are `key`; return its trigger."""
+        if len(key) == 1:
+            pred, args = key[0]
+            for position, value in enumerate(args):
+                self.by_argument.setdefault((pred, position, value), []).append(i)
+            trigger = self.signature(pred), 1
+        else:
+            trigger = _signature(key), len(key)
+        self.by_signature.setdefault(trigger, []).append(i)
+        return trigger
+
+    def candidates(self, pattern: tuple, env: dict[str, int]) -> Iterable[int]:
+        """Ids of the indexed one-member NdAtoms a member pattern might
+        ground to under `env`, found by its first argument that is ground, a
+        bound variable or a sum of one."""
+        pred, args = pattern
+        for position, arg in enumerate(args):
+            if type(arg) is int:
+                value = arg
+            elif type(arg) is str:
+                value = env.get(arg)
+                if value is None:
+                    continue
+            elif type(arg) is _Sum and arg.name in env:
+                value = self.term_keys[env[arg.name]]
+                if type(value) is not int:
+                    return ()
+                value = self.term_ids.get(value + arg.offset)
+                if value is None:
+                    return ()
+            else:
+                continue
+            return self.by_argument.get((pred, position, value), ())
+        return self.by_signature.get((self.signature(pred), 1), ())
 
     def join(self, source: _Source, todo: list[int], env, trail) -> None:
         """Emit an instance for each binding of the join literals in `todo`.
@@ -437,86 +529,126 @@ class _Instantiator:
     def matches(self, source: _Source, todo: list[int], env, trail) -> Iterable[list[int]]:
         """Bind the join literal with the fewest unbound variables in every
         way `env` allows, yielding the literals still to join each time."""
-        pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][2]))
-        rest = [i for i in todo if i != pick]
-        pattern, names, _ = source.joins[pick]
-        atoms = self.atoms
-        for i in self.candidates(pattern, env):
-            source.matched[pick] = i
-            for _ in _bind_nd(pattern, names, atoms[i], env, trail, self.admits):
-                yield rest
+        if len(todo) == 1:
+            pick, rest = todo[0], []
+        else:
+            pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][2]))
+            rest = [i for i in todo if i != pick]
+        patterns, names, _ = source.joins[pick]
+        matched, keys = source.matched, self.keys
+        if len(patterns) == 1:
+            pattern = patterns[0]
+            for i in self.candidates(pattern, env):
+                mark = len(trail)
+                if self.bind(pattern, keys[i][0], env, trail):
+                    matched[pick] = i
+                    yield rest
+                _undo(env, trail, mark)
+            return
+        signature = _signature(patterns)
+        for size in range(len(signature), len(patterns) + 1):
+            for i in self.by_signature.get((signature, size), ()):
+                matched[pick] = i
+                for _ in self.bind_nd(patterns, names, keys[i], env, trail):
+                    yield rest
 
-    def emit(self, source: _Source, env: dict[str, Term]) -> None:
-        rank = self.rank
-        full = dict(env)
+    def emit(self, source: _Source, env: dict[str, int]) -> None:
         pos = tuple(source.matched)
-        for values in product(*(self.domain(name) for name in source.free)):
-            full.update(zip(source.free, values))
-            key = tuple([full[name].value if timed else rank[full[name]]
-                         for name, timed in source.ranked])
-            if key in source.instances:
+        instances = source.instances
+        for full in self.completions(source, env) if source.free else (env,):
+            key = tuple(map(full.__getitem__, source.names))
+            if key in instances:
                 continue
-            instance = self.instance(source, full, pos)
-            source.instances[key] = instance
+            instance = instances[key] = self.instance(source, full, pos)
             if instance is not None:
                 self.derive(instance[0])
 
-    def instance(self, source: _Source, env: dict[str, Term], pos: tuple[int, ...]):
+    def completions(self, source: _Source, env: dict[str, int]) -> Iterable[dict[str, int]]:
+        """`env` extended by each binding of the free variables, in the
+        order of the product of their domains."""
+        full = dict(env)
+        for values in product(*map(self.domain, source.free)):
+            full.update(zip(source.free, values))
+            yield full
+
+    def instance(self, source: _Source, env: dict[str, int], pos: tuple[int, ...]):
         """One instance with the positive body `pos` from the join, or None
         when arithmetic fails or a comparison is false. Comparisons are
         evaluated, and every key grounded, before anything is interned, so
         an instance dropped interns nothing."""
         for test in source.tests:
-            if not _holds(test, env):
+            key = self.ground_member(test, env)
+            if key is None or (key[1][0] == key[1][1]) != (test[0] == "=="):
                 return None
-        keys = [tuple(map(_ground_member, pattern.atoms, repeat(env)))
+        keys = [tuple(map(self.ground_member, pattern, repeat(env)))
                 for pattern in source.grounded]
         if any(None in key for key in keys):
             return None
         head, *negated = map(self.intern, keys)
         return head, pos, tuple(negated)
 
-    def intern(self, key: tuple, nd: NdAtom | None = None) -> int:
-        """The id of the NdAtom whose members have the keys `key`, which is
-        `nd` when given; otherwise it is built, only for a key not met
-        before."""
+    def intern(self, key: tuple) -> int:
+        """The id of the NdAtom whose members have the keys `key`, in any
+        order; it is built only for members not met before."""
         i = self.by_key.get(key)
         if i is None:
-            if nd is None:
-                members = self.members
-                atoms = [members.get(m) or members.setdefault(m, Atom(*m)) for m in key]
-                # one member is canonical as built
-                nd = NdAtom((atoms[0],)) if len(atoms) == 1 else canonicalize(atoms)
-            i = self.ids.get(nd)
+            if len(key) == 1:
+                canonical = key
+            else:
+                canonical = tuple(sorted(dict.fromkeys(key), key=lambda m: self.atom(m).key))
+            i = self.by_key.get(canonical)
             if i is None:
-                i = self.ids[nd] = len(self.atoms)
-                self.atoms.append(nd)
+                i = self.add(canonical, NdAtom(tuple(map(self.atom, canonical))))
             self.by_key[key] = i
         return i
 
     def intern_written(self, nd: NdAtom) -> int:
-        return self.intern(tuple([(atom.pred, atom.args) for atom in nd.atoms]), nd)
+        key = tuple([(atom.pred, tuple(map(self.written_id, atom.args))) for atom in nd.atoms])
+        i = self.by_key.get(key)
+        return self.add(key, nd) if i is None else i
+
+    def add(self, key: tuple, nd: NdAtom) -> int:
+        i = self.by_key[key] = len(self.atoms)
+        self.atoms.append(nd)
+        self.keys.append(key)
+        return i
+
+    def atom(self, member: tuple) -> Atom:
+        """The atom of a member key, built once."""
+        atom = self.members.get(member)
+        if atom is None:
+            pred, args = member
+            atom = self.members[member] = Atom(pred, tuple(map(self.terms.__getitem__, args)))
+        return atom
 
     def derive(self, i: int) -> None:
         if i not in self.derived:
             self.derived.add(i)
             self.queue.append(i)
 
-    def domain(self, name: str) -> Iterable[Term]:
+    def domain(self, name: str) -> Iterable[int]:
         if not self.time[name]:
-            return self.constants
+            return range(self.nconst)
         if self.time_domain is None:
-            self.time_domain = [Integer(t) for t in range(self.horizon + 1)]
+            self.time_domain = [self.term_id(t) for t in range(self.horizon + 1)]
         return self.time_domain
 
     def program(self) -> GroundProgram:
         """Each source rule's instances in product order, first-wins, over
-        the interned NdAtoms renumbered to key order by one sort. Since one
-        source rule fixes the layout of its instances, equal ids mean equal
-        rules."""
+        the interned NdAtoms renumbered to key order by one sort. An
+        instance's ids rank its constants; a time variable ranks by its
+        value. Since one source rule fixes the layout of its instances,
+        equal ids mean equal rules."""
         kept = []
+        term_keys = self.term_keys
         for source in self.sources:
-            found = dict.fromkeys(map(source.instances.__getitem__, sorted(source.instances)))
+            timed = [self.time[name] for name in source.names]
+            rank = None
+            if any(timed):
+                def rank(ids, timed=timed):
+                    return tuple([term_keys[i] if t else i for i, t in zip(ids, timed)])
+            found = dict.fromkeys(map(source.instances.__getitem__,
+                                      sorted(source.instances, key=rank)))
             kept += [(source, instance) for instance in found if instance is not None]
         atoms = self.atoms
         order = sorted(range(len(atoms)), key=[nd.key for nd in atoms].__getitem__)

@@ -178,18 +178,19 @@ PROGRAM_IDS = ["closure chain of 30 edges", "robot h=2"]
 
 class TestWorkBound:
     # Positive body set-atoms of rules with variables come from the join, so
-    # only heads, negated literals and comparisons are grounded. Grounding
-    # every body literal again took 1 365 and 555 calls on these programs.
+    # only heads, negated literals and comparisons are grounded, each member
+    # to its int key by `ground_member`. Grounding every body literal again
+    # took 1 365 and 555 calls on these programs.
     @pytest.mark.parametrize("program,bound", zip(PROGRAMS, [465, 333]), ids=PROGRAM_IDS)
     def test_positive_body_comes_from_the_join(self, monkeypatch, program, bound):
         grounded = []
-        ground_member = grounder._ground_member
+        ground_member = _Instantiator.ground_member
 
-        def count_member(atom, env):
-            grounded.append(atom)
-            return ground_member(atom, env)
+        def count_member(self, member, env):
+            grounded.append(member)
+            return ground_member(self, member, env)
 
-        monkeypatch.setattr(grounder, "_ground_member", count_member)
+        monkeypatch.setattr(_Instantiator, "ground_member", count_member)
         text, horizon = program
         ground(parse_program(text), horizon=horizon)
         assert len(grounded) <= bound

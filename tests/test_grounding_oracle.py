@@ -78,6 +78,23 @@ FROM_THE_JOIN = {
     "multi-member head grounded out of key order":
         "{s(Y), s(X)} :- {r(X)}, {r(Y)}.\n{u} :- {s(b), s(a)}.\n{v} :- not {s(b), s(a)}.\n"
         "{r(a)}.\n{r(b)}.\n",
+    # p(a, b) binds X to a, then must fail on b
+    "repeated variable in one member":
+        "{q(X)} :- {p(X, X)}.\n{p(a, b)}.\n{p(b, b)}.\n",
+    # {p(a), p(b)} is derived; {p(X)} must match only {p(c)}, both when an
+    # NdAtom is taken off the queue and when {e(c)} is joined with it
+    "one-member pattern beside a derived two-member set-atom":
+        "{h(X)} :- {p(X)}.\n{k(X, Y)} :- {e(Y)}, {p(X)}.\n"
+        "{p(a), p(b)} :- {g}.\n{e(c)} :- {p(a), p(b)}.\n{g}.\n{p(c)}.\n",
+    # X is bound by {r(X)} or by the compound, whichever is joined first
+    "compound argument whose variable another literal binds":
+        "{h(X, Y)} :- {r(X)}, {q(f(X), Y)}.\n{r(a)}.\n{r(b)}.\n"
+        "{q(f(a), b)}.\n{q(f(c), a)}.\n{q(g(b), a)}.\n{q(a, b)}.\n",
+    # 3 and 5 are derived but are not program constants, so Y rejects them;
+    # n(1) would give X = 0, which is not one either
+    "non-time variable meeting an integer that is not a program constant":
+        "{n(X+1)} :- {k(X)}.\n{k(2)}.\n{k(4)}.\n{n(1)}.\n"
+        "{m(Y)} :- {n(Y)}.\n{o(X)} :- {n(X+1)}.\n",
 }
 
 
