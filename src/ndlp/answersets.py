@@ -18,17 +18,26 @@ and negative NdAtoms in it. The command line passes the ground program's
 one table and the index tuples the solvers return; `expand` and `count`
 build a table of the model's own NdAtoms, positives first, each side in key
 order. A table holds each atom's text, so an atom's text is read once per
-table, not once per answer set. An own part's images are ranks into the
-table, the shared part's are int masks over its own atoms, and an answer
-set is a pair of sorted rank tuples. Rank order is key order, so sorting
-those tuples gives the canonical order of the sets.
+table, not once per answer set.
+
+An answer set is a row: the sorted ids of its entries in `table.entries`,
+an atom's rank for a chosen atom and its rank plus `len(table.texts)` for a
+signed negative, so a row lists its positives and then its negatives, each
+in key order. An own part's images are these ids; the shared part's are
+grown as int masks over its own atoms and decoded once per distinct image.
+The rows are the sorted picks of the parts' product, all built by C-level
+calls, and sorting them sorts ints. `expand_ids` returns the rows with
+their table; `AnswerSet` values are built only when a caller reads them,
+so the command line renders every set from its row and builds none.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from functools import cached_property
+from itertools import chain, compress, islice, product
 from math import prod
 from typing import Sequence, Union
 
@@ -37,6 +46,9 @@ from .syntax import Atom, sort_nd_atoms
 from .wf import PartialInterpretation
 
 Model = Union[frozenset, PartialInterpretation]
+
+# Byte translation of a mask's binary digits to 0/1 flags.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -61,10 +73,16 @@ class AnswerSet:
         atoms = self.table.atoms
         return tuple(atoms[r].key for r in self.pos), tuple(atoms[r].key for r in self.neg)
 
+    @property
+    def row(self) -> tuple[int, ...]:
+        """Its entry ids in `table.entries`, positives then negatives."""
+        if not self.neg:
+            return self.pos
+        return self.pos + tuple(map(len(self.table.texts).__add__, self.neg))
+
     def entries(self) -> list[str]:
         """Rendered entries in canonical order, negatives as 'not a'."""
-        table = self.table
-        return [*map(table.texts.__getitem__, self.pos), *map(table.nots.__getitem__, self.neg)]
+        return list(map(self.table.entries.__getitem__, self.row))
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.entries()) + "}"
@@ -79,51 +97,89 @@ class AnswerSet:
         return hash(self.key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expansion:
-    answer_sets: tuple[AnswerSet, ...]
+    """The answer sets of a model as rows over `table`, in canonical order.
+    `answer_sets`, iteration, equality and hashing build the `AnswerSet`
+    values on first use; `len` builds none."""
+
+    table: AtomTable
+    rows: list[Sequence[int]]
     truncated: bool
+
+    @cached_property
+    def answer_sets(self) -> tuple[AnswerSet, ...]:
+        table, n = self.table, len(self.table.texts)
+        sets = []
+        for row in self.rows:
+            if row and row[-1] >= n:  # it has a signed negative, which sorts last
+                i = bisect_left(row, n)
+                sets.append(AnswerSet(table, tuple(row[:i]), tuple([r - n for r in row[i:]])))
+            else:
+                sets.append(AnswerSet(table, tuple(row)))
+        return tuple(sets)
 
     def __iter__(self):
         return iter(self.answer_sets)
 
     def __len__(self):
-        return len(self.answer_sets)
+        return len(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Expansion):
+            return NotImplemented
+        return (self.answer_sets, self.truncated) == (other.answer_sets, other.truncated)
+
+    def __hash__(self) -> int:
+        return hash((self.answer_sets, self.truncated))
 
 
-def _ranks(mask: int, ranks: list[int]) -> tuple[int, ...]:
-    """The ranks of the set bits of a mask, lowest bit first."""
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(ranks[bit.bit_length() - 1])
-        mask ^= bit
-    return tuple(out)
+def _signed_order(n: int):
+    """The sort key of rows over a table of `n` atoms in canonical order:
+    positives first, then negatives. Plain row order agrees with it whenever
+    the rows have equally many positives."""
+    def key(row):
+        i = bisect_left(row, n)
+        return row[:i], row[i:]
+    return key
+
+
+def _minimal(masks) -> list[int]:
+    """The masks that contain no other. Visited by bit count, a mask is
+    minimal when no minimal mask kept so far is a subset of it."""
+    kept: list[int] = []
+    for s in sorted(masks, key=int.bit_count):
+        if all(t & s != t for t in kept):
+            kept.append(s)
+    return kept
 
 
 def _parts(table: AtomTable, pos: Sequence[int], neg: Sequence[int],
-           subset_minimal: bool) -> tuple[list, int]:
-    """The images of each atom-disjoint part of the model whose NdAtoms are
-    `pos` and `neg` in `table`, in product order, and how many leading parts
-    are positive NdAtoms of their own.
+           subset_minimal: bool) -> tuple[list, list[tuple[int, ...]]]:
+    """The entry ids of each atom-disjoint part of its own of the model
+    whose NdAtoms are `pos` and `neg` in `table`, in product order, and the
+    shared part's images as sorted entry-id tuples in canonical order.
 
     NdAtoms are taken positives first, each side in the order given. The
-    images of a part of its own are the ranks of its members. The shared
-    part comes last; its images are distinct (positive ranks, negative
-    ranks) pairs in canonical order, only the minimal ones under
-    `subset_minimal`. They are grown as masks over the shared part's atoms
-    in rank order, the i-th at bit i when positive and at bit i + width
-    when negative.
+    shared part comes last in product order; its images are distinct, only
+    the minimal ones under `subset_minimal`, and `[()]` when it is empty.
+    They are grown as masks over the shared part's atoms in rank order, the
+    i-th at bit i when positive and at bit i + width when negative, and each
+    is decoded by one `compress` over its bits.
     """
     members = table.members
+    n = len(table.texts)
     uses = Counter(chain.from_iterable(map(members.__getitem__, chain(pos, neg))))
-    repeated = {r for r, n in uses.items() if n > 1}
-    own: list[list] = [[], []]
+    repeated = {r for r, k in uses.items() if k > 1}
+    own: list = []
     joined: list[list] = [[], []]
     for negative, side in enumerate((pos, neg)):
         for i in side:
             atoms = members[i]
-            (own if repeated.isdisjoint(atoms) else joined)[negative].append(atoms)
+            if not repeated.isdisjoint(atoms):
+                joined[negative].append(atoms)
+            else:
+                own.append(list(map(n.__add__, atoms)) if negative else atoms)
     ranks = sorted({r for side in joined for atoms in side for r in atoms})
     bit = {r: 1 << b for b, r in enumerate(ranks)}
     width = len(ranks)
@@ -135,10 +191,12 @@ def _parts(table: AtomTable, pos: Sequence[int], neg: Sequence[int],
         bits = [bit[r] for r in atoms]
         shared = {s | b << width for s in shared for b in bits if not s & b}
     if subset_minimal:
-        shared = [s for s in shared if not any(t != s and t & s == t for t in shared)]
-    low = (1 << width) - 1
-    images = sorted((_ranks(s & low, ranks), _ranks(s >> width, ranks)) for s in shared)
-    return [*own[0], *own[1], images], len(own[0])
+        shared = _minimal(shared)
+    ids = (*ranks, *map(n.__add__, ranks))
+    images = [tuple(compress(ids, bin(s)[:1:-1].encode().translate(_BIT_FLAGS)))
+              for s in shared]
+    images.sort(key=_signed_order(n) if joined[1] else None)
+    return own, images
 
 
 def _model_table(model: Model) -> tuple[AtomTable, range, range]:
@@ -162,16 +220,17 @@ def expand_ids(table: AtomTable, pos: Sequence[int], neg: Sequence[int] = (),
     `subset_minimal` keeps the minimal answer sets only, before the cap. The
     empty model expands to a single empty branch.
     """
-    parts, n = _parts(table, pos, neg, subset_minimal)
-
-    def ranks(pick):
-        pos, neg = pick[-1]
-        return tuple(sorted((*pick[:n], *pos))), tuple(sorted((*pick[n:-1], *neg)))
-
-    picks = product(*parts)
-    sets = sorted(map(ranks, islice(picks, cap)))
+    own, images = _parts(table, pos, neg, subset_minimal)
+    if images == [()]:  # no shared part: a pick is its row's ids
+        picks = product(*own)
+    else:
+        picks = map(chain.from_iterable,
+                    product(*[[(r,) for r in part] for part in own], images))
+    rows = list(map(sorted, islice(picks, cap)))
     truncated = cap is not None and next(picks, None) is not None
-    return Expansion(tuple(AnswerSet(table, *s) for s in sets), truncated)
+    # with one shared image or none, every row has as many positives
+    rows.sort(key=_signed_order(len(table.texts)) if neg and len(images) > 1 else None)
+    return Expansion(table, rows, truncated)
 
 
 def expand(model: Model, cap: int | None = None, subset_minimal: bool = False) -> Expansion:
@@ -184,5 +243,6 @@ def count(model: Model, cap: int | None = None) -> tuple[int, bool]:
 
     Past `cap` it returns (cap, False); exact otherwise.
     """
-    total = prod(map(len, _parts(*_model_table(model), False)[0]))
+    own, images = _parts(*_model_table(model), False)
+    total = len(images) * prod(map(len, own))
     return (cap, False) if cap is not None and total > cap else (total, True)

@@ -16,22 +16,30 @@ spelled out only for `ground` and `--dump-ground`.
 From the search to the report a model stays the sorted indices of its
 NdAtoms in the compiled program, whose atoms are in key order: the report's
 NdAtom lists index them with no sort, and answer sets expand over the
-program's one atom table. The report renders each NdAtom of the models once
-and lays out its JSON arrays itself.
+program's one atom table into rows of entry ids. `SolveReport.write`
+renders both formats straight to stdout in pieces: the header, each model,
+and the answer-set rows `CHUNK_ROWS` at a time, each row joined from the
+table's entry texts, so no `AnswerSet` is built and no string holds the
+whole report. It renders each NdAtom of the models once and lays out its
+JSON arrays itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _encode
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Iterator, TextIO
 
-from .answersets import AnswerSet, expand_ids
+from .answersets import AnswerSet, Expansion, expand_ids
+from .compiled import AtomTable
 from .errors import NdlpError
 from .grounder import GroundProgram, ground
 from .parser import parse_files
@@ -40,15 +48,19 @@ from .syntax import NdAtom, Program
 
 
 class _Rendered(dict):
-    """Each NdAtom's rendering, made by `render` on its first lookup."""
+    """Each key's rendering, made by `render` on its first lookup."""
 
     def __init__(self, render):
         super().__init__()
         self.render = render
 
-    def __missing__(self, nd: NdAtom) -> str:
-        value = self[nd] = self.render(nd)
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
         return value
+
+
+# Answer-set rows rendered per piece the report writes.
+CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -58,25 +70,67 @@ class SolveReport:
     negatives: list[NdAtom] | None = None  # wf only
     undefined: list[NdAtom] | None = None  # wf only
     total: bool | None = None  # wf only
-    answer_sets: list[list[AnswerSet]] | None = None
+    # per model, its `Expansion` or a list of its `AnswerSet`s
+    answer_sets: list[Expansion | list[AnswerSet]] | None = None
     truncated: bool = False
     rule_count: int = 0
     base_size: int = 0
     timing_s: float = 0.0
 
-    def to_json(self) -> str:
-        """`json.dumps(payload, indent=2, sort_keys=True)` of the report.
+    def write(self, stream: TextIO, fmt: str = "text") -> None:
+        """Write the report to `stream` as text or as JSON, in pieces: the
+        header, each model, and the answer-set rows `CHUNK_ROWS` at a time."""
+        stream.writelines(self._json() if fmt == "json" else self._text())
 
-        The arrays of NdAtoms and of answer sets are laid out here and
-        spliced around the dumped scalars: each NdAtom of a model is laid out
-        once per report, each atom of an answer set once per atom table.
-        """
+    def to_json(self) -> str:
+        """`json.dumps(payload, indent=2, sort_keys=True)` of the report."""
+        out = io.StringIO()
+        self.write(out, "json")
+        return out.getvalue()
+
+    def to_text(self) -> str:
+        out = io.StringIO()
+        self.write(out)
+        return out.getvalue()
+
+    def _text(self) -> Iterator[str]:
+        yield f"semantics: {self.semantics}\n"
+        yield f"ground rules: {self.rule_count}, base size: {self.base_size}\n"
+        if not self.models:
+            yield "no models\n"
+        lines = []
+        if self.semantics == "wf":
+            lines += [f"  not {atom}\n" for atom in self.negatives or []]
+            if self.undefined:
+                lines.append("  undefined:\n")
+                lines += [f"    {atom}\n" for atom in self.undefined]
+            lines.append(f"  total: {'yes' if self.total else 'no'}\n")
+        wf = "".join(lines)
+        indented = _Rendered(lambda nd: f"  {nd}\n")
+        for i, model in enumerate(self.models, start=1):
+            yield "".join([f"model {i}:\n", *map(indented.__getitem__, model), wf])
+            if self.answer_sets is not None:
+                label = f"  answer set {i}."
+                for first, table, rows in _chunks(self.answer_sets[i - 1]):
+                    get = table.entries.__getitem__
+                    yield "".join([f"{label}{j}: {{{', '.join(map(get, row))}}}\n"
+                                   for j, row in enumerate(rows, first)])
+        if self.truncated:
+            yield "truncated: yes\n"
+
+    def _json(self) -> Iterator[str]:
+        """The pieces of the JSON report. The arrays of NdAtoms and of answer
+        sets are laid out here and spliced around the dumped scalars: each
+        NdAtom of a model is laid out once per report, each entry of an
+        answer set once per atom table."""
+        yield '{\n  "answer_sets": '
+        encoded = _Rendered(lambda table: [_NEWLINE[4] + _encode(t) for t in table.entries])
+        yield from _array((_json_rows(sets, encoded) for sets in self.answer_sets or []), 1)
+        yield ',\n  "models": '
         arrays = _Rendered(lambda nd: _nd_json(nd, 3))
-        models = [_json_array(map(arrays.__getitem__, model), 2, item=True)
-                  for model in self.models]
-        head = [("answer_sets", _answer_sets_json(self.answer_sets or [])),
-                ("models", _json_array(models, 1))]
-        tail = []
+        yield from _array(([_json_array(map(arrays.__getitem__, model), 2, item=True)]
+                           for model in self.models), 1)
+        yield ","
         scalars: dict = {
             "semantics": self.semantics,
             "truncated": self.truncated,
@@ -84,42 +138,29 @@ class SolveReport:
         }
         if self.semantics == "wf":
             scalars["total"] = bool(self.total)
-            head.append(("negatives", _nd_arrays(self.negatives or [])))
-            tail.append(("undefined", _nd_arrays(self.undefined or [])))
-        rest = json.dumps(scalars, indent=2, sort_keys=True)
+            yield f'{_NEWLINE[1]}"negatives": {_nd_arrays(self.negatives or [])},'
         # keys sort as answer_sets, models, negatives, the scalars, undefined
-        parts = ["{"]
-        for key, value in head:
-            parts += (_NEWLINE[1], f'"{key}": ', value, ",")
-        parts.append(rest[1:-2])
-        for key, value in tail:
-            parts += (",", _NEWLINE[1], f'"{key}": ', value)
-        parts.append("\n}\n")
-        return "".join(parts)
+        yield json.dumps(scalars, indent=2, sort_keys=True)[1:-2]
+        if self.semantics == "wf":
+            yield f',{_NEWLINE[1]}"undefined": {_nd_arrays(self.undefined or [])}'
+        yield "\n}\n"
 
-    def to_text(self) -> str:
-        lines = [f"semantics: {self.semantics}"]
-        lines.append(f"ground rules: {self.rule_count}, base size: {self.base_size}")
-        if not self.models:
-            lines.append("no models")
-        indented = _Rendered(lambda nd: f"  {nd}")
-        for i, model in enumerate(self.models, start=1):
-            lines.append(f"model {i}:")
-            lines.extend(map(indented.__getitem__, model))
-            if self.semantics == "wf":
-                for atom in self.negatives or []:
-                    lines.append(f"  not {atom}")
-                if self.undefined:
-                    lines.append("  undefined:")
-                    for atom in self.undefined:
-                        lines.append(f"    {atom}")
-                lines.append(f"  total: {'yes' if self.total else 'no'}")
-            if self.answer_sets is not None:
-                for j, answer_set in enumerate(self.answer_sets[i - 1], start=1):
-                    lines.append(f"  answer set {i}.{j}: {answer_set}")
-        if self.truncated:
-            lines.append("truncated: yes")
-        return "\n".join(lines) + "\n"
+
+def _chunks(sets: Expansion | list[AnswerSet]) -> Iterator[tuple[int, AtomTable, list]]:
+    """A model's answer sets as (number of the first, atom table, rows)
+    chunks of at most `CHUNK_ROWS` rows. An `Expansion` holds its rows;
+    a list of `AnswerSet`s, as library callers pass, gives a row per set,
+    each stretch of sets on one table together."""
+    if isinstance(sets, Expansion):
+        runs = [(sets.table, sets.rows)]
+    else:
+        runs = [(table, [s.row for s in group])
+                for table, group in groupby(sets, attrgetter("table"))]
+    first = 1
+    for table, rows in runs:
+        for start in range(0, len(rows), CHUNK_ROWS):
+            yield first + start, table, rows[start:start + CHUNK_ROWS]
+        first += len(rows)
 
 
 # A line break and the indent of `json.dumps(indent=2)` at each depth.
@@ -135,6 +176,31 @@ def _json_array(items: Iterable[str], depth: int, item: bool = False) -> str:
     return f"{lead}[{body}{_NEWLINE[depth]}]" if body else lead + "[]"
 
 
+def _array(items: Iterable[Iterable[str]], depth: int, item: bool = False) -> Iterator[str]:
+    """The pieces of `_json_array`'s layout, for items that arrive in
+    pieces: each element of `items` yields the pieces of one or more whole
+    items, joined by ","."""
+    lead = _NEWLINE[depth] if item else ""
+    sep = lead + "["
+    for pieces in items:
+        yield sep
+        yield from pieces
+        sep = ","
+    yield _NEWLINE[depth] + "]" if sep == "," else lead + "[]"
+
+
+def _json_rows(sets: Expansion | list[AnswerSet], encoded: _Rendered) -> Iterator[str]:
+    """The pieces of a model's array of answer sets at depth 2, an item.
+    `encoded` maps an atom table to its entries encoded as items at depth 4."""
+    def chunks():
+        line = _NEWLINE[3]
+        for _, table, rows in _chunks(sets):
+            get = encoded[table].__getitem__
+            yield [",".join([f"{line}[{','.join(map(get, row))}{line}]" if row else line + "[]"
+                             for row in rows])]
+    return _array(chunks(), 2, item=True)
+
+
 def _nd_json(nd: NdAtom, depth: int) -> str:
     """An NdAtom's array of atom texts as an item at `depth`."""
     return _json_array([_NEWLINE[depth + 1] + _encode(a.text) for a in nd.atoms], depth,
@@ -144,24 +210,6 @@ def _nd_json(nd: NdAtom, depth: int) -> str:
 def _nd_arrays(nd_atoms: list[NdAtom]) -> str:
     """An array of NdAtoms at depth 1."""
     return _json_array([_nd_json(nd, 2) for nd in nd_atoms], 1)
-
-
-def _answer_sets_json(answer_sets: list[list[AnswerSet]]) -> str:
-    """The `answer_sets` value of the JSON report, at depth 1. Each atom's
-    entries, `a` and `not a`, are encoded once per atom table."""
-    encoded: dict = {}
-    models = []
-    for sets in answer_sets:
-        rows = []
-        for s in sets:
-            if s.table not in encoded:
-                encoded[s.table] = [[_NEWLINE[4] + _encode(t) for t in texts]
-                                    for texts in (s.table.texts, s.table.nots)]
-            texts, nots = encoded[s.table]
-            entries = [*map(texts.__getitem__, s.pos), *map(nots.__getitem__, s.neg)]
-            rows.append(_json_array(entries, 3, item=True))
-        models.append(_json_array(rows, 2, item=True))
-    return _json_array(models, 1)
 
 
 def _read(path: str) -> str:
@@ -222,17 +270,14 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
         for pos, neg in models:
             expansion = expand_ids(compiled.table, pos, neg, cap=args.max_answer_sets,
                                    subset_minimal=args.subset_minimal)
-            report.answer_sets.append(list(expansion.answer_sets))
+            report.answer_sets.append(expansion)
             truncated |= expansion.truncated
         report.truncated |= truncated
         if truncated:
             print("answer-set expansion truncated by --max-answer-sets", file=sys.stderr)
 
     report.timing_s = time.perf_counter() - started
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
+    report.write(sys.stdout, args.format)
     print(f"solved in {report.timing_s:.3f}s", file=sys.stderr)
     return 0 if report.models else 1
 

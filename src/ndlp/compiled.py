@@ -52,8 +52,10 @@ _COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
 
 class AtomTable:
     """The member atoms of a sequence of NdAtoms in key order, with each
-    one's text and signed "not" text, and each NdAtom's members as ranks
-    into them. Ranks follow key order, so sorting them sorts the atoms."""
+    one's text, and each NdAtom's members as ranks into them. Ranks follow
+    key order, so sorting them sorts the atoms. `entries` holds the texts
+    and then their signed "not" texts: an atom of rank r has entry r, and
+    its negative entry r + len(texts)."""
 
     def __init__(self, nd_atoms: Sequence[NdAtom]):
         # in NdAtom order the members come nearly sorted, which the sort
@@ -65,8 +67,11 @@ class AtomTable:
         self.members = tuple([tuple(map(rank.__getitem__, nd.atoms)) for nd in nd_atoms])
 
     @cached_property
-    def nots(self) -> tuple[str, ...]:
-        return tuple(map("not ".__add__, self.texts))
+    def entries(self) -> list[str]:
+        # a list: renderers map its `__getitem__` over every answer set, and
+        # a list's is a direct method call where a tuple's goes through a
+        # slot wrapper
+        return [*self.texts, *map("not ".__add__, self.texts)]
 
 
 class CompiledProgram:

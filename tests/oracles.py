@@ -30,7 +30,8 @@
   it, for models whose choice product is too large to walk.
 - `report_json` is the JSON report built as one payload and dumped whole,
   every answer-set entry rendered from its atom, the reference of
-  `SolveReport.to_json`, which lays out the answer sets itself.
+  `SolveReport.write`, which lays out the JSON report itself and writes it
+  in pieces.
 
 The deterministic reference semantics and the singleton embedding sit
 beside this file, in `detlp.py`.

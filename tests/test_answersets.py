@@ -8,7 +8,8 @@ from itertools import islice, product
 import pytest
 
 from ndlp import count, expand, least_model, enumerate_stable
-from ndlp.cli import SolveReport
+from ndlp.answersets import AnswerSet
+from ndlp.cli import SolveReport, main
 from ndlp.corpus import corpus_text
 from ndlp.syntax import Atom, canonicalize, sort_nd_atoms
 from ndlp.wf import PartialInterpretation
@@ -276,6 +277,88 @@ class TestWorkBound:
         result = expand(model, cap=5)
         assert [s.atoms for s in result] == sorted(first, key=lambda s: sorted(a.key for a in s))
         assert result.truncated
+
+
+def cycle_of_pairs(k):
+    """{c_i, c_(i+1 mod k)} for each i < k: every atom is in two NdAtoms, so
+    the model is one shared part, with many images and few minimal ones."""
+    c = [Atom(pred=f"c{i:02d}") for i in range(k)]
+    return frozenset(canonicalize([c[i], c[(i + 1) % k]]) for i in range(k))
+
+
+class TestSubsetMinimal:
+    """`--subset-minimal` visits the shared part's images by bit count and
+    keeps each one no kept image is a subset of."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        cycle = cycle_of_pairs(12)
+        # a negative NdAtom joins the shared part through c03 and c07
+        negative = canonicalize([Atom(pred="c03"), Atom(pred="c07")])
+        return cycle, PartialInterpretation(pos=cycle, neg=frozenset([negative]))
+
+    @pytest.mark.parametrize("cap", [None, 10])
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_cycle_matches_the_oracles(self, models, cap, partial):
+        model = models[partial]
+        result = expand(model, cap=cap, subset_minimal=True)
+        got = (images_of(result), result.truncated)
+        assert got == part_images(model, cap, True)
+        assert got == capped_images(model, cap, True)
+        assert len(result) == (10 if cap else len(capped_images(model, None, True)[0]))
+
+    def test_cycle_keeps_few_of_many_images(self, models):
+        assert len(expand(models[0])) == 322
+        assert len(expand(models[0], subset_minimal=True)) == 29
+
+
+class TestBuildsNoAnswerSet:
+    """The command line renders answer sets from an expansion's rows and
+    builds no `AnswerSet`; the library builds them only when it reads them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+        init = AnswerSet.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnswerSet, "__init__", counted)
+        return made
+
+    # 10 disjoint pairs; a wf model whose shared part holds negatives
+    PROGRAMS = {
+        "pairs": ("least", "".join(f"{{p{i:02d}a, p{i:02d}b}}.\n" for i in range(10)), 1024),
+        "wf_shared": ("wf", "{a, b}. {b, c}. {c, d}. {x} :- not {c, e}. {y} :- not {a, f}.\n"
+                            "{z, w} :- not {g}.\n", 26),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", PROGRAMS)
+    def test_command_line_builds_none(self, built, capsys, tmp_path, name, fmt):
+        semantics, text, sets = self.PROGRAMS[name]
+        path = tmp_path / f"{name}.ndlp"
+        path.write_text(text, encoding="utf-8")
+        assert main(["expand", "--semantics", semantics, "--format", fmt, str(path)]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert len(json.loads(out)["answer_sets"][0]) == sets
+        else:
+            assert f"  answer set 1.{sets}: " in out and f"1.{sets + 1}:" not in out
+        assert built == []
+
+    @pytest.mark.parametrize("name", PROGRAMS)
+    def test_library_builds_them_when_read(self, built, name):
+        semantics, text, sets = self.PROGRAMS[name]
+        gp = gp_from(text)
+        model = least_model(gp) if semantics == "least" else well_founded_model(gp)
+        expansion = expand(model)
+        assert len(expansion) == sets and built == []
+        assert images_of(expansion) == capped_images(model)[0]
+        assert len(built) == sets
+        assert list(expansion) == list(expansion.answer_sets) and len(built) == sets
 
 
 class TestAnswerSetValues:

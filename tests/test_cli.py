@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import io
 import json
 import os
 import subprocess
@@ -341,7 +342,7 @@ class TestJson:
 
 
 class TestJsonLayout:
-    """`SolveReport.to_json` lays out the answer sets itself; its bytes must
+    """`SolveReport.write` lays out the JSON report itself; its bytes must
     be those of the whole payload dumped by `json.dumps`."""
 
     @staticmethod
@@ -349,15 +350,16 @@ class TestJsonLayout:
         """Run the CLI, checking every report it renders as JSON against the
         oracle; the exit code and the number of reports rendered."""
         rendered = []
-        to_json = SolveReport.to_json
+        write = SolveReport.write
 
-        def checked(report):
-            out = to_json(report)
-            assert out == report_json(report), f"argv={argv}"
-            rendered.append(out)
-            return out
+        def checked(report, stream, fmt="text"):
+            out = io.StringIO()
+            write(report, out, fmt)
+            assert fmt == "json" and out.getvalue() == report_json(report), f"argv={argv}"
+            rendered.append(out.getvalue())
+            stream.write(out.getvalue())
 
-        monkeypatch.setattr(SolveReport, "to_json", checked)
+        monkeypatch.setattr(SolveReport, "write", checked)
         code, out, _ = run(capsys, *argv)
         assert out == "".join(rendered)
         return code, len(rendered)

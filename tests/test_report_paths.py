@@ -6,16 +6,23 @@ over the program's one atom table. The library returns NdAtom sets, which
 a caller sorts, and `expand` builds a table of each model's own. The
 benchmark's tracer renders its report from the library path and requires
 the same stdout, so the two must agree byte for byte, as text and as JSON.
+
+`SolveReport.write` renders the command line's expansions from their rows
+and the tracer's lists of `AnswerSet`s through one adapter, in chunks of
+`CHUNK_ROWS` rows; both inputs must give `to_text`, `to_json` and the
+oracle's bytes, also across chunk boundaries.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from ndlp.answersets import expand, expand_ids
+from ndlp.answersets import Expansion, expand, expand_ids
+from ndlp import cli
 from ndlp.cli import SolveReport, _load, _solve, build_parser, main
 from ndlp.corpus import CORPUS_NAMES, corpus_path, corpus_text
 from ndlp.parser import parse_program
@@ -25,6 +32,7 @@ from ndlp.syntax import sort_nd_atoms
 from ndlp.wf import well_founded_model
 
 from conftest import random_ground_program, random_nonground_program
+from oracles import report_json
 
 RANDOM_SEEDS = range(200)
 PARSER = build_parser()
@@ -145,3 +153,93 @@ def test_random_programs(tmp_path, seed):
         gp = check_paths("expand", *h, "--semantics", semantics, path, run=solve,
                          formats=(fmt,))
         check_tables(gp, semantics)
+
+
+def rendered_reports(monkeypatch, argv) -> list[tuple[SolveReport, str, str]]:
+    """Each report `_solve` writes for `argv`, with its format and the bytes
+    written."""
+    reports = []
+    write = SolveReport.write
+
+    def recorded(report, stream, fmt="text"):
+        out = io.StringIO()
+        write(report, out, fmt)
+        reports.append((report, fmt, out.getvalue()))
+        stream.write(out.getvalue())
+
+    monkeypatch.setattr(SolveReport, "write", recorded)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        solve(argv)
+    monkeypatch.setattr(SolveReport, "write", write)
+    return reports
+
+
+def check_writer(report: SolveReport, fmt: str, out: str) -> None:
+    """The report written from its expansions' rows and from its answer sets
+    as lists of `AnswerSet`s, as the tracer passes them, gives `out`, which
+    equals `to_text` or `to_json`, and as JSON the oracle's bytes."""
+    as_lists = dataclasses.replace(
+        report, answer_sets=report.answer_sets and [list(sets) for sets in report.answer_sets])
+    for r in (report, as_lists):
+        stream = io.StringIO()
+        r.write(stream, fmt)
+        assert stream.getvalue() == out
+        assert (r.to_json() if fmt == "json" else r.to_text()) == out
+        if fmt == "json":
+            assert out == report_json(r)
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 5))
+def test_writer_on_random_programs(monkeypatch, tmp_path, seed):
+    # half the seeds, of both generators, write in chunks of 3 rows, so
+    # most of their expansions cross a chunk boundary
+    if seed // 10 % 2:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+    path, horizon, positive = random_program_file(tmp_path, seed)
+    h = [] if horizon is None else ["--horizon", str(horizon)]
+    for semantics in ("least", "stable", "wf") if positive else ("stable", "wf"):
+        for flags in ((), ("--max-answer-sets", "3"), ("--subset-minimal",),
+                      ("--subset-minimal", "--max-answer-sets", "2")):
+            for fmt in ("text", "json"):
+                argv = ["expand", *h, *flags, "--semantics", semantics, "--format", fmt, path]
+                [(report, written, out)] = rendered_reports(monkeypatch, argv)
+                assert written == fmt and all(
+                    isinstance(sets, Expansion) for sets in report.answer_sets), argv
+                check_writer(report, fmt, out)
+
+
+class CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_rows_past_one_chunk(monkeypatch, tmp_path, fmt):
+    # 12 true pairs, one of them supported through the negation of an
+    # unfounded pair: 2^13 answer sets with a signed negative each, two
+    # chunks of rows
+    text = "".join(f"{{x{i:02d}, y{i:02d}}}.\n" for i in range(11))
+    path = tmp_path / "pairs.ndlp"
+    path.write_text(text + "{r, s} :- not {u, v}.\n", encoding="utf-8")
+    argv = ["expand", "--semantics", "wf", "--format", fmt, str(path)]
+    [(report, _, out)] = rendered_reports(monkeypatch, argv)
+    [expansion] = report.answer_sets
+    assert len(expansion) == 2 * cli.CHUNK_ROWS == 2 ** 13
+    check_writer(report, fmt, out)
+    args = PARSER.parse_args(argv)
+    library = object_report(args, _load(args.files, None)[1])
+    assert out == (library.to_json() if fmt == "json" else library.to_text())
+    # a few writes per chunk, not one per row
+    stream = CountedWrites()
+    report.write(stream, fmt)
+    assert stream.writes < 30
+    sets = list(expansion)
+    assert all(s.negatives for s in sets)
+    if fmt == "text":
+        for j in (cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1):
+            assert f"\n  answer set 1.{j}: {sets[j - 1]}\n  answer set 1.{j + 1}: {sets[j]}\n" in out
