@@ -276,8 +276,8 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
         if truncated:
             print("answer-set expansion truncated by --max-answer-sets", file=sys.stderr)
 
-    report.timing_s = time.perf_counter() - started
     report.write(sys.stdout, args.format)
+    report.timing_s = time.perf_counter() - started
     print(f"solved in {report.timing_s:.3f}s", file=sys.stderr)
     return 0 if report.models else 1
 

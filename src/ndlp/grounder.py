@@ -24,7 +24,14 @@ of its sorted variables' domains, without duplicates. The result is the
 product grounding less its dead instances. Rules without variables are kept
 as written and never joined: each counts down its positive body literals
 and derives its head once the NdAtom of the last of them is taken off the
-queue. A program without variables is grounded in one pass.
+queue.
+
+A program without variables, found by checking each distinct NdAtom once,
+is compiled in one pass: every rule is its own instance, and its NdAtoms
+are interned by value in rule order, then renumbered to key order by the
+same step the instantiator ends with. `make_ground_program`, which
+compiles given ground rules over their sorted restricted base, is the
+reference both are tested against.
 
 Matching runs on ints, as gringo interns its terms. Within one `ground()`
 call each ground term gets an id, the program's constants first in key
@@ -56,6 +63,7 @@ from typing import Callable, Iterable
 from .compiled import CompiledProgram
 from .errors import GroundingError
 from .syntax import (
+    BUILTIN_PREDICATES,
     Atom,
     Compound,
     Constant,
@@ -117,6 +125,67 @@ def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
         [tuple(dict.fromkeys(map(index.__getitem__, rule.negative_body()))) for rule in rules],
     )
     return GroundProgram(compiled, lambda: rules)
+
+
+def _in_key_order(atoms: list[NdAtom], heads: list[int], pos: list, neg: list) -> CompiledProgram:
+    """The rules `heads[r] :- pos[r], not neg[r]` over the NdAtoms `atoms`,
+    compiled with the ids renumbered to key order by one sort and repeats
+    dropped from each body."""
+    order = sorted(range(len(atoms)), key=[nd.key for nd in atoms].__getitem__)
+    # the inverse permutation: each old id's position in key order
+    renumbered = sorted(range(len(order)), key=order.__getitem__)
+    renumber = renumbered.__getitem__
+
+    def renumbered_bodies(bodies: list) -> list[tuple[int, ...]]:
+        return [tuple(dict.fromkeys(map(renumber, body))) if len(body) > 1
+                else tuple(map(renumber, body)) for body in bodies]
+
+    return CompiledProgram([atoms[old] for old in order], list(map(renumber, heads)),
+                           renumbered_bodies(pos), renumbered_bodies(neg))
+
+
+def _variable_free(rules: Iterable[Rule]) -> bool:
+    """Whether no rule has a variable. The parser shares a repeated NdAtom,
+    so each distinct one is checked once, by identity."""
+    distinct: dict[int, NdAtom] = {}
+    for rule in rules:
+        distinct[id(rule.head)] = rule.head
+        for lit in rule.body:
+            distinct[id(lit.atom)] = lit.atom
+    for nd in distinct.values():
+        for atom in nd.atoms:
+            if atom.args and atom.variables():
+                return False
+    return True
+
+
+def _ground_fixed(rules: Iterable[Rule]) -> GroundProgram:
+    """A program without variables, compiled in one pass: each rule is its
+    own instance (see `_fixed_instance`), and its NdAtoms are interned by
+    value in rule order, then renumbered to key order.
+    `make_ground_program` is the reference it is tested against."""
+    ids: dict[NdAtom, int] = {}
+    kept: list[Rule] = []
+    heads: list[int] = []
+    pos: list[list[int]] = []
+    neg: list[list[int]] = []
+    for rule in rules:
+        for lit in rule.body:
+            if lit.atom.atoms[0].pred in BUILTIN_PREDICATES:
+                rule = _fixed_instance(rule)
+                break
+        if rule is None:
+            continue
+        kept.append(rule)
+        heads.append(ids.setdefault(rule.head, len(ids)))
+        positive: list[int] = []
+        negated: list[int] = []
+        for lit in rule.body:
+            (negated if lit.negated else positive).append(ids.setdefault(lit.atom, len(ids)))
+        pos.append(positive)
+        neg.append(negated)
+    rules = tuple(kept)
+    return GroundProgram(_in_key_order(list(ids), heads, pos, neg), lambda: rules)
 
 
 def program_constants(program: Program) -> tuple[Term, ...]:
@@ -651,16 +720,9 @@ class _Instantiator:
                                       sorted(source.instances, key=rank)))
             kept += [(source, instance) for instance in found if instance is not None]
         atoms = self.atoms
-        order = sorted(range(len(atoms)), key=[nd.key for nd in atoms].__getitem__)
-        # the inverse permutation: each old id's position in key order
-        renumbered = sorted(range(len(order)), key=order.__getitem__)
-        renumber = renumbered.__getitem__
-        compiled = CompiledProgram(
-            [atoms[old] for old in order],
-            [renumbered[head] for _, (head, _, _) in kept],
-            [tuple(dict.fromkeys(map(renumber, pos))) for _, (_, pos, _) in kept],
-            [tuple(dict.fromkeys(map(renumber, neg))) for _, (_, _, neg) in kept],
-        )
+        compiled = _in_key_order(atoms, [head for _, (head, _, _) in kept],
+                                 [pos for _, (_, pos, _) in kept],
+                                 [neg for _, (_, _, neg) in kept])
 
         def spell() -> tuple[Rule, ...]:
             rules = []
@@ -689,6 +751,8 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
         horizon = program.horizon
     if horizon is not None and horizon < 0:
         raise GroundingError("horizon must be non-negative")
+    if _variable_free(program.rules):
+        return _ground_fixed(program.rules)
     constants: tuple[Term, ...] | None = None
     rules: list[tuple[Rule, list[str]]] = []
     for rule in program.rules:
@@ -708,9 +772,6 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
                         f"variable {name} has no constants to range over ({rule.origin})"
                     )
         rules.append((rule, names))
-    if not any(names for _, names in rules):
-        instances = (_fixed_instance(rule) for rule, _ in rules)
-        return make_ground_program(r for r in instances if r is not None)
     instantiator = _Instantiator(rules, horizon, constants or ())
     instantiator.run()
     return instantiator.program()

@@ -161,12 +161,10 @@ class _Parser:
         path, line = self.locate(text.count("\n", 0, offset) + 1)
         return ParseError(message, line, offset - text.rfind("\n", 0, offset), path)
 
-    def origin(self, offset: int) -> str:
-        """The source tag of a rule starting at `offset`, past the last one."""
-        self.line += self.text.count("\n", self.line_start, offset)
-        self.line_start = offset
+    def file_origin(self) -> str:
+        """The source tag of the rule at line `self.line` of several files."""
         path, line = self.locate(self.line)
-        return f"line {line}" if path is None else f"{path} line {line}"
+        return f"{path} line {line}"
 
     def expect(self, kind: str, what: str) -> int:
         i = self.pos
@@ -225,19 +223,42 @@ class _Parser:
         self.expect("DOT", "'.'")
 
     def rule(self) -> None:
-        kinds, start = self.kinds, self.starts[self.pos]
-        origin = self.origin(start)
-        head, unsafe, builtin = self.set_atom(origin)
-        if builtin:
-            raise self.error("comparison atom not allowed in rule head", start)
-        bound, body = frozenset(), []
-        if kinds[self.pos] == "IF":
-            self.pos += 1
-            while True:
-                at = self.starts[self.pos]
-                negated = kinds[self.pos] == "NOT"
-                self.pos += negated
+        """One rule, the head read as the loop's first set-atom. This runs
+        once per rule, so the final `expect` is inlined, and a braced
+        set-atom read before is looked up by its text, up to the first "}",
+        without calling `set_atom`. Every fault is still reported by the
+        code that reports it elsewhere."""
+        kinds, starts, text, set_atoms = self.kinds, self.starts, self.text, self.set_atoms
+        pos = self.pos
+        start = starts[pos]
+        self.line += text.count("\n", self.line_start, start)
+        self.line_start = start
+        origin = self.file_origin() if self.files else f"line {self.line}"
+        head = None
+        negated = False
+        body: list[Literal] = []
+        while True:
+            made = None
+            if kinds[pos] == "LBRACE":
+                try:
+                    end = kinds.index("RBRACE", pos)
+                except ValueError:  # no "}": `set_atom` reports the fault
+                    end = pos
+                made = set_atoms.get(text[starts[pos] : starts[end] + 1])
+            if made is None:
+                self.pos = pos
                 nd, names, builtin = self.set_atom(origin)
+                pos = self.pos
+            else:
+                nd, names, builtin = made
+                pos = end + 1
+            if head is None:
+                if builtin:
+                    raise self.error("comparison atom not allowed in rule head", start)
+                head, unsafe, bound = nd, names, frozenset()
+                if kinds[pos] != "IF":
+                    break
+            else:
                 if not negated:
                     bound |= names
                 elif builtin:
@@ -247,10 +268,16 @@ class _Parser:
                 else:
                     unsafe |= names
                 body.append(Literal(nd, negated))
-                if kinds[self.pos] != "COMMA":
+                if kinds[pos] != "COMMA":
                     break
-                self.pos += 1
-        self.expect("DOT", "'.'")
+            pos += 1
+            at = starts[pos]
+            negated = kinds[pos] == "NOT"
+            pos += negated
+        if kinds[pos] != "DOT":
+            self.pos = pos
+            self.expect("DOT", "'.'")
+        self.pos = pos + 1
         if unsafe and self.safety_error is None:
             loose = [name for name in sorted(unsafe - bound) if not is_time_variable(name)]
             if loose:
@@ -258,20 +285,11 @@ class _Parser:
         self.rules.append(Rule(head, tuple(body), origin))
 
     def set_atom(self, origin: str) -> tuple[NdAtom, frozenset[str], bool]:
-        """The NdAtom at the current token, with its entry in `set_atoms`. A
-        text read before is not read again: the first "}" after a "{" ends it."""
+        """Read the NdAtom at the current token and record it in `set_atoms`
+        under its text. A bare atom read before is returned as recorded;
+        `rule` looks a braced one up before calling this."""
         kinds, starts, first = self.kinds, self.starts, self.pos
         braced = kinds[first] == "LBRACE"
-        if braced:
-            try:
-                end = kinds.index("RBRACE", first)
-            except ValueError:  # no "}": reading on reports the fault
-                end = first
-            key = self.text[starts[first] : starts[end] + 1]
-            made = self.set_atoms.get(key)
-            if made is not None:
-                self.pos = end + 1
-                return made
         self.names = names = set()
         self.pos += braced
         atoms = [self.atom()]
@@ -279,13 +297,15 @@ class _Parser:
             while kinds[self.pos] == "COMMA":
                 self.pos += 1
                 atoms.append(self.atom())
-            self.expect("RBRACE", "'}'")
+            if kinds[self.pos] != "RBRACE":
+                self.expect("RBRACE", "'}'")
+            self.pos += 1
             if len(atoms) > 1 and any(a.is_builtin() for a in atoms):
                 raise self.error(
                     "comparison atom must be the only member of its NdAtom", starts[first]
                 )
-        else:  # bare atom sugar for a singleton NdAtom
-            key = self.source(first)
+        key = self.source(first)
+        if not braced:  # bare atom sugar for a singleton NdAtom
             made = self.set_atoms.get(key)
             if made is not None:
                 return made
@@ -320,7 +340,8 @@ class _Parser:
             pred, args = values[op], (left, self.term())
         else:
             raise self.error(f"expected atom, found {values[first]!r}", self.starts[first])
-        key = self.source(first)
+        last = self.pos - 1
+        key = self.text[self.starts[first] : self.starts[last] + len(values[last])]
         made = self.atoms.get(key)
         if made is None:
             made = self.atoms[key] = Atom(pred, args)

@@ -7,10 +7,11 @@ duplicate-free form, so set equality is plain structural equality
 everywhere else in the engine, and every output order is reproducible.
 
 All values here are immutable after construction and safe to share. Each
-term, atom and NdAtom computes its sort key and its hash once, when it is
-built, from those of its parts, and each atom also renders its text then;
-hashing and printing them later re-walk no term, and sorting compares the
-stored keys. There is one class per kind and no intern table: equal values
+is built in one step, by a hand-written `__init__` that stores every slot
+once. Each term, atom and NdAtom computes its sort key and its hash then,
+from those of its parts, and each atom also renders its text; hashing and
+printing them later re-walk no term, and sorting compares the stored keys.
+There is one class per kind and no intern table: equal values
 built apart stay distinct objects, and equality is structural; the parser
 shares the value of a repeated text only within one parse.
 """
@@ -40,21 +41,23 @@ def is_time_variable(name: str) -> bool:
 # Terms
 # ---------------------------------------------------------------------------
 
-# Each value sets its `key` (a total order across kinds) and `_hash` in
-# `__post_init__`. A stored hash is only valid in the process that computed
-# it (str hashes are salted per process), so `__reduce__` pickles the
-# fields alone and unpickling rebuilds the value through its constructor.
+# Each value is built in one step: its `__init__` computes `key` (a total
+# order across kinds), `_hash` and, for an atom, `text`, and stores every
+# slot through the slot descriptor's own `__set__`, bound once below each
+# class. That skips the frozen `__setattr__` as `object.__setattr__` does,
+# without looking the slot up by name. A stored hash is only valid in the
+# process that computed it (str hashes are salted per process), so
+# `__reduce__` pickles the fields alone and unpickling rebuilds the value
+# through its constructor.
 
-_set = object.__setattr__
 _by_key = attrgetter("key")
 
 _DERIVED = dict(init=False, repr=False, compare=False)
 
 
-def _store(value, key: tuple, parts: tuple) -> None:
-    """Set a value's key, and its hash from those of its parts."""
-    _set(value, "key", key)
-    _set(value, "_hash", hash(parts))
+def _setters(cls) -> list:
+    """The `__set__` of each field's slot descriptor, in field order."""
+    return [vars(cls)[f.name].__set__ for f in fields(cls)]
 
 
 def _stored_hash(value) -> int:
@@ -65,7 +68,7 @@ def _rebuilt(value):
     return type(value), tuple(getattr(value, f.name) for f in fields(value) if f.init)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Constant:
     """A symbol constant; a leading '-' in the name spells classical negation."""
 
@@ -73,9 +76,11 @@ class Constant:
     key: tuple = field(**_DERIVED)
     _hash: int = field(**_DERIVED)
 
-    def __post_init__(self):
-        key = (1, self.name)
-        _store(self, key, key)
+    def __init__(self, name: str):
+        key = (1, name)
+        _constant_name(self, name)
+        _constant_key(self, key)
+        _constant_hash(self, hash(key))
 
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
@@ -84,7 +89,10 @@ class Constant:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+_constant_name, _constant_key, _constant_hash = _setters(Constant)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Integer:
     """A signed machine integer constant."""
 
@@ -92,9 +100,11 @@ class Integer:
     key: tuple = field(**_DERIVED)
     _hash: int = field(**_DERIVED)
 
-    def __post_init__(self):
-        key = (0, self.value)
-        _store(self, key, key)
+    def __init__(self, value: int):
+        key = (0, value)
+        _integer_value(self, value)
+        _integer_key(self, key)
+        _integer_hash(self, hash(key))
 
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
@@ -103,7 +113,10 @@ class Integer:
         return str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+_integer_value, _integer_key, _integer_hash = _setters(Integer)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Variable:
     """A capitalized symbol, replaced during grounding."""
 
@@ -111,9 +124,11 @@ class Variable:
     key: tuple = field(**_DERIVED)
     _hash: int = field(**_DERIVED)
 
-    def __post_init__(self):
-        key = (2, self.name)
-        _store(self, key, key)
+    def __init__(self, name: str):
+        key = (2, name)
+        _variable_name(self, name)
+        _variable_key(self, key)
+        _variable_hash(self, hash(key))
 
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
@@ -122,7 +137,10 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+_variable_name, _variable_key, _variable_hash = _setters(Variable)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Compound:
     """A function symbol applied to argument terms."""
 
@@ -131,9 +149,11 @@ class Compound:
     key: tuple = field(**_DERIVED)
     _hash: int = field(**_DERIVED)
 
-    def __post_init__(self):
-        name, args = self.name, self.args
-        _store(self, (3, name, len(args), tuple(map(_by_key, args))), (3, name, args))
+    def __init__(self, name: str, args: tuple["Term", ...]):
+        _compound_name(self, name)
+        _compound_args(self, args)
+        _compound_key(self, (3, name, len(args), tuple(map(_by_key, args))))
+        _compound_hash(self, hash((3, name, args)))
 
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
@@ -142,7 +162,10 @@ class Compound:
         return f"{self.name}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True, slots=True)
+_compound_name, _compound_args, _compound_key, _compound_hash = _setters(Compound)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Sum:
     """A term plus a positive integer offset, e.g. T+1.
 
@@ -154,14 +177,20 @@ class Sum:
     key: tuple = field(**_DERIVED)
     _hash: int = field(**_DERIVED)
 
-    def __post_init__(self):
-        _store(self, (4, self.base.key, self.offset), (4, self.base, self.offset))
+    def __init__(self, base: "Term", offset: int):
+        _sum_base(self, base)
+        _sum_offset(self, offset)
+        _sum_key(self, (4, base.key, offset))
+        _sum_hash(self, hash((4, base, offset)))
 
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return f"{self.base}+{self.offset}"
+
+
+_sum_base, _sum_offset, _sum_key, _sum_hash = _setters(Sum)
 
 
 Term = Union[Constant, Integer, Variable, Compound, Sum]
@@ -182,7 +211,7 @@ def term_variables(term: Term) -> Iterator[str]:
 # Atoms and non-deterministic atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Atom:
     """A predicate applied to terms; the unit the Herbrand base is made of.
     Its text, `text`, is rendered once, at construction."""
@@ -193,18 +222,20 @@ class Atom:
     _hash: int = field(**_DERIVED)
     text: str = field(**_DERIVED)
 
-    def __post_init__(self):
-        pred, args = self.pred, self.args
+    def __init__(self, pred: str, args: tuple[Term, ...] = ()):
         if not pred:
             raise ProgramError("empty predicate name")
-        _store(self, (pred, len(args), tuple(map(_by_key, args))), (pred, args))
         if pred in BUILTIN_PREDICATES:
             text = f"{args[0]} {pred} {args[1]}"
         elif args:
             text = f"{pred}({', '.join(map(str, args))})"
         else:
             text = pred
-        _set(self, "text", text)
+        _atom_pred(self, pred)
+        _atom_args(self, args)
+        _atom_key(self, (pred, len(args), tuple(map(_by_key, args))))
+        _atom_hash(self, hash((pred, args)))
+        _atom_text(self, text)
 
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
@@ -222,7 +253,10 @@ class Atom:
         return self.text
 
 
-@dataclass(frozen=True, slots=True)
+_atom_pred, _atom_args, _atom_key, _atom_hash, _atom_text = _setters(Atom)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class NdAtom:
     """A canonical non-empty set of atoms, stored sorted and duplicate-free.
 
@@ -234,15 +268,17 @@ class NdAtom:
     key: tuple = field(**_DERIVED)
     _hash: int = field(**_DERIVED)
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: tuple[Atom, ...]):
+        if not atoms:
             raise ProgramError("empty non-deterministic atom")
-        key = tuple(map(_by_key, self.atoms))
+        key = tuple(map(_by_key, atoms))
         if not all(map(lt, key, key[1:])):
             raise ProgramError(
                 "non-canonical atom sequence; build NdAtoms with canonicalize()"
             )
-        _store(self, key, self.atoms)
+        _nd_atoms(self, atoms)
+        _nd_key(self, key)
+        _nd_hash(self, hash(atoms))
 
     __hash__ = _stored_hash
     __reduce__ = _rebuilt
@@ -255,6 +291,9 @@ class NdAtom:
 
     def __str__(self) -> str:
         return "{" + ", ".join(a.text for a in self.atoms) + "}"
+
+
+_nd_atoms, _nd_key, _nd_hash = _setters(NdAtom)
 
 
 def canonicalize(atoms: Iterable[Atom]) -> NdAtom:
@@ -273,18 +312,27 @@ def canonicalize(atoms: Iterable[Atom]) -> NdAtom:
 # Literals, rules, programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Literal:
     """A body element: an NdAtom, possibly under negation as failure."""
 
     atom: NdAtom
     negated: bool = False
 
+    def __init__(self, atom: NdAtom, negated: bool = False):
+        _literal_atom(self, atom)
+        _literal_negated(self, negated)
+
+    __reduce__ = _rebuilt
+
     def __str__(self) -> str:
         return f"not {self.atom}" if self.negated else str(self.atom)
 
 
-@dataclass(frozen=True)
+_literal_atom, _literal_negated = _setters(Literal)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Rule:
     """head :- body. An empty body makes the rule a fact.
 
@@ -295,6 +343,13 @@ class Rule:
     head: NdAtom
     body: tuple[Literal, ...] = ()
     origin: str | None = field(default=None, compare=False)
+
+    def __init__(self, head: NdAtom, body: tuple[Literal, ...] = (), origin: str | None = None):
+        _rule_head(self, head)
+        _rule_body(self, body)
+        _rule_origin(self, origin)
+
+    __reduce__ = _rebuilt
 
     def is_fact(self) -> bool:
         return not self.body
@@ -321,6 +376,9 @@ class Rule:
         if not self.body:
             return f"{self.head}."
         return f"{self.head} :- {', '.join(str(lit) for lit in self.body)}."
+
+
+_rule_head, _rule_body, _rule_origin = _setters(Rule)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -170,6 +171,24 @@ class TestExitCodes:
             _load([str(corpus_path("teaching.ndlp"))], None)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestTimingLine:
+    def test_solved_in_includes_writing_the_report(self, capsys, monkeypatch):
+        # a clock that stands still except while the report is written
+        now = [100.0]
+        monkeypatch.setattr(ndlp.cli, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        write = SolveReport.write
+
+        def slow_write(self, stream, fmt="text"):
+            write(self, stream, fmt)
+            now[0] += 2.5
+
+        monkeypatch.setattr(SolveReport, "write", slow_write)
+        code, out, err = run(capsys, "expand", "--semantics", "stable",
+                             str(corpus_path("teaching.ndlp")))
+        assert code == 0 and "answer set" in out
+        assert err == "solved in 2.500s\n"
 
 
 class TestMultipleFiles:

@@ -50,6 +50,25 @@ COUNT_DOWN = {
         "{q(X)} :- {r(X)}, {r(X)}.\n{r(a)}.\n{r(b)}.\n",
 }
 
+# Programs without variables are compiled in one pass that no case above
+# reaches, since each of those has a rule with variables.
+VARIABLE_FREE = {
+    "true and false comparisons":
+        "{h} :- {g}, {a == a}.\n{k} :- {g}, {a != a}.\n{m} :- {a != b}, not {k}.\n"
+        "{n} :- {1 == 2}.\n{g}.\n",
+    "comparisons the parser folds":
+        "{h} :- {1+1 == 2}.\n{k} :- {g}, {2 != 1+1}.\n{g}.\n",
+    "repeated body literal":
+        "{h} :- {g}, {g}, not {k}, not {k}.\n{g}.\n{k} :- {h}.\n",
+    "one set-atom written in two member orders":
+        "{m2, m1} :- {s}.\n{h} :- {m1, m2}.\n{k} :- not {m2, m1}.\n{s}.\n",
+    "negated literal that no rule heads":
+        "{h} :- not {nowhere}.\n{k} :- {h}, not {h2}.\n",
+    "facts only":
+        "{a}.\n{c, b}.\n{p(1, f(x))}.\n{a}.\n",
+    "empty program": "",
+}
+
 # Positive body set-atoms are taken from the join's matches; heads, negated
 # literals and comparisons are grounded for each instance, and heads and
 # negated literals interned only when the instance is kept.
@@ -139,6 +158,19 @@ def test_transitive_closure_grounds_to_live_product_instances(shape):
 @pytest.mark.parametrize("case", COUNT_DOWN)
 def test_count_down_cases_ground_to_live_product_instances(case):
     check_against_product(parse_program(COUNT_DOWN[case]), None, case)
+
+
+@pytest.mark.parametrize("case", VARIABLE_FREE)
+def test_programs_without_variables_ground_to_their_product_instances(case):
+    program = parse_program(VARIABLE_FREE[case])
+    assert not any(rule.variables() for rule in program.rules)
+    check_against_product(program, None, case)
+
+
+def test_one_set_atom_in_two_member_orders_gets_one_id():
+    gp = ground(parse_program(VARIABLE_FREE["one set-atom written in two member orders"]))
+    assert [str(nd) for nd in gp.base] == ["{h}", "{k}", "{m1, m2}", "{s}"]
+    assert gp.compiled.heads[0] == gp.compiled.pos[1][0] == gp.compiled.neg[2][0] == 2
 
 
 @pytest.mark.parametrize("case", FROM_THE_JOIN)

@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,11 @@ from ndlp.syntax import (
     Compound,
     Constant,
     Integer,
+    Literal,
+    NdAtom,
+    Rule,
     Sum,
+    Variable,
     program_to_str,
 )
 
@@ -104,10 +108,45 @@ class TestStoredValues:
 
     @given(atoms)
     def test_fields_stay_frozen(self, value):
-        with pytest.raises(FrozenInstanceError):
-            value.pred = "z"
-        with pytest.raises(FrozenInstanceError):
-            canonicalize([value]).atoms = ()
+        nd = canonicalize([value])
+        literal = Literal(nd, True)
+        every = [
+            Constant("a"), Integer(1), Variable("X"), Compound("f", (Constant("a"),)),
+            Sum(Variable("T"), 1), value, nd, literal, Rule(nd, (literal,), "line 1"),
+        ]
+        for made in every:
+            for f in fields(made):
+                kept = getattr(made, f.name)
+                with pytest.raises(FrozenInstanceError):
+                    setattr(made, f.name, kept)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(made, f.name)
+                assert getattr(made, f.name) is kept
+
+    def test_keyword_construction_equals_positional(self):
+        args = (Compound("f", (Integer(1),)), Sum(Variable("T"), 2))
+        built = Atom(pred="p", args=args)
+        assert built == Atom("p", args) and str(built) == "p(f(1), T+2)"
+        assert hash(built) == hash(Atom("p", args)) and built.key == Atom("p", args).key
+        # each stored hash is the hash of the value's parts
+        assert hash(built) == hash(("p", args)) and hash(Constant("a")) == hash((1, "a"))
+        nd = NdAtom(atoms=(built,))
+        assert hash(nd) == hash((built,))
+        body = (Literal(atom=nd, negated=True),)
+        rule = Rule(head=nd, body=body, origin="line 3")
+        assert rule == Rule(nd, body, "line 3") and rule.origin == "line 3"
+        assert Rule(head=nd) == Rule(nd, ()) and Rule(nd).origin is None
+        assert Literal(atom=nd) == Literal(nd, False)
+        assert (Constant(name="a"), Integer(value=2), Variable(name="X")) == (
+            Constant("a"), Integer(2), Variable("X"))
+        assert Compound(name="f", args=args) == Compound("f", args)
+        assert Sum(base=Variable("T"), offset=1) == Sum(Variable("T"), 1)
+
+    def test_rule_equality_and_hash_ignore_origin(self):
+        first, second = parse_rule("{a} :- {b}, not {c}."), parse_rule("\n\n{a} :- {b}, not {c}.")
+        assert (first.origin, second.origin) == ("line 1", "line 3")
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
 
     def test_hash_and_text_are_not_recomputed(self, monkeypatch):
         term = Constant("a")
@@ -127,14 +166,26 @@ class TestStoredValues:
         assert calls == Counter()
 
     def test_pickled_set_is_found_under_another_hash_seed(self):
-        text = "{p(f(a, 1), -b), q}. {r(g(h(c)))}."
-        stored = pickle.dumps(frozenset(rule.head for rule in parse_program(text).rules))
+        text = ("#horizon 2.\n{p(f(a, 1), -b), q} :- {r(T)}, not {s(T+1)}.\n"
+                "{r(g(h(c)))} :- {q}, {1 != 2}, not {p(f(a, 1), -b), q}, {t(-3)}.\n")
+        program = parse_program(text)
+        every = frozenset([*program.rules, *values(program.rules).values()])
+        stored = pickle.dumps((program, every))
         check = (
             "import pickle, sys\n"
             "from ndlp import parse_program\n"
-            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
-            f"fresh = [rule.head for rule in parse_program({text!r}).rules]\n"
-            "assert all(nd in loaded for nd in fresh), 'fresh NdAtom not found'\n"
+            "def parts(value):\n"
+            "    yield value\n"
+            "    for name in ('head', 'body', 'atom', 'atoms', 'args', 'base'):\n"
+            "        part = getattr(value, name, ())\n"
+            "        for item in part if isinstance(part, tuple) else (part,):\n"
+            "            yield from parts(item)\n"
+            "loaded, stored = pickle.loads(sys.stdin.buffer.read())\n"
+            f"fresh = parse_program({text!r})\n"
+            "assert loaded == fresh, 'program differs'\n"
+            "found = {v for rule in loaded.rules for v in parts(rule)}\n"
+            "for rule in fresh.rules:\n"
+            "    assert all(v in found and v in stored for v in parts(rule)), 'fresh value not found'\n"
         )
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
         src = str(Path(ndlp.__file__).resolve().parent.parent)
