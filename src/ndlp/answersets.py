@@ -27,8 +27,9 @@ in key order. An own part's images are these ids; the shared part's are
 grown as int masks over its own atoms and decoded once per distinct image.
 The rows are the sorted picks of the parts' product, all built by C-level
 calls, and sorting them sorts ints. `expand_ids` returns the rows with
-their table; `AnswerSet` values are built only when a caller reads them,
-so the command line renders every set from its row and builds none.
+their table; `AnswerSet` values, each holding its table and row, are built
+only when a caller reads them, so the command line renders every set from
+its row and builds none.
 """
 
 from __future__ import annotations
@@ -53,32 +54,31 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 @dataclass(frozen=True, slots=True, eq=False)
 class AnswerSet:
-    """One branch: the ranks, in an atom table, of its chosen atoms and of
-    its signed negatives (WF models only), each tuple sorted."""
+    """One branch: its sorted entry ids in an atom table's `entries`, the
+    ranks of its chosen atoms, then those of its signed negatives (WF models
+    only) offset by `len(table.texts)`."""
 
     table: AtomTable
-    pos: tuple[int, ...]
-    neg: tuple[int, ...] = ()
+    row: tuple[int, ...]
+
+    def _split(self) -> tuple[tuple[int, ...], list[int]]:
+        """The ranks of its atoms and of its negatives."""
+        n = len(self.table.texts)
+        i = bisect_left(self.row, n)
+        return self.row[:i], [r - n for r in self.row[i:]]
 
     @property
     def atoms(self) -> frozenset[Atom]:
-        return frozenset(map(self.table.atoms.__getitem__, self.pos))
+        return frozenset(map(self.table.atoms.__getitem__, self._split()[0]))
 
     @property
     def negatives(self) -> frozenset[Atom]:
-        return frozenset(map(self.table.atoms.__getitem__, self.neg))
+        return frozenset(map(self.table.atoms.__getitem__, self._split()[1]))
 
     @property
     def key(self):
         atoms = self.table.atoms
-        return tuple(atoms[r].key for r in self.pos), tuple(atoms[r].key for r in self.neg)
-
-    @property
-    def row(self) -> tuple[int, ...]:
-        """Its entry ids in `table.entries`, positives then negatives."""
-        if not self.neg:
-            return self.pos
-        return self.pos + tuple(map(len(self.table.texts).__add__, self.neg))
+        return tuple(tuple(atoms[r].key for r in part) for part in self._split())
 
     def entries(self) -> list[str]:
         """Rendered entries in canonical order, negatives as 'not a'."""
@@ -109,15 +109,7 @@ class Expansion:
 
     @cached_property
     def answer_sets(self) -> tuple[AnswerSet, ...]:
-        table, n = self.table, len(self.table.texts)
-        sets = []
-        for row in self.rows:
-            if row and row[-1] >= n:  # it has a signed negative, which sorts last
-                i = bisect_left(row, n)
-                sets.append(AnswerSet(table, tuple(row[:i]), tuple([r - n for r in row[i:]])))
-            else:
-                sets.append(AnswerSet(table, tuple(row)))
-        return tuple(sets)
+        return tuple([AnswerSet(self.table, tuple(row)) for row in self.rows])
 
     def __iter__(self):
         return iter(self.answer_sets)

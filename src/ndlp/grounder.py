@@ -21,17 +21,20 @@ binds ranges over its domain; a bound value outside the domain is
 rejected, so a time point derived past the horizon binds no time
 variable. Each rule's instances come out in the order of the product
 of its sorted variables' domains, without duplicates. The result is the
-product grounding less its dead instances. Rules without variables are kept
-as written and never joined: each counts down its positive body literals
-and derives its head once the NdAtom of the last of them is taken off the
-queue.
+product grounding less its dead instances. The instantiator records at most
+MAX_GROUND_INSTANCES instances, kept or dropped, and builds no time domain
+of more points; past that, grounding stops with a GroundingError.
 
-A program without variables, found by checking each distinct NdAtom once,
-is compiled in one pass: every rule is its own instance, and its NdAtoms
-are interned by value in rule order, then renumbered to key order by the
-same step the instantiator ends with. `make_ground_program`, which
-compiles given ground rules over their sorted restricted base, is the
-reference both are tested against.
+Every rule without variables, found by checking each distinct NdAtom once,
+takes one route: it is its own instance, and its NdAtoms are interned by
+value in rule order. A program with no other rule is then compiled in one
+pass, renumbered to key order by the same step the instantiator ends with.
+Otherwise the instantiator starts from those NdAtoms, keying each distinct
+one once, and never joins such a rule: it counts down its positive body
+literals and derives its head once the NdAtom of the last of them is taken
+off the queue. `make_ground_program`, which compiles given ground rules
+over their sorted restricted base, is the reference both are tested
+against.
 
 Matching runs on ints, as gringo interns its terms. Within one `ground()`
 call each ground term gets an id, the program's constants first in key
@@ -79,6 +82,12 @@ from .syntax import (
     sort_nd_atoms,
     term_variables,
 )
+
+# Most instances of rules with variables one `ground()` call may record,
+# kept or dropped, and so also the most time points a free time variable
+# may range over. Past it grounding stops with a GroundingError rather than
+# running until time or memory runs out.
+MAX_GROUND_INSTANCES = 100_000
 
 
 class GroundProgram:
@@ -138,54 +147,10 @@ def _in_key_order(atoms: list[NdAtom], heads: list[int], pos: list, neg: list) -
 
     def renumbered_bodies(bodies: list) -> list[tuple[int, ...]]:
         return [tuple(dict.fromkeys(map(renumber, body))) if len(body) > 1
-                else tuple(map(renumber, body)) for body in bodies]
+                else (renumber(body[0]),) if body else () for body in bodies]
 
     return CompiledProgram([atoms[old] for old in order], list(map(renumber, heads)),
                            renumbered_bodies(pos), renumbered_bodies(neg))
-
-
-def _variable_free(rules: Iterable[Rule]) -> bool:
-    """Whether no rule has a variable. The parser shares a repeated NdAtom,
-    so each distinct one is checked once, by identity."""
-    distinct: dict[int, NdAtom] = {}
-    for rule in rules:
-        distinct[id(rule.head)] = rule.head
-        for lit in rule.body:
-            distinct[id(lit.atom)] = lit.atom
-    for nd in distinct.values():
-        for atom in nd.atoms:
-            if atom.args and atom.variables():
-                return False
-    return True
-
-
-def _ground_fixed(rules: Iterable[Rule]) -> GroundProgram:
-    """A program without variables, compiled in one pass: each rule is its
-    own instance (see `_fixed_instance`), and its NdAtoms are interned by
-    value in rule order, then renumbered to key order.
-    `make_ground_program` is the reference it is tested against."""
-    ids: dict[NdAtom, int] = {}
-    kept: list[Rule] = []
-    heads: list[int] = []
-    pos: list[list[int]] = []
-    neg: list[list[int]] = []
-    for rule in rules:
-        for lit in rule.body:
-            if lit.atom.atoms[0].pred in BUILTIN_PREDICATES:
-                rule = _fixed_instance(rule)
-                break
-        if rule is None:
-            continue
-        kept.append(rule)
-        heads.append(ids.setdefault(rule.head, len(ids)))
-        positive: list[int] = []
-        negated: list[int] = []
-        for lit in rule.body:
-            (negated if lit.negated else positive).append(ids.setdefault(lit.atom, len(ids)))
-        pos.append(positive)
-        neg.append(negated)
-    rules = tuple(kept)
-    return GroundProgram(_in_key_order(list(ids), heads, pos, neg), lambda: rules)
 
 
 def program_constants(program: Program) -> tuple[Term, ...]:
@@ -246,39 +211,33 @@ def _signature(members) -> frozenset[str]:
 
 
 class _Source:
-    """One source rule during instantiation, its set-literals compiled to
-    member patterns `(pred, args)` (see `_Instantiator.compile`): the
-    positive body literals its instances are joined on, each with the
+    """One source rule with variables during instantiation, its set-literals
+    compiled to member patterns `(pred, args)` (see `_Instantiator.compile`):
+    the positive body literals its instances are joined on, each with the
     variables of its members and the id of the NdAtom it is matched to in
     the join under way, the variables no such literal binds, and the
     instances found, keyed by the ids their variables are bound to. An
     instance is the ids of its head, positive body and negated body, in body
     order; None marks one whose comparison or arithmetic failed. `layout`
-    tells, per body literal left in an instance, whether it is negated. A
-    rule without variables has its one instance, keyed (), fixed up front,
-    and `missing` of its positive body literals still to be taken off the
-    queue."""
+    tells, per body literal left in an instance, whether it is negated.
+    `after` counts the rules without variables kept before it."""
 
-    def __init__(self, rule: Rule, names: list[str], compile: Callable):
+    def __init__(self, rule: Rule, names: list[str], after: int, compile: Callable):
         self.rule = rule
         self.names = names
-        self.fixed = None if names else _fixed_instance(rule)
-        self.missing = 0
+        self.after = after
         kept = [lit for lit in rule.body if not _is_test(lit)]
         self.layout = [lit.negated for lit in kept]
-        self.tests: list[tuple] = []
+        self.tests = [compile(lit.atom.atoms[0]) for lit in rule.body if _is_test(lit)]
         # the set-atoms each instance grounds: its head, then its negated literals
-        self.grounded: list[tuple] = []
+        self.grounded = [tuple(map(compile, nd.atoms))
+                         for nd in [rule.head] + [lit.atom for lit in kept if lit.negated]]
         self.joins: list[tuple[tuple, list[set[str]], set[str]]] = []
-        if names:
-            self.tests = [compile(lit.atom.atoms[0]) for lit in rule.body if _is_test(lit)]
-            self.grounded = [tuple(map(compile, nd.atoms))
-                             for nd in [rule.head] + [lit.atom for lit in kept if lit.negated]]
-            for lit in kept:
-                if not lit.negated:
-                    per_member = [atom.variables() for atom in lit.atom]
-                    self.joins.append((tuple(map(compile, lit.atom.atoms)), per_member,
-                                       set().union(*per_member)))
+        for lit in kept:
+            if not lit.negated:
+                per_member = [atom.variables() for atom in lit.atom]
+                self.joins.append((tuple(map(compile, lit.atom.atoms)), per_member,
+                                   set().union(*per_member)))
         self.matched = [0] * len(self.joins)
         joined = {n for _, _, bound in self.joins for n in bound}
         self.free = [name for name in names if name not in joined]
@@ -287,11 +246,13 @@ class _Source:
 
 class _Instantiator:
     """Semi-naive instantiation over the positive closure that ignores
-    negation. Each NdAtom taken off the queue counts down the rules without
-    variables that need it, is indexed, then is matched against the join
-    literals it fits; the rest of each such rule body is joined against the
-    NdAtoms indexed so far. An instance is thus found when the last of its
-    positive body NdAtoms is taken off the queue.
+    negation. It starts from the set-atoms of the rules without variables,
+    each already an instance of its own, and keys each distinct one once,
+    keeping its id. Each NdAtom taken off the queue counts down the positive
+    bodies of those rules that need it, is indexed, then is matched against
+    the join literals it fits; the rest of each such rule body is joined
+    against the NdAtoms indexed so far. An instance is thus found when the
+    last of its positive body NdAtoms is taken off the queue.
 
     Matching runs on ids. Each ground term gets an id from its key: an int
     for an Integer, a str for a Constant, `(name, arg ids)` for a Compound.
@@ -300,42 +261,48 @@ class _Instantiator:
     `len(constants)`. A member is keyed `(pred, arg ids)`, and `keys[i]`
     holds the members of NdAtom `i` in canonical order."""
 
-    def __init__(self, rules: list[tuple[Rule, list[str]]], horizon: int | None,
-                 constants: tuple[Term, ...]):
+    def __init__(self, rules: list[tuple[Rule, list[str], int]], horizon: int | None,
+                 constants: tuple[Term, ...], atoms: list[NdAtom], fixed: tuple):
         self.horizon = horizon
         self.nconst = len(constants)
         self.terms: list[Term] = list(constants)
         self.term_keys: list = [t.value if isinstance(t, Integer) else t.name for t in constants]
         self.term_ids = {key: i for i, key in enumerate(self.term_keys)}
         self.time_domain: list[int] | None = None
-        self.sources = sources = [_Source(rule, names, self.compile) for rule, names in rules]
+        self.sources = sources = [_Source(*rule, self.compile) for rule in rules]
         self.time = {
             name: is_time_variable(name) for source in sources for name in source.names
         }
         self.atoms: list[NdAtom] = []
         self.keys: list[tuple] = []
         self.by_key: dict[tuple, int] = {}  # members in canonical or pattern order -> id
+        for nd in atoms:
+            self.add(tuple(map(self.compile, nd.atoms)), nd)
+        self.room = MAX_GROUND_INSTANCES  # instances it may still record
         self.members: dict[tuple, Atom] = {}  # member key -> the atom built
         self.derived: set[int] = set()
         self.queue: list[int] = []
         self.singletons: dict[str, frozenset[str]] = {}  # pred -> its one-member signature
         self.by_signature: dict[tuple[frozenset[str], int], list[int]] = {}
         self.by_argument: dict[tuple[str, int, int], list[int]] = {}
+        # the rules without variables kept, with the ids of their head,
+        # positive and negated body, which are those of `atoms`; each counts
+        # down its positive body literals not yet taken off the queue
+        self.fixed = fixed
+        _, heads, bodies, _ = fixed
+        self.missing = list(map(len, bodies))
         # NdAtom id -> the rules without variables still waiting for it
-        self.waiting: dict[int, list[_Source]] = {}
+        self.waiting: dict[int, list[int]] = {}
+        for r, body in enumerate(bodies):
+            for i in body:
+                self.waiting.setdefault(i, []).append(r)
+            if not body:
+                self.derive(heads[r])
         # (signature, size) -> (source, join literal position, the other
         # positions), for each signature and size of NdAtom the join
         # literal can match
         self.triggers: dict[tuple[frozenset[str], int], list[tuple[_Source, int, list[int]]]] = {}
         for source in sources:
-            if source.fixed is not None:
-                rule = source.fixed
-                needs = tuple(map(self.intern_written, rule.positive_body()))
-                negated = tuple(map(self.intern_written, rule.negative_body()))
-                source.instances[()] = (self.intern_written(rule.head), needs, negated)
-                source.missing = len(needs)
-                for i in needs:
-                    self.waiting.setdefault(i, []).append(source)
             for pos, (members, _, _) in enumerate(source.joins):
                 rest = [i for i in range(len(source.joins)) if i != pos]
                 signature = _signature(members)
@@ -510,20 +477,20 @@ class _Instantiator:
             j += 1
 
     def run(self) -> None:
+        _, heads, _, _ = self.fixed
+        missing = self.missing
         for source in self.sources:
-            if source.fixed is not None and not source.missing:
-                self.derive(source.instances[()][0])
-            elif source.names and not source.joins:
+            if not source.joins:
                 self.emit(source, {})
         keys = self.keys
         env: dict[str, int] = {}
         trail: list[str] = []
         while self.queue:
             i = self.queue.pop()
-            for source in self.waiting.pop(i, ()):
-                source.missing -= 1
-                if not source.missing:
-                    self.derive(source.instances[()][0])
+            for r in self.waiting.pop(i, ()):
+                missing[r] -= 1
+                if not missing[r]:
+                    self.derive(heads[r])
             key = keys[i]
             for source, pos, rest in self.triggers.get(self.index(i, key), ()):
                 patterns, names, _ = source.joins[pos]
@@ -628,6 +595,10 @@ class _Instantiator:
             key = tuple(map(full.__getitem__, source.names))
             if key in instances:
                 continue
+            self.room -= 1
+            if self.room < 0:
+                raise GroundingError(f"more than MAX_GROUND_INSTANCES = {MAX_GROUND_INSTANCES} "
+                                     f"ground instances ({source.rule.origin})")
             instance = instances[key] = self.instance(source, full, pos)
             if instance is not None:
                 self.derive(instance[0])
@@ -671,11 +642,6 @@ class _Instantiator:
             self.by_key[key] = i
         return i
 
-    def intern_written(self, nd: NdAtom) -> int:
-        key = tuple([(atom.pred, tuple(map(self.written_id, atom.args))) for atom in nd.atoms])
-        i = self.by_key.get(key)
-        return self.add(key, nd) if i is None else i
-
     def add(self, key: tuple, nd: NdAtom) -> int:
         i = self.by_key[key] = len(self.atoms)
         self.atoms.append(nd)
@@ -699,18 +665,25 @@ class _Instantiator:
         if not self.time[name]:
             return range(self.nconst)
         if self.time_domain is None:
+            if self.horizon + 1 > MAX_GROUND_INSTANCES:
+                raise GroundingError(f"horizon {self.horizon} gives more than "
+                                     f"MAX_GROUND_INSTANCES = {MAX_GROUND_INSTANCES} time points")
             self.time_domain = [self.term_id(t) for t in range(self.horizon + 1)]
         return self.time_domain
 
     def program(self) -> GroundProgram:
-        """Each source rule's instances in product order, first-wins, over
-        the interned NdAtoms renumbered to key order by one sort. An
-        instance's ids rank its constants; a time variable ranks by its
-        value. Since one source rule fixes the layout of its instances,
-        equal ids mean equal rules."""
-        kept = []
+        """Each source rule's instances in source-rule order, those of a
+        rule with variables in product order, first-wins, over the interned
+        NdAtoms renumbered to key order by one sort. An instance's ids rank
+        its constants; a time variable ranks by its value. Since one source
+        rule fixes the layout of its instances, equal ids mean equal rules."""
+        rules, heads, pos, neg = self.fixed
+        fixed = list(zip(rules, zip(heads, pos, neg)))
+        kept, done = [], 0
         term_keys = self.term_keys
         for source in self.sources:
+            kept += fixed[done:source.after]
+            done = source.after
             timed = [self.time[name] for name in source.names]
             rank = None
             if any(timed):
@@ -719,6 +692,7 @@ class _Instantiator:
             found = dict.fromkeys(map(source.instances.__getitem__,
                                       sorted(source.instances, key=rank)))
             kept += [(source, instance) for instance in found if instance is not None]
+        kept += fixed[done:]
         atoms = self.atoms
         compiled = _in_key_order(atoms, [head for _, (head, _, _) in kept],
                                  [pos for _, (_, pos, _) in kept],
@@ -727,8 +701,8 @@ class _Instantiator:
         def spell() -> tuple[Rule, ...]:
             rules = []
             for source, (head, pos, neg) in kept:
-                if source.fixed is not None:
-                    rules.append(source.fixed)
+                if isinstance(source, Rule):
+                    rules.append(source)
                     continue
                 positive, negated = iter(pos), iter(neg)
                 body = tuple(Literal(atoms[next(negated)], True) if negative
@@ -744,34 +718,72 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
     plus every rule written without variables.
 
     `horizon` overrides the program's own `#horizon`. Missing horizon with
-    time variables present, or a non-time variable with no constants to
-    range over, is an error.
+    time variables present, a non-time variable with no constants to range
+    over, or more than MAX_GROUND_INSTANCES instances, is an error.
     """
     if horizon is None:
         horizon = program.horizon
     if horizon is not None and horizon < 0:
         raise GroundingError("horizon must be non-negative")
-    if _variable_free(program.rules):
-        return _ground_fixed(program.rules)
-    constants: tuple[Term, ...] | None = None
-    rules: list[tuple[Rule, list[str]]] = []
+    # The parser shares a repeated NdAtom, so each distinct one is checked
+    # for variables once, by identity.
+    distinct: dict[int, NdAtom] = {}
     for rule in program.rules:
-        names = sorted(rule.variables())
-        for name in names:
-            if is_time_variable(name):
-                if horizon is None:
-                    raise GroundingError(
-                        f"time variable {name} needs a horizon; "
-                        f"pass --horizon or add #horizon ({rule.origin})"
-                    )
-            else:
-                if constants is None:
-                    constants = program_constants(program)
-                if not constants:
-                    raise GroundingError(
-                        f"variable {name} has no constants to range over ({rule.origin})"
-                    )
-        rules.append((rule, names))
-    instantiator = _Instantiator(rules, horizon, constants or ())
+        distinct[id(rule.head)] = rule.head
+        for lit in rule.body:
+            distinct[id(lit.atom)] = lit.atom
+    varied: set[int] = set()
+    for nd in distinct.values():
+        for atom in nd.atoms:
+            if atom.args and atom.variables():
+                varied.add(id(nd))
+                break
+    # Each rule without variables is its own instance (see `_fixed_instance`),
+    # and its NdAtoms are interned by value in rule order.
+    ids: dict[NdAtom, int] = {}
+    kept: list[Rule] = []
+    heads: list[int] = []
+    pos: list[list[int]] = []
+    neg: list[list[int]] = []
+    constants: tuple[Term, ...] | None = None
+    sources: list[tuple[Rule, list[str], int]] = []
+    for rule in program.rules:
+        if varied and (id(rule.head) in varied or any(id(lit.atom) in varied for lit in rule.body)):
+            names = sorted(rule.variables())
+            for name in names:
+                if is_time_variable(name):
+                    if horizon is None:
+                        raise GroundingError(
+                            f"time variable {name} needs a horizon; "
+                            f"pass --horizon or add #horizon ({rule.origin})"
+                        )
+                else:
+                    if constants is None:
+                        constants = program_constants(program)
+                    if not constants:
+                        raise GroundingError(
+                            f"variable {name} has no constants to range over ({rule.origin})"
+                        )
+            sources.append((rule, names, len(kept)))
+            continue
+        for lit in rule.body:
+            if lit.atom.atoms[0].pred in BUILTIN_PREDICATES:
+                rule = _fixed_instance(rule)
+                break
+        if rule is None:
+            continue
+        kept.append(rule)
+        heads.append(ids.setdefault(rule.head, len(ids)))
+        positive: list[int] = []
+        negated: list[int] = []
+        for lit in rule.body:
+            (negated if lit.negated else positive).append(ids.setdefault(lit.atom, len(ids)))
+        pos.append(positive)
+        neg.append(negated)
+    if not sources:
+        rules = tuple(kept)
+        return GroundProgram(_in_key_order(list(ids), heads, pos, neg), lambda: rules)
+    instantiator = _Instantiator(sources, horizon, constants or (), list(ids),
+                                 (kept, heads, pos, neg))
     instantiator.run()
     return instantiator.program()

@@ -60,6 +60,14 @@ class TestExitCodes:
         assert code == 2
         assert "horizon" in err
 
+    def test_grounding_past_the_bound(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(ndlp.grounder, "MAX_GROUND_INSTANCES", 100)
+        runaway = tmp_path / "runaway.ndlp"
+        runaway.write_text("{p(T+1)} :- {p(T)}. {p(0)}.\n")
+        code, out, err = run(capsys, "ground", "--horizon", "1000000000", str(runaway))
+        assert code == 2 and not out
+        assert "MAX_GROUND_INSTANCES = 100 ground instances" in err
+
     def test_least_rejects_negation(self, capsys):
         code, _, err = run(
             capsys, "solve", "--semantics", "least", str(corpus_path("teaching.ndlp"))

@@ -4,7 +4,7 @@ import pytest
 
 from ndlp import GroundingError, ground, grounder, least_model, parse_program
 from ndlp.corpus import corpus_text
-from ndlp.grounder import _Instantiator, make_ground_program, restricted_base
+from ndlp.grounder import _Instantiator, _Source, make_ground_program, restricted_base
 from ndlp.syntax import Program
 
 from conftest import closure_chain, gp_from
@@ -211,6 +211,92 @@ class TestWorkBound:
         text, horizon = program
         ground(parse_program(text), horizon=horizon)
         assert len(built) <= bound
+
+    # Rules without variables are their own instances; only the others are
+    # instantiated, so only they are compiled to a `_Source`.
+    def test_only_rules_with_variables_become_sources(self, monkeypatch):
+        compiled = []
+        init = _Source.__init__
+
+        def spy(self, rule, *args):
+            compiled.append(str(rule))
+            init(self, rule, *args)
+
+        monkeypatch.setattr(_Source, "__init__", spy)
+        gp = gp_from("{g}.\n{h} :- {g}.\n{k} :- {g}, {a == b}.\n"
+                     "{q(X)} :- {r(X)}, {h}.\n{r(a)}.\n")
+        assert compiled == ["{q(X)} :- {r(X)}, {h}."]
+        assert {"{h}", "{q(a)}"} <= {str(nd) for nd in least_model(gp)}
+
+    # Each distinct set-atom of the rules without variables is keyed once,
+    # one `written_id` call per argument, however often the rules repeat it.
+    # Keying every occurrence took 301 calls on this program.
+    def test_each_fixed_set_atom_is_keyed_once(self, monkeypatch):
+        written = []
+        written_id = _Instantiator.written_id
+
+        def count(self, term):
+            written.append(term)
+            return written_id(self, term)
+
+        monkeypatch.setattr(_Instantiator, "written_id", count)
+        n = 50
+        facts = "".join(f"{{p({i}, c)}}.\n" for i in range(n))
+        body = ", ".join(f"{{p({i}, c)}}" for i in range(n))
+        gp = gp_from(f"{facts}{{h}} :- {body}.\n{{k}} :- {body}.\n{{q(X)}} :- {{r(X)}}. {{r(a)}}.\n")
+        assert len(written) == 2 * n + 1
+        assert {"{h}", "{k}", "{q(a)}"} <= {str(nd) for nd in least_model(gp)}
+
+
+class TestGroundingBound:
+    # {p(T)} for T = 0..h records one instance per time point
+    RUNAWAY = "{p(T+1)} :- {p(T)}. {p(0)}."
+
+    def test_runaway_closure_stops(self, monkeypatch):
+        monkeypatch.setattr(grounder, "MAX_GROUND_INSTANCES", 1000)
+        with pytest.raises(GroundingError, match="MAX_GROUND_INSTANCES = 1000 ground instances"):
+            ground(parse_program(self.RUNAWAY), horizon=10**9)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(grounder, "MAX_GROUND_INSTANCES", 100)
+        assert len(ground(parse_program(self.RUNAWAY), horizon=99).rules) == 101
+        with pytest.raises(GroundingError):
+            ground(parse_program(self.RUNAWAY), horizon=100)
+
+    def test_dropped_instances_count(self, monkeypatch):
+        monkeypatch.setattr(grounder, "MAX_GROUND_INSTANCES", 9)
+        facts = "".join(f"{{r(c{i})}}.\n" for i in range(10))
+        with pytest.raises(GroundingError):
+            ground(parse_program(facts + "{p(X)} :- {r(X)}, {X == z}.\n{z}.\n"))
+        monkeypatch.setattr(grounder, "MAX_GROUND_INSTANCES", 10)
+        gp = ground(parse_program(facts + "{p(X)} :- {r(X)}, {X == z}.\n{z}.\n"))
+        assert not [rule for rule in gp.rules if rule.head.atoms[0].pred == "p"]
+
+    def test_rules_without_variables_are_not_counted(self, monkeypatch):
+        monkeypatch.setattr(grounder, "MAX_GROUND_INSTANCES", 1)
+        facts = "".join(f"{{g{i}}}.\n" for i in range(10))
+        assert len(gp_from(facts + "{q(X)} :- {r(X)}. {r(a)}.\n").rules) == 12
+
+    # a free time variable ranges over horizon + 1 points; a larger domain
+    # is refused before it is built
+    def test_time_domain_past_the_bound_is_not_built(self, monkeypatch):
+        monkeypatch.setattr(grounder, "MAX_GROUND_INSTANCES", 50)
+        assert len(ground(parse_program("{p(T)}."), horizon=49).rules) == 50
+        built = []
+        term_id = _Instantiator.term_id
+
+        def spy(self, key, term=None):
+            built.append(key)
+            return term_id(self, key, term)
+
+        monkeypatch.setattr(_Instantiator, "term_id", spy)
+        with pytest.raises(GroundingError, match="horizon 50 gives more than"):
+            ground(parse_program("{p(T)}."), horizon=50)
+        assert not built
+
+    def test_default_bound_clears_the_largest_programs(self):
+        assert grounder.MAX_GROUND_INSTANCES >= 10 * 7260
+        assert len(gp_from(closure_chain(120)).rules) == 7380
 
 
 def test_make_ground_program_matches_restricted_base():

@@ -48,6 +48,17 @@ COUNT_DOWN = {
         "{q(X)} :- {r(X)}, {m2, m1}.\n{m1, m2} :- {s}.\n{s}.\n{r(a)}.\n{r(b)}.\n",
     "rule with variables repeating a body literal":
         "{q(X)} :- {r(X)}, {r(X)}.\n{r(a)}.\n{r(b)}.\n",
+    # the two routes must give one set-atom one id
+    "fact equal to an instance's head":
+        "{q(a)}.\n{q(X)} :- {r(X)}.\n{r(a)}.\n",
+    "fixed rule whose positive and negated body name instance heads":
+        "{h} :- {q(a)}, not {q(b)}.\n{q(X)} :- {r(X)}.\n{r(a)}.\n{r(b)}.\n",
+    # X = a, Y = b grounds the head to s(b), s(a)
+    "fixed set-atom in another member order than the head grounding it":
+        "{h} :- {s(b), s(a)}.\n{k} :- not {s(a), s(b)}.\n"
+        "{s(Y), s(X)} :- {r(X)}, {r(Y)}, {X != Y}.\n{r(a)}.\n{r(b)}.\n",
+    "fixed compound-term fact matched by a pattern":
+        "{h(X)} :- {p(f(X))}.\n{p(f(a))}.\n{p(f(g(b)))}.\n{p(a)}.\n",
 }
 
 # Programs without variables are compiled in one pass that no case above
