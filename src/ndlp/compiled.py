@@ -4,10 +4,10 @@ NdAtoms are ints in restricted-base order and each rule is a head int plus
 tuples of its positive and negated body ints, which the grounder emits
 directly (`make_ground_program` derives them from `Rule`s), with per-atom
 lists of the rules that use the atom positively, that negate it and that
-define it. One batch fixpoint, `reduct_model`, gives the least
-model of the reduct against a 0/1 interpretation in time linear in the
-program: against the empty interpretation it is the least model of a
-negation-free program, and a model that equals its own is stable.
+define it. One batch fixpoint, `reduct_model`, gives the least model of
+the reduct against a 0/1 interpretation in linear time. It serves the
+least model (against the empty interpretation), and the tests check each
+stable model the search emits to equal its own, the definition of stable.
 
 `Propagator` closes a partial assignment of the negated atoms under both
 bounds incrementally. The lower bound is smodels' atleast: each rule

@@ -10,7 +10,9 @@ assumed-false atom closes a branch) and backtracking undoes it, so a
 decision costs the rules that read what it settles, not a whole fixpoint.
 This changes nothing about the result set but makes planning-sized
 programs tractable. At the root that propagation is the well-founded
-model, so every stable model lies above it. The output is sorted, so it is
+model, so every stable model lies above it. At a leaf the two bounds meet,
+so a leaf whose lower bound holds its assigned-in atoms is a stable model
+as it stands (smodels' argument). The output is sorted, so it is
 independent of exploration order. Each model is kept as the sorted indices
 of its NdAtoms in the compiled program, which is also its sort key, and is
 decoded to a set of NdAtoms only when `StableModels.models` is read."""
@@ -91,9 +93,9 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
     """All stable models, in canonical order.
 
     Branches over the negated-occurring NdAtoms only; the reduct depends on
-    the interpretation through nothing else, and a final stability check on
-    the compiled program guards each emitted model. Deterministic regardless
-    of evaluation order.
+    the interpretation through nothing else. Each leaf that holds its
+    assigned-in atoms is emitted as its lower bound, the least model of its
+    own reduct. Deterministic regardless of evaluation order.
 
     With `max_models=k` the search stops at the k-th model it meets, so the
     result is a deterministic subset of the stable models in canonical
@@ -103,7 +105,7 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
     negated = program.negated
     state = Propagator(program)
     assign, lower = state.assign, state.lower
-    found: list[bytes] = []
+    found: list[tuple[int, ...]] = []
     truncated = False
 
     # Depth-first over an explicit decision stack, OUT before IN; a frame is
@@ -120,7 +122,7 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
                 continue
             # Leaf: the lower bound is the reduct's least model.
             if all(lower[n] for n in negated if assign[n] == IN):
-                found.append(bytes(lower))
+                found.append(program.ids(lower))
                 if max_models is not None and len(found) >= max_models:
                     truncated = True
                     break
@@ -134,10 +136,7 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
         else:
             break
 
-    # guard: each model is the least model of its own reduct, one batch
-    # fixpoint per model; holds by construction. Leaves differ on
-    # some pivot, so the models are distinct. Atoms are interned in base
-    # order, which is key order, so the sorted index tuples are in the
-    # canonical order of the decoded models.
-    ids = sorted(program.ids(flags) for flags in found if program.reduct_model(flags) == flags)
-    return StableModels(ids=tuple(ids), truncated=truncated, program=program)
+    # Leaves differ on some pivot, so the models are distinct. Atoms are
+    # interned in base order, which is key order, so the sorted index
+    # tuples are in the canonical order of the decoded models.
+    return StableModels(ids=tuple(sorted(found)), truncated=truncated, program=program)

@@ -14,6 +14,7 @@ from ndlp import ground, make_ground_program, parse_program
 from ndlp.compiled import CompiledProgram
 from ndlp.corpus import corpus_text
 from ndlp.grounder import GroundProgram
+from ndlp.stable import StableModels
 from ndlp.syntax import Atom, Literal, Rule, canonicalize
 
 from detlp import DetRule
@@ -21,6 +22,29 @@ from detlp import DetRule
 
 def gp_from(text: str, horizon: int | None = None) -> GroundProgram:
     return ground(parse_program(text), horizon=horizon)
+
+
+# captured before any test patches it, so the check below is never counted
+_reduct_model = CompiledProgram.reduct_model
+
+
+@pytest.fixture(autouse=True)
+def stable_models_are_stable(monkeypatch):
+    """Check every stable model a test builds, through the library or the
+    command line: its flags equal the least model of its own reduct. The
+    search emits its leaves unchecked; this is where the check runs."""
+    init = StableModels.__init__
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        program = self.program
+        for ids in self.ids:
+            flags = bytearray(program.n)
+            for i in ids:
+                flags[i] = 1
+            assert _reduct_model(program, flags) == flags, f"not a stable model: {ids}"
+
+    monkeypatch.setattr(StableModels, "__init__", checked)
 
 
 @pytest.fixture

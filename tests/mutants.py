@@ -1,0 +1,163 @@
+"""Mutation harness: does the suite catch each of a table of seeded faults?
+
+Each row of `MUTANTS` names one fault: a file under `src/ndlp`, an exact
+old text that occurs there exactly once, the new text that replaces it,
+the test files expected to kill it, and the expected result. A mutant is
+killed when those tests fail on the patched package; a row expected to
+survive says why the suites cannot tell it from the original.
+
+For each row the harness copies `src/ndlp`, `tests` and `pyproject.toml`
+into a temporary directory, patches the copy, runs
+`python -m pytest -x -q` on the named files there and prints the result
+with the time taken. It exits non-zero when an old text is missing or
+repeated, or when a result differs from its expectation. Stdlib only, and
+not collected by pytest (`tests/test_mutants_table.py` checks the table's
+old texts on every tier-1 run):
+
+    PYTHONPATH=src python tests/mutants.py
+
+Reference: DeMillo, Lipton and Sayward, "Hints on test data selection",
+IEEE Computer 1978.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ndlp"
+TIMEOUT_S = 600
+
+KILLED, SURVIVES = "killed", "survives"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/ndlp
+    old: str
+    new: str
+    tests: tuple[str, ...]  # relative to the repository root
+    expect: str = KILLED
+    reason: str = ""  # why a surviving mutant cannot be told apart
+
+
+SEARCH = ("tests/test_stable.py", "tests/test_properties.py", "tests/test_wf.py")
+
+MUTANTS: tuple[Mutant, ...] = (
+    # search and propagation
+    Mutant(
+        "pivot-skip", "compiled.py",
+        "for position in range(start, len(negated)):",
+        "for position in range(start + 1, len(negated)):",
+        SEARCH,
+    ),
+    Mutant(
+        "undo-assigned-up-wait", "compiled.py",
+        "                    for ridx in neg_occ[atom]:\n"
+        "                        up_wait[ridx] -= 1\n",
+        "                    for ridx in neg_occ[atom]:\n"
+        "                        pass\n",
+        SEARCH,
+    ),
+    Mutant(
+        "undo-unfounded-up-wait", "compiled.py",
+        "                upper[atom] = 1\n"
+        "                for ridx in watchers[atom]:\n"
+        "                    up_wait[ridx] -= 1\n",
+        "                upper[atom] = 1\n"
+        "                for ridx in watchers[atom]:\n"
+        "                    pass\n",
+        SEARCH,
+    ),
+    Mutant(
+        "root-leaf-dropped", "stable.py",
+        "if all(lower[n] for n in negated if assign[n] == IN):",
+        "if stack and all(lower[n] for n in negated if assign[n] == IN):",
+        SEARCH,
+    ),
+    Mutant(
+        "reduct-model-no-bodiless", "compiled.py",
+        "for ridx in self.bodiless:",
+        "for ridx in self.bodiless[:0]:",
+        SEARCH,
+    ),
+    Mutant(
+        "leaf-test-true", "stable.py",
+        "if all(lower[n] for n in negated if assign[n] == IN):",
+        "if True:",
+        SEARCH,
+        expect=SURVIVES,
+        reason="at every leaf the upper bound equals the lower bound and holds "
+               "every atom assigned in, so the test never fails "
+               "(test_properties.py::test_bounds_meet_at_every_leaf)",
+    ),
+)
+
+
+def problems(mutant: Mutant) -> list[str]:
+    """What keeps the mutant from applying cleanly: a missing or repeated
+    old text, or a test file that does not exist."""
+    found = []
+    count = (PACKAGE / mutant.file).read_text().count(mutant.old)
+    if count != 1:
+        found.append(f"{mutant.name}: old text occurs {count} times in {mutant.file}")
+    found += [f"{mutant.name}: no test file {test}"
+              for test in mutant.tests if not (ROOT / test).is_file()]
+    return found
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """Patch a scratch copy of the package and run the mutant's tests."""
+    with tempfile.TemporaryDirectory(prefix="ndlp-mutant-") as scratch:
+        work = Path(scratch)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(PACKAGE, work / "src" / "ndlp", ignore=ignore)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / "src" / "ndlp" / mutant.file
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   *mutant.tests]
+        start = time.perf_counter()
+        try:
+            code = subprocess.run(command, cwd=work, env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            return f"{KILLED} (timeout)", time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+    if code == 1:
+        return KILLED, elapsed
+    if code == 0:
+        return SURVIVES, elapsed
+    return f"error (pytest exit {code})", elapsed
+
+
+def main() -> int:
+    broken = [line for m in MUTANTS for line in problems(m)]
+    for line in broken:
+        print(line)
+    if broken:
+        return 1
+    width = max(len(m.name) for m in MUTANTS)
+    unexpected = 0
+    for mutant in MUTANTS:
+        result, elapsed = run(mutant)
+        ok = result.split()[0] == mutant.expect
+        unexpected += not ok
+        note = f"  ({mutant.reason})" if mutant.reason and ok else ""
+        flag = "" if ok else f"  UNEXPECTED, expected {mutant.expect}"
+        print(f"{mutant.name:<{width}}  {result:<9} {elapsed:6.1f} s{flag}{note}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {unexpected} unexpected")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

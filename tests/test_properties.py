@@ -141,7 +141,7 @@ def test_wf_total_on_negation_free_programs(seed):
 
 @pytest.mark.parametrize("seed", seeds(3600))
 def test_compiled_stability_check_matches_reference(seed):
-    # the guard enumerate_stable runs on each model it finds
+    # the check tests/conftest.py runs on each stable model a test builds
     gp = random_ground_program(seed, max_nd=8, max_rules=12)
     program = gp.compiled
     candidates = [random_interpretations(seed, gp), frozenset(r.head for r in gp.rules)]
@@ -185,6 +185,36 @@ def test_bounds_match_round_based_propagation(seed):
             state.undo(mark)
             assert _snapshot(state) == before, where
             consistent = True
+
+
+@pytest.mark.parametrize("seed", seeds(13000))
+def test_bounds_meet_at_every_leaf(seed):
+    # a walk of every branch, pivots as the search picks them: where no open
+    # atom is negated in a live rule, both bounds are equal and hold every
+    # atom assigned in, so the lower bound is the least model of its own
+    # reduct and the leaves are the stable models
+    rng = random.Random(seed)
+    gp = _with_even_loops(random_ground_program(seed, max_nd=10, max_rules=12), rng)
+    program = gp.compiled
+    state = Propagator(program)
+    leaves = []
+
+    def walk():
+        position = state.pick_pivot(0)
+        if position is None:
+            where = f"seed={seed} trail={len(state.trail)}"
+            assert state.lower == state.upper, where
+            assert all(state.upper[n] for n in program.negated if state.assign[n] == IN), where
+            leaves.append(program.ids(state.lower))
+            return
+        for value in rng.sample((OUT, IN), 2):
+            mark = len(state.trail)
+            if state.decide(program.negated[position], value):
+                walk()
+            state.undo(mark)
+
+    walk()
+    assert sorted(leaves) == list(enumerate_stable(gp).ids), f"seed={seed}"
 
 
 def _with_even_loops(gp, rng):
