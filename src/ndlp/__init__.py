@@ -15,7 +15,8 @@ from .errors import (
     ParseError,
     ProgramError,
 )
-from .grounder import GroundProgram, ground, make_ground_program, restricted_base
+from .compiled import GroundProgram
+from .grounder import ground, make_ground_program, restricted_base
 from .parser import parse_program, parse_rule
 from .positive import (
     is_model,

@@ -14,14 +14,16 @@ The argparse parser is built once per process. The ground rules are
 spelled out only for `ground` and `--dump-ground`.
 
 From the search to the report a model stays the sorted indices of its
-NdAtoms in the compiled program, whose atoms are in key order: the report's
+NdAtoms in the ground program, whose base is in key order: the report's
 NdAtom lists index them with no sort, and answer sets expand over the
 program's one atom table into rows of entry ids. `SolveReport.write`
 renders both formats straight to stdout in pieces: the header, each model,
 and the answer-set rows `CHUNK_ROWS` at a time, each row joined from the
 table's entry texts, so no `AnswerSet` is built and no string holds the
 whole report. It renders each NdAtom of the models once and lays out its
-JSON arrays itself.
+JSON arrays itself. Each model is expanded only when the writer reaches
+its answer sets, so the rows of one model are held at a time; the
+truncation flag, written after them, is settled by then.
 """
 
 from __future__ import annotations
@@ -33,15 +35,15 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii as _encode
 from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
 
 from .answersets import AnswerSet, Expansion, expand_ids
-from .compiled import AtomTable
+from .compiled import AtomTable, GroundProgram
 from .errors import NdlpError
-from .grounder import GroundProgram, ground
+from .grounder import ground
 from .parser import parse_files
 from .stable import enumerate_stable
 from .syntax import NdAtom, Program
@@ -70,8 +72,11 @@ class SolveReport:
     negatives: list[NdAtom] | None = None  # wf only
     undefined: list[NdAtom] | None = None  # wf only
     total: bool | None = None  # wf only
-    # per model, its `Expansion` or a list of its `AnswerSet`s
-    answer_sets: list[Expansion | list[AnswerSet]] | None = None
+    # per model, its `Expansion` or a list of its `AnswerSet`s; an iterator
+    # is read once, as the report is written
+    answer_sets: Iterable[Expansion | list[AnswerSet]] | None = None
+    # a cap cut the models short, or the answer sets of one, which writing
+    # an `Expansion` cut short sets as well
     truncated: bool = False
     rule_count: int = 0
     base_size: int = 0
@@ -107,11 +112,12 @@ class SolveReport:
             lines.append(f"  total: {'yes' if self.total else 'no'}\n")
         wf = "".join(lines)
         indented = _Rendered(lambda nd: f"  {nd}\n")
+        expansions = None if self.answer_sets is None else iter(self.answer_sets)
         for i, model in enumerate(self.models, start=1):
             yield "".join([f"model {i}:\n", *map(indented.__getitem__, model), wf])
-            if self.answer_sets is not None:
+            if expansions is not None:
                 label = f"  answer set {i}."
-                for first, table, rows in _chunks(self.answer_sets[i - 1]):
+                for first, table, rows in self._chunks(next(expansions)):
                     get = table.entries.__getitem__
                     yield "".join([f"{label}{j}: {{{', '.join(map(get, row))}}}\n"
                                    for j, row in enumerate(rows, first)])
@@ -125,7 +131,9 @@ class SolveReport:
         answer set once per atom table."""
         yield '{\n  "answer_sets": '
         encoded = _Rendered(lambda table: [_NEWLINE[4] + _encode(t) for t in table.entries])
-        yield from _array((_json_rows(sets, encoded) for sets in self.answer_sets or []), 1)
+        # `map` keeps no model's answer sets once their rows are written
+        yield from _array(map(_json_rows, map(self._chunks, self.answer_sets or []),
+                              repeat(encoded)), 1)
         yield ',\n  "models": '
         arrays = _Rendered(lambda nd: _nd_json(nd, 3))
         yield from _array(([_json_array(map(arrays.__getitem__, model), 2, item=True)]
@@ -145,22 +153,23 @@ class SolveReport:
             yield f',{_NEWLINE[1]}"undefined": {_nd_arrays(self.undefined or [])}'
         yield "\n}\n"
 
-
-def _chunks(sets: Expansion | list[AnswerSet]) -> Iterator[tuple[int, AtomTable, list]]:
-    """A model's answer sets as (number of the first, atom table, rows)
-    chunks of at most `CHUNK_ROWS` rows. An `Expansion` holds its rows;
-    a list of `AnswerSet`s, as library callers pass, gives a row per set,
-    each stretch of sets on one table together."""
-    if isinstance(sets, Expansion):
-        runs = [(sets.table, sets.rows)]
-    else:
-        runs = [(table, [s.row for s in group])
-                for table, group in groupby(sets, attrgetter("table"))]
-    first = 1
-    for table, rows in runs:
-        for start in range(0, len(rows), CHUNK_ROWS):
-            yield first + start, table, rows[start:start + CHUNK_ROWS]
-        first += len(rows)
+    def _chunks(self, sets: Expansion | list[AnswerSet]) -> Iterator[tuple[int, AtomTable, list]]:
+        """A model's answer sets as (number of the first, atom table, rows)
+        chunks of at most `CHUNK_ROWS` rows. An `Expansion` holds its rows,
+        and one cut short sets `truncated`, which both formats write after
+        the answer sets; a list of `AnswerSet`s, as library callers pass,
+        gives a row per set, each stretch of sets on one table together."""
+        if isinstance(sets, Expansion):
+            self.truncated |= sets.truncated
+            runs = [(sets.table, sets.rows)]
+        else:
+            runs = [(table, [s.row for s in group])
+                    for table, group in groupby(sets, attrgetter("table"))]
+        first = 1
+        for table, rows in runs:
+            for start in range(0, len(rows), CHUNK_ROWS):
+                yield first + start, table, rows[start:start + CHUNK_ROWS]
+            first += len(rows)
 
 
 # A line break and the indent of `json.dumps(indent=2)` at each depth.
@@ -189,12 +198,14 @@ def _array(items: Iterable[Iterable[str]], depth: int, item: bool = False) -> It
     yield _NEWLINE[depth] + "]" if sep == "," else lead + "[]"
 
 
-def _json_rows(sets: Expansion | list[AnswerSet], encoded: _Rendered) -> Iterator[str]:
-    """The pieces of a model's array of answer sets at depth 2, an item.
-    `encoded` maps an atom table to its entries encoded as items at depth 4."""
+def _json_rows(model_chunks: Iterator[tuple[int, AtomTable, list]],
+               encoded: _Rendered) -> Iterator[str]:
+    """The pieces of a model's array of answer sets, given as its chunks, at
+    depth 2, an item. `encoded` maps an atom table to its entries encoded as
+    items at depth 4."""
     def chunks():
         line = _NEWLINE[3]
-        for _, table, rows in _chunks(sets):
+        for _, table, rows in model_chunks:
             get = encoded[table].__getitem__
             yield [",".join([f"{line}[{','.join(map(get, row))}{line}]" if row else line + "[]"
                              for row in rows])]
@@ -233,14 +244,9 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
         sys.stdout.write(str(gp))
 
     # each model as the ids of its positive and negative NdAtoms, which
-    # index the compiled program's atoms in key order
-    compiled = gp.compiled
-    report = SolveReport(
-        semantics=args.semantics,
-        rule_count=len(compiled.heads),
-        base_size=compiled.n,
-    )
-    atom = compiled.atoms.__getitem__
+    # index the ground program's base in key order
+    report = SolveReport(semantics=args.semantics, rule_count=len(gp.heads), base_size=gp.n)
+    atom = gp.base.__getitem__
     models: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     if args.semantics == "least":
         if not program.is_positive():
@@ -248,7 +254,7 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
                 "least-model semantics is defined for negation-free programs; "
                 "use --semantics stable or wf"
             )
-        models = [(compiled.ids(compiled.least()), ())]
+        models = [(gp.ids(gp.least()), ())]
     elif args.semantics == "stable":
         result = enumerate_stable(gp, max_models=args.max_models)
         models = [(ids, ()) for ids in result.ids]
@@ -256,27 +262,30 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
         if result.truncated:
             print("model enumeration truncated by --max-models", file=sys.stderr)
     else:  # wf
-        true, false = compiled.well_founded()
-        models = [(compiled.ids(true), compiled.ids(false))]
-        undefined = compiled.ids(not (t or f) for t, f in zip(true, false))
+        true, false = gp.well_founded()
+        models = [(gp.ids(true), gp.ids(false))]
+        undefined = gp.ids(not (t or f) for t, f in zip(true, false))
         report.negatives = list(map(atom, models[0][1]))
         report.undefined = list(map(atom, undefined))
         report.total = not undefined
     report.models = [list(map(atom, pos)) for pos, _ in models]
 
+    sets_truncated = False
     if want_answer_sets:
-        report.answer_sets = []
-        truncated = False
-        for pos, neg in models:
-            expansion = expand_ids(compiled.table, pos, neg, cap=args.max_answer_sets,
+        def expand(model: tuple[tuple[int, ...], tuple[int, ...]]) -> Expansion:
+            nonlocal sets_truncated
+            expansion = expand_ids(gp.table, *model, cap=args.max_answer_sets,
                                    subset_minimal=args.subset_minimal)
-            report.answer_sets.append(expansion)
-            truncated |= expansion.truncated
-        report.truncated |= truncated
-        if truncated:
-            print("answer-set expansion truncated by --max-answer-sets", file=sys.stderr)
+            sets_truncated |= expansion.truncated
+            return expansion
+
+        # each model is expanded when the writer reaches it, so one model's
+        # answer sets are held at a time
+        report.answer_sets = map(expand, models)
 
     report.write(sys.stdout, args.format)
+    if sets_truncated:
+        print("answer-set expansion truncated by --max-answer-sets", file=sys.stderr)
     report.timing_s = time.perf_counter() - started
     print(f"solved in {report.timing_s:.3f}s", file=sys.stderr)
     return 0 if report.models else 1

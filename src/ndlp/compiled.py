@@ -1,13 +1,15 @@
-"""The compiled ground program that every solver runs on.
+"""The ground program, in the one form every solver runs on.
 
-NdAtoms are ints in restricted-base order and each rule is a head int plus
-tuples of its positive and negated body ints, which the grounder emits
-directly (`make_ground_program` derives them from `Rule`s), with per-atom
-lists of the rules that use the atom positively, that negate it and that
-define it. One batch fixpoint, `reduct_model`, gives the least model of
-the reduct against a 0/1 interpretation in linear time. It serves the
-least model (against the empty interpretation), and the tests check each
-stable model the search emits to equal its own, the definition of stable.
+`GroundProgram` is a program's ground instantiation over its restricted
+base in key order. NdAtoms are ints in base order and each rule is a head
+int plus tuples of its positive and negated body ints, which the grounder
+emits directly (`make_ground_program` derives them from `Rule`s), with
+per-atom lists of the rules that use the atom positively, that negate it
+and that define it; the `Rule`s are spelled out only when `rules` is read.
+One batch fixpoint, `reduct_model`, gives the least model of the reduct
+against a 0/1 interpretation in linear time. It serves the least model
+(against the empty interpretation), and the tests check each stable model
+the search emits to equal its own, the definition of stable.
 
 `Propagator` closes a partial assignment of the negated atoms under both
 bounds incrementally. The lower bound is smodels' atleast: each rule
@@ -35,9 +37,9 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .syntax import NdAtom
+from .syntax import NdAtom, Rule
 
 # Truth assignment codes of the propagator's negated atoms.
 OPEN, OUT, IN = 0, 1, 2
@@ -74,16 +76,19 @@ class AtomTable:
         return [*self.texts, *map("not ".__add__, self.texts)]
 
 
-class CompiledProgram:
-    """Int form of a ground program over its restricted base."""
+class GroundProgram:
+    """A variable-free program over its restricted base in key order, by
+    which the solvers sort their models, in the int form they run on. Its
+    rules are spelled out as `Rule` objects on first read."""
 
-    def __init__(self, atoms: Sequence[NdAtom], heads: list[int],
-                 pos: list[tuple[int, ...]], neg: list[tuple[int, ...]]):
-        """Rule r is heads[r] :- pos[r], not neg[r], over `atoms`, the base
-        in key order; no body tuple repeats an id."""
-        self.atoms: tuple[NdAtom, ...] = tuple(atoms)
-        self.n = n = len(self.atoms)
+    def __init__(self, base: Sequence[NdAtom], heads: list[int], pos: list[tuple[int, ...]],
+                 neg: list[tuple[int, ...]], spell: Callable[[], tuple[Rule, ...]]):
+        """Rule r is heads[r] :- pos[r], not neg[r], over `base`; no body
+        tuple repeats an id. `spell` returns the same rules as `Rule`s."""
+        self.base: tuple[NdAtom, ...] = tuple(base)
+        self.n = n = len(self.base)
         self.heads, self.pos, self.neg = heads, pos, neg
+        self._spell = spell
         self.watchers: list[list[int]] = [[] for _ in range(n)]
         self.neg_occ: list[list[int]] = [[] for _ in range(n)]
         self.defining: list[list[int]] = [[] for _ in range(n)]
@@ -96,6 +101,17 @@ class CompiledProgram:
         self.pos_len = list(map(len, pos))
         self.negated = [m for m, occ in enumerate(self.neg_occ) if occ]
         self.bodiless = [ridx for ridx, size in enumerate(self.pos_len) if not size]
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        return self._spell()
+
+    @cached_property
+    def base_set(self) -> frozenset[NdAtom]:
+        return frozenset(self.base)
+
+    def __str__(self) -> str:
+        return "".join(f"{rule}\n" for rule in self.rules)
 
     def reduct_model(self, interp: bytes) -> bytearray:
         """Truth flags of the least model of the reduct against the 0/1
@@ -144,14 +160,14 @@ class CompiledProgram:
     @cached_property
     def table(self) -> AtomTable:
         """The base's atom table; NdAtom i has the member ranks `members[i]`."""
-        return AtomTable(self.atoms)
+        return AtomTable(self.base)
 
     def ids(self, flags: Iterable) -> tuple[int, ...]:
         """The indices of the set flags, in key order."""
         return tuple(compress(range(self.n), flags))
 
     def decode(self, flags: bytes) -> frozenset[NdAtom]:
-        return frozenset(compress(self.atoms, flags))
+        return frozenset(compress(self.base, flags))
 
 
 class Propagator:
@@ -170,7 +186,7 @@ class Propagator:
     bound, and their graph stays acyclic.
     """
 
-    def __init__(self, program: CompiledProgram):
+    def __init__(self, program: GroundProgram):
         self.program = program
         n = program.n
         self.assign = bytearray(n)

@@ -45,11 +45,12 @@ patterns over these ids, and every NdAtom is keyed by its members'
 `(pred, arg ids)`; a one-member set-literal, the common case, binds by one
 direct call, not through the generator that matches wider ones.
 
-Grounding goes straight into the compiled program: an instance is the ids
-of its head and of its positive and negated body NdAtoms. Heads and
-negated literals are grounded to keys, and an NdAtom is built only for a
-key not met before. One sort renumbers the ids to key order, and the
-`Rule` objects are spelled out only when `GroundProgram.rules` is read.
+Grounding goes straight into the int form of `compiled.GroundProgram`,
+the one object every solver runs on: an instance is the ids of its head
+and of its positive and negated body NdAtoms. Heads and negated literals
+are grounded to keys, and an NdAtom is built only for a key not met
+before. One sort renumbers the ids to key order, and the `Rule` objects
+are spelled out only when `GroundProgram.rules` is read.
 
 All semantics downstream operate over the *restricted* non-deterministic
 base: the NdAtoms that occur somewhere in the ground rules. NdAtoms outside
@@ -59,11 +60,10 @@ never enumerated.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product, repeat
 from typing import Callable, Iterable
 
-from .compiled import CompiledProgram
+from .compiled import GroundProgram
 from .errors import GroundingError
 from .syntax import (
     BUILTIN_PREDICATES,
@@ -90,28 +90,6 @@ from .syntax import (
 MAX_GROUND_INSTANCES = 100_000
 
 
-class GroundProgram:
-    """A variable-free program in the compiled form the solvers run on, over
-    its restricted base in key order, by which the solvers sort their
-    models. Its rules are spelled out as `Rule` objects on first read."""
-
-    def __init__(self, compiled: CompiledProgram, spell: Callable[[], tuple[Rule, ...]]):
-        self.compiled = compiled
-        self.base: tuple[NdAtom, ...] = compiled.atoms
-        self._spell = spell
-
-    @cached_property
-    def rules(self) -> tuple[Rule, ...]:
-        return self._spell()
-
-    @cached_property
-    def base_set(self) -> frozenset[NdAtom]:
-        return frozenset(self.base)
-
-    def __str__(self) -> str:
-        return "".join(f"{rule}\n" for rule in self.rules)
-
-
 def restricted_base(rules: Iterable[Rule]) -> tuple[NdAtom, ...]:
     """All NdAtoms occurring in the rules, in key order."""
     base: set[NdAtom] = set()
@@ -127,19 +105,20 @@ def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
     rules = tuple(rules)
     base = restricted_base(rules)
     index = {nd: i for i, nd in enumerate(base)}
-    compiled = CompiledProgram(
+    return GroundProgram(
         base,
         [index[rule.head] for rule in rules],
         [tuple(dict.fromkeys(map(index.__getitem__, rule.positive_body()))) for rule in rules],
         [tuple(dict.fromkeys(map(index.__getitem__, rule.negative_body()))) for rule in rules],
+        lambda: rules,
     )
-    return GroundProgram(compiled, lambda: rules)
 
 
-def _in_key_order(atoms: list[NdAtom], heads: list[int], pos: list, neg: list) -> CompiledProgram:
+def _in_key_order(atoms: list[NdAtom], heads: list[int], pos: list, neg: list,
+                  spell: Callable[[], tuple[Rule, ...]]) -> GroundProgram:
     """The rules `heads[r] :- pos[r], not neg[r]` over the NdAtoms `atoms`,
     compiled with the ids renumbered to key order by one sort and repeats
-    dropped from each body."""
+    dropped from each body; `spell` spells them as `Rule`s."""
     order = sorted(range(len(atoms)), key=[nd.key for nd in atoms].__getitem__)
     # the inverse permutation: each old id's position in key order
     renumbered = sorted(range(len(order)), key=order.__getitem__)
@@ -149,8 +128,8 @@ def _in_key_order(atoms: list[NdAtom], heads: list[int], pos: list, neg: list) -
         return [tuple(dict.fromkeys(map(renumber, body))) if len(body) > 1
                 else (renumber(body[0]),) if body else () for body in bodies]
 
-    return CompiledProgram([atoms[old] for old in order], list(map(renumber, heads)),
-                           renumbered_bodies(pos), renumbered_bodies(neg))
+    return GroundProgram([atoms[old] for old in order], list(map(renumber, heads)),
+                         renumbered_bodies(pos), renumbered_bodies(neg), spell)
 
 
 def program_constants(program: Program) -> tuple[Term, ...]:
@@ -179,13 +158,11 @@ def _is_test(lit: Literal) -> bool:
 
 
 def _fixed_instance(rule: Rule) -> Rule | None:
-    """The one instance of a rule without variables: the rule itself unless
-    a comparison must be evaluated, then the rule less its comparisons, or
-    None when one of them is false. The parser folds `INT+INT`, so a ground
-    comparison compares its two arguments as written."""
+    """The one instance of a rule without variables that has comparisons:
+    the rule less its comparisons, or None when one of them is false. The
+    parser folds `INT+INT`, so a ground comparison compares its two
+    arguments as written."""
     tests = [lit.atom.atoms[0] for lit in rule.body if _is_test(lit)]
-    if not tests:
-        return rule
     if any((test.args[0] == test.args[1]) != (test.pred == "==") for test in tests):
         return None
     return Rule(rule.head, tuple(lit for lit in rule.body if not _is_test(lit)), rule.origin)
@@ -540,9 +517,8 @@ class _Instantiator:
                 value = self.term_keys[env[arg.name]]
                 if type(value) is not int:
                     return ()
+                # a sum that is no term yet gives None, which keys nothing
                 value = self.term_ids.get(value + arg.offset)
-                if value is None:
-                    return ()
             else:
                 continue
             return self.by_argument.get((pred, position, value), ())
@@ -694,9 +670,6 @@ class _Instantiator:
             kept += [(source, instance) for instance in found if instance is not None]
         kept += fixed[done:]
         atoms = self.atoms
-        compiled = _in_key_order(atoms, [head for _, (head, _, _) in kept],
-                                 [pos for _, (_, pos, _) in kept],
-                                 [neg for _, (_, _, neg) in kept])
 
         def spell() -> tuple[Rule, ...]:
             rules = []
@@ -710,7 +683,9 @@ class _Instantiator:
                 rules.append(Rule(head=atoms[head], body=body, origin=source.rule.origin))
             return tuple(rules)
 
-        return GroundProgram(compiled, spell)
+        return _in_key_order(atoms, [head for _, (head, _, _) in kept],
+                             [pos for _, (_, pos, _) in kept],
+                             [neg for _, (_, _, neg) in kept], spell)
 
 
 def ground(program: Program, horizon: int | None = None) -> GroundProgram:
@@ -782,7 +757,7 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
         neg.append(negated)
     if not sources:
         rules = tuple(kept)
-        return GroundProgram(_in_key_order(list(ids), heads, pos, neg), lambda: rules)
+        return _in_key_order(list(ids), heads, pos, neg, lambda: rules)
     instantiator = _Instantiator(sources, horizon, constants or (), list(ids),
                                  (kept, heads, pos, neg))
     instantiator.run()

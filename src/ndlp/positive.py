@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .compiled import GroundProgram
 from .errors import EvaluationError
-from .grounder import GroundProgram
 from .syntax import NdAtom, Rule
 
 Interpretation = frozenset  # of NdAtom
@@ -70,8 +70,7 @@ def tp_step(gp: GroundProgram, interp: Interpretation) -> Interpretation:
 
 def least_model(gp: GroundProgram) -> Interpretation:
     """The least fixpoint of the one-step operator, decoded from the
-    compiled program's flags; `lfp` is the reference."""
-    program = gp.compiled
-    if program.negated:
+    program's int form; `lfp` is the reference."""
+    if gp.negated:
         raise EvaluationError(_NOT_POSITIVE)
-    return program.decode(program.least())
+    return gp.decode(gp.least())

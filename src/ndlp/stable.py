@@ -14,7 +14,7 @@ model, so every stable model lies above it. At a leaf the two bounds meet,
 so a leaf whose lower bound holds its assigned-in atoms is a stable model
 as it stands (smodels' argument). The output is sorted, so it is
 independent of exploration order. Each model is kept as the sorted indices
-of its NdAtoms in the compiled program, which is also its sort key, and is
+of its NdAtoms in the ground program, which is also its sort key, and is
 decoded to a set of NdAtoms only when `StableModels.models` is read."""
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .compiled import IN, OUT, CompiledProgram, Propagator
-from .grounder import GroundProgram
+from .compiled import IN, OUT, GroundProgram, Propagator
 from .positive import Interpretation, lfp
 from .syntax import Rule
 
@@ -66,13 +65,13 @@ class StableModels:
 
     ids: tuple[tuple[int, ...], ...]
     truncated: bool
-    program: CompiledProgram = field(repr=False)
+    program: GroundProgram = field(repr=False)
 
     @cached_property
     def models(self) -> tuple[Interpretation, ...]:
         """The models as sets of NdAtoms, decoded on first use."""
-        atoms = self.program.atoms
-        return tuple(frozenset(map(atoms.__getitem__, ids)) for ids in self.ids)
+        base = self.program.base
+        return tuple(frozenset(map(base.__getitem__, ids)) for ids in self.ids)
 
     def __eq__(self, other):
         if not isinstance(other, StableModels):
@@ -101,9 +100,8 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
     result is a deterministic subset of the stable models in canonical
     order, not a prefix of the full list, and `truncated` is set.
     """
-    program = gp.compiled
-    negated = program.negated
-    state = Propagator(program)
+    negated = gp.negated
+    state = Propagator(gp)
     assign, lower = state.assign, state.lower
     found: list[tuple[int, ...]] = []
     truncated = False
@@ -122,7 +120,7 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
                 continue
             # Leaf: the lower bound is the reduct's least model.
             if all(lower[n] for n in negated if assign[n] == IN):
-                found.append(program.ids(lower))
+                found.append(gp.ids(lower))
                 if max_models is not None and len(found) >= max_models:
                     truncated = True
                     break
@@ -139,4 +137,4 @@ def enumerate_stable(gp: GroundProgram, max_models: int | None = None) -> Stable
     # Leaves differ on some pivot, so the models are distinct. Atoms are
     # interned in base order, which is key order, so the sorted index
     # tuples are in the canonical order of the decoded models.
-    return StableModels(ids=tuple(sorted(found)), truncated=truncated, program=program)
+    return StableModels(ids=tuple(sorted(found)), truncated=truncated, program=gp)

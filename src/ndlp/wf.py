@@ -5,7 +5,7 @@ NdAtoms; anything in neither is undefined. One W step joins the one-step
 positive consequences with the negated greatest unfounded set, and the
 iteration from the empty interpretation grows monotonically to the
 well-founded model. `well_founded_model` reaches the same model as the
-stable search's root propagation on the compiled program, which is why it
+stable search's root propagation on the ground program, which is why it
 lies below every stable model; that propagation forces one atom at a time
 through a trail, each costing only the rules that read it, so the model
 takes time linear in the program. W is the reference.
@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InconsistencyError
-from .grounder import GroundProgram
+from .compiled import GroundProgram
 from .syntax import NdAtom, sort_nd_atoms
 
 
@@ -124,11 +124,10 @@ def wp_step(gp: GroundProgram, interp: PartialInterpretation) -> PartialInterpre
 
 
 def well_founded_model(gp: GroundProgram) -> PartialInterpretation:
-    """The stable search's root propagation, decoded from the compiled
-    program's flags (`CompiledProgram.well_founded`). This is Van Gelder's
+    """The stable search's root propagation, decoded from the program's
+    flags (`GroundProgram.well_founded`). This is Van Gelder's
     alternating fixpoint one forced atom at a time, each costing only the
     rules that read it, and equal to the fixpoint of W, which the tests
     iterate as the reference."""
-    program = gp.compiled
-    true, false = program.well_founded()
-    return PartialInterpretation(pos=program.decode(true), neg=program.decode(false))
+    true, false = gp.well_founded()
+    return PartialInterpretation(pos=gp.decode(true), neg=gp.decode(false))

@@ -11,9 +11,8 @@ import random
 import pytest
 
 from ndlp import ground, make_ground_program, parse_program
-from ndlp.compiled import CompiledProgram
+from ndlp.compiled import GroundProgram
 from ndlp.corpus import corpus_text
-from ndlp.grounder import GroundProgram
 from ndlp.stable import StableModels
 from ndlp.syntax import Atom, Literal, Rule, canonicalize
 
@@ -25,7 +24,7 @@ def gp_from(text: str, horizon: int | None = None) -> GroundProgram:
 
 
 # captured before any test patches it, so the check below is never counted
-_reduct_model = CompiledProgram.reduct_model
+_reduct_model = GroundProgram.reduct_model
 
 
 @pytest.fixture(autouse=True)
@@ -50,15 +49,15 @@ def stable_models_are_stable(monkeypatch):
 @pytest.fixture
 def lfp_calls(monkeypatch):
     """Run a callable and return how many whole fixpoints
-    (`CompiledProgram.reduct_model` calls) it made."""
-    reduct_model = CompiledProgram.reduct_model
+    (`GroundProgram.reduct_model` calls) it made."""
+    reduct_model = GroundProgram.reduct_model
     calls = []
 
     def counted(self, interp):
         calls.append(interp)
         return reduct_model(self, interp)
 
-    monkeypatch.setattr(CompiledProgram, "reduct_model", counted)
+    monkeypatch.setattr(GroundProgram, "reduct_model", counted)
 
     def count(run) -> int:
         calls.clear()

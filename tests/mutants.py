@@ -49,6 +49,8 @@ class Mutant(NamedTuple):
 
 
 SEARCH = ("tests/test_stable.py", "tests/test_properties.py", "tests/test_wf.py")
+MATCHING = ("tests/test_grounder.py", "tests/test_grounding_oracle.py",
+            "tests/test_grounder_metamorphic.py")
 
 MUTANTS: tuple[Mutant, ...] = (
     # search and propagation
@@ -97,6 +99,15 @@ MUTANTS: tuple[Mutant, ...] = (
         reason="at every leaf the upper bound equals the lower bound and holds "
                "every atom assigned in, so the test never fails "
                "(test_properties.py::test_bounds_meet_at_every_leaf)",
+    ),
+    # matching
+    Mutant(
+        "bind-sum-time-range-dropped", "grounder.py",
+        "            if not 0 <= value <= self.horizon:\n"
+        "                return False\n"
+        "            i = self.term_id(value)\n",
+        "            i = self.term_id(value)\n",
+        MATCHING,
     ),
 )
 

@@ -39,14 +39,15 @@ beside this file, in `detlp.py`.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from itertools import product
 from typing import Iterable
 
-from ndlp.compiled import IN, OUT, CompiledProgram
+from ndlp.compiled import IN, OUT, GroundProgram
 from ndlp.errors import EvaluationError, GroundingError, ParseError
-from ndlp.grounder import GroundProgram, make_ground_program, program_constants
+from ndlp.grounder import make_ground_program, program_constants
 from ndlp.parser import _PUNCT
 from ndlp.positive import Interpretation, is_model, lfp
 from ndlp.stable import is_stable
@@ -231,7 +232,7 @@ def brute_force_stable(gp: GroundProgram) -> list[Interpretation]:
 # Propagation
 # ---------------------------------------------------------------------------
 
-def propagate_by_rounds(program: CompiledProgram, assign: bytearray, trail: list[int]):
+def propagate_by_rounds(program: GroundProgram, assign: bytearray, trail: list[int]):
     """Force what the bounds of the assignment decide, recomputing both
     bounds every round and recording each forced atom on `trail`; the final
     (lower, upper) bounds, or None on a conflict. The lower bound is the
@@ -362,6 +363,27 @@ def grown_images(model) -> set:
         else:
             images = {(atoms | {a}, negs) for atoms, negs in images for a in nd.atoms}
     return images
+
+
+def written_once(write, report, fmt: str) -> str:
+    """What `write(report, stream, fmt)` writes of a report as `cli._solve`
+    builds it, whose answer sets the writer reads once, model by model. The
+    answer sets read are then left on the report as a list, so that it can
+    be written and read again."""
+    out = io.StringIO()
+    if report.answer_sets is None:
+        write(report, out, fmt)
+        return out.getvalue()
+    read: list = []
+
+    def keep(sets):
+        read.append(sets)
+        return sets
+
+    report.answer_sets = map(keep, report.answer_sets)
+    write(report, out, fmt)
+    report.answer_sets = read
+    return out.getvalue()
 
 
 def report_json(report) -> str:

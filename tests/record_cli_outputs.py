@@ -54,7 +54,32 @@ GENERATED = {
     "facts_5000.ndlp": lambda: "".join(
         f"{{p({i}, c{i % 7}, d{i % 11})}}.\n" for i in range(5000)),
     "consts.ndlp": lambda: CONSTS,
+    # small copies of the benchmark's request shapes
+    "closure_8.ndlp": lambda: "".join(f"{{edge(n{i}, n{i + 1})}}.\n" for i in range(8)) + (
+        "{path(X, Y)} :- {edge(X, Y)}.\n{path(X, Z)} :- {edge(X, Y)}, {path(Y, Z)}.\n"),
+    "neg_chain_12.ndlp": lambda: "{c_0}.\n" + "".join(
+        f"{{c_{i}}} :- not {{c_{i - 1}}}.\n" for i in range(1, 13)),
+    "even_loops_4.ndlp": lambda: "".join(
+        f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n" for i in range(4)),
+    "pairs_6.ndlp": lambda: "".join(f"{{x_{i}, y_{i}}}.\n" for i in range(6)),
+    "overlapping_pairs_6.ndlp": lambda: "".join(
+        f"{{p_{a}, p_{b}}}.\n" for a, b in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)]),
+    "wf_pairs_7.ndlp": lambda: "{x_0, y_0}.\n{x_1, y_1}.\n{x_2, y_2}.\n"
+                               "{r_0, s_0} :- not {u_0, v_0}.\n{r_1, s_1} :- not {u_1, v_1}.\n"
+                               "{p} :- not {q}.\n{q} :- not {p}.\n",
+    # a sum over a time variable that only a body literal binds
+    "body_sum.ndlp": lambda: "#horizon 2.\n{p(0)}.\n{p(3)}.\n{q(T)} :- {p(T+1)}.\n",
 }
+
+# Malformed programs, each an error that exits 2.
+MALFORMED = {
+    "empty_body.ndlp": "{a} :- .\n",
+    "unclosed_set.ndlp": "{p(a), q(b).\n",
+    "no_horizon.ndlp": "{q(0)}.\n{p(T)} :- {q(T)}.\n",
+    "no_constants.ndlp": "{p(X)} :- {q(X)}.\n",
+    "deep_term.ndlp": "{p(" + "f(" * 400 + "a" + ")" * 400 + ")}.\n",
+}
+GENERATED.update({name: (lambda text=text: text) for name, text in MALFORMED.items()})
 
 
 def calls() -> list[tuple[str, list[str]]]:
@@ -80,6 +105,31 @@ def calls() -> list[tuple[str, list[str]]]:
         ("consts.ndlp", ["ground"]),
         ("consts.ndlp", ["solve", "--semantics", "stable", "--format", "json"]),
     ]
+    for name in CORPUS_NAMES:
+        matrix.append((name, ["solve", "--dump-ground"]))
+        matrix.append((name, ["solve", "--answer-sets", "--semantics", "wf"]))
+        for semantics in ("least", "stable", "wf"):
+            if name != "connection.ndlp":
+                for fmt in ("text", "json"):
+                    matrix.append((name, ["expand", "--semantics", semantics, "--format", fmt]))
+            matrix.append((name, ["expand", "--subset-minimal", "--semantics", semantics]))
+    for horizon in ("1", "2", "3", "4"):
+        for command in (["solve"], ["expand", "--max-answer-sets", "1"]):
+            for fmt in ("text", "json"):
+                matrix.append(("robot.ndlp", [*command, "--horizon", horizon, "--format", fmt]))
+    for fmt in ("text", "json"):
+        matrix += [
+            ("closure_8.ndlp", ["solve", "--semantics", "least", "--format", fmt]),
+            ("neg_chain_12.ndlp", ["solve", "--semantics", "wf", "--format", fmt]),
+            ("even_loops_4.ndlp", ["solve", "--semantics", "stable", "--format", fmt]),
+            ("even_loops_4.ndlp", ["solve", "--max-models", "1", "--format", fmt]),
+            ("pairs_6.ndlp", ["expand", "--semantics", "least", "--format", fmt]),
+            ("overlapping_pairs_6.ndlp", ["expand", "--semantics", "least", "--format", fmt]),
+            ("wf_pairs_7.ndlp", ["expand", "--semantics", "wf", "--format", fmt]),
+        ]
+    matrix.append(("body_sum.ndlp", ["ground"]))
+    for name in MALFORMED:
+        matrix += [(name, ["ground"]), (name, ["solve"])]
     return matrix
 
 

@@ -2,7 +2,6 @@
 
 import functools
 import gc
-import io
 import json
 import os
 import subprocess
@@ -21,7 +20,7 @@ from ndlp.parser import MAX_TERM_DEPTH
 from ndlp.syntax import Atom, canonicalize
 from ndlp.wf import PartialInterpretation
 
-from oracles import report_json
+from oracles import report_json, written_once
 from record_cli_outputs import PINS, program_path, sha256, untimed
 
 
@@ -380,11 +379,10 @@ class TestJsonLayout:
         write = SolveReport.write
 
         def checked(report, stream, fmt="text"):
-            out = io.StringIO()
-            write(report, out, fmt)
-            assert fmt == "json" and out.getvalue() == report_json(report), f"argv={argv}"
-            rendered.append(out.getvalue())
-            stream.write(out.getvalue())
+            out = written_once(write, report, fmt)
+            assert fmt == "json" and out == report_json(report), f"argv={argv}"
+            rendered.append(out)
+            stream.write(out)
 
         monkeypatch.setattr(SolveReport, "write", checked)
         code, out, _ = run(capsys, *argv)

@@ -125,6 +125,12 @@ FROM_THE_JOIN = {
     "non-time variable meeting an integer that is not a program constant":
         "{n(X+1)} :- {k(X)}.\n{k(2)}.\n{k(4)}.\n{n(1)}.\n"
         "{m(Y)} :- {n(Y)}.\n{o(X)} :- {n(X+1)}.\n",
+    # p(0) would bind T to -1 and p(4) to 3, outside 0..2, with no other
+    # body literal to reject the instance
+    "time variable a body sum would bind below zero":
+        "#horizon 2.\n{p(0)}.\n{q(T)} :- {p(T+1)}.\n",
+    "time variable a body sum would bind past the horizon":
+        "#horizon 2.\n{p(1)}.\n{p(4)}.\n{q(T)} :- {p(T+1)}.\n",
 }
 
 
@@ -134,9 +140,9 @@ def check_against_product(program, horizon, label):
     assert list(gp.rules) == live, label
     assert [r.origin for r in gp.rules] == [r.origin for r in live], label
     # the ids the grounder emits are those of the same rules compiled
-    got, want = gp.compiled, make_ground_program(live).compiled
-    for field in ("atoms", "heads", "pos", "neg"):
-        assert getattr(got, field) == getattr(want, field), label
+    want = make_ground_program(live)
+    for field in ("base", "heads", "pos", "neg"):
+        assert getattr(gp, field) == getattr(want, field), label
 
     full = product_ground(program, horizon)
     if program.is_positive():
@@ -181,7 +187,7 @@ def test_programs_without_variables_ground_to_their_product_instances(case):
 def test_one_set_atom_in_two_member_orders_gets_one_id():
     gp = ground(parse_program(VARIABLE_FREE["one set-atom written in two member orders"]))
     assert [str(nd) for nd in gp.base] == ["{h}", "{k}", "{m1, m2}", "{s}"]
-    assert gp.compiled.heads[0] == gp.compiled.pos[1][0] == gp.compiled.neg[2][0] == 2
+    assert gp.heads[0] == gp.pos[1][0] == gp.neg[2][0] == 2
 
 
 @pytest.mark.parametrize("case", FROM_THE_JOIN)

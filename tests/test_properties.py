@@ -143,16 +143,15 @@ def test_wf_total_on_negation_free_programs(seed):
 def test_compiled_stability_check_matches_reference(seed):
     # the check tests/conftest.py runs on each stable model a test builds
     gp = random_ground_program(seed, max_nd=8, max_rules=12)
-    program = gp.compiled
     candidates = [random_interpretations(seed, gp), frozenset(r.head for r in gp.rules)]
     candidates += brute_force_stable(gp)
-    index = {atom: i for i, atom in enumerate(program.atoms)}
+    index = {atom: i for i, atom in enumerate(gp.base)}
     for interp in candidates:
-        flags = bytearray(program.n)
+        flags = bytearray(gp.n)
         for atom in interp:
             flags[index[atom]] = 1
-        model = program.reduct_model(flags)
-        assert program.decode(model) == lfp(reduct(gp, interp)), f"seed={seed} {interp}"
+        model = gp.reduct_model(flags)
+        assert gp.decode(model) == lfp(reduct(gp, interp)), f"seed={seed} {interp}"
         stable = model == flags
         assert stable == is_stable(gp, interp), f"seed={seed} {interp}"
 
@@ -164,7 +163,7 @@ def test_bounds_match_round_based_propagation(seed):
     # propagation of the decisions alone, and every undo restores the whole
     # state, counters included
     rng = random.Random(seed)
-    program = _with_even_loops(random_ground_program(seed, max_nd=10, max_rules=12), rng).compiled
+    program = _with_even_loops(random_ground_program(seed, max_nd=10, max_rules=12), rng)
     state = Propagator(program)
     _check_against_rounds(program, state, [], True, f"seed={seed} root")
     frames = []  # (trail mark, state snapshot, decisions) before each decision
@@ -195,8 +194,7 @@ def test_bounds_meet_at_every_leaf(seed):
     # reduct and the leaves are the stable models
     rng = random.Random(seed)
     gp = _with_even_loops(random_ground_program(seed, max_nd=10, max_rules=12), rng)
-    program = gp.compiled
-    state = Propagator(program)
+    state = Propagator(gp)
     leaves = []
 
     def walk():
@@ -204,12 +202,12 @@ def test_bounds_meet_at_every_leaf(seed):
         if position is None:
             where = f"seed={seed} trail={len(state.trail)}"
             assert state.lower == state.upper, where
-            assert all(state.upper[n] for n in program.negated if state.assign[n] == IN), where
-            leaves.append(program.ids(state.lower))
+            assert all(state.upper[n] for n in gp.negated if state.assign[n] == IN), where
+            leaves.append(gp.ids(state.lower))
             return
         for value in rng.sample((OUT, IN), 2):
             mark = len(state.trail)
-            if state.decide(program.negated[position], value):
+            if state.decide(gp.negated[position], value):
                 walk()
             state.undo(mark)
 

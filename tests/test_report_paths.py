@@ -1,7 +1,7 @@
 """The command line's int path against the library's object path.
 
-`cli._solve` keeps each model as index tuples into the compiled program,
-fills the report's NdAtom lists by indexing the program's atoms and expands
+`cli._solve` keeps each model as index tuples into the ground program,
+fills the report's NdAtom lists by indexing the program's base and expands
 over the program's one atom table. The library returns NdAtom sets, which
 a caller sorts, and `expand` builds a table of each model's own. The
 benchmark's tracer renders its report from the library path and requires
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -32,7 +33,7 @@ from ndlp.syntax import sort_nd_atoms
 from ndlp.wf import well_founded_model
 
 from conftest import random_ground_program, random_nonground_program
-from oracles import report_json
+from oracles import report_json, written_once
 
 RANDOM_SEEDS = range(200)
 PARSER = build_parser()
@@ -95,19 +96,18 @@ def check_paths(*argv: str, run=main, formats=("text", "json")):
 def check_tables(gp, semantics: str) -> None:
     """Expanding over the program's table and over each model's own table
     gives answer sets equal by key, in the same order."""
-    program = gp.compiled
     if semantics == "stable":
         result = enumerate_stable(gp)
         pairs = [(model, ids, ()) for model, ids in zip(result.models, result.ids)]
     elif semantics == "wf":
-        true, false = program.well_founded()
-        pairs = [(well_founded_model(gp), program.ids(true), program.ids(false))]
+        true, false = gp.well_founded()
+        pairs = [(well_founded_model(gp), gp.ids(true), gp.ids(false))]
     else:
-        pairs = [(least_model(gp), program.ids(program.least()), ())]
+        pairs = [(least_model(gp), gp.ids(gp.least()), ())]
     for model, pos, neg in pairs:
         for cap, minimal in ((None, False), (3, False), (None, True)):
             by_model = expand(model, cap=cap, subset_minimal=minimal)
-            by_program = expand_ids(program.table, pos, neg, cap=cap, subset_minimal=minimal)
+            by_program = expand_ids(gp.table, pos, neg, cap=cap, subset_minimal=minimal)
             assert by_program.truncated == by_model.truncated
             assert [s.key for s in by_program] == [s.key for s in by_model]
             assert list(by_program) == list(by_model)
@@ -162,10 +162,9 @@ def rendered_reports(monkeypatch, argv) -> list[tuple[SolveReport, str, str]]:
     write = SolveReport.write
 
     def recorded(report, stream, fmt="text"):
-        out = io.StringIO()
-        write(report, out, fmt)
-        reports.append((report, fmt, out.getvalue()))
-        stream.write(out.getvalue())
+        out = written_once(write, report, fmt)
+        reports.append((report, fmt, out))
+        stream.write(out)
 
     monkeypatch.setattr(SolveReport, "write", recorded)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -206,6 +205,39 @@ def test_writer_on_random_programs(monkeypatch, tmp_path, seed):
                 assert written == fmt and all(
                     isinstance(sets, Expansion) for sets in report.answer_sets), argv
                 check_writer(report, fmt, out)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_models_are_expanded_as_the_report_is_written(monkeypatch, fmt):
+    # each model is expanded when the writer reaches its answer sets, after
+    # the answer sets before it were written and dropped; the truncation
+    # line follows the report
+    out, err = io.StringIO(), io.StringIO()
+    made = []  # a weak reference to each expansion, in the order made
+    before = []  # per expansion, the report written before it
+    expand_ids = cli.expand_ids
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in made)
+        before.append(out.getvalue())
+        expansion = expand_ids(*args, **kwargs)
+        made.append(weakref.ref(expansion))
+        return expansion
+
+    monkeypatch.setattr(cli, "expand_ids", tracked)
+    argv = ["expand", "--horizon", "1", "--max-answer-sets", "2", "--format", fmt,
+            str(corpus_path("robot.ndlp"))]
+    with redirect_stdout(out), redirect_stderr(err):
+        assert solve(argv) == 0
+    assert len(made) == 16
+    assert all(a < b for a, b in zip(map(len, before), map(len, before[1:])))
+    if fmt == "text":
+        for k, written in enumerate(before, start=1):
+            assert f"model {k}:\n" in written and f"model {k + 1}:\n" not in written
+    else:
+        assert before[0] == '{\n  "answer_sets": ' and '"models"' not in before[-1]
+    assert err.getvalue().splitlines()[:-1] == [
+        "answer-set expansion truncated by --max-answer-sets"]
 
 
 class CountedWrites(io.StringIO):
