@@ -15,8 +15,8 @@ from .errors import (
     ParseError,
     ProgramError,
 )
-from .compiled import GroundProgram
-from .grounder import ground, make_ground_program, restricted_base
+from .compiled import GroundProgram, make_ground_program, restricted_base
+from .grounder import ground
 from .parser import parse_program, parse_rule
 from .positive import (
     is_model,

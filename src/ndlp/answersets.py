@@ -198,7 +198,7 @@ def _model_table(model: Model) -> tuple[AtomTable, range, range]:
         pos, neg = sort_nd_atoms(model.pos), sort_nd_atoms(model.neg)
     else:
         pos, neg = sort_nd_atoms(model), ()
-    return AtomTable((*pos, *neg)), range(len(pos)), range(len(pos), len(pos) + len(neg))
+    return AtomTable.of((*pos, *neg)), range(len(pos)), range(len(pos), len(pos) + len(neg))
 
 
 def expand_ids(table: AtomTable, pos: Sequence[int], neg: Sequence[int] = (),

@@ -14,9 +14,13 @@ The argparse parser is built once per process. The ground rules are
 spelled out only for `ground` and `--dump-ground`.
 
 From the search to the report a model stays the sorted indices of its
-NdAtoms in the ground program, whose base is in key order: the report's
-NdAtom lists index them with no sort, and answer sets expand over the
-program's one atom table into rows of entry ids. `SolveReport.write`
+NdAtoms in the ground program, whose base is in key order: the report
+holds the models, and the well-founded negatives and undefined NdAtoms, as
+those indices with no sort, rendered through the program's
+`member_texts`, and answer sets expand over the program's one atom table
+into rows of entry ids. For a program with variables both read the atom
+table, so after parsing the command line builds no `Atom`; library callers
+may hand the report NdAtoms instead. `SolveReport.write`
 renders both formats straight to stdout in pieces: the header, each model,
 and the answer-set rows `CHUNK_ROWS` at a time, each row joined from the
 table's entry texts, so no `AnswerSet` is built and no string holds the
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii as _encode
 from operator import attrgetter
-from typing import Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .answersets import AnswerSet, Expansion, expand_ids
 from .compiled import AtomTable, GroundProgram
@@ -46,7 +50,7 @@ from .errors import NdlpError
 from .grounder import ground
 from .parser import parse_files
 from .stable import enumerate_stable
-from .syntax import NdAtom, Program
+from .syntax import Program
 
 
 class _Rendered(dict):
@@ -68,9 +72,10 @@ CHUNK_ROWS = 4096
 @dataclass
 class SolveReport:
     semantics: str
-    models: list[list[NdAtom]] = field(default_factory=list)
-    negatives: list[NdAtom] | None = None  # wf only
-    undefined: list[NdAtom] | None = None  # wf only
+    # each NdAtom as its id when `texts` is given, else as itself
+    models: list[Sequence] = field(default_factory=list)
+    negatives: Sequence | None = None  # wf only
+    undefined: Sequence | None = None  # wf only
     total: bool | None = None  # wf only
     # per model, its `Expansion` or a list of its `AnswerSet`s; an iterator
     # is read once, as the report is written
@@ -81,6 +86,7 @@ class SolveReport:
     rule_count: int = 0
     base_size: int = 0
     timing_s: float = 0.0
+    texts: Callable[[int], list[str]] | None = None  # an NdAtom's member texts by its id
 
     def write(self, stream: TextIO, fmt: str = "text") -> None:
         """Write the report to `stream` as text or as JSON, in pieces: the
@@ -98,20 +104,25 @@ class SolveReport:
         self.write(out)
         return out.getvalue()
 
+    def _member_texts(self) -> Callable[[Any], list[str]]:
+        """The texts of an NdAtom's members, given as its id or itself."""
+        return self.texts or (lambda nd: [atom.text for atom in nd.atoms])
+
     def _text(self) -> Iterator[str]:
         yield f"semantics: {self.semantics}\n"
         yield f"ground rules: {self.rule_count}, base size: {self.base_size}\n"
         if not self.models:
             yield "no models\n"
+        texts = self._member_texts()
         lines = []
         if self.semantics == "wf":
-            lines += [f"  not {atom}\n" for atom in self.negatives or []]
+            lines += [f"  not {{{', '.join(texts(nd))}}}\n" for nd in self.negatives or []]
             if self.undefined:
                 lines.append("  undefined:\n")
-                lines += [f"    {atom}\n" for atom in self.undefined]
+                lines += [f"    {{{', '.join(texts(nd))}}}\n" for nd in self.undefined]
             lines.append(f"  total: {'yes' if self.total else 'no'}\n")
         wf = "".join(lines)
-        indented = _Rendered(lambda nd: f"  {nd}\n")
+        indented = _Rendered(lambda nd: f"  {{{', '.join(texts(nd))}}}\n")
         expansions = None if self.answer_sets is None else iter(self.answer_sets)
         for i, model in enumerate(self.models, start=1):
             yield "".join([f"model {i}:\n", *map(indented.__getitem__, model), wf])
@@ -135,7 +146,8 @@ class SolveReport:
         yield from _array(map(_json_rows, map(self._chunks, self.answer_sets or []),
                               repeat(encoded)), 1)
         yield ',\n  "models": '
-        arrays = _Rendered(lambda nd: _nd_json(nd, 3))
+        texts = self._member_texts()
+        arrays = _Rendered(lambda nd: _nd_json(texts(nd), 3))
         yield from _array(([_json_array(map(arrays.__getitem__, model), 2, item=True)]
                            for model in self.models), 1)
         yield ","
@@ -146,11 +158,11 @@ class SolveReport:
         }
         if self.semantics == "wf":
             scalars["total"] = bool(self.total)
-            yield f'{_NEWLINE[1]}"negatives": {_nd_arrays(self.negatives or [])},'
+            yield f'{_NEWLINE[1]}"negatives": {_nd_arrays(self.negatives or [], texts)},'
         # keys sort as answer_sets, models, negatives, the scalars, undefined
         yield json.dumps(scalars, indent=2, sort_keys=True)[1:-2]
         if self.semantics == "wf":
-            yield f',{_NEWLINE[1]}"undefined": {_nd_arrays(self.undefined or [])}'
+            yield f',{_NEWLINE[1]}"undefined": {_nd_arrays(self.undefined or [], texts)}'
         yield "\n}\n"
 
     def _chunks(self, sets: Expansion | list[AnswerSet]) -> Iterator[tuple[int, AtomTable, list]]:
@@ -212,15 +224,14 @@ def _json_rows(model_chunks: Iterator[tuple[int, AtomTable, list]],
     return _array(chunks(), 2, item=True)
 
 
-def _nd_json(nd: NdAtom, depth: int) -> str:
-    """An NdAtom's array of atom texts as an item at `depth`."""
-    return _json_array([_NEWLINE[depth + 1] + _encode(a.text) for a in nd.atoms], depth,
-                       item=True)
+def _nd_json(texts: list[str], depth: int) -> str:
+    """An NdAtom's array of member texts as an item at `depth`."""
+    return _json_array([_NEWLINE[depth + 1] + _encode(text) for text in texts], depth, item=True)
 
 
-def _nd_arrays(nd_atoms: list[NdAtom]) -> str:
-    """An array of NdAtoms at depth 1."""
-    return _json_array([_nd_json(nd, 2) for nd in nd_atoms], 1)
+def _nd_arrays(nd_atoms: Sequence, texts: Callable[[Any], list[str]]) -> str:
+    """An array of NdAtoms at depth 1, each given to `texts`."""
+    return _json_array([_nd_json(texts(nd), 2) for nd in nd_atoms], 1)
 
 
 def _read(path: str) -> str:
@@ -245,8 +256,8 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
 
     # each model as the ids of its positive and negative NdAtoms, which
     # index the ground program's base in key order
-    report = SolveReport(semantics=args.semantics, rule_count=len(gp.heads), base_size=gp.n)
-    atom = gp.base.__getitem__
+    report = SolveReport(semantics=args.semantics, rule_count=len(gp.heads), base_size=gp.n,
+                         texts=gp.member_texts())
     models: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     if args.semantics == "least":
         if not program.is_positive():
@@ -264,11 +275,10 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
     else:  # wf
         true, false = gp.well_founded()
         models = [(gp.ids(true), gp.ids(false))]
-        undefined = gp.ids(not (t or f) for t, f in zip(true, false))
-        report.negatives = list(map(atom, models[0][1]))
-        report.undefined = list(map(atom, undefined))
-        report.total = not undefined
-    report.models = [list(map(atom, pos)) for pos, _ in models]
+        report.negatives = models[0][1]
+        report.undefined = gp.ids(not (t or f) for t, f in zip(true, false))
+        report.total = not report.undefined
+    report.models = [pos for pos, _ in models]
 
     sets_truncated = False
     if want_answer_sets:

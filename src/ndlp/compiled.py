@@ -3,9 +3,14 @@
 `GroundProgram` is a program's ground instantiation over its restricted
 base in key order. NdAtoms are ints in base order and each rule is a head
 int plus tuples of its positive and negated body ints, which the grounder
-emits directly (`make_ground_program` derives them from `Rule`s), with
-per-atom lists of the rules that use the atom positively, that negate it
-and that define it; the `Rule`s are spelled out only when `rules` is read.
+emits directly (`make_ground_program`, the reference it is tested against,
+derives them from `Rule`s), with per-atom lists of the rules that use the
+atom positively, that negate it and that define it. The base is held as
+NdAtoms or as its `AtomTable`: a program without variables keeps the
+NdAtoms it was written with, while for the others the grounder builds the
+table from int keys (`AtomTable.of_keys`), its texts joined from term
+texts, and no `Atom`, `NdAtom` or `Rule` exists until `base` or `rules`
+is read.
 One batch fixpoint, `reduct_model`, gives the least model of the reduct
 against a 0/1 interpretation in linear time. It serves the least model
 (against the empty interpretation), and the tests check each stable model
@@ -28,18 +33,20 @@ form against.
 Since the base is interned in key order, a model's sorted index tuple is
 already its canonical order. The least and well-founded models come out as
 truth flags and stable models as index tuples; the library decodes them to
-NdAtom sets, while the command line renders and expands the indices
-through the program's one `AtomTable`, built on first use.
+NdAtom sets, while the command line renders the indices through
+`member_texts`, from whichever form the base is held in, and expands them
+through the program's one `AtomTable`, built from the NdAtoms on first use
+when they are what the program holds.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import chain, compress
+from functools import cached_property, partial
+from itertools import compress
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
-from .syntax import NdAtom, Rule
+from .syntax import Atom, Compound, Constant, Integer, NdAtom, Rule, Term, sort_nd_atoms
 
 # Truth assignment codes of the propagator's negated atoms.
 OPEN, OUT, IN = 0, 1, 2
@@ -53,20 +60,74 @@ _COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class AtomTable:
-    """The member atoms of a sequence of NdAtoms in key order, with each
-    one's text, and each NdAtom's members as ranks into them. Ranks follow
-    key order, so sorting them sorts the atoms. `entries` holds the texts
-    and then their signed "not" texts: an atom of rank r has entry r, and
-    its negative entry r + len(texts)."""
+    """The member atoms of a sequence of NdAtoms in key order, as their
+    texts, and each NdAtom's members as ranks into them. Ranks follow key
+    order, so sorting them sorts the atoms. `entries` holds the texts and
+    then their signed "not" texts: an atom of rank r has entry r, and its
+    negative entry r + len(texts). The `Atom`s themselves are built by
+    `spell` on first read of `atoms`; the grounder builds its table from
+    int keys, and `of` from NdAtoms."""
 
-    def __init__(self, nd_atoms: Sequence[NdAtom]):
+    def __init__(self, texts: Sequence[str], members: Sequence[tuple[int, ...]],
+                 spell: Callable[[], tuple[Atom, ...]]):
+        self.texts, self.members = texts, members
+        self._spell = spell
+
+    @classmethod
+    def of(cls, nd_atoms: Sequence[NdAtom]) -> AtomTable:
+        """The table of `nd_atoms`, their atoms keyed by text: the parser
+        spells distinct ground atoms apart, and a str caches its hash where
+        an `Atom` hashes through Python code."""
+        text = attrgetter("text")
         # in NdAtom order the members come nearly sorted, which the sort
-        # finds in linear time; a set would shuffle them
-        unique = dict.fromkeys(chain.from_iterable(map(attrgetter("atoms"), nd_atoms)))
-        self.atoms = atoms = tuple(sorted(unique, key=attrgetter("key")))
-        self.texts = tuple(map(attrgetter("text"), atoms))
-        rank = dict(zip(atoms, range(len(atoms))))
-        self.members = tuple([tuple(map(rank.__getitem__, nd.atoms)) for nd in nd_atoms])
+        # finds in linear time
+        unique = {atom.text: atom for nd in nd_atoms for atom in nd.atoms}
+        atoms = tuple(sorted(unique.values(), key=attrgetter("key")))
+        texts = tuple(map(text, atoms))
+        rank = dict(zip(texts, range(len(texts)))).__getitem__
+        members = tuple([tuple(map(rank, map(text, nd.atoms))) for nd in nd_atoms])
+        return cls(texts, members, atoms.__iter__)
+
+    @classmethod
+    def of_keys(cls, keys: list[tuple], term_keys: list,
+                constants: tuple[Term, ...]) -> tuple[list[int], AtomTable]:
+        """The order by key of the NdAtoms whose members are keyed `keys`,
+        and their table in that order, from the keys alone. A member is
+        keyed `(pred, arg ids)`, and term i `term_keys[i]`: an int for an
+        Integer, a str for a Constant, `(name, arg ids)` for a Compound, the
+        `constants` first. One sort of the terms by their syntax keys ranks
+        them, and one sort of the member keys by those ranks orders the
+        members and, by its member ranks, each NdAtom."""
+        sort_keys: list[tuple] = []
+        texts: list[str] = []
+        for key in term_keys:
+            if type(key) is int:
+                sort_keys.append((0, key))
+                texts.append(str(key))
+            elif type(key) is str:
+                sort_keys.append((1, key))
+                texts.append(key)
+            else:
+                name, args = key
+                sort_keys.append((3, name, len(args), tuple([sort_keys[a] for a in args])))
+                texts.append(f"{name}({', '.join([texts[a] for a in args])})")
+        rank = [0] * len(term_keys)
+        for r, i in enumerate(sorted(range(len(term_keys)), key=sort_keys.__getitem__)):
+            rank[i] = r
+        members = sorted({member for key in keys for member in key},
+                         key=lambda m: (m[0], len(m[1]), [rank[a] for a in m[1]]))
+        member_rank = dict(zip(members, range(len(members)))).__getitem__
+        ranked = [(member_rank(key[0]),) if len(key) == 1 else tuple(sorted(map(member_rank, key)))
+                  for key in keys]
+        order = sorted(range(len(keys)), key=ranked.__getitem__)
+        spelled = tuple([f"{pred}({', '.join([texts[a] for a in args])})" if args else pred
+                         for pred, args in members])
+        return order, cls(spelled, tuple([ranked[i] for i in order]),
+                          partial(_spell_atoms, members, term_keys, constants))
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        return tuple(self._spell())
 
     @cached_property
     def entries(self) -> list[str]:
@@ -76,17 +137,35 @@ class AtomTable:
         return [*self.texts, *map("not ".__add__, self.texts)]
 
 
+def _spell_atoms(members: list[tuple], term_keys: list, constants: tuple[Term, ...]) -> list[Atom]:
+    """The `Atom` of each member key, over terms built from their keys."""
+    terms = list(constants)
+    for key in term_keys[len(constants):]:
+        terms.append(Integer(key) if type(key) is int else Constant(key) if type(key) is str
+                     else Compound(key[0], tuple(map(terms.__getitem__, key[1]))))
+    return [Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in members]
+
+
 class GroundProgram:
     """A variable-free program over its restricted base in key order, by
     which the solvers sort their models, in the int form they run on. Its
-    rules are spelled out as `Rule` objects on first read."""
+    base comes either as NdAtoms, and the atom table is built from them on
+    first use, or as the table, and the NdAtoms are built from its atoms on
+    first read; its rules are spelled out as `Rule` objects on first read."""
 
-    def __init__(self, base: Sequence[NdAtom], heads: list[int], pos: list[tuple[int, ...]],
-                 neg: list[tuple[int, ...]], spell: Callable[[], tuple[Rule, ...]]):
-        """Rule r is heads[r] :- pos[r], not neg[r], over `base`; no body
-        tuple repeats an id. `spell` returns the same rules as `Rule`s."""
-        self.base: tuple[NdAtom, ...] = tuple(base)
-        self.n = n = len(self.base)
+    def __init__(self, heads: list[int], pos: list[tuple[int, ...]], neg: list[tuple[int, ...]],
+                 spell: Callable[[tuple[NdAtom, ...]], tuple[Rule, ...]],
+                 base: Sequence[NdAtom] | None = None, table: AtomTable | None = None):
+        """Rule r is heads[r] :- pos[r], not neg[r], over the base given as
+        `base` or as `table`; no body tuple repeats an id. `spell` returns
+        the same rules as `Rule`s over the base it is given."""
+        if table is None:
+            self.base = tuple(base)
+            n = len(self.base)
+        else:
+            self.table = table
+            n = len(table.members)
+        self.n = n
         self.heads, self.pos, self.neg = heads, pos, neg
         self._spell = spell
         self.watchers: list[list[int]] = [[] for _ in range(n)]
@@ -103,8 +182,13 @@ class GroundProgram:
         self.bodiless = [ridx for ridx, size in enumerate(self.pos_len) if not size]
 
     @cached_property
+    def base(self) -> tuple[NdAtom, ...]:
+        atom = self.table.atoms.__getitem__
+        return tuple([NdAtom(tuple(map(atom, ranks))) for ranks in self.table.members])
+
+    @cached_property
     def rules(self) -> tuple[Rule, ...]:
-        return self._spell()
+        return self._spell(self.base)
 
     @cached_property
     def base_set(self) -> frozenset[NdAtom]:
@@ -160,7 +244,17 @@ class GroundProgram:
     @cached_property
     def table(self) -> AtomTable:
         """The base's atom table; NdAtom i has the member ranks `members[i]`."""
-        return AtomTable(self.base)
+        return AtomTable.of(self.base)
+
+    def member_texts(self) -> Callable[[int], list[str]]:
+        """NdAtom i's member texts as a function of i: read off the base
+        when it is held as NdAtoms, as a program without variables is
+        given, else off the atom table, so that no `Atom` is built."""
+        if "base" in vars(self):
+            base = self.base
+            return lambda i: [atom.text for atom in base[i].atoms]
+        texts, members = self.table.texts, self.table.members
+        return lambda i: [texts[r] for r in members[i]]
 
     def ids(self, flags: Iterable) -> tuple[int, ...]:
         """The indices of the set flags, in key order."""
@@ -168,6 +262,29 @@ class GroundProgram:
 
     def decode(self, flags: bytes) -> frozenset[NdAtom]:
         return frozenset(compress(self.base, flags))
+
+
+def restricted_base(rules: Iterable[Rule]) -> tuple[NdAtom, ...]:
+    """All NdAtoms occurring in the rules, in key order."""
+    base: set[NdAtom] = set()
+    for rule in rules:
+        base.add(rule.head)
+        for lit in rule.body:
+            base.add(lit.atom)
+    return sort_nd_atoms(base)
+
+
+def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
+    """Compile already-ground rules over their restricted base."""
+    rules = tuple(rules)
+    base = restricted_base(rules)
+    index = {nd: i for i, nd in enumerate(base)}
+    return GroundProgram(
+        [index[rule.head] for rule in rules],
+        [tuple(dict.fromkeys(map(index.__getitem__, rule.positive_body()))) for rule in rules],
+        [tuple(dict.fromkeys(map(index.__getitem__, rule.negative_body()))) for rule in rules],
+        lambda _: rules, base=base,
+    )
 
 
 class Propagator:

@@ -1,87 +1,65 @@
 """Grounding: instantiate variables, evaluate arithmetic and comparisons.
 
 Time variables (T, T0, T1, ...) range over 0..horizon; every other variable
-ranges over the set of constants occurring literally in the program. Sums
-like T+1 are evaluated after substitution, so heads may mention time points
-one past the horizon. Ground instances whose built-in comparison evaluates
-false are dropped; true comparisons are removed from the body.
+ranges over the constants occurring literally in the program. Sums like T+1
+are evaluated after substitution, so heads may mention time points one past
+the horizon. Instances whose built-in comparison is false are dropped; true
+comparisons are removed from the body.
 
-Only instances whose positive body can be derived are kept: every positive
-body NdAtom must lie in the positive closure that ignores negation. No other
-instance fires under any semantics. Instantiation is semi-naive and driven by
-joins, in the style of lparse and gringo: each NdAtom that becomes derivable
-is matched against the positive body literals it fits and joined with the
-NdAtoms derived before it. A set-literal matches an NdAtom it grounds to
-exactly, so members that coincide collapse into one; a member whose
-variables are already bound is looked up among the NdAtom's members by
-hash, so a wide set-literal matches in linear time. An instance takes its
-positive body from the NdAtoms the join matched and grounds only its head,
-negated literals and comparisons. A variable that no positive body literal
-binds ranges over its domain; a bound value outside the domain is
-rejected, so a time point derived past the horizon binds no time
-variable. Each rule's instances come out in the order of the product
-of its sorted variables' domains, without duplicates. The result is the
-product grounding less its dead instances. The instantiator records at most
-MAX_GROUND_INSTANCES instances, kept or dropped, and builds no time domain
-of more points; past that, grounding stops with a GroundingError.
+Only instances whose positive body lies in the positive closure that ignores
+negation are kept; no other instance fires under any semantics. The result
+is the product grounding less its dead instances, each rule's instances in
+the order of the product of its sorted variables' domains. Instantiation is
+semi-naive and driven by joins, as in lparse and gringo: each NdAtom taken
+off the queue is matched against the positive body literals it fits and
+joined with the NdAtoms taken before it. A set-literal matches an NdAtom it
+grounds to exactly, so coinciding members collapse, and a member whose
+variables are bound is looked up among the NdAtom's members by hash. A
+variable no positive literal binds ranges over its domain, and a bound value
+outside it is rejected. At most MAX_GROUND_INSTANCES instances are recorded,
+kept or dropped, and no larger time domain is built; past that, grounding
+stops with a GroundingError.
 
-Every rule without variables, found by checking each distinct NdAtom once,
-takes one route: it is its own instance, and its NdAtoms are interned by
-value in rule order. A program with no other rule is then compiled in one
-pass, renumbered to key order by the same step the instantiator ends with.
-Otherwise the instantiator starts from those NdAtoms, keying each distinct
-one once, and never joins such a rule: it counts down its positive body
-literals and derives its head once the NdAtom of the last of them is taken
-off the queue. `make_ground_program`, which compiles given ground rules
-over their sorted restricted base, is the reference both are tested
-against.
+Every rule without variables is its own instance, its NdAtoms interned by
+value in rule order. A program of such rules only is compiled in one pass;
+otherwise the instantiator starts from those NdAtoms and counts each such
+rule's positive body down instead of joining it. `make_ground_program`, which
+compiles given ground rules over their sorted base, is the reference both
+are tested against.
 
-Matching runs on ints, as gringo interns its terms. Within one `ground()`
-call each ground term gets an id, the program's constants first in key
-order, so an ordinary variable admits exactly the ids below their count,
-and a sum like T+1 binds and evaluates by int arithmetic on an integer's
-value. Each source rule's set-literals are compiled once to member
-patterns over these ids, and every NdAtom is keyed by its members'
-`(pred, arg ids)`; a one-member set-literal, the common case, binds by one
-direct call, not through the generator that matches wider ones.
+Matching runs on ints over fixed join plans, as Souffle compiles rules to
+loop nests over indexes (Jordan et al., CAV 2016). Each ground term has an
+id, the program's constants first in key order, so an ordinary variable
+admits exactly the ids below their count, and sums evaluate by int
+arithmetic. A source rule's variables, and the ground terms its patterns
+name, have slots in one list. Each positive literal an NdAtom may trigger
+has a plan, the others in a greedy order, fewest unbound variables first;
+which slots a step finds bound depends only on the steps before it, so each
+step, compiled once when a join first reaches it, fixes the index it probes
+and, per argument, whether to compare an id, bind a slot with its domain
+check, or apply a sum. Only the `(pred, position)` indexes probed are built.
 
-Grounding goes straight into the int form of `compiled.GroundProgram`,
-the one object every solver runs on: an instance is the ids of its head
-and of its positive and negated body NdAtoms. Heads and negated literals
-are grounded to keys, and an NdAtom is built only for a key not met
-before. One sort renumbers the ids to key order, and the `Rule` objects
-are spelled out only when `GroundProgram.rules` is read.
+An instance is the ids of its head and positive and negated body NdAtoms,
+keyed by its slots, and goes straight into `compiled.GroundProgram`. Heads
+and negated literals stay `(pred, arg ids)` keys: grounding builds no `Atom`
+or `NdAtom`. One sort of the terms ranks them, one sort of the member keys
+by those ranks orders the atom table and the base, and the table's texts are
+joined from term texts. NdAtoms and `Rule`s are built only when read.
 
-All semantics downstream operate over the *restricted* non-deterministic
-base: the NdAtoms that occur somewhere in the ground rules. NdAtoms outside
-it are false (total semantics) or negative (well-founded) by convention and
-never enumerated.
+Every semantics runs over this *restricted* base; NdAtoms outside it are
+false (total semantics) or negative (well-founded) and never enumerated.
 """
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from functools import partial
+from itertools import chain, product
 from typing import Callable, Iterable
 
-from .compiled import GroundProgram
+from .compiled import AtomTable, GroundProgram
 from .errors import GroundingError
-from .syntax import (
-    BUILTIN_PREDICATES,
-    Atom,
-    Compound,
-    Constant,
-    Integer,
-    Literal,
-    NdAtom,
-    Program,
-    Rule,
-    Sum,
-    Term,
-    Variable,
-    is_time_variable,
-    sort_nd_atoms,
-    term_variables,
-)
+from .syntax import (BUILTIN_PREDICATES, Atom, Compound, Constant, Integer, Literal, NdAtom,
+                     Program, Rule, Sum, Term, Variable, is_time_variable, term_variables)
 
 # Most instances of rules with variables one `ground()` call may record,
 # kept or dropped, and so also the most time points a free time variable
@@ -89,67 +67,39 @@ from .syntax import (
 # running until time or memory runs out.
 MAX_GROUND_INSTANCES = 100_000
 
-
-def restricted_base(rules: Iterable[Rule]) -> tuple[NdAtom, ...]:
-    """All NdAtoms occurring in the rules, in key order."""
-    base: set[NdAtom] = set()
-    for rule in rules:
-        base.add(rule.head)
-        for lit in rule.body:
-            base.add(lit.atom)
-    return sort_nd_atoms(base)
+# What a plan step does with one argument of a member: compare its id with
+# a bound slot's, bind an ordinary or a time variable's slot, compare or
+# bind through a sum, or match a compound term's arguments in turn.
+SAME, CONST, TIME, SUM_SAME, SUM_CONST, SUM_TIME, NEST = range(7)
 
 
-def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
-    """Compile already-ground rules over their restricted base."""
-    rules = tuple(rules)
-    base = restricted_base(rules)
-    index = {nd: i for i, nd in enumerate(base)}
-    return GroundProgram(
-        base,
-        [index[rule.head] for rule in rules],
-        [tuple(dict.fromkeys(map(index.__getitem__, rule.positive_body()))) for rule in rules],
-        [tuple(dict.fromkeys(map(index.__getitem__, rule.negative_body()))) for rule in rules],
-        lambda: rules,
-    )
-
-
-def _in_key_order(atoms: list[NdAtom], heads: list[int], pos: list, neg: list,
-                  spell: Callable[[], tuple[Rule, ...]]) -> GroundProgram:
-    """The rules `heads[r] :- pos[r], not neg[r]` over the NdAtoms `atoms`,
-    compiled with the ids renumbered to key order by one sort and repeats
-    dropped from each body; `spell` spells them as `Rule`s."""
-    order = sorted(range(len(atoms)), key=[nd.key for nd in atoms].__getitem__)
-    # the inverse permutation: each old id's position in key order
+def _renumbered(order: list[int], heads: list[int], pos: list, neg: list) -> tuple:
+    """`heads`, `pos` and `neg` with each id renumbered to its position in
+    `order` and repeats dropped from each body, and the renumbering."""
+    # the inverse permutation: each old id's position in `order`
     renumbered = sorted(range(len(order)), key=order.__getitem__)
     renumber = renumbered.__getitem__
 
-    def renumbered_bodies(bodies: list) -> list[tuple[int, ...]]:
+    def bodies(lists: list) -> list[tuple[int, ...]]:
         return [tuple(dict.fromkeys(map(renumber, body))) if len(body) > 1
-                else (renumber(body[0]),) if body else () for body in bodies]
+                else (renumber(body[0]),) if body else () for body in lists]
 
-    return GroundProgram([atoms[old] for old in order], list(map(renumber, heads)),
-                         renumbered_bodies(pos), renumbered_bodies(neg), spell)
+    return list(map(renumber, heads)), bodies(pos), bodies(neg), renumbered
 
 
 def program_constants(program: Program) -> tuple[Term, ...]:
     """Constants (symbols and integers) occurring literally in the program."""
     found: set[Term] = set()
-
-    def walk(term: Term) -> None:
+    stack = [arg for rule in program.rules for nd in [rule.head, *[lit.atom for lit in rule.body]]
+             for atom in nd for arg in atom.args]
+    while stack:
+        term = stack.pop()
         if isinstance(term, (Constant, Integer)):
             found.add(term)
         elif isinstance(term, Compound):
-            for arg in term.args:
-                walk(arg)
+            stack.extend(term.args)
         elif isinstance(term, Sum):
-            walk(term.base)
-
-    for rule in program.rules:
-        for nd in [rule.head] + [lit.atom for lit in rule.body]:
-            for atom in nd:
-                for arg in atom.args:
-                    walk(arg)
+            stack.append(term.base)
     return tuple(sorted(found, key=lambda t: t.key))
 
 
@@ -168,100 +118,186 @@ def _fixed_instance(rule: Rule) -> Rule | None:
     return Rule(rule.head, tuple(lit for lit in rule.body if not _is_test(lit)), rule.origin)
 
 
-def _undo(env: dict[str, int], trail: list[str], mark: int) -> None:
-    while len(trail) > mark:
-        del env[trail.pop()]
-
-
 class _Sum:
-    """`name+offset` in a compiled pattern; the parser gives every sum a
+    """`slot+offset` in a grounding pattern; the parser gives every sum a
     variable base."""
 
-    __slots__ = ("name", "offset")
+    __slots__ = ("slot", "offset")
 
-    def __init__(self, name: str, offset: int):
-        self.name, self.offset = name, offset
+    def __init__(self, slot: int, offset: int):
+        self.slot, self.offset = slot, offset
 
 
-def _signature(members) -> frozenset[str]:
-    return frozenset([pred for pred, _ in members])
+class _Step:
+    """The step of a plan for body literal `pos`. A one-member literal of
+    `pred` and `arity` args probes `by_argument` with the `SAME` or
+    `SUM_SAME` action `probe`, or scans `pred`, and runs `actions` on each
+    candidate. A wider one scans `scans`, and its member patterns are in
+    `wide`: (pred, arity, actions, or grounding args once bound)."""
+
+    __slots__ = ("pos", "pred", "arity", "probe", "actions", "wide", "scans")
+
+    def __init__(self, pos: int, pred=None, arity=0, probe=None, actions=(), wide=None, scans=()):
+        self.pos, self.pred, self.arity, self.probe = pos, pred, arity, probe
+        self.actions, self.wide, self.scans = actions, wide, scans
 
 
 class _Source:
-    """One source rule with variables during instantiation, its set-literals
-    compiled to member patterns `(pred, args)` (see `_Instantiator.compile`):
-    the positive body literals its instances are joined on, each with the
-    variables of its members and the id of the NdAtom it is matched to in
-    the join under way, the variables no such literal binds, and the
-    instances found, keyed by the ids their variables are bound to. An
-    instance is the ids of its head, positive body and negated body, in body
-    order; None marks one whose comparison or arithmetic failed. `layout`
-    tells, per body literal left in an instance, whether it is negated.
-    `after` counts the rules without variables kept before it."""
+    """One source rule with variables during instantiation. Variable j of
+    its sorted `names` has slot j of `slots`, and each ground term its
+    patterns name a later slot holding the term's id; a pattern argument is
+    a slot, a `_Sum`, or `(name, args)` for a compound with variables.
+    `plans[k]` joins the positive literals from literal k, and `matched`
+    holds the NdAtoms the join under way matched, in body order; `free` are
+    the slots no join binds. `grounded` (the head, then negated literals)
+    and `tests` hold members as (pred, args, whether every arg is a slot).
+    `instances` maps slots to the ids of the head, positive and negated
+    body, or to None when a comparison or arithmetic failed. `layout` tells
+    which kept body literals are negated; `after` counts the rules without
+    variables kept before it."""
 
-    def __init__(self, rule: Rule, names: list[str], after: int, compile: Callable):
-        self.rule = rule
-        self.names = names
-        self.after = after
+    def __init__(self, rule: Rule, names: list[str], after: int,
+                 written_id: Callable[[Term], int]):
+        self.rule, self.names, self.after = rule, names, after
+        self.timed = [is_time_variable(name) for name in names]
+        self.slot = {name: j for j, name in enumerate(names)}
+        self.ground_slot: dict[Term, int] = {}
+        self.slots = [0] * len(names)
+        # every slot is placed before a join fills any
+        for nd in [rule.head, *[lit.atom for lit in rule.body]]:
+            for atom in nd:
+                self.place(atom.args, written_id)
         kept = [lit for lit in rule.body if not _is_test(lit)]
         self.layout = [lit.negated for lit in kept]
-        self.tests = [compile(lit.atom.atoms[0]) for lit in rule.body if _is_test(lit)]
-        # the set-atoms each instance grounds: its head, then its negated literals
-        self.grounded = [tuple(map(compile, nd.atoms))
+        self.tests = [self.member(lit.atom.atoms[0]) for lit in rule.body if _is_test(lit)]
+        self.grounded = [tuple(map(self.member, nd.atoms))
                          for nd in [rule.head] + [lit.atom for lit in kept if lit.negated]]
-        self.joins: list[tuple[tuple, list[set[str]], set[str]]] = []
-        for lit in kept:
-            if not lit.negated:
-                per_member = [atom.variables() for atom in lit.atom]
-                self.joins.append((tuple(map(compile, lit.atom.atoms)), per_member,
-                                   set().union(*per_member)))
-        self.matched = [0] * len(self.joins)
-        joined = {n for _, _, bound in self.joins for n in bound}
-        self.free = [name for name in names if name not in joined]
+        self.joins = joins = [lit.atom.atoms for lit in kept if not lit.negated]
+        self.binds = binds = [{self.slot[name] for atom in atoms for name in atom.variables()}
+                              for atoms in joins]
+        # per plan, the slots bound so far and, once it has a second step,
+        # the join literals not yet placed
+        self.bound: list[set[int]] = [set() for _ in joins]
+        self.todo: list[list[int] | None] = [None] * len(joins)
+        self.plans = [[self.step(k, self.bound[k], False)] for k in range(len(joins))]
+        self.triggers = [[atoms[0].pred] if len(atoms) == 1 else plan[0].scans
+                         for atoms, plan in zip(joins, self.plans)]
+        joined = set().union(*binds)
+        self.free = [j for j in range(len(names)) if j not in joined]
+        self.matched = [0] * len(joins)
         self.instances: dict[tuple[int, ...], tuple | None] = {}
+
+    def place(self, terms: tuple[Term, ...], written_id: Callable[[Term], int]) -> None:
+        """Give each ground term among `terms`, at any depth, a slot."""
+        for term in terms:
+            if isinstance(term, Compound) and any(term_variables(term)):
+                self.place(term.args, written_id)
+            elif not isinstance(term, (Variable, Sum)) and term not in self.ground_slot:
+                self.ground_slot[term] = len(self.slots)
+                self.slots.append(written_id(term))
+
+    def arg(self, term: Term):
+        if isinstance(term, Variable):
+            return self.slot[term.name]
+        if isinstance(term, Sum):
+            return _Sum(self.slot[term.base.name], term.offset)
+        if isinstance(term, Compound) and any(term_variables(term)):
+            return term.name, tuple(map(self.arg, term.args))
+        return self.ground_slot[term]
+
+    def member(self, atom: Atom) -> tuple[str, tuple, bool]:
+        args = tuple(map(self.arg, atom.args))
+        return atom.pred, args, all(type(arg) is int for arg in args)
+
+    def extend(self, k: int) -> _Step:
+        """Compile the next step of plan k, the first time a join reaches
+        it: the join literal left with the fewest unbound variables, the
+        first of them on a tie."""
+        todo, bound, binds = self.todo[k], self.bound[k], self.binds
+        if todo is None:
+            todo = self.todo[k] = [j for j in range(len(self.joins)) if j != k]
+        pick = min(todo, key=lambda j: len(binds[j] - bound))
+        todo.remove(pick)
+        self.plans[k].append(self.step(pick, bound, True))
+        return self.plans[k][-1]
+
+    def step(self, pos: int, bound: set[int], probed: bool) -> _Step:
+        """The step for join literal `pos` after the slots `bound`, which
+        it extends; a trigger literal is not `probed`."""
+        atoms = self.joins[pos]
+        if len(atoms) == 1:
+            atom, before = atoms[0], set(bound)
+            actions = self.actions(atom.args, bound)
+            # the probe: the first argument that is ground, a variable bound
+            # before the step or a sum of one, which then needs no action
+            probe = next((action for action in actions if probed and action[0] in (SAME, SUM_SAME)
+                          and (action[2] in before or action[2] >= len(self.names))), None)
+            return _Step(pos, atom.pred, len(atom.args), probe,
+                         tuple([action for action in actions if action is not probe]))
+        wide = []
+        for atom in atoms:
+            if {self.slot[name] for name in atom.variables()} <= bound:
+                wide.append((atom.pred, len(atom.args), (), self.member(atom)[1]))
+            else:
+                wide.append((atom.pred, len(atom.args), self.actions(atom.args, bound), None))
+        # the index keys of the NdAtoms it may match: a one-member NdAtom's
+        # is its predicate, a wider one's its predicates and size
+        preds = frozenset([atom.pred for atom in atoms])
+        return _Step(pos, wide=wide, scans=[(preds, size) if size > 1 else atoms[0].pred
+                                            for size in range(len(preds), len(atoms) + 1)])
+
+    def actions(self, terms: tuple[Term, ...], bound: set[int]) -> tuple:
+        """What to do per argument to match `terms` after the slots
+        `bound`, which it extends: (code, position, slot, offset), or for a
+        compound (NEST, position, (name, arity), its arguments' actions)."""
+        actions = []
+        for position, term in enumerate(terms):
+            if isinstance(term, Sum):
+                slot = self.slot[term.base.name]
+                code = SUM_SAME if slot in bound else SUM_TIME if self.timed[slot] else SUM_CONST
+                actions.append((code, position, slot, term.offset))
+                bound.add(slot)
+            elif isinstance(term, Compound) and any(term_variables(term)):
+                actions.append((NEST, position, (term.name, len(term.args)),
+                                self.actions(term.args, bound)))
+            else:
+                slot = self.arg(term)
+                if slot in bound or slot >= len(self.names):
+                    actions.append((SAME, position, slot, None))
+                else:
+                    actions.append((TIME if self.timed[slot] else CONST, position, slot, None))
+                    bound.add(slot)
+        return tuple(actions)
 
 
 class _Instantiator:
     """Semi-naive instantiation over the positive closure that ignores
-    negation. It starts from the set-atoms of the rules without variables,
-    each already an instance of its own, and keys each distinct one once,
-    keeping its id. Each NdAtom taken off the queue counts down the positive
-    bodies of those rules that need it, is indexed, then is matched against
-    the join literals it fits; the rest of each such rule body is joined
-    against the NdAtoms indexed so far. An instance is thus found when the
-    last of its positive body NdAtoms is taken off the queue.
+    negation, from the set-atoms of the rules without variables, each keyed
+    once. Each NdAtom taken off the queue counts down the bodies of those
+    rules, is indexed, and runs the plan of each join literal it fits, so an
+    instance is found when the last of its positive body is taken off.
 
-    Matching runs on ids. Each ground term gets an id from its key: an int
-    for an Integer, a str for a Constant, `(name, arg ids)` for a Compound.
-    The program's constants come first, in key order, so a constant's id is
-    its rank and an ordinary variable admits exactly the ids below
-    `len(constants)`. A member is keyed `(pred, arg ids)`, and `keys[i]`
-    holds the members of NdAtom `i` in canonical order."""
+    A ground term's id comes from its key: an int for an Integer, a str for
+    a Constant, `(name, arg ids)` for a Compound, the program's constants
+    first in key order. A member is keyed `(pred, arg ids)`, and `keys[i]`
+    holds NdAtom i's members, in their natural order when there are
+    several."""
 
     def __init__(self, rules: list[tuple[Rule, list[str], int]], horizon: int | None,
                  constants: tuple[Term, ...], atoms: list[NdAtom], fixed: tuple):
-        self.horizon = horizon
-        self.nconst = len(constants)
-        self.terms: list[Term] = list(constants)
+        self.horizon, self.constants, self.nconst = horizon, constants, len(constants)
         self.term_keys: list = [t.value if isinstance(t, Integer) else t.name for t in constants]
         self.term_ids = {key: i for i, key in enumerate(self.term_keys)}
         self.time_domain: list[int] | None = None
-        self.sources = sources = [_Source(*rule, self.compile) for rule in rules]
-        self.time = {
-            name: is_time_variable(name) for source in sources for name in source.names
-        }
-        self.atoms: list[NdAtom] = []
         self.keys: list[tuple] = []
-        self.by_key: dict[tuple, int] = {}  # members in canonical or pattern order -> id
+        self.by_key: dict[tuple, int] = {}  # members in natural or pattern order -> id
         for nd in atoms:
-            self.add(tuple(map(self.compile, nd.atoms)), nd)
+            self.intern(tuple([(atom.pred, tuple(map(self.written_id, atom.args)))
+                               for atom in nd.atoms]))
+        self.sources = sources = [_Source(*rule, self.written_id) for rule in rules]
         self.room = MAX_GROUND_INSTANCES  # instances it may still record
-        self.members: dict[tuple, Atom] = {}  # member key -> the atom built
         self.derived: set[int] = set()
         self.queue: list[int] = []
-        self.singletons: dict[str, frozenset[str]] = {}  # pred -> its one-member signature
-        self.by_signature: dict[tuple[frozenset[str], int], list[int]] = {}
-        self.by_argument: dict[tuple[str, int, int], list[int]] = {}
         # the rules without variables kept, with the ids of their head,
         # positive and negated body, which are those of `atoms`; each counts
         # down its positive body literals not yet taken off the queue
@@ -275,182 +311,143 @@ class _Instantiator:
                 self.waiting.setdefault(i, []).append(r)
             if not body:
                 self.derive(heads[r])
-        # (signature, size) -> (source, join literal position, the other
-        # positions), for each signature and size of NdAtom the join
-        # literal can match
-        self.triggers: dict[tuple[frozenset[str], int], list[tuple[_Source, int, list[int]]]] = {}
+        self.triggers: dict = {}  # index key -> (source, plan) of each literal it fits
         for source in sources:
-            for pos, (members, _, _) in enumerate(source.joins):
-                rest = [i for i in range(len(source.joins)) if i != pos]
-                signature = _signature(members)
-                for size in range(len(signature), len(members) + 1):
-                    self.triggers.setdefault((signature, size), []).append((source, pos, rest))
+            for k, keys in enumerate(source.triggers):
+                for key in keys:
+                    self.triggers.setdefault(key, []).append((source, k))
+        self.probed: dict[str, list[int]] = {}  # pred -> the positions probed
+        self.by_argument: dict[tuple[str, int, int], list[int]] = {}
+        self.by_signature: dict = {}  # index key -> the NdAtoms it keys
 
-    # -- the term table --------------------------------------------------
-
-    def term_id(self, key, term: Term | None = None) -> int:
-        """The id of the ground term keyed `key`, which is `term` when given;
-        an Integer or Compound is built only for a key not met before."""
+    def term_id(self, key) -> int:
+        """The id of the ground term keyed `key`."""
         i = self.term_ids.get(key)
         if i is None:
-            i = self.term_ids[key] = len(self.terms)
+            i = self.term_ids[key] = len(self.term_keys)
             self.term_keys.append(key)
-            if term is None:
-                term = (Integer(key) if type(key) is int
-                        else Compound(key[0], tuple(map(self.terms.__getitem__, key[1]))))
-            self.terms.append(term)
         return i
 
     def written_id(self, term: Term) -> int:
         if isinstance(term, Integer):
-            return self.term_id(term.value, term)
+            return self.term_id(term.value)
         if isinstance(term, Compound):
-            return self.term_id((term.name, tuple(map(self.written_id, term.args))), term)
-        return self.term_id(term.name, term)
+            return self.term_id((term.name, tuple(map(self.written_id, term.args))))
+        return self.term_id(term.name)
 
-    def compile(self, atom: Atom) -> tuple[str, tuple]:
-        """A member pattern `(pred, args)`. An arg is the id of a ground
-        term, the name of a variable, a `_Sum`, or `(name, args)` for a
-        compound term with variables."""
-        return atom.pred, tuple(map(self.compile_term, atom.args))
-
-    def compile_term(self, term: Term):
-        if isinstance(term, Variable):
-            return term.name
-        if isinstance(term, Sum):
-            return _Sum(term.base.name, term.offset)
-        if isinstance(term, Compound) and any(term_variables(term)):
-            return term.name, tuple(map(self.compile_term, term.args))
-        return self.written_id(term)
-
-    def ground_member(self, member: tuple, env: dict[str, int]) -> tuple | None:
-        """A head, negated or comparison member pattern under `env` as its
+    def ground_member(self, member: tuple, slots: list[int]) -> tuple | None:
+        """A head, negated or comparison member pattern under `slots` as its
         key `(pred, arg ids)`; None when its arithmetic is not defined."""
-        ids = self.ground_args(member[1], env)
-        return None if ids is None else (member[0], ids)
+        pred, args, plain = member
+        if plain:
+            return pred, tuple([slots[arg] for arg in args])
+        ids = self.ground_args(args, slots)
+        return None if ids is None else (pred, ids)
 
-    def ground_args(self, args: tuple, env: dict[str, int]) -> tuple[int, ...] | None:
-        """The ids of compiled args under `env`; None as above."""
+    def ground_args(self, args: tuple, slots: list[int]) -> tuple[int, ...] | None:
+        """The ids of pattern args under `slots`; None as above."""
         ids = []
         for arg in args:
-            if type(arg) is str:
-                i = env[arg]
-            elif type(arg) is int:
-                i = arg
+            if type(arg) is int:
+                i = slots[arg]
             elif type(arg) is _Sum:
-                value = self.term_keys[env[arg.name]]
+                value = self.term_keys[slots[arg.slot]]
                 if type(value) is not int:
                     return None
                 i = self.term_id(value + arg.offset)
             else:
-                inner = self.ground_args(arg[1], env)
+                inner = self.ground_args(arg[1], slots)
                 if inner is None:
                     return None
                 i = self.term_id((arg[0], inner))
             ids.append(i)
         return tuple(ids)
 
-    # -- matching --------------------------------------------------------
-
-    def bind(self, pattern: tuple, key: tuple, env: dict[str, int], trail: list[str]) -> bool:
-        """Extend `env` so that a member pattern, or a compound term's,
-        grounds to `key`. Names bound on the way go on the trail, also when
-        the match fails; the caller undoes them."""
-        args, ids = pattern[1], key[1]
-        if key[0] != pattern[0] or len(args) != len(ids):
+    def match(self, actions: tuple, arity: int, ids: tuple, slots: list[int]) -> bool:
+        """Whether a member of arg ids `ids` fits a pattern of `arity` args
+        whose step runs `actions`, binding the slots they bind."""
+        if len(ids) != arity:
             return False
-        for arg, i in zip(args, ids):
-            if type(arg) is str:
-                bound = env.get(arg)
-                if bound is None:
-                    if self.time[arg]:
-                        value = self.term_keys[i]
-                        if type(value) is not int or not 0 <= value <= self.horizon:
-                            return False
-                    elif i >= self.nconst:
-                        return False
-                    env[arg] = i
-                    trail.append(arg)
-                elif bound != i:
+        term_keys = self.term_keys
+        for code, position, slot, offset in actions:
+            i = ids[position]
+            if code == SAME:
+                if slots[slot] != i:
                     return False
-            elif type(arg) is int:
-                if arg != i:
+            elif code == CONST:
+                if i >= self.nconst:
                     return False
-            elif type(arg) is _Sum:
-                if not self.bind_sum(arg, i, env, trail):
+                slots[slot] = i
+            elif code == TIME:
+                value = term_keys[i]
+                if type(value) is not int or not 0 <= value <= self.horizon:
+                    return False
+                slots[slot] = i
+            elif code == NEST:
+                value = term_keys[i]
+                if type(value) is not tuple or value[0] != slot[0] \
+                        or not self.match(offset, slot[1], value[1], slots):
                     return False
             else:
-                value = self.term_keys[i]
-                if type(value) is not tuple or not self.bind(arg, value, env, trail):
+                value = term_keys[i]
+                if type(value) is not int:
                     return False
+                value -= offset
+                if code == SUM_SAME:
+                    if term_keys[slots[slot]] != value:
+                        return False
+                elif code == SUM_TIME:
+                    if not 0 <= value <= self.horizon:
+                        return False
+                    slots[slot] = self.term_id(value)
+                else:
+                    i = self.term_ids.get(value, self.nconst)
+                    if i >= self.nconst:
+                        return False
+                    slots[slot] = i
         return True
 
-    def bind_sum(self, pattern: _Sum, i: int, env: dict[str, int], trail: list[str]) -> bool:
-        """Bind `name+offset` to term `i` by int arithmetic on its value; a
-        value no variable of that kind admits binds nothing."""
-        value = self.term_keys[i]
-        if type(value) is not int:
-            return False
-        value -= pattern.offset
-        name = pattern.name
-        bound = env.get(name)
-        if bound is not None:
-            return self.term_keys[bound] == value
-        if self.time[name]:
-            if not 0 <= value <= self.horizon:
-                return False
-            i = self.term_id(value)
-        else:
-            i = self.term_ids.get(value, self.nconst)
-            if i >= self.nconst:
-                return False
-        env[name] = i
-        trail.append(name)
-        return True
-
-    def bind_nd(self, patterns: tuple, names: list[set[str]], members: tuple, env, trail):
+    def bind_nd(self, wide: list, members: tuple, slots: list[int]):
         """Yield once per binding under which a set-literal of two or more
         member patterns grounds to exactly the NdAtom whose members are
         `members`: every pattern matches some member and every member is
         matched, so coinciding patterns may collapse. Patterns are placed in
         order on an explicit stack, so a set-literal of any width matches
-        without recursion. A pattern whose variables, `names`, are all
-        bound grounds to one member key, which is looked up among `members`
-        by hash instead of being tried against each of them."""
+        without recursion. A pattern whose variables earlier steps and
+        patterns bind grounds to one member key, which is looked up among
+        `members` by hash instead of being tried against each of them."""
         position = None  # member key -> its index in members
         hits = [0] * len(members)
-        placed: list[tuple[int, int]] = []  # per placed pattern: member, trail mark
+        placed: list[int] = []  # per placed pattern: its member
         j = 0
         while True:
             i = len(placed)
-            if i < len(patterns) and j < len(members):
-                mark = len(trail)
-                if names[i] <= env.keys():
+            if i < len(wide) and j < len(members):
+                pred, arity, actions, args = wide[i]
+                if args is not None:
                     if position is None:
                         position = {member: k for k, member in enumerate(members)}
-                    pred, args = patterns[i]
-                    k = position.get((pred, self.ground_args(args, env)), -1)
+                    k = position.get((pred, self.ground_args(args, slots)), -1)
                     if k < j:  # its one member is absent or was tried already
                         j = len(members)
                         continue
                     j, bound = k, True
                 else:
-                    bound = self.bind(patterns[i], members[j], env, trail)
+                    member = members[j]
+                    bound = member[0] == pred and self.match(actions, arity, member[1], slots)
                 if bound:
                     hits[j] += 1
-                    placed.append((j, mark))
+                    placed.append(j)
                     j = 0
                 else:
-                    _undo(env, trail, mark)
                     j += 1
                 continue
-            if i == len(patterns) and all(hits):
+            if i == len(wide) and all(hits):
                 yield
             if not placed:
                 return
-            j, mark = placed.pop()  # backtrack: try the next member for it
+            j = placed.pop()  # backtrack: try the next member for it
             hits[j] -= 1
-            _undo(env, trail, mark)
             j += 1
 
     def run(self) -> None:
@@ -458,187 +455,159 @@ class _Instantiator:
         missing = self.missing
         for source in self.sources:
             if not source.joins:
-                self.emit(source, {})
-        keys = self.keys
-        env: dict[str, int] = {}
-        trail: list[str] = []
+                self.emit(source)
         while self.queue:
             i = self.queue.pop()
             for r in self.waiting.pop(i, ()):
                 missing[r] -= 1
                 if not missing[r]:
                     self.derive(heads[r])
-            key = keys[i]
-            for source, pos, rest in self.triggers.get(self.index(i, key), ()):
-                patterns, names, _ = source.joins[pos]
-                source.matched[pos] = i
-                # a one-member pattern is only triggered by one-member NdAtoms
-                if len(patterns) == 1:
-                    if self.bind(patterns[0], key[0], env, trail):
-                        self.join(source, rest, env, trail)
-                    env.clear()
-                    trail.clear()
-                else:
-                    for _ in self.bind_nd(patterns, names, key, env, trail):
-                        self.join(source, rest, env, trail)
+            for source, k in self.triggers.get(self.index(i), ()):
+                self.fire(source, k, i)
 
-    def signature(self, pred: str) -> frozenset[str]:
-        """The signature of a one-member NdAtom of `pred`, built once."""
-        signature = self.singletons.get(pred)
-        if signature is None:
-            signature = self.singletons[pred] = frozenset((pred,))
-        return signature
-
-    def index(self, i: int, key: tuple) -> tuple[frozenset[str], int]:
-        """Index NdAtom `i`, whose members are `key`; return its trigger."""
+    def index(self, i: int):
+        """Index NdAtom `i` by its index key, which it returns, and where
+        some plan probes it."""
+        key = self.keys[i]
         if len(key) == 1:
-            pred, args = key[0]
-            for position, value in enumerate(args):
-                self.by_argument.setdefault((pred, position, value), []).append(i)
-            trigger = self.signature(pred), 1
+            trigger = key[0][0]
+            for position in self.probed.get(trigger, ()):
+                self.index_at(i, trigger, position)
         else:
-            trigger = _signature(key), len(key)
+            trigger = frozenset([pred for pred, _ in key]), len(key)
         self.by_signature.setdefault(trigger, []).append(i)
         return trigger
 
-    def candidates(self, pattern: tuple, env: dict[str, int]) -> Iterable[int]:
-        """Ids of the indexed one-member NdAtoms a member pattern might
-        ground to under `env`, found by its first argument that is ground, a
-        bound variable or a sum of one."""
-        pred, args = pattern
-        for position, arg in enumerate(args):
-            if type(arg) is int:
-                value = arg
-            elif type(arg) is str:
-                value = env.get(arg)
-                if value is None:
-                    continue
-            elif type(arg) is _Sum and arg.name in env:
-                value = self.term_keys[env[arg.name]]
-                if type(value) is not int:
-                    return ()
-                # a sum that is no term yet gives None, which keys nothing
-                value = self.term_ids.get(value + arg.offset)
-            else:
-                continue
-            return self.by_argument.get((pred, position, value), ())
-        return self.by_signature.get((self.signature(pred), 1), ())
+    def index_at(self, i: int, pred: str, position: int) -> None:
+        args = self.keys[i][0][1]
+        if position < len(args):
+            self.by_argument.setdefault((pred, position, args[position]), []).append(i)
 
-    def join(self, source: _Source, todo: list[int], env, trail) -> None:
-        """Emit an instance for each binding of the join literals in `todo`.
-        One match generator per bound literal waits on an explicit stack, so
-        bodies of any length ground without recursion."""
-        stack = [iter((todo,))]
+    def fire(self, source: _Source, k: int, first: int) -> None:
+        """Run plan k from NdAtom `first`, which its trigger literal is
+        matched to, and emit every binding of all its steps. One generator
+        per step waits on an explicit stack, so bodies of any length ground
+        without recursion."""
+        slots, matched, plan = source.slots, source.matched, source.plans[k]
+        stack = [self.bindings(plan[0], (first,), slots)]
         while stack:
-            rest = next(stack[-1], None)
-            if rest is None:
+            i = next(stack[-1], None)
+            if i is None:
                 stack.pop()
-            elif rest:
-                stack.append(self.matches(source, rest, env, trail))
-            else:
-                self.emit(source, env)
-
-    def matches(self, source: _Source, todo: list[int], env, trail) -> Iterable[list[int]]:
-        """Bind the join literal with the fewest unbound variables in every
-        way `env` allows, yielding the literals still to join each time."""
-        if len(todo) == 1:
-            pick, rest = todo[0], []
-        else:
-            pick = min(todo, key=lambda i: sum(name not in env for name in source.joins[i][2]))
-            rest = [i for i in todo if i != pick]
-        patterns, names, _ = source.joins[pick]
-        matched, keys = source.matched, self.keys
-        if len(patterns) == 1:
-            pattern = patterns[0]
-            for i in self.candidates(pattern, env):
-                mark = len(trail)
-                if self.bind(pattern, keys[i][0], env, trail):
-                    matched[pick] = i
-                    yield rest
-                _undo(env, trail, mark)
-            return
-        signature = _signature(patterns)
-        for size in range(len(signature), len(patterns) + 1):
-            for i in self.by_signature.get((signature, size), ()):
-                matched[pick] = i
-                for _ in self.bind_nd(patterns, names, keys[i], env, trail):
-                    yield rest
-
-    def emit(self, source: _Source, env: dict[str, int]) -> None:
-        pos = tuple(source.matched)
-        instances = source.instances
-        for full in self.completions(source, env) if source.free else (env,):
-            key = tuple(map(full.__getitem__, source.names))
-            if key in instances:
                 continue
-            self.room -= 1
-            if self.room < 0:
-                raise GroundingError(f"more than MAX_GROUND_INSTANCES = {MAX_GROUND_INSTANCES} "
-                                     f"ground instances ({source.rule.origin})")
-            instance = instances[key] = self.instance(source, full, pos)
-            if instance is not None:
-                self.derive(instance[0])
+            depth = len(stack)
+            matched[plan[depth - 1].pos] = i
+            if depth == len(matched):
+                self.emit(source)
+            else:
+                step = plan[depth] if depth < len(plan) else self.extend(source, k)
+                stack.append(self.bindings(step, self.candidates(step, slots), slots))
 
-    def completions(self, source: _Source, env: dict[str, int]) -> Iterable[dict[str, int]]:
-        """`env` extended by each binding of the free variables, in the
+    def extend(self, source: _Source, k: int) -> _Step:
+        """The next step of a source's plan k, compiled; the NdAtoms already
+        indexed go into a `(pred, position)` index it is the first to probe."""
+        step = source.extend(k)
+        if step.probe is not None and step.probe[1] not in self.probed.get(step.pred, ()):
+            self.probed.setdefault(step.pred, []).append(step.probe[1])
+            for i in self.by_signature.get(step.pred, ()):
+                self.index_at(i, step.pred, step.probe[1])
+        return step
+
+    def candidates(self, step: _Step, slots: list[int]) -> Iterable[int]:
+        """The indexed NdAtoms a step may match under the slots bound."""
+        if step.wide is not None:
+            return chain.from_iterable([self.by_signature.get(key, ()) for key in step.scans])
+        if step.probe is None:
+            return self.by_signature.get(step.pred, ())
+        _, position, slot, offset = step.probe
+        value = slots[slot]
+        if offset is not None:
+            value = self.term_keys[value]
+            if type(value) is not int:
+                return ()
+            # a sum that is no term yet gives None, which keys nothing
+            value = self.term_ids.get(value + offset)
+        return self.by_argument.get((step.pred, position, value), ())
+
+    def bindings(self, step: _Step, ids: Iterable[int], slots: list[int]) -> Iterable[int]:
+        """Each of the NdAtoms `ids` that the step's literal matches, with
+        the slots bound as it matches."""
+        keys, match = self.keys, self.match
+        if step.wide is None:
+            actions, arity = step.actions, step.arity
+            for i in ids:
+                if match(actions, arity, keys[i][0][1], slots):
+                    yield i
+        else:
+            for i in ids:
+                for _ in self.bind_nd(step.wide, keys[i], slots):
+                    yield i
+
+    def emit(self, source: _Source) -> None:
+        """Record the instance of each binding of the free slots, in the
         order of the product of their domains."""
-        full = dict(env)
-        for values in product(*map(self.domain, source.free)):
-            full.update(zip(source.free, values))
-            yield full
+        if not source.free:
+            self.record(source)
+            return
+        slots = source.slots
+        domains = [self.domain(source.timed[j]) for j in source.free]
+        for values in product(*domains):
+            for j, value in zip(source.free, values):
+                slots[j] = value
+            self.record(source)
 
-    def instance(self, source: _Source, env: dict[str, int], pos: tuple[int, ...]):
-        """One instance with the positive body `pos` from the join, or None
+    def record(self, source: _Source) -> None:
+        key = tuple(source.slots)
+        instances = source.instances
+        if key in instances:
+            return
+        self.room -= 1
+        if self.room < 0:
+            raise GroundingError(f"more than MAX_GROUND_INSTANCES = {MAX_GROUND_INSTANCES} "
+                                 f"ground instances ({source.rule.origin})")
+        instance = instances[key] = self.instance(source)
+        if instance is not None:
+            self.derive(instance[0])
+
+    def instance(self, source: _Source):
+        """One instance with the positive body the join matched, or None
         when arithmetic fails or a comparison is false. Comparisons are
         evaluated, and every key grounded, before anything is interned, so
         an instance dropped interns nothing."""
+        slots = source.slots
         for test in source.tests:
-            key = self.ground_member(test, env)
+            key = self.ground_member(test, slots)
             if key is None or (key[1][0] == key[1][1]) != (test[0] == "=="):
                 return None
-        keys = [tuple(map(self.ground_member, pattern, repeat(env)))
-                for pattern in source.grounded]
-        if any(None in key for key in keys):
-            return None
+        keys = []
+        for pattern in source.grounded:
+            key = tuple([self.ground_member(member, slots) for member in pattern])
+            if None in key:
+                return None
+            keys.append(key)
         head, *negated = map(self.intern, keys)
-        return head, pos, tuple(negated)
+        return head, tuple(source.matched), tuple(negated)
 
     def intern(self, key: tuple) -> int:
         """The id of the NdAtom whose members have the keys `key`, in any
-        order; it is built only for members not met before."""
+        order."""
         i = self.by_key.get(key)
         if i is None:
-            if len(key) == 1:
-                canonical = key
-            else:
-                canonical = tuple(sorted(dict.fromkeys(key), key=lambda m: self.atom(m).key))
+            canonical = key if len(key) == 1 else tuple(sorted(set(key)))
             i = self.by_key.get(canonical)
             if i is None:
-                i = self.add(canonical, NdAtom(tuple(map(self.atom, canonical))))
+                i = self.by_key[canonical] = len(self.keys)
+                self.keys.append(canonical)
             self.by_key[key] = i
         return i
-
-    def add(self, key: tuple, nd: NdAtom) -> int:
-        i = self.by_key[key] = len(self.atoms)
-        self.atoms.append(nd)
-        self.keys.append(key)
-        return i
-
-    def atom(self, member: tuple) -> Atom:
-        """The atom of a member key, built once."""
-        atom = self.members.get(member)
-        if atom is None:
-            pred, args = member
-            atom = self.members[member] = Atom(pred, tuple(map(self.terms.__getitem__, args)))
-        return atom
 
     def derive(self, i: int) -> None:
         if i not in self.derived:
             self.derived.add(i)
             self.queue.append(i)
 
-    def domain(self, name: str) -> Iterable[int]:
-        if not self.time[name]:
+    def domain(self, timed: bool) -> Iterable[int]:
+        if not timed:
             return range(self.nconst)
         if self.time_domain is None:
             if self.horizon + 1 > MAX_GROUND_INSTANCES:
@@ -650,9 +619,9 @@ class _Instantiator:
     def program(self) -> GroundProgram:
         """Each source rule's instances in source-rule order, those of a
         rule with variables in product order, first-wins, over the interned
-        NdAtoms renumbered to key order by one sort. An instance's ids rank
-        its constants; a time variable ranks by its value. Since one source
-        rule fixes the layout of its instances, equal ids mean equal rules."""
+        NdAtoms in key order. An instance's ids rank its constants; a time
+        variable ranks by its value. Since one source rule fixes the layout
+        of its instances, equal ids mean equal rules."""
         rules, heads, pos, neg = self.fixed
         fixed = list(zip(rules, zip(heads, pos, neg)))
         kept, done = [], 0
@@ -660,32 +629,39 @@ class _Instantiator:
         for source in self.sources:
             kept += fixed[done:source.after]
             done = source.after
-            timed = [self.time[name] for name in source.names]
             rank = None
-            if any(timed):
-                def rank(ids, timed=timed):
+            if any(source.timed):
+                def rank(ids, timed=source.timed):
                     return tuple([term_keys[i] if t else i for i, t in zip(ids, timed)])
             found = dict.fromkeys(map(source.instances.__getitem__,
                                       sorted(source.instances, key=rank)))
-            kept += [(source, instance) for instance in found if instance is not None]
+            spec = source.layout, source.rule.origin
+            kept += [(spec, instance) for instance in found if instance is not None]
         kept += fixed[done:]
-        atoms = self.atoms
+        order, table = AtomTable.of_keys(self.keys, term_keys, self.constants)
+        heads, pos, neg, renumbered = _renumbered(
+            order, [head for _, (head, _, _) in kept], [pos for _, (_, pos, _) in kept],
+            [neg for _, (_, _, neg) in kept])
+        return GroundProgram(heads, pos, neg, partial(_spell_rules, kept, renumbered),
+                             table=table)
 
-        def spell() -> tuple[Rule, ...]:
-            rules = []
-            for source, (head, pos, neg) in kept:
-                if isinstance(source, Rule):
-                    rules.append(source)
-                    continue
-                positive, negated = iter(pos), iter(neg)
-                body = tuple(Literal(atoms[next(negated)], True) if negative
-                             else Literal(atoms[next(positive)]) for negative in source.layout)
-                rules.append(Rule(head=atoms[head], body=body, origin=source.rule.origin))
-            return tuple(rules)
 
-        return _in_key_order(atoms, [head for _, (head, _, _) in kept],
-                             [pos for _, (_, pos, _) in kept],
-                             [neg for _, (_, _, neg) in kept], spell)
+def _spell_rules(kept: list, renumbered: list[int], base: tuple[NdAtom, ...]) -> tuple[Rule, ...]:
+    """The kept rules as `Rule`s over `base`: a rule without variables as
+    written, an instance from its ids before `renumbered` and its source's
+    body layout and origin."""
+    atom = [base[new] for new in renumbered]
+    rules = []
+    for source, (head, pos, neg) in kept:
+        if isinstance(source, Rule):
+            rules.append(source)
+            continue
+        layout, origin = source
+        positive, negated = iter(pos), iter(neg)
+        body = tuple([Literal(atom[next(negated)], True) if negative
+                      else Literal(atom[next(positive)]) for negative in layout])
+        rules.append(Rule(head=atom[head], body=body, origin=origin))
+    return tuple(rules)
 
 
 def ground(program: Program, horizon: int | None = None) -> GroundProgram:
@@ -755,9 +731,11 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
             (negated if lit.negated else positive).append(ids.setdefault(lit.atom, len(ids)))
         pos.append(positive)
         neg.append(negated)
-    if not sources:
-        rules = tuple(kept)
-        return _in_key_order(list(ids), heads, pos, neg, lambda: rules)
+    if not sources:  # renumbered to key order by one sort of the NdAtoms
+        rules, atoms = tuple(kept), list(ids)
+        order = sorted(range(len(atoms)), key=[nd.key for nd in atoms].__getitem__)
+        heads, pos, neg, _ = _renumbered(order, heads, pos, neg)
+        return GroundProgram(heads, pos, neg, lambda _: rules, base=[atoms[old] for old in order])
     instantiator = _Instantiator(sources, horizon, constants or (), list(ids),
                                  (kept, heads, pos, neg))
     instantiator.run()

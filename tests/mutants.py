@@ -103,10 +103,39 @@ MUTANTS: tuple[Mutant, ...] = (
     # matching
     Mutant(
         "bind-sum-time-range-dropped", "grounder.py",
-        "            if not 0 <= value <= self.horizon:\n"
-        "                return False\n"
-        "            i = self.term_id(value)\n",
-        "            i = self.term_id(value)\n",
+        "                    if not 0 <= value <= self.horizon:\n"
+        "                        return False\n"
+        "                    slots[slot] = self.term_id(value)\n",
+        "                    slots[slot] = self.term_id(value)\n",
+        MATCHING,
+    ),
+    Mutant(
+        "bound-slot-compare-dropped", "grounder.py",
+        "            if code == SAME:\n"
+        "                if slots[slot] != i:\n"
+        "                    return False\n",
+        "            if code == SAME:\n"
+        "                pass\n",
+        MATCHING,
+    ),
+    Mutant(
+        "constant-domain-check-skipped", "grounder.py",
+        "                if i >= self.nconst:\n"
+        "                    return False\n"
+        "                slots[slot] = i\n",
+        "                slots[slot] = i\n",
+        MATCHING,
+    ),
+    Mutant(
+        "probe-stops-one-early", "grounder.py",
+        "return self.by_argument.get((step.pred, position, value), ())",
+        "return self.by_argument.get((step.pred, position, value), [0])[:-1]",
+        MATCHING,
+    ),
+    Mutant(
+        "instance-key-missing-a-slot", "grounder.py",
+        "key = tuple(source.slots)",
+        "key = tuple(source.slots[1:])",
         MATCHING,
     ),
 )

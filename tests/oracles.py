@@ -45,9 +45,9 @@ import os
 from itertools import product
 from typing import Iterable
 
-from ndlp.compiled import IN, OUT, GroundProgram
+from ndlp.compiled import IN, OUT, GroundProgram, make_ground_program
 from ndlp.errors import EvaluationError, GroundingError, ParseError
-from ndlp.grounder import make_ground_program, program_constants
+from ndlp.grounder import program_constants
 from ndlp.parser import _PUNCT
 from ndlp.positive import Interpretation, is_model, lfp
 from ndlp.stable import is_stable
@@ -389,8 +389,11 @@ def written_once(write, report, fmt: str) -> str:
 def report_json(report) -> str:
     """A `SolveReport` as `json.dumps(payload, indent=2, sort_keys=True)`
     of its whole payload; answer-set entries are each atom's `str`, positives
-    then `not` negatives, each side sorted by key."""
-    def nd(atom: NdAtom) -> list[str]:
+    then `not` negatives, each side sorted by key. A report with `texts`
+    holds each NdAtom as its id, whose member texts `texts` gives."""
+    def nd(atom) -> list[str]:
+        if report.texts is not None:
+            return report.texts(atom)
         return [str(a) for a in atom]
 
     def entries(answer_set) -> list[str]:

@@ -19,7 +19,7 @@ from ndlp import (
     well_founded_model,
 )
 from ndlp.corpus import corpus_text
-from ndlp.grounder import make_ground_program
+from ndlp.compiled import make_ground_program
 from ndlp.wf import EMPTY, wp_step
 
 from conftest import gp_from

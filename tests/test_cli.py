@@ -20,6 +20,7 @@ from ndlp.parser import MAX_TERM_DEPTH
 from ndlp.syntax import Atom, canonicalize
 from ndlp.wf import PartialInterpretation
 
+from conftest import closure_chain
 from oracles import report_json, written_once
 from record_cli_outputs import PINS, program_path, sha256, untimed
 
@@ -566,3 +567,33 @@ class TestEnvCap:
             enumerate_models(gp)
         monkeypatch.setenv("NDLP_MAX_BASE", "10")
         assert enumerate_models(gp)
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--semantics", "least"),
+    ("solve", "--semantics", "least", "--format", "json"),
+    ("expand", "--semantics", "wf", "--max-answer-sets", "3"),
+    ("solve", "--semantics", "stable", "--max-models", "2", "--format", "json"),
+])
+def test_programs_with_variables_render_without_atoms(capsys, monkeypatch, tmp_path, argv):
+    # Models, negatives, undefined set-atoms and answer sets render from ids
+    # through the atom table, whose texts come from term texts: after
+    # parsing, the command line builds no `Atom`.
+    program = tmp_path / "closure.ndlp"
+    negated = "{far(X)} :- {path(n0, X)}, not {edge(n0, X)}.\n" if "least" not in argv else ""
+    program.write_text(closure_chain(6) + negated)
+    built = []
+    ground, init = ndlp.cli.ground, Atom.__init__
+
+    def count(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_ground(*args, **kwargs):
+        monkeypatch.setattr(Atom, "__init__", count)
+        return ground(*args, **kwargs)
+
+    monkeypatch.setattr(ndlp.cli, "ground", counting_ground)
+    code, out, _ = run(capsys, *argv, str(program))
+    assert code == 0 and "path(n0, n6)" in out
+    assert not built

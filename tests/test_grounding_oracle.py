@@ -13,7 +13,7 @@ import pytest
 
 from ndlp import enumerate_stable, ground, least_model, parse_program, well_founded_model
 from ndlp.corpus import corpus_text
-from ndlp.grounder import make_ground_program
+from ndlp.compiled import make_ground_program
 
 from conftest import random_nonground_program
 from oracles import live_instances, product_ground
@@ -133,6 +133,34 @@ FROM_THE_JOIN = {
         "#horizon 2.\n{p(1)}.\n{p(4)}.\n{q(T)} :- {p(T+1)}.\n",
 }
 
+# One case per kind of plan step and argument action: a literal joined after
+# the trigger probes an index by its first argument bound before it, or
+# scans its predicate when none is, and compares, binds or sums per argument.
+PLANS = {
+    # X is bound by the first occurrence and compared at the second, both
+    # in a trigger literal and in a probed one
+    "variable repeated in one literal":
+        "{q(X)} :- {p(X, X)}.\n{h(X, Y)} :- {r(Y)}, {p(X, X)}, {p(Y, X)}.\n"
+        "{p(a, b)}.\n{p(b, b)}.\n{p(a, a)}.\n{p(b, a)}.\n{r(a)}.\n{r(b)}.\n",
+    "self-join":
+        "{p(X, Z)} :- {e(X, Y)}, {e(Y, Z)}.\n"
+        "{e(a, b)}.\n{e(b, c)}.\n{e(c, a)}.\n{e(b, b)}.\n",
+    # r(T) probes p by the term T+1, and p(T+1) binds T for r's probe
+    "probe through a sum":
+        "#horizon 3.\n{q(T)} :- {p(T+1)}, {r(T)}.\n{p(T+1)} :- {q(T)}.\n"
+        "{p(1)}.\n{p(2)}.\n{p(5)}.\n{r(0)}.\n{r(1)}.\n{r(3)}.\n",
+    # once p(X) binds X, q(Y) has no bound argument and scans q
+    "literal with no bound argument":
+        "{h(X, Y)} :- {p(X)}, {q(Y)}.\n{p(a)}.\n{p(b)}.\n{q(c)}.\n{q(a)}.\n",
+    "compound with a variable inside a join literal":
+        "{h(X, Y)} :- {r(Y)}, {q(f(X, Y))}.\n{k(X)} :- {q(f(X, X))}.\n{r(a)}.\n{r(b)}.\n"
+        "{q(f(a, b))}.\n{q(f(b, c))}.\n{q(f(b, b))}.\n{q(g(a, b))}.\n{q(f(a))}.\n{q(a)}.\n",
+    # the set-literal comes last, its members bound and looked up by key
+    "multi-member step after one-member steps":
+        "{h(X, Y)} :- {r(X)}, {s(Y)}, {p(X), p(Y)}.\n{r(a)}.\n{r(b)}.\n{s(b)}.\n{s(a)}.\n"
+        "{p(a), p(b)}.\n{p(a)}.\n{p(b), p(c)}.\n{p(b)} :- {p(a)}.\n",
+}
+
 
 def check_against_product(program, horizon, label):
     gp = ground(program, horizon=horizon)
@@ -193,3 +221,8 @@ def test_one_set_atom_in_two_member_orders_gets_one_id():
 @pytest.mark.parametrize("case", FROM_THE_JOIN)
 def test_instances_from_the_join_ground_to_live_product_instances(case):
     check_against_product(parse_program(FROM_THE_JOIN[case]), None, case)
+
+
+@pytest.mark.parametrize("case", PLANS)
+def test_plan_steps_ground_to_live_product_instances(case):
+    check_against_product(parse_program(PLANS[case]), None, case)

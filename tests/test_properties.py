@@ -24,7 +24,7 @@ from ndlp import (
     well_founded_model,
 )
 from ndlp.compiled import ASSIGNED, IN, OPEN, OUT, Propagator
-from ndlp.grounder import make_ground_program
+from ndlp.compiled import make_ground_program
 from ndlp.positive import lfp
 from ndlp.stable import reduct
 from ndlp.syntax import Literal, Rule
