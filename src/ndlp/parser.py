@@ -24,6 +24,16 @@ the grounder); any other is an error. Comparisons must be the sole member
 of a positive body NdAtom. Function symbols nest at most MAX_TERM_DEPTH
 levels deep.
 
+Two readers share origins and the building of atoms. The statement reader
+matches one pattern per rule and takes a program only if every statement is
+a braced rule whose set-atoms hold names alone (no arguments, variables,
+comparisons or comments); it builds each set-atom from its words, and such
+a program can have no arity or safety fault. The token parser reads every
+other program (directives, bare atoms, arguments, comments inside a rule)
+and reports every error: the statement reader gives up at the first
+statement or set-atom it cannot take, and the token parser reads the whole
+text again.
+
 A token keeps its kind, text and start offset; lines and columns are worked
 out only for a `ParseError` and a rule's `origin`. Within one parse, each
 distinct text of a term, atom or NdAtom is built once, and a repeated NdAtom
@@ -87,6 +97,29 @@ _PUNCT = {
 _TOKEN = re.compile(r"(\s*(?:%.*\s*)*)([{}(),.+]|:-|!=|==?|\#\w*|-?\d+|.\w*|\Z)")
 
 
+# A braced rule after whitespace and comments, or the end of the text; its
+# groups are the head's text, the first body literal's "not" and text, and the
+# literals after it. `_propositional` then vets each set-atom text.
+_STATEMENT = re.compile(r"\s*(?:%.*(?:\n\s*|\Z))*(?:\{([^{}]*)\}(?:\s*:-\s*(not\s*)?"
+                        r"\{([^{}]*)\}((?:\s*,\s*(?:not\s*)?\{[^{}]*\})*))?\s*\.|\Z)")
+_LITERAL = re.compile(r",\s*(not\s*)?\{([^{}]*)\}")
+_NAME = re.compile(r"\s*-?(\w)\w*\s*")  # a member that may be a name, and its first letter
+
+
+def _propositional(text: str) -> list[str] | None:
+    """The sorted distinct names of a set-atom text whose members are each an
+    optional "-" and a word with a lowercase first letter, not "not"; else None."""
+    if "(" in text:  # the common case of a member with arguments, at once
+        return None
+    words = text.split(",")
+    for word in words:
+        name = _NAME.fullmatch(word)
+        if name is None or not name[1].islower():
+            return None
+    names = sorted({word.strip() for word in words}) if len(words) > 1 else [text.strip()]
+    return None if "not" in names else names
+
+
 def _word_kind(value: str, after: str) -> str | None:
     """The kind of a word, given the character after its first; None if it is
     no token. A "-" starts a name only when a lowercase letter follows it."""
@@ -105,12 +138,11 @@ class _Parser:
     def __init__(self, text: str, files: tuple[tuple[int, str], ...] = ()):
         self.text = text
         self.files = files  # (first line, path) of each file joined into `text`
-        self.kinds, self.values, self.starts = self.scan()
         self.pos = 0
         self.line, self.line_start = 1, 0  # where the last rule started
         self.rules: list[Rule] = []
         self.horizon_index: int | None = None
-        self.consts = self.read_consts()
+        self.consts: dict[str, Term] = {}
         # each distinct text of the parse, mapped to what was built from it
         self.terms: dict[str, Term] = {}
         self.atoms: dict[str, Atom] = {}
@@ -161,8 +193,13 @@ class _Parser:
         path, line = self.locate(text.count("\n", 0, offset) + 1)
         return ParseError(message, line, offset - text.rfind("\n", 0, offset), path)
 
-    def file_origin(self) -> str:
-        """The source tag of the rule at line `self.line` of several files."""
+    def origin(self, start: int) -> str:
+        """The source tag of the rule starting at offset `start`. Both readers
+        call this once per rule, in text order, so lines are counted once."""
+        self.line += self.text.count("\n", self.line_start, start)
+        self.line_start = start
+        if not self.files:
+            return f"line {self.line}"
         path, line = self.locate(self.line)
         return f"{path} line {line}"
 
@@ -179,6 +216,43 @@ class _Parser:
         last = self.pos - 1
         return self.text[self.starts[first] : self.starts[last] + len(self.values[last])]
 
+    # -- statement reader -----------------------------------------------------
+
+    def read(self) -> Program | None:
+        """The program read one `_STATEMENT` at a time, or None at the first
+        statement of another shape or set-atom text that is not
+        `_propositional`. Nothing is built before the whole text is read;
+        then each distinct text is built once, from its names."""
+        text, match, statements, made, pos = self.text, _STATEMENT.match, [], {}, 0
+        while True:
+            found = match(text, pos)
+            if found is None:
+                return None
+            head, negated, first, rest = found.groups()
+            if head is None:  # the end of the text
+                break
+            # tuples of strings, which the collector stops tracking
+            body = () if first is None else ((first, negated is not None),)
+            if rest:
+                body += tuple([(key, bool(keyword)) for keyword, key in _LITERAL.findall(rest)])
+            for key in (head, *[key for key, _ in body]):
+                if key not in made:
+                    made[key] = _propositional(key)
+                    if made[key] is None:
+                        return None
+            statements.append((found.start(1) - 1, head, body))
+            pos = found.end()
+        atoms = self.atoms
+        for key, names in made.items():
+            for name in names:
+                if name not in atoms:
+                    atoms[name] = Atom(name)
+            made[key] = NdAtom(tuple(map(atoms.__getitem__, names)))
+        for start, head, body in statements:
+            literals = tuple([Literal(made[key], negated) for key, negated in body])
+            self.rules.append(Rule(made[head], literals, self.origin(start)))
+        return Program(rules=tuple(self.rules))
+
     # -- grammar ------------------------------------------------------------
 
     def read_consts(self) -> dict[str, Term]:
@@ -192,6 +266,8 @@ class _Parser:
         return consts
 
     def parse(self) -> Program:
+        self.kinds, self.values, self.starts = self.scan()
+        self.consts = self.read_consts()
         kinds = self.kinds
         while kinds[self.pos] != "EOF":
             if kinds[self.pos] == "DIRECTIVE":
@@ -231,9 +307,7 @@ class _Parser:
         kinds, starts, text, set_atoms = self.kinds, self.starts, self.text, self.set_atoms
         pos = self.pos
         start = starts[pos]
-        self.line += text.count("\n", self.line_start, start)
-        self.line_start = start
-        origin = self.file_origin() if self.files else f"line {self.line}"
+        origin = self.origin(start)
         head = None
         negated = False
         body: list[Literal] = []
@@ -417,8 +491,15 @@ class _Parser:
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     """The (kind, value, start offset) of each token of `text`, ending with EOF."""
-    parser = _Parser(text)
-    return list(zip(parser.kinds, parser.values, parser.starts))
+    return list(zip(*_Parser(text).scan()))
+
+
+def _parse(text: str, files: tuple[tuple[int, str], ...] = ()) -> Program:
+    """The statement reader's program, or else the token parser's. A reader
+    that gives up has built nothing, so the token parser starts afresh."""
+    parser = _Parser(text, files)
+    program = parser.read()
+    return parser.parse() if program is None else program
 
 
 def parse_program(text: str) -> Program:
@@ -427,7 +508,7 @@ def parse_program(text: str) -> Program:
     NdAtoms come out canonicalized, rule order is preserved, and bare atoms
     are sugar for singleton NdAtoms.
     """
-    return _Parser(text).parse()
+    return _parse(text)
 
 
 def parse_files(files: list[tuple[str, str]]) -> Program:
@@ -440,7 +521,7 @@ def parse_files(files: list[tuple[str, str]]) -> Program:
     texts = [t + "\n" if t and not t.endswith("\n") else t for _, t in files[:-1]]
     texts.append(files[-1][1])
     first_lines = accumulate((t.count("\n") for t in texts[:-1]), initial=1)
-    return _Parser("".join(texts), tuple(zip(first_lines, (p for p, _ in files)))).parse()
+    return _parse("".join(texts), tuple(zip(first_lines, (p for p, _ in files))))
 
 
 def parse_rule(text: str) -> Rule:

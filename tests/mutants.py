@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 SEARCH = ("tests/test_stable.py", "tests/test_properties.py", "tests/test_wf.py")
 MATCHING = ("tests/test_grounder.py", "tests/test_grounding_oracle.py",
             "tests/test_grounder_metamorphic.py")
+PARSER = ("tests/test_syntax.py", "tests/test_parse_errors.py")
 
 MUTANTS: tuple[Mutant, ...] = (
     # search and propagation
@@ -137,6 +138,39 @@ MUTANTS: tuple[Mutant, ...] = (
         "key = tuple(source.slots)",
         "key = tuple(source.slots[1:])",
         MATCHING,
+    ),
+    # parsing: the statement reader, its word builder, and the token parser
+    Mutant(
+        "reader-drops-not", "parser.py",
+        "((first, negated is not None),)",
+        "((first, False),)",
+        PARSER,
+    ),
+    Mutant(
+        "word-builder-takes-upper-case", "parser.py",
+        "if name is None or not name[1].islower():",
+        "if name is None or not name[1].isalpha():",
+        PARSER,
+    ),
+    Mutant(
+        "origin-line-one-off", "parser.py",
+        "(found.start(1) - 1, head, body)",
+        "(found.start(), head, body)",
+        PARSER,
+    ),
+    Mutant(
+        "coverage-check-skipped", "parser.py",
+        "            if found is None:\n"
+        "                return None\n",
+        "            if found is None:\n"
+        "                break\n",
+        PARSER,
+    ),
+    Mutant(
+        "not-on-comparison-accepted", "parser.py",
+        "elif builtin:",
+        "elif False:",
+        PARSER,
     ),
 )
 

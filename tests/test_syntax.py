@@ -1,5 +1,5 @@
-"""Canonical forms, stored hashes and text, the tokenizer, the parser, and
-the printer round trip."""
+"""Canonical forms, stored hashes and text, the tokenizer, the parser and its
+two readers, and the printer round trip."""
 
 import os
 import pickle
@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 import ndlp
 from ndlp import ParseError, ProgramError, canonicalize, parse_program, parse_rule
 from ndlp.corpus import CORPUS_NAMES, corpus_text
-from ndlp.parser import parse_files, tokenize
+from ndlp.parser import _Parser, _propositional, parse_files, tokenize
 from ndlp.syntax import (
     Atom,
     Compound,
@@ -430,6 +430,160 @@ class TestParseFiles:
         err = caught.value
         assert (err.path, err.line, err.column) == ("b.ndlp", 2, 8)
         assert str(err) == "b.ndlp:2:8: expected atom, found '.'"
+
+
+def sharing(rules):
+    """The rules with each literal, NdAtom, atom and term replaced by the
+    index of its object in order of first appearance: equal for two parses
+    exactly when both share objects in the same places."""
+    seen = {}
+    return [seen.setdefault(id(value), len(seen)) for value in walk_rules(rules)]
+
+
+def walk_rules(rules):
+    stack = []
+    for rule in reversed(rules):
+        stack += [rule.head, *rule.body][::-1]
+    while stack:
+        value = stack.pop()
+        yield value
+        if isinstance(value, Literal):
+            stack.append(value.atom)
+        elif isinstance(value, NdAtom):
+            stack += value.atoms[::-1]
+        elif isinstance(value, Sum):
+            stack.append(value.base)
+        else:
+            stack += getattr(value, "args", ())[::-1]
+
+
+def outcome(parse, *args):
+    """What a parse gives: its rules, their origins and sharing, and the
+    horizon, or the type, message and place of its error."""
+    try:
+        program = parse(*args)
+    except (ParseError, ProgramError) as err:
+        return type(err), err.message, err.line, err.column, err.path
+    rules = program.rules
+    return rules, [r.origin for r in rules], sharing(rules), program.horizon
+
+
+class TestStatementReader:
+    """`parse_program` and `parse_files` against the token parser alone, on
+    random programs: mostly braced rules, which the statement reader takes,
+    with CRLF line ends, comments between statements and inside set-atoms,
+    bare atoms, directives, comparisons, variables, names the word builder
+    must refuse, and every kind of fault, which the token parser reports."""
+
+    NAMES = ["a", "b", "c2", "-a", "-b_1", "nota", "x_y", "\u00e9t\u00e9", "\u00aa", "p"]
+    ATOMS = ["p(a)", "p(X)", "q(X, 1)", "q(a, b)", "-r(f(a), Y+1)", "r(T, T+1)", "s(-1, n)"]
+    COMPARISONS = ["{X != Y}", "{ X == a }"]
+    # no name: an upper-case or non-letter first letter, the keyword, a lone
+    # sign, a term, a sum, a token fault, a term nested too deep
+    FAULTS = ["A", "Ab", "-B", "not", "_a", "1", "-", "-1", "1+2", "a b", "a$", "\u24d0",
+              "p(a+1)", "p(X+Y)", "X != Y", "p(" + "f(" * 101 + "a" + ")" * 102]
+    SPACES = ["", " ", " ", "  ", "\n", "\r\n", "\t"]
+    BETWEEN = ["\n", "\n", "\r\n", " ", "", "\n\n", "\n% note {a} :- .\n", "  % x\r\n"]
+
+    def member(self, rng, faults):
+        roll = rng.random()
+        if roll < 0.8:
+            return rng.choice(self.NAMES)
+        if roll < 0.95 or not faults:
+            return rng.choice(self.ATOMS)
+        return rng.choice(self.FAULTS)
+
+    def set_atom(self, rng, faults):
+        members = [self.member(rng, faults) for _ in range(rng.choice((1, 1, 1, 2, 3)))]
+        if len(members) == 1 and rng.random() < 0.05:
+            return members[0]  # a bare atom
+        space = rng.choice(self.SPACES)
+        text = f",{space}".join(members)
+        if faults and len(members) > 1 and rng.random() < 0.05:
+            text = text.replace(",", ", % in a set-atom\n", 1)
+        return "{" + rng.choice(self.SPACES) + text + rng.choice(self.SPACES) + "}"
+
+    def statement(self, rng, pool, faults):
+        roll = rng.random()
+        if roll < 0.02:
+            return rng.choice(["#const n = 2.", "#horizon 1.", "#const m = b."])
+        if faults and roll < 0.05:
+            return rng.choice(["{a} :- .", "{a}", "{a} :- {b} {c}.", "{a} $.", "{}.", ":- {a}.",
+                               "#horizon k.", "#horizon -1.", "#horizon 1. #horizon 2.",
+                               "#frob 1.", "{a, b.", "{p(a}.", "{a} :- not {X != Y}.",
+                               "{X == a}."])
+        space = rng.choice(self.SPACES)
+        head = rng.choice(pool)
+        body = [rng.choice(["not ", "not ", "not", "not\n"]) * (rng.random() < 0.5)
+                + rng.choice(pool) for _ in range(rng.choice((0, 1, 1, 1, 2, 3)))]
+        if rng.random() < 0.05:
+            body.append(rng.choice(self.COMPARISONS))
+        if not body:
+            return head + space + "."
+        return head + space + f":-{rng.choice(self.SPACES)}" + f",{space}".join(body) + "."
+
+    def program(self, rng, faults):
+        pool = [self.set_atom(rng, faults) for _ in range(rng.randrange(1, 6))]
+        pieces = [rng.choice(self.BETWEEN) * (rng.random() < 0.3)]
+        for _ in range(rng.randrange(1, 7)):
+            pieces += [self.statement(rng, pool, faults), rng.choice(self.BETWEEN)]
+        return "".join(pieces)
+
+    @staticmethod
+    def token_parser(monkeypatch, parse, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(_Parser, "read", lambda self: None)
+            return outcome(parse, *args)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_readers_agree(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        taken = 0
+        for case in range(150):
+            text = self.program(rng, faults=case % 3 == 0)
+            want = self.token_parser(monkeypatch, parse_program, text)
+            assert outcome(parse_program, text) == want, repr(text)
+            taken += _Parser(text).read() is not None
+        # both readers read a share of the programs
+        assert 30 <= taken <= 120, taken
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_readers_agree_on_two_files(self, seed, monkeypatch):
+        rng = random.Random(100 + seed)
+        for case in range(60):
+            files = [(f"f{i}.ndlp", self.program(rng, faults=case % 4 == 0)) for i in range(2)]
+            want = self.token_parser(monkeypatch, parse_files, files)
+            assert outcome(parse_files, files) == want, repr(files)
+
+    def test_equal_texts_are_one_object(self):
+        text = "{a, b} :- not {c}.\n{c} :- not {a, b}, {b, -d}, {-d}.\r\n{-d} :- {b, -d}.\n"
+        assert _Parser(text).read() is not None
+        first, second, third = parse_program(text).rules
+        assert first.head is second.body[0].atom
+        assert first.body[0].atom is second.head
+        assert second.body[1].atom is third.body[0].atom
+        assert second.body[2].atom is third.head
+        assert first.head.atoms[1] is second.body[1].atom.atoms[1]
+        assert [r.origin for r in (first, second, third)] == ["line 1", "line 2", "line 3"]
+
+    def test_reader_gives_up_at_the_first_text_it_cannot_build(self, monkeypatch):
+        """The reader builds each distinct text once and stops at the first
+        that is not propositional; the token parser then scans the text once."""
+        built, scans = [], []
+        word_builder, scan = _propositional, _Parser.scan
+        monkeypatch.setattr("ndlp.parser._propositional",
+                            lambda text: built.append(text) or word_builder(text))
+        monkeypatch.setattr(_Parser, "scan", lambda self: scans.append(1) or scan(self))
+        loops = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n"
+                        for i in range(500))
+        unsafe = "{s(X)} :- not {t(X)}.\n"
+        with pytest.raises(ProgramError, match="unsafe variable X"):
+            parse_program(unsafe + loops)
+        assert (built, len(scans)) == (["s(X)"], 1)
+        built.clear(), scans.clear()
+        with pytest.raises(ProgramError, match="unsafe variable X"):
+            parse_program(loops + unsafe)
+        assert (len(built), built[-1], len(scans)) == (1001, "s(X)", 1)
 
 
 class TestRoundTrip:
