@@ -299,40 +299,21 @@ class _Parser:
         self.expect("DOT", "'.'")
 
     def rule(self) -> None:
-        """One rule, the head read as the loop's first set-atom. This runs
-        once per rule, so the final `expect` is inlined, and a braced
-        set-atom read before is looked up by its text, up to the first "}",
-        without calling `set_atom`. Every fault is still reported by the
-        code that reports it elsewhere."""
-        kinds, starts, text, set_atoms = self.kinds, self.starts, self.text, self.set_atoms
-        pos = self.pos
-        start = starts[pos]
+        """One rule: its head, then after ":-" literals separated by commas,
+        each an optional "not" and a set-atom, each set-atom from `set_atom`."""
+        kinds, start = self.kinds, self.starts[self.pos]
         origin = self.origin(start)
-        head = None
-        negated = False
-        body: list[Literal] = []
-        while True:
-            made = None
-            if kinds[pos] == "LBRACE":
-                try:
-                    end = kinds.index("RBRACE", pos)
-                except ValueError:  # no "}": `set_atom` reports the fault
-                    end = pos
-                made = set_atoms.get(text[starts[pos] : starts[end] + 1])
-            if made is None:
-                self.pos = pos
+        head, unsafe, builtin = self.set_atom(origin)
+        if builtin:
+            raise self.error("comparison atom not allowed in rule head", start)
+        bound, body = frozenset(), []
+        if kinds[self.pos] == "IF":
+            self.pos += 1
+            while True:
+                at = self.starts[self.pos]
+                negated = kinds[self.pos] == "NOT"
+                self.pos += negated
                 nd, names, builtin = self.set_atom(origin)
-                pos = self.pos
-            else:
-                nd, names, builtin = made
-                pos = end + 1
-            if head is None:
-                if builtin:
-                    raise self.error("comparison atom not allowed in rule head", start)
-                head, unsafe, bound = nd, names, frozenset()
-                if kinds[pos] != "IF":
-                    break
-            else:
                 if not negated:
                     bound |= names
                 elif builtin:
@@ -342,16 +323,10 @@ class _Parser:
                 else:
                     unsafe |= names
                 body.append(Literal(nd, negated))
-                if kinds[pos] != "COMMA":
+                if kinds[self.pos] != "COMMA":
                     break
-            pos += 1
-            at = starts[pos]
-            negated = kinds[pos] == "NOT"
-            pos += negated
-        if kinds[pos] != "DOT":
-            self.pos = pos
-            self.expect("DOT", "'.'")
-        self.pos = pos + 1
+                self.pos += 1
+        self.expect("DOT", "'.'")
         if unsafe and self.safety_error is None:
             loose = [name for name in sorted(unsafe - bound) if not is_time_variable(name)]
             if loose:
@@ -359,11 +334,21 @@ class _Parser:
         self.rules.append(Rule(head, tuple(body), origin))
 
     def set_atom(self, origin: str) -> tuple[NdAtom, frozenset[str], bool]:
-        """Read the NdAtom at the current token and record it in `set_atoms`
-        under its text. A bare atom read before is returned as recorded;
-        `rule` looks a braced one up before calling this."""
+        """The NdAtom at the current token, with its variables' names and
+        whether it is a comparison, as recorded in `set_atoms` under its
+        text. A text read before, bare or braced, is not read again: the
+        first "}" after a "{" ends a braced one."""
         kinds, starts, first = self.kinds, self.starts, self.pos
         braced = kinds[first] == "LBRACE"
+        if braced:
+            try:
+                end = kinds.index("RBRACE", first)
+            except ValueError:  # no "}": reading on reports the fault
+                end = first
+            made = self.set_atoms.get(self.text[starts[first] : starts[end] + 1])
+            if made is not None:
+                self.pos = end + 1
+                return made
         self.names = names = set()
         self.pos += braced
         atoms = [self.atom()]
@@ -371,9 +356,7 @@ class _Parser:
             while kinds[self.pos] == "COMMA":
                 self.pos += 1
                 atoms.append(self.atom())
-            if kinds[self.pos] != "RBRACE":
-                self.expect("RBRACE", "'}'")
-            self.pos += 1
+            self.expect("RBRACE", "'}'")
             if len(atoms) > 1 and any(a.is_builtin() for a in atoms):
                 raise self.error(
                     "comparison atom must be the only member of its NdAtom", starts[first]
@@ -414,8 +397,7 @@ class _Parser:
             pred, args = values[op], (left, self.term())
         else:
             raise self.error(f"expected atom, found {values[first]!r}", self.starts[first])
-        last = self.pos - 1
-        key = self.text[self.starts[first] : self.starts[last] + len(values[last])]
+        key = self.source(first)
         made = self.atoms.get(key)
         if made is None:
             made = self.atoms[key] = Atom(pred, args)

@@ -139,6 +139,34 @@ MUTANTS: tuple[Mutant, ...] = (
         "key = tuple(source.slots[1:])",
         MATCHING,
     ),
+    # the bound and rules without variables
+    Mutant(
+        "bound-off-by-one", "grounder.py",
+        "if self.room < 0:",
+        "if self.room < -1:",
+        MATCHING,
+    ),
+    Mutant(
+        "dropped-instance-not-counted", "grounder.py",
+        "        instance = instances[key] = self.instance(source)\n",
+        "        instance = instances[key] = self.instance(source)\n"
+        "        self.room += instance is None\n",
+        MATCHING,
+    ),
+    Mutant(
+        "count-down-never-derives", "grounder.py",
+        "if not missing[r]:",
+        "if False:",
+        MATCHING,
+    ),
+    Mutant(
+        "after-ignored", "grounder.py",
+        "            kept += fixed[done:source.after]\n"
+        "            done = source.after\n",
+        "            kept += fixed[done:]\n"
+        "            done = len(fixed)\n",
+        MATCHING,
+    ),
     # parsing: the statement reader, its word builder, and the token parser
     Mutant(
         "reader-drops-not", "parser.py",
@@ -170,6 +198,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "not-on-comparison-accepted", "parser.py",
         "elif builtin:",
         "elif False:",
+        PARSER,
+    ),
+    Mutant(
+        "token-parser-rebuilds-repeated-set-atom", "parser.py",
+        "made = self.set_atoms.get(self.text[starts[first] : starts[end] + 1])",
+        "made = None",
         PARSER,
     ),
 )

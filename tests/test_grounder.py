@@ -216,7 +216,14 @@ class TestWorkBound:
         monkeypatch.setattr(Atom, "__init__", count_atom)
         return built
 
-    @pytest.mark.parametrize("program", PROGRAMS, ids=PROGRAM_IDS)
+    # A program without variables keeps the parser's NdAtoms as its base,
+    # so grounding it builds no atom either.
+    @pytest.mark.parametrize(
+        "program",
+        [*PROGRAMS, ("".join(f"{{a{i}}} :- not {{b{i}}}. {{b{i}}} :- not {{a{i}}}.\n"
+                             for i in range(140)), None)],
+        ids=[*PROGRAM_IDS, "140 braced even loops"],
+    )
     def test_grounding_builds_no_atom_until_read(self, monkeypatch, program):
         text, horizon = program
         parsed = parse_program(text)
