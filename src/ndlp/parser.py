@@ -24,15 +24,15 @@ the grounder); any other is an error. Comparisons must be the sole member
 of a positive body NdAtom. Function symbols nest at most MAX_TERM_DEPTH
 levels deep.
 
-Two readers share origins and the building of atoms. The statement reader
-matches one pattern per rule and takes a program only if every statement is
-a braced rule whose set-atoms hold names alone (no arguments, variables,
-comparisons or comments); it builds each set-atom from its words, and such
-a program can have no arity or safety fault. The token parser reads every
-other program (directives, bare atoms, arguments, comments inside a rule)
-and reports every error: the statement reader gives up at the first
-statement or set-atom it cannot take, and the token parser reads the whole
-text again.
+Two readers share origins and the building of atoms, and each byte is read
+by one of them. The statement reader matches one pattern per rule while
+every statement is a braced rule whose set-atoms hold names alone (no
+arguments, variables, comparisons or comments), building each set-atom from
+its words and each rule as it goes; such rules can have no arity or safety
+fault. At the first statement or set-atom it cannot take, it stops and
+hands the token parser its offset, set-atoms and arities; the token parser
+reads the rest (directives, bare atoms, arguments, comments inside a rule)
+and reports every error.
 
 A token keeps its kind, text and start offset; lines and columns are worked
 out only for a `ParseError` and a rule's `origin`. Within one parse, each
@@ -138,6 +138,7 @@ class _Parser:
     def __init__(self, text: str, files: tuple[tuple[int, str], ...] = ()):
         self.text = text
         self.files = files  # (first line, path) of each file joined into `text`
+        self.offset = 0  # where the token parser starts: where the statement reader stopped
         self.pos = 0
         self.line, self.line_start = 1, 0  # where the last rule started
         self.rules: list[Rule] = []
@@ -155,13 +156,13 @@ class _Parser:
     # -- tokens and positions -------------------------------------------------
 
     def scan(self) -> tuple[list[str], list[str], list[int]]:
-        """The kind, text and start offset of every token, ending with EOF."""
-        text = self.text
+        """The kind, text and start offset of every token from `offset`, ending with EOF."""
+        text, offset = self.text, self.offset
         # ["", skip, token] per match; the first empty token is the end
-        pieces = _TOKEN.split(text)
+        pieces = _TOKEN.split(text[offset:])
         values = pieces[2::3]
         del values[values.index("") + 1 :]
-        starts = list(accumulate(map(len, pieces)))[1 : 3 * len(values) : 3]
+        starts = list(accumulate(map(len, pieces), initial=offset))[2 : 3 * len(values) : 3]
         # each distinct word classified once; a lone "-" and faults in order
         known = {**_PUNCT, "": "EOF"}
         for value in set(compress(values, map(not_, map(known.get, values)))):
@@ -175,7 +176,7 @@ class _Parser:
                     raise self.error(f"unknown directive {value}", start)
                 raise self.error(f"unexpected character {value[0]!r}", start)
         # input ending in a comment ends where the comment starts
-        end = starts[-2] + len(values[-2]) if len(values) > 1 else 0
+        end = starts[-2] + len(values[-2]) if len(values) > 1 else offset
         comment = text.find("%", max(end, text.rfind("\n", end) + 1))
         if comment >= 0:
             starts[-1] = comment
@@ -219,39 +220,42 @@ class _Parser:
     # -- statement reader -----------------------------------------------------
 
     def read(self) -> Program | None:
-        """The program read one `_STATEMENT` at a time, or None at the first
-        statement of another shape or set-atom text that is not
-        `_propositional`. Nothing is built before the whole text is read;
-        then each distinct text is built once, from its names."""
-        text, match, statements, made, pos = self.text, _STATEMENT.match, [], {}, 0
+        """The program read one `_STATEMENT` at a time, each distinct set-atom
+        text and each rule built as first read; or None at a statement of
+        another shape or a text not `_propositional`, leaving `offset` there
+        and the texts built in `set_atoms` and `arities` for the token parser."""
+        text, match, atoms, made, pos = self.text, _STATEMENT.match, self.atoms, {}, 0
         while True:
             found = match(text, pos)
             if found is None:
-                return None
+                break
             head, negated, first, rest = found.groups()
             if head is None:  # the end of the text
-                break
-            # tuples of strings, which the collector stops tracking
+                return Program(rules=tuple(self.rules))
             body = () if first is None else ((first, negated is not None),)
+            keys = (head,) if first is None else (head, first)
             if rest:
                 body += tuple([(key, bool(keyword)) for keyword, key in _LITERAL.findall(rest)])
-            for key in (head, *[key for key, _ in body]):
+                keys = (head, *[key for key, _ in body])
+            for key in keys:
                 if key not in made:
-                    made[key] = _propositional(key)
-                    if made[key] is None:
-                        return None
-            statements.append((found.start(1) - 1, head, body))
-            pos = found.end()
-        atoms = self.atoms
-        for key, names in made.items():
-            for name in names:
-                if name not in atoms:
-                    atoms[name] = Atom(name)
-            made[key] = NdAtom(tuple(map(atoms.__getitem__, names)))
-        for start, head, body in statements:
-            literals = tuple([Literal(made[key], negated) for key, negated in body])
-            self.rules.append(Rule(made[head], literals, self.origin(start)))
-        return Program(rules=tuple(self.rules))
+                    names = _propositional(key)
+                    if names is None:
+                        break
+                    for name in names:
+                        if name not in atoms:
+                            atoms[name] = Atom(name)
+                    made[key] = NdAtom(tuple(map(atoms.__getitem__, names)))
+            else:  # every text built: the rule
+                literals = tuple([Literal(made[key], negated) for key, negated in body])
+                self.rules.append(Rule(made[head], literals, self.origin(found.start(1) - 1)))
+                pos = found.end()
+                continue
+            break  # a text that is not propositional
+        self.offset = pos
+        self.set_atoms = {"{" + key + "}": (nd, frozenset(), False) for key, nd in made.items()}
+        self.arities = dict.fromkeys(atoms, 0)
+        return None
 
     # -- grammar ------------------------------------------------------------
 
@@ -266,6 +270,10 @@ class _Parser:
         return consts
 
     def parse(self) -> Program:
+        """The statement reader's program, or the token parser's from where it stopped."""
+        program = self.read()
+        if program is not None:
+            return program
         self.kinds, self.values, self.starts = self.scan()
         self.consts = self.read_consts()
         kinds = self.kinds
@@ -476,21 +484,13 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return list(zip(*_Parser(text).scan()))
 
 
-def _parse(text: str, files: tuple[tuple[int, str], ...] = ()) -> Program:
-    """The statement reader's program, or else the token parser's. A reader
-    that gives up has built nothing, so the token parser starts afresh."""
-    parser = _Parser(text, files)
-    program = parser.read()
-    return parser.parse() if program is None else program
-
-
 def parse_program(text: str) -> Program:
     """Parse program text into a canonical AST.
 
     NdAtoms come out canonicalized, rule order is preserved, and bare atoms
     are sugar for singleton NdAtoms.
     """
-    return _parse(text)
+    return _Parser(text).parse()
 
 
 def parse_files(files: list[tuple[str, str]]) -> Program:
@@ -503,7 +503,7 @@ def parse_files(files: list[tuple[str, str]]) -> Program:
     texts = [t + "\n" if t and not t.endswith("\n") else t for _, t in files[:-1]]
     texts.append(files[-1][1])
     first_lines = accumulate((t.count("\n") for t in texts[:-1]), initial=1)
-    return _parse("".join(texts), tuple(zip(first_lines, (p for p, _ in files))))
+    return _Parser("".join(texts), tuple(zip(first_lines, (p for p, _ in files)))).parse()
 
 
 def parse_rule(text: str) -> Rule:

@@ -52,6 +52,7 @@ SEARCH = ("tests/test_stable.py", "tests/test_properties.py", "tests/test_wf.py"
 MATCHING = ("tests/test_grounder.py", "tests/test_grounding_oracle.py",
             "tests/test_grounder_metamorphic.py")
 PARSER = ("tests/test_syntax.py", "tests/test_parse_errors.py")
+EXPANSION = ("tests/test_answersets.py", "tests/test_report_paths.py", "tests/test_cli.py")
 
 MUTANTS: tuple[Mutant, ...] = (
     # search and propagation
@@ -101,6 +102,12 @@ MUTANTS: tuple[Mutant, ...] = (
                "every atom assigned in, so the test never fails "
                "(test_properties.py::test_bounds_meet_at_every_leaf)",
     ),
+    Mutant(
+        "wf-false-from-lower-bound", "compiled.py",
+        "state.upper.translate(_COMPLEMENT)",
+        "state.lower.translate(_COMPLEMENT)",
+        SEARCH,
+    ),
     # matching
     Mutant(
         "bind-sum-time-range-dropped", "grounder.py",
@@ -139,6 +146,18 @@ MUTANTS: tuple[Mutant, ...] = (
         "key = tuple(source.slots[1:])",
         MATCHING,
     ),
+    Mutant(
+        "bind-nd-lookup-skips-its-hit", "grounder.py",
+        "if k < j:",
+        "if k <= j:",
+        MATCHING,
+    ),
+    Mutant(
+        "wide-set-atom-indexed-as-one-member", "grounder.py",
+        "if len(key) == 1:",
+        "if True:",
+        MATCHING,
+    ),
     # the bound and rules without variables
     Mutant(
         "bound-off-by-one", "grounder.py",
@@ -167,7 +186,8 @@ MUTANTS: tuple[Mutant, ...] = (
         "            done = len(fixed)\n",
         MATCHING,
     ),
-    # parsing: the statement reader, its word builder, and the token parser
+    # parsing: the statement reader, its word builder, its handover, and the
+    # token parser
     Mutant(
         "reader-drops-not", "parser.py",
         "((first, negated is not None),)",
@@ -182,16 +202,34 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "origin-line-one-off", "parser.py",
-        "(found.start(1) - 1, head, body)",
-        "(found.start(), head, body)",
+        "self.origin(found.start(1) - 1)",
+        "self.origin(found.start())",
         PARSER,
     ),
     Mutant(
-        "coverage-check-skipped", "parser.py",
-        "            if found is None:\n"
-        "                return None\n",
-        "            if found is None:\n"
-        "                break\n",
+        "reader-keeps-a-prefix", "parser.py",
+        "        self.arities = dict.fromkeys(atoms, 0)\n"
+        "        return None\n",
+        "        self.arities = dict.fromkeys(atoms, 0)\n"
+        "        return Program(rules=tuple(self.rules))\n",
+        PARSER,
+    ),
+    Mutant(
+        "set-atoms-not-handed-over", "parser.py",
+        'self.set_atoms = {"{" + key + "}": (nd, frozenset(), False) for key, nd in made.items()}',
+        "self.set_atoms = {}",
+        PARSER,
+    ),
+    Mutant(
+        "arities-not-handed-over", "parser.py",
+        "self.arities = dict.fromkeys(atoms, 0)",
+        "self.arities = {}",
+        PARSER,
+    ),
+    Mutant(
+        "token-parser-rereads-from-the-start", "parser.py",
+        "self.offset = pos",
+        "self.offset = 0",
         PARSER,
     ),
     Mutant(
@@ -205,6 +243,37 @@ MUTANTS: tuple[Mutant, ...] = (
         "made = self.set_atoms.get(self.text[starts[first] : starts[end] + 1])",
         "made = None",
         PARSER,
+    ),
+    # answer-set expansion and the report writer
+    Mutant(
+        "rows-sorted-without-signed-order", "answersets.py",
+        "rows.sort(key=_signed_order(len(table.texts)) if neg and len(images) > 1 else None)",
+        "rows.sort()",
+        EXPANSION,
+    ),
+    Mutant(
+        "write-chunk-drops-a-row", "cli.py",
+        "rows[start:start + CHUNK_ROWS]",
+        "rows[start:start + CHUNK_ROWS - 1]",
+        EXPANSION,
+    ),
+    Mutant(
+        "subset-minimal-keeps-supersets", "answersets.py",
+        "if all(t & s != t for t in kept):",
+        "if all(t != s for t in kept):",
+        EXPANSION,
+    ),
+    Mutant(
+        "shared-image-decoded-one-bit-off", "answersets.py",
+        "bin(s)[:1:-1]",
+        "bin(s)[:2:-1]",
+        EXPANSION,
+    ),
+    Mutant(
+        "shared-mask-shifted-by-one", "answersets.py",
+        "bit = {r: 1 << b for b, r in enumerate(ranks)}",
+        "bit = {r: 2 << b for b, r in enumerate(ranks)}",
+        EXPANSION,
     ),
 )
 

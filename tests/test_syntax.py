@@ -585,6 +585,57 @@ class TestStatementReader:
             parse_program(loops + unsafe)
         assert (len(built), built[-1], len(scans)) == (1001, "s(X)", 1)
 
+    def test_token_parser_reads_on_from_where_the_reader_stopped(self, monkeypatch):
+        """Each byte is read once: the reader builds every text up to the
+        rule it cannot take, and the token parser scans that rule alone."""
+        built, scanned = [], []
+        word_builder, scan = _propositional, _Parser.scan
+        monkeypatch.setattr("ndlp.parser._propositional",
+                            lambda text: built.append(text) or word_builder(text))
+        monkeypatch.setattr(_Parser, "scan", lambda self: scanned.append(scan(self)) or scanned[-1])
+        loops = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n"
+                        for i in range(500))
+        with pytest.raises(ProgramError, match=r"unsafe variable X in rule \(line 1001\)"):
+            parse_program(loops + "{s(X)} :- not {t(X)}.\n")
+        assert len(built) == 1001
+        [(_, values, starts)] = scanned
+        assert values == ["{", "s", "(", "X", ")", "}", ":-", "not", "{", "t", "(", "X", ")", "}",
+                          ".", ""]
+        assert starts[0] == len(loops)
+
+    def stops(self, text, files=()):
+        parser = _Parser(text, files)
+        return parser.read() is None and parser.offset > 0
+
+    def test_arity_clash_with_a_name_the_reader_built(self, monkeypatch):
+        text = "{p} :- not {q}.\n{q} :- not {p}.\n{p(a)}.\n"
+        assert self.stops(text)
+        want = self.token_parser(monkeypatch, parse_program, text)
+        assert outcome(parse_program, text) == want
+        assert want[:2] == (ProgramError, "predicate 'p' used with arity 1 and 0 (line 3)")
+
+    def test_text_read_before_and_after_the_stop_is_one_object(self, monkeypatch):
+        text = "{a, b} :- not {c}.\n{d(X)} :- {a, b}, {e(X)}.\n{c} :- not { a, b }, {a, b}.\n{e(1)}.\n"
+        assert self.stops(text)
+        assert outcome(parse_program, text) == self.token_parser(monkeypatch, parse_program, text)
+        first, second, third, _ = parse_program(text).rules
+        assert first.head is second.body[0].atom is third.body[1].atom
+        assert third.body[0].atom is not first.head and third.body[0].atom == first.head
+        assert first.body[0].atom is third.head
+
+    def test_stop_in_the_second_file(self, monkeypatch):
+        loops = "{a} :- not {b}.\n{b} :- not {a}.\n"
+        files = [("a.ndlp", loops), ("b.ndlp", "{c} :- {a}.\n% note\nd :- not {c}.\n{e(1)}.\n")]
+        assert self.stops("".join(t for _, t in files), ((1, "a.ndlp"), (3, "b.ndlp")))
+        want = self.token_parser(monkeypatch, parse_files, files)
+        assert outcome(parse_files, files) == want
+        assert want[1] == ["a.ndlp line 1", "a.ndlp line 2", "b.ndlp line 1", "b.ndlp line 3",
+                           "b.ndlp line 4"]
+        files[1] = ("b.ndlp", "{c} :- {a}.\n{d} :- {c}, p(.\n")
+        want = self.token_parser(monkeypatch, parse_files, files)
+        assert outcome(parse_files, files) == want
+        assert want == (ParseError, "expected term, found '.'", 2, 15, "b.ndlp")
+
 
 class TestRoundTrip:
     CASES = [
