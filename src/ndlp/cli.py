@@ -14,20 +14,21 @@ The argparse parser is built once per process. The ground rules are
 spelled out only for `ground` and `--dump-ground`.
 
 From the search to the report a model stays the sorted indices of its
-NdAtoms in the ground program, whose base is in key order: the report
-holds the models, and the well-founded negatives and undefined NdAtoms, as
-those indices with no sort, rendered through the program's
-`member_texts`, and answer sets expand over the program's one atom table
-into rows of entry ids. For a program with variables both read the atom
-table, so after parsing the command line builds no `Atom`; library callers
-may hand the report NdAtoms instead. `SolveReport.write`
-renders both formats straight to stdout in pieces: the header, each model,
-and the answer-set rows `CHUNK_ROWS` at a time, each row joined from the
-table's entry texts, so no `AnswerSet` is built and no string holds the
-whole report. It renders each NdAtom of the models once and lays out its
-JSON arrays itself. Each model is expanded only when the writer reaches
-its answer sets, so the rows of one model are held at a time; the
-truncation flag, written after them, is settled by then.
+NdAtoms in the ground program, whose base is in key order: `_solve` writes
+the models, and the well-founded negatives and undefined NdAtoms, straight
+into the report as those indices with no sort, rendered through the
+program's `member_texts`, and expands each model with the report's
+negatives over the program's one atom table into rows of entry ids. For a
+program with variables both read the atom table, so after parsing the
+command line builds no `Atom`; library callers may hand the report NdAtoms
+instead. `SolveReport.write` renders both formats straight to stdout in
+pieces: the header, each model, and the answer-set rows `CHUNK_ROWS` at a
+time, each row joined from the table's entry texts, so no `AnswerSet` is
+built and no string holds the whole report. A write renders each NdAtom
+and each table's entries once (`functools.cache`) and lays out the JSON
+arrays itself. A model is expanded only when the writer reaches its answer
+sets, so one model's rows are held at a time; the truncation flag, written
+after them, is settled by then.
 """
 
 from __future__ import annotations
@@ -53,18 +54,6 @@ from .stable import enumerate_stable
 from .syntax import Program
 
 
-class _Rendered(dict):
-    """Each key's rendering, made by `render` on its first lookup."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        value = self[key] = self.render(key)
-        return value
-
-
 # Answer-set rows rendered per piece the report writes.
 CHUNK_ROWS = 4096
 
@@ -72,11 +61,11 @@ CHUNK_ROWS = 4096
 @dataclass
 class SolveReport:
     semantics: str
-    # each NdAtom as its id when `texts` is given, else as itself
+    # each NdAtom, here and below, as its id when `texts` is given, else as itself
     models: list[Sequence] = field(default_factory=list)
-    negatives: Sequence | None = None  # wf only
-    undefined: Sequence | None = None  # wf only
-    total: bool | None = None  # wf only
+    negatives: Sequence | None = None  # wf only: the NdAtoms false
+    undefined: Sequence | None = None  # wf only: those neither true nor false
+    total: bool | None = None  # wf only: no NdAtom undefined
     # per model, its `Expansion` or a list of its `AnswerSet`s; an iterator
     # is read once, as the report is written
     answer_sets: Iterable[Expansion | list[AnswerSet]] | None = None
@@ -85,7 +74,6 @@ class SolveReport:
     truncated: bool = False
     rule_count: int = 0
     base_size: int = 0
-    timing_s: float = 0.0
     texts: Callable[[int], list[str]] | None = None  # an NdAtom's member texts by its id
 
     def write(self, stream: TextIO, fmt: str = "text") -> None:
@@ -122,10 +110,10 @@ class SolveReport:
                 lines += [f"    {{{', '.join(texts(nd))}}}\n" for nd in self.undefined]
             lines.append(f"  total: {'yes' if self.total else 'no'}\n")
         wf = "".join(lines)
-        indented = _Rendered(lambda nd: f"  {{{', '.join(texts(nd))}}}\n")
+        indented = functools.cache(lambda nd: f"  {{{', '.join(texts(nd))}}}\n")
         expansions = None if self.answer_sets is None else iter(self.answer_sets)
         for i, model in enumerate(self.models, start=1):
-            yield "".join([f"model {i}:\n", *map(indented.__getitem__, model), wf])
+            yield "".join([f"model {i}:\n", *map(indented, model), wf])
             if expansions is not None:
                 label = f"  answer set {i}."
                 for first, table, rows in self._chunks(next(expansions)):
@@ -141,14 +129,14 @@ class SolveReport:
         NdAtom of a model is laid out once per report, each entry of an
         answer set once per atom table."""
         yield '{\n  "answer_sets": '
-        encoded = _Rendered(lambda table: [_NEWLINE[4] + _encode(t) for t in table.entries])
+        encoded = functools.cache(lambda table: [_NEWLINE[4] + _encode(t) for t in table.entries])
         # `map` keeps no model's answer sets once their rows are written
         yield from _array(map(_json_rows, map(self._chunks, self.answer_sets or []),
                               repeat(encoded)), 1)
         yield ',\n  "models": '
         texts = self._member_texts()
-        arrays = _Rendered(lambda nd: _nd_json(texts(nd), 3))
-        yield from _array(([_json_array(map(arrays.__getitem__, model), 2, item=True)]
+        arrays = functools.cache(lambda nd: _nd_json(texts(nd), 3))
+        yield from _array(([_json_array(map(arrays, model), 2, item=True)]
                            for model in self.models), 1)
         yield ","
         scalars: dict = {
@@ -211,14 +199,14 @@ def _array(items: Iterable[Iterable[str]], depth: int, item: bool = False) -> It
 
 
 def _json_rows(model_chunks: Iterator[tuple[int, AtomTable, list]],
-               encoded: _Rendered) -> Iterator[str]:
+               encoded: Callable[[AtomTable], list[str]]) -> Iterator[str]:
     """The pieces of a model's array of answer sets, given as its chunks, at
-    depth 2, an item. `encoded` maps an atom table to its entries encoded as
+    depth 2, an item. `encoded` gives an atom table's entries encoded as
     items at depth 4."""
     def chunks():
         line = _NEWLINE[3]
         for _, table, rows in model_chunks:
-            get = encoded[table].__getitem__
+            get = encoded(table).__getitem__
             yield [",".join([f"{line}[{','.join(map(get, row))}{line}]" if row else line + "[]"
                              for row in rows])]
     return _array(chunks(), 2, item=True)
@@ -254,50 +242,47 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
     if args.dump_ground:
         sys.stdout.write(str(gp))
 
-    # each model as the ids of its positive and negative NdAtoms, which
-    # index the ground program's base in key order
+    # each model as the ids of its NdAtoms, which index the ground
+    # program's base in key order
     report = SolveReport(semantics=args.semantics, rule_count=len(gp.heads), base_size=gp.n,
                          texts=gp.member_texts())
-    models: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     if args.semantics == "least":
         if not program.is_positive():
             raise NdlpError(
                 "least-model semantics is defined for negation-free programs; "
                 "use --semantics stable or wf"
             )
-        models = [(gp.ids(gp.least()), ())]
+        report.models = [gp.ids(gp.least())]
     elif args.semantics == "stable":
         result = enumerate_stable(gp, max_models=args.max_models)
-        models = [(ids, ()) for ids in result.ids]
-        report.truncated |= result.truncated
+        report.models = list(result.ids)
+        report.truncated = result.truncated
         if result.truncated:
             print("model enumeration truncated by --max-models", file=sys.stderr)
     else:  # wf
         true, false = gp.well_founded()
-        models = [(gp.ids(true), gp.ids(false))]
-        report.negatives = models[0][1]
+        report.models = [gp.ids(true)]
+        report.negatives = gp.ids(false)
         report.undefined = gp.ids(not (t or f) for t, f in zip(true, false))
         report.total = not report.undefined
-    report.models = [pos for pos, _ in models]
 
     sets_truncated = False
     if want_answer_sets:
-        def expand(model: tuple[tuple[int, ...], tuple[int, ...]]) -> Expansion:
+        def expand(model: tuple[int, ...]) -> Expansion:
             nonlocal sets_truncated
-            expansion = expand_ids(gp.table, *model, cap=args.max_answer_sets,
-                                   subset_minimal=args.subset_minimal)
+            expansion = expand_ids(gp.table, model, report.negatives or (),
+                                   cap=args.max_answer_sets, subset_minimal=args.subset_minimal)
             sets_truncated |= expansion.truncated
             return expansion
 
         # each model is expanded when the writer reaches it, so one model's
         # answer sets are held at a time
-        report.answer_sets = map(expand, models)
+        report.answer_sets = map(expand, report.models)
 
     report.write(sys.stdout, args.format)
     if sets_truncated:
         print("answer-set expansion truncated by --max-answer-sets", file=sys.stderr)
-    report.timing_s = time.perf_counter() - started
-    print(f"solved in {report.timing_s:.3f}s", file=sys.stderr)
+    print(f"solved in {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0 if report.models else 1
 
 

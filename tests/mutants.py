@@ -158,6 +158,14 @@ MUTANTS: tuple[Mutant, ...] = (
         "if True:",
         MATCHING,
     ),
+    Mutant(
+        "sum-pattern-takes-any-term", "grounder.py",
+        "                if type(value) is not int:\n"
+        "                    return False\n"
+        "                value -= offset\n",
+        "                value -= offset\n",
+        MATCHING,
+    ),
     # the bound and rules without variables
     Mutant(
         "bound-off-by-one", "grounder.py",
@@ -184,6 +192,15 @@ MUTANTS: tuple[Mutant, ...] = (
         "            done = source.after\n",
         "            kept += fixed[done:]\n"
         "            done = len(fixed)\n",
+        MATCHING,
+    ),
+    Mutant(
+        # an equal head written apart, as {b, a} beside {a, b}, gets an id
+        # of its own
+        "heads-interned-by-identity", "grounder.py",
+        "heads.append(ids.setdefault(rule.head, len(ids)))",
+        "heads.append(next((i for nd, i in ids.items() if nd is rule.head), len(ids))\n"
+        "                     if rule.head in ids else ids.setdefault(rule.head, len(ids)))",
         MATCHING,
     ),
     # parsing: the statement reader, its word builder, its handover, and the
@@ -249,6 +266,12 @@ MUTANTS: tuple[Mutant, ...] = (
         "rows-sorted-without-signed-order", "answersets.py",
         "rows.sort(key=_signed_order(len(table.texts)) if neg and len(images) > 1 else None)",
         "rows.sort()",
+        EXPANSION,
+    ),
+    Mutant(
+        "wf-expansion-drops-negatives", "cli.py",
+        "report.negatives or ()",
+        "()",
         EXPANSION,
     ),
     Mutant(

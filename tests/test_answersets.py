@@ -8,7 +8,7 @@ from itertools import islice, product
 import pytest
 
 from ndlp import count, expand, least_model, enumerate_stable
-from ndlp.answersets import AnswerSet
+from ndlp.answersets import AnswerSet, Expansion
 from ndlp.cli import SolveReport, main
 from ndlp.corpus import corpus_text
 from ndlp.syntax import Atom, canonicalize, sort_nd_atoms
@@ -386,6 +386,22 @@ class TestAnswerSetValues:
         assert first.answer_sets[0] != second.answer_sets[1]
         if semantics == "wf":
             assert any(s.negatives for s in first)
+
+    def test_repr_shows_the_set(self):
+        (answer_set,) = expand(well_founded_model(gp_from("{a, b}. {c} :- not {a}.")))
+        assert repr(answer_set) == "AnswerSet({b, c, not a})"
+
+    def test_expansions_are_equal_when_their_sets_and_flags_are(self):
+        text = "{a, b}. {c, d}."
+        first = expand(least_model(gp_from(text)))
+        second = expand(least_model(gp_from(text)))
+        assert first.table is not second.table
+        assert first == second and hash(first) == hash(second)
+        capped = expand(least_model(gp_from(text)), cap=1)
+        assert capped.truncated and capped != first
+        flagged = Expansion(first.table, first.rows, True)
+        assert flagged.answer_sets == first.answer_sets and flagged != first
+        assert first != first.rows
 
 
 class TestRenderedOnce:

@@ -105,6 +105,16 @@ class TestInstantiation:
             "{p(f(2))} :- {q(1)}."
         ]
 
+    def test_sum_pattern_skips_a_symbolic_argument(self):
+        # T+1 fits {p(2)} with T = 1; {p(a)} has no value to take 1 from
+        program = parse_program("#horizon 3. {p(a)}. {p(2)}. {q(T)} :- {p(T+1)}.")
+        assert [str(r) for r in ground(program).rules] == [
+            "{p(a)}.", "{p(2)}.", "{q(1)} :- {p(2)}.",
+        ]
+        # X+1 fits {p(2)} only with X = 1, which is no constant of the program
+        program = parse_program("{p(a)}. {p(2)}. {q(X)} :- {p(X+1)}.")
+        assert [str(r) for r in ground(program).rules] == ["{p(a)}.", "{p(2)}."]
+
     def test_symbol_in_arithmetic_of_a_bound_join_argument_finds_nothing(self):
         # once {q(a)} binds X, {p(X+1)} has no value to look up
         gp = gp_from("{h(X)} :- {q(X)}, {p(X+1)}. {q(a)}. {q(1)}. {p(2)}.")

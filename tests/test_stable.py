@@ -125,6 +125,18 @@ class TestEnumerateStable:
         assert len(result) == 2
         assert list(result) == list(result.models)
 
+    def test_results_are_equal_when_their_models_and_flags_are(self, teaching):
+        result = enumerate_stable(teaching)
+        again = enumerate_stable(gp_from(corpus_text("teaching.ndlp")))
+        assert result.program is not again.program
+        assert result == again and hash(result) == hash(again)
+        # the same two models, cut short by the cap
+        capped = enumerate_stable(teaching, max_models=2)
+        assert capped.models == result.models and capped.truncated
+        assert capped != result
+        assert enumerate_stable(teaching, max_models=1) != capped
+        assert result != result.ids
+
     def test_max_models_truncation(self, teaching):
         result = enumerate_stable(teaching, max_models=1)
         assert len(result.models) == 1

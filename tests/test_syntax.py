@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import ndlp
 from ndlp import ParseError, ProgramError, canonicalize, parse_program, parse_rule
-from ndlp.corpus import CORPUS_NAMES, corpus_text
+from ndlp.corpus import CORPUS_NAMES, corpus_path, corpus_text
 from ndlp.parser import _Parser, _propositional, parse_files, tokenize
 from ndlp.syntax import (
     Atom,
@@ -58,6 +58,16 @@ class TestCanonicalize:
     def test_empty_rejected(self):
         with pytest.raises(ProgramError):
             canonicalize([])
+
+    def test_constructors_refuse_what_canonicalize_never_builds(self):
+        with pytest.raises(ProgramError, match="empty non-deterministic atom"):
+            NdAtom(())
+        with pytest.raises(ProgramError, match="non-canonical atom sequence"):
+            NdAtom((atom("b"), atom("a")))
+        with pytest.raises(ProgramError, match="non-canonical atom sequence"):
+            NdAtom((atom("a"), atom("a")))
+        with pytest.raises(ProgramError, match="empty predicate name"):
+            Atom("")
 
     def test_integers_sort_before_symbols(self):
         with_int = atom("p", Integer(3))
@@ -653,7 +663,16 @@ class TestRoundTrip:
         assert parse_program(printed) == program
         assert program_to_str(parse_program(printed)) == printed
 
+    def test_str_is_the_printed_program(self):
+        program = parse_program("#horizon 2.\n{b, a} :- not {c}.\n{d}.")
+        assert str(program) == program_to_str(program) == "#horizon 2.\n{a, b} :- not {c}.\n{d}.\n"
+
     def test_corpus_round_trips(self):
         for name in CORPUS_NAMES:
             program = parse_program(corpus_text(name))
             assert parse_program(program_to_str(program)) == program
+
+
+def test_missing_corpus_name_is_refused():
+    with pytest.raises(FileNotFoundError, match="no example program named 'missing.ndlp'"):
+        corpus_path("missing.ndlp")
