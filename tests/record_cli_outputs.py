@@ -2,10 +2,11 @@
 `cli_outputs.json`.
 
 Each call is run in process through `ndlp.cli.main` and stored as its
-arguments (the program's path is appended as the last one), its exit code,
-and sha256 digests of its stdout and of its stderr without the `solved in`
-timing line. A program is a corpus file or one of `GENERATED`, written to a
-temporary directory first. `test_cli.py::TestPinnedOutputs` replays the calls and
+arguments (the program's paths are appended as the last ones), its exit
+code, and sha256 digests of its stdout and of its stderr without the
+`solved in` timing line. A program is a corpus file or one of `GENERATED`,
+written to a temporary directory first; a generated program given as a list
+of texts is that many files, passed in order. `test_cli.py::TestPinnedOutputs` replays the calls and
 requires the same three values, so a refactor that changes what the CLI
 prints fails tier-1. Rerun this only when an output change is intended:
 
@@ -69,6 +70,30 @@ GENERATED = {
                                "{p} :- not {q}.\n{q} :- not {p}.\n",
     # a sum over a time variable that only a body literal binds
     "body_sum.ndlp": lambda: "#horizon 2.\n{p(0)}.\n{p(3)}.\n{q(T)} :- {p(T+1)}.\n",
+    # the loops of even_loops_500 written with bare atoms
+    "bare_even_loops_500.ndlp": lambda: "".join(
+        f"a{i} :- not b{i}.\nb{i} :- not a{i}.\n" for i in range(500)),
+    # a braced program over names given as two files, the first not ending its
+    # last line: origins name each file
+    "two_files.ndlp": lambda: [
+        "% loops, then a chain into the second file\n"
+        + "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n" for i in range(3))
+        + "{c0}.\n{c1, d1} :- not {c0}.",
+        "{c2} :- not {d1, c1}, {a0}.\n{c0} :- {c2}, not {b2}.\n"],
+    # set-atoms written apart that are equal, and a repeated body literal
+    "equal_texts.ndlp": lambda: "{a, b} :- not {c}.\n{b, a} :- {a, a}.\n{a, a}.\n"
+                                "{a} :- {b}, {b}.\n{c} :- not {b, a}, not {a, b}.\n{b}.\n"
+                                "{d} :- {a}, not {c}, {a}, not {c}.\n",
+    # names that spell classical negation
+    "classical_names.ndlp": lambda: "{-a, a} :- not {b}.\n{b} :- not {-a}.\n{-b_1, x}.\n"
+                                    "{a} :- {-b_1, x}, not {-a, a}.\n",
+    "least_negated.ndlp": lambda: "{a}.\n{b} :- {a}.\n{c} :- {b}, not {a}.\n",
+    "empty.ndlp": lambda: "",
+    # braced loops over names, then rules with arguments: the statement
+    # reader stops there and the token parser reads on
+    "handover_2500.ndlp": lambda: "".join(
+        f"{{a{i}}} :- not {{b{i}}}. {{b{i}}} :- not {{a{i}}}.\n" for i in range(2500))
+        + "{s(X)} :- {t(X)}. {t(a)}.\n",
 }
 
 # Malformed programs, each an error that exits 2.
@@ -130,18 +155,49 @@ def calls() -> list[tuple[str, list[str]]]:
     matrix.append(("body_sum.ndlp", ["ground"]))
     for name in MALFORMED:
         matrix += [(name, ["ground"]), (name, ["solve"])]
+    matrix += [
+        ("bare_even_loops_500.ndlp", ["ground"]),
+        ("bare_even_loops_500.ndlp", ["solve", "--semantics", "stable", "--max-models", "1"]),
+        ("two_files.ndlp", ["ground"]),
+        ("two_files.ndlp", ["solve", "--dump-ground"]),
+        ("two_files.ndlp", ["expand", "--semantics", "wf", "--format", "json"]),
+        ("equal_texts.ndlp", ["ground"]),
+        ("equal_texts.ndlp", ["solve", "--dump-ground", "--semantics", "wf"]),
+        ("equal_texts.ndlp", ["expand", "--semantics", "stable", "--format", "json"]),
+        ("classical_names.ndlp", ["ground"]),
+        ("classical_names.ndlp", ["expand", "--semantics", "stable"]),
+        ("classical_names.ndlp", ["solve", "--semantics", "wf", "--format", "json"]),
+        ("least_negated.ndlp", ["solve", "--semantics", "least"]),
+        ("least_negated.ndlp", ["expand", "--semantics", "least", "--format", "json"]),
+        ("least_negated.ndlp", ["solve", "--semantics", "wf"]),
+        ("even_loops_4.ndlp", ["ground", "--horizon", "-1"]),
+        ("even_loops_4.ndlp", ["solve", "--horizon", "-1"]),
+        ("even_loops_4.ndlp", ["ground", "--horizon", "2"]),
+    ]
+    for command in (["ground"], ["solve", "--semantics", "least"], ["solve"],
+                    ["expand", "--semantics", "wf", "--format", "json"]):
+        matrix.append(("empty.ndlp", command))
+    matrix += [
+        ("handover_2500.ndlp", ["ground"]),
+        ("handover_2500.ndlp", ["solve", "--semantics", "wf"]),
+    ]
     return matrix
 
 
-def program_path(name: str, directory: Path) -> str:
-    """The path of a corpus program, or of a generated one written into
-    `directory` on first use."""
+def program_paths(name: str, directory: Path) -> list[str]:
+    """The path of a corpus program, or the paths of a generated one
+    written into `directory` on first use, one file per text: the second
+    and later are named after the first with their place in front."""
     if name not in GENERATED:
-        return str(corpus_path(name))
-    path = directory / name
-    if not path.exists():
-        path.write_text(GENERATED[name](), encoding="utf-8")
-    return str(path)
+        return [str(corpus_path(name))]
+    texts = GENERATED[name]()
+    if isinstance(texts, str):
+        texts = [texts]
+    paths = [directory / name, *[directory / f"{i}_{name}" for i in range(2, len(texts) + 1)]]
+    for path, text in zip(paths, texts):
+        if not path.exists():
+            path.write_text(text, encoding="utf-8")
+    return list(map(str, paths))
 
 
 def sha256(text: str) -> str:
@@ -157,7 +213,7 @@ def untimed(stderr: str) -> str:
 def run(name: str, args: list[str], directory: Path) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([*args, program_path(name, directory)])
+        code = main([*args, *program_paths(name, directory)])
     return {"program": name, "args": args, "exit": code,
             "stdout_sha256": sha256(out.getvalue()),
             "stderr_sha256": sha256(untimed(err.getvalue()))}

@@ -22,7 +22,7 @@ from ndlp.wf import PartialInterpretation
 
 from conftest import closure_chain
 from oracles import report_json, written_once
-from record_cli_outputs import PINS, program_path, sha256, untimed
+from record_cli_outputs import PINS, program_paths, sha256, untimed
 
 
 def run(capsys, *argv):
@@ -517,7 +517,7 @@ class TestPinnedOutputs:
         ids=["-".join(a.lstrip("-") for a in [*p["args"], p["program"]]) for p in _PINNED],
     )
     def test_output_is_unchanged(self, capsys, generated, pin):
-        code, out, err = run(capsys, *pin["args"], program_path(pin["program"], generated))
+        code, out, err = run(capsys, *pin["args"], *program_paths(pin["program"], generated))
         assert code == pin["exit"]
         assert sha256(out) == pin["stdout_sha256"]
         assert sha256(untimed(err)) == pin["stderr_sha256"]
