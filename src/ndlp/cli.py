@@ -18,10 +18,11 @@ NdAtoms in the ground program, whose base is in key order: `_solve` writes
 the models, and the well-founded negatives and undefined NdAtoms, straight
 into the report as those indices with no sort, rendered through the
 program's `member_texts`, and expands each model with the report's
-negatives over the program's one atom table into rows of entry ids. For a
-program with variables both read the atom table, so after parsing the
-command line builds no `Atom`; library callers may hand the report NdAtoms
-instead. `SolveReport.write` renders both formats straight to stdout in
+negatives over the program's one atom table into rows of entry ids. Both
+read the atom table, so the command line builds no `Atom` after parsing,
+and none at all for braced rules over names, whose ground program `_load`
+builds from the statement reader's ids; library callers may hand the report
+NdAtoms instead. `SolveReport.write` renders both formats straight to stdout in
 pieces: the header, each model, and the answer-set rows `CHUNK_ROWS` at a
 time, each row joined from the table's entry texts, so no `AnswerSet` is
 built and no string holds the whole report. A write renders each NdAtom
@@ -46,12 +47,12 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .answersets import AnswerSet, Expansion, expand_ids
-from .compiled import AtomTable, GroundProgram
+from .compiled import AtomTable, GroundProgram, table_program
 from .errors import NdlpError
 from .grounder import ground
-from .parser import parse_files
+from .parser import reader
+from .syntax import Atom
 from .stable import enumerate_stable
-from .syntax import Program
 
 
 # Answer-set rows rendered per piece the report writes.
@@ -230,15 +231,26 @@ def _read(path: str) -> str:
         raise NdlpError(f"{path}: not valid UTF-8 ({err.reason} at byte {err.start})") from err
 
 
-def _load(paths: list[str], horizon: int | None) -> tuple[Program, GroundProgram]:
-    """Parse the files in order as one program (see `parse_files`)."""
-    program = parse_files([(p, _read(p)) for p in paths])
-    return program, ground(program, horizon=horizon)
+def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
+    """Whether the files, read as one program (see `parser.reader`), negate
+    nothing, and their ground program: for braced rules over names, which
+    the statement reader takes whole, built from its ids, every rule kept."""
+    parser = reader([(p, _read(p)) for p in paths])
+    if parser.read() and (horizon is None or horizon >= 0):
+        keys = list(parser.keys)  # each set-atom's names; an atom's key sorts as its name
+        texts = sorted({name for names in keys for name in names})
+        rank = dict(zip(texts, range(len(texts)))).__getitem__
+        table = AtomTable(texts, [tuple(map(rank, names)) for names in keys],
+                          functools.partial(map, Atom, texts))
+        return not any(parser.negated), table_program(
+            table, parser.heads, parser.positive, parser.negated, lambda *_: tuple(parser.spell()))
+    program = parser.parse()
+    return program.is_positive(), ground(program, horizon=horizon)
 
 
 def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
     started = time.perf_counter()
-    program, gp = _load(args.files, args.horizon)
+    positive, gp = _load(args.files, args.horizon)
     if args.dump_ground:
         sys.stdout.write(str(gp))
 
@@ -247,7 +259,7 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
     report = SolveReport(semantics=args.semantics, rule_count=len(gp.heads), base_size=gp.n,
                          texts=gp.member_texts())
     if args.semantics == "least":
-        if not program.is_positive():
+        if not positive:
             raise NdlpError(
                 "least-model semantics is defined for negation-free programs; "
                 "use --semantics stable or wf"

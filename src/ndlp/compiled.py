@@ -5,12 +5,12 @@ base in key order. NdAtoms are ints in base order and each rule is a head
 int plus tuples of its positive and negated body ints, which the grounder
 emits directly (`make_ground_program`, the reference it is tested against,
 derives them from `Rule`s), with per-atom lists of the rules that use the
-atom positively, that negate it and that define it. The base is held as
-NdAtoms or as its `AtomTable`: a program without variables keeps the
-NdAtoms it was written with, while for the others the grounder builds the
-table from int keys (`AtomTable.of_keys`), its texts joined from term
-texts, and no `Atom`, `NdAtom` or `Rule` exists until `base` or `rules`
-is read.
+atom positively, that negate it and that define it. The base is held in
+one form, its `AtomTable`, which `table_program` sorts: the grounder builds
+it from int keys (`AtomTable.of_keys`), its texts joined from term texts,
+the command line's loader from the names of braced rules over names, and a
+program without variables from its NdAtoms. No `NdAtom` or `Rule` is built
+until `base` or `rules` is read.
 One batch fixpoint, `reduct_model`, gives the least model of the reduct
 against a 0/1 interpretation in linear time. It serves the least model
 (against the empty interpretation), and the tests check each stable model
@@ -34,9 +34,7 @@ Since the base is interned in key order, a model's sorted index tuple is
 already its canonical order. The least and well-founded models come out as
 truth flags and stable models as index tuples; the library decodes them to
 NdAtom sets, while the command line renders the indices through
-`member_texts`, from whichever form the base is held in, and expands them
-through the program's one `AtomTable`, built from the NdAtoms on first use
-when they are what the program holds.
+`member_texts` and expands them, both off the program's atom table.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ class AtomTable:
     then their signed "not" texts: an atom of rank r has entry r, and its
     negative entry r + len(texts). The `Atom`s themselves are built by
     `spell` on first read of `atoms`; the grounder builds its table from
-    int keys, and `of` from NdAtoms."""
+    int keys, `table_program` from member ranks, and `of` from NdAtoms."""
 
     def __init__(self, texts: Sequence[str], members: Sequence[tuple[int, ...]],
                  spell: Callable[[], tuple[Atom, ...]]):
@@ -85,19 +83,20 @@ class AtomTable:
         atoms = tuple(sorted(unique.values(), key=attrgetter("key")))
         texts = tuple(map(text, atoms))
         rank = dict(zip(texts, range(len(texts)))).__getitem__
-        members = tuple([tuple(map(rank, map(text, nd.atoms))) for nd in nd_atoms])
+        members = tuple([(rank(nd.atoms[0].text),) if len(nd.atoms) == 1
+                         else tuple(map(rank, map(text, nd.atoms))) for nd in nd_atoms])
         return cls(texts, members, atoms.__iter__)
 
     @classmethod
     def of_keys(cls, keys: list[tuple], term_keys: list,
-                constants: tuple[Term, ...]) -> tuple[list[int], AtomTable]:
-        """The order by key of the NdAtoms whose members are keyed `keys`,
-        and their table in that order, from the keys alone. A member is
+                constants: tuple[Term, ...]) -> AtomTable:
+        """The table of the NdAtoms whose members are keyed `keys`, from the
+        keys alone. A member is
         keyed `(pred, arg ids)`, and term i `term_keys[i]`: an int for an
         Integer, a str for a Constant, `(name, arg ids)` for a Compound, the
         `constants` first. One sort of the terms by their syntax keys ranks
         them, and one sort of the member keys by those ranks orders the
-        members and, by its member ranks, each NdAtom."""
+        members."""
         sort_keys: list[tuple] = []
         texts: list[str] = []
         for key in term_keys:
@@ -119,11 +118,9 @@ class AtomTable:
         member_rank = dict(zip(members, range(len(members)))).__getitem__
         ranked = [(member_rank(key[0]),) if len(key) == 1 else tuple(sorted(map(member_rank, key)))
                   for key in keys]
-        order = sorted(range(len(keys)), key=ranked.__getitem__)
         spelled = tuple([f"{pred}({', '.join([texts[a] for a in args])})" if args else pred
                          for pred, args in members])
-        return order, cls(spelled, tuple([ranked[i] for i in order]),
-                          partial(_spell_atoms, members, term_keys, constants))
+        return cls(spelled, ranked, partial(_spell_atoms, members, term_keys, constants))
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
@@ -149,23 +146,18 @@ def _spell_atoms(members: list[tuple], term_keys: list, constants: tuple[Term, .
 class GroundProgram:
     """A variable-free program over its restricted base in key order, by
     which the solvers sort their models, in the int form they run on. Its
-    base comes either as NdAtoms, and the atom table is built from them on
-    first use, or as the table, and the NdAtoms are built from its atoms on
-    first read; its rules are spelled out as `Rule` objects on first read."""
+    base is held as its atom table, and the NdAtoms are built from the
+    table's atoms on first read; its rules are spelled out as `Rule` objects
+    on first read."""
 
     def __init__(self, heads: list[int], pos: list[tuple[int, ...]], neg: list[tuple[int, ...]],
-                 spell: Callable[[tuple[NdAtom, ...]], tuple[Rule, ...]],
-                 base: Sequence[NdAtom] | None = None, table: AtomTable | None = None):
-        """Rule r is heads[r] :- pos[r], not neg[r], over the base given as
-        `base` or as `table`; no body tuple repeats an id. `spell` returns
-        the same rules as `Rule`s over the base it is given."""
-        if table is None:
-            self.base = tuple(base)
-            n = len(self.base)
-        else:
-            self.table = table
-            n = len(table.members)
-        self.n = n
+                 spell: Callable[[GroundProgram], tuple[Rule, ...]], table: AtomTable):
+        """Rule r is heads[r] :- pos[r], not neg[r], over the NdAtoms whose
+        member ranks are `table.members`; no body tuple repeats an id.
+        `spell` returns the same rules as `Rule`s, given the program, whose
+        `base` it may read."""
+        self.table = table
+        self.n = n = len(table.members)
         self.heads, self.pos, self.neg = heads, pos, neg
         self._spell = spell
         self.watchers: list[list[int]] = [[] for _ in range(n)]
@@ -188,7 +180,7 @@ class GroundProgram:
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
-        return self._spell(self.base)
+        return self._spell(self)
 
     @cached_property
     def base_set(self) -> frozenset[NdAtom]:
@@ -241,18 +233,9 @@ class GroundProgram:
         state = Propagator(self)
         return bytes(state.lower), state.upper.translate(_COMPLEMENT)
 
-    @cached_property
-    def table(self) -> AtomTable:
-        """The base's atom table; NdAtom i has the member ranks `members[i]`."""
-        return AtomTable.of(self.base)
-
     def member_texts(self) -> Callable[[int], list[str]]:
-        """NdAtom i's member texts as a function of i: read off the base
-        when it is held as NdAtoms, as a program without variables is
-        given, else off the atom table, so that no `Atom` is built."""
-        if "base" in vars(self):
-            base = self.base
-            return lambda i: [atom.text for atom in base[i].atoms]
+        """NdAtom i's member texts as a function of i, read off the atom
+        table, so that no `Atom` is built."""
         texts, members = self.table.texts, self.table.members
         return lambda i: [texts[r] for r in members[i]]
 
@@ -279,12 +262,29 @@ def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
     rules = tuple(rules)
     base = restricted_base(rules)
     index = {nd: i for i, nd in enumerate(base)}
-    return GroundProgram(
-        [index[rule.head] for rule in rules],
-        [tuple(dict.fromkeys(map(index.__getitem__, rule.positive_body()))) for rule in rules],
-        [tuple(dict.fromkeys(map(index.__getitem__, rule.negative_body()))) for rule in rules],
-        lambda _: rules, base=base,
-    )
+    return table_program(
+        AtomTable.of(base), [index[rule.head] for rule in rules],
+        [list(map(index.__getitem__, rule.positive_body())) for rule in rules],
+        [list(map(index.__getitem__, rule.negative_body())) for rule in rules], lambda *_: rules)
+
+
+def table_program(table: AtomTable, heads: list[int], pos: list, neg: list,
+                  spell: Callable[[list[int], GroundProgram], tuple[Rule, ...]]) -> GroundProgram:
+    """The rules `heads`, `pos` and `neg` over the distinct NdAtoms of
+    `table`, id i with member ranks `table.members[i]`, in key order by one
+    sort of the ranks: id i becomes `renumber[i]`, repeats dropped from each
+    body, and `spell(renumber, program)` spells the rules."""
+    ranked = table.members
+    order = sorted(range(len(ranked)), key=ranked.__getitem__)
+    renumber = sorted(range(len(order)), key=order.__getitem__)  # the inverse of `order`
+    new = renumber.__getitem__
+
+    def bodies(lists: list) -> list[tuple[int, ...]]:
+        return [tuple(dict.fromkeys(map(new, body))) if len(body) > 1
+                else (new(body[0]),) if body else () for body in lists]
+
+    return GroundProgram(list(map(new, heads)), bodies(pos), bodies(neg), partial(spell, renumber),
+                         AtomTable(table.texts, [ranked[i] for i in order], table._spell))
 
 
 class Propagator:

@@ -21,11 +21,11 @@ kept or dropped, and no larger time domain is built; past that, grounding
 stops with a GroundingError.
 
 Every rule without variables is its own instance, its NdAtoms interned by
-value in rule order. A program of such rules only is compiled in one pass;
-otherwise the instantiator starts from those NdAtoms and counts each such
-rule's positive body down instead of joining it. `make_ground_program`, which
-compiles given ground rules over their sorted base, is the reference both
-are tested against.
+value in rule order. A program of such rules only is compiled by
+`make_ground_program`, which compiles given ground rules over their sorted
+base and is the reference the join route is tested against; otherwise the
+instantiator starts from those NdAtoms and counts each such rule's positive
+body down instead of joining it.
 
 Matching runs on ints over fixed join plans, as Souffle compiles rules to
 loop nests over indexes (Jordan et al., CAV 2016). Each ground term has an
@@ -56,7 +56,7 @@ from functools import partial
 from itertools import chain, product
 from typing import Callable, Iterable
 
-from .compiled import AtomTable, GroundProgram
+from .compiled import AtomTable, GroundProgram, table_program
 from .errors import GroundingError
 from .syntax import (BUILTIN_PREDICATES, Atom, Compound, Constant, Integer, Literal, NdAtom,
                      Program, Rule, Sum, Term, Variable, is_time_variable, term_variables)
@@ -71,20 +71,6 @@ MAX_GROUND_INSTANCES = 100_000
 # a bound slot's, bind an ordinary or a time variable's slot, compare or
 # bind through a sum, or match a compound term's arguments in turn.
 SAME, CONST, TIME, SUM_SAME, SUM_CONST, SUM_TIME, NEST = range(7)
-
-
-def _renumbered(order: list[int], heads: list[int], pos: list, neg: list) -> tuple:
-    """`heads`, `pos` and `neg` with each id renumbered to its position in
-    `order` and repeats dropped from each body, and the renumbering."""
-    # the inverse permutation: each old id's position in `order`
-    renumbered = sorted(range(len(order)), key=order.__getitem__)
-    renumber = renumbered.__getitem__
-
-    def bodies(lists: list) -> list[tuple[int, ...]]:
-        return [tuple(dict.fromkeys(map(renumber, body))) if len(body) > 1
-                else (renumber(body[0]),) if body else () for body in lists]
-
-    return list(map(renumber, heads)), bodies(pos), bodies(neg), renumbered
 
 
 def program_constants(program: Program) -> tuple[Term, ...]:
@@ -638,19 +624,17 @@ class _Instantiator:
             spec = source.layout, source.rule.origin
             kept += [(spec, instance) for instance in found if instance is not None]
         kept += fixed[done:]
-        order, table = AtomTable.of_keys(self.keys, term_keys, self.constants)
-        heads, pos, neg, renumbered = _renumbered(
-            order, [head for _, (head, _, _) in kept], [pos for _, (_, pos, _) in kept],
-            [neg for _, (_, _, neg) in kept])
-        return GroundProgram(heads, pos, neg, partial(_spell_rules, kept, renumbered),
-                             table=table)
+        return table_program(AtomTable.of_keys(self.keys, term_keys, self.constants),
+                             [head for _, (head, _, _) in kept], [pos for _, (_, pos, _) in kept],
+                             [neg for _, (_, _, neg) in kept], partial(_spell_rules, kept))
 
 
-def _spell_rules(kept: list, renumbered: list[int], base: tuple[NdAtom, ...]) -> tuple[Rule, ...]:
-    """The kept rules as `Rule`s over `base`: a rule without variables as
-    written, an instance from its ids before `renumbered` and its source's
+def _spell_rules(kept: list, renumber: list[int], gp: GroundProgram) -> tuple[Rule, ...]:
+    """The kept rules as `Rule`s over `gp.base`: a rule without variables as
+    written, an instance from its ids before `renumber` and its source's
     body layout and origin."""
-    atom = [base[new] for new in renumbered]
+    base = gp.base
+    atom = [base[new] for new in renumber]
     rules = []
     for source, (head, pos, neg) in kept:
         if isinstance(source, Rule):
@@ -731,11 +715,8 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
             (negated if lit.negated else positive).append(ids.setdefault(lit.atom, len(ids)))
         pos.append(positive)
         neg.append(negated)
-    if not sources:  # renumbered to key order by one sort of the NdAtoms
-        rules, atoms = tuple(kept), list(ids)
-        order = sorted(range(len(atoms)), key=[nd.key for nd in atoms].__getitem__)
-        heads, pos, neg, _ = _renumbered(order, heads, pos, neg)
-        return GroundProgram(heads, pos, neg, lambda _: rules, base=[atoms[old] for old in order])
+    if not sources:  # the table's sort keys and texts read off the NdAtoms' atoms
+        return table_program(AtomTable.of(list(ids)), heads, pos, neg, lambda *_: tuple(kept))
     instantiator = _Instantiator(sources, horizon, constants or (), list(ids),
                                  (kept, heads, pos, neg))
     instantiator.run()

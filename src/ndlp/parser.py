@@ -27,10 +27,13 @@ levels deep.
 Two readers share origins and the building of atoms, and each byte is read
 by one of them. The statement reader matches one pattern per rule while
 every statement is a braced rule whose set-atoms hold names alone (no
-arguments, variables, comparisons or comments), building each set-atom from
-its words and each rule as it goes; such rules can have no arity or safety
-fault. At the first statement or set-atom it cannot take, it stops and
-hands the token parser its offset, set-atoms and arities; the token parser
+arguments, variables, comparisons or comments); such rules can have no
+arity or safety fault. It builds no syntax value, only ids (one per set of
+names a set-atom sorts to) and int lists per rule: a ground program, which
+the command line builds straight from them (`cli._load`). `spell` builds
+the `Rule`s, one `NdAtom` per distinct text, when they are read; where the
+reader stops, at the first statement or set-atom it cannot take, it also
+hands the token parser its set-atoms and arities, and the token parser
 reads the rest (directives, bare atoms, arguments, comments inside a rule)
 and reports every error.
 
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, compress, count
+from itertools import accumulate, chain, compress, count
 from operator import itemgetter, not_
 
 from .errors import ParseError, ProgramError
@@ -139,6 +142,10 @@ class _Parser:
         self.text = text
         self.files = files  # (first line, path) of each file joined into `text`
         self.offset = 0  # where the token parser starts: where the statement reader stopped
+        # the statement reader's ids by sorted names and by text, and per rule its head,
+        # positive and negated ids and, as written, (head, (text, negated)s, start)
+        self.keys, self.ids = {}, {}
+        self.heads, self.positive, self.negated, self.written = [], [], [], []
         self.pos = 0
         self.line, self.line_start = 1, 0  # where the last rule started
         self.rules: list[Rule] = []
@@ -219,43 +226,58 @@ class _Parser:
 
     # -- statement reader -----------------------------------------------------
 
-    def read(self) -> Program | None:
-        """The program read one `_STATEMENT` at a time, each distinct set-atom
-        text and each rule built as first read; or None at a statement of
-        another shape or a text not `_propositional`, leaving `offset` there
-        and the texts built in `set_atoms` and `arities` for the token parser."""
-        text, match, atoms, made, pos = self.text, _STATEMENT.match, self.atoms, {}, 0
-        while True:
-            found = match(text, pos)
-            if found is None:
-                break
-            head, negated, first, rest = found.groups()
+    def read(self) -> bool:
+        """Read one `_STATEMENT` at a time from `offset` into `keys`, `ids`
+        and the rule lists; True at the end of the text, else False with
+        `offset` left at the statement or text not `_propositional`."""
+        text, match, ids, keys = self.text, _STATEMENT.match, self.ids, self.keys
+        heads, positive, negated, written = self.heads, self.positive, self.negated, self.written
+        at = self.offset
+        while found := match(text, at):
+            head, negative, first, rest = found.groups()
             if head is None:  # the end of the text
-                return Program(rules=tuple(self.rules))
-            body = () if first is None else ((first, negated is not None),)
-            keys = (head,) if first is None else (head, first)
+                self.offset = len(text)
+                return True
+            body = () if first is None else ((first, negative is not None),)
+            texts = (head,) if first is None else (head, first)
             if rest:
                 body += tuple([(key, bool(keyword)) for keyword, key in _LITERAL.findall(rest)])
-                keys = (head, *[key for key, _ in body])
-            for key in keys:
-                if key not in made:
+                texts = (head, *[key for key, _ in body])
+            for key in texts:
+                if key not in ids:
                     names = _propositional(key)
                     if names is None:
                         break
-                    for name in names:
-                        if name not in atoms:
-                            atoms[name] = Atom(name)
-                    made[key] = NdAtom(tuple(map(atoms.__getitem__, names)))
-            else:  # every text built: the rule
-                literals = tuple([Literal(made[key], negated) for key, negated in body])
-                self.rules.append(Rule(made[head], literals, self.origin(found.start(1) - 1)))
-                pos = found.end()
+                    ids[key] = keys.setdefault(tuple(names), len(keys))
+            else:  # every text has an id: the rule
+                heads.append(ids[head])
+                if rest:
+                    positive.append([ids[key] for key, negative in body if not negative])
+                    negated.append([ids[key] for key, negative in body if negative])
+                else:  # a fact or one literal
+                    one = (ids[first],) if body else ()
+                    positive.append(() if negative else one)
+                    negated.append(one if negative else ())
+                written.append((head, body, found.start(1) - 1))
+                at = found.end()
                 continue
             break  # a text that is not propositional
-        self.offset = pos
-        self.set_atoms = {"{" + key + "}": (nd, frozenset(), False) for key, nd in made.items()}
-        self.arities = dict.fromkeys(atoms, 0)
-        return None
+        self.offset = at
+        return False
+
+    def spell(self) -> list[Rule]:
+        """The rules `read` took as `Rule`s with their origins, one `NdAtom`
+        per distinct text; where the token parser reads on, the texts go into
+        `set_atoms` and the names into `arities`."""
+        keys = list(self.keys)
+        atoms = self.atoms = {name: Atom(name) for name in dict.fromkeys(chain.from_iterable(keys))}
+        made = {key: NdAtom(tuple(map(atoms.__getitem__, keys[i]))) for key, i in self.ids.items()}
+        rules = [Rule(made[head], tuple([Literal(made[key], negative) for key, negative in body]),
+                      self.origin(start)) for head, body, start in self.written]
+        if self.offset < len(self.text):
+            self.set_atoms = {"{" + key + "}": (nd, frozenset(), False) for key, nd in made.items()}
+            self.arities = dict.fromkeys(atoms, 0)
+        return rules
 
     # -- grammar ------------------------------------------------------------
 
@@ -270,10 +292,10 @@ class _Parser:
         return consts
 
     def parse(self) -> Program:
-        """The statement reader's program, or the token parser's from where it stopped."""
-        program = self.read()
-        if program is not None:
-            return program
+        """The program: the rules `read` takes, spelled, then the token
+        parser's from where it stopped."""
+        self.read()
+        self.rules = self.spell()
         self.kinds, self.values, self.starts = self.scan()
         self.consts = self.read_consts()
         kinds = self.kinds
@@ -493,17 +515,22 @@ def parse_program(text: str) -> Program:
     return _Parser(text).parse()
 
 
-def parse_files(files: list[tuple[str, str]]) -> Program:
-    """Parse the (path, text) of each file, in order, as one program. Every
-    text but the last ends its last line, so a trailing comment cannot swallow
-    the next file. With two or more files, error positions and rule origins
-    name the file and count its lines."""
+def reader(files: list[tuple[str, str]]) -> _Parser:
+    """A parser of the (path, text) of each file, in order, as one program:
+    every text but the last ends its last line, so a trailing comment cannot
+    swallow the next file, and with two or more files, error positions and
+    rule origins name the file and count its lines."""
     if len(files) == 1:
-        return parse_program(files[0][1])
+        return _Parser(files[0][1])
     texts = [t + "\n" if t and not t.endswith("\n") else t for _, t in files[:-1]]
     texts.append(files[-1][1])
     first_lines = accumulate((t.count("\n") for t in texts[:-1]), initial=1)
-    return _Parser("".join(texts), tuple(zip(first_lines, (p for p, _ in files)))).parse()
+    return _Parser("".join(texts), tuple(zip(first_lines, (p for p, _ in files))))
+
+
+def parse_files(files: list[tuple[str, str]]) -> Program:
+    """Parse the (path, text) of each file, in order, as one program (see `reader`)."""
+    return reader(files).parse()
 
 
 def parse_rule(text: str) -> Rule:

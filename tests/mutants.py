@@ -51,7 +51,7 @@ class Mutant(NamedTuple):
 SEARCH = ("tests/test_stable.py", "tests/test_properties.py", "tests/test_wf.py")
 MATCHING = ("tests/test_grounder.py", "tests/test_grounding_oracle.py",
             "tests/test_grounder_metamorphic.py")
-PARSER = ("tests/test_syntax.py", "tests/test_parse_errors.py")
+PARSER = ("tests/test_syntax.py", "tests/test_parse_errors.py", "tests/test_loader.py")
 EXPANSION = ("tests/test_answersets.py", "tests/test_report_paths.py", "tests/test_cli.py")
 
 MUTANTS: tuple[Mutant, ...] = (
@@ -207,7 +207,7 @@ MUTANTS: tuple[Mutant, ...] = (
     # token parser
     Mutant(
         "reader-drops-not", "parser.py",
-        "((first, negated is not None),)",
+        "((first, negative is not None),)",
         "((first, False),)",
         PARSER,
     ),
@@ -219,16 +219,16 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "origin-line-one-off", "parser.py",
-        "self.origin(found.start(1) - 1)",
-        "self.origin(found.start())",
+        "written.append((head, body, found.start(1) - 1))",
+        "written.append((head, body, found.start()))",
         PARSER,
     ),
     Mutant(
         "reader-keeps-a-prefix", "parser.py",
-        "        self.arities = dict.fromkeys(atoms, 0)\n"
-        "        return None\n",
-        "        self.arities = dict.fromkeys(atoms, 0)\n"
-        "        return Program(rules=tuple(self.rules))\n",
+        "        self.offset = at\n"
+        "        return False\n",
+        "        self.offset = at\n"
+        "        return True\n",
         PARSER,
     ),
     Mutant(
@@ -245,8 +245,27 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "token-parser-rereads-from-the-start", "parser.py",
-        "self.offset = pos",
+        "self.offset = at",
         "self.offset = 0",
+        PARSER,
+    ),
+    # the command line's loader of what the statement reader takes whole
+    Mutant(
+        "names-ordered-other-than-by-key", "cli.py",
+        "texts = sorted({name for names in keys for name in names})",
+        "texts = sorted({name for names in keys for name in names}, reverse=True)",
+        PARSER,
+    ),
+    Mutant(
+        "repeated-body-id-kept", "compiled.py",
+        "tuple(dict.fromkeys(map(new, body))) if len(body) > 1",
+        "tuple(map(new, body)) if len(body) > 1",
+        PARSER,
+    ),
+    Mutant(
+        "least-check-blind-to-negation", "cli.py",
+        "return not any(parser.negated), table_program(",
+        "return True, table_program(",
         PARSER,
     ),
     Mutant(

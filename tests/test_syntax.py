@@ -542,7 +542,7 @@ class TestStatementReader:
     @staticmethod
     def token_parser(monkeypatch, parse, *args):
         with monkeypatch.context() as patched:
-            patched.setattr(_Parser, "read", lambda self: None)
+            patched.setattr(_Parser, "read", lambda self: False)
             return outcome(parse, *args)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -553,7 +553,7 @@ class TestStatementReader:
             text = self.program(rng, faults=case % 3 == 0)
             want = self.token_parser(monkeypatch, parse_program, text)
             assert outcome(parse_program, text) == want, repr(text)
-            taken += _Parser(text).read() is not None
+            taken += _Parser(text).read()
         # both readers read a share of the programs
         assert 30 <= taken <= 120, taken
 
@@ -567,7 +567,7 @@ class TestStatementReader:
 
     def test_equal_texts_are_one_object(self):
         text = "{a, b} :- not {c}.\n{c} :- not {a, b}, {b, -d}, {-d}.\r\n{-d} :- {b, -d}.\n"
-        assert _Parser(text).read() is not None
+        assert _Parser(text).read()
         first, second, third = parse_program(text).rules
         assert first.head is second.body[0].atom
         assert first.body[0].atom is second.head
@@ -615,7 +615,7 @@ class TestStatementReader:
 
     def stops(self, text, files=()):
         parser = _Parser(text, files)
-        return parser.read() is None and parser.offset > 0
+        return not parser.read() and parser.offset > 0
 
     def test_arity_clash_with_a_name_the_reader_built(self, monkeypatch):
         text = "{p} :- not {q}.\n{q} :- not {p}.\n{p(a)}.\n"
