@@ -8,9 +8,9 @@ program, the same spelled rules with their origins and sharing, the same
 answer to the least-model check and the same errors.
 """
 
+import random
 from collections import Counter
 from operator import attrgetter
-import random
 
 import pytest
 
@@ -78,8 +78,8 @@ def check_ids(gp):
 
 
 def taken(paths):
-    """Whether the statement reader takes the files whole."""
-    return _Parser("".join(map(_read, paths))).read() if len(paths) == 1 else None
+    """Whether the statement reader takes the one file whole."""
+    return _Parser(_read(paths[0])).read()
 
 
 @pytest.mark.parametrize("seed", range(4))
