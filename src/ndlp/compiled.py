@@ -113,8 +113,10 @@ class AtomTable:
         rank = [0] * len(term_keys)
         for r, i in enumerate(sorted(range(len(term_keys)), key=sort_keys.__getitem__)):
             rank[i] = r
-        members = sorted({member for key in keys for member in key},
-                         key=lambda m: (m[0], len(m[1]), [rank[a] for a in m[1]]))
+        # a member sorts as (pred, arity, *its terms' ranks), with no Python key function
+        unique = list({member for key in keys for member in key})
+        sort_keys = [(pred, len(args), *map(rank.__getitem__, args)) for pred, args in unique]
+        members = [unique[i] for i in sorted(range(len(unique)), key=sort_keys.__getitem__)]
         member_rank = dict(zip(members, range(len(members)))).__getitem__
         ranked = [(member_rank(key[0]),) if len(key) == 1 else tuple(sorted(map(member_rank, key)))
                   for key in keys]
@@ -160,17 +162,17 @@ class GroundProgram:
         self.n = n = len(table.members)
         self.heads, self.pos, self.neg = heads, pos, neg
         self._spell = spell
-        self.watchers: list[list[int]] = [[] for _ in range(n)]
-        self.neg_occ: list[list[int]] = [[] for _ in range(n)]
-        self.defining: list[list[int]] = [[] for _ in range(n)]
+        self.watchers = watchers = [[] for _ in range(n)]
+        self.neg_occ = neg_occ = [[] for _ in range(n)]
+        self.defining = defining = [[] for _ in range(n)]
         for ridx, (head, body, negated) in enumerate(zip(heads, pos, neg)):
-            self.defining[head].append(ridx)
+            defining[head].append(ridx)
             for b in body:
-                self.watchers[b].append(ridx)
+                watchers[b].append(ridx)
             for m in negated:
-                self.neg_occ[m].append(ridx)
+                neg_occ[m].append(ridx)
         self.pos_len = list(map(len, pos))
-        self.negated = [m for m, occ in enumerate(self.neg_occ) if occ]
+        self.negated = list(compress(range(n), neg_occ))
         self.bodiless = [ridx for ridx, size in enumerate(self.pos_len) if not size]
 
     @cached_property
@@ -272,19 +274,21 @@ def table_program(table: AtomTable, heads: list[int], pos: list, neg: list,
                   spell: Callable[[list[int], GroundProgram], tuple[Rule, ...]]) -> GroundProgram:
     """The rules `heads`, `pos` and `neg` over the distinct NdAtoms of
     `table`, id i with member ranks `table.members[i]`, in key order by one
-    sort of the ranks: id i becomes `renumber[i]`, repeats dropped from each
-    body, and `spell(renumber, program)` spells the rules."""
+    sort of the ranks, which reorders `table` in place: id i becomes
+    `renumber[i]`, repeats dropped from each body, and `spell(renumber,
+    program)` spells the rules."""
     ranked = table.members
     order = sorted(range(len(ranked)), key=ranked.__getitem__)
     renumber = sorted(range(len(order)), key=order.__getitem__)  # the inverse of `order`
     new = renumber.__getitem__
+    table.members = list(map(ranked.__getitem__, order))
 
-    def bodies(lists: list) -> list[tuple[int, ...]]:
+    def bodies(lists: Sequence) -> list[tuple[int, ...]]:
         return [tuple(dict.fromkeys(map(new, body))) if len(body) > 1
                 else (new(body[0]),) if body else () for body in lists]
 
     return GroundProgram(list(map(new, heads)), bodies(pos), bodies(neg), partial(spell, renumber),
-                         AtomTable(table.texts, [ranked[i] for i in order], table._spell))
+                         table)
 
 
 class Propagator:

@@ -10,15 +10,17 @@ Only instances whose positive body lies in the positive closure that ignores
 negation are kept; no other instance fires under any semantics. The result
 is the product grounding less its dead instances, each rule's instances in
 the order of the product of its sorted variables' domains. Instantiation is
-semi-naive and driven by joins, as in lparse and gringo: each NdAtom taken
-off the queue is matched against the positive body literals it fits and
-joined with the NdAtoms taken before it. A set-literal matches an NdAtom it
-grounds to exactly, so coinciding members collapse, and a member whose
-variables are bound is looked up among the NdAtom's members by hash. A
-variable no positive literal binds ranges over its domain, and a bound value
-outside it is rejected. At most MAX_GROUND_INSTANCES instances are recorded,
-kept or dropped, and no larger time domain is built; past that, grounding
-stops with a GroundingError.
+semi-naive and join-driven, a set at a time as in Datalog engines
+(Bancilhon and Ramakrishnan, SIGMOD 1986): a round's delta is every NdAtom
+the round before derived, and each positive literal some of them fit joins
+those with the NdAtoms indexed so far, the literals before it in the body
+with older ones only, so a round finds each instance once. A set-literal
+matches an NdAtom it grounds to exactly, so coinciding members collapse,
+and a member whose variables are bound is looked up among the NdAtom's
+members by hash. A variable no positive literal binds ranges over its
+domain, and a bound value outside it is rejected. At most
+MAX_GROUND_INSTANCES instances are recorded, kept or dropped, and no larger
+time domain is built; past that, grounding stops with a GroundingError.
 
 Every rule without variables is its own instance, its NdAtoms interned by
 value in rule order. A program of such rules only is compiled by
@@ -32,12 +34,14 @@ loop nests over indexes (Jordan et al., CAV 2016). Each ground term has an
 id, the program's constants first in key order, so an ordinary variable
 admits exactly the ids below their count, and sums evaluate by int
 arithmetic. A source rule's variables, and the ground terms its patterns
-name, have slots in one list. Each positive literal an NdAtom may trigger
-has a plan, the others in a greedy order, fewest unbound variables first;
-which slots a step finds bound depends only on the steps before it, so each
-step, compiled once when a join first reaches it, fixes the index it probes
-and, per argument, whether to compare an id, bind a slot with its domain
-check, or apply a sum. Only the `(pred, position)` indexes probed are built.
+name, have slots in a row, after which come the NdAtoms its join literals
+matched. Each positive literal a delta may trigger has a plan, the others
+in a greedy order, fewest unbound variables first; which slots a step finds
+bound depends only on the steps before it, so each step, compiled once when
+a join first reaches it, fixes the index it probes and, per argument,
+whether to compare an id, bind a slot with its domain check, or apply a
+sum. A step maps the list of partial rows to the list of their extensions.
+Only the `(pred, position)` indexes probed are built.
 
 An instance is the ids of its head and positive and negated body NdAtoms,
 keyed by its slots, and goes straight into `compiled.GroundProgram`. Heads
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, product
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .compiled import AtomTable, GroundProgram, table_program
@@ -66,6 +71,8 @@ from .syntax import (BUILTIN_PREDICATES, Atom, Compound, Constant, Integer, Lite
 # may range over. Past it grounding stops with a GroundingError rather than
 # running until time or memory runs out.
 MAX_GROUND_INSTANCES = 100_000
+
+CHUNK_ROWS = 1024  # most partial rows a join step takes at a time
 
 # What a plan step does with one argument of a member: compare its id with
 # a bound slot's, bind an ordinary or a time variable's slot, compare or
@@ -115,16 +122,16 @@ class _Sum:
 
 
 class _Step:
-    """The step of a plan for body literal `pos`. A one-member literal of
-    `pred` and `arity` args probes `by_argument` with the `SAME` or
-    `SUM_SAME` action `probe`, or scans `pred`, and runs `actions` on each
-    candidate. A wider one scans `scans`, and its member patterns are in
-    `wide`: (pred, arity, actions, or grounding args once bound)."""
+    """The step of a plan for a join literal, whose NdAtom goes at `at` in a
+    row. A one-member literal of `pred` and `arity` args probes `by_argument`
+    with the `SAME` or `SUM_SAME` action `probe`, or else scans `scans`, and
+    runs `actions` on each candidate. A wider one scans `scans`, its member
+    patterns in `wide`: (pred, arity, actions, or grounding args once bound)."""
 
-    __slots__ = ("pos", "pred", "arity", "probe", "actions", "wide", "scans")
+    __slots__ = ("at", "pred", "arity", "probe", "actions", "wide", "scans")
 
-    def __init__(self, pos: int, pred=None, arity=0, probe=None, actions=(), wide=None, scans=()):
-        self.pos, self.pred, self.arity, self.probe = pos, pred, arity, probe
+    def __init__(self, at: int, pred=None, arity=0, probe=None, actions=(), wide=None, scans=()):
+        self.at, self.pred, self.arity, self.probe = at, pred, arity, probe
         self.actions, self.wide, self.scans = actions, wide, scans
 
 
@@ -133,9 +140,10 @@ class _Source:
     its sorted `names` has slot j of `slots`, and each ground term its
     patterns name a later slot holding the term's id; a pattern argument is
     a slot, a `_Sum`, or `(name, args)` for a compound with variables.
-    `plans[k]` joins the positive literals from literal k, and `matched`
-    holds the NdAtoms the join under way matched, in body order; `free` are
-    the slots no join binds. `grounded` (the head, then negated literals)
+    `plans[k]` joins the positive literals from literal k. A row of the
+    join is the slots, `width` of them, then the NdAtom each join literal
+    matched, in body order, and `slots` is the row it starts from; `free`
+    are the slots no join binds. `grounded` (the head, then negated literals)
     and `tests` hold members as (pred, args, whether every arg is a slot).
     `instances` maps slots to the ids of the head, positive and negated
     body, or to None when a comparison or arithmetic failed. `layout` tells
@@ -158,6 +166,10 @@ class _Source:
         self.tests = [self.member(lit.atom.atoms[0]) for lit in rule.body if _is_test(lit)]
         self.grounded = [tuple(map(self.member, nd.atoms))
                          for nd in [rule.head] + [lit.atom for lit in kept if lit.negated]]
+        # a one-member head without negated literals or comparisons, grounded in `record`
+        pred, args, plain = self.grounded[0][0]
+        self.head = (pred, args, itemgetter(*args) if plain and len(args) > 1 else None) \
+            if [len(nd) for nd in self.grounded] == [1] and not self.tests else None
         self.joins = joins = [lit.atom.atoms for lit in kept if not lit.negated]
         self.binds = binds = [{self.slot[name] for atom in atoms for name in atom.variables()}
                               for atoms in joins]
@@ -165,12 +177,11 @@ class _Source:
         # the join literals not yet placed
         self.bound: list[set[int]] = [set() for _ in joins]
         self.todo: list[list[int] | None] = [None] * len(joins)
+        self.width = len(self.slots)
         self.plans = [[self.step(k, self.bound[k], False)] for k in range(len(joins))]
-        self.triggers = [[atoms[0].pred] if len(atoms) == 1 else plan[0].scans
-                         for atoms, plan in zip(joins, self.plans)]
         joined = set().union(*binds)
         self.free = [j for j in range(len(names)) if j not in joined]
-        self.matched = [0] * len(joins)
+        self.slots += [0] * len(joins)
         self.instances: dict[tuple[int, ...], tuple | None] = {}
 
     def place(self, terms: tuple[Term, ...], written_id: Callable[[Term], int]) -> None:
@@ -218,8 +229,9 @@ class _Source:
             # before the step or a sum of one, which then needs no action
             probe = next((action for action in actions if probed and action[0] in (SAME, SUM_SAME)
                           and (action[2] in before or action[2] >= len(self.names))), None)
-            return _Step(pos, atom.pred, len(atom.args), probe,
-                         tuple([action for action in actions if action is not probe]))
+            return _Step(self.width + pos, atom.pred, len(atom.args), probe,
+                         tuple([action for action in actions if action is not probe]),
+                         scans=[atom.pred])
         wide = []
         for atom in atoms:
             if {self.slot[name] for name in atom.variables()} <= bound:
@@ -229,8 +241,9 @@ class _Source:
         # the index keys of the NdAtoms it may match: a one-member NdAtom's
         # is its predicate, a wider one's its predicates and size
         preds = frozenset([atom.pred for atom in atoms])
-        return _Step(pos, wide=wide, scans=[(preds, size) if size > 1 else atoms[0].pred
-                                            for size in range(len(preds), len(atoms) + 1)])
+        return _Step(self.width + pos, wide=wide,
+                     scans=[(preds, size) if size > 1 else atoms[0].pred
+                            for size in range(len(preds), len(atoms) + 1)])
 
     def actions(self, terms: tuple[Term, ...], bound: set[int]) -> tuple:
         """What to do per argument to match `terms` after the slots
@@ -259,9 +272,9 @@ class _Source:
 class _Instantiator:
     """Semi-naive instantiation over the positive closure that ignores
     negation, from the set-atoms of the rules without variables, each keyed
-    once. Each NdAtom taken off the queue counts down the bodies of those
-    rules, is indexed, and runs the plan of each join literal it fits, so an
-    instance is found when the last of its positive body is taken off.
+    once, in rounds: the NdAtoms a round derives are the next one's delta,
+    and an instance is found in the round its last positive body NdAtom
+    arrives.
 
     A ground term's id comes from its key: an int for an Integer, a str for
     a Constant, `(name, arg ids)` for a Compound, the program's constants
@@ -299,11 +312,11 @@ class _Instantiator:
                 self.derive(heads[r])
         self.triggers: dict = {}  # index key -> (source, plan) of each literal it fits
         for source in sources:
-            for k, keys in enumerate(source.triggers):
-                for key in keys:
+            for k, plan in enumerate(source.plans):
+                for key in plan[0].scans:
                     self.triggers.setdefault(key, []).append((source, k))
-        self.probed: dict[str, list[int]] = {}  # pred -> the positions probed
-        self.by_argument: dict[tuple[str, int, int], list[int]] = {}
+        self.by_argument: dict[tuple[str, int], dict] = {}  # -> arg id -> the NdAtoms
+        self.probed: dict[str, list[tuple[int, dict]]] = {}  # pred -> (position, index)
         self.by_signature: dict = {}  # index key -> the NdAtoms it keys
 
     def term_id(self, key) -> int:
@@ -437,130 +450,156 @@ class _Instantiator:
             j += 1
 
     def run(self) -> None:
-        _, heads, _, _ = self.fixed
-        missing = self.missing
+        """Instantiate in rounds: each takes the queue as its delta, counts down
+        the rules without variables, indexes the delta, and runs each plan
+        whose trigger fits some of it once per index key, over those."""
+        heads, missing, waiting, triggers = self.fixed[1], self.missing, self.waiting, self.triggers
         for source in self.sources:
             if not source.joins:
-                self.emit(source)
+                self.emit(source, [source.slots])
         while self.queue:
-            i = self.queue.pop()
-            for r in self.waiting.pop(i, ()):
-                missing[r] -= 1
-                if not missing[r]:
-                    self.derive(heads[r])
-            for source, k in self.triggers.get(self.index(i), ()):
-                self.fire(source, k, i)
+            delta = self.queue
+            self.queue, self.fresh = [], set(delta)
+            for i in delta:
+                for r in waiting.pop(i, ()):
+                    missing[r] -= 1
+                    if not missing[r]:
+                        self.derive(heads[r])
+            for key, ids in self.index(delta).items():
+                for source, k in triggers.get(key, ()):
+                    self.join(source, k, ids)
 
-    def index(self, i: int):
-        """Index NdAtom `i` by its index key, which it returns, and where
-        some plan probes it."""
-        key = self.keys[i]
-        if len(key) == 1:
-            trigger = key[0][0]
-            for position in self.probed.get(trigger, ()):
-                self.index_at(i, trigger, position)
-        else:
-            trigger = frozenset([pred for pred, _ in key]), len(key)
-        self.by_signature.setdefault(trigger, []).append(i)
-        return trigger
-
-    def index_at(self, i: int, pred: str, position: int) -> None:
-        args = self.keys[i][0][1]
-        if position < len(args):
-            self.by_argument.setdefault((pred, position, args[position]), []).append(i)
-
-    def fire(self, source: _Source, k: int, first: int) -> None:
-        """Run plan k from NdAtom `first`, which its trigger literal is
-        matched to, and emit every binding of all its steps. One generator
-        per step waits on an explicit stack, so bodies of any length ground
-        without recursion."""
-        slots, matched, plan = source.slots, source.matched, source.plans[k]
-        stack = [self.bindings(plan[0], (first,), slots)]
-        while stack:
-            i = next(stack[-1], None)
-            if i is None:
-                stack.pop()
-                continue
-            depth = len(stack)
-            matched[plan[depth - 1].pos] = i
-            if depth == len(matched):
-                self.emit(source)
+    def index(self, delta: list[int]) -> dict:
+        """Index a delta by index key, and where plans probe it; its NdAtoms by key."""
+        keys, probed, by_signature, arrived = self.keys, self.probed, self.by_signature, {}
+        for i in delta:
+            key = keys[i]
+            if len(key) == 1:
+                trigger, args = key[0]
+                for position, index in probed.get(trigger, ()):
+                    if position < len(args):
+                        index.setdefault(args[position], []).append(i)
             else:
+                trigger = frozenset([pred for pred, _ in key]), len(key)
+            by_signature.setdefault(trigger, []).append(i)
+            arrived.setdefault(trigger, []).append(i)
+        return arrived
+
+    def join(self, source: _Source, k: int, delta: list[int]) -> None:
+        """Run plan k once over `delta`, the round's NdAtoms its trigger fits,
+        and record the rows that match every step. A step maps CHUNK_ROWS
+        rows at most to the next list, the rest waiting on an explicit stack.
+        A literal before the trigger matches only NdAtoms of earlier rounds,
+        so only the plan of an instance's first literal with a new one finds it."""
+        plan, first = source.plans[k], source.width + k
+        stack = [(1, self.advance(plan[0], [source.slots], delta), 0)]
+        while stack:
+            depth, rows, start = stack.pop()
+            if start + CHUNK_ROWS < len(rows):
+                stack.append((depth, rows, start + CHUNK_ROWS))
+            rows = rows[start:start + CHUNK_ROWS]
+            if depth == len(source.joins):
+                self.emit(source, rows)
+            elif rows:
                 step = plan[depth] if depth < len(plan) else self.extend(source, k)
-                stack.append(self.bindings(step, self.candidates(step, slots), slots))
+                fresh = self.fresh if step.at < first else ()
+                stack.append((depth + 1, self.advance(step, rows, fresh=fresh), 0))
 
     def extend(self, source: _Source, k: int) -> _Step:
         """The next step of a source's plan k, compiled; the NdAtoms already
         indexed go into a `(pred, position)` index it is the first to probe."""
         step = source.extend(k)
-        if step.probe is not None and step.probe[1] not in self.probed.get(step.pred, ()):
-            self.probed.setdefault(step.pred, []).append(step.probe[1])
+        if step.probe is not None and (step.pred, step.probe[1]) not in self.by_argument:
+            position = step.probe[1]
+            index = self.by_argument[step.pred, position] = {}
+            self.probed.setdefault(step.pred, []).append((position, index))
             for i in self.by_signature.get(step.pred, ()):
-                self.index_at(i, step.pred, step.probe[1])
+                args = self.keys[i][0][1]
+                if position < len(args):
+                    index.setdefault(args[position], []).append(i)
         return step
 
-    def candidates(self, step: _Step, slots: list[int]) -> Iterable[int]:
-        """The indexed NdAtoms a step may match under the slots bound."""
-        if step.wide is not None:
-            return chain.from_iterable([self.by_signature.get(key, ()) for key in step.scans])
+    def candidates(self, step: _Step, rows: list[list[int]]) -> list[Iterable[int]]:
+        """Per row, the indexed NdAtoms a step may match under its slots."""
         if step.probe is None:
-            return self.by_signature.get(step.pred, ())
+            return [list(chain.from_iterable([self.by_signature.get(key, ())
+                                              for key in step.scans]))] * len(rows)
         _, position, slot, offset = step.probe
-        value = slots[slot]
-        if offset is not None:
-            value = self.term_keys[value]
-            if type(value) is not int:
-                return ()
-            # a sum that is no term yet gives None, which keys nothing
-            value = self.term_ids.get(value + offset)
-        return self.by_argument.get((step.pred, position, value), ())
+        index = self.by_argument[step.pred, position]
+        if offset is None:
+            return [index.get(row[slot], ()) for row in rows]
+        # a symbol has no value to add to, and a sum that is no term keys nothing
+        return [index.get(self.term_ids.get(self.term_keys[row[slot]] + offset), ())
+                if type(self.term_keys[row[slot]]) is int else () for row in rows]
 
-    def bindings(self, step: _Step, ids: Iterable[int], slots: list[int]) -> Iterable[int]:
-        """Each of the NdAtoms `ids` that the step's literal matches, with
-        the slots bound as it matches."""
-        keys, match = self.keys, self.match
+    def advance(self, step: _Step, rows: list, ids: list[int] | None = None,
+                fresh: set[int] | tuple = ()) -> list[tuple[int, ...]]:
+        """Each row extended by each NdAtom, among `ids` or else its candidates
+        less `fresh`, that the step's literal matches, with it at `step.at`."""
+        keys, at, out = self.keys, step.at, []
+        found = zip(rows, self.candidates(step, rows)) if ids is None else ((rows[0], ids),)
         if step.wide is None:
-            actions, arity = step.actions, step.arity
-            for i in ids:
-                if match(actions, arity, keys[i][0][1], slots):
-                    yield i
+            match, actions, arity = self.match, step.actions, step.arity
+            for row, candidates in found:
+                row = [*row]
+                for i in candidates:
+                    if i not in fresh and match(actions, arity, keys[i][0][1], row):
+                        row[at] = i
+                        out.append(tuple(row))
         else:
-            for i in ids:
-                for _ in self.bind_nd(step.wide, keys[i], slots):
-                    yield i
+            for row, candidates in found:
+                row = [*row]
+                for i in candidates:
+                    for _ in () if i in fresh else self.bind_nd(step.wide, keys[i], row):
+                        row[at] = i
+                        out.append(tuple(row))
+        return out
 
-    def emit(self, source: _Source) -> None:
-        """Record the instance of each binding of the free slots, in the
-        order of the product of their domains."""
-        if not source.free:
-            self.record(source)
-            return
-        slots = source.slots
-        domains = [self.domain(source.timed[j]) for j in source.free]
-        for values in product(*domains):
-            for j, value in zip(source.free, values):
-                slots[j] = value
-            self.record(source)
+    def emit(self, source: _Source, rows: list[list[int]]) -> None:
+        """Record the instance of each row under each binding of the free
+        slots, in the order of the product of their domains."""
+        if source.free:
+            domains = [self.domain(source.timed[j]) for j in source.free]
 
-    def record(self, source: _Source) -> None:
-        key = tuple(source.slots)
-        instances = source.instances
-        if key in instances:
-            return
-        self.room -= 1
-        if self.room < 0:
-            raise GroundingError(f"more than MAX_GROUND_INSTANCES = {MAX_GROUND_INSTANCES} "
-                                 f"ground instances ({source.rule.origin})")
-        instance = instances[key] = self.instance(source)
-        if instance is not None:
-            self.derive(instance[0])
+            def bound(row: tuple[int, ...]) -> Iterable[list[int]]:
+                row = [*row]
+                for values in product(*domains):
+                    for j, value in zip(source.free, values):
+                        row[j] = value
+                    yield row
 
-    def instance(self, source: _Source):
-        """One instance with the positive body the join matched, or None
-        when arithmetic fails or a comparison is false. Comparisons are
-        evaluated, and every key grounded, before anything is interned, so
-        an instance dropped interns nothing."""
-        slots = source.slots
+            rows = chain.from_iterable(map(bound, rows))
+        self.record(source, rows)
+
+    def record(self, source: _Source, rows: Iterable[list[int]]) -> None:
+        """Record the instance of each row whose slots no earlier row had;
+        each counts against MAX_GROUND_INSTANCES, kept or dropped."""
+        instances, width, derived, queue = source.instances, source.width, self.derived, self.queue
+        pred, args, read = source.head or (None, None, None)
+        for row in rows:
+            key = tuple(row[:width])
+            if key in instances:
+                continue
+            self.room -= 1
+            if self.room < 0:
+                raise GroundingError(f"more than MAX_GROUND_INSTANCES = {MAX_GROUND_INSTANCES} "
+                                     f"ground instances ({source.rule.origin})")
+            if pred is None:
+                instance = self.instance(source, row)
+            else:
+                ids = read(row) if read else self.ground_args(args, row)
+                instance = None if ids is None else (
+                    self.intern(((pred, ids),)), tuple(row[width:]), ())
+            instances[key] = instance
+            if instance is not None and instance[0] not in derived:
+                derived.add(instance[0])
+                queue.append(instance[0])
+
+    def instance(self, source: _Source, slots: list[int]):
+        """The instance of a row, with the positive body the join matched,
+        or None when arithmetic fails or a comparison is false. Comparisons
+        are evaluated, and every key grounded, before anything is interned,
+        so an instance dropped interns nothing."""
         for test in source.tests:
             key = self.ground_member(test, slots)
             if key is None or (key[1][0] == key[1][1]) != (test[0] == "=="):
@@ -572,7 +611,7 @@ class _Instantiator:
                 return None
             keys.append(key)
         head, *negated = map(self.intern, keys)
-        return head, tuple(source.matched), tuple(negated)
+        return head, tuple(slots[source.width:]), tuple(negated)
 
     def intern(self, key: tuple) -> int:
         """The id of the NdAtom whose members have the keys `key`, in any
@@ -609,34 +648,35 @@ class _Instantiator:
         variable ranks by its value. Since one source rule fixes the layout
         of its instances, equal ids mean equal rules."""
         rules, heads, pos, neg = self.fixed
-        fixed = list(zip(rules, zip(heads, pos, neg)))
-        kept, done = [], 0
-        term_keys = self.term_keys
+        fixed = list(zip(heads, pos, neg))
+        specs, kept, done = [], [], 0
         for source in self.sources:
+            specs += rules[done:source.after]
             kept += fixed[done:source.after]
             done = source.after
             rank = None
             if any(source.timed):
-                def rank(ids, timed=source.timed):
+                def rank(ids, timed=source.timed, term_keys=self.term_keys):
                     return tuple([term_keys[i] if t else i for i, t in zip(ids, timed)])
-            found = dict.fromkeys(map(source.instances.__getitem__,
-                                      sorted(source.instances, key=rank)))
-            spec = source.layout, source.rule.origin
-            kept += [(spec, instance) for instance in found if instance is not None]
+            found = list(filter(None, dict.fromkeys(map(source.instances.__getitem__,
+                                                        sorted(source.instances, key=rank)))))
+            specs += [(source.layout, source.rule.origin)] * len(found)
+            kept += found
+        specs += rules[done:]
         kept += fixed[done:]
-        return table_program(AtomTable.of_keys(self.keys, term_keys, self.constants),
-                             [head for _, (head, _, _) in kept], [pos for _, (_, pos, _) in kept],
-                             [neg for _, (_, _, neg) in kept], partial(_spell_rules, kept))
+        heads, pos, neg = zip(*kept) if kept else ((), (), ())
+        return table_program(AtomTable.of_keys(self.keys, self.term_keys, self.constants),
+                             heads, pos, neg, partial(_spell_rules, specs, kept))
 
 
-def _spell_rules(kept: list, renumber: list[int], gp: GroundProgram) -> tuple[Rule, ...]:
+def _spell_rules(specs: list, kept: list, renumber: list, gp: GroundProgram) -> tuple[Rule, ...]:
     """The kept rules as `Rule`s over `gp.base`: a rule without variables as
     written, an instance from its ids before `renumber` and its source's
     body layout and origin."""
     base = gp.base
     atom = [base[new] for new in renumber]
     rules = []
-    for source, (head, pos, neg) in kept:
+    for source, (head, pos, neg) in zip(specs, kept):
         if isinstance(source, Rule):
             rules.append(source)
             continue
@@ -667,12 +707,8 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
         distinct[id(rule.head)] = rule.head
         for lit in rule.body:
             distinct[id(lit.atom)] = lit.atom
-    varied: set[int] = set()
-    for nd in distinct.values():
-        for atom in nd.atoms:
-            if atom.args and atom.variables():
-                varied.add(id(nd))
-                break
+    varied = {i for i, nd in distinct.items() for atom in nd.atoms
+              if atom.args and atom.variables()}
     # Each rule without variables is its own instance (see `_fixed_instance`),
     # and its NdAtoms are interned by value in rule order.
     ids: dict[NdAtom, int] = {}

@@ -144,8 +144,9 @@ def chains_calls() -> list[Call]:
     calls = []
     for bare in (False, True):
         for n in (300, 700):
-            calls += [Call("chains", ("solve", "--semantics", "wf"), (("chain.ndlp", neg_chain(n, bare)),)),
-                      Call("chains", ("ground",), (("chain.ndlp", neg_chain(n, bare)),)),
+            chain = (("chain.ndlp", neg_chain(n, bare)),)
+            calls += [Call("chains", ("solve", "--semantics", "wf"), chain),
+                      Call("chains", ("ground",), chain),
                       Call("chains", ("solve", "--semantics", "stable", "--max-models", "3"),
                            (("loops.ndlp", loops(n // 2, bare)),)),
                       Call("chains", ("solve", "--format", "json", "--max-models", "1"),
@@ -169,6 +170,9 @@ def large_calls() -> list[Call]:
     runaway = "{p(T+1)} :- {p(T)}. {p(0)}.\n"
     pairs = "".join(f"{{p{i:02d}a, p{i:02d}b}}.\n" for i in range(18))
     cycle = "".join(f"{{c{i:02d}, c{(i + 1) % 22:02d}}}.\n" for i in range(22))
+    rng = random.Random(7)
+    dense = closure_text([(a, b) for a in range(60)
+                          for b in sorted(rng.sample([x for x in range(60) if x != a], 3))])
     stable_one = ("solve", "--semantics", "stable", "--max-models", "1")
     table = [
         (stable_one, "loops.ndlp", loops_5000),
@@ -188,6 +192,8 @@ def large_calls() -> list[Call]:
         (("expand", "--semantics", "least"), "pairs.ndlp", pairs),
         (("expand", "--semantics", "least", "--format", "json"), "pairs.ndlp", pairs),
         (("expand", "--semantics", "least", "--subset-minimal"), "cycle.ndlp", cycle),
+        (("ground",), "dense.ndlp", dense),
+        (("solve", "--semantics", "least"), "dense.ndlp", dense),
     ]
     return [Call("large", argv, ((name, text),)) for argv, name, text in table]
 
@@ -211,8 +217,8 @@ def two_files_calls() -> list[Call]:
     calls = []
     for files in programs:
         calls += [Call("two-files", ("ground",), files),
-                  Call("two-files", ("solve", "--dump-ground", "--max-models", "2", "--horizon", "2"),
-                       files),
+                  Call("two-files", ("solve", "--dump-ground", "--max-models", "2",
+                                     "--horizon", "2"), files),
                   Call("two-files", ("solve", "--semantics", "wf", "--format", "json",
                                      "--horizon", "2"), files)]
     return calls
@@ -227,9 +233,12 @@ def late_fault_calls() -> list[Call]:
         (("late.ndlp", big + "{p(a), q(b).\n"),),
         (("late.ndlp", bare + "a :- not.\n"),),
         (("late.ndlp", facts + "{q(T)} :- {p(T, c1)}.\n"),),
-        (("late.ndlp", facts + "{q(X)} :- {r(X)}, {X == " + "f(" * 400 + "a" + ")" * 400 + "}.\n"),),
+        (("late.ndlp", facts + "{q(X)} :- {r(X)}, {X == " + "f(" * 400 + "a" + ")" * 400
+          + "}.\n"),),
         (("late.ndlp", big + "{s(X)} :- {t(X)}.\n"),),
-        (("late.ndlp", facts + "{r(X, Y)} :- {p(X, c1)}, {p(Y, c2)}.\n{p(1, c1)} :- {r(X, Y)}.\n"),),
+        # past MAX_GROUND_INSTANCES in the first round of the join
+        (("late.ndlp", facts + "{r(X, Y)} :- {p(X, c1)}, {p(Y, c2)}.\n"
+          "{p(1, c1)} :- {r(X, Y)}.\n"),),
         (("ok.ndlp", big), ("bad.ndlp", "{a0} :- {b0}.\n{b0 :- .\n")),
     ]
     calls = []

@@ -136,14 +136,14 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "probe-stops-one-early", "grounder.py",
-        "return self.by_argument.get((step.pred, position, value), ())",
-        "return self.by_argument.get((step.pred, position, value), [0])[:-1]",
+        "return [index.get(row[slot], ()) for row in rows]",
+        "return [index.get(row[slot], [0])[:-1] for row in rows]",
         MATCHING,
     ),
     Mutant(
         "instance-key-missing-a-slot", "grounder.py",
-        "key = tuple(source.slots)",
-        "key = tuple(source.slots[1:])",
+        "key = tuple(row[:width])",
+        "key = tuple(row[1:width])",
         MATCHING,
     ),
     Mutant(
@@ -175,9 +175,43 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "dropped-instance-not-counted", "grounder.py",
-        "        instance = instances[key] = self.instance(source)\n",
-        "        instance = instances[key] = self.instance(source)\n"
-        "        self.room += instance is None\n",
+        "            instances[key] = instance\n",
+        "            instances[key] = instance\n"
+        "            self.room += instance is None\n",
+        MATCHING,
+    ),
+    # the rounds: each plan runs once per round over its trigger's delta
+    Mutant(
+        "plan-runs-first-delta-atom-only", "grounder.py",
+        "self.advance(plan[0], [source.slots], delta)",
+        "self.advance(plan[0], [source.slots], delta[:1])",
+        MATCHING,
+    ),
+    Mutant(
+        # the plans of a round see only the NdAtoms of earlier rounds, so
+        # partners that arrive together are never joined
+        "delta-indexed-after-plans-run", "grounder.py",
+        "            for key, ids in self.index(delta).items():\n"
+        "                for source, k in triggers.get(key, ()):\n"
+        "                    self.join(source, k, ids)\n",
+        # the round's index keys are read off scratch indexes, and the real
+        # ones take the delta once the plans have run
+        "            indexes = self.by_signature, self.probed\n"
+        "            self.by_signature, self.probed = {}, {}\n"
+        "            arrived = self.index(delta)\n"
+        "            self.by_signature, self.probed = indexes\n"
+        "            for key, ids in arrived.items():\n"
+        "                for source, k in triggers.get(key, ()):\n"
+        "                    self.join(source, k, ids)\n"
+        "            self.index(delta)\n",
+        MATCHING,
+    ),
+    Mutant(
+        # every literal also matches the round's new NdAtoms, so an instance
+        # whose body NdAtoms arrive together is found by the plan of each
+        "instance-found-by-several-plans", "grounder.py",
+        "fresh = self.fresh if step.at < first else ()",
+        "fresh = ()",
         MATCHING,
     ),
     Mutant(

@@ -1,14 +1,15 @@
 """Instantiation, comparison filtering, horizons, and the restricted base."""
 
 import gc
+import random
 
 import pytest
 
-from ndlp import GroundingError, ground, grounder, least_model, parse_program
+from ndlp import GroundingError, cli, ground, grounder, least_model, parse_program
 from ndlp.corpus import corpus_text
 from ndlp.compiled import make_ground_program, restricted_base
 from ndlp.grounder import _Instantiator, _Source
-from ndlp.syntax import Atom, Program
+from ndlp.syntax import BUILTIN_PREDICATES, Atom, Program
 
 from conftest import closure_chain, gp_from
 
@@ -192,19 +193,31 @@ PROGRAM_IDS = ["closure chain of 30 edges", "robot h=2"]
 class TestWorkBound:
     # Positive body set-atoms of rules with variables come from the join, so
     # only heads, negated literals and comparisons are grounded, each member
-    # to its int key by `ground_member`. Grounding every body literal again
-    # took 1 365 and 555 calls on these programs, and matching by a trail of
-    # names 465 and 333.
+    # to its int key; a head or negated set-atom is then interned, which is
+    # where its members are counted here. Grounding every body literal again
+    # took 1 365 and 555 members on these programs, and matching by a trail
+    # of names 465 and 333.
     @pytest.mark.parametrize("program,bound", zip(PROGRAMS, [465, 321]), ids=PROGRAM_IDS)
     def test_positive_body_comes_from_the_join(self, monkeypatch, program, bound):
         grounded = []
-        ground_member = _Instantiator.ground_member
+        ground_member, intern, run = (_Instantiator.ground_member, _Instantiator.intern,
+                                      _Instantiator.run)
 
-        def count_member(self, member, env):
-            grounded.append(member)
+        def count_comparison(self, member, env):
+            if member[0] in BUILTIN_PREDICATES:
+                grounded.append(member)
             return ground_member(self, member, env)
 
-        monkeypatch.setattr(_Instantiator, "ground_member", count_member)
+        def count_interned(self):
+            def counted(key):
+                grounded.extend(key)
+                return intern(self, key)
+
+            self.intern = counted  # the set-atoms of the facts were interned before
+            run(self)
+
+        monkeypatch.setattr(_Instantiator, "ground_member", count_comparison)
+        monkeypatch.setattr(_Instantiator, "run", count_interned)
         text, horizon = program
         ground(parse_program(text), horizon=horizon)
         assert len(grounded) <= bound
@@ -334,9 +347,89 @@ class TestGroundingBound:
             ground(parse_program("{p(T)}."), horizon=50)
         assert not built
 
+    # All p atoms arrive in the first round, so one round of the join finds
+    # every instance of s.
+    PAIRS = "".join(f"{{p(c{i})}}.\n" for i in range(10)) + "{s(X, Y)} :- {p(X)}, {p(Y)}.\n"
+
+    def test_round_past_the_room_left_raises(self, monkeypatch):
+        monkeypatch.setattr(grounder, "MAX_GROUND_INSTANCES", 99)
+        with pytest.raises(GroundingError, match=r"^more than MAX_GROUND_INSTANCES = 99 ground "
+                                                 r"instances \(line 11\)$"):
+            gp_from(self.PAIRS)
+
+    def test_round_that_fills_the_room_does_not_raise(self, monkeypatch):
+        monkeypatch.setattr(grounder, "MAX_GROUND_INSTANCES", 100)
+        gp = gp_from(self.PAIRS)
+        assert len([rule for rule in gp.rules if rule.head.atoms[0].pred == "s"]) == 100
+
+    # A round finds each instance once, by the plan of its first literal
+    # whose NdAtom is new, so nothing is found twice to be counted twice:
+    # not when all of s's body arrives in one round, nor when one NdAtom
+    # fills both literals, nor along a chain.
+    @pytest.mark.parametrize("text", [PAIRS, "{p(c)}. {s(X, Y)} :- {p(X)}, {p(Y)}.",
+                                      closure_chain(12)],
+                             ids=["pairs in one round", "one set-atom for both", "closure chain"])
+    def test_each_instance_is_found_once(self, monkeypatch, text):
+        found = []
+        record = _Instantiator.record
+
+        def count(self, source, rows):
+            rows = list(rows)
+            found.extend(rows)
+            return record(self, source, rows)
+
+        monkeypatch.setattr(_Instantiator, "record", count)
+        program = parse_program(text)
+        gp = ground(program)
+        assert len(found) == len(gp.rules) - sum(not r.variables() for r in program.rules)
+
     def test_default_bound_clears_the_largest_programs(self):
         assert grounder.MAX_GROUND_INSTANCES >= 10 * 7260
         assert len(gp_from(closure_chain(120)).rules) == 7380
+
+
+class TestSameRoundPartners:
+    # A round joins each NdAtom of its delta with every NdAtom indexed so
+    # far, the rest of the delta included, so partners that arrive together
+    # are joined.
+    def test_two_literals_over_facts(self):
+        gp = gp_from("{p(a)}. {p(b)}. {s(X, Y)} :- {p(X)}, {p(Y)}.")
+        assert [str(r) for r in gp.rules if r.head.atoms[0].pred == "s"] == [
+            "{s(a, a)} :- {p(a)}, {p(a)}.",
+            "{s(a, b)} :- {p(a)}, {p(b)}.",
+            "{s(b, a)} :- {p(b)}, {p(a)}.",
+            "{s(b, b)} :- {p(b)}, {p(b)}.",
+        ]
+
+    def test_two_literals_over_atoms_derived_in_one_round(self):
+        # q(a) and q(b) are both derived in the second round
+        gp = gp_from("{p(a)}. {p(b)}. {q(X)} :- {p(X)}.\n"
+                     "{r(X, Y)} :- {q(X)}, {q(Y)}, {X != Y}.\n{t(X)} :- {q(X)}, {r(X, b)}.")
+        assert [str(r) for r in gp.rules if r.head.atoms[0].pred in ("r", "t")] == [
+            "{r(a, b)} :- {q(a)}, {q(b)}.",
+            "{r(b, a)} :- {q(b)}, {q(a)}.",
+            "{t(a)} :- {q(a)}, {r(a, b)}.",
+        ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shuffled_facts_move_only_fact_lines(tmp_path, capsys, seed):
+    # The join order follows the facts' order, but each rule's instances are
+    # sorted by slot key, so only the facts' own lines move.
+    rng = random.Random(seed)
+    facts = sorted({f"{{edge(n{rng.randrange(12)}, n{rng.randrange(12)})}}.\n" for _ in range(24)})
+    rules = "{path(X, Y)} :- {edge(X, Y)}.\n{path(X, Z)} :- {edge(X, Y)}, {path(Y, Z)}.\n"
+    shuffled = rng.sample(facts, len(facts))
+    outputs = []
+    for name, order in (("sorted.ndlp", facts), ("shuffled.ndlp", shuffled)):
+        (tmp_path / name).write_text("".join(order) + rules)
+        assert cli.main(["ground", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr().out.splitlines(keepends=True))
+    assert outputs[0][:len(facts)] == facts and outputs[1][:len(facts)] == shuffled
+    assert outputs[0][len(facts):] == outputs[1][len(facts):]
+    first, second = (gp_from("".join(order) + rules) for order in (facts, shuffled))
+    assert first.base == second.base
+    assert least_model(first) == least_model(second)
 
 
 def test_make_ground_program_matches_restricted_base():
@@ -364,13 +457,13 @@ class TestLongBodies:
 
     def test_rules_without_variables_are_never_joined(self, monkeypatch):
         joined = []
-        fire = _Instantiator.fire
+        join = _Instantiator.join
 
-        def spy(self, source, plan, first):
+        def spy(self, source, plan, delta):
             joined.append(source.rule)
-            return fire(self, source, plan, first)
+            return join(self, source, plan, delta)
 
-        monkeypatch.setattr(_Instantiator, "fire", spy)
+        monkeypatch.setattr(_Instantiator, "join", spy)
         body = ", ".join(f"{{g{i}}}" for i in range(self.SIZE))
         facts = "".join(f"{{g{i}}}.\n" for i in range(self.SIZE))
         gp = gp_from(f"{{h}} :- {body}.\n{facts}{{q(X)}} :- {{r(X)}}. {{r(a)}}.\n")
