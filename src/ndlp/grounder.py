@@ -57,9 +57,9 @@ false (total semantics) or negative (well-founded) and never enumerated.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, product
+from itertools import chain, islice, product
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .compiled import AtomTable, GroundProgram, table_program
 from .errors import GroundingError
@@ -487,23 +487,24 @@ class _Instantiator:
 
     def join(self, source: _Source, k: int, delta: list[int]) -> None:
         """Run plan k once over `delta`, the round's NdAtoms its trigger fits,
-        and record the rows that match every step. A step maps CHUNK_ROWS
-        rows at most to the next list, the rest waiting on an explicit stack.
+        and record the rows that match every step. Each step extends a list
+        of at most CHUNK_ROWS rows lazily, its rows taken CHUNK_ROWS at a
+        time, and the steps wait on an explicit stack, so few rows are held.
         A literal before the trigger matches only NdAtoms of earlier rounds,
         so only the plan of an instance's first literal with a new one finds it."""
         plan, first = source.plans[k], source.width + k
-        stack = [(1, self.advance(plan[0], [source.slots], delta), 0)]
+        stack = [(1, self.advance(plan[0], [source.slots], delta))]
         while stack:
-            depth, rows, start = stack.pop()
-            if start + CHUNK_ROWS < len(rows):
-                stack.append((depth, rows, start + CHUNK_ROWS))
-            rows = rows[start:start + CHUNK_ROWS]
-            if depth == len(source.joins):
+            depth, found = stack[-1]
+            rows = list(islice(found, CHUNK_ROWS))
+            if not rows:
+                stack.pop()
+            elif depth == len(source.joins):
                 self.emit(source, rows)
-            elif rows:
+            else:
                 step = plan[depth] if depth < len(plan) else self.extend(source, k)
                 fresh = self.fresh if step.at < first else ()
-                stack.append((depth + 1, self.advance(step, rows, fresh=fresh), 0))
+                stack.append((depth + 1, self.advance(step, rows, fresh=fresh)))
 
     def extend(self, source: _Source, k: int) -> _Step:
         """The next step of a source's plan k, compiled; the NdAtoms already
@@ -533,10 +534,10 @@ class _Instantiator:
                 if type(self.term_keys[row[slot]]) is int else () for row in rows]
 
     def advance(self, step: _Step, rows: list, ids: list[int] | None = None,
-                fresh: set[int] | tuple = ()) -> list[tuple[int, ...]]:
+                fresh: set[int] | tuple = ()) -> Iterator[tuple[int, ...]]:
         """Each row extended by each NdAtom, among `ids` or else its candidates
         less `fresh`, that the step's literal matches, with it at `step.at`."""
-        keys, at, out = self.keys, step.at, []
+        keys, at = self.keys, step.at
         found = zip(rows, self.candidates(step, rows)) if ids is None else ((rows[0], ids),)
         if step.wide is None:
             match, actions, arity = self.match, step.actions, step.arity
@@ -545,15 +546,14 @@ class _Instantiator:
                 for i in candidates:
                     if i not in fresh and match(actions, arity, keys[i][0][1], row):
                         row[at] = i
-                        out.append(tuple(row))
+                        yield tuple(row)
         else:
             for row, candidates in found:
                 row = [*row]
                 for i in candidates:
                     for _ in () if i in fresh else self.bind_nd(step.wide, keys[i], row):
                         row[at] = i
-                        out.append(tuple(row))
-        return out
+                        yield tuple(row)
 
     def emit(self, source: _Source, rows: list[list[int]]) -> None:
         """Record the instance of each row under each binding of the free
