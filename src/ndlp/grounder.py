@@ -40,7 +40,7 @@ in a greedy order, fewest unbound variables first; which slots a step finds
 bound depends only on the steps before it, so each step, compiled once when
 a join first reaches it, fixes the index it probes and, per argument,
 whether to compare an id, bind a slot with its domain check, or apply a
-sum. A step maps the list of partial rows to the list of their extensions.
+sum. A step extends a chunk of partial rows, lazily, into the next chunk.
 Only the `(pred, position)` indexes probed are built.
 
 An instance is the ids of its head and positive and negated body NdAtoms,
@@ -59,7 +59,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, islice, product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .compiled import AtomTable, GroundProgram, table_program
 from .errors import GroundingError
@@ -520,7 +520,7 @@ class _Instantiator:
                     index.setdefault(args[position], []).append(i)
         return step
 
-    def candidates(self, step: _Step, rows: list[list[int]]) -> list[Iterable[int]]:
+    def candidates(self, step: _Step, rows: list) -> list[Iterable[int]]:
         """Per row, the indexed NdAtoms a step may match under its slots."""
         if step.probe is None:
             return [list(chain.from_iterable([self.by_signature.get(key, ())
@@ -555,7 +555,7 @@ class _Instantiator:
                         row[at] = i
                         yield tuple(row)
 
-    def emit(self, source: _Source, rows: list[list[int]]) -> None:
+    def emit(self, source: _Source, rows: list) -> None:
         """Record the instance of each row under each binding of the free
         slots, in the order of the product of their domains."""
         if source.free:
@@ -571,7 +571,7 @@ class _Instantiator:
             rows = chain.from_iterable(map(bound, rows))
         self.record(source, rows)
 
-    def record(self, source: _Source, rows: Iterable[list[int]]) -> None:
+    def record(self, source: _Source, rows: Iterable[Sequence[int]]) -> None:
         """Record the instance of each row whose slots no earlier row had;
         each counts against MAX_GROUND_INSTANCES, kept or dropped."""
         instances, width, derived, queue = source.instances, source.width, self.derived, self.queue
