@@ -17,6 +17,7 @@ from ndlp.stable import StableModels
 from ndlp.syntax import Atom, Literal, Rule, canonicalize
 
 from detlp import DetRule
+from programs import chain_edges, closure_text
 
 
 def gp_from(text: str, horizon: int | None = None) -> GroundProgram:
@@ -168,8 +169,7 @@ _NG_ARITIES = {"p": 1, "q": 1, "e": 2, "h": 2, "g": 0}
 def closure_chain(n_edges: int) -> str:
     """Transitive closure over a chain of `n_edges` edges, the program the
     closure benchmark holds at 30 edges."""
-    edges = "".join(f"{{edge(n{i}, n{i + 1})}}.\n" for i in range(n_edges))
-    return edges + "{path(X, Y)} :- {edge(X, Y)}.\n{path(X, Z)} :- {edge(X, Y)}, {path(Y, Z)}.\n"
+    return closure_text(chain_edges(n_edges))
 
 
 def random_nonground_program(seed: int) -> tuple[str, int | None]:

@@ -25,6 +25,8 @@ from pathlib import Path
 from ndlp.cli import main
 from ndlp.corpus import CORPUS_NAMES, corpus_path
 
+from programs import chain_edges, closure_text, facts, handover, loops
+
 PINS = Path(__file__).with_name("cli_outputs.json")
 
 CONSTS = """\
@@ -50,18 +52,14 @@ def _nd(i: int) -> str:
 GENERATED = {
     "neg_chain_400.ndlp": lambda: f"{_nd(0)}.\n" + "".join(
         f"{_nd(i)} :- not {_nd(i - 1)}.\n" for i in range(1, 401)),
-    "even_loops_500.ndlp": lambda: "".join(
-        f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n" for i in range(500)),
-    "facts_5000.ndlp": lambda: "".join(
-        f"{{p({i}, c{i % 7}, d{i % 11})}}.\n" for i in range(5000)),
+    "even_loops_500.ndlp": lambda: loops(500),
+    "facts_5000.ndlp": lambda: facts(5000),
     "consts.ndlp": lambda: CONSTS,
     # small copies of the benchmark's request shapes
-    "closure_8.ndlp": lambda: "".join(f"{{edge(n{i}, n{i + 1})}}.\n" for i in range(8)) + (
-        "{path(X, Y)} :- {edge(X, Y)}.\n{path(X, Z)} :- {edge(X, Y)}, {path(Y, Z)}.\n"),
+    "closure_8.ndlp": lambda: closure_text(chain_edges(8)),
     "neg_chain_12.ndlp": lambda: "{c_0}.\n" + "".join(
         f"{{c_{i}}} :- not {{c_{i - 1}}}.\n" for i in range(1, 13)),
-    "even_loops_4.ndlp": lambda: "".join(
-        f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n" for i in range(4)),
+    "even_loops_4.ndlp": lambda: loops(4),
     "pairs_6.ndlp": lambda: "".join(f"{{x_{i}, y_{i}}}.\n" for i in range(6)),
     "overlapping_pairs_6.ndlp": lambda: "".join(
         f"{{p_{a}, p_{b}}}.\n" for a, b in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)]),
@@ -71,14 +69,11 @@ GENERATED = {
     # a sum over a time variable that only a body literal binds
     "body_sum.ndlp": lambda: "#horizon 2.\n{p(0)}.\n{p(3)}.\n{q(T)} :- {p(T+1)}.\n",
     # the loops of even_loops_500 written with bare atoms
-    "bare_even_loops_500.ndlp": lambda: "".join(
-        f"a{i} :- not b{i}.\nb{i} :- not a{i}.\n" for i in range(500)),
+    "bare_even_loops_500.ndlp": lambda: loops(500, bare=True),
     # a braced program over names given as two files, the first not ending its
     # last line: origins name each file
     "two_files.ndlp": lambda: [
-        "% loops, then a chain into the second file\n"
-        + "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n" for i in range(3))
-        + "{c0}.\n{c1, d1} :- not {c0}.",
+        "% loops, then a chain into the second file\n" + loops(3) + "{c0}.\n{c1, d1} :- not {c0}.",
         "{c2} :- not {d1, c1}, {a0}.\n{c0} :- {c2}, not {b2}.\n"],
     # set-atoms written apart that are equal, and a repeated body literal
     "equal_texts.ndlp": lambda: "{a, b} :- not {c}.\n{b, a} :- {a, a}.\n{a, a}.\n"
@@ -89,11 +84,7 @@ GENERATED = {
                                     "{a} :- {-b_1, x}, not {-a, a}.\n",
     "least_negated.ndlp": lambda: "{a}.\n{b} :- {a}.\n{c} :- {b}, not {a}.\n",
     "empty.ndlp": lambda: "",
-    # braced loops over names, then rules with arguments: the statement
-    # reader stops there and the token parser reads on
-    "handover_2500.ndlp": lambda: "".join(
-        f"{{a{i}}} :- not {{b{i}}}. {{b{i}}} :- not {{a{i}}}.\n" for i in range(2500))
-        + "{s(X)} :- {t(X)}. {t(a)}.\n",
+    "handover_2500.ndlp": lambda: handover(loops(2500, one_line=True)),
 }
 
 # Malformed programs, each an error that exits 2.
