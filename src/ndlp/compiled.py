@@ -3,14 +3,17 @@
 `GroundProgram` is a program's ground instantiation over its restricted
 base in key order. NdAtoms are ints in base order and each rule is a head
 int plus tuples of its positive and negated body ints, which the grounder
-emits directly (`make_ground_program`, the reference it is tested against,
-derives them from `Rule`s), with per-atom lists of the rules that use the
-atom positively, that negate it and that define it. The base is held in
-one form, its `AtomTable`, which `table_program` sorts: the grounder builds
-it from int keys (`AtomTable.of_keys`), its texts joined from term texts,
-the command line's loader from the names of braced rules over names, and a
-program without variables from its NdAtoms. No `NdAtom` or `Rule` is built
-until `base` or `rules` is read.
+emits directly for rules with variables, with per-atom lists of the rules
+that use the atom positively, that negate it and that define it.
+`make_ground_program` derives them from ground `Rule`s, in one pass that
+interns their NdAtoms by value (`intern_rules`): it compiles a program
+without variables, and it is the reference the grounder's join is tested
+against. The base is held in one form, its `AtomTable`, which
+`table_program` sorts: the grounder builds it from int keys
+(`AtomTable.of_keys`), its texts joined from term texts, the command line's
+loader from the names of braced rules over names, and `make_ground_program`
+from the NdAtoms (`AtomTable.of`). No `NdAtom` or `Rule` is built until
+`base` or `rules` is read.
 One batch fixpoint, `reduct_model`, gives the least model of the reduct
 against a 0/1 interpretation in linear time. It serves the least model
 (against the empty interpretation), and the tests check each stable model
@@ -259,15 +262,32 @@ def restricted_base(rules: Iterable[Rule]) -> tuple[NdAtom, ...]:
     return sort_nd_atoms(base)
 
 
+def intern_rules(rules: Iterable[Rule]) -> tuple[dict[NdAtom, int], list[int], list[list[int]],
+                                                 list[list[int]]]:
+    """The distinct NdAtoms of ground `rules` by id, interned by value in
+    rule order, and each rule's head, positive body and negated body ids."""
+    ids: dict[NdAtom, int] = {}
+    intern = ids.setdefault
+    heads: list[int] = []
+    pos: list[list[int]] = []
+    neg: list[list[int]] = []
+    for rule in rules:
+        heads.append(intern(rule.head, len(ids)))
+        positive: list[int] = []
+        negated: list[int] = []
+        for lit in rule.body:
+            (negated if lit.negated else positive).append(intern(lit.atom, len(ids)))
+        pos.append(positive)
+        neg.append(negated)
+    return ids, heads, pos, neg
+
+
 def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
-    """Compile already-ground rules over their restricted base."""
+    """Compile already-ground rules over their restricted base, in one pass
+    that interns their NdAtoms and one sort of the table into key order."""
     rules = tuple(rules)
-    base = restricted_base(rules)
-    index = {nd: i for i, nd in enumerate(base)}
-    return table_program(
-        AtomTable.of(base), [index[rule.head] for rule in rules],
-        [list(map(index.__getitem__, rule.positive_body())) for rule in rules],
-        [list(map(index.__getitem__, rule.negative_body())) for rule in rules], lambda *_: rules)
+    ids, heads, pos, neg = intern_rules(rules)
+    return table_program(AtomTable.of(list(ids)), heads, pos, neg, lambda *_: rules)
 
 
 def table_program(table: AtomTable, heads: list[int], pos: list, neg: list,

@@ -23,9 +23,9 @@ MAX_GROUND_INSTANCES instances are recorded, kept or dropped, and no larger
 time domain is built; past that, grounding stops with a GroundingError.
 
 Every rule without variables is its own instance, its NdAtoms interned by
-value in rule order. A program of such rules only is compiled by
-`make_ground_program`, which compiles given ground rules over their sorted
-base and is the reference the join route is tested against; otherwise the
+value in rule order (`compiled.intern_rules`). A program of such rules only
+is compiled by `make_ground_program`, the compile of ground rules that is
+also the reference the join route is tested against; otherwise the
 instantiator starts from those NdAtoms and counts each such rule's positive
 body down instead of joining it.
 
@@ -61,7 +61,7 @@ from itertools import chain, islice, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .compiled import AtomTable, GroundProgram, table_program
+from .compiled import AtomTable, GroundProgram, intern_rules, make_ground_program, table_program
 from .errors import GroundingError
 from .syntax import (BUILTIN_PREDICATES, Atom, Compound, Constant, Integer, Literal, NdAtom,
                      Program, Rule, Sum, Term, Variable, is_time_variable, term_variables)
@@ -701,21 +701,20 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
     if horizon is not None and horizon < 0:
         raise GroundingError("horizon must be non-negative")
     # The parser shares a repeated NdAtom, so each distinct one is checked
-    # for variables once, by identity.
+    # for variables once, by identity, and each body one for a comparison.
     distinct: dict[int, NdAtom] = {}
+    bodies: dict[int, NdAtom] = {}
     for rule in program.rules:
         distinct[id(rule.head)] = rule.head
         for lit in rule.body:
-            distinct[id(lit.atom)] = lit.atom
+            bodies[id(lit.atom)] = lit.atom
+    distinct.update(bodies)
     varied = {i for i, nd in distinct.items() for atom in nd.atoms
               if atom.args and atom.variables()}
-    # Each rule without variables is its own instance (see `_fixed_instance`),
-    # and its NdAtoms are interned by value in rule order.
-    ids: dict[NdAtom, int] = {}
+    if not varied and not any(nd.atoms[0].pred in BUILTIN_PREDICATES for nd in bodies.values()):
+        return make_ground_program(program.rules)
+    # Each rule without variables is its own instance (see `_fixed_instance`).
     kept: list[Rule] = []
-    heads: list[int] = []
-    pos: list[list[int]] = []
-    neg: list[list[int]] = []
     constants: tuple[Term, ...] | None = None
     sources: list[tuple[Rule, list[str], int]] = []
     for rule in program.rules:
@@ -741,18 +740,11 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
             if lit.atom.atoms[0].pred in BUILTIN_PREDICATES:
                 rule = _fixed_instance(rule)
                 break
-        if rule is None:
-            continue
-        kept.append(rule)
-        heads.append(ids.setdefault(rule.head, len(ids)))
-        positive: list[int] = []
-        negated: list[int] = []
-        for lit in rule.body:
-            (negated if lit.negated else positive).append(ids.setdefault(lit.atom, len(ids)))
-        pos.append(positive)
-        neg.append(negated)
-    if not sources:  # the table's sort keys and texts read off the NdAtoms' atoms
-        return table_program(AtomTable.of(list(ids)), heads, pos, neg, lambda *_: tuple(kept))
+        if rule is not None:
+            kept.append(rule)
+    if not sources:
+        return make_ground_program(kept)
+    ids, heads, pos, neg = intern_rules(kept)
     instantiator = _Instantiator(sources, horizon, constants or (), list(ids),
                                  (kept, heads, pos, neg))
     instantiator.run()

@@ -231,10 +231,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         # an equal head written apart, as {b, a} beside {a, b}, gets an id
         # of its own
-        "heads-interned-by-identity", "grounder.py",
-        "heads.append(ids.setdefault(rule.head, len(ids)))",
+        "heads-interned-by-identity", "compiled.py",
+        "heads.append(intern(rule.head, len(ids)))",
         "heads.append(next((i for nd, i in ids.items() if nd is rule.head), len(ids))\n"
-        "                     if rule.head in ids else ids.setdefault(rule.head, len(ids)))",
+        "                     if rule.head in ids else intern(rule.head, len(ids)))",
         MATCHING,
     ),
     # parsing: the statement reader, its word builder, its handover, and the
