@@ -701,18 +701,14 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
     if horizon is not None and horizon < 0:
         raise GroundingError("horizon must be non-negative")
     # The parser shares a repeated NdAtom, so each distinct one is checked
-    # for variables once, by identity, and each body one for a comparison.
+    # for variables once, by identity.
     distinct: dict[int, NdAtom] = {}
-    bodies: dict[int, NdAtom] = {}
     for rule in program.rules:
         distinct[id(rule.head)] = rule.head
         for lit in rule.body:
-            bodies[id(lit.atom)] = lit.atom
-    distinct.update(bodies)
+            distinct[id(lit.atom)] = lit.atom
     varied = {i for i, nd in distinct.items() for atom in nd.atoms
               if atom.args and atom.variables()}
-    if not varied and not any(nd.atoms[0].pred in BUILTIN_PREDICATES for nd in bodies.values()):
-        return make_ground_program(program.rules)
     # Each rule without variables is its own instance (see `_fixed_instance`).
     kept: list[Rule] = []
     constants: tuple[Term, ...] | None = None

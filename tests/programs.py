@@ -11,11 +11,15 @@ written once.
 Run as a script, it writes the generated programs to a temporary
 directory and runs each row once, one at a time, as `python -m ndlp.cli`
 against this repository's `src`, with stdout to `/dev/null` and stderr to
-a file. A child past its wall limit is killed. The peak RSS is the child's
-own, read from `os.wait4`. It prints each row's time and peak beside its
-limits and exits 1, naming the row, at the first row over a limit or
-ending with another exit code. Stdlib only, and not collected by pytest
-(`tests/test_programs.py` checks the table on every tier-1 run):
+a file. A child past its wall limit is killed. The peak RSS is read from
+`os.wait4`. On Linux, exec carries the spawning process's high-water RSS
+into the child's, so a row's peak is at least this script's own: the
+script builds the programs' texts in a child of their own to keep that
+floor at a bare interpreter's, and prints it once. It prints each row's
+time and peak beside its limits and exits 1, naming the row, at the first
+row over a limit or ending with another exit code. Stdlib only, and not
+collected by pytest (`tests/test_programs.py` checks the table on every
+tier-1 run):
 
     python tests/programs.py
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -133,6 +138,12 @@ def programs() -> dict[str, str]:
         "pairs.ndlp": "".join(f"{{p{i:02d}a, p{i:02d}b}}.\n" for i in range(18)),
         "cycle.ndlp": "".join(f"{{c{i:02d}, c{(i + 1) % 22:02d}}}.\n" for i in range(22)),
     }
+
+
+def write_programs(directory: str) -> None:
+    """Write each generated program to `directory` under its file name."""
+    for name, program in programs().items():
+        Path(directory, name).write_text(program, encoding="utf-8")
 
 
 def text(file: str) -> str:
@@ -263,10 +274,14 @@ def fault(row: Row, result: Run) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
-    print(f"{'time':>8} {'limit':>6} {'peak':>8} {'cap':>8} {'exit':>4}  command", flush=True)
     with tempfile.TemporaryDirectory(prefix="ndlp-programs-") as directory:
-        for name, program in programs().items():
-            Path(directory, name).write_text(program, encoding="utf-8")
+        subprocess.run([sys.executable, "-c", "import programs, sys; "
+                        "programs.write_programs(sys.argv[1])", directory],
+                       cwd=Path(__file__).parent, check=True)
+        # ru_maxrss is in KiB on Linux
+        floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"this script peaked at {floor:.0f} MiB, the floor under every row's peak")
+        print(f"{'time':>8} {'limit':>6} {'peak':>8} {'cap':>8} {'exit':>4}  command", flush=True)
         for row in ROWS:
             result = run(row, directory)
             cap = f"{row.rss_mib} MiB" if row.rss_mib is not None else "-"

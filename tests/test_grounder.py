@@ -6,12 +6,12 @@ import random
 import pytest
 
 from ndlp import GroundingError, cli, ground, grounder, least_model, parse_program
-from ndlp.corpus import corpus_text
+from ndlp.corpus import CORPUS_NAMES, corpus_text
 from ndlp.compiled import make_ground_program, restricted_base
 from ndlp.grounder import _Instantiator, _Source
 from ndlp.syntax import BUILTIN_PREDICATES, Atom, Program
 
-from conftest import closure_chain, gp_from
+from conftest import closure_chain, gp_from, random_nonground_program
 
 
 def heads_str(gp):
@@ -436,6 +436,19 @@ def test_make_ground_program_matches_restricted_base():
     gp = gp_from("{a} :- {b}, not {c}. {b}.")
     rebuilt = make_ground_program(gp.rules)
     assert rebuilt.base == restricted_base(gp.rules)
+
+
+# restricted_base sorts on its own, apart from the interning and table sort
+# that both ground() and make_ground_program share, so a base-order fault
+# in those shows here.
+@pytest.mark.parametrize("source", [*CORPUS_NAMES, *range(9000, 9012)], ids=str)
+def test_ground_bases_match_restricted_base(source):
+    text, horizon = ((corpus_text(source), None) if isinstance(source, str)
+                     else random_nonground_program(source))
+    gp = gp_from(text, horizon)
+    reference = restricted_base(gp.rules)
+    assert gp.base == reference
+    assert make_ground_program(gp.rules).base == reference
 
 
 class TestLongBodies:
