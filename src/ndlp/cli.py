@@ -18,18 +18,20 @@ NdAtoms in the ground program, whose base is in key order: `_solve` writes
 the models, and the well-founded negatives and undefined NdAtoms, straight
 into the report as those indices with no sort, rendered through the
 program's `member_texts`, and expands each model with the report's
-negatives over the program's one atom table into rows of entry ids. Both
-read the atom table, so the command line builds no `Atom` after parsing,
-and none at all for braced rules over names, whose ground program `_load`
-builds from the statement reader's ids; library callers may hand the report
-NdAtoms instead. `SolveReport.write` renders both formats straight to stdout in
-pieces: the header, each model, and the answer-set rows `CHUNK_ROWS` at a
-time, each row joined from the table's entry texts, so no `AnswerSet` is
-built and no string holds the whole report. A write renders each NdAtom
-and each table's entries once (`functools.cache`) and lays out the JSON
-arrays itself. A model is expanded only when the writer reaches its answer
-sets, so one model's rows are held at a time; the truncation flag, written
-after them, is settled by then.
+negatives over the program's one atom table into int masks. Both read the
+atom table, so the command line builds no `Atom` after parsing, and none
+at all for braced rules over names, whose ground program `_load` builds
+from the statement reader's ids; library callers may hand the report
+NdAtoms instead. `SolveReport.write` renders both formats straight to
+stdout in pieces: the header, each model, and the answer-set rows
+`CHUNK_ROWS` at a time, so no `AnswerSet` is built and no string holds the
+whole report. Each row is written from a few lookups of its mask into
+tables that hold the text of every sub-mask of a range of the model's
+slots (`_tables`). A write renders each NdAtom and encodes each table's
+entries once (`functools.cache`) and lays out the JSON arrays itself. A
+model is expanded only when the writer reaches its answer sets, so one
+model's masks are held at a time; the truncation flag, written after them,
+is settled by then.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
-from .answersets import AnswerSet, Expansion, expand_ids
+from .answersets import AnswerSet, Expansion, Layout, expand_ids
 from .compiled import AtomTable, GroundProgram, table_program
 from .errors import NdlpError
 from .grounder import ground
@@ -112,15 +114,17 @@ class SolveReport:
             lines.append(f"  total: {'yes' if self.total else 'no'}\n")
         wf = "".join(lines)
         indented = functools.cache(lambda nd: f"  {{{', '.join(texts(nd))}}}\n")
+        spell = (attrgetter("entries"), ", ", "")
         expansions = None if self.answer_sets is None else iter(self.answer_sets)
         for i, model in enumerate(self.models, start=1):
             yield "".join([f"model {i}:\n", *map(indented, model), wf])
             if expansions is not None:
                 label = f"  answer set {i}."
-                for first, table, rows in self._chunks(next(expansions)):
-                    get = table.entries.__getitem__
-                    yield "".join([f"{label}{j}: {{{', '.join(map(get, row))}}}\n"
-                                   for j, row in enumerate(rows, first)])
+                for first, tables, masks in self._chunks(next(expansions), spell):
+                    lead, top, a, mid, A, b, mm, low, B, lm, tail = tables
+                    yield "".join([f"{label}{j}: {{{lead}{top[m >> a]}{mid[m >= A][m >> b & mm]}"
+                                   f"{low[m >= B][m & lm]}{tail}}}\n"
+                                   for j, m in enumerate(masks, first)])
         if self.truncated:
             yield "truncated: yes\n"
 
@@ -131,9 +135,10 @@ class SolveReport:
         answer set once per atom table."""
         yield '{\n  "answer_sets": '
         encoded = functools.cache(lambda table: [_NEWLINE[4] + _encode(t) for t in table.entries])
+        spell = (encoded, ",", _NEWLINE[3])
         # `map` keeps no model's answer sets once their rows are written
-        yield from _array(map(_json_rows, map(self._chunks, self.answer_sets or []),
-                              repeat(encoded)), 1)
+        yield from _array(map(_json_rows, map(self._chunks, self.answer_sets or [],
+                                              repeat(spell))), 1)
         yield ',\n  "models": '
         texts = self._member_texts()
         arrays = functools.cache(lambda nd: _nd_json(texts(nd), 3))
@@ -154,23 +159,71 @@ class SolveReport:
             yield f',{_NEWLINE[1]}"undefined": {_nd_arrays(self.undefined or [], texts)}'
         yield "\n}\n"
 
-    def _chunks(self, sets: Expansion | list[AnswerSet]) -> Iterator[tuple[int, AtomTable, list]]:
-        """A model's answer sets as (number of the first, atom table, rows)
-        chunks of at most `CHUNK_ROWS` rows. An `Expansion` holds its rows,
-        and one cut short sets `truncated`, which both formats write after
-        the answer sets; a list of `AnswerSet`s, as library callers pass,
-        gives a row per set, each stretch of sets on one table together."""
+    def _chunks(self, sets: Expansion | list[AnswerSet], spell: tuple) -> Iterator[tuple]:
+        """A model's answer sets as (number of the first, `_tables` of their
+        layout and masks by `spell`, masks) chunks of at most `CHUNK_ROWS`
+        masks. An `Expansion` holds its masks, and one cut short sets
+        `truncated`, which both formats write after the answer sets; a list
+        of `AnswerSet`s, as library callers pass, gives a mask per set, each
+        stretch of sets on one layout together."""
         if isinstance(sets, Expansion):
             self.truncated |= sets.truncated
-            runs = [(sets.table, sets.rows)]
+            runs = [(sets.layout, sets.masks)]
         else:
-            runs = [(table, [s.row for s in group])
-                    for table, group in groupby(sets, attrgetter("table"))]
+            runs = [(layout, [s.mask for s in group])
+                    for layout, group in groupby(sets, attrgetter("layout"))]
+        entries, sep, close = spell  # entries(table) is a table's entry texts
         first = 1
-        for table, rows in runs:
-            for start in range(0, len(rows), CHUNK_ROWS):
-                yield first + start, table, rows[start:start + CHUNK_ROWS]
-            first += len(rows)
+        for layout, masks in runs:
+            tables = _tables(layout, entries(layout.table), masks, sep, close)
+            for start in range(0, len(masks), CHUNK_ROWS):
+                yield first + start, tables, masks[start:start + CHUNK_ROWS]
+            first += len(masks)
+
+
+# Most slots a text table spans: it holds 2 ** TABLE_SLOTS texts.
+TABLE_SLOTS = 14
+
+
+def _tables(layout: Layout, entries: list[str], masks: list[int], sep: str, close: str) -> tuple:
+    """(lead, top, a, middle, A, b, mm, low, B, lm, tail) for `masks` over
+    `layout`, entries spelled `entries` and joined by `sep`: a mask's text is
+    `lead` (the run before the first slot), `top[mask >> a]`, `middle[mask
+    >= A][mask >> b & mm]`, `low[mask >= B][mask & lm]` and `tail` (the last
+    run, and `close` if the layout has any entry). A table holds the text of
+    every sub-mask of a range of slots, runs included, and spans at most
+    `TABLE_SLOTS` slots and no more than the masks ask for; the middle and
+    low ones come in two, the first for masks with no entry above, whose
+    first entry has no `sep`. A wider top range is a dict of its sub-masks."""
+    get = entries.__getitem__
+    first, *rest = layout.runs
+    lead, cut = sep.join(map(get, first)), 0 if first else len(sep)
+    if not rest:  # no slot, a single mask
+        return lead, [""], 0, ([""], [""]), 1, 0, 0, ([""], [""]), 1, 0, close if first else ""
+    texts = [sep + get(e) for e in layout.slots]
+    runs = ["", *[sep.join(["", *map(get, run)]) for run in rest]]
+    width, rows, tail = len(texts), len(masks).bit_length(), runs[-1] + close
+
+    def table(start: int, stop: int) -> tuple[list[str], list[str]]:
+        spelled = [""]  # the first slot at the highest bit
+        for i in range(stop - 1, start - 1, -1):
+            spelled = [x + t for x in (runs[i], runs[i] + texts[i]) for t in spelled]
+        return (spelled if not cut or any(runs[:start]) else [t[cut:] for t in spelled]), spelled
+
+    if width <= rows + 1 and width <= TABLE_SLOTS:  # one table
+        low = table(0, width)[0]
+        return lead, [""], width, ([""], [""]), 1 << width, width, 0, (low, low), 1 << width, -1, tail
+    span = max(1, min(TABLE_SLOTS, rows, -(-width // 3)))
+    b, a = span, min(2 * span, width)
+    low, middle = table(width - b, width), table(width - a, width - b)
+    if width - a <= span:
+        top = table(0, width - a)[0]
+    else:
+        upper = [(table(max(c - span, 0), c)[1], width - a - c)
+                 for c in range((width - a) % span or span, width - a + 1, span)]
+        top = {h: "".join([t[h >> s & (1 << span) - 1] for t, s in upper])[cut:]
+               for h in {m >> a for m in masks}}
+    return lead, top, a, middle, 1 << a, b, (1 << a - b) - 1, low, 1 << b, (1 << b) - 1, tail
 
 
 # A line break and the indent of `json.dumps(indent=2)` at each depth.
@@ -199,17 +252,15 @@ def _array(items: Iterable[Iterable[str]], depth: int, item: bool = False) -> It
     yield _NEWLINE[depth] + "]" if sep == "," else lead + "[]"
 
 
-def _json_rows(model_chunks: Iterator[tuple[int, AtomTable, list]],
-               encoded: Callable[[AtomTable], list[str]]) -> Iterator[str]:
+def _json_rows(model_chunks: Iterator[tuple]) -> Iterator[str]:
     """The pieces of a model's array of answer sets, given as its chunks, at
-    depth 2, an item. `encoded` gives an atom table's entries encoded as
-    items at depth 4."""
+    depth 2, an item."""
     def chunks():
         line = _NEWLINE[3]
-        for _, table, rows in model_chunks:
-            get = encoded(table).__getitem__
-            yield [",".join([f"{line}[{','.join(map(get, row))}{line}]" if row else line + "[]"
-                             for row in rows])]
+        for _, tables, masks in model_chunks:
+            lead, top, a, mid, A, b, mm, low, B, lm, tail = tables
+            yield [",".join([f"{line}[{lead}{top[m >> a]}{mid[m >= A][m >> b & mm]}"
+                             f"{low[m >= B][m & lm]}{tail}]" for m in masks])]
     return _array(chunks(), 2, item=True)
 
 

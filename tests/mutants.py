@@ -317,8 +317,14 @@ MUTANTS: tuple[Mutant, ...] = (
     # answer-set expansion and the report writer
     Mutant(
         "rows-sorted-without-signed-order", "answersets.py",
-        "rows.sort(key=_signed_order(len(table.texts)) if neg and len(images) > 1 else None)",
-        "rows.sort()",
+        "masks = _canonical(masks, layout)",
+        "masks = sorted(masks, reverse=True)",
+        EXPANSION,
+    ),
+    Mutant(
+        "order-key-size-rule-reversed", "answersets.py",
+        "<< size | width - p.bit_count()",
+        "<< size | p.bit_count()",
         EXPANSION,
     ),
     Mutant(
@@ -329,8 +335,20 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "write-chunk-drops-a-row", "cli.py",
-        "rows[start:start + CHUNK_ROWS]",
-        "rows[start:start + CHUNK_ROWS - 1]",
+        "masks[start:start + CHUNK_ROWS]",
+        "masks[start:start + CHUNK_ROWS - 1]",
+        EXPANSION,
+    ),
+    Mutant(
+        "write-drops-the-last-run", "cli.py",
+        "tail = len(texts), len(masks).bit_length(), runs[-1] + close",
+        "tail = len(texts), len(masks).bit_length(), close",
+        EXPANSION,
+    ),
+    Mutant(
+        "middle-table-split-one-slot-off", "cli.py",
+        "table(width - a, width - b)",
+        "table(width - a, width - b - 1)",
         EXPANSION,
     ),
     Mutant(
@@ -341,14 +359,14 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "shared-image-decoded-one-bit-off", "answersets.py",
-        "bin(s)[:1:-1]",
-        "bin(s)[:2:-1]",
+        "bits = [1 << b for b in range(len(self.slots) - 1, -1, -1)]",
+        "bits = [1 << b for b in range(len(self.slots), 0, -1)]",
         EXPANSION,
     ),
     Mutant(
         "shared-mask-shifted-by-one", "answersets.py",
-        "bit = {r: 1 << b for b, r in enumerate(ranks)}",
-        "bit = {r: 2 << b for b, r in enumerate(ranks)}",
+        "bit = {e: 1 << len(slots) - i for i, e in enumerate(slots, 1)}",
+        "bit = {e: 1 << len(slots) - i for i, e in enumerate(slots)}",
         EXPANSION,
     ),
 )

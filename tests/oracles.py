@@ -28,6 +28,11 @@
   counting atom uses and walks the raw product of the shared part.
   `grown_images` grows a model's images NdAtom by NdAtom without splitting
   it, for models whose choice product is too large to walk.
+- `sorted_rows` is the expansion as sorted tuples of entry ids, each row
+  decoded from its parts and the rows sorted with a key function: the
+  reference of the int-mask expansion, its canonical order and the
+  product-order prefix under a cap. `text_rows` and `json_rows` render such
+  rows one join per row, the reference of the writer's sub-mask tables.
 - `report_json` is the JSON report built as one payload and dumped whole,
   every answer-set entry rendered from its atom, the reference of
   `SolveReport.write`, which lays out the JSON report itself and writes it
@@ -42,7 +47,9 @@ from __future__ import annotations
 import io
 import json
 import os
-from itertools import product
+from bisect import bisect_left
+from collections import Counter
+from itertools import chain, islice, product
 from typing import Iterable
 
 from ndlp.compiled import IN, OUT, GroundProgram, make_ground_program
@@ -363,6 +370,64 @@ def grown_images(model) -> set:
         else:
             images = {(atoms | {a}, negs) for atoms, negs in images for a in nd.atoms}
     return images
+
+
+def _signed_order(n: int):
+    """The sort key of rows over a table of `n` atoms: positives compared
+    first, then negatives, each side as a sorted tuple, so a row comes
+    before its own extensions."""
+    def key(row):
+        i = bisect_left(row, n)
+        return row[:i], row[i:]
+    return key
+
+
+def sorted_rows(table, pos, neg=(), cap: int | None = None, subset_minimal: bool = False):
+    """The answer sets of the model whose positive and negative NdAtoms are
+    `pos` and `neg` in `table` as sorted tuples of entry ids (an atom's
+    rank, a negative's rank plus `len(table.texts)`), in canonical order,
+    and whether the cap cut any off.
+
+    NdAtoms sharing no member with another are parts of their own; the rest
+    form the shared part, last in product order, whose distinct images (the
+    minimal ones under `subset_minimal`) are sorted on their own. The first
+    `cap` combinations of the parts in product order are kept, then sorted.
+    """
+    members, n = table.members, len(table.texts)
+    uses = Counter(r for i in (*pos, *neg) for r in members[i])
+    own, joined = [], [[], []]
+    for negative, side in enumerate((pos, neg)):
+        for i in side:
+            atoms = members[i]
+            if any(uses[r] > 1 for r in atoms):
+                joined[negative].append(atoms)
+            else:
+                own.append([(r + n * negative,) for r in atoms])
+    images = {(frozenset(), frozenset())}
+    for negative, side in enumerate(joined):
+        for atoms in side:
+            images = {(p | {r}, q) if not negative else (p, q | {r})
+                      for p, q in images for r in atoms if not (negative and r in p)}
+    if subset_minimal:
+        images = {a for a in images if not any(b != a and b[0] <= a[0] and b[1] <= a[1]
+                                               for b in images)}
+    shared = sorted((tuple(sorted(p)) + tuple(sorted(r + n for r in q)) for p, q in images),
+                    key=_signed_order(n))
+    picks = product(*own, shared)
+    rows = [tuple(sorted(chain.from_iterable(pick))) for pick in islice(picks, cap)]
+    truncated = cap is not None and next(picks, None) is not None
+    return sorted(rows, key=_signed_order(n)), truncated
+
+
+def text_rows(entries: list[str], rows, label: str, first: int = 1) -> str:
+    """Rows rendered as the text report's answer-set lines."""
+    return "".join(f"{label}{j}: {{{', '.join(entries[e] for e in row)}}}\n"
+                   for j, row in enumerate(rows, first))
+
+
+def json_rows(entries: list[str], rows) -> list[list[str]]:
+    """Rows as the JSON report's arrays of entry texts."""
+    return [[entries[e] for e in row] for row in rows]
 
 
 def written_once(write, report, fmt: str) -> str:

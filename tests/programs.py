@@ -136,6 +136,7 @@ def programs() -> dict[str, str]:
                      + ", ".join(f"p(a, {i})" for i in range(k)) + "}.\n",
         "sum.ndlp": "{p(T+1)} :- {p(T)}. {p(0)}.\n",
         "pairs.ndlp": "".join(f"{{p{i:02d}a, p{i:02d}b}}.\n" for i in range(18)),
+        "pairs20.ndlp": "".join(f"{{p{i:02d}a, p{i:02d}b}}.\n" for i in range(20)),
         "cycle.ndlp": "".join(f"{{c{i:02d}, c{(i + 1) % 22:02d}}}.\n" for i in range(22)),
     }
 
@@ -183,6 +184,8 @@ LEAST = ("solve", "--semantics", "least")
 # - robot at horizon 5 as JSON: the model arrays dumped through `json.dumps`;
 # - the 18 pairs (262 144 answer sets): an atom rendered per entry, or a
 #   report built as one string or an object per answer set;
+# - the 20 pairs (1 048 576 answer sets): answer sets held as anything
+#   larger than an int mask, or written other than from sub-mask tables;
 # - robot at horizon 4 under `expand`: models not expanded one at a time
 #   as the report is written;
 # - the cycle of 22 overlapping pairs: a quadratic `--subset-minimal` filter.
@@ -220,6 +223,8 @@ ROWS: tuple[Row, ...] = (
     Row(("solve", "--horizon", "5", "--format", "json"), _example("robot.ndlp"), 2.5),
     Row(("expand", "--semantics", "least"), ("pairs.ndlp",), 5, rss_mib=110),
     Row(("expand", "--semantics", "least", "--format", "json"), ("pairs.ndlp",), 6, rss_mib=110),
+    Row(("expand", "--semantics", "least"), ("pairs20.ndlp",), 5, rss_mib=110),
+    Row(("expand", "--semantics", "least", "--format", "json"), ("pairs20.ndlp",), 5, rss_mib=110),
     *[Row(("expand", "--horizon", "4", "--format", fmt), _example("robot.ndlp"), 60, rss_mib=40)
       for fmt in ("text", "json")],
     Row(("expand", "--semantics", "least", "--subset-minimal"), ("cycle.ndlp",), 5),

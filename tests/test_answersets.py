@@ -7,8 +7,8 @@ from itertools import islice, product
 
 import pytest
 
-from ndlp import count, expand, least_model, enumerate_stable
-from ndlp.answersets import AnswerSet, Expansion
+from ndlp import cli, count, expand, least_model, enumerate_stable
+from ndlp.answersets import AnswerSet, Expansion, _model_table, expand_ids
 from ndlp.cli import SolveReport, main
 from ndlp.corpus import corpus_text
 from ndlp.syntax import Atom, canonicalize, sort_nd_atoms
@@ -16,7 +16,8 @@ from ndlp.wf import PartialInterpretation
 from ndlp import well_founded_model
 
 from conftest import gp_from
-from oracles import capped_images, grown_images, part_images
+from oracles import (capped_images, grown_images, json_rows, part_images, report_json,
+                     sorted_rows, text_rows)
 
 
 def nd(gp, text):
@@ -313,7 +314,7 @@ class TestSubsetMinimal:
 
 
 class TestBuildsNoAnswerSet:
-    """The command line renders answer sets from an expansion's rows and
+    """The command line renders answer sets from an expansion's masks and
     builds no `AnswerSet`; the library builds them only when it reads them."""
 
     @pytest.fixture
@@ -399,7 +400,7 @@ class TestAnswerSetValues:
         assert first == second and hash(first) == hash(second)
         capped = expand(least_model(gp_from(text)), cap=1)
         assert capped.truncated and capped != first
-        flagged = Expansion(first.table, first.rows, True)
+        flagged = Expansion(first.layout, first.masks, True)
         assert flagged.answer_sets == first.answer_sets and flagged != first
         assert first != first.rows
 
@@ -425,3 +426,84 @@ class TestRenderedOnce:
         last = ", ".join(f"p{i:02d}b" for i in range(10))
         assert f"  answer set 1.1024: {{{last}}}\n" in text
         assert json.loads(data)["answer_sets"][0][0] == [f"p{i:02d}a" for i in range(10)]
+
+
+def mask_model(seed):
+    """A total or partial model over a nine-atom pool mixing one-member
+    NdAtoms, whose entries every answer set holds and which land before,
+    between and after the entries that vary, with parts of their own and
+    overlapping NdAtoms; a partial model's negatives share atoms with its
+    positives, so the shared part holds signed entries and some choices
+    contradict themselves. Some seeds give a model of no NdAtom."""
+    rng = random.Random(seed)
+    pool = [Atom(pred=f"a{i}") for i in range(9)]
+
+    def nd_atoms(sizes, n):
+        return {canonicalize(rng.sample(pool, rng.choice(sizes))) for _ in range(n)}
+
+    pos = frozenset(nd_atoms((1, 1, 1, 2, 2, 3), rng.randint(0, 7)))
+    if rng.random() < 0.5:
+        return pos
+    return PartialInterpretation(pos=pos, neg=frozenset(nd_atoms((1, 1, 2, 3), rng.randint(1, 4)) - pos))
+
+
+class TestMasksAgainstSortedRows:
+    """The int-mask expansion and the writer's sub-mask tables against the
+    answer sets as sorted tuples of entry ids, sorted by a key function
+    (`oracles.sorted_rows`), and rendered one join per row."""
+
+    @staticmethod
+    def check(model, cap, minimal, seed):
+        table, pos, neg = _model_table(model)
+        expansion = expand_ids(table, pos, neg, cap=cap, subset_minimal=minimal)
+        rows, truncated = sorted_rows(table, pos, neg, cap, minimal)
+        where = f"seed={seed} cap={cap} minimal={minimal}"
+        assert (expansion.rows, expansion.truncated) == (rows, truncated), where
+        assert [s.row for s in expansion] == rows, where
+        report = SolveReport(semantics="least", models=[[]], answer_sets=[expansion])
+        text = report.to_text()
+        assert text.split("model 1:\n")[1].replace("truncated: yes\n", "") == text_rows(
+            table.entries, rows, "  answer set 1."), where
+        data = report.to_json()
+        assert json.loads(data)["answer_sets"] == [json_rows(table.entries, rows)], where
+        assert data == report_json(report), where
+        # the library's lists of answer sets write the same bytes
+        listed = SolveReport(semantics="least", models=[[]], answer_sets=[list(expansion)],
+                             truncated=expansion.truncated)
+        assert (listed.to_text(), listed.to_json()) == (text, data), where
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_models(self, monkeypatch, seed):
+        # a third of the seeds write in chunks of 3 rows
+        if seed % 3 == 0:
+            monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+        model = mask_model(seed)
+        for cap in (None, 1, 2, 3, 5):
+            for minimal in (False, True):
+                self.check(model, cap, minimal, seed)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_narrow_tables(self, monkeypatch, seed):
+        # tables of at most two slots split most layouts into three ranges
+        # and spell wider top ranges from further tables
+        monkeypatch.setattr(cli, "TABLE_SLOTS", 2)
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+        model = mask_model(seed)
+        for cap in (None, 2):
+            self.check(model, cap, False, seed)
+        self.check(disjoint_pairs(7), None, False, seed)
+
+    def test_a_model_of_no_set_atom_is_one_empty_row(self):
+        report = SolveReport(semantics="least", models=[[]], answer_sets=[expand(frozenset())])
+        assert report.to_text().endswith("model 1:\n  answer set 1.1: {}\n")
+        assert '"answer_sets": [\n    [\n      []\n    ]\n  ],' in report.to_json()
+
+    def test_a_row_comes_before_its_extensions(self):
+        # {a, b} and {b, c} share b: the image {b} sorts before {b, c}, and
+        # a fixed entry after them orders {a, c} after {a, b}
+        a, b, c, d = (Atom(pred=p) for p in "abcd")
+        shared = [canonicalize([a, b]), canonicalize([b, c])]
+        assert [str(s) for s in expand(frozenset(shared))] == [
+            "{a, b}", "{a, c}", "{b}", "{b, c}"]
+        assert [str(s) for s in expand(frozenset([*shared, canonicalize([d])]))] == [
+            "{a, b, d}", "{a, c, d}", "{b, c, d}", "{b, d}"]
