@@ -91,31 +91,15 @@ class AtomTable:
         return cls(texts, members, atoms.__iter__)
 
     @classmethod
-    def of_keys(cls, keys: list[tuple], term_keys: list,
-                constants: tuple[Term, ...]) -> AtomTable:
+    def of_keys(cls, keys: list[tuple], term_keys: list, constants: tuple[Term, ...],
+                terms: tuple[list[int], list[str]]) -> AtomTable:
         """The table of the NdAtoms whose members are keyed `keys`, from the
-        keys alone. A member is
-        keyed `(pred, arg ids)`, and term i `term_keys[i]`: an int for an
-        Integer, a str for a Constant, `(name, arg ids)` for a Compound, the
-        `constants` first. One sort of the terms by their syntax keys ranks
-        them, and one sort of the member keys by those ranks orders the
-        members."""
-        sort_keys: list[tuple] = []
-        texts: list[str] = []
-        for key in term_keys:
-            if type(key) is int:
-                sort_keys.append((0, key))
-                texts.append(str(key))
-            elif type(key) is str:
-                sort_keys.append((1, key))
-                texts.append(key)
-            else:
-                name, args = key
-                sort_keys.append((3, name, len(args), tuple([sort_keys[a] for a in args])))
-                texts.append(f"{name}({', '.join([texts[a] for a in args])})")
-        rank = [0] * len(term_keys)
-        for r, i in enumerate(sorted(range(len(term_keys)), key=sort_keys.__getitem__)):
-            rank[i] = r
+        keys alone. A member is keyed `(pred, arg ids)`, and term i
+        `term_keys[i]`: an int for an Integer, a str for a Constant,
+        `(name, arg ids)` for a Compound, the `constants` first. `terms` are
+        the terms' ranks and texts (`rank_terms`), and one sort of the member
+        keys by those ranks orders the members."""
+        rank, texts = terms
         # a member sorts as (pred, arity, *its terms' ranks), with no Python key function
         unique = list({member for key in keys for member in key})
         sort_keys = [(pred, len(args), *map(rank.__getitem__, args)) for pred, args in unique]
@@ -137,6 +121,29 @@ class AtomTable:
         # a list's is a direct method call where a tuple's goes through a
         # slot wrapper
         return [*self.texts, *map("not ".__add__, self.texts)]
+
+
+def rank_terms(term_keys: list) -> tuple[list[int], list[str]]:
+    """The rank of each term keyed as in `AtomTable.of_keys` in the order of
+    its syntax key, from one sort, and its text: integers rank by value
+    before symbols, and symbols by name."""
+    sort_keys: list[tuple] = []
+    texts: list[str] = []
+    for key in term_keys:
+        if type(key) is int:
+            sort_keys.append((0, key))
+            texts.append(str(key))
+        elif type(key) is str:
+            sort_keys.append((1, key))
+            texts.append(key)
+        else:
+            name, args = key
+            sort_keys.append((3, name, len(args), tuple([sort_keys[a] for a in args])))
+            texts.append(f"{name}({', '.join([texts[a] for a in args])})")
+    rank = [0] * len(term_keys)
+    for r, i in enumerate(sorted(range(len(term_keys)), key=sort_keys.__getitem__)):
+        rank[i] = r
+    return rank, texts
 
 
 def _spell_atoms(members: list[tuple], term_keys: list, constants: tuple[Term, ...]) -> list[Atom]:

@@ -17,10 +17,18 @@ those with the NdAtoms indexed so far, the literals before it in the body
 with older ones only, so a round finds each instance once. A set-literal
 matches an NdAtom it grounds to exactly, so coinciding members collapse,
 and a member whose variables are bound is looked up among the NdAtom's
-members by hash. A variable no positive literal binds ranges over its
-domain, and a bound value outside it is rejected. At most
+members by hash; a set-literal whose members the steps before it all bind
+grounds to one NdAtom, which is looked up by its key among those indexed.
+A set-literal only meets NdAtoms of the sizes it can ground to: its
+patterns of one predicate never coincide where some position holds a
+distinct ground term in each. A variable no positive literal binds ranges
+over its domain, and a bound value outside it is rejected. At most
 MAX_GROUND_INSTANCES instances are recorded, kept or dropped, and no larger
 time domain is built; past that, grounding stops with a GroundingError.
+
+Each distinct NdAtom's terms are walked once per call (`_variables`): the
+rules with variables, their variables and the patterns of their atoms are
+all read off that one walk.
 
 Every rule without variables is its own instance, its NdAtoms interned by
 value in rule order (`compiled.intern_rules`). A program of such rules only
@@ -44,11 +52,14 @@ sum. A step extends a chunk of partial rows, lazily, into the next chunk.
 Only the `(pred, position)` indexes probed are built.
 
 An instance is the ids of its head and positive and negated body NdAtoms,
-keyed by its slots, and goes straight into `compiled.GroundProgram`. Heads
-and negated literals stay `(pred, arg ids)` keys: grounding builds no `Atom`
-or `NdAtom`. One sort of the terms ranks them, one sort of the member keys
-by those ranks orders the atom table and the base, and the table's texts are
-joined from term texts. NdAtoms and `Rule`s are built only when read.
+keyed by its slots, and goes straight into `compiled.GroundProgram`; a
+one-member head of a rule without negated literals, whose comparisons
+compare slots, is read off the row. Heads and negated literals stay
+`(pred, arg ids)` keys: grounding builds no `Atom` or `NdAtom`. One sort of
+the terms ranks them (`compiled.rank_terms`); each rule's instances sort by
+those ranks, and one sort of the member keys by them orders the atom table
+and the base, whose texts are joined from term texts. NdAtoms and `Rule`s
+are built only when read.
 
 Every semantics runs over this *restricted* base; NdAtoms outside it are
 false (total semantics) or negative (well-founded) and never enumerated.
@@ -57,14 +68,15 @@ false (total semantics) or negative (well-founded) and never enumerated.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, islice, product
+from itertools import chain, islice, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .compiled import AtomTable, GroundProgram, intern_rules, make_ground_program, table_program
+from .compiled import (AtomTable, GroundProgram, intern_rules, make_ground_program, rank_terms,
+                       table_program)
 from .errors import GroundingError
 from .syntax import (BUILTIN_PREDICATES, Atom, Compound, Constant, Integer, Literal, NdAtom,
-                     Program, Rule, Sum, Term, Variable, is_time_variable, term_variables)
+                     Program, Rule, Sum, Term, Variable, is_time_variable)
 
 # Most instances of rules with variables one `ground()` call may record,
 # kept or dropped, and so also the most time points a free time variable
@@ -80,20 +92,52 @@ CHUNK_ROWS = 1024  # most partial rows a join step takes at a time
 SAME, CONST, TIME, SUM_SAME, SUM_CONST, SUM_TIME, NEST = range(7)
 
 
-def program_constants(program: Program) -> tuple[Term, ...]:
-    """Constants (symbols and integers) occurring literally in the program."""
-    found: set[Term] = set()
-    stack = [arg for rule in program.rules for nd in [rule.head, *[lit.atom for lit in rule.body]]
-             for atom in nd for arg in atom.args]
+def _constants(nds: Iterable[NdAtom]) -> tuple[Term, ...]:
+    """The constants (symbols and integers) in `nds`, in key order."""
+    found: dict[tuple, Term] = {}
+    stack = [term for nd in nds for atom in nd.atoms for term in atom.args]
     while stack:
         term = stack.pop()
-        if isinstance(term, (Constant, Integer)):
-            found.add(term)
-        elif isinstance(term, Compound):
+        kind = type(term)
+        if kind is Constant or kind is Integer:
+            found[term.key] = term
+        elif kind is Compound:
             stack.extend(term.args)
-        elif isinstance(term, Sum):
-            stack.append(term.base)
-    return tuple(sorted(found, key=lambda t: t.key))
+    return tuple([found[key] for key in sorted(found)])
+
+
+_PLAIN: frozenset[str] = frozenset()
+
+
+def _variables(nds: Iterable[NdAtom]) -> dict[int, frozenset[str]]:
+    """The names of the variables in each of `nds`, in each of its atoms and
+    in each compound term of theirs, by `id`: the one walk of their terms.
+    Whatever has none shares one empty set, so a program of many facts
+    keeps no set per fact."""
+    found: dict[int, frozenset[str]] = {}
+    for nd in nds:
+        atoms = nd.atoms
+        if len(atoms) == 1:
+            found[id(nd)] = found[id(atoms[0])] = _walk(atoms[0].args, found)
+        else:
+            found[id(nd)] = _PLAIN.union(*[found.setdefault(id(atom), _walk(atom.args, found))
+                                           for atom in atoms])
+    return found
+
+
+def _walk(terms: tuple[Term, ...], found: dict[int, frozenset[str]]) -> frozenset[str]:
+    """The names of the variables in `terms`, each compound's put in `found`;
+    a sum's base is a variable."""
+    names = []
+    for term in terms:
+        kind = type(term)
+        if kind is Variable:
+            names.append(term.name)
+        elif kind is Sum:
+            names.append(term.base.name)
+        elif kind is Compound:
+            names += found.setdefault(id(term), _walk(term.args, found))
+    return frozenset(names) if names else _PLAIN
 
 
 def _is_test(lit: Literal) -> bool:
@@ -126,53 +170,67 @@ class _Step:
     row. A one-member literal of `pred` and `arity` args probes `by_argument`
     with the `SAME` or `SUM_SAME` action `probe`, or else scans `scans`, and
     runs `actions` on each candidate. A wider one scans `scans`, its member
-    patterns in `wide`: (pred, arity, actions, or grounding args once bound)."""
+    patterns in `wide`: (pred, arity, actions, or grounding args once bound);
+    when the steps before it bind every pattern, it looks its one NdAtom up
+    by the key of `lookup`, the patterns as (pred, grounding args)."""
 
-    __slots__ = ("at", "pred", "arity", "probe", "actions", "wide", "scans")
+    __slots__ = ("at", "pred", "arity", "probe", "actions", "wide", "scans", "lookup")
 
-    def __init__(self, at: int, pred=None, arity=0, probe=None, actions=(), wide=None, scans=()):
+    def __init__(self, at: int, pred=None, arity=0, probe=None, actions=(), scans=(), wide=None,
+                 lookup=None):
         self.at, self.pred, self.arity, self.probe = at, pred, arity, probe
-        self.actions, self.wide, self.scans = actions, wide, scans
+        self.actions, self.wide, self.scans, self.lookup = actions, wide, scans, lookup
 
 
 class _Source:
     """One source rule with variables during instantiation. Variable j of
-    its sorted `names` has slot j of `slots`, and each ground term its
-    patterns name a later slot holding the term's id; a pattern argument is
-    a slot, a `_Sum`, or `(name, args)` for a compound with variables.
-    `plans[k]` joins the positive literals from literal k. A row of the
-    join is the slots, `width` of them, then the NdAtom each join literal
-    matched, in body order, and `slots` is the row it starts from; `free`
-    are the slots no join binds. `grounded` (the head, then negated literals)
-    and `tests` hold members as (pred, args, whether every arg is a slot).
-    `instances` maps slots to the ids of the head, positive and negated
-    body, or to None when a comparison or arithmetic failed. `layout` tells
-    which kept body literals are negated; `after` counts the rules without
-    variables kept before it."""
+    its sorted `names` has slot j of `slots`, and is a time variable where
+    `timed[j]`; each ground term its patterns name has a later slot holding
+    the term's id. An atom's pattern is (pred, args, whether every arg is a
+    slot), an arg a slot, a `_Sum`, or `(name, args)` for a compound with
+    variables. `joins` holds each positive literal's atoms, patterns and
+    index keys, and `plans[k]` joins them from literal k. A row
+    of the join is the slots, `width` of them, then the NdAtom each join
+    literal matched, in body order, and `slots` is the row it starts from;
+    `free` are the slots no join binds. `grounded` (the head, then negated
+    literals) and `tests` hold patterns. `instances` maps slots to the ids
+    of the head, positive and negated body, or to None when a comparison or
+    arithmetic failed. `layout` tells which kept body literals are negated;
+    `after` counts the rules without variables kept before it. `variables`
+    is the walk of `_variables`."""
 
-    def __init__(self, rule: Rule, names: list[str], after: int,
-                 written_id: Callable[[Term], int]):
-        self.rule, self.names, self.after = rule, names, after
-        self.timed = [is_time_variable(name) for name in names]
+    def __init__(self, rule: Rule, names: list[str], timed: list[bool], after: int,
+                 written_id: Callable[[Term], int], variables: dict[int, frozenset[str]]):
+        self.rule, self.names, self.timed, self.after = rule, names, timed, after
+        self.variables = variables
         self.slot = {name: j for j, name in enumerate(names)}
-        self.ground_slot: dict[Term, int] = {}
-        self.slots = [0] * len(names)
-        # every slot is placed before a join fills any
-        for nd in [rule.head, *[lit.atom for lit in rule.body]]:
-            for atom in nd:
-                self.place(atom.args, written_id)
-        kept = [lit for lit in rule.body if not _is_test(lit)]
-        self.layout = [lit.negated for lit in kept]
-        self.tests = [self.member(lit.atom.atoms[0]) for lit in rule.body if _is_test(lit)]
-        self.grounded = [tuple(map(self.member, nd.atoms))
-                         for nd in [rule.head] + [lit.atom for lit in kept if lit.negated]]
-        # a one-member head without negated literals or comparisons, grounded in `record`
-        pred, args, plain = self.grounded[0][0]
-        self.head = (pred, args, itemgetter(*args) if plain and len(args) > 1 else None) \
-            if [len(nd) for nd in self.grounded] == [1] and not self.tests else None
-        self.joins = joins = [lit.atom.atoms for lit in kept if not lit.negated]
-        self.binds = binds = [{self.slot[name] for atom in atoms for name in atom.variables()}
-                              for atoms in joins]
+        self.ground_slot: dict[tuple, int] = {}  # a ground term's key -> its slot
+        self.ground_terms: list[Term] = []
+        # every pattern first, so every slot is placed before a join fills any
+        head = tuple(map(self.member, rule.head.atoms))
+        body = [(lit, tuple(map(self.member, lit.atom.atoms))) for lit in rule.body]
+        self.slots = [0] * len(names) + list(map(written_id, self.ground_terms))
+        self.layout, self.tests, self.grounded, self.joins = [], [], [head], []
+        for lit, patterns in body:
+            if patterns[0][0] in BUILTIN_PREDICATES:
+                self.tests.append(patterns[0])
+                continue
+            self.layout.append(lit.negated)
+            if lit.negated:
+                self.grounded.append(patterns)
+            else:
+                self.joins.append((lit.atom.atoms, patterns, self.scans(lit.atom.atoms, patterns)))
+        # a one-member head without negated literals, whose comparisons
+        # compare slots, grounded in `record`: (pred, args, reader, the
+        # comparisons as pairs of slots and whether they must be equal)
+        pred, args, plain = head[0]
+        self.head = (pred, args, itemgetter(*args) if plain and len(args) > 1 else None,
+                     tuple([(*test[1], test[0] == "==") for test in self.tests])) \
+            if len(self.grounded) == len(head) == 1 and all(test[2] for test in self.tests) \
+            else None
+        joins = self.joins
+        self.binds = binds = [{self.slot[name] for atom in atoms for name in variables[id(atom)]}
+                              for atoms, _, _ in joins]
         # per plan, the slots bound so far and, once it has a second step,
         # the join literals not yet placed
         self.bound: list[set[int]] = [set() for _ in joins]
@@ -184,27 +242,24 @@ class _Source:
         self.slots += [0] * len(joins)
         self.instances: dict[tuple[int, ...], tuple | None] = {}
 
-    def place(self, terms: tuple[Term, ...], written_id: Callable[[Term], int]) -> None:
-        """Give each ground term among `terms`, at any depth, a slot."""
-        for term in terms:
-            if isinstance(term, Compound) and any(term_variables(term)):
-                self.place(term.args, written_id)
-            elif not isinstance(term, (Variable, Sum)) and term not in self.ground_slot:
-                self.ground_slot[term] = len(self.slots)
-                self.slots.append(written_id(term))
-
     def arg(self, term: Term):
-        if isinstance(term, Variable):
+        """The pattern arg of `term`; a ground term met first gets the next slot."""
+        kind = type(term)
+        if kind is Variable:
             return self.slot[term.name]
-        if isinstance(term, Sum):
+        if kind is Sum:
             return _Sum(self.slot[term.base.name], term.offset)
-        if isinstance(term, Compound) and any(term_variables(term)):
+        if kind is Compound and self.variables[id(term)]:
             return term.name, tuple(map(self.arg, term.args))
-        return self.ground_slot[term]
+        slot = self.ground_slot.get(term.key)
+        if slot is None:
+            slot = self.ground_slot[term.key] = len(self.names) + len(self.ground_terms)
+            self.ground_terms.append(term)
+        return slot
 
     def member(self, atom: Atom) -> tuple[str, tuple, bool]:
         args = tuple(map(self.arg, atom.args))
-        return atom.pred, args, all(type(arg) is int for arg in args)
+        return atom.pred, args, all(map(int.__instancecheck__, args))
 
     def extend(self, k: int) -> _Step:
         """Compile the next step of plan k, the first time a join reaches
@@ -213,7 +268,7 @@ class _Source:
         todo, bound, binds = self.todo[k], self.bound[k], self.binds
         if todo is None:
             todo = self.todo[k] = [j for j in range(len(self.joins)) if j != k]
-        pick = min(todo, key=lambda j: len(binds[j] - bound))
+        pick = todo[0] if len(todo) == 1 else min(todo, key=lambda j: len(binds[j] - bound))
         todo.remove(pick)
         self.plans[k].append(self.step(pick, bound, True))
         return self.plans[k][-1]
@@ -221,51 +276,67 @@ class _Source:
     def step(self, pos: int, bound: set[int], probed: bool) -> _Step:
         """The step for join literal `pos` after the slots `bound`, which
         it extends; a trigger literal is not `probed`."""
-        atoms = self.joins[pos]
+        atoms, patterns, scans = self.joins[pos]
         if len(atoms) == 1:
-            atom, before = atoms[0], set(bound)
-            actions = self.actions(atom.args, bound)
+            pred, args, _ = patterns[0]
             # the probe: the first argument that is ground, a variable bound
             # before the step or a sum of one, which then needs no action
-            probe = next((action for action in actions if probed and action[0] in (SAME, SUM_SAME)
-                          and (action[2] in before or action[2] >= len(self.names))), None)
-            return _Step(self.width + pos, atom.pred, len(atom.args), probe,
-                         tuple([action for action in actions if action is not probe]),
-                         scans=[atom.pred])
+            at = next((position for position, arg in enumerate(args)
+                       if (arg in bound or arg >= len(self.names) if type(arg) is int
+                           else type(arg) is _Sum and arg.slot in bound)), None) if probed else None
+            actions = self.actions(args, bound)
+            probe = None if at is None else actions[at]
+            return _Step(self.width + pos, pred, len(args), probe,
+                         actions if at is None else actions[:at] + actions[at + 1:], scans)
         wide = []
-        for atom in atoms:
-            if {self.slot[name] for name in atom.variables()} <= bound:
-                wide.append((atom.pred, len(atom.args), (), self.member(atom)[1]))
+        for atom, (pred, args, _) in zip(atoms, patterns):
+            if {self.slot[name] for name in self.variables[id(atom)]} <= bound:
+                wide.append((pred, len(args), (), args))
             else:
-                wide.append((atom.pred, len(atom.args), self.actions(atom.args, bound), None))
-        # the index keys of the NdAtoms it may match: a one-member NdAtom's
-        # is its predicate, a wider one's its predicates and size
-        preds = frozenset([atom.pred for atom in atoms])
-        return _Step(self.width + pos, wide=wide,
-                     scans=[(preds, size) if size > 1 else atoms[0].pred
-                            for size in range(len(preds), len(atoms) + 1)])
+                wide.append((pred, len(args), self.actions(args, bound), None))
+        lookup = tuple([(pred, args) for pred, _, _, args in wide]) \
+            if probed and all(args is not None for *_, args in wide) else None
+        return _Step(self.width + pos, scans=scans, wide=wide, lookup=lookup)
 
-    def actions(self, terms: tuple[Term, ...], bound: set[int]) -> tuple:
-        """What to do per argument to match `terms` after the slots
+    def scans(self, atoms: tuple[Atom, ...], patterns: tuple) -> list:
+        """The index keys of the NdAtoms a join literal may match: a
+        one-member NdAtom's is its predicate, a wider one's its predicates
+        and size. A set-literal's patterns of one predicate and arity may
+        coincide unless some position holds a distinct ground term in each."""
+        if len(atoms) == 1:
+            return [atoms[0].pred]
+        preds = frozenset([atom.pred for atom in atoms])
+        groups: dict[tuple[str, int], list[tuple]] = {}
+        for pred, args, _ in patterns:
+            groups.setdefault((pred, len(args)), []).append(args)
+        apart = all(len(group) == 1 or any(
+            len(set(column)) == len(column) and all(type(a) is int and a >= len(self.names)
+                                                    for a in column)
+            for column in zip(*group)) for group in groups.values())
+        return [(preds, size) if size > 1 else atoms[0].pred
+                for size in range(len(atoms) if apart else len(preds), len(atoms) + 1)]
+
+    def actions(self, args: tuple, bound: set[int]) -> tuple:
+        """What to do per pattern arg to match `args` after the slots
         `bound`, which it extends: (code, position, slot, offset), or for a
         compound (NEST, position, (name, arity), its arguments' actions)."""
         actions = []
-        for position, term in enumerate(terms):
-            if isinstance(term, Sum):
-                slot = self.slot[term.base.name]
-                code = SUM_SAME if slot in bound else SUM_TIME if self.timed[slot] else SUM_CONST
-                actions.append((code, position, slot, term.offset))
-                bound.add(slot)
-            elif isinstance(term, Compound) and any(term_variables(term)):
-                actions.append((NEST, position, (term.name, len(term.args)),
-                                self.actions(term.args, bound)))
-            else:
-                slot = self.arg(term)
-                if slot in bound or slot >= len(self.names):
-                    actions.append((SAME, position, slot, None))
+        for position, arg in enumerate(args):
+            kind = type(arg)
+            if kind is int:
+                if arg in bound or arg >= len(self.names):
+                    actions.append((SAME, position, arg, None))
                 else:
-                    actions.append((TIME if self.timed[slot] else CONST, position, slot, None))
-                    bound.add(slot)
+                    actions.append((TIME if self.timed[arg] else CONST, position, arg, None))
+                    bound.add(arg)
+            elif kind is _Sum:
+                slot = arg.slot
+                code = SUM_SAME if slot in bound else SUM_TIME if self.timed[slot] else SUM_CONST
+                actions.append((code, position, slot, arg.offset))
+                bound.add(slot)
+            else:
+                actions.append((NEST, position, (arg[0], len(arg[1])),
+                                self.actions(arg[1], bound)))
         return tuple(actions)
 
 
@@ -282,8 +353,9 @@ class _Instantiator:
     holds NdAtom i's members, in their natural order when there are
     several."""
 
-    def __init__(self, rules: list[tuple[Rule, list[str], int]], horizon: int | None,
-                 constants: tuple[Term, ...], atoms: list[NdAtom], fixed: tuple):
+    def __init__(self, rules: list[tuple[Rule, list[str], list[bool], int]], horizon: int | None,
+                 constants: tuple[Term, ...], atoms: list[NdAtom], fixed: tuple,
+                 variables: dict[int, frozenset[str]]):
         self.horizon, self.constants, self.nconst = horizon, constants, len(constants)
         self.term_keys: list = [t.value if isinstance(t, Integer) else t.name for t in constants]
         self.term_ids = {key: i for i, key in enumerate(self.term_keys)}
@@ -293,9 +365,11 @@ class _Instantiator:
         for nd in atoms:
             self.intern(tuple([(atom.pred, tuple(map(self.written_id, atom.args)))
                                for atom in nd.atoms]))
-        self.sources = sources = [_Source(*rule, self.written_id) for rule in rules]
+        self.sources = sources = [_Source(*rule, self.written_id, variables) for rule in rules]
         self.room = MAX_GROUND_INSTANCES  # instances it may still record
-        self.derived: set[int] = set()
+        # NdAtom id -> the round that indexes it, the one after it is derived
+        self.derived: dict[int, int] = {}
+        self.round = 0
         self.queue: list[int] = []
         # the rules without variables kept, with the ids of their head,
         # positive and negated body, which are those of `atoms`; each counts
@@ -460,6 +534,7 @@ class _Instantiator:
         while self.queue:
             delta = self.queue
             self.queue, self.fresh = [], set(delta)
+            self.round += 1
             for i in delta:
                 for r in waiting.pop(i, ()):
                     missing[r] -= 1
@@ -521,7 +596,12 @@ class _Instantiator:
         return step
 
     def candidates(self, step: _Step, rows: list) -> list[Iterable[int]]:
-        """Per row, the indexed NdAtoms a step may match under its slots."""
+        """Per row, the indexed NdAtoms a step may match under its slots: the
+        one its bound set-literal grounds to, found by key, those its probe's
+        index holds under the probed value, or every one its scans key. The
+        older-only rule is `advance`'s."""
+        if step.lookup is not None:
+            return [self.looked_up(step.lookup, row) for row in rows]
         if step.probe is None:
             return [list(chain.from_iterable([self.by_signature.get(key, ())
                                               for key in step.scans]))] * len(rows)
@@ -532,6 +612,21 @@ class _Instantiator:
         # a symbol has no value to add to, and a sum that is no term keys nothing
         return [index.get(self.term_ids.get(self.term_keys[row[slot]] + offset), ())
                 if type(self.term_keys[row[slot]]) is int else () for row in rows]
+
+    def looked_up(self, patterns: tuple, slots: list[int]) -> tuple[int, ...]:
+        """The indexed NdAtom whose members the bound `patterns` ground to
+        under `slots`, alone, or nothing."""
+        key = []
+        for pred, args in patterns:
+            ids = self.ground_args(args, slots)
+            if ids is None:
+                return ()
+            key.append((pred, ids))
+        key = tuple(key)
+        i = self.by_key.get(key)
+        if i is None:
+            i = self.by_key.get(tuple(sorted(set(key))))
+        return (i,) if self.derived.get(i, self.round + 1) <= self.round else ()
 
     def advance(self, step: _Step, rows: list, ids: list[int] | None = None,
                 fresh: set[int] | tuple = ()) -> Iterator[tuple[int, ...]]:
@@ -575,7 +670,8 @@ class _Instantiator:
         """Record the instance of each row whose slots no earlier row had;
         each counts against MAX_GROUND_INSTANCES, kept or dropped."""
         instances, width, derived, queue = source.instances, source.width, self.derived, self.queue
-        pred, args, read = source.head or (None, None, None)
+        indexed_in = self.round + 1
+        pred, args, read, tests = source.head or (None, None, None, None)
         for row in rows:
             key = tuple(row[:width])
             if key in instances:
@@ -587,12 +683,17 @@ class _Instantiator:
             if pred is None:
                 instance = self.instance(source, row)
             else:
-                ids = read(row) if read else self.ground_args(args, row)
-                instance = None if ids is None else (
-                    self.intern(((pred, ids),)), tuple(row[width:]), ())
+                for left, right, equal in tests:
+                    if (row[left] == row[right]) != equal:
+                        instance = None
+                        break
+                else:
+                    ids = read(row) if read else self.ground_args(args, row)
+                    instance = None if ids is None else (
+                        self.intern(((pred, ids),)), tuple(row[width:]), ())
             instances[key] = instance
             if instance is not None and instance[0] not in derived:
-                derived.add(instance[0])
+                derived[instance[0]] = indexed_in
                 queue.append(instance[0])
 
     def instance(self, source: _Source, slots: list[int]):
@@ -628,7 +729,7 @@ class _Instantiator:
 
     def derive(self, i: int) -> None:
         if i not in self.derived:
-            self.derived.add(i)
+            self.derived[i] = self.round + 1
             self.queue.append(i)
 
     def domain(self, timed: bool) -> Iterable[int]:
@@ -644,28 +745,35 @@ class _Instantiator:
     def program(self) -> GroundProgram:
         """Each source rule's instances in source-rule order, those of a
         rule with variables in product order, first-wins, over the interned
-        NdAtoms in key order. An instance's ids rank its constants; a time
-        variable ranks by its value. Since one source rule fixes the layout
-        of its instances, equal ids mean equal rules."""
+        NdAtoms in key order. The ranks of `compiled.rank_terms`, which also
+        order the atom table, order constants as their ids do and time
+        points by value, and instances sort by the ranks of their slots. So
+        they sort by the ids themselves unless the integers' ids do not rise
+        with their values; then a rule with a time variable maps its slots
+        through the ranks. Since one source rule fixes the layout of its
+        instances, equal ids mean equal rules."""
         rules, heads, pos, neg = self.fixed
         fixed = list(zip(heads, pos, neg))
+        terms = rank_terms(self.term_keys)
+        integers = [key for key in self.term_keys if type(key) is int]
+        rank = None if integers == sorted(integers) else terms[0].__getitem__
         specs, kept, done = [], [], 0
         for source in self.sources:
             specs += rules[done:source.after]
             kept += fixed[done:source.after]
             done = source.after
-            rank = None
-            if any(source.timed):
-                def rank(ids, timed=source.timed, term_keys=self.term_keys):
-                    return tuple([term_keys[i] if t else i for i, t in zip(ids, timed)])
-            found = list(filter(None, dict.fromkeys(map(source.instances.__getitem__,
-                                                        sorted(source.instances, key=rank)))))
+            instances = source.instances
+            if rank and any(source.timed):
+                instances = dict(zip(map(tuple, map(map, repeat(rank), instances)),
+                                     instances.values()))
+            found = list(filter(None, dict.fromkeys(map(instances.__getitem__,
+                                                        sorted(instances)))))
             specs += [(source.layout, source.rule.origin)] * len(found)
             kept += found
         specs += rules[done:]
         kept += fixed[done:]
         heads, pos, neg = zip(*kept) if kept else ((), (), ())
-        return table_program(AtomTable.of_keys(self.keys, self.term_keys, self.constants),
+        return table_program(AtomTable.of_keys(self.keys, self.term_keys, self.constants, terms),
                              heads, pos, neg, partial(_spell_rules, specs, kept))
 
 
@@ -700,24 +808,26 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
         horizon = program.horizon
     if horizon is not None and horizon < 0:
         raise GroundingError("horizon must be non-negative")
-    # The parser shares a repeated NdAtom, so each distinct one is checked
-    # for variables once, by identity.
+    # The parser shares a repeated NdAtom, so each distinct one is walked for
+    # variables once, by identity.
     distinct: dict[int, NdAtom] = {}
     for rule in program.rules:
         distinct[id(rule.head)] = rule.head
         for lit in rule.body:
             distinct[id(lit.atom)] = lit.atom
-    varied = {i for i, nd in distinct.items() for atom in nd.atoms
-              if atom.args and atom.variables()}
+    variables = _variables(distinct.values())
+    varied = {i for i in distinct if variables[i]}
     # Each rule without variables is its own instance (see `_fixed_instance`).
     kept: list[Rule] = []
     constants: tuple[Term, ...] | None = None
-    sources: list[tuple[Rule, list[str], int]] = []
+    sources: list[tuple[Rule, list[str], list[bool], int]] = []
     for rule in program.rules:
         if varied and (id(rule.head) in varied or any(id(lit.atom) in varied for lit in rule.body)):
-            names = sorted(rule.variables())
-            for name in names:
-                if is_time_variable(name):
+            names = sorted(variables[id(rule.head)].union(
+                *[variables[id(lit.atom)] for lit in rule.body]))
+            timed = list(map(is_time_variable, names))
+            for name, is_time in zip(names, timed):
+                if is_time:
                     if horizon is None:
                         raise GroundingError(
                             f"time variable {name} needs a horizon; "
@@ -725,12 +835,12 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
                         )
                 else:
                     if constants is None:
-                        constants = program_constants(program)
+                        constants = _constants(distinct.values())
                     if not constants:
                         raise GroundingError(
                             f"variable {name} has no constants to range over ({rule.origin})"
                         )
-            sources.append((rule, names, len(kept)))
+            sources.append((rule, names, timed, len(kept)))
             continue
         for lit in rule.body:
             if lit.atom.atoms[0].pred in BUILTIN_PREDICATES:
@@ -742,6 +852,6 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
         return make_ground_program(kept)
     ids, heads, pos, neg = intern_rules(kept)
     instantiator = _Instantiator(sources, horizon, constants or (), list(ids),
-                                 (kept, heads, pos, neg))
+                                 (kept, heads, pos, neg), variables)
     instantiator.run()
     return instantiator.program()

@@ -19,6 +19,9 @@ The calls reach past the pins of `cli_outputs.json`. The families:
   least `solve`, and a dense random graph of 60 nodes;
 - robot: the planning example at horizons 1-5 under `solve` and `expand`
   (from horizon 4 on, `expand` stops at 40 models);
+- robot-variants: the benchmark's planning shapes (`programs.robot_variant`:
+  action subsets, the four initial states, tagged predicate names, horizons
+  1-3) under `expand` in text and JSON and under `ground`;
 - chains: negation chains and even loops of a few hundred rules, braced and
   with bare atoms;
 - large: the rows of `programs.py`, which the CI runs under its limits, the
@@ -27,7 +30,7 @@ The calls reach past the pins of `cli_outputs.json`. The families:
 - two-files: programs given as two files;
 - late-fault: a fault after thousands of rules.
 
-No call is in two families. A whole run, 183 calls, takes about 45 s on a
+No call is in two families. A whole run, 256 calls, takes about 75 s on a
 2-core machine.
 
 Reference: McKeeman, "Differential testing for software", Digital
@@ -49,7 +52,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from programs import (EXAMPLES, ROWS, chain_edges, closure_text, graph_edges, loops, neg_chain,
-                      text)
+                      robot_variant, robot_variants, text)
 
 ROBOT = EXAMPLES + "robot.ndlp"
 TIMEOUT_S = 120
@@ -114,6 +117,16 @@ def robot_calls() -> list[Call]:
         calls += [Call("robot", ("ground", *h), files),
                   Call("robot", ("expand", *h, *capped), files),
                   Call("robot", ("expand", *h, *capped, "--format", "json"), files)]
+    return calls
+
+
+def robot_variant_calls() -> list[Call]:
+    calls = []
+    for variant in robot_variants():
+        files = (("robot.ndlp", robot_variant(*variant)),)
+        calls += [Call("robot-variants", ("expand",), files),
+                  Call("robot-variants", ("expand", "--format", "json"), files),
+                  Call("robot-variants", ("ground",), files)]
     return calls
 
 
@@ -192,6 +205,7 @@ FAMILIES = {
     "closure": closure_calls,
     "large-closure": large_closure_calls,
     "robot": robot_calls,
+    "robot-variants": robot_variant_calls,
     "chains": chains_calls,
     "large": large_calls,
     "two-files": two_files_calls,

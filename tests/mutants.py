@@ -153,6 +153,34 @@ MUTANTS: tuple[Mutant, ...] = (
         MATCHING,
     ),
     Mutant(
+        # a set-literal looked up by key before its trigger also matches
+        # the round's new NdAtoms, so an instance is found by two plans
+        "lookup-ignores-older-only-rule", "grounder.py",
+        "fresh = self.fresh if step.at < first else ()",
+        "fresh = self.fresh if step.at < first and step.lookup is None else ()",
+        MATCHING,
+    ),
+    Mutant(
+        # an NdAtom interned as a negated literal or a head, but not yet
+        # derived and indexed, is matched by key
+        "lookup-admits-unindexed-set-atom", "grounder.py",
+        "return (i,) if self.derived.get(i, self.round + 1) <= self.round else ()",
+        "return () if i is None else (i,)",
+        MATCHING,
+    ),
+    Mutant(
+        "time-slots-ordered-by-id", "grounder.py",
+        "rank = None if integers == sorted(integers) else terms[0].__getitem__",
+        "rank = None",
+        MATCHING,
+    ),
+    Mutant(
+        "fast-path-head-skips-a-false-comparison", "grounder.py",
+        "                    if (row[left] == row[right]) != equal:\n",
+        "                    if False:\n",
+        MATCHING,
+    ),
+    Mutant(
         "wide-set-atom-indexed-as-one-member", "grounder.py",
         "if len(key) == 1:",
         "if True:",

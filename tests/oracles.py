@@ -54,7 +54,6 @@ from typing import Iterable
 
 from ndlp.compiled import IN, OUT, GroundProgram, make_ground_program
 from ndlp.errors import EvaluationError, GroundingError, ParseError
-from ndlp.grounder import program_constants
 from ndlp.parser import _PUNCT
 from ndlp.positive import Interpretation, is_model, lfp
 from ndlp.stable import is_stable
@@ -62,6 +61,7 @@ from ndlp.wf import PartialInterpretation
 from ndlp.syntax import (
     Atom,
     Compound,
+    Constant,
     Integer,
     Literal,
     NdAtom,
@@ -91,6 +91,22 @@ def base_cap(default: int = DEFAULT_BASE_CAP) -> int:
 # ---------------------------------------------------------------------------
 # Grounding
 # ---------------------------------------------------------------------------
+
+def program_constants(program: Program) -> tuple[Term, ...]:
+    """Constants (symbols and integers) occurring literally in the program."""
+    found: set[Term] = set()
+    stack = [arg for rule in program.rules for nd in [rule.head, *[lit.atom for lit in rule.body]]
+             for atom in nd for arg in atom.args]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, (Constant, Integer)):
+            found.add(term)
+        elif isinstance(term, Compound):
+            stack.extend(term.args)
+        elif isinstance(term, Sum):
+            stack.append(term.base)
+    return tuple(sorted(found, key=lambda t: t.key))
+
 
 def substitute(term: Term, env: dict[str, Term]) -> Term | None:
     """A term under `env` with its sums evaluated; None when a sum's base is

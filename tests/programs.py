@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -36,6 +37,7 @@ import tempfile
 import threading
 import time
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -111,6 +113,46 @@ def handover(lines: str) -> str:
     return lines + "{s(X)} :- {t(X)}. {t(a)}.\n"
 
 
+ROBOT_ACTIONS = ("close", "flip_lock", "check", "inspect")
+ROBOT_INITS = (("opened", "-locked"), ("opened", "locked"),
+               ("-opened", "-locked"), ("-opened", "locked"))
+ROBOT_PREDICATES = re.compile(r"\b(action|exec|contrary|holds|occ|abocc|goal|inconsistent)\b")
+
+
+def robot_variant(horizon: int, init: tuple[str, str], actions: tuple[str, ...],
+                  tag: str = "") -> str:
+    """The planning example at `horizon`, from the initial state `init`,
+    with only the actions `actions` available, and each of its predicates
+    suffixed with `_<tag>` when one is given; comments dropped. These are
+    the shapes of the planning requests the benchmark sends."""
+    lines = []
+    for line in text(EXAMPLES + "robot.ndlp").splitlines():
+        if line.lstrip().startswith("%"):
+            continue
+        if line.startswith("#horizon"):
+            line = f"#horizon {horizon}."
+        elif line == "{holds(opened, 0)}.":
+            line = f"{{holds({init[0]}, 0)}}."
+        elif line == "{holds(-locked, 0)}.":
+            line = f"{{holds({init[1]}, 0)}}."
+        elif line.startswith("{action(") and line[len("{action("):-len(")}.")] not in actions:
+            continue
+        lines.append(line)
+    program = "\n".join(lines) + "\n"
+    return ROBOT_PREDICATES.sub(rf"\1_{tag}", program) if tag else program
+
+
+def robot_variants() -> list[tuple[int, tuple[str, str], tuple[str, ...], str]]:
+    """(horizon, init, actions, tag) of 24 robot variants: two action
+    subsets per horizon 1-3 and initial state, stepping through the 15
+    non-empty subsets seven at a time, so each is taken and every horizon
+    meets subsets of each size; every other variant is tagged."""
+    subsets = [subset for size in range(1, 5) for subset in combinations(ROBOT_ACTIONS, size)]
+    pairs = [(horizon, init) for horizon in (1, 2, 3) for init in ROBOT_INITS]
+    return [(horizon, init, subsets[7 * k % len(subsets)], f"v{k}" if k % 2 else "")
+            for k, (horizon, init) in enumerate(pair for pair in pairs for _ in (0, 1))]
+
+
 @cache
 def programs() -> dict[str, str]:
     """The text of each generated program the rows read, by file name."""
@@ -181,6 +223,8 @@ LEAST = ("solve", "--semantics", "least")
 # - 5 s and 2 s: a slower parser, a grounder that joins a rule without
 #   variables per body fact, or a set-atom match turned quadratic;
 # - the runaway grounding: it stops past MAX_GROUND_INSTANCES with exit 2;
+# - robot grounded at horizon 200 (11 057 lines): a set-literal looked up
+#   by key turned into a scan, or the instances' rank order into a slow sort;
 # - robot at horizon 5 as JSON: the model arrays dumped through `json.dumps`;
 # - the 18 pairs (262 144 answer sets): an atom rendered per entry, or a
 #   report built as one string or an object per answer set;
@@ -219,6 +263,7 @@ ROWS: tuple[Row, ...] = (
     Row(("ground",), ("wide.ndlp",), 2),
     Row(("ground", "--horizon", "5000"), ("sum.ndlp",), 5),
     Row(("ground", "--horizon", "1000000000"), ("sum.ndlp",), 10, exit_code=2),
+    Row(("ground", "--horizon", "200"), _example("robot.ndlp"), 5),
     Row(("solve", "--horizon", "5"), _example("robot.ndlp"), 20),
     Row(("solve", "--horizon", "5", "--format", "json"), _example("robot.ndlp"), 2.5),
     Row(("expand", "--semantics", "least"), ("pairs.ndlp",), 5, rss_mib=110),

@@ -365,10 +365,18 @@ class TestGroundingBound:
     # A round finds each instance once, by the plan of its first literal
     # whose NdAtom is new, so nothing is found twice to be counted twice:
     # not when all of s's body arrives in one round, nor when one NdAtom
-    # fills both literals, nor along a chain.
+    # fills both literals, nor along a chain, nor when a set-literal looked
+    # up by key arrives with its trigger or is interned, as a head, in the
+    # round it is looked up.
     @pytest.mark.parametrize("text", [PAIRS, "{p(c)}. {s(X, Y)} :- {p(X)}, {p(Y)}.",
-                                      closure_chain(12)],
-                             ids=["pairs in one round", "one set-atom for both", "closure chain"])
+                                      closure_chain(12),
+                                      "{h(X)} :- {p(X), r(X)}, {q(X)}.\n"
+                                      "{p(a), r(a)} :- {g}.\n{q(a)} :- {g}.\n{g}.\n",
+                                      "{p(X), r(X)} :- {q(X)}.\n{h(X)} :- {q(X)}, {p(X), r(X)}.\n"
+                                      "{q(a)}.\n"],
+                             ids=["pairs in one round", "one set-atom for both", "closure chain",
+                                  "bound set-literal with its trigger",
+                                  "bound set-literal interned in its round"])
     def test_each_instance_is_found_once(self, monkeypatch, text):
         found = []
         record = _Instantiator.record

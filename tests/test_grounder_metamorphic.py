@@ -17,7 +17,6 @@ import pytest
 
 from ndlp import ground, parse_program
 from ndlp.corpus import corpus_text
-from ndlp.grounder import program_constants
 from ndlp.syntax import (
     Atom,
     Compound,
@@ -34,6 +33,7 @@ from ndlp.syntax import (
 )
 
 from conftest import closure_chain, random_nonground_program
+from oracles import program_constants
 
 LARGE = {
     "closure chain of 30 edges": (closure_chain(30), None),

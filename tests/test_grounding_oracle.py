@@ -17,6 +17,7 @@ from ndlp.compiled import make_ground_program
 
 from conftest import random_nonground_program
 from oracles import live_instances, product_ground
+from programs import robot_variant, robot_variants
 
 CASES = 300
 
@@ -162,6 +163,47 @@ PLANS = {
 }
 
 
+# A set-literal whose members the steps before it bind grounds to one
+# NdAtom, looked up by key among those indexed; instances sort by the ranks
+# of their terms, a time point by its value.
+LOOKUPS_AND_RANKS = {
+    # 4 is a program constant, so its id comes before those of the time
+    # points 1-3 derived after it
+    "integer constant inside the time range":
+        "#horizon 6.\n{p(4)}.\n{q(0)}.\n{q(T+1)} :- {q(T)}.\n",
+    "time variable beside an ordinary one, constants inside the time range":
+        "#horizon 5.\n{p(4)}.\n{p(2)}.\n{q(0)}.\n{q(T+1)} :- {q(T)}.\n"
+        "{r(X, T)} :- {q(T)}, {s(X)}.\n{s(b)}.\n{s(a)}.\n",
+    # {p(a), r(a)} and q(a) arrive together: the plan of q(a) meets the
+    # set-literal before its trigger, that of {p(a), r(a)} meets q(a) after
+    "bound set-literal arriving in the round of its trigger":
+        "{h(X)} :- {p(X), r(X)}, {q(X)}.\n{k(X)} :- {q(X)}, {p(X), r(X)}.\n"
+        "{p(a), r(a)} :- {g}.\n{q(a)} :- {g}.\n{q(b)} :- {g}.\n{g}.\n",
+    "bound set-literal arriving before and after its trigger":
+        "{h(X)} :- {q(X)}, {p(X), r(X)}.\n{p(a), r(a)}.\n{q(a)} :- {g}.\n{g} :- {s}.\n{s}.\n"
+        "{q(b)}.\n{p(b), r(b)} :- {g}.\n",
+    # {p(a), r(a)} is interned as a negated literal and never derived
+    "bound set-literal interned but never indexed":
+        "{h(X)} :- {q(X)}, {p(X), r(X)}.\n{k} :- not {p(a), r(a)}.\n{q(a)}.\n",
+    # the first rule interns {p(a), r(a)} as its head in the round the
+    # second looks it up, before the next round indexes it
+    "bound set-literal interned in the round it is looked up":
+        "{p(X), r(X)} :- {q(X)}.\n{h(X)} :- {q(X)}, {p(X), r(X)}.\n{q(a)}.\n",
+    # X and Y bound to one constant collapse the set-literal to {p(a)}
+    "bound set-literal collapsing to one member":
+        "{h(X, Y)} :- {q(X)}, {q(Y)}, {p(X), p(Y)}.\n{q(a)}.\n{q(b)}.\n{p(a)}.\n"
+        "{p(a), p(b)}.\n",
+    # the members differ in their ground first argument, so the set-literal
+    # never grounds to one member and no one-member NdAtom triggers it
+    "set-literal whose members never coincide":
+        "#horizon 2.\n{h(T)} :- {p(on, T), p(off, T)}.\n{k(T)} :- {p(X, T), p(Y, T)}.\n"
+        "{p(on, 0)}.\n{p(off, 0)}.\n{p(on, 1), p(off, 1)}.\n{p(on, 2), p(on, 1)}.\n",
+    "fast-path head under a false and a true comparison":
+        "{q(X, Y)} :- {r(X)}, {r(Y)}, {X != Y}.\n{e(X)} :- {r(X)}, {s(Y)}, {X == Y}.\n"
+        "{r(a)}.\n{r(b)}.\n{s(b)}.\n{s(c)}.\n",
+}
+
+
 def check_against_product(program, horizon, label):
     gp = ground(program, horizon=horizon)
     live = live_instances(program, horizon)
@@ -226,3 +268,13 @@ def test_instances_from_the_join_ground_to_live_product_instances(case):
 @pytest.mark.parametrize("case", PLANS)
 def test_plan_steps_ground_to_live_product_instances(case):
     check_against_product(parse_program(PLANS[case]), None, case)
+
+
+@pytest.mark.parametrize("case", LOOKUPS_AND_RANKS)
+def test_lookups_and_rank_order_ground_to_live_product_instances(case):
+    check_against_product(parse_program(LOOKUPS_AND_RANKS[case]), None, case)
+
+
+@pytest.mark.parametrize("variant", robot_variants(), ids=str)
+def test_robot_variants_ground_to_live_product_instances(variant):
+    check_against_product(parse_program(robot_variant(*variant)), None, str(variant))
