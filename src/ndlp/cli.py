@@ -43,7 +43,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _encode
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -289,10 +289,12 @@ def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
     parser = reader([(p, _read(p)) for p in paths])
     if parser.read() and (horizon is None or horizon >= 0):
         keys = list(parser.keys)  # each set-atom's names; an atom's key sorts as its name
-        texts = sorted({name for names in keys for name in names})
+        texts = sorted(set(chain.from_iterable(keys)))
         rank = dict(zip(texts, range(len(texts)))).__getitem__
-        table = AtomTable(texts, [tuple(map(rank, names)) for names in keys],
-                          functools.partial(map, Atom, texts))
+        sizes = set(map(len, keys))  # set-atoms of one size: all ranks, grouped by it
+        members = (list(zip(*[map(rank, chain.from_iterable(keys))] * sizes.pop()))
+                   if len(sizes) == 1 else list(map(tuple, map(map, repeat(rank), keys))))
+        table = AtomTable(texts, members, functools.partial(map, Atom, texts))
         return not any(parser.negated), table_program(
             table, parser.heads, parser.positive, parser.negated, lambda *_: tuple(parser.spell()))
     program = parser.parse()

@@ -25,17 +25,17 @@ of a positive body NdAtom. Function symbols nest at most MAX_TERM_DEPTH
 levels deep.
 
 Two readers share origins and the building of atoms, and each byte is read
-by one of them. The statement reader matches one pattern per rule while
-every statement is a braced rule whose set-atoms hold names alone (no
-arguments, variables, comparisons or comments); such rules can have no
-arity or safety fault. It builds no syntax value, only ids (one per set of
-names a set-atom sorts to) and int lists per rule: a ground program, which
-the command line builds straight from them (`cli._load`). `spell` builds
-the `Rule`s, one `NdAtom` per distinct text, when they are read; where the
-reader stops, at the first statement or set-atom it cannot take, it also
-hands the token parser its set-atoms and arities, and the token parser
-reads the rest (directives, bare atoms, arguments, comments inside a rule)
-and reports every error.
+by one of them. The statement reader splits the text once into set-atom
+texts and the connectors between them, and takes it while every statement
+is a braced rule whose set-atoms hold names alone (no arguments, variables,
+comparisons or comments); such rules can have no arity or safety fault. It
+builds no syntax value, only ids (one per set of names a set-atom sorts
+to) and int lists per rule: a ground program, which the command line
+builds straight from them (`cli._load`). `spell` builds the `Rule`s, one
+`NdAtom` per distinct text, when they are read; where the reader stops, at
+the first statement it cannot take, it also hands the token parser its
+set-atoms and arities, and the token parser reads the rest (directives,
+bare atoms, arguments, comments inside a rule) and reports every error.
 
 A token keeps its kind, text and start offset; lines and columns are worked
 out only for a `ParseError` and a rule's `origin`. Within one parse, each
@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, count
-from operator import itemgetter, not_
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, ge, itemgetter, not_
 
 from .errors import ParseError, ProgramError
 from .syntax import (
@@ -100,27 +100,52 @@ _PUNCT = {
 _TOKEN = re.compile(r"(\s*(?:%.*\s*)*)([{}(),.+]|:-|!=|==?|\#\w*|-?\d+|.\w*|\Z)")
 
 
-# A braced rule after whitespace and comments, or the end of the text; its
-# groups are the head's text, the first body literal's "not" and text, and the
-# literals after it. `_propositional` then vets each set-atom text.
-_STATEMENT = re.compile(r"\s*(?:%.*(?:\n\s*|\Z))*(?:\{([^{}]*)\}(?:\s*:-\s*(not\s*)?"
-                        r"\{([^{}]*)\}((?:\s*,\s*(?:not\s*)?\{[^{}]*\})*))?\s*\.|\Z)")
-_LITERAL = re.compile(r",\s*(not\s*)?\{([^{}]*)\}")
-_NAME = re.compile(r"\s*-?(\w)\w*\s*")  # a member that may be a name, and its first letter
+# The statement reader's patterns: whitespace and comments; a first set-atom
+# that may hold names alone; a set-atom's text and the connector after it, up
+# to the next "{"; a connector's kind, which `_JOINS` spells as a character of
+# a shape (".?" for a "." with more after it, "?" for none); whole rules.
+_LEAD = re.compile(r"\s*(?:%.*(?:\n\s*|\Z))*")
+_HEAD = re.compile(r"\{[\w\s,-]*\}")
+_PIECE = re.compile(r"\{([^{}]*)\}([^{%]*(?:%.*[^{%]*)*)")
+_CONNECTOR = re.compile(r"\s*(?:(\.)\s*(?:%.*(?:\n\s*|\Z))*((?s:.+))?|(:-|,)\s*(not)?\s*)")
+_JOINS = {".": ".", ":-": ":", ":-not": ";", ",": ",", ",not": "!", "?": "?"}
+_RULES = re.compile(r"(?:(?:[:;][,!]*)?\.)*")
+_NOT_BRACES = bytes(set(range(256)).difference(b"{}"))
 
 
-def _propositional(text: str) -> list[str] | None:
-    """The sorted distinct names of a set-atom text whose members are each an
-    optional "-" and a word with a lowercase first letter, not "not"; else None."""
-    if "(" in text:  # the common case of a member with arguments, at once
+def _pieces(text: str) -> tuple[list[str], list[str], int | None]:
+    """The set-atom texts of a text that starts at a "{", the connectors
+    after them, and the index of the first a gap cuts: without "%", where
+    the braces stop alternating."""
+    if "%" in text:
+        pieces = _PIECE.split(text)  # [gap, text, connector, gap, ...]
+        return pieces[1::3], pieces[2::3], next(compress(count(), pieces[::3]), None)
+    braces = text.encode("utf-8", "surrogatepass").translate(None, _NOT_BRACES)
+    doubled = [i // 2 for i in (braces.find(b"{{"), braces.find(b"}}")) if i >= 0]
+    flat = text[1:].replace("{", "}").split("}")  # text, connector, text, ...
+    unclosed = len(braces) // 2 if len(braces) % 2 else None
+    return flat[::2], flat[1::2], min(doubled, default=unclosed)
+
+
+def _keys(texts: list[str]) -> list[tuple[str, ...]] | None:
+    """The sorted distinct names of each set-atom text; None unless every
+    member is an optional "-" and a word (`str.isalnum` characters and "_")
+    whose first letter is lowercase, other than "not"."""
+    if not texts:
+        return []
+    members = list(map(str.strip, ",".join(texts).split(",")))
+    words = list(map(str.removeprefix, members, repeat("-")))
+    names = all(words) and "".join(words).replace("_", "a").isalnum()
+    if not names or "not" in members or not all(map(str.islower, set(map(itemgetter(0), words)))):
         return None
-    words = text.split(",")
-    for word in words:
-        name = _NAME.fullmatch(word)
-        if name is None or not name[1].islower():
-            return None
-    names = sorted({word.strip() for word in words}) if len(words) > 1 else [text.strip()]
-    return None if "not" in names else names
+    size = len(members) // len(texts)
+    if len(members) > len(texts) and set(map(str.count, texts, repeat(","))) != {size - 1}:
+        return [tuple(sorted(set(map(str.strip, text.split(","))))) for text in texts]
+    keys = list(zip(*[iter(members)] * size))  # as many members in each text
+    for j in range(1, size):  # texts whose members are not in increasing order
+        for i in compress(count(), map(ge, members[j - 1 :: size], members[j::size])):
+            keys[i] = tuple(sorted(set(keys[i])))
+    return keys
 
 
 def _word_kind(value: str, after: str) -> str | None:
@@ -142,10 +167,10 @@ class _Parser:
         self.text = text
         self.files = files  # (first line, path) of each file joined into `text`
         self.offset = 0  # where the token parser starts: where the statement reader stopped
-        # the statement reader's ids by sorted names and by text, and per rule its head,
-        # positive and negated ids and, as written, (head, (text, negated)s, start)
-        self.keys, self.ids = {}, {}
-        self.heads, self.positive, self.negated, self.written = [], [], [], []
+        # the statement reader's ids by sorted names and by text, per rule its head,
+        # positive and negated ids, and the texts, connectors and shape of its pieces
+        self.keys, self.ids, self.shape = {}, {}, ""
+        self.heads, self.positive, self.negated, self.texts, self.connectors = [], [], [], [], []
         self.pos = 0
         self.line, self.line_start = 1, 0  # where the last rule started
         self.rules: list[Rule] = []
@@ -227,53 +252,71 @@ class _Parser:
     # -- statement reader -----------------------------------------------------
 
     def read(self) -> bool:
-        """Read one `_STATEMENT` at a time from `offset` into `keys`, `ids`
-        and the rule lists; True at the end of the text, else False with
-        `offset` left at the statement or text not `_propositional`."""
-        text, match, ids, keys = self.text, _STATEMENT.match, self.ids, self.keys
-        heads, positive, negated, written = self.heads, self.positive, self.negated, self.written
-        at = self.offset
-        while found := match(text, at):
-            head, negative, first, rest = found.groups()
-            if head is None:  # the end of the text
-                self.offset = len(text)
-                return True
-            body = () if first is None else ((first, negative is not None),)
-            texts = (head,) if first is None else (head, first)
-            if rest:
-                body += tuple([(key, bool(keyword)) for keyword, key in _LITERAL.findall(rest)])
-                texts = (head, *[key for key, _ in body])
-            for key in texts:
-                if key not in ids:
-                    names = _propositional(key)
-                    if names is None:
-                        break
-                    ids[key] = keys.setdefault(tuple(names), len(keys))
-            else:  # every text has an id: the rule
-                heads.append(ids[head])
-                if rest:
-                    positive.append([ids[key] for key, negative in body if not negative])
-                    negated.append([ids[key] for key, negative in body if negative])
-                else:  # a fact or one literal
-                    one = (ids[first],) if body else ()
-                    positive.append(() if negative else one)
-                    negated.append(one if negative else ())
-                written.append((head, body, found.start(1) - 1))
-                at = found.end()
-                continue
-            break  # a text that is not propositional
-        self.offset = at
-        return False
+        """Read braced rules over names into `keys`, `ids` and the rule
+        lists, from the `_pieces` of the text up to its first "(" outside
+        comments; True at the end of the text, else False with `offset` after
+        the last rule taken, before the first with a gap, a connector out of
+        place or a member that is no name. The pieces taken stay for `spell`."""
+        text, ids, keys, joins = self.text, self.ids, self.keys, {}
+        if self.offset:  # read already, up to where it stopped
+            return self.offset == len(text)
+        at = _LEAD.match(text).end()
+        if at < len(text) and not _HEAD.match(text, at):  # a first set-atom past names: at once
+            return False
+        end = text.find("(", at) + 1 or len(text)  # a rule holding it is not taken
+        texts, connectors, gap = _pieces(text[at : end if text.find("%", at, end) < 0 else None])
+        for connector in set(connectors[:gap]):
+            kind = _CONNECTOR.fullmatch(connector)
+            kind = "".join(filter(None, kind.groups())) if kind else "?"
+            joins[connector] = _JOINS.get(kind, ".?")
+        shape = "".join(map(joins.__getitem__, connectors[:gap])) + ("$" if gap is None else "?")
+        taken = _RULES.match(shape).end()  # the pieces of whole rules
+        new = list(dict.fromkeys(texts[:taken]))
+        if (names := _keys(new)) is None:  # to the first text with a member that is no name
+            bad = next(i for i, key in enumerate(new) if _keys([key]) is None)
+            taken = shape.rfind(".", 0, texts.index(new[bad])) + 1
+            names = _keys(new[:bad])
+        for key, sorted_names in zip(new, names):
+            ids[key] = keys.setdefault(sorted_names, len(keys))
+        heads, positive, negated = self.heads, self.positive, self.negated
+        known, i = list(map(ids.__getitem__, texts[:taken])), 0
+        for body in shape[:taken].split(".")[:-1]:
+            heads.append(known[i])
+            literals = known[i + 1 : i + 1 + len(body)]
+            if len(body) < 2:  # a fact or one literal
+                positive.append(() if body == ";" else literals)
+                negated.append(literals if body == ";" else ())
+            else:
+                positive.append(list(compress(literals, map(":,".__contains__, body))))
+                negated.append(list(compress(literals, map(";!".__contains__, body))))
+            i += len(body) + 1
+        self.texts, self.connectors, self.shape = texts[:taken], connectors[:taken], shape[:taken]
+        if shape[taken] == "$":
+            self.offset = len(text)
+        elif taken:  # after the last rule's "."
+            self.offset = at + 2 * taken + sum(map(len, texts[:taken] + connectors[: taken - 1]))
+            self.offset += connectors[taken - 1].index(".") + 1
+        return shape[taken] == "$"
 
     def spell(self) -> list[Rule]:
-        """The rules `read` took as `Rule`s with their origins, one `NdAtom`
-        per distinct text; where the token parser reads on, the texts go into
-        `set_atoms` and the names into `arities`."""
+        """The rules `read` took as `Rule`s, one `NdAtom` per distinct text,
+        with their origins from the pieces' lengths; where the token parser
+        reads on, the texts go into `set_atoms` and the names into `arities`."""
         keys = list(self.keys)
         atoms = self.atoms = {name: Atom(name) for name in dict.fromkeys(chain.from_iterable(keys))}
         made = {key: NdAtom(tuple(map(atoms.__getitem__, keys[i]))) for key, i in self.ids.items()}
-        rules = [Rule(made[head], tuple([Literal(made[key], negative) for key, negative in body]),
-                      self.origin(start)) for head, body, start in self.written]
+        texts, rules, i = self.texts, [], 0
+        # each piece's offset, less the two braces of each piece before it
+        starts = list(accumulate(map(add, map(len, texts), map(len, self.connectors)),
+                                 initial=_LEAD.match(self.text).end()))
+        for body in self.shape.split(".")[:-1]:
+            if len(body) < 2:  # a fact or one literal
+                literals = (Literal(made[texts[i + 1]], body == ";"),) if body else ()
+            else:
+                literals = tuple([Literal(made[key], join in ";!")
+                                  for key, join in zip(texts[i + 1 : i + 1 + len(body)], body)])
+            rules.append(Rule(made[texts[i]], literals, self.origin(starts[i] + 2 * i)))
+            i += len(body) + 1
         if self.offset < len(self.text):
             self.set_atoms = {"{" + key + "}": (nd, frozenset(), False) for key, nd in made.items()}
             self.arities = dict.fromkeys(atoms, 0)

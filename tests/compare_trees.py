@@ -23,14 +23,15 @@ The calls reach past the pins of `cli_outputs.json`. The families:
   action subsets, the four initial states, tagged predicate names, horizons
   1-3) under `expand` in text and JSON and under `ground`;
 - chains: negation chains and even loops of a few hundred rules, braced and
-  with bare atoms;
+  with bare atoms, and the benchmark's chains shapes (140 loops, the width-2
+  wf chain of 220) with tagged names;
 - large: the rows of `programs.py`, which the CI runs under its limits, the
   runaway grounding (exit 2) among them, the 120-edge chain's calls and
   `solve` of robot at horizon 5;
 - two-files: programs given as two files;
 - late-fault: a fault after thousands of rules.
 
-No call is in two families. A whole run, 256 calls, takes about 75 s on a
+No call is in two families. A whole run, 260 calls, takes about 75 s on a
 2-core machine.
 
 Reference: McKeeman, "Differential testing for software", Digital
@@ -141,6 +142,16 @@ def chains_calls() -> list[Call]:
                            (("loops.ndlp", loops(n // 2, bare)),)),
                       Call("chains", ("solve", "--format", "json", "--max-models", "1"),
                            (("loops.ndlp", loops(n, bare)),))]
+    # the benchmark's shapes, names tagged: 140 loops, and the width-2 wf
+    # chain of 220 from a fact (as JSON) and without one
+    tagged = loops(140).replace("{a", "{at7_").replace("{b", "{bt7_")
+    chain = neg_chain(221).replace("x", "cv3x_").replace("y", "cv3y_")
+    calls += [Call("chains", ("solve", "--semantics", "stable", "--max-models", "1"),
+                   (("loops.ndlp", tagged),)),
+              Call("chains", ("solve", "--format", "json", "--semantics", "wf"),
+                   (("chain.ndlp", chain),)),
+              Call("chains", ("solve", "--semantics", "wf"),
+                   (("chain.ndlp", chain.split("\n", 1)[1]),))]
     return calls
 
 

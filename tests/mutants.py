@@ -269,28 +269,26 @@ MUTANTS: tuple[Mutant, ...] = (
     # token parser
     Mutant(
         "reader-drops-not", "parser.py",
-        "((first, negative is not None),)",
-        "((first, False),)",
+        '":-not": ";"',
+        '":-not": ":"',
         PARSER,
     ),
     Mutant(
         "word-builder-takes-upper-case", "parser.py",
-        "if name is None or not name[1].islower():",
-        "if name is None or not name[1].isalpha():",
+        "all(map(str.islower, set(map(itemgetter(0), words))))",
+        "all(map(str.isalpha, set(map(itemgetter(0), words))))",
         PARSER,
     ),
     Mutant(
         "origin-line-one-off", "parser.py",
-        "written.append((head, body, found.start(1) - 1))",
-        "written.append((head, body, found.start()))",
+        "self.origin(starts[i] + 2 * i)",
+        "self.origin(starts[i] + 2 * i - 1)",
         PARSER,
     ),
     Mutant(
         "reader-keeps-a-prefix", "parser.py",
-        "        self.offset = at\n"
-        "        return False\n",
-        "        self.offset = at\n"
-        "        return True\n",
+        'return shape[taken] == "$"',
+        "return True",
         PARSER,
     ),
     Mutant(
@@ -307,15 +305,37 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "token-parser-rereads-from-the-start", "parser.py",
-        "self.offset = at",
-        "self.offset = 0",
+        "elif taken:  # after the last rule's \".\"",
+        "elif False:",
+        PARSER,
+    ),
+    Mutant(
+        "reader-reads-comma-not-as-positive", "parser.py",
+        '",not": "!"',
+        '",not": ","',
+        PARSER,
+    ),
+    Mutant(
+        # a comment in a connector read only up to its first "{", so that
+        # braces inside it between two statements are read as a set-atom
+        "comment-braces-taken-as-set-atom", "parser.py",
+        r'_PIECE = re.compile(r"\{([^{}]*)\}([^{%]*(?:%.*[^{%]*)*)")',
+        r'_PIECE = re.compile(r"\{([^{}]*)\}([^{%]*(?:%[^{]*[^{%]*)*)")',
+        PARSER,
+    ),
+    Mutant(
+        # a "." with more after it than whitespace before the next "{" read
+        # as a plain end: the reader reads on past what follows it
+        "reader-offset-past-unclassified-connector", "parser.py",
+        '_JOINS.get(kind, ".?")',
+        '_JOINS.get(kind, ".")',
         PARSER,
     ),
     # the command line's loader of what the statement reader takes whole
     Mutant(
         "names-ordered-other-than-by-key", "cli.py",
-        "texts = sorted({name for names in keys for name in names})",
-        "texts = sorted({name for names in keys for name in names}, reverse=True)",
+        "texts = sorted(set(chain.from_iterable(keys)))",
+        "texts = sorted(set(chain.from_iterable(keys)), reverse=True)",
         PARSER,
     ),
     Mutant(

@@ -163,6 +163,8 @@ def programs() -> dict[str, str]:
         "loops_a.ndlp": "".join(loop_lines[:2500]),
         "loops_b.ndlp": "".join(loop_lines[2500:]),
         "bare_loops.ndlp": loops(5000, bare=True, one_line=True),
+        # a comment holding braces after each of the loops' rules
+        "commented_loops.ndlp": loops(5000).replace(".\n", ". % {x} :- not {y}.\n"),
         "chain.ndlp": name_chain(5000),
         "arg_chain.ndlp": name_chain(5000, args=True),
         "handover.ndlp": handover("".join(loop_lines[:2500])),
@@ -219,7 +221,9 @@ LEAST = ("solve", "--semantics", "least")
 # - the examples: any of them hanging;
 # - 15 s: search or propagation turned quadratic, a repeated set-atom read
 #   again, or a program read twice, over both of the parser's readers, and
-#   the loops' rules spelled at size from one file and from two;
+#   the loops' rules spelled at size from one file and from two; with a
+#   comment between every two rules, the statement reader's comments handled
+#   in time quadratic in their number;
 # - 5 s and 2 s: a slower parser, a grounder that joins a rule without
 #   variables per body fact, or a set-atom match turned quadratic;
 # - the runaway grounding: it stops past MAX_GROUND_INSTANCES with exit 2;
@@ -247,6 +251,7 @@ ROWS: tuple[Row, ...] = (
     Row((*STABLE_ONE, "--dump-ground"), ("loops.ndlp",), 15),
     Row((*STABLE_ONE, "--dump-ground"), ("loops_a.ndlp", "loops_b.ndlp"), 15),
     Row(STABLE_ONE, ("bare_loops.ndlp",), 15),
+    Row(STABLE_ONE, ("commented_loops.ndlp",), 15),
     Row(WF, ("chain.ndlp",), 15),
     Row(WF, ("arg_chain.ndlp",), 15),
     Row(WF, ("handover.ndlp",), 15),

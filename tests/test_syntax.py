@@ -16,7 +16,8 @@ from hypothesis import given, strategies as st
 import ndlp
 from ndlp import ParseError, ProgramError, canonicalize, parse_program, parse_rule
 from ndlp.corpus import CORPUS_NAMES, corpus_path, corpus_text
-from ndlp.parser import _Parser, _propositional, parse_files, tokenize
+import ndlp.parser as parser_module
+from ndlp.parser import _Parser, _keys, parse_files, tokenize
 from ndlp.syntax import (
     Atom,
     Compound,
@@ -492,8 +493,13 @@ class TestStatementReader:
     # sign, a term, a sum, a token fault, a term nested too deep
     FAULTS = ["A", "Ab", "-B", "not", "_a", "1", "-", "-1", "1+2", "a b", "a$", "\u24d0",
               "p(a+1)", "p(X+Y)", "X != Y", "p(" + "f(" * 101 + "a" + ")" * 102]
-    SPACES = ["", " ", " ", "  ", "\n", "\r\n", "\t"]
-    BETWEEN = ["\n", "\n", "\r\n", " ", "", "\n\n", "\n% note {a} :- .\n", "  % x\r\n"]
+    # also a rule split across lines (around "not", which `statement` may
+    # follow with a line end)
+    SPACES = ["", " ", " ", "  ", "\n", "\r\n", "\t", "\n  "]
+    # also comments right after the ".", holding a rule, ":-" or a whole
+    # rule, and one that ends the text without a line end
+    BETWEEN = ["\n", "\n", "\r\n", " ", "", "\n\n", "\n% note {a} :- .\n", "  % x\r\n",
+               " % {x} :- .\n", "  % :- {x}\n", "\n% {a} :- not {b}.\n", "\n% last"]
 
     def member(self, rng, faults):
         roll = rng.random()
@@ -577,41 +583,61 @@ class TestStatementReader:
         assert [r.origin for r in (first, second, third)] == ["line 1", "line 2", "line 3"]
 
     def test_reader_gives_up_at_the_first_text_it_cannot_build(self, monkeypatch):
-        """The reader builds each distinct text once and stops at the first
-        that is not propositional; the token parser then scans the text once."""
-        built, scans = [], []
-        word_builder, scan = _propositional, _Parser.scan
-        monkeypatch.setattr("ndlp.parser._propositional",
-                            lambda text: built.append(text) or word_builder(text))
+        """The reader checks all distinct texts in one pass, text by text only
+        when that pass fails, and stops at the first text that is no name; it
+        refuses a first set-atom with arguments before checking any. The
+        token parser then scans the text once."""
+        checked, scans = [], []
+        word_check, scan = _keys, _Parser.scan
+        monkeypatch.setattr("ndlp.parser._keys",
+                            lambda texts: checked.append(list(texts)) or word_check(texts))
         monkeypatch.setattr(_Parser, "scan", lambda self: scans.append(1) or scan(self))
         loops = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n"
                         for i in range(500))
-        unsafe = "{s(X)} :- not {t(X)}.\n"
         with pytest.raises(ProgramError, match="unsafe variable X"):
-            parse_program(unsafe + loops)
-        assert (built, len(scans)) == (["s(X)"], 1)
-        built.clear(), scans.clear()
-        with pytest.raises(ProgramError, match="unsafe variable X"):
-            parse_program(loops + unsafe)
-        assert (len(built), built[-1], len(scans)) == (1001, "s(X)", 1)
+            parse_program("{s(X)} :- not {t(X)}.\n" + loops)
+        assert (checked, len(scans)) == ([], 1)
+        scans.clear()
+        with pytest.raises(ParseError, match="expected comparison operator"):
+            parse_program(loops + "{s, Two} :- not {t}.\n")
+        singles = [texts[0] for texts in checked if len(texts) == 1]
+        passes = [texts for texts in checked if len(texts) > 1]
+        assert singles[-1] == "s, Two" and "t" not in singles and len(scans) == 1
+        assert len({text for texts in passes for text in texts}) == 1002 and len(passes) == 2
 
     def test_token_parser_reads_on_from_where_the_reader_stopped(self, monkeypatch):
         """Each byte is read once: the reader builds every text up to the
         rule it cannot take, and the token parser scans that rule alone."""
-        built, scanned = [], []
-        word_builder, scan = _propositional, _Parser.scan
-        monkeypatch.setattr("ndlp.parser._propositional",
-                            lambda text: built.append(text) or word_builder(text))
+        scanned, scan = [], _Parser.scan
         monkeypatch.setattr(_Parser, "scan", lambda self: scanned.append(scan(self)) or scanned[-1])
         loops = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n"
                         for i in range(500))
         with pytest.raises(ProgramError, match=r"unsafe variable X in rule \(line 1001\)"):
             parse_program(loops + "{s(X)} :- not {t(X)}.\n")
-        assert len(built) == 1001
+        parser = _Parser(loops + "{s(X)} :- not {t(X)}.\n")
+        assert not parser.read() and len(parser.keys) == 1000 and parser.offset == len(loops) - 1
         [(_, values, starts)] = scanned
         assert values == ["{", "s", "(", "X", ")", "}", ":-", "not", "{", "t", "(", "X", ")", "}",
                           ".", ""]
         assert starts[0] == len(loops)
+
+    def test_reader_splits_nothing_before_a_first_rule_with_arguments(self, monkeypatch):
+        """A first set-atom with arguments, after comments or not, is refused
+        before the reader splits any of the text, and a later one bounds the
+        text it splits."""
+        split, pieces = [], parser_module._pieces
+        monkeypatch.setattr(parser_module, "_pieces",
+                            lambda text: split.append(len(text)) or pieces(text))
+        facts = "".join(f"{{edge(n{i}, n{i + 1})}}.\n" for i in range(20_000))
+        for text in (facts, "% edges\n" + facts, "{edge(X, Y)} :- {p}.\n{p}.\n"):
+            assert not _Parser(text).read()
+        assert split == []
+        assert outcome(parse_program, facts)[1][:2] == ["line 1", "line 2"]
+        # after a rule it takes, it splits no further than the first "(" outside comments
+        parser = _Parser("{a} :- not {b}.\n" + facts)
+        assert not parser.read() and parser.offset == 15 and split == [len("{a} :- not {b}.\n{edge(")]
+        for text in ("{a}.\n(b).", "{a}. % (\n{b}.", "{a}.\n{b} :- {c(X)}."):
+            assert outcome(parse_program, text) == self.token_parser(monkeypatch, parse_program, text)
 
     def stops(self, text, files=()):
         parser = _Parser(text, files)
