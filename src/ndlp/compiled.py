@@ -25,13 +25,15 @@ counts the body literals it still waits for and fires at zero. The upper
 bound is its atmost, kept with clasp-style source pointers: an atom
 assigned in removes the heads that relied on the rules it blocks, the
 removal cascades through the sources, the heads that still have a usable
-rule are re-supported, and the rest are unfounded. Each change goes onto
-one trail, so a decision costs the rules that read the atoms it settles
-and `undo` costs the same again; no decision reruns a whole fixpoint. The
-stable search decides and undoes on one propagator, and its root
-propagation is the well-founded model. The object-level operators in
-`positive`, `stable` and `wf` stay as the references the tests check this
-form against.
+rule are re-supported, and the rest are unfounded. One loop forces both
+bounds off one worklist of assignments (decisions, derived negated atoms
+in, unfounded ones out), and its one conflict is an atom already assigned
+the other value. Each change goes onto one trail, so a decision costs the
+rules that read the atoms it settles and `undo` costs the same again; no
+decision reruns a whole fixpoint. The stable search decides and undoes on
+one propagator, and its root propagation is the well-founded model. The
+object-level operators in `positive`, `stable` and `wf` stay as the
+references the tests check this form against.
 
 Since the base is interned in key order, a model's sorted index tuple is
 already its canonical order. The least and well-founded models come out as
@@ -323,15 +325,15 @@ class Propagator:
     lower and upper bounds: the least models of the reducts against the
     atoms not assigned out and against the atoms assigned in.
 
-    An open negated atom the lower bound derives is forced in, one outside
-    the upper bound is forced out, and an atom assigned out but derived or
-    assigned in but underivable is a conflict. Construction propagates the
-    all-open assignment, which never conflicts. `decide` assigns one open
-    atom and propagates; every change goes onto `trail`, and `undo(mark)`
-    restores the assignment, both bounds and the rule counters as they were
-    when the trail had `mark` entries. Source pointers are not restored: an
-    atom's source stays a usable rule whenever the atom is in the upper
-    bound, and their graph stays acyclic.
+    A negated atom the lower bound derives is assigned in and one outside
+    the upper bound out, in one loop whose one conflict is an atom already
+    assigned the other value. Construction propagates the all-open
+    assignment, which never conflicts. `decide` pushes one assignment into
+    that loop; every change goes onto `trail`, and `undo(mark)` restores
+    the assignment, both bounds and the rule counters as they were when the
+    trail had `mark` entries. Source pointers are not restored: an atom's
+    source stays a usable rule whenever the atom is in the upper bound, and
+    their graph stays acyclic.
     """
 
     def __init__(self, program: GroundProgram):
@@ -350,17 +352,14 @@ class Propagator:
         self.source = [-1] * n
         self._support(range(n))
         fired = [program.heads[ridx] for ridx, wait in enumerate(self.low_wait) if not wait]
-        self._propagate(fired, [], [m for m in program.negated if not upper[m]])
+        self._propagate(fired, [(m, OUT) for m in program.negated if not upper[m]])
 
     def decide(self, atom: int, value: int) -> bool:
         """Assign an open negated atom of a consistent state and propagate;
         False on a conflict, after which the caller undoes to a mark taken
         before the call. An open atom lies between the bounds, so the
         decision itself never conflicts; what it forces may."""
-        derived: list[int] = []
-        ins: list[int] = []
-        self._assign(atom, value, derived, ins)
-        return self._propagate(derived, ins, [])
+        return self._propagate([], [(atom, value)])
 
     def undo(self, mark: int) -> None:
         """Replay the trail backwards down to `mark` entries."""
@@ -414,44 +413,37 @@ class Propagator:
                         return position
         return None
 
-    def _assign(self, atom: int, value: int, derived: list[int], ins: list[int]) -> None:
-        """Set an open atom with its counter updates: out lowers the rules
-        negating it toward firing (heads that fire go on `derived`), in
-        makes them unusable (the atom goes on `ins`)."""
-        self.assign[atom] = value
-        self.trail.append(atom << 2 | ASSIGNED)
-        heads = self.program.heads
-        if value == OUT:
-            low_wait = self.low_wait
-            for ridx in self.program.neg_occ[atom]:
-                wait = low_wait[ridx] - 1
-                low_wait[ridx] = wait
-                if not wait:
-                    derived.append(heads[ridx])
-        else:
-            up_wait = self.up_wait
-            for ridx in self.program.neg_occ[atom]:
-                up_wait[ridx] += 1
-            ins.append(atom)
-
-    def _propagate(self, derived: list[int], ins: list[int], unfounded: list[int]) -> bool:
-        """Force until nothing changes: `derived` atoms enter the lower
-        bound, `ins` atoms (assigned in) shrink the upper bound, and
-        `unfounded` atoms (already outside it) are forced out."""
+    def _propagate(self, derived: list[int], assigned: list[tuple[int, int]]) -> bool:
+        """Force until nothing changes, off one worklist of `assigned`
+        (atom, value) pairs: `derived` atoms enter the lower bound, a negated
+        one assigned in; once it is closed, the atoms assigned in shrink the
+        upper bound, and a negated atom it loses is assigned out."""
         program = self.program
         heads, watchers, neg_occ = program.heads, program.watchers, program.neg_occ
-        assign, lower = self.assign, self.lower
-        low_wait = self.low_wait
+        assign, lower, upper = self.assign, self.lower, self.upper
+        low_wait, up_wait, source = self.low_wait, self.up_wait, self.source
         trail = self.trail
+        ins: list[int] = []
         while True:
-            for atom in unfounded:
-                if neg_occ[atom]:
-                    value = assign[atom]
-                    if value == IN:
-                        return False  # assigned in, but underivable
-                    if value == OPEN:
-                        self._assign(atom, OUT, derived, ins)
-            while derived:
+            if assigned:
+                atom, value = assigned.pop()
+                if assign[atom]:
+                    if assign[atom] != value:
+                        return False  # the one conflict: assigned the other value
+                    continue
+                assign[atom] = value
+                trail.append(atom << 2 | ASSIGNED)
+                if value == OUT:
+                    for ridx in neg_occ[atom]:
+                        wait = low_wait[ridx] - 1
+                        low_wait[ridx] = wait
+                        if not wait:
+                            derived.append(heads[ridx])
+                else:
+                    for ridx in neg_occ[atom]:
+                        up_wait[ridx] += 1
+                    ins.append(atom)
+            elif derived:
                 atom = derived.pop()
                 if lower[atom]:
                     continue
@@ -463,41 +455,33 @@ class Propagator:
                     if not wait:
                         derived.append(heads[ridx])
                 if neg_occ[atom]:
-                    value = assign[atom]
-                    if value == OUT:
-                        return False  # assigned out, but derived
-                    if value == OPEN:
-                        self._assign(atom, IN, derived, ins)
-            if not ins:
+                    assigned.append((atom, IN))
+            elif ins:
+                # the heads whose source an atom assigned in blocks leave the
+                # upper bound, and so do the atoms whose source reads them
+                removed: list[int] = []
+                for atom in ins:
+                    for ridx in neg_occ[atom]:
+                        head = heads[ridx]
+                        if source[head] == ridx and upper[head]:
+                            upper[head] = 0
+                            removed.append(head)
+                ins.clear()
+                for atom in removed:
+                    for ridx in watchers[atom]:
+                        up_wait[ridx] += 1
+                        head = heads[ridx]
+                        if source[head] == ridx and upper[head]:
+                            upper[head] = 0
+                            removed.append(head)
+                self._support(removed)
+                for atom in removed:
+                    if not upper[atom]:
+                        trail.append(atom << 2 | UNFOUNDED)
+                        if neg_occ[atom]:
+                            assigned.append((atom, OUT))
+            else:
                 return True
-            unfounded = self._retract(ins)
-            ins = []
-
-    def _retract(self, ins: list[int]) -> list[int]:
-        """Shrink the upper bound after `ins` were assigned in; the atoms it
-        loses, trailed."""
-        program = self.program
-        heads, watchers, neg_occ = program.heads, program.watchers, program.neg_occ
-        upper, up_wait, source = self.upper, self.up_wait, self.source
-        removed: list[int] = []
-        for atom in ins:
-            for ridx in neg_occ[atom]:
-                head = heads[ridx]
-                if source[head] == ridx and upper[head]:
-                    upper[head] = 0
-                    removed.append(head)
-        # atoms whose source reads a removed atom go too
-        for atom in removed:
-            for ridx in watchers[atom]:
-                up_wait[ridx] += 1
-                head = heads[ridx]
-                if source[head] == ridx and upper[head]:
-                    upper[head] = 0
-                    removed.append(head)
-        self._support(removed)
-        unfounded = [atom for atom in removed if not upper[atom]]
-        self.trail.extend(atom << 2 | UNFOUNDED for atom in unfounded)
-        return unfounded
 
     def _support(self, atoms: Iterable[int]) -> None:
         """Put each of `atoms` outside the upper bound that has a usable

@@ -81,6 +81,37 @@ MUTANTS: tuple[Mutant, ...] = (
         SEARCH,
     ),
     Mutant(
+        # an assignment against the atom's value is dropped, so no branch closes
+        "conflict-check-skipped", "compiled.py",
+        "if assign[atom] != value:",
+        "if False:",
+        SEARCH,
+    ),
+    Mutant(
+        # only the heads an atom assigned in blocks directly leave the upper
+        # bound, not those whose source reads them
+        "retraction-cascade-not-followed", "compiled.py",
+        "                        up_wait[ridx] += 1\n"
+        "                        head = heads[ridx]\n"
+        "                        if source[head] == ridx and upper[head]:\n",
+        "                        up_wait[ridx] += 1\n"
+        "                        head = heads[ridx]\n"
+        "                        if False:\n",
+        SEARCH,
+    ),
+    Mutant(
+        "unfounded-not-assigned-out", "compiled.py",
+        "assigned.append((atom, OUT))",
+        "pass",
+        SEARCH,
+    ),
+    Mutant(
+        "derived-not-assigned-in", "compiled.py",
+        "assigned.append((atom, IN))",
+        "pass",
+        SEARCH,
+    ),
+    Mutant(
         "root-leaf-dropped", "stable.py",
         "if all(lower[n] for n in negated if assign[n] == IN):",
         "if stack and all(lower[n] for n in negated if assign[n] == IN):",

@@ -94,6 +94,16 @@ def neg_chain(n: int, bare: bool = False) -> str:
                                    for i in range(1, n))
 
 
+def conflict_modules(n: int) -> str:
+    """`n` modules `{g<i>m} :- not {g<i>y}.` and `{g<i>y} :- not {g<i>y},
+    not {g<i>m}.`, i zero-padded so that each module's atoms sit next to
+    each other in key order: the one stable model is every `g<i>m`, and the
+    search meets one conflict with each value of every `g<i>y`."""
+    width = len(str(n - 1))
+    return "".join(f"{{{g}m}} :- not {{{g}y}}. {{{g}y}} :- not {{{g}y}}, not {{{g}m}}.\n"
+                   for g in [f"g{i:0{width}d}" for i in range(n)])
+
+
 def name_chain(n: int, args: bool = False) -> str:
     """`{x<i>} :- not {x<i - 1>}.` for i from 1 to n - 1, without a fact,
     or over `x(i)` with `args`."""
@@ -166,6 +176,7 @@ def programs() -> dict[str, str]:
         # a comment holding braces after each of the loops' rules
         "commented_loops.ndlp": loops(5000).replace(".\n", ". % {x} :- not {y}.\n"),
         "chain.ndlp": name_chain(5000),
+        "conflicts.ndlp": conflict_modules(20000),
         "arg_chain.ndlp": name_chain(5000, args=True),
         "handover.ndlp": handover("".join(loop_lines[:2500])),
         "facts.ndlp": facts(20000),
@@ -224,6 +235,9 @@ LEAST = ("solve", "--semantics", "least")
 #   the loops' rules spelled at size from one file and from two; with a
 #   comment between every two rules, the statement reader's comments handled
 #   in time quadratic in their number;
+# - 15 s on the 20 000 conflict modules (80 000 decisions, 40 000 conflicts):
+#   a conflict or its undo costing more than the module it closes, or a pivot
+#   order that takes the atoms of a module apart;
 # - 5 s and 2 s: a slower parser, a grounder that joins a rule without
 #   variables per body fact, or a set-atom match turned quadratic;
 # - the runaway grounding: it stops past MAX_GROUND_INSTANCES with exit 2;
@@ -252,6 +266,8 @@ ROWS: tuple[Row, ...] = (
     Row((*STABLE_ONE, "--dump-ground"), ("loops_a.ndlp", "loops_b.ndlp"), 15),
     Row(STABLE_ONE, ("bare_loops.ndlp",), 15),
     Row(STABLE_ONE, ("commented_loops.ndlp",), 15),
+    Row(("solve", "--semantics", "stable"), ("conflicts.ndlp",), 15),
+    Row(WF, ("conflicts.ndlp",), 15),
     Row(WF, ("chain.ndlp",), 15),
     Row(WF, ("arg_chain.ndlp",), 15),
     Row(WF, ("handover.ndlp",), 15),

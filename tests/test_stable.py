@@ -11,10 +11,12 @@ from ndlp import (
     tp_step,
     tprime_step,
 )
+from ndlp.compiled import IN, OUT, Propagator
 from ndlp.corpus import corpus_text
 
 from conftest import gp_from
 from oracles import brute_force_stable
+from programs import conflict_modules
 
 
 def nd(gp, text):
@@ -200,6 +202,32 @@ class TestWorkBound:
         small, large = loops(150), loops(300)
         assert lfp_calls(lambda: enumerate_stable(small, max_models=1)) == 0
         assert lfp_calls(lambda: enumerate_stable(large, max_models=1)) == 0
+
+
+class TestConflicts:
+    def test_each_module_conflicts_once_with_each_value(self, monkeypatch):
+        # with {g<i>m} out, {g<i>y} out derives both atoms and {g<i>y} in
+        # leaves it unfounded: one conflict with each value, then {g<i>m} in
+        # forces {g<i>y} out; a module's atoms sit together in key order, so
+        # each module is settled before the search reaches the next
+        n = 50
+        gp = gp_from(conflict_modules(n))
+        decide = Propagator.decide
+        decisions = []
+
+        def counted(self, atom, value):
+            # a search that stops closing branches runs away: stop it here
+            assert len(decisions) < 4 * n, "more than four decisions per module"
+            consistent = decide(self, atom, value)
+            decisions.append((value, consistent))
+            return consistent
+
+        monkeypatch.setattr(Propagator, "decide", counted)
+        assert model_strs(enumerate_stable(gp).models) == [[f"{{g{i:02d}m}}" for i in range(n)]]
+        assert len(decisions) == 4 * n
+        assert decisions.count((OUT, False)) == decisions.count((IN, False)) == n
+        true, false = gp.well_founded()
+        assert gp.n == 2 * n and not any(true) and not any(false)
 
 
 class TestStableInvariantsOnCorpus:
