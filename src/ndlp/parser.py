@@ -24,18 +24,27 @@ the grounder); any other is an error. Comparisons must be the sole member
 of a positive body NdAtom. Function symbols nest at most MAX_TERM_DEPTH
 levels deep.
 
-Two readers share origins and the building of atoms, and each byte is read
-by one of them. The statement reader splits the text once into set-atom
-texts and the connectors between them, and takes it while every statement
-is a braced rule whose set-atoms hold names alone (no arguments, variables,
-comparisons or comments); such rules can have no arity or safety fault. It
-builds no syntax value, only ids (one per set of names a set-atom sorts
-to) and int lists per rule: a ground program, which the command line
-builds straight from them (`cli._load`). `spell` builds the `Rule`s, one
-`NdAtom` per distinct text, when they are read; where the reader stops, at
-the first statement it cannot take, it also hands the token parser its
-set-atoms and arities, and the token parser reads the rest (directives,
-bare atoms, arguments, comments inside a rule) and reports every error.
+Three readers share origins and the building of atoms, and each byte is
+read by one of them. The statement reader takes the text while every
+statement is a braced rule: after the first comments and at most one
+`#horizon` with an integer value, it splits the text once into set-atom
+texts and the connectors between them. When every set-atom holds names
+alone (no arguments, variables, comparisons or comments), its name reader
+builds no syntax value, only ids (one per set of names a set-atom sorts to)
+and int lists per rule: a ground program, which the command line builds
+straight from them (`cli._load`), and such rules can have no arity or
+safety fault. `spell` builds their `Rule`s, one `NdAtom` per distinct text,
+when they are read. Otherwise its flat reader reads every distinct
+set-atom text, from one split of them all, as flat atoms (a name,
+optionally with arguments, each a name, an integer, a variable or a
+variable plus an integer) or as one comparison of two such terms. It builds
+the values the token parser would, under the same texts, and records
+arities and the first arity or safety fault as the token parser does. Where
+the statement reader stops, at the first statement it cannot take, it
+hands the token parser its set-atoms and arities, and the token parser
+reads the rest (other directives, bare atoms, compound terms, comments
+inside a rule, `#const` and the names it stands for) and reports every
+error.
 
 A token keeps its kind, text and start offset; lines and columns are worked
 out only for a `ParseError` and a rule's `origin`. Within one parse, each
@@ -57,6 +66,7 @@ from operator import add, ge, itemgetter, not_
 
 from .errors import ParseError, ProgramError
 from .syntax import (
+    BUILTIN_PREDICATES,
     Atom,
     Compound,
     Constant,
@@ -100,17 +110,29 @@ _PUNCT = {
 _TOKEN = re.compile(r"(\s*(?:%.*\s*)*)([{}(),.+]|:-|!=|==?|\#\w*|-?\d+|.\w*|\Z)")
 
 
-# The statement reader's patterns: whitespace and comments; a first set-atom
-# that may hold names alone; a set-atom's text and the connector after it, up
-# to the next "{"; a connector's kind, which `_JOINS` spells as a character of
-# a shape (".?" for a "." with more after it, "?" for none); whole rules.
-_LEAD = re.compile(r"\s*(?:%.*(?:\n\s*|\Z))*")
-_HEAD = re.compile(r"\{[\w\s,-]*\}")
+# The statement reader's patterns: whitespace and comments, then at most one
+# `#horizon` with a non-negative integer value; a first set-atom that may
+# hold flat atoms; a set-atom's text and the connector after it, up to the
+# next "{"; a connector's kind, which `_JOINS` spells as a character of a
+# shape (".?" for a "." with more after it, "?" for none); whole rules.
+_COMMENTS = r"\s*(?:%.*(?:\n\s*|\Z))*"
+_LEAD = re.compile(rf"{_COMMENTS}(?:\#horizon\s+(\d+)\s*\.{_COMMENTS})?")
+_HEAD = re.compile(r"\{[\w\s,()+!=-]*\}")
 _PIECE = re.compile(r"\{([^{}]*)\}([^{%]*(?:%.*[^{%]*)*)")
-_CONNECTOR = re.compile(r"\s*(?:(\.)\s*(?:%.*(?:\n\s*|\Z))*((?s:.+))?|(:-|,)\s*(not)?\s*)")
+_CONNECTOR = re.compile(rf"\s*(?:(\.){_COMMENTS}((?s:.+))?|(:-|,)\s*(not)?\s*)")
 _JOINS = {".": ".", ":-": ":", ":-not": ";", ",": ",", ",not": "!", "?": "?"}
 _RULES = re.compile(r"(?:(?:[:;][,!]*)?\.)*")
 _NOT_BRACES = bytes(set(range(256)).difference(b"{}"))
+
+# The flat reader's pattern: a member of the distinct set-atom texts joined
+# by "}", after its separator (none at the start, "," within a text, "}"
+# before the next text), with nothing between the matches: a word with
+# optional arguments, or a comparison of two arguments. An argument is a word,
+# optionally plus an integer; `term_of` classifies the words.
+_ARG = r"-?\w+(?:\s*\+\s*-?\d+)?"
+_MEMBER = re.compile(rf"(\A|(?<=[\s\S])[,}}])\s*"
+                     rf"(?:((-?\w+)(?:\s*\(\s*({_ARG}(?:\s*,\s*{_ARG})*)\s*\))?)(?=\s*(?:[,}}]|\Z))"
+                     rf"|(({_ARG})\s*([!=]=)\s*({_ARG})))\s*")
 
 
 def _pieces(text: str) -> tuple[list[str], list[str], int | None]:
@@ -133,7 +155,10 @@ def _keys(texts: list[str]) -> list[tuple[str, ...]] | None:
     whose first letter is lowercase, other than "not"."""
     if not texts:
         return []
-    members = list(map(str.strip, ",".join(texts).split(",")))
+    joined = ",".join(texts)
+    if "(" in joined:  # arguments
+        return None
+    members = list(map(str.strip, joined.split(",")))
     words = list(map(str.removeprefix, members, repeat("-")))
     names = all(words) and "".join(words).replace("_", "a").isalnum()
     if not names or "not" in members or not all(map(str.islower, set(map(itemgetter(0), words)))):
@@ -166,15 +191,17 @@ class _Parser:
     def __init__(self, text: str, files: tuple[tuple[int, str], ...] = ()):
         self.text = text
         self.files = files  # (first line, path) of each file joined into `text`
+        self.whole: bool | None = None  # what `read` returned, once it has read
         self.offset = 0  # where the token parser starts: where the statement reader stopped
         # the statement reader's ids by sorted names and by text, per rule its head,
-        # positive and negated ids, and the texts, connectors and shape of its pieces
-        self.keys, self.ids, self.shape = {}, {}, ""
+        # positive and negated ids, and the offset of its first piece and the texts,
+        # connectors and shape of its pieces
+        self.keys, self.ids, self.at, self.shape = {}, {}, 0, ""
         self.heads, self.positive, self.negated, self.texts, self.connectors = [], [], [], [], []
         self.pos = 0
         self.line, self.line_start = 1, 0  # where the last rule started
         self.rules: list[Rule] = []
-        self.horizon_index: int | None = None
+        self.horizon: tuple[str, str, int] | None = None  # its value's kind, text and offset
         self.consts: dict[str, Term] = {}
         # each distinct text of the parse, mapped to what was built from it
         self.terms: dict[str, Term] = {}
@@ -227,7 +254,7 @@ class _Parser:
         return ParseError(message, line, offset - text.rfind("\n", 0, offset), path)
 
     def origin(self, start: int) -> str:
-        """The source tag of the rule starting at offset `start`. Both readers
+        """The source tag of the rule starting at offset `start`. The readers
         call this once per rule, in text order, so lines are counted once."""
         self.line += self.text.count("\n", self.line_start, start)
         self.line_start = start
@@ -252,19 +279,23 @@ class _Parser:
     # -- statement reader -----------------------------------------------------
 
     def read(self) -> bool:
-        """Read braced rules over names into `keys`, `ids` and the rule
-        lists, from the `_pieces` of the text up to its first "(" outside
-        comments; True at the end of the text, else False with `offset` after
-        the last rule taken, before the first with a gap, a connector out of
-        place or a member that is no name. The pieces taken stay for `spell`."""
+        """Read braced rules from the `_pieces` of the text after its first
+        comments and `#horizon`. True when it takes the whole text and every
+        set-atom holds names alone: then `keys`, `ids` and the rule lists
+        hold the rules, and the pieces stay for `spell`. When a set-atom
+        holds more than names, `build` reads every one into `set_atoms` and
+        `check` makes the rules. It stops before the first rule with a gap,
+        a connector out of place or a set-atom it cannot build, with
+        `offset` after the last rule taken."""
         text, ids, keys, joins = self.text, self.ids, self.keys, {}
-        if self.offset:  # read already, up to where it stopped
-            return self.offset == len(text)
-        at = _LEAD.match(text).end()
-        if at < len(text) and not _HEAD.match(text, at):  # a first set-atom past names: at once
+        if self.whole is not None:  # read already
+            return self.whole
+        self.whole = False
+        lead = _LEAD.match(text)
+        at = self.at = lead.end()
+        if at < len(text) and not _HEAD.match(text, at):  # past flat atoms: refused at once
             return False
-        end = text.find("(", at) + 1 or len(text)  # a rule holding it is not taken
-        texts, connectors, gap = _pieces(text[at : end if text.find("%", at, end) < 0 else None])
+        texts, connectors, gap = _pieces(text[at:])
         for connector in set(connectors[:gap]):
             kind = _CONNECTOR.fullmatch(connector)
             kind = "".join(filter(None, kind.groups())) if kind else "?"
@@ -272,43 +303,147 @@ class _Parser:
         shape = "".join(map(joins.__getitem__, connectors[:gap])) + ("$" if gap is None else "?")
         taken = _RULES.match(shape).end()  # the pieces of whole rules
         new = list(dict.fromkeys(texts[:taken]))
-        if (names := _keys(new)) is None:  # to the first text with a member that is no name
-            bad = next(i for i, key in enumerate(new) if _keys([key]) is None)
-            taken = shape.rfind(".", 0, texts.index(new[bad])) + 1
-            names = _keys(new[:bad])
-        for key, sorted_names in zip(new, names):
-            ids[key] = keys.setdefault(sorted_names, len(keys))
-        heads, positive, negated = self.heads, self.positive, self.negated
-        known, i = list(map(ids.__getitem__, texts[:taken])), 0
-        for body in shape[:taken].split(".")[:-1]:
-            heads.append(known[i])
-            literals = known[i + 1 : i + 1 + len(body)]
-            if len(body) < 2:  # a fact or one literal
-                positive.append(() if body == ";" else literals)
-                negated.append(literals if body == ";" else ())
-            else:
-                positive.append(list(compress(literals, map(":,".__contains__, body))))
-                negated.append(list(compress(literals, map(";!".__contains__, body))))
-            i += len(body) + 1
+        if (names := _keys(new)) is None:  # set-atoms past names: each built
+            made, taken = self.build(new, texts, shape, taken)
+        else:
+            for key, sorted_names in zip(new, names):
+                ids[key] = keys.setdefault(sorted_names, len(keys))
+            heads, positive, negated = self.heads, self.positive, self.negated
+            known, i = list(map(ids.__getitem__, texts[:taken])), 0
+            for body in shape[:taken].split(".")[:-1]:
+                heads.append(known[i])
+                literals = known[i + 1 : i + 1 + len(body)]
+                if len(body) < 2:  # a fact or one literal
+                    positive.append(() if body == ";" else literals)
+                    negated.append(literals if body == ";" else ())
+                else:
+                    positive.append(list(compress(literals, map(":,".__contains__, body))))
+                    negated.append(list(compress(literals, map(";!".__contains__, body))))
+                i += len(body) + 1
         self.texts, self.connectors, self.shape = texts[:taken], connectors[:taken], shape[:taken]
+        if names is None:  # the distinct texts of the rules taken
+            self.check(new[: len(set(texts[:taken]))], made)
         if shape[taken] == "$":
             self.offset = len(text)
         elif taken:  # after the last rule's "."
             self.offset = at + 2 * taken + sum(map(len, texts[:taken] + connectors[: taken - 1]))
             self.offset += connectors[taken - 1].index(".") + 1
-        return shape[taken] == "$"
+        if lead[1] is not None and self.offset:
+            self.horizon = "INT", lead[1], lead.start(1)
+        self.whole = shape[taken] == "$" and names is not None
+        return self.whole
 
-    def spell(self) -> list[Rule]:
-        """The rules `read` took as `Rule`s, one `NdAtom` per distinct text,
-        with their origins from the pieces' lengths; where the token parser
-        reads on, the texts go into `set_atoms` and the names into `arities`."""
-        keys = list(self.keys)
-        atoms = self.atoms = {name: Atom(name) for name in dict.fromkeys(chain.from_iterable(keys))}
-        made = {key: NdAtom(tuple(map(atoms.__getitem__, keys[i]))) for key, i in self.ids.items()}
+    def build(self, new: list[str], texts: list[str], shape: str, taken: int):
+        """The set-atom of each of the distinct texts `new` that holds flat
+        atoms or one comparison, with its variables' names and whether it is
+        a comparison, as `set_atom` builds it, read from one split of them
+        all, up to the first text it cannot build; and the pieces of the rules
+        before the first holding that text or a comparison in a head or under
+        "not"."""
+        atoms, values, bad = self.atoms, [], None
+        if "#const" in self.text:  # a name may stand for a constant's value
+            bad = next((i for i, key in enumerate(new) if "(" in key or "=" in key), None)
+        joined = "}".join(new[:bad])
+        parts = _MEMBER.split(joined)  # [gap, separator, atom, name, arguments, comparison, ...]
+        end = next(compress(count(0, 9), parts[::9]), len(parts) - 1)  # the first gap, or the end
+        matches = zip(*[iter(parts[1 : end + 1])] * 9)
+        for sep, key, pred, args, comparison, left, op, right, _ in matches:
+            if key:
+                atom = atoms.get(key) or self.atom_of(key, pred, args.split(",") if args else [])
+            else:
+                atom = atoms.get(comparison) or self.atom_of(comparison, op, [left, right])
+            if atom is None:
+                bad = len(values) - (sep == ",")
+                break
+            if sep == ",":
+                members.append(atom)
+            else:
+                members = [atom]
+                values.append(members)
+        else:  # a gap in the last text begun or at the "}" before the next, or an empty text alone
+            if parts[end] or len(values) < len(new[:bad]):
+                bad = max(len(values) - (parts[end][:1] != "}"), 0)
+        values = values[:bad]
+        for i in compress(count(), map(str.__contains__, new[: len(values)], repeat("="))):
+            if len(values[i]) > 1:  # a comparison and more
+                bad = i
+                break
+        made = {}
+        for key, members in zip(new[:bad], values):
+            names = frozenset() if key.islower() else frozenset(  # no upper-case first letter
+                [(term.base if type(term) is Sum else term).name
+                 for atom in members for term in atom.args if type(term) in (Variable, Sum)])
+            value = NdAtom((members[0],)) if len(members) == 1 else canonicalize(members)
+            made[key] = value, names, "=" in key
+        if bad is not None:
+            taken = shape.rfind(".", 0, texts.index(new[bad])) + 1
+        comparisons = {key for key, (_, _, builtin) in made.items() if builtin}
+        for i in compress(count(), map(comparisons.__contains__, texts[:taken])):
+            if i == 0 or shape[i - 1] in ".;!":
+                taken = shape.rfind(".", 0, i) + 1
+                break
+        return made, taken
+
+    def atom_of(self, key: str, pred: str, args: list[str]) -> Atom | None:
+        """The atom of a member's text, with its predicate (a name or a
+        comparison operator) and its arguments' texts, as `atom` builds it,
+        put into `atoms`; None for a name or a term that is none."""
+        if pred not in BUILTIN_PREDICATES:
+            if pred == "not" or not (pred[1:2] if pred[0] == "-" else pred[0]).islower():
+                return None
+        terms = self.terms
+        args = tuple([terms.get(arg) or self.term_of(arg) for arg in map(str.strip, args)])
+        if not all(args):
+            return None
+        made = self.atoms[key] = Atom(pred, args)
+        return made
+
+    def term_of(self, text: str) -> Term | None:
+        """The term of an argument's text, as `term` builds it, put into
+        `terms`; None for a word that is no name, variable or integer, or a
+        sum on no variable."""
+        first = text[0]
+        if "+" in text:
+            base, offset = text.split("+")
+            base = base.rstrip()
+            if not base[0].isupper():
+                return None
+            variable = self.terms.get(base) or self.terms.setdefault(base, Variable(base))
+            made = Sum(variable, int(offset))
+        elif first.isupper():
+            made = Variable(text)
+        elif text != "not" and (text[1:2] if first == "-" else first).islower():
+            made = Constant(text)
+        elif text[first == "-" :].isdecimal():
+            made = Integer(int(text))
+        else:
+            return None
+        self.terms[text] = made
+        return made
+
+    def check(self, new: list[str], made: dict) -> None:
+        """Put the distinct texts `new` of the rules taken, built as `made`,
+        into `set_atoms`, and make the rules from them, recording arities and
+        the first of each load fault as `set_atom` and `rule` do."""
+        self.set_atoms = {"{" + key + "}": made[key] for key in new}
+        variables = {key: names for key, (_, names, _) in made.items() if names}
+        self.rules = self.walk({key: made[key][0] for key in new}, variables)
+        texts = self.texts
+        for key in new:  # arities in the order `set_atom` records them, up to a clash
+            value, _, builtin = made[key]
+            if not builtin and (clash := self.clash(value)):
+                origin = self.rules[self.shape.count(".", 0, texts.index(key))].origin
+                self.arity_error = ProgramError(f"{clash} ({origin})")
+                break
+
+    def walk(self, made: dict[str, NdAtom], variables: dict[str, frozenset[str]]) -> list[Rule]:
+        """The rules `read` took, each piece's NdAtom `made[text]`, with their
+        origins from the pieces' lengths; with the `variables` of each text
+        that has any, each rule is checked for safety as `rule` does."""
         texts, rules, i = self.texts, [], 0
         # each piece's offset, less the two braces of each piece before it
         starts = list(accumulate(map(add, map(len, texts), map(len, self.connectors)),
-                                 initial=_LEAD.match(self.text).end()))
+                                 initial=self.at))
         for body in self.shape.split(".")[:-1]:
             if len(body) < 2:  # a fact or one literal
                 literals = (Literal(made[texts[i + 1]], body == ";"),) if body else ()
@@ -316,7 +451,22 @@ class _Parser:
                 literals = tuple([Literal(made[key], join in ";!")
                                   for key, join in zip(texts[i + 1 : i + 1 + len(body)], body)])
             rules.append(Rule(made[texts[i]], literals, self.origin(starts[i] + 2 * i)))
+            if variables and (body or texts[i] in variables):
+                unsafe, bound = set(variables.get(texts[i], ())), set()
+                for key, join in zip(texts[i + 1 : i + 1 + len(body)], body):
+                    (unsafe if join in ";!" else bound).update(variables.get(key, ()))
+                self.unsafe(unsafe, bound, rules[-1].origin)
             i += len(body) + 1
+        return rules
+
+    def spell(self) -> list[Rule]:
+        """The rules `read` took over names as `Rule`s, one `NdAtom` per
+        distinct text; where the token parser reads on, the texts go into
+        `set_atoms` and the names into `arities`."""
+        keys = list(self.keys)
+        atoms = self.atoms = {name: Atom(name) for name in dict.fromkeys(chain.from_iterable(keys))}
+        made = {key: NdAtom(tuple(map(atoms.__getitem__, keys[i]))) for key, i in self.ids.items()}
+        rules = self.walk(made, {})
         if self.offset < len(self.text):
             self.set_atoms = {"{" + key + "}": (nd, frozenset(), False) for key, nd in made.items()}
             self.arities = dict.fromkeys(atoms, 0)
@@ -338,15 +488,17 @@ class _Parser:
         """The program: the rules `read` takes, spelled, then the token
         parser's from where it stopped."""
         self.read()
-        self.rules = self.spell()
-        self.kinds, self.values, self.starts = self.scan()
-        self.consts = self.read_consts()
-        kinds = self.kinds
-        while kinds[self.pos] != "EOF":
-            if kinds[self.pos] == "DIRECTIVE":
-                self.directive()
-            else:
-                self.rule()
+        if self.ids:  # rules over names, not spelled yet
+            self.rules = self.spell()
+        if self.offset < len(self.text):
+            self.kinds, self.values, self.starts = self.scan()
+            self.consts = self.read_consts()
+            kinds = self.kinds
+            while kinds[self.pos] != "EOF":
+                if kinds[self.pos] == "DIRECTIVE":
+                    self.directive()
+                else:
+                    self.rule()
         horizon = self.resolve_horizon()
         for fault in (self.arity_error, self.safety_error):
             if fault is not None:
@@ -366,9 +518,9 @@ class _Parser:
         if self.kinds[value] not in ("INT", "NAME"):
             raise self.error(f"expected {what} value", self.starts[value])
         if what == "horizon":
-            if self.horizon_index is not None:
+            if self.horizon is not None:
                 raise self.error("duplicate #horizon directive", self.starts[i])
-            self.horizon_index = value
+            self.horizon = self.kinds[value], self.values[value], self.starts[value]
         self.expect("DOT", "'.'")
 
     def rule(self) -> None:
@@ -400,11 +552,16 @@ class _Parser:
                     break
                 self.pos += 1
         self.expect("DOT", "'.'")
+        self.unsafe(unsafe, bound, origin)
+        self.rules.append(Rule(head, tuple(body), origin))
+
+    def unsafe(self, unsafe: set[str], bound: set[str], origin: str) -> None:
+        """Record the rule at `origin` as the first unsafe one, if it is and
+        none was before: a name in `unsafe`, not in `bound`, no time variable."""
         if unsafe and self.safety_error is None:
             loose = [name for name in sorted(unsafe - bound) if not is_time_variable(name)]
             if loose:
                 self.safety_error = ProgramError(f"unsafe variable {loose[0]} in rule ({origin})")
-        self.rules.append(Rule(head, tuple(body), origin))
 
     def set_atom(self, origin: str) -> tuple[NdAtom, frozenset[str], bool]:
         """The NdAtom at the current token, with its variables' names and
@@ -441,17 +598,19 @@ class _Parser:
                 return made
         value = NdAtom((atoms[0],)) if len(atoms) == 1 else canonicalize(atoms)
         builtin = atoms[0].is_builtin()
-        if self.arity_error is None and not builtin:
-            for atom in value.atoms:  # record the first predicate used at two arities
-                seen = self.arities.setdefault(atom.pred, len(atom.args))
-                if seen != len(atom.args):
-                    self.arity_error = ProgramError(
-                        f"predicate {atom.pred!r} used with arity {len(atom.args)} "
-                        f"and {seen} ({origin})"
-                    )
-                    break
+        if self.arity_error is None and not builtin and (clash := self.clash(value)):
+            self.arity_error = ProgramError(f"{clash} ({origin})")
         made = self.set_atoms[key] = value, frozenset(names), builtin
         return made
+
+    def clash(self, value: NdAtom) -> str | None:
+        """Record the arity of each predicate of `value`, in its order, up to
+        the first used before at another; that fault's message, less origin."""
+        for atom in value.atoms:
+            seen = self.arities.setdefault(atom.pred, len(atom.args))
+            if seen != len(atom.args):
+                return f"predicate {atom.pred!r} used with arity {len(atom.args)} and {seen}"
+        return None
 
     def atom(self) -> Atom:
         kinds, values, first = self.kinds, self.values, self.pos
@@ -530,17 +689,14 @@ class _Parser:
     # -- directive resolution -----------------------------------------------
 
     def resolve_horizon(self) -> int | None:
-        i = self.horizon_index
-        if i is None:
+        if self.horizon is None:
             return None
-        value = self.values[i]
-        defined = Integer(int(value)) if self.kinds[i] == "INT" else self.consts.get(value)
+        kind, value, start = self.horizon
+        defined = Integer(int(value)) if kind == "INT" else self.consts.get(value)
         if not isinstance(defined, Integer):
-            raise self.error(
-                f"horizon {value!r} is not a defined integer constant", self.starts[i]
-            )
+            raise self.error(f"horizon {value!r} is not a defined integer constant", start)
         if defined.value < 0:
-            raise self.error("horizon must be non-negative", self.starts[i])
+            raise self.error("horizon must be non-negative", start)
         return defined.value
 
 

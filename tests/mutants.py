@@ -9,10 +9,13 @@ survive says why the suites cannot tell it from the original.
 For each row the harness copies `src/ndlp`, `tests` and `pyproject.toml`
 into a temporary directory, patches the copy, runs
 `python -m pytest -x -q` on the named files there and prints the result
-with the time taken. It exits non-zero when an old text is missing or
-repeated, or when a result differs from its expectation. Stdlib only, and
-not collected by pytest (`tests/test_mutants_table.py` checks the table's
-old texts on every tier-1 run):
+with the time taken. Each pytest child runs under an address-space cap
+(`MEMORY_CAP`), so a mutant whose tests run away fails with a
+`MemoryError` rather than growing until its time limit. It exits non-zero
+when an old text is missing or repeated, or when a result differs from its
+expectation. Stdlib only, and not collected by pytest
+(`tests/test_mutants_table.py` checks the table's old texts on every
+tier-1 run):
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -23,6 +26,7 @@ IEEE Computer 1978.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -34,6 +38,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ndlp"
 TIMEOUT_S = 600
+# Virtual memory a pytest child may map. A run of any row's tests peaks at
+# 74-129 MiB (VmPeak, Python 3.11), so this leaves about eight times that.
+MEMORY_CAP = 1 << 30
 
 KILLED, SURVIVES = "killed", "survives"
 
@@ -318,8 +325,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "reader-keeps-a-prefix", "parser.py",
-        'return shape[taken] == "$"',
-        "return True",
+        'self.whole = shape[taken] == "$" and names is not None',
+        "self.whole = names is not None",
         PARSER,
     ),
     Mutant(
@@ -360,6 +367,52 @@ MUTANTS: tuple[Mutant, ...] = (
         "reader-offset-past-unclassified-connector", "parser.py",
         '_JOINS.get(kind, ".?")',
         '_JOINS.get(kind, ".")',
+        PARSER,
+    ),
+    # the statement reader's flat reader
+    Mutant(
+        "flat-sum-offset-dropped", "parser.py",
+        "made = Sum(variable, int(offset))",
+        "made = variable",
+        PARSER,
+    ),
+    Mutant(
+        # a compound term read as a constant named by its text
+        "flat-reader-takes-a-compound", "parser.py",
+        r'_ARG = r"-?\w+(?:\s*\+\s*-?\d+)?"',
+        r'_ARG = r"-?[\w()]+(?:\s*\+\s*-?\d+)?"',
+        PARSER,
+    ),
+    Mutant(
+        # the first rule's origin counted from the start of the text, not
+        # after the comments and the #horizon before it
+        "origins-miss-the-lead-lines", "parser.py",
+        "initial=self.at))",
+        "initial=0))",
+        PARSER,
+    ),
+    Mutant(
+        "flat-clash-origin-of-the-rule-before", "parser.py",
+        'self.rules[self.shape.count(".", 0, texts.index(key))].origin',
+        'self.rules[self.shape.count(".", 0, texts.index(key)) - 1].origin',
+        PARSER,
+    ),
+    Mutant(
+        "flat-arities-not-recorded", "parser.py",
+        "for key in new:  # arities in the order",
+        "for key in new[:0]:  # arities in the order",
+        PARSER,
+    ),
+    Mutant(
+        "flat-reader-drops-horizon", "parser.py",
+        'self.horizon = "INT", lead[1], lead.start(1)',
+        "self.horizon = None",
+        PARSER,
+    ),
+    Mutant(
+        "flat-comparison-head-taken", "parser.py",
+        'if i == 0 or shape[i - 1] in ".;!":',
+        'if shape[i - 1] in ";!":',
         PARSER,
     ),
     # the command line's loader of what the statement reader takes whole
@@ -463,6 +516,10 @@ def problems(mutant: Mutant) -> list[str]:
     return found
 
 
+def _capped() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def run(mutant: Mutant) -> tuple[str, float]:
     """Patch a scratch copy of the package and run the mutant's tests."""
     with tempfile.TemporaryDirectory(prefix="ndlp-mutant-") as scratch:
@@ -479,7 +536,8 @@ def run(mutant: Mutant) -> tuple[str, float]:
         start = time.perf_counter()
         try:
             code = subprocess.run(command, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+                                  preexec_fn=_capped).returncode
         except subprocess.TimeoutExpired:
             return f"{KILLED} (timeout)", time.perf_counter() - start
         elapsed = time.perf_counter() - start

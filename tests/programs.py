@@ -119,8 +119,16 @@ def facts(n: int) -> str:
 
 def handover(lines: str) -> str:
     """Braced rules over names, then rules with arguments: the statement
-    reader stops at the first of these and the token parser reads on."""
+    reader reads them all through its flat reader."""
     return lines + "{s(X)} :- {t(X)}. {t(a)}.\n"
+
+
+def flat_rules(n: int) -> str:
+    """`n` rules over flat atoms, each joining a variable with a constant,
+    then one fact with a compound term: the statement reader hands over to
+    the token parser at that last fact."""
+    return "".join(f"{{p{i % 7}(X, {i})}} :- {{q(X, c{i % 11})}}.\n"
+                   for i in range(n)) + "{q(f(a), c0)}.\n"
 
 
 ROBOT_ACTIONS = ("close", "flip_lock", "check", "inspect")
@@ -181,6 +189,9 @@ def programs() -> dict[str, str]:
         "handover.ndlp": handover("".join(loop_lines[:2500])),
         "facts.ndlp": facts(20000),
         "mixed.ndlp": facts(20000) + "{q(X)} :- {p(X, c1, d1)}.\n",
+        # a comment after each fact, which the statement reader keeps in the connectors
+        "commented_facts.ndlp": facts(20000).replace(".\n", ". % a fact\n"),
+        "flat_rules.ndlp": flat_rules(10000),
         # a rule without variables whose body holds 10 000 facts
         "ground_body.ndlp": "".join(f"{{g{i}}}.\n" for i in range(n)) + "{h} :- " + ", ".join(
             f"{{g{i}}}" for i in range(n)) + ".\n{q(X)} :- {r(X)}. {r(a)}.\n",
@@ -231,7 +242,7 @@ LEAST = ("solve", "--semantics", "least")
 # What each limit catches:
 # - the examples: any of them hanging;
 # - 15 s: search or propagation turned quadratic, a repeated set-atom read
-#   again, or a program read twice, over both of the parser's readers, and
+#   again, or a program read twice, over the parser's readers, and
 #   the loops' rules spelled at size from one file and from two; with a
 #   comment between every two rules, the statement reader's comments handled
 #   in time quadratic in their number;
@@ -239,7 +250,10 @@ LEAST = ("solve", "--semantics", "least")
 #   a conflict or its undo costing more than the module it closes, or a pivot
 #   order that takes the atoms of a module apart;
 # - 5 s and 2 s: a slower parser, a grounder that joins a rule without
-#   variables per body fact, or a set-atom match turned quadratic;
+#   variables per body fact, or a set-atom match turned quadratic; on the
+#   facts with a comment each and the 10 000 flat rules that end in a
+#   handover, the statement reader's comments or its flat reader turned
+#   quadratic in the number of statements;
 # - the runaway grounding: it stops past MAX_GROUND_INSTANCES with exit 2;
 # - robot grounded at horizon 200 (11 057 lines): a set-literal looked up
 #   by key turned into a scan, or the instances' rank order into a slow sort;
@@ -274,6 +288,8 @@ ROWS: tuple[Row, ...] = (
     Row(("ground",), ("chain.ndlp",), 5),
     Row(("ground",), ("facts.ndlp",), 5),
     Row(("ground",), ("mixed.ndlp",), 5),
+    Row(("ground",), ("commented_facts.ndlp",), 5),
+    Row(("ground",), ("flat_rules.ndlp",), 5),
     Row(("ground",), ("ground_body.ndlp",), 5),
     Row(("ground",), ("closure.ndlp",), 5),
     Row(LEAST, ("closure.ndlp",), 5),

@@ -1,5 +1,5 @@
 """Canonical forms, stored hashes and text, the tokenizer, the parser and its
-two readers, and the printer round trip."""
+three readers, and the printer round trip."""
 
 import os
 import pickle
@@ -32,6 +32,7 @@ from ndlp.syntax import (
 )
 
 from oracles import scan_characters
+from programs import chain_edges, closure_text, robot_variant, robot_variants
 
 
 def atom(pred, *args):
@@ -482,17 +483,24 @@ def outcome(parse, *args):
 class TestStatementReader:
     """`parse_program` and `parse_files` against the token parser alone, on
     random programs: mostly braced rules, which the statement reader takes,
-    with CRLF line ends, comments between statements and inside set-atoms,
-    bare atoms, directives, comparisons, variables, names the word builder
-    must refuse, and every kind of fault, which the token parser reports."""
+    over names or flat atoms (arguments, sums, comparisons, a leading
+    `#horizon`), with CRLF line ends, comments between statements and inside
+    set-atoms, bare atoms, directives, compound terms, variables, names the
+    word builder must refuse, and every kind of fault, which the token
+    parser reports."""
 
     NAMES = ["a", "b", "c2", "-a", "-b_1", "nota", "x_y", "\u00e9t\u00e9", "\u00aa", "p"]
-    ATOMS = ["p(a)", "p(X)", "q(X, 1)", "q(a, b)", "-r(f(a), Y+1)", "r(T, T+1)", "s(-1, n)"]
-    COMPARISONS = ["{X != Y}", "{ X == a }"]
+    # flat atoms, which the flat reader takes, and atoms with compound terms,
+    # at which it hands over
+    ATOMS = ["p(a)", "p(X)", "q(X, 1)", "q(a, b)", "r(T, T+1)", "s(-1, n)", "q(X+1, -b)",
+             "q( Y ,X + -2 )", "r(T0, 007)", "-p(Y)", "s(X,\nn)", "nota(\u00aa)"]
+    COMPOUNDS = ["-r(f(a), Y+1)", "p(f(X))", "q(g(a, 1), b)"]
+    COMPARISONS = ["{X != Y}", "{ X == a }", "{T+1 != X}", "{1 == Y}"]
     # no name: an upper-case or non-letter first letter, the keyword, a lone
     # sign, a term, a sum, a token fault, a term nested too deep
     FAULTS = ["A", "Ab", "-B", "not", "_a", "1", "-", "-1", "1+2", "a b", "a$", "\u24d0",
-              "p(a+1)", "p(X+Y)", "X != Y", "p(" + "f(" * 101 + "a" + ")" * 102]
+              "p(a+1)", "p(X+Y)", "X != Y", "p(" + "f(" * 101 + "a" + ")" * 102, "p(not)",
+              "p(1a)", "p(-X)", "P(a)", "p(a,)", "p()", "X < Y"]
     # also a rule split across lines (around "not", which `statement` may
     # follow with a line end)
     SPACES = ["", " ", " ", "  ", "\n", "\r\n", "\t", "\n  "]
@@ -505,8 +513,10 @@ class TestStatementReader:
         roll = rng.random()
         if roll < 0.8:
             return rng.choice(self.NAMES)
-        if roll < 0.95 or not faults:
+        if roll < 0.93:
             return rng.choice(self.ATOMS)
+        if roll < 0.96 or not faults:
+            return rng.choice(self.COMPOUNDS)
         return rng.choice(self.FAULTS)
 
     def set_atom(self, rng, faults):
@@ -527,7 +537,7 @@ class TestStatementReader:
             return rng.choice(["{a} :- .", "{a}", "{a} :- {b} {c}.", "{a} $.", "{}.", ":- {a}.",
                                "#horizon k.", "#horizon -1.", "#horizon 1. #horizon 2.",
                                "#frob 1.", "{a, b.", "{p(a}.", "{a} :- not {X != Y}.",
-                               "{X == a}."])
+                               "{X == a}.", "{a} :- {b, X != Y}.", "{p(X)} :- {X != a}."])
         space = rng.choice(self.SPACES)
         head = rng.choice(pool)
         body = [rng.choice(["not ", "not ", "not", "not\n"]) * (rng.random() < 0.5)
@@ -541,6 +551,9 @@ class TestStatementReader:
     def program(self, rng, faults):
         pool = [self.set_atom(rng, faults) for _ in range(rng.randrange(1, 6))]
         pieces = [rng.choice(self.BETWEEN) * (rng.random() < 0.3)]
+        if rng.random() < 0.1:
+            pieces.append(rng.choice(["#horizon 2.", "#horizon\t03 .", "#horizon 1.%h\n"]))
+            pieces.append(rng.choice(self.BETWEEN))
         for _ in range(rng.randrange(1, 7)):
             pieces += [self.statement(rng, pool, faults), rng.choice(self.BETWEEN)]
         return "".join(pieces)
@@ -554,14 +567,17 @@ class TestStatementReader:
     @pytest.mark.parametrize("seed", range(8))
     def test_readers_agree(self, seed, monkeypatch):
         rng = random.Random(seed)
-        taken = 0
+        names = flat = 0  # the programs each of the statement reader's readers takes whole
         for case in range(150):
             text = self.program(rng, faults=case % 3 == 0)
             want = self.token_parser(monkeypatch, parse_program, text)
             assert outcome(parse_program, text) == want, repr(text)
-            taken += _Parser(text).read()
-        # both readers read a share of the programs
-        assert 30 <= taken <= 120, taken
+            parser = _Parser(text)
+            names += parser.read()
+            flat += not parser.whole and parser.offset == len(text)
+        # each reader reads a share of the programs
+        assert 30 <= names <= 120, names
+        assert 10 <= flat <= 60, flat
 
     @pytest.mark.parametrize("seed", range(2))
     def test_readers_agree_on_two_files(self, seed, monkeypatch):
@@ -582,28 +598,52 @@ class TestStatementReader:
         assert first.head.atoms[1] is second.body[1].atom.atoms[1]
         assert [r.origin for r in (first, second, third)] == ["line 1", "line 2", "line 3"]
 
+    def test_planning_and_closure_shapes_are_read_whole(self, monkeypatch):
+        """The planning example, its 24 variants and closure chains are
+        flat: the statement reader takes each whole, and the token parser
+        scans none of them."""
+        scans = []
+        monkeypatch.setattr(_Parser, "scan", lambda self: scans.append(self.offset))
+        texts = [corpus_text("robot.ndlp"), *(robot_variant(*shape) for shape in robot_variants()),
+                 closure_text(chain_edges(13)), closure_text(chain_edges(30), "_t")]
+        for text in texts:
+            parser = _Parser(text)
+            assert not parser.read() and parser.offset == len(text)
+            assert list(parser.parse().rules) == parser.rules != []
+        assert scans == []
+
     def test_reader_gives_up_at_the_first_text_it_cannot_build(self, monkeypatch):
-        """The reader checks all distinct texts in one pass, text by text only
-        when that pass fails, and stops at the first text that is no name; it
-        refuses a first set-atom with arguments before checking any. The
-        token parser then scans the text once."""
-        checked, scans = [], []
-        word_check, scan = _keys, _Parser.scan
-        monkeypatch.setattr("ndlp.parser._keys",
+        """The reader checks all distinct texts for names in one pass and,
+        when that pass fails, splits them all into members once; it stops at
+        the first text it cannot build. A program it takes whole is never
+        scanned, and the token parser scans the rest of any other once."""
+        checked, split, scans = [], [], []
+        word_check, scan, member = _keys, _Parser.scan, parser_module._MEMBER
+
+        class Member:
+            def split(self, text):
+                split.append(text)
+                return member.split(text)
+
+        monkeypatch.setattr(parser_module, "_keys",
                             lambda texts: checked.append(list(texts)) or word_check(texts))
+        monkeypatch.setattr(parser_module, "_MEMBER", Member())
         monkeypatch.setattr(_Parser, "scan", lambda self: scans.append(1) or scan(self))
         loops = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n"
                         for i in range(500))
-        with pytest.raises(ProgramError, match="unsafe variable X"):
+        with pytest.raises(ProgramError, match=r"unsafe variable X in rule \(line 1\)"):
             parse_program("{s(X)} :- not {t(X)}.\n" + loops)
-        assert (checked, len(scans)) == ([], 1)
-        scans.clear()
+        assert (len(checked), len(split), scans) == (1, 1, [])
+        checked.clear()
+        split.clear()
+        more = loops.replace("{a", "{c").replace("{b", "{d")
         with pytest.raises(ParseError, match="expected comparison operator"):
-            parse_program(loops + "{s, Two} :- not {t}.\n")
-        singles = [texts[0] for texts in checked if len(texts) == 1]
-        passes = [texts for texts in checked if len(texts) > 1]
-        assert singles[-1] == "s, Two" and "t" not in singles and len(scans) == 1
-        assert len({text for texts in passes for text in texts}) == 1002 and len(passes) == 2
+            parse_program(loops + "{s, Two} :- not {t}.\n" + more)
+        assert [len(texts) for texts in checked] == [2002] and len(scans) == 1
+        assert len(split) == 1 and split[0].count("}") == 2001
+        parser = _Parser(loops + "{s, Two} :- not {t}.\n")
+        assert not parser.read() and len(parser.rules) == 1000 and not parser.keys
+        assert parser.offset == len(loops) - 1
 
     def test_token_parser_reads_on_from_where_the_reader_stopped(self, monkeypatch):
         """Each byte is read once: the reader builds every text up to the
@@ -613,30 +653,39 @@ class TestStatementReader:
         loops = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n"
                         for i in range(500))
         with pytest.raises(ProgramError, match=r"unsafe variable X in rule \(line 1001\)"):
-            parse_program(loops + "{s(X)} :- not {t(X)}.\n")
-        parser = _Parser(loops + "{s(X)} :- not {t(X)}.\n")
+            parse_program(loops + "s(X) :- not t(X).\n")
+        parser = _Parser(loops + "s(X) :- not t(X).\n")
         assert not parser.read() and len(parser.keys) == 1000 and parser.offset == len(loops) - 1
-        [(_, values, starts)] = scanned
-        assert values == ["{", "s", "(", "X", ")", "}", ":-", "not", "{", "t", "(", "X", ")", "}",
-                          ".", ""]
-        assert starts[0] == len(loops)
+        # the flat reader hands over at a compound term
+        flat = loops.replace("}", "(1)}")
+        with pytest.raises(ProgramError, match=r"unsafe variable X in rule \(line 1001\)"):
+            parse_program(flat + "{s(f(X))} :- not {t(X)}.\n")
+        parser = _Parser(flat + "{s(f(X))} :- not {t(X)}.\n")
+        assert not parser.read() and len(parser.rules) == 1000 and parser.offset == len(flat) - 1
+        [(_, bare, bare_starts), (_, values, starts)] = scanned
+        assert bare == ["s", "(", "X", ")", ":-", "not", "t", "(", "X", ")", ".", ""]
+        assert values == ["{", "s", "(", "f", "(", "X", ")", ")", "}", ":-", "not", "{", "t", "(",
+                          "X", ")", "}", ".", ""]
+        assert (bare_starts[0], starts[0]) == (len(loops), len(flat))
 
-    def test_reader_splits_nothing_before_a_first_rule_with_arguments(self, monkeypatch):
-        """A first set-atom with arguments, after comments or not, is refused
-        before the reader splits any of the text, and a later one bounds the
-        text it splits."""
+    def test_reader_splits_nothing_before_a_first_statement_it_cannot_take(self, monkeypatch):
+        """A first statement other than a braced rule over flat atoms, or
+        one whose first set-atom holds more than their characters, is
+        refused before the reader splits any of the text, after comments and
+        a `#horizon` or not; a text it takes whole it splits once."""
         split, pieces = [], parser_module._pieces
         monkeypatch.setattr(parser_module, "_pieces",
                             lambda text: split.append(len(text)) or pieces(text))
         facts = "".join(f"{{edge(n{i}, n{i + 1})}}.\n" for i in range(20_000))
-        for text in (facts, "% edges\n" + facts, "{edge(X, Y)} :- {p}.\n{p}.\n"):
+        for text in ("edge(a, b).\n" + facts, "% edges\n#const n = 1.\n" + facts,
+                     "#horizon 2.\n#horizon 3.\n" + facts, "{edge(a, % b\n b)}.\n" + facts):
             assert not _Parser(text).read()
         assert split == []
+        parser = _Parser("% edges\n#horizon 2.\n" + facts)
+        assert not parser.read() and parser.offset == len(parser.text)
+        assert split == [len(facts)] and len(parser.rules) == 20_000
         assert outcome(parse_program, facts)[1][:2] == ["line 1", "line 2"]
-        # after a rule it takes, it splits no further than the first "(" outside comments
-        parser = _Parser("{a} :- not {b}.\n" + facts)
-        assert not parser.read() and parser.offset == 15 and split == [len("{a} :- not {b}.\n{edge(")]
-        for text in ("{a}.\n(b).", "{a}. % (\n{b}.", "{a}.\n{b} :- {c(X)}."):
+        for text in ("{a}.\n(b).", "{a}. % (\n{b}.", "{a}.\n{b} :- {c(f(X))}."):
             assert outcome(parse_program, text) == self.token_parser(monkeypatch, parse_program, text)
 
     def stops(self, text, files=()):
@@ -644,11 +693,13 @@ class TestStatementReader:
         return not parser.read() and parser.offset > 0
 
     def test_arity_clash_with_a_name_the_reader_built(self, monkeypatch):
-        text = "{p} :- not {q}.\n{q} :- not {p}.\n{p(a)}.\n"
-        assert self.stops(text)
-        want = self.token_parser(monkeypatch, parse_program, text)
-        assert outcome(parse_program, text) == want
-        assert want[:2] == (ProgramError, "predicate 'p' used with arity 1 and 0 (line 3)")
+        # the name reader stops at a bare atom, the flat reader at a compound term
+        for text in ("{p} :- not {q}.\n{q} :- not {p}.\np(a).\n",
+                     "{p} :- not {q(X)}, {q(X)}.\n{q(a)} :- not {p}.\n{p(f(a))}.\n"):
+            assert self.stops(text)
+            want = self.token_parser(monkeypatch, parse_program, text)
+            assert outcome(parse_program, text) == want
+            assert want[:2] == (ProgramError, "predicate 'p' used with arity 1 and 0 (line 3)")
 
     def test_text_read_before_and_after_the_stop_is_one_object(self, monkeypatch):
         text = "{a, b} :- not {c}.\n{d(X)} :- {a, b}, {e(X)}.\n{c} :- not { a, b }, {a, b}.\n{e(1)}.\n"
