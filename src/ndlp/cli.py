@@ -20,9 +20,10 @@ into the report as those indices with no sort, rendered through the
 program's `member_texts`, and expands each model with the report's
 negatives over the program's one atom table into int masks. Both read the
 atom table, so the command line builds no `Atom` after parsing, and none
-at all for braced rules over names, whose ground program `_load` builds
-from the statement reader's ids; library callers may hand the report
-NdAtoms instead. `SolveReport.write` renders both formats straight to
+at all for braced rules that the statement reader takes whole: `_load`
+builds the ground program of rules over names from its ids, and grounds
+rules over flat atoms with variables from its set-atom patterns; library
+callers may hand the report NdAtoms instead. `SolveReport.write` renders both formats straight to
 stdout in pieces: the header, each model, and the answer-set rows
 `CHUNK_ROWS` at a time, so no `AnswerSet` is built and no string holds the
 whole report. Each row is written from a few lookups of its mask into
@@ -51,7 +52,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 from .answersets import AnswerSet, Expansion, Layout, expand_ids
 from .compiled import AtomTable, GroundProgram, table_program
 from .errors import NdlpError
-from .grounder import ground
+from .grounder import ground, ground_patterns
 from .parser import reader
 from .syntax import Atom
 from .stable import enumerate_stable
@@ -284,8 +285,12 @@ def _read(path: str) -> str:
 
 def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
     """Whether the files, read as one program (see `parser.reader`), negate
-    nothing, and their ground program: for braced rules over names, which
-    the statement reader takes whole, built from its ids, every rule kept."""
+    nothing, and their ground program. For braced rules over names, which
+    the statement reader takes whole, it is built from the reader's ids,
+    every rule kept; for braced rules over flat atoms with variables, which
+    its flat reader takes whole, it is grounded from the reader's set-atom
+    patterns (`grounder.ground_patterns`). No syntax value is built on
+    either route; any other text is parsed and grounded as a `Program`."""
     parser = reader([(p, _read(p)) for p in paths])
     if parser.read() and (horizon is None or horizon >= 0):
         keys = list(parser.keys)  # each set-atom's names; an atom's key sorts as its name
@@ -297,7 +302,15 @@ def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
         table = AtomTable(texts, members, functools.partial(map, Atom, texts))
         return not any(parser.negated), table_program(
             table, parser.heads, parser.positive, parser.negated, lambda *_: tuple(parser.spell()))
+    # the reader's tables of texts go before grounding, which allocates the most
+    flat = parser.flat()
+    if flat is not None:
+        del parser
+        patterns, rules, own = flat
+        return not any(any(negated) for _, _, negated, _ in rules), ground_patterns(
+            patterns, rules, own if horizon is None else horizon)
     program = parser.parse()
+    del parser
     return program.is_positive(), ground(program, horizon=horizon)
 
 

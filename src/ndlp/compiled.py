@@ -6,7 +6,7 @@ int plus tuples of its positive and negated body ints, which the grounder
 emits directly for rules with variables, with per-atom lists of the rules
 that use the atom positively, that negate it and that define it.
 `make_ground_program` derives them from ground `Rule`s, in one pass that
-interns their NdAtoms by value (`intern_rules`): it compiles a program
+interns their NdAtoms by value: it compiles a program
 without variables, and it is the reference the grounder's join is tested
 against. The base is held in one form, its `AtomTable`, which
 `table_program` sorts: the grounder builds it from int keys
@@ -93,14 +93,14 @@ class AtomTable:
         return cls(texts, members, atoms.__iter__)
 
     @classmethod
-    def of_keys(cls, keys: list[tuple], term_keys: list, constants: tuple[Term, ...],
+    def of_keys(cls, keys: list[tuple], term_keys: list,
                 terms: tuple[list[int], list[str]]) -> AtomTable:
         """The table of the NdAtoms whose members are keyed `keys`, from the
         keys alone. A member is keyed `(pred, arg ids)`, and term i
         `term_keys[i]`: an int for an Integer, a str for a Constant,
-        `(name, arg ids)` for a Compound, the `constants` first. `terms` are
-        the terms' ranks and texts (`rank_terms`), and one sort of the member
-        keys by those ranks orders the members."""
+        `(name, arg ids)` for a Compound. `terms` are the terms' ranks and
+        texts (`rank_terms`), and one sort of the member keys by those ranks
+        orders the members."""
         rank, texts = terms
         # a member sorts as (pred, arity, *its terms' ranks), with no Python key function
         unique = list({member for key in keys for member in key})
@@ -111,7 +111,7 @@ class AtomTable:
                   for key in keys]
         spelled = tuple([f"{pred}({', '.join([texts[a] for a in args])})" if args else pred
                          for pred, args in members])
-        return cls(spelled, ranked, partial(_spell_atoms, members, term_keys, constants))
+        return cls(spelled, ranked, partial(_spell_atoms, members, term_keys))
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
@@ -148,10 +148,10 @@ def rank_terms(term_keys: list) -> tuple[list[int], list[str]]:
     return rank, texts
 
 
-def _spell_atoms(members: list[tuple], term_keys: list, constants: tuple[Term, ...]) -> list[Atom]:
+def _spell_atoms(members: list[tuple], term_keys: list) -> list[Atom]:
     """The `Atom` of each member key, over terms built from their keys."""
-    terms = list(constants)
-    for key in term_keys[len(constants):]:
+    terms: list[Term] = []
+    for key in term_keys:
         terms.append(Integer(key) if type(key) is int else Constant(key) if type(key) is str
                      else Compound(key[0], tuple(map(terms.__getitem__, key[1]))))
     return [Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in members]
@@ -271,10 +271,11 @@ def restricted_base(rules: Iterable[Rule]) -> tuple[NdAtom, ...]:
     return sort_nd_atoms(base)
 
 
-def intern_rules(rules: Iterable[Rule]) -> tuple[dict[NdAtom, int], list[int], list[list[int]],
-                                                 list[list[int]]]:
-    """The distinct NdAtoms of ground `rules` by id, interned by value in
-    rule order, and each rule's head, positive body and negated body ids."""
+def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
+    """Compile already-ground rules over their restricted base, in one pass
+    that interns their NdAtoms by value in rule order and one sort of the
+    table into key order."""
+    rules = tuple(rules)
     ids: dict[NdAtom, int] = {}
     intern = ids.setdefault
     heads: list[int] = []
@@ -288,14 +289,6 @@ def intern_rules(rules: Iterable[Rule]) -> tuple[dict[NdAtom, int], list[int], l
             (negated if lit.negated else positive).append(intern(lit.atom, len(ids)))
         pos.append(positive)
         neg.append(negated)
-    return ids, heads, pos, neg
-
-
-def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
-    """Compile already-ground rules over their restricted base, in one pass
-    that interns their NdAtoms and one sort of the table into key order."""
-    rules = tuple(rules)
-    ids, heads, pos, neg = intern_rules(rules)
     return table_program(AtomTable.of(list(ids)), heads, pos, neg, lambda *_: rules)
 
 

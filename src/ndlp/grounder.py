@@ -26,16 +26,27 @@ over its domain, and a bound value outside it is rejected. At most
 MAX_GROUND_INSTANCES instances are recorded, kept or dropped, and no larger
 time domain is built; past that, grounding stops with a GroundingError.
 
-Each distinct NdAtom's terms are walked once per call (`_variables`): the
-rules with variables, their variables and the patterns of their atoms are
-all read off that one walk.
+The grounder reads one input form, set-atom patterns (`ground_patterns`).
+A set-atom's pattern is its distinct members as `(pred, args)`, each arg a
+variable's name, `(name, offset)` for a sum, or a ground term's key (an
+int, a symbol's name, or `(name, args)` for a compound, args keyed the
+same way), with the names of its variables and whether it is a
+comparison; a variable's name starts with an upper-case letter and a
+symbol's does not. A rule is (head, body, negated, origin), its set-atoms
+the indices of their patterns. There are two producers. The statement
+reader's flat reader builds one pattern per distinct set-atom text,
+straight from its split of the text (`parser._Parser.flat`), and the
+command line hands them over with no syntax value built (`cli._load`).
+`ground` converts a `Program`'s syntax values (`_patterns`), once per
+distinct NdAtom; a program whose atoms' texts have no upper-case letter,
+so no variable, skips that and is compiled as written by
+`make_ground_program`, the compile of ground rules that is also the
+reference the join route is tested against.
 
-Every rule without variables is its own instance, its NdAtoms interned by
-value in rule order (`compiled.intern_rules`). A program of such rules only
-is compiled by `make_ground_program`, the compile of ground rules that is
-also the reference the join route is tested against; otherwise the
-instantiator starts from those NdAtoms and counts each such rule's positive
-body down instead of joining it.
+Every rule without variables is its own instance, less its comparisons,
+which are evaluated on the keys, or none when one is false. Its set-atoms
+are keyed once per pattern, and the instantiator starts from them and
+counts each such rule's positive body down instead of joining it.
 
 Matching runs on ints over fixed join plans, as Souffle compiles rules to
 loop nests over indexes (Jordan et al., CAV 2016). Each ground term has an
@@ -59,7 +70,8 @@ compare slots, is read off the row. Heads and negated literals stay
 the terms ranks them (`compiled.rank_terms`); each rule's instances sort by
 those ranks, and one sort of the member keys by them orders the atom table
 and the base, whose texts are joined from term texts. NdAtoms and `Rule`s
-are built only when read.
+are built only when read: every kept rule, with or without variables, is
+spelled from its ids, its body's layout and its origin.
 
 Every semantics runs over this *restricted* base; NdAtoms outside it are
 false (total semantics) or negative (well-founded) and never enumerated.
@@ -68,15 +80,14 @@ false (total semantics) or negative (well-founded) and never enumerated.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, islice, product, repeat
-from operator import itemgetter
+from itertools import chain, compress, islice, product, repeat
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .compiled import (AtomTable, GroundProgram, intern_rules, make_ground_program, rank_terms,
-                       table_program)
+from .compiled import AtomTable, GroundProgram, make_ground_program, rank_terms, table_program
 from .errors import GroundingError
-from .syntax import (BUILTIN_PREDICATES, Atom, Compound, Constant, Integer, Literal, NdAtom,
-                     Program, Rule, Sum, Term, Variable, is_time_variable)
+from .syntax import (BUILTIN_PREDICATES, Constant, Integer, Literal, NdAtom, Program, Rule, Sum,
+                     Term, Variable, is_time_variable)
 
 # Most instances of rules with variables one `ground()` call may record,
 # kept or dropped, and so also the most time points a free time variable
@@ -92,56 +103,93 @@ CHUNK_ROWS = 1024  # most partial rows a join step takes at a time
 SAME, CONST, TIME, SUM_SAME, SUM_CONST, SUM_TIME, NEST = range(7)
 
 
-def _constants(nds: Iterable[NdAtom]) -> tuple[Term, ...]:
-    """The constants (symbols and integers) in `nds`, in key order."""
-    found: dict[tuple, Term] = {}
-    stack = [term for nd in nds for atom in nd.atoms for term in atom.args]
-    while stack:
-        term = stack.pop()
-        kind = type(term)
-        if kind is Constant or kind is Integer:
-            found[term.key] = term
-        elif kind is Compound:
-            stack.extend(term.args)
-    return tuple([found[key] for key in sorted(found)])
-
-
 _PLAIN: frozenset[str] = frozenset()
+_negated = attrgetter("negated")
 
 
-def _variables(nds: Iterable[NdAtom]) -> dict[int, frozenset[str]]:
-    """The names of the variables in each of `nds`, in each of its atoms and
-    in each compound term of theirs, by `id`: the one walk of their terms.
-    Whatever has none shares one empty set, so a program of many facts
-    keeps no set per fact."""
-    found: dict[int, frozenset[str]] = {}
-    for nd in nds:
+def _patterns(rules: Sequence[Rule]) -> tuple[list[tuple], list[tuple]]:
+    """The set-atom patterns of `rules`, one per distinct NdAtom by identity
+    (the parser shares a repeated one), and each rule as (head, body,
+    negated, origin): the indices of its NdAtoms' patterns, and whether each
+    body literal is negated."""
+    index: dict[int, int] = {}
+    patterns: list[tuple] = []
+
+    def pattern(nd: NdAtom) -> int:
+        names: list[str] = []
         atoms = nd.atoms
-        if len(atoms) == 1:
-            found[id(nd)] = found[id(atoms[0])] = _walk(atoms[0].args, found)
-        else:
-            found[id(nd)] = _PLAIN.union(*[found.setdefault(id(atom), _walk(atom.args, found))
-                                           for atom in atoms])
-    return found
+        members = ((atoms[0].pred, _args(atoms[0].args, names)),) if len(atoms) == 1 \
+            else tuple([(atom.pred, _args(atom.args, names)) for atom in atoms])
+        i = index[id(nd)] = len(patterns)
+        patterns.append((members, frozenset(names) if names else _PLAIN,
+                         atoms[0].pred in BUILTIN_PREDICATES))
+        return i
+
+    found = index.get
+    read = []
+    for rule in rules:
+        head = found(id(rule.head))
+        if head is None:
+            head = pattern(rule.head)
+        if not rule.body:
+            read.append((head, (), (), rule.origin))
+            continue
+        body = []
+        for lit in rule.body:
+            i = found(id(lit.atom))
+            body.append(pattern(lit.atom) if i is None else i)
+        read.append((head, tuple(body), tuple(map(_negated, rule.body)), rule.origin))
+    return patterns, read
 
 
-def _walk(terms: tuple[Term, ...], found: dict[int, frozenset[str]]) -> frozenset[str]:
-    """The names of the variables in `terms`, each compound's put in `found`;
-    a sum's base is a variable."""
-    names = []
+def _args(terms: tuple[Term, ...], names: list[str]) -> tuple:
+    """The pattern args of `terms`, the names of their variables put in
+    `names`; a sum's base is a variable."""
+    args = []
     for term in terms:
         kind = type(term)
-        if kind is Variable:
+        if kind is Constant:
+            args.append(term.name)
+        elif kind is Integer:
+            args.append(term.value)
+        elif kind is Variable:
             names.append(term.name)
+            args.append(term.name)
         elif kind is Sum:
             names.append(term.base.name)
-        elif kind is Compound:
-            names += found.setdefault(id(term), _walk(term.args, found))
-    return frozenset(names) if names else _PLAIN
+            args.append((term.base.name, term.offset))
+        else:
+            args.append((term.name, _args(term.args, names)))
+    return tuple(args)
 
 
-def _is_test(lit: Literal) -> bool:
-    return lit.atom.atoms[0].is_builtin()
+def _constants(patterns: list[tuple]) -> list:
+    """The keys of the ground terms the patterns name, and of those inside
+    their compounds: the program's constants, in key order (integers by
+    value, then symbols by name). A variable's name starts with an
+    upper-case letter and a symbol's does not, so no name is both."""
+    found, names = set(), set()
+    for members, variables, _ in patterns:
+        names |= variables
+        for _, args in members:
+            found.update(args)
+    found -= names
+    stack = [arg for arg in found if type(arg) is tuple]
+    while stack:  # sums, which name a variable, and compounds, whose args count
+        arg = stack.pop()
+        found.discard(arg)
+        if type(arg[1]) is tuple:
+            inner = set(arg[1]) - names
+            stack += [term for term in inner if type(term) is tuple]
+            found |= inner
+    return sorted(found, key=lambda key: (type(key) is str, key))
+
+
+def _holds(members: tuple) -> bool:
+    """Whether a comparison without variables holds. The parser folds
+    `INT+INT`, so it compares its two arguments' keys as written."""
+    (op, (left, right)), = members
+    return (left == right) == (op == "==")
 
 
 def _fixed_instance(rule: Rule) -> Rule | None:
@@ -149,10 +197,11 @@ def _fixed_instance(rule: Rule) -> Rule | None:
     the rule less its comparisons, or None when one of them is false. The
     parser folds `INT+INT`, so a ground comparison compares its two
     arguments as written."""
-    tests = [lit.atom.atoms[0] for lit in rule.body if _is_test(lit)]
+    tests = [lit.atom.atoms[0] for lit in rule.body if lit.atom.atoms[0].is_builtin()]
     if any((test.args[0] == test.args[1]) != (test.pred == "==") for test in tests):
         return None
-    return Rule(rule.head, tuple(lit for lit in rule.body if not _is_test(lit)), rule.origin)
+    return Rule(rule.head, tuple([lit for lit in rule.body if not lit.atom.atoms[0].is_builtin()]),
+                rule.origin)
 
 
 class _Sum:
@@ -183,43 +232,48 @@ class _Step:
 
 
 class _Source:
-    """One source rule with variables during instantiation. Variable j of
-    its sorted `names` has slot j of `slots`, and is a time variable where
-    `timed[j]`; each ground term its patterns name has a later slot holding
-    the term's id. An atom's pattern is (pred, args, whether every arg is a
-    slot), an arg a slot, a `_Sum`, or `(name, args)` for a compound with
-    variables. `joins` holds each positive literal's atoms, patterns and
-    index keys, and `plans[k]` joins them from literal k. A row
-    of the join is the slots, `width` of them, then the NdAtom each join
-    literal matched, in body order, and `slots` is the row it starts from;
-    `free` are the slots no join binds. `grounded` (the head, then negated
-    literals) and `tests` hold patterns. `instances` maps slots to the ids
-    of the head, positive and negated body, or to None when a comparison or
-    arithmetic failed. `layout` tells which kept body literals are negated;
-    `after` counts the rules without variables kept before it. `variables`
-    is the walk of `_variables`."""
+    """One source rule with variables during instantiation, from the
+    patterns of its set-atoms and its `rule` (head, body, negated, origin)
+    as `ground_patterns` takes it. Variable j of its sorted `names` has slot
+    j of `slots`, and is a time variable where `timed[j]`; each ground term
+    its patterns name has a later slot holding the term's id. A member's
+    slot pattern is (pred, args, whether every arg is a slot), an arg a
+    slot, a `_Sum`, or `(name, args)` for a compound with variables.
+    `joins` holds each positive literal's slot patterns and index keys,
+    `binds` the slots of its variables, and `plans[k]` joins them from
+    literal k. A row of the join is the slots, `width` of them, then the
+    NdAtom each join literal matched, in body order, and `slots` is the row
+    it starts from; `free` are the slots no join binds. `grounded` (the
+    head, then negated literals) and `tests` hold slot patterns.
+    `instances` maps slots to the ids of the head, positive and negated
+    body, or to None when a comparison or arithmetic failed. `layout` tells
+    which kept body literals are negated; `after` counts the rules without
+    variables kept before it."""
 
-    def __init__(self, rule: Rule, names: list[str], timed: list[bool], after: int,
-                 written_id: Callable[[Term], int], variables: dict[int, frozenset[str]]):
-        self.rule, self.names, self.timed, self.after = rule, names, timed, after
-        self.variables = variables
-        self.slot = {name: j for j, name in enumerate(names)}
-        self.ground_slot: dict[tuple, int] = {}  # a ground term's key -> its slot
-        self.ground_terms: list[Term] = []
+    def __init__(self, rule: tuple, names: list[str], timed: list[bool], after: int,
+                 written_id: Callable[[object], int], patterns: list[tuple]):
+        head, body, negated, self.origin = rule
+        self.names, self.timed, self.after = names, timed, after
+        # a variable's name, or a ground term's key, -> its slot
+        self.slot = dict(zip(names, range(len(names))))
+        self.ground_terms: list = []  # the keys of the ground terms with slots
         # every pattern first, so every slot is placed before a join fills any
-        head = tuple(map(self.member, rule.head.atoms))
-        body = [(lit, tuple(map(self.member, lit.atom.atoms))) for lit in rule.body]
-        self.slots = [0] * len(names) + list(map(written_id, self.ground_terms))
-        self.layout, self.tests, self.grounded, self.joins = [], [], [head], []
-        for lit, patterns in body:
-            if patterns[0][0] in BUILTIN_PREDICATES:
-                self.tests.append(patterns[0])
+        member, slot = self.member, self.slot.__getitem__
+        head = tuple(map(member, patterns[head][0]))
+        self.layout, self.tests, self.grounded, self.joins, self.binds = [], [], [head], [], []
+        for i, negative in zip(body, negated):
+            slotted, variables, builtin = patterns[i]
+            slotted = tuple(map(member, slotted))
+            if builtin:
+                self.tests.append(slotted[0])
                 continue
-            self.layout.append(lit.negated)
-            if lit.negated:
-                self.grounded.append(patterns)
+            self.layout.append(negative)
+            if negative:
+                self.grounded.append(slotted)
             else:
-                self.joins.append((lit.atom.atoms, patterns, self.scans(lit.atom.atoms, patterns)))
+                self.joins.append((slotted, self.scans(slotted)))
+                self.binds.append(set(map(slot, variables)))
+        self.slots = [0] * len(names) + list(map(written_id, self.ground_terms))
         # a one-member head without negated literals, whose comparisons
         # compare slots, grounded in `record`: (pred, args, reader, the
         # comparisons as pairs of slots and whether they must be equal)
@@ -229,37 +283,57 @@ class _Source:
             if len(self.grounded) == len(head) == 1 and all(test[2] for test in self.tests) \
             else None
         joins = self.joins
-        self.binds = binds = [{self.slot[name] for atom in atoms for name in variables[id(atom)]}
-                              for atoms, _, _ in joins]
         # per plan, the slots bound so far and, once it has a second step,
         # the join literals not yet placed
         self.bound: list[set[int]] = [set() for _ in joins]
         self.todo: list[list[int] | None] = [None] * len(joins)
         self.width = len(self.slots)
         self.plans = [[self.step(k, self.bound[k], False)] for k in range(len(joins))]
-        joined = set().union(*binds)
+        joined = set().union(*self.binds)
         self.free = [j for j in range(len(names)) if j not in joined]
         self.slots += [0] * len(joins)
         self.instances: dict[tuple[int, ...], tuple | None] = {}
 
-    def arg(self, term: Term):
-        """The pattern arg of `term`; a ground term met first gets the next slot."""
-        kind = type(term)
-        if kind is Variable:
-            return self.slot[term.name]
-        if kind is Sum:
-            return _Sum(self.slot[term.base.name], term.offset)
-        if kind is Compound and self.variables[id(term)]:
-            return term.name, tuple(map(self.arg, term.args))
-        slot = self.ground_slot.get(term.key)
+    def member(self, member: tuple) -> tuple[str, tuple, bool]:
+        pred, args = member
+        slots = tuple(map(self.slot.get, args))  # the variables and ground terms met before
+        if None not in slots:
+            return pred, slots, True
+        slots = tuple(map(self.arg, args))
+        return pred, slots, all(map(int.__instancecheck__, slots))
+
+    def arg(self, arg):
+        """The slot pattern of a pattern arg: a `_Sum`, `(name, args)` for a
+        compound with variables, or a slot; a ground term met first gets the
+        next slot."""
+        if type(arg) is tuple:
+            if type(arg[1]) is int:
+                return _Sum(self.slot[arg[0]], arg[1])
+            if self.varied(arg[1]):
+                return arg[0], tuple(map(self.arg, arg[1]))
+        slot = self.slot.get(arg)
         if slot is None:
-            slot = self.ground_slot[term.key] = len(self.names) + len(self.ground_terms)
-            self.ground_terms.append(term)
+            slot = self.slot[arg] = len(self.slot)
+            self.ground_terms.append(arg)
         return slot
 
-    def member(self, atom: Atom) -> tuple[str, tuple, bool]:
-        args = tuple(map(self.arg, atom.args))
-        return atom.pred, args, all(map(int.__instancecheck__, args))
+    def varied(self, args: tuple) -> bool:
+        """Whether pattern args hold a variable, in a sum or a compound."""
+        return any(self.slot.get(arg, len(self.names)) < len(self.names) if type(arg) is not tuple
+                   else type(arg[1]) is int or self.varied(arg[1]) for arg in args)
+
+    def variables(self, args: tuple) -> set[int]:
+        """The slots of the variables in slot pattern args."""
+        slots = set()
+        for arg in args:
+            if type(arg) is int:
+                if arg < len(self.names):
+                    slots.add(arg)
+            elif type(arg) is _Sum:
+                slots.add(arg.slot)
+            else:
+                slots |= self.variables(arg[1])
+        return slots
 
     def extend(self, k: int) -> _Step:
         """Compile the next step of plan k, the first time a join reaches
@@ -276,8 +350,8 @@ class _Source:
     def step(self, pos: int, bound: set[int], probed: bool) -> _Step:
         """The step for join literal `pos` after the slots `bound`, which
         it extends; a trigger literal is not `probed`."""
-        atoms, patterns, scans = self.joins[pos]
-        if len(atoms) == 1:
+        patterns, scans = self.joins[pos]
+        if len(patterns) == 1:
             pred, args, _ = patterns[0]
             # the probe: the first argument that is ground, a variable bound
             # before the step or a sum of one, which then needs no action
@@ -289,8 +363,8 @@ class _Source:
             return _Step(self.width + pos, pred, len(args), probe,
                          actions if at is None else actions[:at] + actions[at + 1:], scans)
         wide = []
-        for atom, (pred, args, _) in zip(atoms, patterns):
-            if {self.slot[name] for name in self.variables[id(atom)]} <= bound:
+        for pred, args, _ in patterns:
+            if self.variables(args) <= bound:
                 wide.append((pred, len(args), (), args))
             else:
                 wide.append((pred, len(args), self.actions(args, bound), None))
@@ -298,14 +372,14 @@ class _Source:
             if probed and all(args is not None for *_, args in wide) else None
         return _Step(self.width + pos, scans=scans, wide=wide, lookup=lookup)
 
-    def scans(self, atoms: tuple[Atom, ...], patterns: tuple) -> list:
+    def scans(self, patterns: tuple) -> list:
         """The index keys of the NdAtoms a join literal may match: a
         one-member NdAtom's is its predicate, a wider one's its predicates
         and size. A set-literal's patterns of one predicate and arity may
         coincide unless some position holds a distinct ground term in each."""
-        if len(atoms) == 1:
-            return [atoms[0].pred]
-        preds = frozenset([atom.pred for atom in atoms])
+        if len(patterns) == 1:
+            return [patterns[0][0]]
+        preds = frozenset([pred for pred, _, _ in patterns])
         groups: dict[tuple[str, int], list[tuple]] = {}
         for pred, args, _ in patterns:
             groups.setdefault((pred, len(args)), []).append(args)
@@ -313,8 +387,8 @@ class _Source:
             len(set(column)) == len(column) and all(type(a) is int and a >= len(self.names)
                                                     for a in column)
             for column in zip(*group)) for group in groups.values())
-        return [(preds, size) if size > 1 else atoms[0].pred
-                for size in range(len(atoms) if apart else len(preds), len(atoms) + 1)]
+        return [(preds, size) if size > 1 else patterns[0][0]
+                for size in range(len(patterns) if apart else len(preds), len(patterns) + 1)]
 
     def actions(self, args: tuple, bound: set[int]) -> tuple:
         """What to do per pattern arg to match `args` after the slots
@@ -348,44 +422,52 @@ class _Instantiator:
     arrives.
 
     A ground term's id comes from its key: an int for an Integer, a str for
-    a Constant, `(name, arg ids)` for a Compound, the program's constants
+    a Constant, `(name, arg ids)` for a Compound, the program's `constants`
     first in key order. A member is keyed `(pred, arg ids)`, and `keys[i]`
     holds NdAtom i's members, in their natural order when there are
-    several."""
+    several. The rules without variables, `fixed` as (head, body, negated,
+    origin) over the indices of `patterns`, are each set-atom keyed once,
+    by its pattern."""
 
-    def __init__(self, rules: list[tuple[Rule, list[str], list[bool], int]], horizon: int | None,
-                 constants: tuple[Term, ...], atoms: list[NdAtom], fixed: tuple,
-                 variables: dict[int, frozenset[str]]):
-        self.horizon, self.constants, self.nconst = horizon, constants, len(constants)
-        self.term_keys: list = [t.value if isinstance(t, Integer) else t.name for t in constants]
-        self.term_ids = {key: i for i, key in enumerate(self.term_keys)}
+    def __init__(self, patterns: list[tuple], sources: list[tuple], fixed: list[tuple],
+                 horizon: int | None, constants: list):
+        self.horizon, self.nconst = horizon, len(constants)
+        self.term_keys: list = list(constants)
+        self.term_ids = {key: i for i, key in enumerate(constants)}
         self.time_domain: list[int] | None = None
         self.keys: list[tuple] = []
         self.by_key: dict[tuple, int] = {}  # members in natural or pattern order -> id
-        for nd in atoms:
-            self.intern(tuple([(atom.pred, tuple(map(self.written_id, atom.args)))
-                               for atom in nd.atoms]))
-        self.sources = sources = [_Source(*rule, self.written_id, variables) for rule in rules]
+        ids: dict[int, int] = {}  # a pattern's index -> the id of its NdAtom
+        heads, pos, neg = [], [], []
+        for head, body, negated, _ in fixed:
+            for i in (head, *body):
+                if i not in ids:
+                    ids[i] = self.intern(tuple([(pred, tuple(map(self.written_id, args)))
+                                                for pred, args in patterns[i][0]]))
+            heads.append(ids[head])
+            pos.append([ids[i] for i, negative in zip(body, negated) if not negative])
+            neg.append([ids[i] for i, negative in zip(body, negated) if negative])
+        self.sources = [_Source(*source, self.written_id, patterns) for source in sources]
         self.room = MAX_GROUND_INSTANCES  # instances it may still record
         # NdAtom id -> the round that indexes it, the one after it is derived
         self.derived: dict[int, int] = {}
         self.round = 0
         self.queue: list[int] = []
-        # the rules without variables kept, with the ids of their head,
-        # positive and negated body, which are those of `atoms`; each counts
-        # down its positive body literals not yet taken off the queue
-        self.fixed = fixed
-        _, heads, bodies, _ = fixed
-        self.missing = list(map(len, bodies))
+        # the rules without variables kept, as their spelling (body layout
+        # and origin) and the ids of their head, positive and negated body;
+        # each counts down its positive body literals not yet taken off the
+        # queue
+        self.fixed = [(negated, origin) for _, _, negated, origin in fixed], heads, pos, neg
+        self.missing = list(map(len, pos))
         # NdAtom id -> the rules without variables still waiting for it
         self.waiting: dict[int, list[int]] = {}
-        for r, body in enumerate(bodies):
+        for r, body in enumerate(pos):
             for i in body:
                 self.waiting.setdefault(i, []).append(r)
             if not body:
                 self.derive(heads[r])
         self.triggers: dict = {}  # index key -> (source, plan) of each literal it fits
-        for source in sources:
+        for source in self.sources:
             for k, plan in enumerate(source.plans):
                 for key in plan[0].scans:
                     self.triggers.setdefault(key, []).append((source, k))
@@ -401,12 +483,12 @@ class _Instantiator:
             self.term_keys.append(key)
         return i
 
-    def written_id(self, term: Term) -> int:
-        if isinstance(term, Integer):
-            return self.term_id(term.value)
-        if isinstance(term, Compound):
-            return self.term_id((term.name, tuple(map(self.written_id, term.args))))
-        return self.term_id(term.name)
+    def written_id(self, key) -> int:
+        """The id of a ground term as a pattern names it: a compound's is
+        `(name, args)`, its args named the same way."""
+        if type(key) is tuple:
+            key = key[0], tuple(map(self.written_id, key[1]))
+        return self.term_id(key)
 
     def ground_member(self, member: tuple, slots: list[int]) -> tuple | None:
         """A head, negated or comparison member pattern under `slots` as its
@@ -679,7 +761,7 @@ class _Instantiator:
             self.room -= 1
             if self.room < 0:
                 raise GroundingError(f"more than MAX_GROUND_INSTANCES = {MAX_GROUND_INSTANCES} "
-                                     f"ground instances ({source.rule.origin})")
+                                     f"ground instances ({source.origin})")
             if pred is None:
                 instance = self.instance(source, row)
             else:
@@ -768,32 +850,87 @@ class _Instantiator:
                                      instances.values()))
             found = list(filter(None, dict.fromkeys(map(instances.__getitem__,
                                                         sorted(instances)))))
-            specs += [(source.layout, source.rule.origin)] * len(found)
+            specs += [(source.layout, source.origin)] * len(found)
             kept += found
         specs += rules[done:]
         kept += fixed[done:]
         heads, pos, neg = zip(*kept) if kept else ((), (), ())
-        return table_program(AtomTable.of_keys(self.keys, self.term_keys, self.constants, terms),
+        return table_program(AtomTable.of_keys(self.keys, self.term_keys, terms),
                              heads, pos, neg, partial(_spell_rules, specs, kept))
 
 
 def _spell_rules(specs: list, kept: list, renumber: list, gp: GroundProgram) -> tuple[Rule, ...]:
-    """The kept rules as `Rule`s over `gp.base`: a rule without variables as
-    written, an instance from its ids before `renumber` and its source's
-    body layout and origin."""
+    """The kept rules as `Rule`s over `gp.base`, each from its ids before
+    `renumber` and its spelling: which of its body literals are negated, and
+    its origin."""
     base = gp.base
     atom = [base[new] for new in renumber]
     rules = []
-    for source, (head, pos, neg) in zip(specs, kept):
-        if isinstance(source, Rule):
-            rules.append(source)
-            continue
-        layout, origin = source
+    for (layout, origin), (head, pos, neg) in zip(specs, kept):
         positive, negated = iter(pos), iter(neg)
         body = tuple([Literal(atom[next(negated)], True) if negative
                       else Literal(atom[next(positive)]) for negative in layout])
         rules.append(Rule(head=atom[head], body=body, origin=origin))
     return tuple(rules)
+
+
+def _checked(horizon: int | None) -> int | None:
+    if horizon is not None and horizon < 0:
+        raise GroundingError("horizon must be non-negative")
+    return horizon
+
+
+def ground_patterns(patterns: list[tuple], rules: list[tuple],
+                    horizon: int | None) -> GroundProgram:
+    """The ground instances of every rule whose positive body can be derived,
+    plus every rule without variables whose comparisons hold, of rules given
+    as set-atom patterns (see the module docstring): each rule (head, body,
+    negated, origin), its set-atoms the indices of their patterns.
+
+    Missing horizon with time variables present, a non-time variable with
+    no constants to range over, or more than MAX_GROUND_INSTANCES
+    instances, is an error.
+    """
+    _checked(horizon)
+    constants = None
+    fixed: list[tuple] = []
+    sources: list[tuple] = []
+    for rule in rules:
+        head, body, negated, origin = rule
+        names = patterns[head][1]
+        if body:
+            names = names.union(*[patterns[i][1] for i in body])
+        if names:
+            names = sorted(names)
+            timed = list(map(is_time_variable, names))
+            for name, is_time in zip(names, timed):
+                if is_time:
+                    if horizon is None:
+                        raise GroundingError(
+                            f"time variable {name} needs a horizon; "
+                            f"pass --horizon or add #horizon ({origin})"
+                        )
+                else:
+                    if constants is None:
+                        constants = _constants(patterns)
+                    if not constants:
+                        raise GroundingError(
+                            f"variable {name} has no constants to range over ({origin})"
+                        )
+            sources.append((rule, names, timed, len(fixed)))
+            continue
+        # a rule without variables is its own instance, less its
+        # comparisons, or none when one of them is false
+        tests = [patterns[i][2] for i in body]
+        if any(tests):
+            if not all([_holds(patterns[i][0]) for i, test in zip(body, tests) if test]):
+                continue
+            kept = [not test for test in tests]
+            rule = head, tuple(compress(body, kept)), tuple(compress(negated, kept)), origin
+        fixed.append(rule)
+    instantiator = _Instantiator(patterns, sources, fixed, horizon, constants or [])
+    instantiator.run()
+    return instantiator.program()
 
 
 def ground(program: Program, horizon: int | None = None) -> GroundProgram:
@@ -802,56 +939,27 @@ def ground(program: Program, horizon: int | None = None) -> GroundProgram:
 
     `horizon` overrides the program's own `#horizon`. Missing horizon with
     time variables present, a non-time variable with no constants to range
-    over, or more than MAX_GROUND_INSTANCES instances, is an error.
+    over, or more than MAX_GROUND_INSTANCES instances, is an error. A
+    program without variables is compiled as written
+    (`compiled.make_ground_program`), each rule less its comparisons, or
+    left out when one of them is false (`_fixed_instance`).
     """
-    if horizon is None:
-        horizon = program.horizon
-    if horizon is not None and horizon < 0:
-        raise GroundingError("horizon must be non-negative")
-    # The parser shares a repeated NdAtom, so each distinct one is walked for
-    # variables once, by identity.
-    distinct: dict[int, NdAtom] = {}
-    for rule in program.rules:
-        distinct[id(rule.head)] = rule.head
-        for lit in rule.body:
-            distinct[id(lit.atom)] = lit.atom
-    variables = _variables(distinct.values())
-    varied = {i for i in distinct if variables[i]}
-    # Each rule without variables is its own instance (see `_fixed_instance`).
-    kept: list[Rule] = []
-    constants: tuple[Term, ...] | None = None
-    sources: list[tuple[Rule, list[str], list[bool], int]] = []
-    for rule in program.rules:
-        if varied and (id(rule.head) in varied or any(id(lit.atom) in varied for lit in rule.body)):
-            names = sorted(variables[id(rule.head)].union(
-                *[variables[id(lit.atom)] for lit in rule.body]))
-            timed = list(map(is_time_variable, names))
-            for name, is_time in zip(names, timed):
-                if is_time:
-                    if horizon is None:
-                        raise GroundingError(
-                            f"time variable {name} needs a horizon; "
-                            f"pass --horizon or add #horizon ({rule.origin})"
-                        )
-                else:
-                    if constants is None:
-                        constants = _constants(distinct.values())
-                    if not constants:
-                        raise GroundingError(
-                            f"variable {name} has no constants to range over ({rule.origin})"
-                        )
-            sources.append((rule, names, timed, len(kept)))
-            continue
+    horizon = _checked(program.horizon if horizon is None else horizon)
+    rules = program.rules
+    # a variable's name starts with an upper-case letter, so atoms whose
+    # texts have none hold no variable, and need no pattern
+    texts = [atom.text for rule in rules for atom in rule.head.atoms]
+    texts += [atom.text for rule in rules for lit in rule.body for atom in lit.atom.atoms]
+    if not "".join(texts).islower():
+        patterns, read = _patterns(rules)
+        if any(names for _, names, _ in patterns):
+            return ground_patterns(patterns, read, horizon)
+    kept = []
+    for rule in rules:
         for lit in rule.body:
             if lit.atom.atoms[0].pred in BUILTIN_PREDICATES:
                 rule = _fixed_instance(rule)
                 break
         if rule is not None:
             kept.append(rule)
-    if not sources:
-        return make_ground_program(kept)
-    ids, heads, pos, neg = intern_rules(kept)
-    instantiator = _Instantiator(sources, horizon, constants or (), list(ids),
-                                 (kept, heads, pos, neg), variables)
-    instantiator.run()
-    return instantiator.program()
+    return make_ground_program(kept)

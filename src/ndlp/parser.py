@@ -37,14 +37,19 @@ safety fault. `spell` builds their `Rule`s, one `NdAtom` per distinct text,
 when they are read. Otherwise its flat reader reads every distinct
 set-atom text, from one split of them all, as flat atoms (a name,
 optionally with arguments, each a name, an integer, a variable or a
-variable plus an integer) or as one comparison of two such terms. It builds
-the values the token parser would, under the same texts, and records
-arities and the first arity or safety fault as the token parser does. Where
-the statement reader stops, at the first statement it cannot take, it
-hands the token parser its set-atoms and arities, and the token parser
-reads the rest (other directives, bare atoms, compound terms, comments
-inside a rule, `#const` and the names it stands for) and reports every
-error.
+variable plus an integer) or as one comparison of two such terms, and
+records each distinct member and argument text's pattern, and arities and
+the first arity fault as the token parser does. It builds no syntax value
+for that. When it takes the whole text and some set-atom has a variable,
+`flat` hands the command line the set-atom patterns the grounder reads,
+one per distinct text, and the rules as their indices (see the grounder),
+checked for safety. Otherwise `syntax` builds the values the token parser
+would, under the same texts, each distinct text once, and the rules, with
+the first safety fault. Where the statement reader stops, at the first
+statement it cannot take, it hands the token parser its set-atoms and
+arities, and the token parser reads the rest (other directives, bare
+atoms, compound terms, comments inside a rule, `#const` and the names it
+stands for) and reports every error.
 
 A token keeps its kind, text and start offset; lines and columns are worked
 out only for a `ParseError` and a rule's `origin`. Within one parse, each
@@ -123,6 +128,8 @@ _CONNECTOR = re.compile(rf"\s*(?:(\.){_COMMENTS}((?s:.+))?|(:-|,)\s*(not)?\s*)")
 _JOINS = {".": ".", ":-": ":", ":-not": ";", ",": ",", ",not": "!", "?": "?"}
 _RULES = re.compile(r"(?:(?:[:;][,!]*)?\.)*")
 _NOT_BRACES = bytes(set(range(256)).difference(b"{}"))
+_NEGATED = {":": False, ",": False, ";": True, "!": True}  # a body connector's sign
+_NO_NAMES: frozenset[str] = frozenset()
 
 # The flat reader's pattern: a member of the distinct set-atom texts joined
 # by "}", after its separator (none at the start, "," within a text, "}"
@@ -201,11 +208,24 @@ class _Parser:
         self.pos = 0
         self.line, self.line_start = 1, 0  # where the last rule started
         self.rules: list[Rule] = []
+        # the member texts of each distinct set-atom text the flat reader took,
+        # its variables' names and, in the same order, its pattern (see `flat`);
+        # per rule taken, its first piece and body shape, and its origin
+        self.flat_texts: dict[str, list[str]] | None = None
+        self.flat_names: dict[str, frozenset[str]] = {}
+        self.patterns: list[tuple] = []
+        self.rule_shapes: list[tuple[int, str]] | None = None
+        self.rule_origins: list[str] | None = None
         self.horizon: tuple[str, str, int] | None = None  # its value's kind, text and offset
         self.consts: dict[str, Term] = {}
         # each distinct text of the parse, mapped to what was built from it
         self.terms: dict[str, Term] = {}
         self.atoms: dict[str, Atom] = {}
+        # the flat reader's member and argument texts, each mapped to its
+        # pattern (see `flat`), and each member text to its arguments' texts
+        self.members: dict[str, tuple[str, tuple]] = {}
+        self.member_args: dict[str, list[str]] = {}
+        self.args: dict[str, object] = {}
         # NdAtom texts: (value, its variables' names, whether it is a comparison)
         self.set_atoms: dict[str, tuple[NdAtom, frozenset[str], bool]] = {}
         self.names: set[str] = set()  # variables of the NdAtom being read
@@ -283,10 +303,11 @@ class _Parser:
         comments and `#horizon`. True when it takes the whole text and every
         set-atom holds names alone: then `keys`, `ids` and the rule lists
         hold the rules, and the pieces stay for `spell`. When a set-atom
-        holds more than names, `build` reads every one into `set_atoms` and
-        `check` makes the rules. It stops before the first rule with a gap,
-        a connector out of place or a set-atom it cannot build, with
-        `offset` after the last rule taken."""
+        holds more than names, `build` reads every one into patterns and
+        `check` records their arities; `flat` or `syntax` makes the rules.
+        It stops before the first rule with a gap, a connector out of place
+        or a set-atom it cannot read, with `offset` after the last rule
+        taken."""
         text, ids, keys, joins = self.text, self.ids, self.keys, {}
         if self.whole is not None:  # read already
             return self.whole
@@ -321,8 +342,6 @@ class _Parser:
                     negated.append(list(compress(literals, map(";!".__contains__, body))))
                 i += len(body) + 1
         self.texts, self.connectors, self.shape = texts[:taken], connectors[:taken], shape[:taken]
-        if names is None:  # the distinct texts of the rules taken
-            self.check(new[: len(set(texts[:taken]))], made)
         if shape[taken] == "$":
             self.offset = len(text)
         elif taken:  # after the last rule's "."
@@ -330,17 +349,17 @@ class _Parser:
             self.offset += connectors[taken - 1].index(".") + 1
         if lead[1] is not None and self.offset:
             self.horizon = "INT", lead[1], lead.start(1)
+        if names is None:  # the distinct texts of the rules taken
+            self.check(new[: len(set(texts[:taken]))], made)
         self.whole = shape[taken] == "$" and names is not None
         return self.whole
 
     def build(self, new: list[str], texts: list[str], shape: str, taken: int):
-        """The set-atom of each of the distinct texts `new` that holds flat
-        atoms or one comparison, with its variables' names and whether it is
-        a comparison, as `set_atom` builds it, read from one split of them
-        all, up to the first text it cannot build; and the pieces of the rules
-        before the first holding that text or a comparison in a head or under
-        "not"."""
-        atoms, values, bad = self.atoms, [], None
+        """The member texts of each of the distinct texts `new` that holds
+        flat atoms or one comparison, read from one split of them all, up to
+        the first text it cannot read; and the pieces of the rules before the
+        first holding that text or a comparison in a head or under "not"."""
+        members, values, bad = self.members, [], None
         if "#const" in self.text:  # a name may stand for a constant's value
             bad = next((i for i, key in enumerate(new) if "(" in key or "=" in key), None)
         joined = "}".join(new[:bad])
@@ -348,18 +367,16 @@ class _Parser:
         end = next(compress(count(0, 9), parts[::9]), len(parts) - 1)  # the first gap, or the end
         matches = zip(*[iter(parts[1 : end + 1])] * 9)
         for sep, key, pred, args, comparison, left, op, right, _ in matches:
-            if key:
-                atom = atoms.get(key) or self.atom_of(key, pred, args.split(",") if args else [])
-            else:
-                atom = atoms.get(comparison) or self.atom_of(comparison, op, [left, right])
-            if atom is None:
+            if not key:
+                key, pred, args = comparison, op, f"{left},{right}"
+            if key not in members and not self.member_of(key, pred, args):
                 bad = len(values) - (sep == ",")
                 break
             if sep == ",":
-                members.append(atom)
+                keys.append(key)
             else:
-                members = [atom]
-                values.append(members)
+                keys = [key]
+                values.append(keys)
         else:  # a gap in the last text begun or at the "}" before the next, or an empty text alone
             if parts[end] or len(values) < len(new[:bad]):
                 bad = max(len(values) - (parts[end][:1] != "}"), 0)
@@ -368,96 +385,195 @@ class _Parser:
             if len(values[i]) > 1:  # a comparison and more
                 bad = i
                 break
-        made = {}
-        for key, members in zip(new[:bad], values):
-            names = frozenset() if key.islower() else frozenset(  # no upper-case first letter
-                [(term.base if type(term) is Sum else term).name
-                 for atom in members for term in atom.args if type(term) in (Variable, Sum)])
-            value = NdAtom((members[0],)) if len(members) == 1 else canonicalize(members)
-            made[key] = value, names, "=" in key
+        made = dict(zip(new[:bad], values))
         if bad is not None:
             taken = shape.rfind(".", 0, texts.index(new[bad])) + 1
-        comparisons = {key for key, (_, _, builtin) in made.items() if builtin}
+        comparisons = {key for key in made if "=" in key}
         for i in compress(count(), map(comparisons.__contains__, texts[:taken])):
             if i == 0 or shape[i - 1] in ".;!":
                 taken = shape.rfind(".", 0, i) + 1
                 break
         return made, taken
 
-    def atom_of(self, key: str, pred: str, args: list[str]) -> Atom | None:
-        """The atom of a member's text, with its predicate (a name or a
-        comparison operator) and its arguments' texts, as `atom` builds it,
-        put into `atoms`; None for a name or a term that is none."""
+    def member_of(self, key: str, pred: str, args: str | None) -> bool:
+        """Whether a member's text, with its predicate (a name or a
+        comparison operator) and its arguments' texts joined by ",", reads
+        as `atom` reads it: then it goes into `members` as its pattern
+        `(pred, args)` (see `flat`) and into `member_args` with its
+        arguments' texts, and each argument into `args`."""
         if pred not in BUILTIN_PREDICATES:
             if pred == "not" or not (pred[1:2] if pred[0] == "-" else pred[0]).islower():
-                return None
-        terms = self.terms
-        args = tuple([terms.get(arg) or self.term_of(arg) for arg in map(str.strip, args)])
-        if not all(args):
-            return None
-        made = self.atoms[key] = Atom(pred, args)
-        return made
+                return False
+        texts = list(map(str.strip, args.split(","))) if args else []
+        pattern = tuple(map(self.args.get, texts))  # the args read before
+        if None in pattern:
+            pattern = tuple([self.arg_of(text) if arg is None else arg
+                             for text, arg in zip(texts, pattern)])
+            if None in pattern:
+                return False
+        self.members[key] = pred, pattern
+        self.member_args[key] = texts
+        return True
 
-    def term_of(self, text: str) -> Term | None:
-        """The term of an argument's text, as `term` builds it, put into
-        `terms`; None for a word that is no name, variable or integer, or a
-        sum on no variable."""
+    def arg_of(self, text: str):
+        """The pattern arg of an argument's text, as `term` reads it, put into
+        `args`: a variable's name, `(name, offset)` for a sum, a name, or an
+        int; None for a word that is no name, variable or integer, or a sum
+        on no variable."""
         first = text[0]
         if "+" in text:
             base, offset = text.split("+")
             base = base.rstrip()
             if not base[0].isupper():
                 return None
-            variable = self.terms.get(base) or self.terms.setdefault(base, Variable(base))
-            made = Sum(variable, int(offset))
-        elif first.isupper():
-            made = Variable(text)
-        elif text != "not" and (text[1:2] if first == "-" else first).islower():
-            made = Constant(text)
+            made = base, int(offset)
+        elif first.isupper() or text != "not" and (text[1:2] if first == "-" else first).islower():
+            made = text
         elif text[first == "-" :].isdecimal():
-            made = Integer(int(text))
+            made = int(text)
         else:
             return None
-        self.terms[text] = made
+        self.args[text] = made
         return made
 
-    def check(self, new: list[str], made: dict) -> None:
-        """Put the distinct texts `new` of the rules taken, built as `made`,
-        into `set_atoms`, and make the rules from them, recording arities and
-        the first of each load fault as `set_atom` and `rule` do."""
-        self.set_atoms = {"{" + key + "}": made[key] for key in new}
-        variables = {key: names for key, (_, names, _) in made.items() if names}
-        self.rules = self.walk({key: made[key][0] for key in new}, variables)
-        texts = self.texts
-        for key in new:  # arities in the order `set_atom` records them, up to a clash
-            value, _, builtin = made[key]
-            if not builtin and (clash := self.clash(value)):
-                origin = self.rules[self.shape.count(".", 0, texts.index(key))].origin
-                self.arity_error = ProgramError(f"{clash} ({origin})")
-                break
+    def check(self, new: list[str], made: dict[str, list[str]]) -> None:
+        """Keep the member texts `made` of the distinct texts `new` of the
+        rules `read` took in `flat_texts`, their patterns in `patterns` (see
+        `flat`) and their variables' names in `flat_names`, recording
+        arities and the first arity fault as `set_atom` does; where the
+        token parser reads on, build their syntax values (`syntax`)."""
+        self.flat_texts = flat = {key: made[key] for key in new}
+        members, names, clash = self.members, self.flat_names, self.arity_error is None
+        patterns = self.patterns
+        for key, keys in flat.items():
+            found = (members[keys[0]],) if len(keys) == 1 \
+                else tuple(dict.fromkeys(map(members.__getitem__, keys)))
+            variables = []
+            if not key.islower():  # an upper-case letter
+                for _, args in found:
+                    for arg in args:
+                        if type(arg) is tuple:
+                            variables.append(arg[0])
+                        elif type(arg) is str and arg[0].isupper():
+                            variables.append(arg)
+            names[key] = frozenset(variables) if variables else _NO_NAMES
+            patterns.append((found, names[key], "=" in key))
+            if clash and "=" not in key:  # arities as `set_atom` records them
+                if len(found) > 1:
+                    found = sorted(found, key=lambda member: (member[0], len(member[1])))
+                if fault := self.clash(found):
+                    origin = self.origins()[self.shape.count(".", 0, self.texts.index(key))]
+                    self.arity_error = ProgramError(f"{fault} ({origin})")
+                    clash = False
+        if self.offset < len(self.text):
+            self.syntax()
 
-    def walk(self, made: dict[str, NdAtom], variables: dict[str, frozenset[str]]) -> list[Rule]:
-        """The rules `read` took, each piece's NdAtom `made[text]`, with their
-        origins from the pieces' lengths; with the `variables` of each text
-        that has any, each rule is checked for safety as `rule` does."""
-        texts, rules, i = self.texts, [], 0
-        # each piece's offset, less the two braces of each piece before it
-        starts = list(accumulate(map(add, map(len, texts), map(len, self.connectors)),
-                                 initial=self.at))
-        for body in self.shape.split(".")[:-1]:
+    def syntax(self) -> None:
+        """Build the values of the set-atom texts the flat reader took, as
+        `set_atom` builds them, and the rules from them, checked for safety;
+        where the token parser reads on, the texts go into `set_atoms`. Each
+        distinct argument and member text is built once."""
+        terms, atoms, names, made = self.terms, self.atoms, self.flat_names, {}
+        for text, arg in self.args.items():  # each term as `term` builds it
+            if text in terms:  # a sum's variable, put in before
+                continue
+            if type(arg) is str:
+                terms[text] = Variable(arg) if arg[0].isupper() else Constant(arg)
+            elif type(arg) is int:
+                terms[text] = Integer(arg)
+            else:
+                base = terms.get(arg[0]) or terms.setdefault(arg[0], Variable(arg[0]))
+                terms[text] = Sum(base, arg[1])
+        term = terms.__getitem__
+        for (key, (pred, _)), texts in zip(self.members.items(), self.member_args.values()):
+            if key not in atoms:
+                atoms[key] = Atom(pred, tuple(map(term, texts)))
+        for key, keys in self.flat_texts.items():
+            made[key] = NdAtom((atoms[keys[0]],)) if len(keys) == 1 \
+                else canonicalize(map(atoms.__getitem__, keys))
+        self.rules = self.walk(made, names if any(names.values()) else None)
+        if self.offset < len(self.text):
+            self.set_atoms = {"{" + key + "}": (made[key], names[key], "=" in key)
+                              for key in self.flat_texts}
+
+    def flat(self) -> tuple[list[tuple], list[tuple], int | None] | None:
+        """The set-atom patterns and rules of a text the flat reader took
+        whole, when some set-atom has a variable, and its horizon; None
+        otherwise. A set-atom's pattern is its distinct members as
+        `(pred, args)`, each arg a variable's name, `(name, offset)` for a
+        sum, a name or an int, with its variables' names and whether it is a
+        comparison (see the grounder). A rule is (head, body, negated,
+        origin), its set-atoms the indices of their patterns. The rules are
+        checked for safety, and the load faults raised as `parse` raises
+        them."""
+        names = self.flat_names
+        if self.flat_texts is None or self.offset < len(self.text) or not any(names.values()):
+            return None
+        texts, rules = self.texts, []
+        index = dict(zip(self.flat_texts, count()))
+        known = list(map(index.__getitem__, texts))
+        signs: dict[str, tuple[bool, ...]] = {"": ()}  # per body shape, its literals' signs
+        for (i, body), origin in zip(self.statements(), self.origins()):
+            if body not in signs:
+                signs[body] = tuple(map(_NEGATED.__getitem__, body))
+            rules.append((known[i], tuple(known[i + 1 : i + 1 + len(body)]), signs[body], origin))
+            if self.safety_error is None and (names[texts[i]] or ";" in body or "!" in body):
+                self.safe(names, texts[i], texts[i + 1 : i + 1 + len(body)], body, origin)
+        horizon = self.resolve_horizon()
+        for fault in (self.arity_error, self.safety_error):
+            if fault is not None:
+                raise fault
+        return self.patterns, rules, horizon
+
+    def statements(self) -> list[tuple[int, str]]:
+        """Per rule `read` took, the index of its first piece and its body's
+        shape."""
+        if self.rule_shapes is None:
+            found, i = [], 0
+            for body in self.shape.split(".")[:-1]:
+                found.append((i, body))
+                i += len(body) + 1
+            self.rule_shapes = found
+        return self.rule_shapes
+
+    def origins(self) -> list[str]:
+        """The origin of each rule `read` took, from the pieces' lengths."""
+        if self.rule_origins is None:
+            # each piece's offset, less the two braces of each piece before it
+            starts = list(accumulate(map(add, map(len, self.texts), map(len, self.connectors)),
+                                     initial=self.at))
+            firsts = [starts[i] + 2 * i for i, _ in self.statements()]
+            self.rule_origins = list(map(self.origin, firsts))
+        return self.rule_origins
+
+    def walk(self, made: dict[str, NdAtom], names: dict[str, frozenset[str]] | None = None
+             ) -> list[Rule]:
+        """The rules `read` took, each piece's NdAtom `made[text]`; with the
+        variables' `names` of each text, each rule is checked for safety."""
+        texts, rules = self.texts, []
+        for (i, body), origin in zip(self.statements(), self.origins()):
             if len(body) < 2:  # a fact or one literal
                 literals = (Literal(made[texts[i + 1]], body == ";"),) if body else ()
             else:
                 literals = tuple([Literal(made[key], join in ";!")
                                   for key, join in zip(texts[i + 1 : i + 1 + len(body)], body)])
-            rules.append(Rule(made[texts[i]], literals, self.origin(starts[i] + 2 * i)))
-            if variables and (body or texts[i] in variables):
-                unsafe, bound = set(variables.get(texts[i], ())), set()
-                for key, join in zip(texts[i + 1 : i + 1 + len(body)], body):
-                    (unsafe if join in ";!" else bound).update(variables.get(key, ()))
-                self.unsafe(unsafe, bound, rules[-1].origin)
-            i += len(body) + 1
+            rules.append(Rule(made[texts[i]], literals, origin))
+            if names and self.safety_error is None and (names[texts[i]] or ";" in body
+                                                        or "!" in body):
+                self.safe(names, texts[i], texts[i + 1 : i + 1 + len(body)], body, origin)
         return rules
+
+    def safe(self, names, head, literals: list, body: str, origin: str) -> None:
+        """Check the rule at `origin` for safety as `rule` does, given its
+        head and body literals as keys of `names`, which holds each one's
+        variables' names, and its body's shape."""
+        unsafe, bound = names[head], set()
+        for key, join in zip(literals, body):
+            if join in ";!":
+                unsafe = unsafe | names[key]
+            else:
+                bound.update(names[key])
+        self.unsafe(unsafe, bound, origin)
 
     def spell(self) -> list[Rule]:
         """The rules `read` took over names as `Rule`s, one `NdAtom` per
@@ -466,7 +582,7 @@ class _Parser:
         keys = list(self.keys)
         atoms = self.atoms = {name: Atom(name) for name in dict.fromkeys(chain.from_iterable(keys))}
         made = {key: NdAtom(tuple(map(atoms.__getitem__, keys[i]))) for key, i in self.ids.items()}
-        rules = self.walk(made, {})
+        rules = self.walk(made)
         if self.offset < len(self.text):
             self.set_atoms = {"{" + key + "}": (nd, frozenset(), False) for key, nd in made.items()}
             self.arities = dict.fromkeys(atoms, 0)
@@ -490,6 +606,8 @@ class _Parser:
         self.read()
         if self.ids:  # rules over names, not spelled yet
             self.rules = self.spell()
+        elif self.flat_texts and not self.rules:  # flat rules, the whole text
+            self.syntax()
         if self.offset < len(self.text):
             self.kinds, self.values, self.starts = self.scan()
             self.consts = self.read_consts()
@@ -598,18 +716,20 @@ class _Parser:
                 return made
         value = NdAtom((atoms[0],)) if len(atoms) == 1 else canonicalize(atoms)
         builtin = atoms[0].is_builtin()
-        if self.arity_error is None and not builtin and (clash := self.clash(value)):
+        if self.arity_error is None and not builtin and (
+                clash := self.clash([(atom.pred, atom.args) for atom in value.atoms])):
             self.arity_error = ProgramError(f"{clash} ({origin})")
         made = self.set_atoms[key] = value, frozenset(names), builtin
         return made
 
-    def clash(self, value: NdAtom) -> str | None:
-        """Record the arity of each predicate of `value`, in its order, up to
-        the first used before at another; that fault's message, less origin."""
-        for atom in value.atoms:
-            seen = self.arities.setdefault(atom.pred, len(atom.args))
-            if seen != len(atom.args):
-                return f"predicate {atom.pred!r} used with arity {len(atom.args)} and {seen}"
+    def clash(self, members) -> str | None:
+        """Record the arity of each predicate of `members`, atoms or their
+        `(pred, args)` patterns, in their order, up to the first used before
+        at another; that fault's message, less origin."""
+        for pred, args in members:
+            seen = self.arities.setdefault(pred, len(args))
+            if seen != len(args):
+                return f"predicate {pred!r} used with arity {len(args)} and {seen}"
         return None
 
     def atom(self) -> Atom:

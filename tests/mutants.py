@@ -319,8 +319,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "origin-line-one-off", "parser.py",
-        "self.origin(starts[i] + 2 * i)",
-        "self.origin(starts[i] + 2 * i - 1)",
+        "firsts = [starts[i] + 2 * i for i, _ in self.statements()]",
+        "firsts = [starts[i] + 2 * i - 1 for i, _ in self.statements()]",
         PARSER,
     ),
     Mutant(
@@ -371,9 +371,10 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # the statement reader's flat reader
     Mutant(
+        # the values `parse` builds from the reader's patterns
         "flat-sum-offset-dropped", "parser.py",
-        "made = Sum(variable, int(offset))",
-        "made = variable",
+        "terms[text] = Sum(base, arg[1])",
+        "terms[text] = base",
         PARSER,
     ),
     Mutant(
@@ -393,14 +394,14 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "flat-clash-origin-of-the-rule-before", "parser.py",
-        'self.rules[self.shape.count(".", 0, texts.index(key))].origin',
-        'self.rules[self.shape.count(".", 0, texts.index(key)) - 1].origin',
+        'self.origins()[self.shape.count(".", 0, self.texts.index(key))]',
+        'self.origins()[self.shape.count(".", 0, self.texts.index(key)) - 1]',
         PARSER,
     ),
     Mutant(
         "flat-arities-not-recorded", "parser.py",
-        "for key in new:  # arities in the order",
-        "for key in new[:0]:  # arities in the order",
+        'if clash and "=" not in key:  # arities as',
+        'if False:  # arities as',
         PARSER,
     ),
     Mutant(
@@ -432,6 +433,49 @@ MUTANTS: tuple[Mutant, ...] = (
         "least-check-blind-to-negation", "cli.py",
         "return not any(parser.negated), table_program(",
         "return True, table_program(",
+        PARSER,
+    ),
+    # the set-atom patterns: the flat reader's, and the grounder's from a
+    # `Program`, and their one consumer
+    Mutant(
+        "pattern-sum-offset-dropped", "parser.py",
+        "made = base, int(offset)",
+        "made = base, 0",
+        PARSER,
+    ),
+    Mutant(
+        # every name read as a variable's, so a rule's constants get slots
+        # of their own
+        "pattern-ground-argument-taken-as-variable", "parser.py",
+        "elif type(arg) is str and arg[0].isupper():",
+        "elif type(arg) is str:",
+        PARSER,
+    ),
+    Mutant(
+        "pattern-time-variable-flag-lost", "grounder.py",
+        "timed = list(map(is_time_variable, names))",
+        "timed = [False] * len(names)",
+        MATCHING,
+    ),
+    Mutant(
+        "fixed-rule-spelled-with-the-origin-before", "grounder.py",
+        "self.fixed = [(negated, origin) for _, _, negated, origin in fixed], heads, pos, neg",
+        "self.fixed = [(rule[2], fixed[r - 1][3]) for r, rule in enumerate(fixed)], heads, pos,"
+        " neg",
+        MATCHING,
+    ),
+    Mutant(
+        "fixed-rule-with-a-false-comparison-kept", "grounder.py",
+        "            if not all([_holds(patterns[i][0]) for i, test in zip(body, tests)"
+        " if test]):\n"
+        "                continue\n",
+        "",
+        MATCHING,
+    ),
+    Mutant(
+        "least-check-blind-to-negation-in-patterns", "cli.py",
+        "return not any(any(negated) for _, _, negated, _ in rules), ground_patterns(",
+        "return True, ground_patterns(",
         PARSER,
     ),
     Mutant(

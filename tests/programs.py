@@ -123,12 +123,12 @@ def handover(lines: str) -> str:
     return lines + "{s(X)} :- {t(X)}. {t(a)}.\n"
 
 
-def flat_rules(n: int) -> str:
+def flat_rules(n: int, last: str = "{q(f(a), c0)}.\n") -> str:
     """`n` rules over flat atoms, each joining a variable with a constant,
-    then one fact with a compound term: the statement reader hands over to
-    the token parser at that last fact."""
-    return "".join(f"{{p{i % 7}(X, {i})}} :- {{q(X, c{i % 11})}}.\n"
-                   for i in range(n)) + "{q(f(a), c0)}.\n"
+    then one fact, by default with a compound term: the statement reader
+    hands over to the token parser at that last fact. With a flat `last`,
+    its flat reader takes the whole text, and the grounder its patterns."""
+    return "".join(f"{{p{i % 7}(X, {i})}} :- {{q(X, c{i % 11})}}.\n" for i in range(n)) + last
 
 
 ROBOT_ACTIONS = ("close", "flip_lock", "check", "inspect")
@@ -192,6 +192,7 @@ def programs() -> dict[str, str]:
         # a comment after each fact, which the statement reader keeps in the connectors
         "commented_facts.ndlp": facts(20000).replace(".\n", ". % a fact\n"),
         "flat_rules.ndlp": flat_rules(10000),
+        "flat_patterns.ndlp": flat_rules(10000, "{q(a, c0)}.\n"),
         # a rule without variables whose body holds 10 000 facts
         "ground_body.ndlp": "".join(f"{{g{i}}}.\n" for i in range(n)) + "{h} :- " + ", ".join(
             f"{{g{i}}}" for i in range(n)) + ".\n{q(X)} :- {r(X)}. {r(a)}.\n",
@@ -254,6 +255,9 @@ LEAST = ("solve", "--semantics", "least")
 #   facts with a comment each and the 10 000 flat rules that end in a
 #   handover, the statement reader's comments or its flat reader turned
 #   quadratic in the number of statements;
+# - 5 s on the 10 000 flat rules that end in a flat fact, which the grounder
+#   takes as set-atom patterns: a pattern or a rule's slots mapped in time
+#   quadratic in the number of rules, or syntax values built for them;
 # - the runaway grounding: it stops past MAX_GROUND_INSTANCES with exit 2;
 # - robot grounded at horizon 200 (11 057 lines): a set-literal looked up
 #   by key turned into a scan, or the instances' rank order into a slow sort;
@@ -290,6 +294,8 @@ ROWS: tuple[Row, ...] = (
     Row(("ground",), ("mixed.ndlp",), 5),
     Row(("ground",), ("commented_facts.ndlp",), 5),
     Row(("ground",), ("flat_rules.ndlp",), 5),
+    Row(("ground",), ("flat_patterns.ndlp",), 5),
+    Row(STABLE_ONE, ("flat_patterns.ndlp",), 5),
     Row(("ground",), ("ground_body.ndlp",), 5),
     Row(("ground",), ("closure.ndlp",), 5),
     Row(LEAST, ("closure.ndlp",), 5),

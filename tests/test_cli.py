@@ -576,24 +576,25 @@ class TestEnvCap:
     ("solve", "--semantics", "stable", "--max-models", "2", "--format", "json"),
 ])
 def test_programs_with_variables_render_without_atoms(capsys, monkeypatch, tmp_path, argv):
-    # Models, negatives, undefined set-atoms and answer sets render from ids
-    # through the atom table, whose texts come from term texts: after
-    # parsing, the command line builds no `Atom`.
+    # The statement reader hands the grounder set-atom patterns, and models,
+    # negatives, undefined set-atoms and answer sets render from ids through
+    # the atom table, whose texts come from term texts: from the start of
+    # `_load`, the command line builds no `Atom`.
     program = tmp_path / "closure.ndlp"
     negated = "{far(X)} :- {path(n0, X)}, not {edge(n0, X)}.\n" if "least" not in argv else ""
     program.write_text(closure_chain(6) + negated)
     built = []
-    ground, init = ndlp.cli.ground, Atom.__init__
+    load, init = ndlp.cli._load, Atom.__init__
 
     def count(self, *args):
         built.append(args)
         init(self, *args)
 
-    def counting_ground(*args, **kwargs):
+    def counting_load(*args, **kwargs):
         monkeypatch.setattr(Atom, "__init__", count)
-        return ground(*args, **kwargs)
+        return load(*args, **kwargs)
 
-    monkeypatch.setattr(ndlp.cli, "ground", counting_ground)
+    monkeypatch.setattr(ndlp.cli, "_load", counting_load)
     code, out, _ = run(capsys, *argv, str(program))
     assert code == 0 and "path(n0, n6)" in out
-    assert not built
+    assert not built and Atom.__init__ is count

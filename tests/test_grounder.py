@@ -69,8 +69,13 @@ class TestInstantiation:
         assert [str(r) for r in gp.rules] == [
             "{a} :- {missing}.", "{p(c)} :- {q(c)}.", "{q(c)}.", "{b}.",
         ]
-        # kept as the same object, only the comparison rule is rebuilt
-        assert gp.rules[0] is program.rules[0] and gp.rules[2] is program.rules[2]
+        # kept as written, with its origin, and spelled over the base like
+        # every instance, only the comparison dropped from the last
+        assert gp.rules[0] == program.rules[0] and gp.rules[2] == program.rules[2]
+        assert [r.origin for r in gp.rules] == ["line 1", "line 1", "line 1", "line 1"]
+        base = {id(nd) for nd in gp.base}
+        assert all(id(rule.head) in base and {id(lit.atom) for lit in rule.body} <= base
+                   for rule in gp.rules)
 
     def test_set_literal_matches_collapsed_members(self):
         # X = Y grounds {q(X), q(Y)} to the singleton {q(a)}
@@ -272,13 +277,13 @@ class TestWorkBound:
         init = _Source.__init__
 
         def spy(self, rule, *args):
-            compiled.append(str(rule))
+            compiled.append(rule[-1])  # the origin of (head, body, negated, origin)
             init(self, rule, *args)
 
         monkeypatch.setattr(_Source, "__init__", spy)
         gp = gp_from("{g}.\n{h} :- {g}.\n{k} :- {g}, {a == b}.\n"
                      "{q(X)} :- {r(X)}, {h}.\n{r(a)}.\n")
-        assert compiled == ["{q(X)} :- {r(X)}, {h}."]
+        assert compiled == ["line 4"]  # {q(X)} :- {r(X)}, {h}.
         assert {"{h}", "{q(a)}"} <= {str(nd) for nd in least_model(gp)}
 
     # Each distinct set-atom of the rules without variables is keyed once,
@@ -481,14 +486,14 @@ class TestLongBodies:
         join = _Instantiator.join
 
         def spy(self, source, plan, delta):
-            joined.append(source.rule)
+            joined.append(source.origin)
             return join(self, source, plan, delta)
 
         monkeypatch.setattr(_Instantiator, "join", spy)
         body = ", ".join(f"{{g{i}}}" for i in range(self.SIZE))
         facts = "".join(f"{{g{i}}}.\n" for i in range(self.SIZE))
         gp = gp_from(f"{{h}} :- {body}.\n{facts}{{q(X)}} :- {{r(X)}}. {{r(a)}}.\n")
-        assert [str(rule) for rule in joined] == ["{q(X)} :- {r(X)}."]
+        assert joined == [f"line {self.SIZE + 2}"]  # {q(X)} :- {r(X)}.
         assert {"{h}", "{q(a)}"} <= {str(nd) for nd in least_model(gp)}
 
     def test_wide_set_literal(self):

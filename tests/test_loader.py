@@ -1,11 +1,13 @@
 """The command line's loader against the library's `ground(parse_program(...))`.
 
 `cli._load` builds the ground program of a text the statement reader takes
-whole straight from the reader's ids, and spells its `Rule`s only when they
-are read; any other text goes through the token parser and `ground`. On
-random programs, one file and two, both routes must give the same ground
-program, the same spelled rules with their origins and sharing, the same
-answer to the least-model check and the same errors.
+whole straight from the name reader's ids, or grounds it from the flat
+reader's set-atom patterns, and spells its `Rule`s only when they are read;
+any other text goes through the token parser and `ground`. On random
+programs, one file and two, and on the planning and closure shapes, both
+routes must give the same ground program, the same spelled rules with their
+origins and sharing, the same answer to the least-model check and the same
+errors.
 """
 
 import random
@@ -14,12 +16,15 @@ from operator import attrgetter
 
 import pytest
 
-from ndlp import GroundingError, ParseError, ProgramError, ground
+from ndlp import GroundingError, ParseError, ProgramError, ground, grounder
 from ndlp.cli import _load, _read, main
+from ndlp.corpus import corpus_path
 from ndlp.parser import _Parser, parse_files
 from ndlp.syntax import Atom, Literal, NdAtom, Rule
 
 import test_syntax
+from programs import (chain_edges, closure_text, graph_edges, robot_variant, robot_variants,
+                      programs)
 
 PROGRAMS = test_syntax.TestStatementReader()
 
@@ -78,21 +83,72 @@ def check_ids(gp):
 
 
 def taken(paths):
-    """Whether the statement reader takes the one file whole."""
+    """Whether the statement reader's name reader takes the one file whole."""
     return _Parser(_read(paths[0])).read()
+
+
+def patterned(paths):
+    """Whether its flat reader takes the one file whole, and hands the
+    grounder set-atom patterns, some with variables."""
+    parser = _Parser(_read(paths[0]))
+    parser.read()
+    try:
+        return parser.flat() is not None
+    except ProgramError:  # an arity or safety fault, raised as `parse` raises it
+        return True
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_loader_agrees_with_the_library(seed, tmp_path):
     rng = random.Random(500 + seed)
-    reads = 0
+    names = flat = 0
     for case in range(80):
         paths = written(tmp_path, [PROGRAMS.program(rng, faults=case % 4 == 0)])
-        reads += taken(paths)
+        names += taken(paths)
+        flat += patterned(paths)
         for horizon in (None, 2, -1) if case % 5 == 0 else (None,):
             assert loaded(paths, horizon) == library(paths, horizon), (_read(paths[0]), horizon)
-    # both routes run on a share of the programs
-    assert 10 <= reads <= 70, reads
+    # each of the loader's routes runs on a share of the programs
+    assert 10 <= names <= 70, names
+    assert 5 <= flat <= 40, flat
+
+
+def shapes():
+    """The planning and closure shapes: the 24 robot variants, and closure
+    chains and random graphs."""
+    rng = random.Random(7)
+    return ([robot_variant(*shape) for shape in robot_variants()]
+            + [closure_text(chain_edges(n), f"_c{n}") for n in (1, 5, 13)]
+            + [closure_text(graph_edges(rng, n, n // 4)) for n in (4, 12, 18)])
+
+
+@pytest.mark.parametrize("text", shapes(), ids=lambda text: f"{len(text)} chars")
+def test_loader_agrees_with_the_library_on_planning_and_closure(text, tmp_path):
+    paths = written(tmp_path, [text])
+    assert patterned(paths)
+    for horizon in (None, 0, 2, -1):
+        assert loaded(paths, horizon) == library(paths, horizon), horizon
+
+
+# the three grounding errors of the pattern route, each after a line of
+# its own, so that their origins tell the rules apart
+GROUNDING_ERRORS = [
+    ("{a}.\n{q(b)}.\n{exec(close, T)}.\n", None,
+     "time variable T needs a horizon; pass --horizon or add #horizon (line 3)"),
+    ("{a}.\n{p(X)} :- {q(X)}.\n", None,
+     "variable X has no constants to range over (line 2)"),
+    ("{a}.\n" + programs()["sum.ndlp"], 10**9,
+     "more than MAX_GROUND_INSTANCES = 1000 ground instances (line 2)"),
+]
+
+
+@pytest.mark.parametrize("text,horizon,message", GROUNDING_ERRORS)
+def test_grounding_errors_agree_with_the_library(text, horizon, message, tmp_path, monkeypatch):
+    monkeypatch.setattr(grounder, "MAX_GROUND_INSTANCES", 1000)
+    paths = written(tmp_path, [text])
+    assert patterned(paths)
+    assert loaded(paths, horizon) == library(paths, horizon) \
+        == (GroundingError, message, None, None, None)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -129,6 +185,27 @@ def test_solve_of_braced_loops_builds_no_syntax_value(tmp_path, monkeypatch, cap
     assert built == {"Atom": 280, "NdAtom": 280, "Literal": 280, "Rule": 280}
     out = capsys.readouterr().out
     assert out.startswith("{a0} :- not {b0}.\n{b0} :- not {a0}.\n{a1} :- not {b1}.\n")
+
+
+def test_planning_and_closure_build_no_syntax_value(tmp_path, monkeypatch, capsys):
+    """The flat reader hands the grounder set-atom patterns, so `expand` of
+    the planning example and least `solve` of a closure chain build no
+    `Atom`, `NdAtom`, `Literal` or `Rule`; spelling the ground rules builds
+    each once per ground atom, ground set-atom and ground rule."""
+    for argv, paths in ((["expand"], [str(corpus_path("robot.ndlp"))]),
+                        (["solve", "--semantics", "least"],
+                         written(tmp_path, [closure_text(chain_edges(13))]))):
+        _, gp = _load(paths, None)
+        want = {"Atom": len(gp.table.texts), "NdAtom": gp.n,
+                "Literal": sum(len(rule.body) for rule in gp.rules), "Rule": len(gp.rules)}
+        with monkeypatch.context() as patched:
+            built = counted(patched)
+            assert main([*argv, *paths]) == 0
+            assert not built
+            capsys.readouterr()
+            assert main([*argv, "--dump-ground", *paths]) == 0
+            assert built == want
+        assert capsys.readouterr().out.startswith(str(gp))
 
 
 def test_equal_set_atoms_written_apart_are_one_atom(tmp_path):
