@@ -287,10 +287,12 @@ def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
     """Whether the files, read as one program (see `parser.reader`), negate
     nothing, and their ground program. For braced rules over names, which
     the statement reader takes whole, it is built from the reader's ids,
-    every rule kept; for braced rules over flat atoms with variables, which
-    its flat reader takes whole, it is grounded from the reader's set-atom
-    patterns (`grounder.ground_patterns`). No syntax value is built on
-    either route; any other text is parsed and grounded as a `Program`."""
+    every rule kept, over the names' ranks, which are the base's key order
+    as they stand where every set-atom is one name, as in braced loops; for
+    braced rules over flat atoms with variables, which its flat reader
+    takes whole, it is grounded from the reader's set-atom patterns
+    (`grounder.ground_patterns`). No syntax value is built on either route;
+    any other text is parsed and grounded as a `Program`."""
     parser = reader([(p, _read(p)) for p in paths])
     if parser.read() and (horizon is None or horizon >= 0):
         keys = list(parser.keys)  # each set-atom's names; an atom's key sorts as its name

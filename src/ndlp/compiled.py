@@ -9,11 +9,14 @@ that use the atom positively, that negate it and that define it.
 interns their NdAtoms by value: it compiles a program
 without variables, and it is the reference the grounder's join is tested
 against. The base is held in one form, its `AtomTable`, which
-`table_program` sorts: the grounder builds it from int keys
+`table_program` puts in key order: the grounder builds it from int keys
 (`AtomTable.of_keys`), its texts joined from term texts, the command line's
 loader from the names of braced rules over names, and `make_ground_program`
-from the NdAtoms (`AtomTable.of`). No `NdAtom` or `Rule` is built until
-`base` or `rules` is read.
+from the NdAtoms (`AtomTable.of`). The one sort of the atoms that builds a
+table also orders its NdAtoms where each is one atom, as on every closure
+request and every braced loop over names: an NdAtom's place is then its
+atom's rank, and only a table with a wider NdAtom sorts the NdAtoms again.
+No `NdAtom` or `Rule` is built until `base` or `rules` is read.
 One batch fixpoint, `reduct_model`, gives the least model of the reduct
 against a 0/1 interpretation in linear time. It serves the least model
 (against the empty interpretation), and the tests check each stable model
@@ -45,8 +48,8 @@ NdAtom sets, while the command line renders the indices through
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import compress
-from operator import attrgetter
+from itertools import chain, compress
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .syntax import Atom, Compound, Constant, Integer, NdAtom, Rule, Term, sort_nd_atoms
@@ -94,22 +97,32 @@ class AtomTable:
 
     @classmethod
     def of_keys(cls, keys: list[tuple], term_keys: list,
-                terms: tuple[list[int], list[str]]) -> AtomTable:
+                terms: tuple[list[int], list[str]] | None) -> AtomTable:
         """The table of the NdAtoms whose members are keyed `keys`, from the
         keys alone. A member is keyed `(pred, arg ids)`, and term i
         `term_keys[i]`: an int for an Integer, a str for a Constant,
         `(name, arg ids)` for a Compound. `terms` are the terms' ranks and
         texts (`rank_terms`), and one sort of the member keys by those ranks
-        orders the members."""
-        rank, texts = terms
-        # a member sorts as (pred, arity, *its terms' ranks), with no Python key function
-        unique = list({member for key in keys for member in key})
-        sort_keys = [(pred, len(args), *map(rank.__getitem__, args)) for pred, args in unique]
-        members = [unique[i] for i in sorted(range(len(unique)), key=sort_keys.__getitem__)]
+        orders the members. `terms` is None when the term ids already rank
+        the terms, and no predicate has two arities: then the members sort
+        on their own keys, and the terms are spelled as their keys."""
+        unique = list(set(chain.from_iterable(keys)))
+        if terms is None:
+            # by args, then stably by predicate: two sorts on keys of one type each
+            members = sorted(unique, key=itemgetter(1))
+            members.sort(key=itemgetter(0))
+            texts = list(map(str, term_keys))
+        else:
+            rank, texts = terms
+            # a member sorts as (pred, arity, *its terms' ranks), with no Python key function
+            sort_keys = [(pred, len(args), *map(rank.__getitem__, args)) for pred, args in unique]
+            members = [unique[i] for i in sorted(range(len(unique)), key=sort_keys.__getitem__)]
         member_rank = dict(zip(members, range(len(members)))).__getitem__
         ranked = [(member_rank(key[0]),) if len(key) == 1 else tuple(sorted(map(member_rank, key)))
                   for key in keys]
-        spelled = tuple([f"{pred}({', '.join([texts[a] for a in args])})" if args else pred
+        # two args, the most common arity, spelled with no inner comprehension
+        spelled = tuple([f"{pred}({texts[args[0]]}, {texts[args[1]]})" if len(args) == 2
+                         else f"{pred}({', '.join([texts[a] for a in args])})" if args else pred
                          for pred, args in members])
         return cls(spelled, ranked, partial(_spell_atoms, members, term_keys))
 
@@ -128,7 +141,9 @@ class AtomTable:
 def rank_terms(term_keys: list) -> tuple[list[int], list[str]]:
     """The rank of each term keyed as in `AtomTable.of_keys` in the order of
     its syntax key, from one sort, and its text: integers rank by value
-    before symbols, and symbols by name."""
+    before symbols, and symbols by name. The grounder's constants are
+    numbered in that order, so it calls this only once grounding has
+    created a term, a sum's integer or a compound."""
     sort_keys: list[tuple] = []
     texts: list[str] = []
     for key in term_keys:
@@ -295,19 +310,26 @@ def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
 def table_program(table: AtomTable, heads: list[int], pos: list, neg: list,
                   spell: Callable[[list[int], GroundProgram], tuple[Rule, ...]]) -> GroundProgram:
     """The rules `heads`, `pos` and `neg` over the distinct NdAtoms of
-    `table`, id i with member ranks `table.members[i]`, in key order by one
-    sort of the ranks, which reorders `table` in place: id i becomes
-    `renumber[i]`, repeats dropped from each body, and `spell(renumber,
-    program)` spells the rules."""
+    `table`, id i with member ranks `table.members[i]`, in key order, which
+    reorders `table` in place: id i becomes `renumber[i]`, repeats dropped
+    from each body, and `spell(renumber, program)` spells the rules. When
+    every NdAtom is one atom, the atoms' ranks are that order; otherwise one
+    sort of the ranks gives it."""
     ranked = table.members
-    order = sorted(range(len(ranked)), key=ranked.__getitem__)
-    renumber = sorted(range(len(order)), key=order.__getitem__)  # the inverse of `order`
+    if sum(map(len, ranked)) == len(ranked):  # one atom each, every atom's rank taken once
+        renumber = list(chain.from_iterable(ranked))
+        table.members = list(zip(range(len(ranked))))
+    else:
+        order = sorted(range(len(ranked)), key=ranked.__getitem__)
+        renumber = sorted(range(len(order)), key=order.__getitem__)  # the inverse of `order`
+        table.members = list(map(ranked.__getitem__, order))
     new = renumber.__getitem__
-    table.members = list(map(ranked.__getitem__, order))
 
     def bodies(lists: Sequence) -> list[tuple[int, ...]]:
-        return [tuple(dict.fromkeys(map(new, body))) if len(body) > 1
-                else (new(body[0]),) if body else () for body in lists]
+        # a body of two distinct ids, the most common wider one, needs no dict
+        return [(new(body[0]),) if len(body) == 1 else () if not body
+                else (new(body[0]), new(body[1])) if len(body) == 2 and body[0] != body[1]
+                else tuple(dict.fromkeys(map(new, body))) for body in lists]
 
     return GroundProgram(list(map(new, heads)), bodies(pos), bodies(neg), partial(spell, renumber),
                          table)

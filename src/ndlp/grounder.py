@@ -69,9 +69,13 @@ compare slots, is read off the row. Heads and negated literals stay
 `(pred, arg ids)` keys: grounding builds no `Atom` or `NdAtom`. One sort of
 the terms ranks them (`compiled.rank_terms`); each rule's instances sort by
 those ranks, and one sort of the member keys by them orders the atom table
-and the base, whose texts are joined from term texts. NdAtoms and `Rule`s
-are built only when read: every kept rule, with or without variables, is
-spelled from its ids, its body's layout and its origin.
+and the base, whose texts are joined from term texts. Where grounding
+created no term and no predicate has two arities, as on every closure
+request, the constants' ids are their ranks: the terms are not sorted, and
+the members sort on their own keys. Where every NdAtom is one atom, the
+members' sort orders the base as well (`compiled.table_program`). NdAtoms
+and `Rule`s are built only when read: every kept rule, with or without
+variables, is spelled from its ids, its body's layout and its origin.
 
 Every semantics runs over this *restricted* base; NdAtoms outside it are
 false (total semantics) or negative (well-founded) and never enumerated.
@@ -431,7 +435,7 @@ class _Instantiator:
 
     def __init__(self, patterns: list[tuple], sources: list[tuple], fixed: list[tuple],
                  horizon: int | None, constants: list):
-        self.horizon, self.nconst = horizon, len(constants)
+        self.patterns, self.horizon, self.nconst = patterns, horizon, len(constants)
         self.term_keys: list = list(constants)
         self.term_ids = {key: i for i, key in enumerate(constants)}
         self.time_domain: list[int] | None = None
@@ -752,14 +756,14 @@ class _Instantiator:
         """Record the instance of each row whose slots no earlier row had;
         each counts against MAX_GROUND_INSTANCES, kept or dropped."""
         instances, width, derived, queue = source.instances, source.width, self.derived, self.queue
-        indexed_in = self.round + 1
+        indexed_in, room = self.round + 1, self.room
         pred, args, read, tests = source.head or (None, None, None, None)
         for row in rows:
             key = tuple(row[:width])
             if key in instances:
                 continue
-            self.room -= 1
-            if self.room < 0:
+            room -= 1
+            if room < 0:
                 raise GroundingError(f"more than MAX_GROUND_INSTANCES = {MAX_GROUND_INSTANCES} "
                                      f"ground instances ({source.origin})")
             if pred is None:
@@ -777,6 +781,7 @@ class _Instantiator:
             if instance is not None and instance[0] not in derived:
                 derived[instance[0]] = indexed_in
                 queue.append(instance[0])
+        self.room = room
 
     def instance(self, source: _Source, slots: list[int]):
         """The instance of a row, with the positive body the join matched,
@@ -798,10 +803,15 @@ class _Instantiator:
 
     def intern(self, key: tuple) -> int:
         """The id of the NdAtom whose members have the keys `key`, in any
-        order."""
+        order. A new key of one member is its own sorted form, and is
+        stored once; a wider one is stored as given and as its sorted form."""
         i = self.by_key.get(key)
         if i is None:
-            canonical = key if len(key) == 1 else tuple(sorted(set(key)))
+            if len(key) == 1:
+                i = self.by_key[key] = len(self.keys)
+                self.keys.append(key)
+                return i
+            canonical = tuple(sorted(set(key)))
             i = self.by_key.get(canonical)
             if i is None:
                 i = self.by_key[canonical] = len(self.keys)
@@ -832,13 +842,18 @@ class _Instantiator:
         points by value, and instances sort by the ranks of their slots. So
         they sort by the ids themselves unless the integers' ids do not rise
         with their values; then a rule with a time variable maps its slots
-        through the ranks. Since one source rule fixes the layout of its
-        instances, equal ids mean equal rules."""
+        through the ranks. With no term created, the ids are the ranks, and
+        the table sorts on them too, unless a predicate has two arities.
+        Since one source rule fixes the layout of its instances, equal ids
+        mean equal rules."""
         rules, heads, pos, neg = self.fixed
         fixed = list(zip(heads, pos, neg))
-        terms = rank_terms(self.term_keys)
-        integers = [key for key in self.term_keys if type(key) is int]
-        rank = None if integers == sorted(integers) else terms[0].__getitem__
+        if len(self.term_keys) == self.nconst and _one_arity(self.patterns):
+            terms = rank = None  # the constants' ids rank them, and rank the members' args
+        else:
+            terms = rank_terms(self.term_keys)
+            integers = [key for key in self.term_keys if type(key) is int]
+            rank = None if integers == sorted(integers) else terms[0].__getitem__
         specs, kept, done = [], [], 0
         for source in self.sources:
             specs += rules[done:source.after]
@@ -857,6 +872,13 @@ class _Instantiator:
         heads, pos, neg = zip(*kept) if kept else ((), (), ())
         return table_program(AtomTable.of_keys(self.keys, self.term_keys, terms),
                              heads, pos, neg, partial(_spell_rules, specs, kept))
+
+
+def _one_arity(patterns: list[tuple]) -> bool:
+    """Whether no predicate of the patterns has two arities, as the parser
+    ensures but a hand-built `Program` need not."""
+    arities = {(pred, len(args)) for members, _, _ in patterns for pred, args in members}
+    return len(arities) == len(set(map(itemgetter(0), arities)))
 
 
 def _spell_rules(specs: list, kept: list, renumber: list, gp: GroundProgram) -> tuple[Rule, ...]:

@@ -212,6 +212,33 @@ MUTANTS: tuple[Mutant, ...] = (
         "rank = None",
         MATCHING,
     ),
+    # the key order taken from one sort of the atoms
+    Mutant(
+        # as many atoms as set-atoms, though one set-atom has two members
+        "one-atom-renumbering-taken-with-a-wider-set-atom", "compiled.py",
+        "if sum(map(len, ranked)) == len(ranked):",
+        "if len(table.texts) == len(ranked):",
+        MATCHING,
+    ),
+    Mutant(
+        "created-terms-taken-as-ranked", "grounder.py",
+        "if len(self.term_keys) == self.nconst and _one_arity(self.patterns):",
+        "if _one_arity(self.patterns):",
+        MATCHING,
+    ),
+    Mutant(
+        "arity-dropped-from-the-member-order", "grounder.py",
+        "if len(self.term_keys) == self.nconst and _one_arity(self.patterns):",
+        "if len(self.term_keys) == self.nconst:",
+        MATCHING,
+    ),
+    Mutant(
+        # {q(c), p(c)} written beside {p(c), q(c)} is a set-atom of its own
+        "wide-key-interned-unsorted", "grounder.py",
+        "canonical = tuple(sorted(set(key)))",
+        "canonical = tuple(dict.fromkeys(key))",
+        MATCHING,
+    ),
     Mutant(
         "fast-path-head-skips-a-false-comparison", "grounder.py",
         "                    if (row[left] == row[right]) != equal:\n",
@@ -220,8 +247,10 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "wide-set-atom-indexed-as-one-member", "grounder.py",
-        "if len(key) == 1:",
-        "if True:",
+        "            if len(key) == 1:\n"
+        "                trigger, args = key[0]\n",
+        "            if True:\n"
+        "                trigger, args = key[0]\n",
         MATCHING,
     ),
     Mutant(
@@ -235,15 +264,15 @@ MUTANTS: tuple[Mutant, ...] = (
     # the bound and rules without variables
     Mutant(
         "bound-off-by-one", "grounder.py",
-        "if self.room < 0:",
-        "if self.room < -1:",
+        "if room < 0:",
+        "if room < -1:",
         MATCHING,
     ),
     Mutant(
         "dropped-instance-not-counted", "grounder.py",
         "            instances[key] = instance\n",
         "            instances[key] = instance\n"
-        "            self.room += instance is None\n",
+        "            room += instance is None\n",
         MATCHING,
     ),
     # the rounds: each plan runs once per round over its trigger's delta
@@ -425,8 +454,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "repeated-body-id-kept", "compiled.py",
-        "tuple(dict.fromkeys(map(new, body))) if len(body) > 1",
-        "tuple(map(new, body)) if len(body) > 1",
+        "else tuple(dict.fromkeys(map(new, body))) for body in lists]",
+        "else tuple(map(new, body)) for body in lists]",
         PARSER,
     ),
     Mutant(

@@ -197,6 +197,9 @@ def programs() -> dict[str, str]:
         "ground_body.ndlp": "".join(f"{{g{i}}}.\n" for i in range(n)) + "{h} :- " + ", ".join(
             f"{{g{i}}}" for i in range(n)) + ".\n{q(X)} :- {r(X)}. {r(a)}.\n",
         "closure.ndlp": closure_text(chain_edges(120)),
+        # two-member set-atoms over a chain of edges, with no term created in grounding
+        "pair_heads.ndlp": "".join(f"{{e(n{i}, n{i + 1})}}.\n" for i in range(n))
+        + "{p(X, Y), q(X, Y)} :- {e(X, Y)}.\n{r(X)} :- {p(X, Y), q(X, Y)}, {e(Y, Z)}.\n",
         "dense.ndlp": closure_text(out_edges(random.Random(7), 60, 3)),
         # a body set-atom of 1 000 members
         "wide.ndlp": "{h(X)} :- {" + ", ".join(f"p(X, {i})" for i in range(k)) + "}.\n{"
@@ -258,6 +261,9 @@ LEAST = ("solve", "--semantics", "least")
 # - 5 s on the 10 000 flat rules that end in a flat fact, which the grounder
 #   takes as set-atom patterns: a pattern or a rule's slots mapped in time
 #   quadratic in the number of rules, or syntax values built for them;
+# - 5 s on the 10 000 edges with two-member heads, whose atoms come in no
+#   term created in grounding: the set-atoms' sort, which their two-member
+#   set-atoms still take, or the sort of their members, turned quadratic;
 # - the runaway grounding: it stops past MAX_GROUND_INSTANCES with exit 2;
 # - robot grounded at horizon 200 (11 057 lines): a set-literal looked up
 #   by key turned into a scan, or the instances' rank order into a slow sort;
@@ -301,6 +307,8 @@ ROWS: tuple[Row, ...] = (
     Row(LEAST, ("closure.ndlp",), 5),
     Row((*LEAST, "--format", "json"), ("closure.ndlp",), 5),
     Row((*LEAST, "--dump-ground"), ("closure.ndlp",), 5),
+    Row(("ground",), ("pair_heads.ndlp",), 5),
+    Row(LEAST, ("pair_heads.ndlp",), 5),
     Row(("ground",), ("dense.ndlp",), 5),
     Row(LEAST, ("dense.ndlp",), 5),
     Row(("ground",), ("wide.ndlp",), 2),

@@ -9,9 +9,11 @@ from ndlp import GroundingError, cli, ground, grounder, least_model, parse_progr
 from ndlp.corpus import CORPUS_NAMES, corpus_text
 from ndlp.compiled import make_ground_program, restricted_base
 from ndlp.grounder import _Instantiator, _Source
-from ndlp.syntax import BUILTIN_PREDICATES, Atom, Program
+from ndlp.syntax import (BUILTIN_PREDICATES, Atom, Constant, Literal, Program, Rule, Variable,
+                         canonicalize)
 
 from conftest import closure_chain, gp_from, random_nonground_program
+from programs import closure_text, graph_edges
 
 
 def heads_str(gp):
@@ -462,6 +464,47 @@ def test_ground_bases_match_restricted_base(source):
     reference = restricted_base(gp.rules)
     assert gp.base == reference
     assert make_ground_program(gp.rules).base == reference
+
+
+# Where grounding creates no term, the members of the base sort on their
+# own keys, and where every set-atom is one atom, its atom's rank is its
+# place in the base; a sum or a compound term creates terms, and a
+# set-atom of two members takes the sort of the set-atoms.
+KEY_ORDER_SHAPES = [
+    *[(closure_chain(n), None) for n in (1, 13, 30)],
+    *[(closure_text(graph_edges(random.Random(n), n, n // 3)), None) for n in (5, 12, 18)],
+    (corpus_text("robot.ndlp"), 1),
+    (corpus_text("robot.ndlp"), 3),
+    ("{p(X), q(X)} :- {e(X)}. {r(X)} :- {p(X), q(X)}, not {q(X), p(X)}.\n"
+     "{e(b)}. {e(a)}. {q(c), p(c)}. {s(X, Y)} :- {e(X)}, {e(Y)}.\n", None),
+    # as many atoms as set-atoms, one of them of two members
+    ("{p(X)} :- {e(X)}. {q(X), p(X)} :- {p(X)}. {e(a)}.\n", None),
+    ("{q(f(X))} :- {p(X)}. {r(X)} :- {q(X)}. {p(b)}. {p(a)}. {q(f(c))}.\n", None),
+]
+
+
+@pytest.mark.parametrize("text,horizon", KEY_ORDER_SHAPES, ids=lambda x: f"{str(x)[:24]!r}")
+def test_key_order_shortcuts_match_restricted_base(text, horizon, tmp_path):
+    gp = gp_from(text, horizon)
+    assert gp.base == restricted_base(gp.rules)
+    assert [tuple(map(str, nd.atoms)) for nd in gp.base] \
+        == [tuple(map(gp.table.texts.__getitem__, members)) for members in gp.table.members]
+    # the command line's loader keys each set-atom's members as written
+    path = tmp_path / "p.ndlp"
+    path.write_text(text)
+    assert cli._load([str(path)], horizon)[1].base == gp.base
+
+
+def test_a_predicate_at_two_arities_sorts_by_arity():
+    # the parser refuses p at two arities, and a hand-built Program does not
+    def nd(pred, *args):
+        return canonicalize([Atom(pred, args)])
+    a, b, c, x = Constant("a"), Constant("b"), Constant("c"), Variable("X")
+    program = Program(rules=(Rule(nd("p", b)), Rule(nd("p", a, c)),
+                             Rule(nd("q", x), (Literal(nd("p", x)),))))
+    gp = ground(program)
+    assert [str(nd) for nd in gp.base] == ["{p(b)}", "{p(a, c)}", "{q(b)}"]
+    assert gp.base == restricted_base(gp.rules)
 
 
 class TestLongBodies:

@@ -12,6 +12,7 @@ errors.
 
 import random
 from collections import Counter
+from functools import partial
 from operator import attrgetter
 
 import pytest
@@ -23,8 +24,8 @@ from ndlp.parser import _Parser, parse_files
 from ndlp.syntax import Atom, Literal, NdAtom, Rule
 
 import test_syntax
-from programs import (chain_edges, closure_text, graph_edges, robot_variant, robot_variants,
-                      programs)
+from programs import (chain_edges, closure_text, graph_edges, loops, neg_chain, robot_variant,
+                      robot_variants, programs)
 
 PROGRAMS = test_syntax.TestStatementReader()
 
@@ -127,6 +128,25 @@ def test_loader_agrees_with_the_library_on_planning_and_closure(text, tmp_path):
     paths = written(tmp_path, [text])
     assert patterned(paths)
     for horizon in (None, 0, 2, -1):
+        assert loaded(paths, horizon) == library(paths, horizon), horizon
+
+
+# the name route's shapes: braced loops, one atom per set-atom, whose atoms'
+# ranks are their places in the base, and the braced negation chain of
+# two-member set-atoms, which sorts the set-atoms; their bare forms go
+# through the token parser and `make_ground_program`'s table of NdAtoms
+NAME_SHAPES = [(text(n), braced) for braced, text in
+               ((True, loops), (True, partial(loops, one_line=True)),
+                (False, partial(loops, bare=True)), (True, neg_chain),
+                (False, partial(neg_chain, bare=True)))
+               for n in (1, 12, 140)]
+
+
+@pytest.mark.parametrize("text,braced", NAME_SHAPES, ids=lambda x: f"{str(x)[:24]!r}")
+def test_loader_agrees_with_the_library_on_loops_and_negation_chains(text, braced, tmp_path):
+    paths = written(tmp_path, [text])
+    assert taken(paths) == braced
+    for horizon in (None, 2, -1):
         assert loaded(paths, horizon) == library(paths, horizon), horizon
 
 
