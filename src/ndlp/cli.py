@@ -16,20 +16,20 @@ spelled out only for `ground` and `--dump-ground`.
 From the search to the report a model stays the sorted indices of its
 NdAtoms in the ground program, whose base is in key order: `_solve` writes
 the models, and the well-founded negatives and undefined NdAtoms, straight
-into the report as those indices with no sort, rendered through the
-program's `member_texts`, and expands each model with the report's
-negatives over the program's one atom table into int masks. Both read the
-atom table, so the command line builds no `Atom` after parsing, and none
-at all for braced rules that the statement reader takes whole: `_load`
-builds the ground program of rules over names from its ids, and grounds
-rules over flat atoms with variables from its set-atom patterns; library
-callers may hand the report NdAtoms instead. `SolveReport.write` renders both formats straight to
-stdout in pieces: the header, each model, and the answer-set rows
-`CHUNK_ROWS` at a time, so no `AnswerSet` is built and no string holds the
-whole report. Each row is written from a few lookups of its mask into
-tables that hold the text of every sub-mask of a range of the model's
-slots (`_tables`). A write renders each NdAtom and encodes each table's
-entries once (`functools.cache`) and lays out the JSON arrays itself. A
+into the report as those indices with no sort, beside the program's one
+atom table, and expands each model with the negatives over that table into
+int masks. The writer reads member ranks and texts off the table, so the
+command line builds no `Atom` after parsing, and none at all for braced
+rules that the statement reader takes whole: `_load` builds the ground
+program of rules over names from its ids, and grounds rules over flat atoms
+with variables from its set-atom patterns. `SolveReport.write` renders both
+formats straight to stdout in pieces: the header, each model, and the
+answer-set rows `CHUNK_ROWS` at a time, so no `AnswerSet` is built and no
+string holds the whole report. Each list of NdAtoms is one comprehension
+(`_spelled`); over several models each distinct NdAtom is spelled once and
+each model joined by lookup. Each row is written from a few lookups of its
+mask into tables that hold the text of every sub-mask of a range of the
+model's slots (`_tables`), each table's entries encoded once for JSON. A
 model is expanded only when the writer reaches its answer sets, so one
 model's masks are held at a time; the truncation flag, written after them,
 is settled by then.
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _encode
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .answersets import AnswerSet, Expansion, Layout, expand_ids
 from .compiled import AtomTable, GroundProgram, table_program
@@ -65,7 +65,7 @@ CHUNK_ROWS = 4096
 @dataclass
 class SolveReport:
     semantics: str
-    # each NdAtom, here and below, as its id when `texts` is given, else as itself
+    # each NdAtom, here and below, as its id in `table`, or without one as itself
     models: list[Sequence] = field(default_factory=list)
     negatives: Sequence | None = None  # wf only: the NdAtoms false
     undefined: Sequence | None = None  # wf only: those neither true nor false
@@ -78,11 +78,15 @@ class SolveReport:
     truncated: bool = False
     rule_count: int = 0
     base_size: int = 0
-    texts: Callable[[int], list[str]] | None = None  # an NdAtom's member texts by its id
+    table: AtomTable | None = None  # the atom table whose NdAtoms the ids index
 
     def write(self, stream: TextIO, fmt: str = "text") -> None:
         """Write the report to `stream` as text or as JSON, in pieces: the
-        header, each model, and the answer-set rows `CHUNK_ROWS` at a time."""
+        header, each model, and the answer-set rows `CHUNK_ROWS` at a time.
+        NdAtoms, as library callers pass them, first become ids (`_tabled`)."""
+        if self.table is None:
+            self.table, self.models, self.negatives, self.undefined = _tabled(
+                self.models, self.negatives or [], self.undefined or [])
         stream.writelines(self._json() if fmt == "json" else self._text())
 
     def to_json(self) -> str:
@@ -96,29 +100,22 @@ class SolveReport:
         self.write(out)
         return out.getvalue()
 
-    def _member_texts(self) -> Callable[[Any], list[str]]:
-        """The texts of an NdAtom's members, given as its id or itself."""
-        return self.texts or (lambda nd: [atom.text for atom in nd.atoms])
-
     def _text(self) -> Iterator[str]:
         yield f"semantics: {self.semantics}\n"
         yield f"ground rules: {self.rule_count}, base size: {self.base_size}\n"
         if not self.models:
             yield "no models\n"
-        texts = self._member_texts()
-        lines = []
+        table, wf = self.table, ""
         if self.semantics == "wf":
-            lines += [f"  not {{{', '.join(texts(nd))}}}\n" for nd in self.negatives or []]
+            lines = _spelled(table, self.negatives or (), "  not {", ", ", "}\n")
             if self.undefined:
-                lines.append("  undefined:\n")
-                lines += [f"    {{{', '.join(texts(nd))}}}\n" for nd in self.undefined]
-            lines.append(f"  total: {'yes' if self.total else 'no'}\n")
-        wf = "".join(lines)
-        indented = functools.cache(lambda nd: f"  {{{', '.join(texts(nd))}}}\n")
+                lines += ["  undefined:\n", *_spelled(table, self.undefined, "    {", ", ", "}\n")]
+            wf = "".join([*lines, f"  total: {'yes' if self.total else 'no'}\n"])
         spell = (attrgetter("entries"), ", ", "")
         expansions = None if self.answer_sets is None else iter(self.answer_sets)
-        for i, model in enumerate(self.models, start=1):
-            yield "".join([f"model {i}:\n", *map(indented, model), wf])
+        models = _each_model(table, self.models, "  {", ", ", "}\n")
+        for i, spelled in enumerate(models, start=1):
+            yield "".join([f"model {i}:\n", *spelled, wf])
             if expansions is not None:
                 label = f"  answer set {i}."
                 for first, tables, masks in self._chunks(next(expansions), spell):
@@ -132,8 +129,7 @@ class SolveReport:
     def _json(self) -> Iterator[str]:
         """The pieces of the JSON report. The arrays of NdAtoms and of answer
         sets are laid out here and spliced around the dumped scalars: each
-        NdAtom of a model is laid out once per report, each entry of an
-        answer set once per atom table."""
+        entry of an answer set is encoded once per atom table."""
         yield '{\n  "answer_sets": '
         encoded = functools.cache(lambda table: [_NEWLINE[4] + _encode(t) for t in table.entries])
         spell = (encoded, ",", _NEWLINE[3])
@@ -141,10 +137,8 @@ class SolveReport:
         yield from _array(map(_json_rows, map(self._chunks, self.answer_sets or [],
                                               repeat(spell))), 1)
         yield ',\n  "models": '
-        texts = self._member_texts()
-        arrays = functools.cache(lambda nd: _nd_json(texts(nd), 3))
-        yield from _array(([_json_array(map(arrays, model), 2, item=True)]
-                           for model in self.models), 1)
+        models = _each_model(self.table, self.models, *_JSON_ND[3])
+        yield from _array(([_json_array(arrays, 2, item=True)] for arrays in models), 1)
         yield ","
         scalars: dict = {
             "semantics": self.semantics,
@@ -153,11 +147,13 @@ class SolveReport:
         }
         if self.semantics == "wf":
             scalars["total"] = bool(self.total)
-            yield f'{_NEWLINE[1]}"negatives": {_nd_arrays(self.negatives or [], texts)},'
+            negatives = _spelled(self.table, self.negatives or (), *_JSON_ND[2])
+            yield f'{_NEWLINE[1]}"negatives": {_json_array(negatives, 1)},'
         # keys sort as answer_sets, models, negatives, the scalars, undefined
         yield json.dumps(scalars, indent=2, sort_keys=True)[1:-2]
         if self.semantics == "wf":
-            yield f',{_NEWLINE[1]}"undefined": {_nd_arrays(self.undefined or [], texts)}'
+            undefined = _spelled(self.table, self.undefined or (), *_JSON_ND[2])
+            yield f',{_NEWLINE[1]}"undefined": {_json_array(undefined, 1)}'
         yield "\n}\n"
 
     def _chunks(self, sets: Expansion | list[AnswerSet], spell: tuple) -> Iterator[tuple]:
@@ -265,14 +261,44 @@ def _json_rows(model_chunks: Iterator[tuple]) -> Iterator[str]:
     return _array(chunks(), 2, item=True)
 
 
-def _nd_json(texts: list[str], depth: int) -> str:
-    """An NdAtom's array of member texts as an item at `depth`."""
-    return _json_array([_NEWLINE[depth + 1] + _encode(text) for text in texts], depth, item=True)
+# `_spelled`'s layout of an NdAtom as an array item at depth 2 and 3.
+_JSON_ND = {depth: (f"{_NEWLINE[depth]}[{_NEWLINE[depth + 1]}", "," + _NEWLINE[depth + 1],
+                    _NEWLINE[depth] + "]", True) for depth in (2, 3)}
 
 
-def _nd_arrays(nd_atoms: Sequence, texts: Callable[[Any], list[str]]) -> str:
-    """An array of NdAtoms at depth 1, each given to `texts`."""
-    return _json_array([_nd_json(texts(nd), 2) for nd in nd_atoms], 1)
+def _spelled(table: AtomTable, ids: Iterable[int], lead: str, sep: str, close: str,
+             encoded: bool = False) -> list[str]:
+    """Each NdAtom of `ids` as `lead`, its member texts joined by `sep`, and
+    `close`; the texts as JSON strings if `encoded`. An NdAtom of one or two
+    members, the most common sizes, is one f-string of a lookup per member."""
+    texts, members = table.texts, table.members
+    if encoded:
+        return [f"{lead}{_encode(texts[m[0]])}{close}" if len(m) == 1 else
+                f"{lead}{_encode(texts[m[0]])}{sep}{_encode(texts[m[1]])}{close}" if len(m) == 2
+                else f"{lead}{sep.join([_encode(texts[r]) for r in m])}{close}"
+                for m in map(members.__getitem__, ids)]
+    return [f"{lead}{texts[m[0]]}{close}" if len(m) == 1 else
+            f"{lead}{texts[m[0]]}{sep}{texts[m[1]]}{close}" if len(m) == 2
+            else f"{lead}{sep.join([texts[r] for r in m])}{close}"
+            for m in map(members.__getitem__, ids)]
+
+
+def _each_model(table: AtomTable, models: list[Sequence[int]], *layout) -> Iterable[Iterable[str]]:
+    """Each model's NdAtoms spelled by `_spelled` in `layout`: one model in
+    place, several by lookup in the spelling of each distinct NdAtom."""
+    if len(models) < 2:
+        return [_spelled(table, model, *layout) for model in models]
+    ids = list(set().union(*models))
+    spelled = dict(zip(ids, _spelled(table, ids, *layout))).__getitem__
+    return (map(spelled, model) for model in models)
+
+
+def _tabled(models: list[Sequence], negatives: Sequence, undefined: Sequence) -> tuple:
+    """An atom table of the lists' NdAtoms, and the lists as their ids in it."""
+    nd_atoms = list(dict.fromkeys(chain(chain.from_iterable(models), negatives, undefined)))
+    ids = dict(zip(nd_atoms, range(len(nd_atoms)))).__getitem__
+    return (AtomTable.of(nd_atoms), [list(map(ids, model)) for model in models],
+            list(map(ids, negatives)), list(map(ids, undefined)))
 
 
 def _read(path: str) -> str:
@@ -325,7 +351,7 @@ def _solve(args: argparse.Namespace, want_answer_sets: bool) -> int:
     # each model as the ids of its NdAtoms, which index the ground
     # program's base in key order
     report = SolveReport(semantics=args.semantics, rule_count=len(gp.heads), base_size=gp.n,
-                         texts=gp.member_texts())
+                         table=gp.table)
     if args.semantics == "least":
         if not positive:
             raise NdlpError(

@@ -41,8 +41,8 @@ references the tests check this form against.
 Since the base is interned in key order, a model's sorted index tuple is
 already its canonical order. The least and well-founded models come out as
 truth flags and stable models as index tuples; the library decodes them to
-NdAtom sets, while the command line renders the indices through
-`member_texts` and expands them, both off the program's atom table.
+NdAtom sets, while the command line writes each NdAtom from its member
+ranks into the program's atom table's `texts`, and expands over the table.
 """
 
 from __future__ import annotations
@@ -261,12 +261,6 @@ class GroundProgram:
         the complement of its upper bound."""
         state = Propagator(self)
         return bytes(state.lower), state.upper.translate(_COMPLEMENT)
-
-    def member_texts(self) -> Callable[[int], list[str]]:
-        """NdAtom i's member texts as a function of i, read off the atom
-        table, so that no `Atom` is built."""
-        texts, members = self.table.texts, self.table.members
-        return lambda i: [texts[r] for r in members[i]]
 
     def ids(self, flags: Iterable) -> tuple[int, ...]:
         """The indices of the set flags, in key order."""

@@ -574,6 +574,44 @@ MUTANTS: tuple[Mutant, ...] = (
         "bit = {e: 1 << len(slots) - i for i, e in enumerate(slots)}",
         EXPANSION,
     ),
+    # the writer's set-atoms, spelled off the atom table one comprehension
+    # per list, and the table that NdAtoms from library callers get
+    Mutant(
+        "json-one-member-unescaped", "cli.py",
+        'f"{lead}{_encode(texts[m[0]])}{close}" if len(m) == 1 else',
+        'f\'{lead}"{texts[m[0]]}"{close}\' if len(m) == 1 else',
+        EXPANSION,
+    ),
+    Mutant(
+        "two-member-separator-dropped", "cli.py",
+        'f"{lead}{texts[m[0]]}{sep}{texts[m[1]]}{close}" if len(m) == 2',
+        'f"{lead}{texts[m[0]]}{texts[m[1]]}{close}" if len(m) == 2',
+        EXPANSION,
+    ),
+    Mutant(
+        "wide-json-separator-dropped", "cli.py",
+        'else f"{lead}{sep.join([_encode(texts[r]) for r in m])}{close}"',
+        'else f"{lead}{\'\'.join([_encode(texts[r]) for r in m])}{close}"',
+        EXPANSION,
+    ),
+    Mutant(
+        "undefined-written-with-the-not-lead", "cli.py",
+        '*_spelled(table, self.undefined, "    {", ", ", "}\\n")',
+        '*_spelled(table, self.undefined, "  not {", ", ", "}\\n")',
+        EXPANSION,
+    ),
+    Mutant(
+        "several-models-spelled-from-the-first", "cli.py",
+        "ids = list(set().union(*models))",
+        "ids = list(models[0])",
+        EXPANSION,
+    ),
+    Mutant(
+        "library-undefined-tabled-as-negatives", "cli.py",
+        "list(map(ids, negatives)), list(map(ids, undefined)))",
+        "list(map(ids, negatives)), list(map(ids, negatives)))",
+        EXPANSION,
+    ),
 )
 
 

@@ -470,11 +470,11 @@ def written_once(write, report, fmt: str) -> str:
 def report_json(report) -> str:
     """A `SolveReport` as `json.dumps(payload, indent=2, sort_keys=True)`
     of its whole payload; answer-set entries are each atom's `str`, positives
-    then `not` negatives, each side sorted by key. A report with `texts`
-    holds each NdAtom as its id, whose member texts `texts` gives."""
+    then `not` negatives, each side sorted by key. A report with a `table`
+    holds each NdAtom as its id, whose member ranks index the table's texts."""
     def nd(atom) -> list[str]:
-        if report.texts is not None:
-            return report.texts(atom)
+        if report.table is not None:
+            return [report.table.texts[r] for r in report.table.members[atom]]
         return [str(a) for a in atom]
 
     def entries(answer_set) -> list[str]:

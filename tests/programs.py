@@ -253,6 +253,10 @@ LEAST = ("solve", "--semantics", "least")
 # - 15 s on the 20 000 conflict modules (80 000 decisions, 40 000 conflicts):
 #   a conflict or its undo costing more than the module it closes, or a pivot
 #   order that takes the atoms of a module apart;
+# - 5 s and 90 MiB on the same modules' well-founded report as JSON (40 000
+#   undefined set-atoms, 1.2 MB): the JSON array of set-atoms laid out in time
+#   quadratic in its length, or an `Atom` and `NdAtom` built per set-atom
+#   (96 MiB in process, against 81 MiB without);
 # - 5 s and 2 s: a slower parser, a grounder that joins a rule without
 #   variables per body fact, or a set-atom match turned quadratic; on the
 #   facts with a comment each and the 10 000 flat rules that end in a
@@ -292,6 +296,7 @@ ROWS: tuple[Row, ...] = (
     Row(STABLE_ONE, ("commented_loops.ndlp",), 15),
     Row(("solve", "--semantics", "stable"), ("conflicts.ndlp",), 15),
     Row(WF, ("conflicts.ndlp",), 15),
+    Row((*WF, "--format", "json"), ("conflicts.ndlp",), 5, rss_mib=90),
     Row(WF, ("chain.ndlp",), 15),
     Row(WF, ("arg_chain.ndlp",), 15),
     Row(WF, ("handover.ndlp",), 15),

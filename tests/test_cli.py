@@ -418,6 +418,27 @@ class TestJsonLayout:
         _, out, _ = run(capsys, *argv)
         assert "x\\u4e2d" in out and "caf\\u00e9" in out and out.isascii()
 
+    @pytest.mark.parametrize("semantics", ["stable", "wf"])
+    def test_one_member_non_ascii_set_atoms_are_escaped(self, capsys, monkeypatch, tmp_path,
+                                                        semantics):
+        # one-member set-atoms true, false and undefined, each written by one
+        # f-string of one lookup
+        source = tmp_path / "one.ndlp"
+        source.write_text("{caf\u00e9}.\n{x\u4e2d} :- not {caf\u00e9}.\n"
+                          "{p\u00e9} :- not {q\u00e9}.\n{q\u00e9} :- not {p\u00e9}.\n",
+                          encoding="utf-8")
+        argv = ("solve", "--semantics", semantics, "--format", "json", str(source))
+        code, rendered = self.checked_run(capsys, monkeypatch, *argv)
+        assert (code, rendered) == (0, 1)
+        _, out, _ = run(capsys, *argv)
+        data = json.loads(out)
+        assert out.isascii() and '"caf\\u00e9"' in out and '"p\\u00e9"' in out
+        if semantics == "wf":
+            assert data["negatives"] == [["x\u4e2d"]]
+            assert data["undefined"] == [["p\u00e9"], ["q\u00e9"]]
+        else:
+            assert data["models"] == [[["caf\u00e9"], ["p\u00e9"]], [["caf\u00e9"], ["q\u00e9"]]]
+
     def test_names_the_parser_rejects_are_escaped_too(self):
         # built through the library: no lowercase letter, and one astral
         # character that JSON escapes as a surrogate pair

@@ -10,6 +10,7 @@ origins and sharing, the same answer to the least-model check and the same
 errors.
 """
 
+import json
 import random
 from collections import Counter
 from functools import partial
@@ -226,6 +227,49 @@ def test_planning_and_closure_build_no_syntax_value(tmp_path, monkeypatch, capsy
             assert main([*argv, "--dump-ground", *paths]) == 0
             assert built == want
         assert capsys.readouterr().out.startswith(str(gp))
+
+
+# well-founded programs whose false and undefined set-atoms have two and
+# three members: one over names, which the name reader takes, and one over
+# flat atoms with variables, which the grounder takes as set-atom patterns
+WIDE_WF = ("{p, q} :- not {r, s}.\n{r, s} :- not {p, q}.\n"
+           "{t, u, v} :- not {w, x}.\n{w, x}.\n{a, b, c} :- not {d, e, f}.\n{d, e, f} :- not {a, b, c}.\n")
+WIDE_WF_PATTERNS = ("{e(n1)}.\n{e(n2)}.\n{p(X), q(X)} :- {e(X)}, not {r(X), s(X)}.\n"
+                    "{r(X), s(X)} :- {e(X)}, not {p(X), q(X)}.\n"
+                    "{t(X), u(X), v(X)} :- {e(X)}, not {w(X), x(X)}.\n{w(X), x(X)} :- {e(X)}.\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_json_and_wide_wf_reports_build_no_syntax_value(tmp_path, monkeypatch, capsys, fmt):
+    """The writer reads member texts off the atom table in both formats, so
+    `solve` of braced loops, `expand` of the planning example, least
+    `solve` of a closure chain and `solve --semantics wf` and `expand
+    --semantics wf` of programs with wide false and undefined set-atoms build
+    no `Atom`, `NdAtom`, `Literal` or `Rule`."""
+    loops_path, closure, names, flat = ([path] for path in written(
+        tmp_path, [LOOPS, closure_text(chain_edges(13)), WIDE_WF, WIDE_WF_PATTERNS]))
+    assert taken(loops_path) and taken(names) and patterned(flat) and not taken(flat)
+    for argv, paths in ((["solve", "--max-models", "1"], loops_path),
+                        (["expand"], [str(corpus_path("robot.ndlp"))]),
+                        (["solve", "--semantics", "least"], closure),
+                        (["solve", "--semantics", "wf"], names),
+                        (["expand", "--semantics", "wf"], names),
+                        (["solve", "--semantics", "wf"], flat),
+                        (["expand", "--semantics", "wf"], flat)):
+        with monkeypatch.context() as patched:
+            built = counted(patched)
+            assert main([*argv, "--format", fmt, *paths]) == 0
+            assert not built, argv
+        out = capsys.readouterr().out
+        if argv[-1] == "wf":
+            # the wide set-atoms are written: false with three members,
+            # undefined with two, and neither the other way
+            if fmt == "text":
+                assert "\n  not {t" in out and "\n  undefined:\n" in out and "\n    {p" in out, argv
+            else:
+                negatives, undefined = (json.loads(out)[key] for key in ("negatives", "undefined"))
+                assert [len(nd) for nd in negatives] == [3] * len(negatives) != [], argv
+                assert undefined and all(len(nd) in (2, 3) for nd in undefined), argv
 
 
 def test_equal_set_atoms_written_apart_are_one_atom(tmp_path):

@@ -209,6 +209,40 @@ def test_writer_on_random_programs(monkeypatch, tmp_path, seed):
                 check_writer(report, fmt, out)
 
 
+# several stable models that share set-atoms of one, two and three members,
+# and a well-founded model whose false and undefined set-atoms are wide
+SHARED_MODELS = ("{s, t}.\n{h}.\n{a, b} :- not {c}.\n{c} :- not {a, b}.\n"
+                 "{d, e, f} :- not {g}.\n{g} :- not {d, e, f}.\n{k, m} :- {a, b}.\n{k, m} :- {g}.\n")
+WIDE_WF = ("{s, t}.\n{p, q} :- not {r, s}.\n{r, s} :- not {p, q}.\n{t, u, v} :- not {s, t}.\n"
+           "{a, b, c} :- not {d, e, f}.\n{d, e, f} :- not {a, b, c}.\n{g} :- not {h}.\n{h} :- not {g}.\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("text,semantics", [(SHARED_MODELS, "stable"), (WIDE_WF, "wf")],
+                         ids=["shared-models", "wide-wf"])
+def test_shared_and_wide_set_atoms(monkeypatch, tmp_path, text, semantics, fmt):
+    # the command line's report of ids over the program's table, the object
+    # path's of NdAtoms and the whole-payload oracle agree byte for byte
+    path = tmp_path / "program.ndlp"
+    path.write_text(text, encoding="utf-8")
+    for command in ("solve", "expand"):
+        argv = [command, "--semantics", semantics, "--format", fmt, str(path)]
+        [(report, _, out)] = rendered_reports(monkeypatch, argv)
+        check_writer(report, fmt, out)
+        args = PARSER.parse_args(argv)
+        library = object_report(args, _load(args.files, None)[1])
+        if fmt == "json":
+            assert out == report_json(library), argv  # the oracle of the NdAtoms themselves
+        assert out == (library.to_json() if fmt == "json" else library.to_text()), argv
+        if semantics == "stable":
+            models = [set(model) for model in report.models]
+            assert len(models) == 4 and set.intersection(*models) and len(set.union(*models)) > 4
+        else:
+            sizes = [len(report.table.members[i]) for i in report.negatives]
+            assert sizes == [3] and {len(report.table.members[i]) for i in report.undefined} == {
+                1, 2, 3}
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_models_are_expanded_as_the_report_is_written(monkeypatch, fmt):
     # each model is expanded when the writer reaches its answer sets, after
