@@ -26,8 +26,9 @@ with variables from its set-atom patterns. `SolveReport.write` renders both
 formats straight to stdout in pieces: the header, each model, and the
 answer-set rows `CHUNK_ROWS` at a time, so no `AnswerSet` is built and no
 string holds the whole report. Each list of NdAtoms is one comprehension
-(`_spelled`); over several models each distinct NdAtom is spelled once and
-each model joined by lookup. Each row is written from a few lookups of its
+(`_spelled`) over the table's texts, each encoded once for JSON; over
+several models each distinct NdAtom is spelled once and each model joined
+by lookup. Each row is written from a few lookups of its
 mask into tables that hold the text of every sub-mask of a range of the
 model's slots (`_tables`), each table's entries encoded once for JSON. A
 model is expanded only when the writer reaches its answer sets, so one
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _encode
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .answersets import AnswerSet, Expansion, Layout, expand_ids
 from .compiled import AtomTable, GroundProgram, table_program
@@ -83,11 +84,15 @@ class SolveReport:
     def write(self, stream: TextIO, fmt: str = "text") -> None:
         """Write the report to `stream` as text or as JSON, in pieces: the
         header, each model, and the answer-set rows `CHUNK_ROWS` at a time.
-        NdAtoms, as library callers pass them, first become ids (`_tabled`)."""
-        if self.table is None:
-            self.table, self.models, self.negatives, self.undefined = _tabled(
-                self.models, self.negatives or [], self.undefined or [])
-        stream.writelines(self._json() if fmt == "json" else self._text())
+        NdAtoms, as library callers pass them, are written through ids over
+        texts of their own (`_tabled`); the report's lists are left as they are."""
+        lists = self.models, self.negatives or (), self.undefined or ()
+        texts, members, *lists = (_tabled(*lists) if self.table is None
+                                  else (self.table.texts, self.table.members, *lists))
+        if fmt == "json":  # each member text encoded once
+            texts = list(map(_encode, texts))
+        write = self._json if fmt == "json" else self._text
+        stream.writelines(write(functools.partial(_spelled, texts, members), *lists))
 
     def to_json(self) -> str:
         """`json.dumps(payload, indent=2, sort_keys=True)` of the report."""
@@ -100,22 +105,22 @@ class SolveReport:
         self.write(out)
         return out.getvalue()
 
-    def _text(self) -> Iterator[str]:
+    def _text(self, spelled: Callable[..., list[str]], models: list[Sequence[int]],
+              negatives: Sequence[int], undefined: Sequence[int]) -> Iterator[str]:
         yield f"semantics: {self.semantics}\n"
         yield f"ground rules: {self.rule_count}, base size: {self.base_size}\n"
-        if not self.models:
+        if not models:
             yield "no models\n"
-        table, wf = self.table, ""
+        wf = ""
         if self.semantics == "wf":
-            lines = _spelled(table, self.negatives or (), "  not {", ", ", "}\n")
-            if self.undefined:
-                lines += ["  undefined:\n", *_spelled(table, self.undefined, "    {", ", ", "}\n")]
+            lines = spelled(negatives, "  not {", ", ", "}\n")
+            if undefined:
+                lines += ["  undefined:\n", *spelled(undefined, "    {", ", ", "}\n")]
             wf = "".join([*lines, f"  total: {'yes' if self.total else 'no'}\n"])
         spell = (attrgetter("entries"), ", ", "")
         expansions = None if self.answer_sets is None else iter(self.answer_sets)
-        models = _each_model(table, self.models, "  {", ", ", "}\n")
-        for i, spelled in enumerate(models, start=1):
-            yield "".join([f"model {i}:\n", *spelled, wf])
+        for i, model in enumerate(_each_model(spelled, models, "  {", ", ", "}\n"), start=1):
+            yield "".join([f"model {i}:\n", *model, wf])
             if expansions is not None:
                 label = f"  answer set {i}."
                 for first, tables, masks in self._chunks(next(expansions), spell):
@@ -126,7 +131,8 @@ class SolveReport:
         if self.truncated:
             yield "truncated: yes\n"
 
-    def _json(self) -> Iterator[str]:
+    def _json(self, spelled: Callable[..., list[str]], models: list[Sequence[int]],
+              negatives: Sequence[int], undefined: Sequence[int]) -> Iterator[str]:
         """The pieces of the JSON report. The arrays of NdAtoms and of answer
         sets are laid out here and spliced around the dumped scalars: each
         entry of an answer set is encoded once per atom table."""
@@ -137,8 +143,8 @@ class SolveReport:
         yield from _array(map(_json_rows, map(self._chunks, self.answer_sets or [],
                                               repeat(spell))), 1)
         yield ',\n  "models": '
-        models = _each_model(self.table, self.models, *_JSON_ND[3])
-        yield from _array(([_json_array(arrays, 2, item=True)] for arrays in models), 1)
+        yield from _array(([_json_array(arrays, 2, item=True)]
+                           for arrays in _each_model(spelled, models, *_JSON_ND[3])), 1)
         yield ","
         scalars: dict = {
             "semantics": self.semantics,
@@ -147,13 +153,11 @@ class SolveReport:
         }
         if self.semantics == "wf":
             scalars["total"] = bool(self.total)
-            negatives = _spelled(self.table, self.negatives or (), *_JSON_ND[2])
-            yield f'{_NEWLINE[1]}"negatives": {_json_array(negatives, 1)},'
+            yield f'{_NEWLINE[1]}"negatives": {_json_array(spelled(negatives, *_JSON_ND[2]), 1)},'
         # keys sort as answer_sets, models, negatives, the scalars, undefined
         yield json.dumps(scalars, indent=2, sort_keys=True)[1:-2]
         if self.semantics == "wf":
-            undefined = _spelled(self.table, self.undefined or (), *_JSON_ND[2])
-            yield f',{_NEWLINE[1]}"undefined": {_json_array(undefined, 1)}'
+            yield f',{_NEWLINE[1]}"undefined": {_json_array(spelled(undefined, *_JSON_ND[2]), 1)}'
         yield "\n}\n"
 
     def _chunks(self, sets: Expansion | list[AnswerSet], spell: tuple) -> Iterator[tuple]:
@@ -263,42 +267,38 @@ def _json_rows(model_chunks: Iterator[tuple]) -> Iterator[str]:
 
 # `_spelled`'s layout of an NdAtom as an array item at depth 2 and 3.
 _JSON_ND = {depth: (f"{_NEWLINE[depth]}[{_NEWLINE[depth + 1]}", "," + _NEWLINE[depth + 1],
-                    _NEWLINE[depth] + "]", True) for depth in (2, 3)}
+                    _NEWLINE[depth] + "]") for depth in (2, 3)}
 
 
-def _spelled(table: AtomTable, ids: Iterable[int], lead: str, sep: str, close: str,
-             encoded: bool = False) -> list[str]:
-    """Each NdAtom of `ids` as `lead`, its member texts joined by `sep`, and
-    `close`; the texts as JSON strings if `encoded`. An NdAtom of one or two
-    members, the most common sizes, is one f-string of a lookup per member."""
-    texts, members = table.texts, table.members
-    if encoded:
-        return [f"{lead}{_encode(texts[m[0]])}{close}" if len(m) == 1 else
-                f"{lead}{_encode(texts[m[0]])}{sep}{_encode(texts[m[1]])}{close}" if len(m) == 2
-                else f"{lead}{sep.join([_encode(texts[r]) for r in m])}{close}"
-                for m in map(members.__getitem__, ids)]
+def _spelled(texts: Sequence[str], members: Sequence[Sequence[int]], ids: Iterable[int],
+             lead: str, sep: str, close: str) -> list[str]:
+    """Each NdAtom of `ids` as `lead`, the `texts` of its `members` joined by
+    `sep`, and `close`. An NdAtom of one or two members, the most common
+    sizes, is one f-string of a lookup per member."""
     return [f"{lead}{texts[m[0]]}{close}" if len(m) == 1 else
             f"{lead}{texts[m[0]]}{sep}{texts[m[1]]}{close}" if len(m) == 2
             else f"{lead}{sep.join([texts[r] for r in m])}{close}"
             for m in map(members.__getitem__, ids)]
 
 
-def _each_model(table: AtomTable, models: list[Sequence[int]], *layout) -> Iterable[Iterable[str]]:
-    """Each model's NdAtoms spelled by `_spelled` in `layout`: one model in
-    place, several by lookup in the spelling of each distinct NdAtom."""
+def _each_model(spelled: Callable, models: list, *layout: str) -> Iterable[Iterable[str]]:
+    """Each model's NdAtoms `spelled` in `layout`: one model in place,
+    several by lookup in the spelling of each distinct NdAtom."""
     if len(models) < 2:
-        return [_spelled(table, model, *layout) for model in models]
+        return [spelled(model, *layout) for model in models]
     ids = list(set().union(*models))
-    spelled = dict(zip(ids, _spelled(table, ids, *layout))).__getitem__
-    return (map(spelled, model) for model in models)
+    lookup = dict(zip(ids, spelled(ids, *layout))).__getitem__
+    return (map(lookup, model) for model in models)
 
 
 def _tabled(models: list[Sequence], negatives: Sequence, undefined: Sequence) -> tuple:
-    """An atom table of the lists' NdAtoms, and the lists as their ids in it."""
-    nd_atoms = list(dict.fromkeys(chain(chain.from_iterable(models), negatives, undefined)))
-    ids = dict(zip(nd_atoms, range(len(nd_atoms)))).__getitem__
-    return (AtomTable.of(nd_atoms), [list(map(ids, model)) for model in models],
-            list(map(ids, negatives)), list(map(ids, undefined)))
+    """The member texts of the lists' NdAtoms, each one's ranks in them, and the lists as ids."""
+    ids: dict = {}  # an NdAtom hashes through Python code: once per occurrence
+    *models, negatives, undefined = [[ids.setdefault(nd, len(ids)) for nd in nd_atoms]
+                                     for nd_atoms in (*models, negatives, undefined)]
+    rank: dict[str, int] = {}
+    members = [[rank.setdefault(a.text, len(rank)) for a in nd.atoms] for nd in ids]
+    return list(rank), members, models, negatives, undefined
 
 
 def _read(path: str) -> str:

@@ -575,11 +575,11 @@ MUTANTS: tuple[Mutant, ...] = (
         EXPANSION,
     ),
     # the writer's set-atoms, spelled off the atom table one comprehension
-    # per list, and the table that NdAtoms from library callers get
+    # per list, and the ids and texts that NdAtoms from library callers get
     Mutant(
-        "json-one-member-unescaped", "cli.py",
-        'f"{lead}{_encode(texts[m[0]])}{close}" if len(m) == 1 else',
-        'f\'{lead}"{texts[m[0]]}"{close}\' if len(m) == 1 else',
+        "json-member-texts-unescaped", "cli.py",
+        "texts = list(map(_encode, texts))",
+        "texts = [f'\"{t}\"' for t in texts]",
         EXPANSION,
     ),
     Mutant(
@@ -589,15 +589,15 @@ MUTANTS: tuple[Mutant, ...] = (
         EXPANSION,
     ),
     Mutant(
-        "wide-json-separator-dropped", "cli.py",
-        'else f"{lead}{sep.join([_encode(texts[r]) for r in m])}{close}"',
-        'else f"{lead}{\'\'.join([_encode(texts[r]) for r in m])}{close}"',
+        "wide-separator-dropped", "cli.py",
+        'else f"{lead}{sep.join([texts[r] for r in m])}{close}"',
+        'else f"{lead}{\'\'.join([texts[r] for r in m])}{close}"',
         EXPANSION,
     ),
     Mutant(
         "undefined-written-with-the-not-lead", "cli.py",
-        '*_spelled(table, self.undefined, "    {", ", ", "}\\n")',
-        '*_spelled(table, self.undefined, "  not {", ", ", "}\\n")',
+        '*spelled(undefined, "    {", ", ", "}\\n")',
+        '*spelled(undefined, "  not {", ", ", "}\\n")',
         EXPANSION,
     ),
     Mutant(
@@ -608,8 +608,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "library-undefined-tabled-as-negatives", "cli.py",
-        "list(map(ids, negatives)), list(map(ids, undefined)))",
-        "list(map(ids, negatives)), list(map(ids, negatives)))",
+        "return list(rank), members, models, negatives, undefined",
+        "return list(rank), members, models, negatives, negatives",
         EXPANSION,
     ),
 )

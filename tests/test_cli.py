@@ -452,6 +452,20 @@ class TestJsonLayout:
         assert '"not \\ud835\\udc65"' in out and '"\\u4e2d"' in out
         assert out == report_json(report)
 
+    def test_writing_leaves_a_library_report_as_it_is(self):
+        # the NdAtoms get ids and texts of the writer's own; the oracle then
+        # still reads the NdAtoms themselves
+        a, ab = canonicalize([Atom("a")]), canonicalize([Atom("a"), Atom("b")])
+        for report in (SolveReport(semantics="stable", models=[[a, ab], [ab]]),
+                       SolveReport(semantics="wf", models=[[a]], negatives=[ab]),
+                       SolveReport(semantics="wf", models=[[a]], undefined=[ab])):
+            before = ([list(m) for m in report.models], report.negatives, report.undefined)
+            text, out = report.to_text(), report.to_json()
+            assert ([list(m) for m in report.models], report.negatives,
+                    report.undefined, report.table) == (*before, None)
+            assert report.models[0][0] is a
+            assert out == report_json(report) and text == report.to_text()
+
     def test_report_without_answer_sets(self):
         for report in (SolveReport(semantics="stable"),
                        SolveReport(semantics="wf", models=[[canonicalize([Atom("a")])]])):
