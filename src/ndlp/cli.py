@@ -318,7 +318,8 @@ def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
     braced rules over flat atoms with variables, which its flat reader
     takes whole, it is grounded from the reader's set-atom patterns
     (`grounder.ground_patterns`). No syntax value is built on either route;
-    any other text is parsed and grounded as a `Program`."""
+    any other text, which the statement reader refuses whole or takes
+    without variables, is parsed and grounded as a `Program`."""
     parser = reader([(p, _read(p)) for p in paths])
     if parser.read() and (horizon is None or horizon >= 0):
         keys = list(parser.keys)  # each set-atom's names; an atom's key sorts as its name

@@ -24,32 +24,31 @@ the grounder); any other is an error. Comparisons must be the sole member
 of a positive body NdAtom. Function symbols nest at most MAX_TERM_DEPTH
 levels deep.
 
-Three readers share origins and the building of atoms, and each byte is
-read by one of them. The statement reader takes the text while every
-statement is a braced rule: after the first comments and at most one
-`#horizon` with an integer value, it splits the text once into set-atom
-texts and the connectors between them. When every set-atom holds names
-alone (no arguments, variables, comparisons or comments), its name reader
-builds no syntax value, only ids (one per set of names a set-atom sorts to)
-and int lists per rule: a ground program, which the command line builds
-straight from them (`cli._load`), and such rules can have no arity or
-safety fault. `spell` builds their `Rule`s, one `NdAtom` per distinct text,
-when they are read. Otherwise its flat reader reads every distinct
-set-atom text, from one split of them all, as flat atoms (a name,
-optionally with arguments, each a name, an integer, a variable or a
-variable plus an integer) or as one comparison of two such terms, and
-records each distinct member and argument text's pattern, and arities and
-the first arity fault as the token parser does. It builds no syntax value
-for that. When it takes the whole text and some set-atom has a variable,
-`flat` hands the command line the set-atom patterns the grounder reads,
-one per distinct text, and the rules as their indices (see the grounder),
-checked for safety. Otherwise `syntax` builds the values the token parser
-would, under the same texts, each distinct text once, and the rules, with
-the first safety fault. Where the statement reader stops, at the first
-statement it cannot take, it hands the token parser its set-atoms and
-arities, and the token parser reads the rest (other directives, bare
-atoms, compound terms, comments inside a rule, `#const` and the names it
-stands for) and reports every error.
+Three readers share origins, and each text is taken whole by one of them.
+The statement reader takes a text in which every statement is a braced
+rule: after the first comments and at most one `#horizon` with an integer
+value, it splits the text once into set-atom texts and the connectors
+between them. When every set-atom holds names alone (no arguments,
+variables, comparisons or comments), its name reader builds no syntax
+value, only ids (one per set of names a set-atom sorts to) and int lists
+per rule: a ground program, which the command line builds straight from
+them (`cli._load`), and such rules can have no arity or safety fault.
+`spell` builds their `Rule`s, one `NdAtom` per distinct text, when they are
+read. Otherwise its flat reader reads every distinct set-atom text, from
+one split of them all, as flat atoms (a name, optionally with arguments,
+each a name, an integer, a variable or a variable plus an integer) or as
+one comparison of two such terms, and records each distinct member and
+argument text's pattern, and arities and the first arity fault as the
+token parser does. It builds no syntax value for that. When some set-atom
+has a variable, `flat` hands the command line the set-atom patterns the
+grounder reads, one per distinct text, and the rules as their indices (see
+the grounder), checked for safety. Otherwise `syntax` builds the values the
+token parser would, under the same texts, each distinct text once, and the
+rules, with the first safety fault. The statement reader refuses whole a
+text with any statement it cannot take (other directives, bare atoms,
+compound terms, comments inside a rule, `#const` and the names it stands
+for, any fault), and the token parser reads all of it and reports every
+error.
 
 A token keeps its kind, text and start offset; lines and columns are worked
 out only for a `ParseError` and a rule's `origin`. Within one parse, each
@@ -142,18 +141,16 @@ _MEMBER = re.compile(rf"(\A|(?<=[\s\S])[,}}])\s*"
                      rf"|(({_ARG})\s*([!=]=)\s*({_ARG})))\s*")
 
 
-def _pieces(text: str) -> tuple[list[str], list[str], int | None]:
-    """The set-atom texts of a text that starts at a "{", the connectors
-    after them, and the index of the first a gap cuts: without "%", where
-    the braces stop alternating."""
+def _pieces(text: str) -> tuple[list[str], list[str], bool]:
+    """The set-atom texts of an empty text or one that starts at a "{", the
+    connectors after them, and whether a gap cuts them: without "%", whether
+    the braces fail to alternate."""
     if "%" in text:
         pieces = _PIECE.split(text)  # [gap, text, connector, gap, ...]
-        return pieces[1::3], pieces[2::3], next(compress(count(), pieces[::3]), None)
+        return pieces[1::3], pieces[2::3], any(pieces[::3])
     braces = text.encode("utf-8", "surrogatepass").translate(None, _NOT_BRACES)
-    doubled = [i // 2 for i in (braces.find(b"{{"), braces.find(b"}}")) if i >= 0]
-    flat = text[1:].replace("{", "}").split("}")  # text, connector, text, ...
-    unclosed = len(braces) // 2 if len(braces) % 2 else None
-    return flat[::2], flat[1::2], min(doubled, default=unclosed)
+    flat = text[1:].replace("{", "}").split("}") if text else []  # text, connector, text, ...
+    return flat[::2], flat[1::2], len(braces) % 2 == 1 or b"{{" in braces or b"}}" in braces
 
 
 def _keys(texts: list[str]) -> list[tuple[str, ...]] | None:
@@ -199,7 +196,6 @@ class _Parser:
         self.text = text
         self.files = files  # (first line, path) of each file joined into `text`
         self.whole: bool | None = None  # what `read` returned, once it has read
-        self.offset = 0  # where the token parser starts: where the statement reader stopped
         # the statement reader's ids by sorted names and by text, per rule its head,
         # positive and negated ids, and the offset of its first piece and the texts,
         # connectors and shape of its pieces
@@ -235,13 +231,13 @@ class _Parser:
     # -- tokens and positions -------------------------------------------------
 
     def scan(self) -> tuple[list[str], list[str], list[int]]:
-        """The kind, text and start offset of every token from `offset`, ending with EOF."""
-        text, offset = self.text, self.offset
+        """The kind, text and start offset of every token, ending with EOF."""
+        text = self.text
         # ["", skip, token] per match; the first empty token is the end
-        pieces = _TOKEN.split(text[offset:])
+        pieces = _TOKEN.split(text)
         values = pieces[2::3]
         del values[values.index("") + 1 :]
-        starts = list(accumulate(map(len, pieces), initial=offset))[2 : 3 * len(values) : 3]
+        starts = list(accumulate(map(len, pieces), initial=0))[2 : 3 * len(values) : 3]
         # each distinct word classified once; a lone "-" and faults in order
         known = {**_PUNCT, "": "EOF"}
         for value in set(compress(values, map(not_, map(known.get, values)))):
@@ -255,7 +251,7 @@ class _Parser:
                     raise self.error(f"unknown directive {value}", start)
                 raise self.error(f"unexpected character {value[0]!r}", start)
         # input ending in a comment ends where the comment starts
-        end = starts[-2] + len(values[-2]) if len(values) > 1 else offset
+        end = starts[-2] + len(values[-2]) if len(values) > 1 else 0
         comment = text.find("%", max(end, text.rfind("\n", end) + 1))
         if comment >= 0:
             starts[-1] = comment
@@ -299,15 +295,14 @@ class _Parser:
     # -- statement reader -----------------------------------------------------
 
     def read(self) -> bool:
-        """Read braced rules from the `_pieces` of the text after its first
-        comments and `#horizon`. True when it takes the whole text and every
+        """Read the text as braced rules from the `_pieces` after its first
+        comments and `#horizon`, whole or not at all. True when every
         set-atom holds names alone: then `keys`, `ids` and the rule lists
         hold the rules, and the pieces stay for `spell`. When a set-atom
         holds more than names, `build` reads every one into patterns and
         `check` records their arities; `flat` or `syntax` makes the rules.
-        It stops before the first rule with a gap, a connector out of place
-        or a set-atom it cannot read, with `offset` after the last rule
-        taken."""
+        A text with a gap, a connector out of place or a set-atom it cannot
+        read is refused with nothing written that the token parser reads."""
         text, ids, keys, joins = self.text, self.ids, self.keys, {}
         if self.whole is not None:  # read already
             return self.whole
@@ -317,21 +312,25 @@ class _Parser:
         if at < len(text) and not _HEAD.match(text, at):  # past flat atoms: refused at once
             return False
         texts, connectors, gap = _pieces(text[at:])
-        for connector in set(connectors[:gap]):
+        if gap:
+            return False
+        for connector in set(connectors):
             kind = _CONNECTOR.fullmatch(connector)
             kind = "".join(filter(None, kind.groups())) if kind else "?"
             joins[connector] = _JOINS.get(kind, ".?")
-        shape = "".join(map(joins.__getitem__, connectors[:gap])) + ("$" if gap is None else "?")
-        taken = _RULES.match(shape).end()  # the pieces of whole rules
-        new = list(dict.fromkeys(texts[:taken]))
+        shape = "".join(map(joins.__getitem__, connectors))
+        if _RULES.fullmatch(shape) is None:  # not whole rules
+            return False
+        new = list(dict.fromkeys(texts))
         if (names := _keys(new)) is None:  # set-atoms past names: each built
-            made, taken = self.build(new, texts, shape, taken)
+            if (made := self.build(new, texts, shape)) is None:
+                return False
         else:
             for key, sorted_names in zip(new, names):
                 ids[key] = keys.setdefault(sorted_names, len(keys))
             heads, positive, negated = self.heads, self.positive, self.negated
-            known, i = list(map(ids.__getitem__, texts[:taken])), 0
-            for body in shape[:taken].split(".")[:-1]:
+            known, i = list(map(ids.__getitem__, texts)), 0
+            for body in shape.split(".")[:-1]:
                 heads.append(known[i])
                 literals = known[i + 1 : i + 1 + len(body)]
                 if len(body) < 2:  # a fact or one literal
@@ -341,59 +340,44 @@ class _Parser:
                     positive.append(list(compress(literals, map(":,".__contains__, body))))
                     negated.append(list(compress(literals, map(";!".__contains__, body))))
                 i += len(body) + 1
-        self.texts, self.connectors, self.shape = texts[:taken], connectors[:taken], shape[:taken]
-        if shape[taken] == "$":
-            self.offset = len(text)
-        elif taken:  # after the last rule's "."
-            self.offset = at + 2 * taken + sum(map(len, texts[:taken] + connectors[: taken - 1]))
-            self.offset += connectors[taken - 1].index(".") + 1
-        if lead[1] is not None and self.offset:
+        self.texts, self.connectors, self.shape = texts, connectors, shape
+        if lead[1] is not None:
             self.horizon = "INT", lead[1], lead.start(1)
-        if names is None:  # the distinct texts of the rules taken
-            self.check(new[: len(set(texts[:taken]))], made)
-        self.whole = shape[taken] == "$" and names is not None
+        if names is None:
+            self.check(made)
+        self.whole = names is not None
         return self.whole
 
-    def build(self, new: list[str], texts: list[str], shape: str, taken: int):
-        """The member texts of each of the distinct texts `new` that holds
-        flat atoms or one comparison, read from one split of them all, up to
-        the first text it cannot read; and the pieces of the rules before the
-        first holding that text or a comparison in a head or under "not"."""
-        members, values, bad = self.members, [], None
+    def build(self, new: list[str], texts: list[str], shape: str) -> dict[str, list[str]] | None:
+        """The member texts of each of the distinct texts `new`, read from
+        one split of them all, when each holds flat atoms or one comparison
+        and no comparison of the pieces `texts` is a head or under "not"
+        in the rules of `shape`; None otherwise."""
         if "#const" in self.text:  # a name may stand for a constant's value
-            bad = next((i for i, key in enumerate(new) if "(" in key or "=" in key), None)
-        joined = "}".join(new[:bad])
-        parts = _MEMBER.split(joined)  # [gap, separator, atom, name, arguments, comparison, ...]
-        end = next(compress(count(0, 9), parts[::9]), len(parts) - 1)  # the first gap, or the end
-        matches = zip(*[iter(parts[1 : end + 1])] * 9)
-        for sep, key, pred, args, comparison, left, op, right, _ in matches:
+            return None
+        parts = _MEMBER.split("}".join(new))  # [gap, separator, atom, name, arguments, comparison, ...]
+        if any(parts[::9]):
+            return None
+        members, values = self.members, []
+        for sep, key, pred, args, comparison, left, op, right, _ in zip(*[iter(parts[1:])] * 9):
             if not key:
                 key, pred, args = comparison, op, f"{left},{right}"
             if key not in members and not self.member_of(key, pred, args):
-                bad = len(values) - (sep == ",")
-                break
+                return None
             if sep == ",":
                 keys.append(key)
             else:
                 keys = [key]
                 values.append(keys)
-        else:  # a gap in the last text begun or at the "}" before the next, or an empty text alone
-            if parts[end] or len(values) < len(new[:bad]):
-                bad = max(len(values) - (parts[end][:1] != "}"), 0)
-        values = values[:bad]
-        for i in compress(count(), map(str.__contains__, new[: len(values)], repeat("="))):
-            if len(values[i]) > 1:  # a comparison and more
-                bad = i
-                break
-        made = dict(zip(new[:bad], values))
-        if bad is not None:
-            taken = shape.rfind(".", 0, texts.index(new[bad])) + 1
+        if len(values) < len(new):  # an empty text
+            return None
+        made = dict(zip(new, values))
         comparisons = {key for key in made if "=" in key}
-        for i in compress(count(), map(comparisons.__contains__, texts[:taken])):
-            if i == 0 or shape[i - 1] in ".;!":
-                taken = shape.rfind(".", 0, i) + 1
-                break
-        return made, taken
+        for i in compress(count(), map(comparisons.__contains__, texts)):
+            # a comparison and more, or in a head (the first's after the last ".") or under "not"
+            if len(made[texts[i]]) > 1 or shape[i - 1] in ".;!":
+                return None
+        return made
 
     def member_of(self, key: str, pred: str, args: str | None) -> bool:
         """Whether a member's text, with its predicate (a name or a
@@ -436,13 +420,12 @@ class _Parser:
         self.args[text] = made
         return made
 
-    def check(self, new: list[str], made: dict[str, list[str]]) -> None:
-        """Keep the member texts `made` of the distinct texts `new` of the
-        rules `read` took in `flat_texts`, their patterns in `patterns` (see
-        `flat`) and their variables' names in `flat_names`, recording
-        arities and the first arity fault as `set_atom` does; where the
-        token parser reads on, build their syntax values (`syntax`)."""
-        self.flat_texts = flat = {key: made[key] for key in new}
+    def check(self, made: dict[str, list[str]]) -> None:
+        """Keep the member texts `made` of each distinct text `read` took in
+        `flat_texts`, their patterns in `patterns` (see `flat`) and their
+        variables' names in `flat_names`, recording arities and the first
+        arity fault as `set_atom` does."""
+        self.flat_texts = flat = made
         members, names, clash = self.members, self.flat_names, self.arity_error is None
         patterns = self.patterns
         for key, keys in flat.items():
@@ -465,15 +448,12 @@ class _Parser:
                     origin = self.origins()[self.shape.count(".", 0, self.texts.index(key))]
                     self.arity_error = ProgramError(f"{fault} ({origin})")
                     clash = False
-        if self.offset < len(self.text):
-            self.syntax()
 
-    def syntax(self) -> None:
-        """Build the values of the set-atom texts the flat reader took, as
-        `set_atom` builds them, and the rules from them, checked for safety;
-        where the token parser reads on, the texts go into `set_atoms`. Each
-        distinct argument and member text is built once."""
-        terms, atoms, names, made = self.terms, self.atoms, self.flat_names, {}
+    def syntax(self) -> list[Rule]:
+        """The rules the flat reader took, checked for safety, their
+        set-atom texts' values built as `set_atom` builds them, each
+        distinct argument and member text once."""
+        terms, atoms, names, made = {}, {}, self.flat_names, {}
         for text, arg in self.args.items():  # each term as `term` builds it
             if text in terms:  # a sum's variable, put in before
                 continue
@@ -491,10 +471,7 @@ class _Parser:
         for key, keys in self.flat_texts.items():
             made[key] = NdAtom((atoms[keys[0]],)) if len(keys) == 1 \
                 else canonicalize(map(atoms.__getitem__, keys))
-        self.rules = self.walk(made, names if any(names.values()) else None)
-        if self.offset < len(self.text):
-            self.set_atoms = {"{" + key + "}": (made[key], names[key], "=" in key)
-                              for key in self.flat_texts}
+        return self.walk(made, names if any(names.values()) else None)
 
     def flat(self) -> tuple[list[tuple], list[tuple], int | None] | None:
         """The set-atom patterns and rules of a text the flat reader took
@@ -507,7 +484,7 @@ class _Parser:
         checked for safety, and the load faults raised as `parse` raises
         them."""
         names = self.flat_names
-        if self.flat_texts is None or self.offset < len(self.text) or not any(names.values()):
+        if self.flat_texts is None or not any(names.values()):
             return None
         texts, rules = self.texts, []
         index = dict(zip(self.flat_texts, count()))
@@ -577,16 +554,11 @@ class _Parser:
 
     def spell(self) -> list[Rule]:
         """The rules `read` took over names as `Rule`s, one `NdAtom` per
-        distinct text; where the token parser reads on, the texts go into
-        `set_atoms` and the names into `arities`."""
+        distinct text."""
         keys = list(self.keys)
-        atoms = self.atoms = {name: Atom(name) for name in dict.fromkeys(chain.from_iterable(keys))}
+        atoms = {name: Atom(name) for name in dict.fromkeys(chain.from_iterable(keys))}
         made = {key: NdAtom(tuple(map(atoms.__getitem__, keys[i]))) for key, i in self.ids.items()}
-        rules = self.walk(made)
-        if self.offset < len(self.text):
-            self.set_atoms = {"{" + key + "}": (nd, frozenset(), False) for key, nd in made.items()}
-            self.arities = dict.fromkeys(atoms, 0)
-        return rules
+        return self.walk(made)
 
     # -- grammar ------------------------------------------------------------
 
@@ -601,14 +573,14 @@ class _Parser:
         return consts
 
     def parse(self) -> Program:
-        """The program: the rules `read` takes, spelled, then the token
-        parser's from where it stopped."""
-        self.read()
-        if self.ids:  # rules over names, not spelled yet
+        """The program: the rules `read` takes whole, spelled or built from
+        its patterns; of any other text, the token parser's, which reads it
+        all and reports every error."""
+        if self.read():
             self.rules = self.spell()
-        elif self.flat_texts and not self.rules:  # flat rules, the whole text
-            self.syntax()
-        if self.offset < len(self.text):
+        elif self.flat_texts is not None:
+            self.rules = self.syntax()
+        else:
             self.kinds, self.values, self.starts = self.scan()
             self.consts = self.read_consts()
             kinds = self.kinds

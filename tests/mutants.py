@@ -332,7 +332,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "                     if rule.head in ids else intern(rule.head, len(ids)))",
         MATCHING,
     ),
-    # parsing: the statement reader, its word builder, its handover, and the
+    # parsing: the statement reader, its word builder, its refusals, and the
     # token parser
     Mutant(
         "reader-drops-not", "parser.py",
@@ -353,27 +353,10 @@ MUTANTS: tuple[Mutant, ...] = (
         PARSER,
     ),
     Mutant(
-        "reader-keeps-a-prefix", "parser.py",
-        'self.whole = shape[taken] == "$" and names is not None',
-        "self.whole = names is not None",
-        PARSER,
-    ),
-    Mutant(
-        "set-atoms-not-handed-over", "parser.py",
-        'self.set_atoms = {"{" + key + "}": (nd, frozenset(), False) for key, nd in made.items()}',
-        "self.set_atoms = {}",
-        PARSER,
-    ),
-    Mutant(
-        "arities-not-handed-over", "parser.py",
-        "self.arities = dict.fromkeys(atoms, 0)",
-        "self.arities = {}",
-        PARSER,
-    ),
-    Mutant(
-        "token-parser-rereads-from-the-start", "parser.py",
-        "elif taken:  # after the last rule's \".\"",
-        "elif False:",
+        # a text whose braces do not pair off read as the pieces between them
+        "reader-ignores-a-gap", "parser.py",
+        "if gap:",
+        "if False:",
         PARSER,
     ),
     Mutant(
@@ -392,7 +375,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         # a "." with more after it than whitespace before the next "{" read
-        # as a plain end: the reader reads on past what follows it
+        # as a plain end: the reader takes the text without what follows it
         "reader-offset-past-unclassified-connector", "parser.py",
         '_JOINS.get(kind, ".?")',
         '_JOINS.get(kind, ".")',
@@ -441,8 +424,27 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "flat-comparison-head-taken", "parser.py",
-        'if i == 0 or shape[i - 1] in ".;!":',
-        'if shape[i - 1] in ";!":',
+        'shape[i - 1] in ".;!"',
+        'shape[i - 1] in ";!"',
+        PARSER,
+    ),
+    Mutant(
+        "flat-comparison-under-not-taken", "parser.py",
+        'shape[i - 1] in ".;!"',
+        'shape[i - 1] in "."',
+        PARSER,
+    ),
+    Mutant(
+        "flat-comparison-and-more-taken", "parser.py",
+        "if len(made[texts[i]]) > 1 or shape",
+        "if shape",
+        PARSER,
+    ),
+    Mutant(
+        # a member followed by more than a separator, as "q x", read as the member alone
+        "flat-reader-ignores-a-trailing-gap", "parser.py",
+        "if any(parts[::9]):",
+        "if any(parts[:-1:9]):",
         PARSER,
     ),
     # the command line's loader of what the statement reader takes whole

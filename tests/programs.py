@@ -117,17 +117,25 @@ def facts(n: int) -> str:
     return "".join(f"{{p({i}, c{i % 7}, d{i % 11})}}.\n" for i in range(n))
 
 
-def handover(lines: str) -> str:
+def names_then_flat(lines: str) -> str:
     """Braced rules over names, then rules with arguments: the statement
     reader reads them all through its flat reader."""
     return lines + "{s(X)} :- {t(X)}. {t(a)}.\n"
 
 
+def late_refusal(lines: str) -> str:
+    """Braced rules over names, then a `#horizon` and a rule with a compound
+    term: the statement reader refuses the text at its last statements, and
+    the token parser reads it whole."""
+    return lines + "#horizon 1.\n{s(f(X))} :- {t(X)}. {t(a)}.\n"
+
+
 def flat_rules(n: int, last: str = "{q(f(a), c0)}.\n") -> str:
     """`n` rules over flat atoms, each joining a variable with a constant,
     then one fact, by default with a compound term: the statement reader
-    hands over to the token parser at that last fact. With a flat `last`,
-    its flat reader takes the whole text, and the grounder its patterns."""
+    refuses the text at that last fact, and the token parser reads it whole.
+    With a flat `last`, its flat reader takes the whole text, and the
+    grounder its patterns."""
     return "".join(f"{{p{i % 7}(X, {i})}} :- {{q(X, c{i % 11})}}.\n" for i in range(n)) + last
 
 
@@ -186,7 +194,8 @@ def programs() -> dict[str, str]:
         "chain.ndlp": name_chain(5000),
         "conflicts.ndlp": conflict_modules(20000),
         "arg_chain.ndlp": name_chain(5000, args=True),
-        "handover.ndlp": handover("".join(loop_lines[:2500])),
+        "names_then_flat.ndlp": names_then_flat("".join(loop_lines[:2500])),
+        "late_refusal.ndlp": late_refusal("".join(loop_lines[:2500])),
         "facts.ndlp": facts(20000),
         "mixed.ndlp": facts(20000) + "{q(X)} :- {p(X, c1, d1)}.\n",
         # a comment after each fact, which the statement reader keeps in the connectors
@@ -259,9 +268,13 @@ LEAST = ("solve", "--semantics", "least")
 #   (96 MiB in process, against 81 MiB without);
 # - 5 s and 2 s: a slower parser, a grounder that joins a rule without
 #   variables per body fact, or a set-atom match turned quadratic; on the
-#   facts with a comment each and the 10 000 flat rules that end in a
-#   handover, the statement reader's comments or its flat reader turned
-#   quadratic in the number of statements;
+#   facts with a comment each and the 10 000 flat rules that end in a fact
+#   the statement reader refuses, the statement reader's comments or its
+#   flat reader turned quadratic in the number of statements;
+# - 5 s on the 2 500 loops that end in a `#horizon` and a compound term
+#   (0.27 s and 31 MiB measured on a 2-core machine): a text the statement
+#   reader refuses late read by the token parser in time quadratic in its
+#   length, or read more than twice;
 # - 5 s on the 10 000 flat rules that end in a flat fact, which the grounder
 #   takes as set-atom patterns: a pattern or a rule's slots mapped in time
 #   quadratic in the number of rules, or syntax values built for them;
@@ -299,7 +312,8 @@ ROWS: tuple[Row, ...] = (
     Row((*WF, "--format", "json"), ("conflicts.ndlp",), 5, rss_mib=90),
     Row(WF, ("chain.ndlp",), 15),
     Row(WF, ("arg_chain.ndlp",), 15),
-    Row(WF, ("handover.ndlp",), 15),
+    Row(WF, ("names_then_flat.ndlp",), 15),
+    Row(WF, ("late_refusal.ndlp",), 5),
     Row(("ground",), ("chain.ndlp",), 5),
     Row(("ground",), ("facts.ndlp",), 5),
     Row(("ground",), ("mixed.ndlp",), 5),

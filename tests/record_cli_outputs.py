@@ -25,7 +25,7 @@ from pathlib import Path
 from ndlp.cli import main
 from ndlp.corpus import CORPUS_NAMES, corpus_path
 
-from programs import chain_edges, closure_text, facts, handover, loops
+from programs import chain_edges, closure_text, facts, loops, names_then_flat
 
 PINS = Path(__file__).with_name("cli_outputs.json")
 
@@ -84,7 +84,9 @@ GENERATED = {
                                     "{a} :- {-b_1, x}, not {-a, a}.\n",
     "least_negated.ndlp": lambda: "{a}.\n{b} :- {a}.\n{c} :- {b}, not {a}.\n",
     "empty.ndlp": lambda: "",
-    "handover_2500.ndlp": lambda: handover(loops(2500, one_line=True)),
+    # braced rules over names, then rules with arguments (under the name it
+    # was recorded with)
+    "handover_2500.ndlp": lambda: names_then_flat(loops(2500, one_line=True)),
 }
 
 # Malformed programs, each an error that exits 2.

@@ -111,10 +111,10 @@ PINNED = [
     ('{p(-a, -1, 2+3, X+0)} :- {q(X)}.\n{p(X)} :- {q(X)}.', 'program', ProgramError, "predicate 'p' used with arity 1 and 4 (line 2)", None, None),
     ('{p(X)} :-\n{q(X)}.\n{r} :- not {p(Y)}, {s}.', 'program', ProgramError, 'unsafe variable Y in rule (line 3)', None, None),
     ('{a}.\n{p(f(X), g(Y))} :- {q(f(X))}.', 'program', ProgramError, 'unsafe variable Y in rule (line 2)', None, None),
-    # after rules the statement reader took: the first statement it refuses,
-    # a clash with a rule the token parser read, load faults it found against
-    # later faults, and a second #horizon after the one it took (recorded from
-    # the token parser alone)
+    # texts the statement reader refuses after braced rules it could take: a
+    # fault in a later statement, a clash with an atom the token parser read,
+    # load faults in earlier rules against later faults, and a second
+    # #horizon (recorded from the token parser alone)
     ('{p(a)}.\n{q(X)} :- {p(X)},\n  {r(X, }.', 'program', ParseError, "expected term, found '}'", 3, 9),
     ('{p(X)} :- {q(X)}.\n{q(a)}.\n{r} :- {p(f(a), b)}.', 'program', ProgramError, "predicate 'p' used with arity 2 and 1 (line 3)", None, None),
     ('{p(X)} :- {q(a)}.\n{r(f(b))} :- .', 'program', ParseError, "expected atom, found '.'", 2, 14),

@@ -491,7 +491,7 @@ class TestStatementReader:
 
     NAMES = ["a", "b", "c2", "-a", "-b_1", "nota", "x_y", "\u00e9t\u00e9", "\u00aa", "p"]
     # flat atoms, which the flat reader takes, and atoms with compound terms,
-    # at which it hands over
+    # for which it refuses the text
     ATOMS = ["p(a)", "p(X)", "q(X, 1)", "q(a, b)", "r(T, T+1)", "s(-1, n)", "q(X+1, -b)",
              "q( Y ,X + -2 )", "r(T0, 007)", "-p(Y)", "s(X,\nn)", "nota(\u00aa)"]
     COMPOUNDS = ["-r(f(a), Y+1)", "p(f(X))", "q(g(a, 1), b)"]
@@ -574,7 +574,7 @@ class TestStatementReader:
             assert outcome(parse_program, text) == want, repr(text)
             parser = _Parser(text)
             names += parser.read()
-            flat += not parser.whole and parser.offset == len(text)
+            flat += parser.flat_texts is not None
         # each reader reads a share of the programs
         assert 30 <= names <= 120, names
         assert 10 <= flat <= 60, flat
@@ -603,20 +603,20 @@ class TestStatementReader:
         flat: the statement reader takes each whole, and the token parser
         scans none of them."""
         scans = []
-        monkeypatch.setattr(_Parser, "scan", lambda self: scans.append(self.offset))
+        monkeypatch.setattr(_Parser, "scan", lambda self: scans.append(self.text))
         texts = [corpus_text("robot.ndlp"), *(robot_variant(*shape) for shape in robot_variants()),
                  closure_text(chain_edges(13)), closure_text(chain_edges(30), "_t")]
         for text in texts:
             parser = _Parser(text)
-            assert not parser.read() and parser.offset == len(text)
+            assert not parser.read() and parser.flat_texts is not None
             assert list(parser.parse().rules) == parser.rules != []
         assert scans == []
 
     def test_reader_gives_up_at_the_first_text_it_cannot_build(self, monkeypatch):
         """The reader checks all distinct texts for names in one pass and,
-        when that pass fails, splits them all into members once; it stops at
-        the first text it cannot build. A program it takes whole is never
-        scanned, and the token parser scans the rest of any other once."""
+        when that pass fails, splits them all into members once; it gives
+        up at the first text it cannot build. A program it takes whole is
+        never scanned, and the token parser scans any other once."""
         checked, split, scans = [], [], []
         word_check, scan, member = _keys, _Parser.scan, parser_module._MEMBER
 
@@ -642,31 +642,7 @@ class TestStatementReader:
         assert [len(texts) for texts in checked] == [2002] and len(scans) == 1
         assert len(split) == 1 and split[0].count("}") == 2001
         parser = _Parser(loops + "{s, Two} :- not {t}.\n")
-        assert not parser.read() and len(parser.rules) == 1000 and not parser.keys
-        assert parser.offset == len(loops) - 1
-
-    def test_token_parser_reads_on_from_where_the_reader_stopped(self, monkeypatch):
-        """Each byte is read once: the reader builds every text up to the
-        rule it cannot take, and the token parser scans that rule alone."""
-        scanned, scan = [], _Parser.scan
-        monkeypatch.setattr(_Parser, "scan", lambda self: scanned.append(scan(self)) or scanned[-1])
-        loops = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n"
-                        for i in range(500))
-        with pytest.raises(ProgramError, match=r"unsafe variable X in rule \(line 1001\)"):
-            parse_program(loops + "s(X) :- not t(X).\n")
-        parser = _Parser(loops + "s(X) :- not t(X).\n")
-        assert not parser.read() and len(parser.keys) == 1000 and parser.offset == len(loops) - 1
-        # the flat reader hands over at a compound term
-        flat = loops.replace("}", "(1)}")
-        with pytest.raises(ProgramError, match=r"unsafe variable X in rule \(line 1001\)"):
-            parse_program(flat + "{s(f(X))} :- not {t(X)}.\n")
-        parser = _Parser(flat + "{s(f(X))} :- not {t(X)}.\n")
-        assert not parser.read() and len(parser.rules) == 1000 and parser.offset == len(flat) - 1
-        [(_, bare, bare_starts), (_, values, starts)] = scanned
-        assert bare == ["s", "(", "X", ")", ":-", "not", "t", "(", "X", ")", ".", ""]
-        assert values == ["{", "s", "(", "f", "(", "X", ")", ")", "}", ":-", "not", "{", "t", "(",
-                          "X", ")", "}", ".", ""]
-        assert (bare_starts[0], starts[0]) == (len(loops), len(flat))
+        assert not parser.read() and parser.flat_texts is None and not parser.keys
 
     def test_reader_splits_nothing_before_a_first_statement_it_cannot_take(self, monkeypatch):
         """A first statement other than a braced rule over flat atoms, or
@@ -682,46 +658,79 @@ class TestStatementReader:
             assert not _Parser(text).read()
         assert split == []
         parser = _Parser("% edges\n#horizon 2.\n" + facts)
-        assert not parser.read() and parser.offset == len(parser.text)
+        assert not parser.read() and parser.flat_texts is not None
         assert split == [len(facts)] and parser.shape.count(".") == 20_000
         assert outcome(parse_program, facts)[1][:2] == ["line 1", "line 2"]
         for text in ("{a}.\n(b).", "{a}. % (\n{b}.", "{a}.\n{b} :- {c(f(X))}."):
             assert outcome(parse_program, text) == self.token_parser(monkeypatch, parse_program, text)
 
-    def stops(self, text, files=()):
-        parser = _Parser(text, files)
-        return not parser.read() and parser.offset > 0
+    def refused(self, monkeypatch, parse, *args):
+        """What `parse` gives on a text the statement reader refuses, and,
+        per scan, its tokens and the set-atoms, arities and rules the token
+        parser then starts from; `spell` or `syntax` running fails the test."""
+        scans, scan = [], _Parser.scan
+        with monkeypatch.context() as patched:
+            patched.setattr(_Parser, "scan", lambda self: scans.append(
+                (scan(self), dict(self.set_atoms), dict(self.arities), list(self.rules)))
+                or scans[-1][0])
+            for name in ("spell", "syntax"):
+                patched.setattr(_Parser, name, lambda self, name=name: pytest.fail(f"{name} ran"))
+            return outcome(parse, *args), scans
 
-    def test_arity_clash_with_a_name_the_reader_built(self, monkeypatch):
-        # the name reader stops at a bare atom, the flat reader at a compound term
-        for text in ("{p} :- not {q}.\n{q} :- not {p}.\np(a).\n",
-                     "{p} :- not {q(X)}, {q(X)}.\n{q(a)} :- not {p}.\n{p(f(a))}.\n"):
-            assert self.stops(text)
-            want = self.token_parser(monkeypatch, parse_program, text)
-            assert outcome(parse_program, text) == want
-            assert want[:2] == (ProgramError, "predicate 'p' used with arity 1 and 0 (line 3)")
+    LOOPS = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n" for i in range(250))
+    REFUSED = {
+        # a compound term in the first rule, before rules over names
+        "first": ("{s(f(X))} :- not {t(X)}.\n" + LOOPS,
+                  (ProgramError, "unsafe variable X in rule (line 1)")),
+        # a bare atom between rules over names, at an arity those gave its name
+        "middle": (LOOPS + "a7(x).\n" + LOOPS.replace("{a", "{c"),
+                   (ProgramError, "predicate 'a7' used with arity 1 and 0 (line 501)")),
+        "last-over-names": (LOOPS + "s(X) :- not t(X).\n",
+                            (ProgramError, "unsafe variable X in rule (line 501)")),
+        "last-over-flat-atoms": (LOOPS.replace("}", "(1)}") + "{s(f(X))} :- not {t(X)}.\n",
+                                 (ProgramError, "unsafe variable X in rule (line 501)")),
+        # texts the flat reader would take, but for a comparison in a head, a
+        # comparison under "not", a gap after a member and a gap between braces
+        "comparison-head": (LOOPS + "{X == a} :- {p(X)}.\n",
+                            (ParseError, "comparison atom not allowed in rule head")),
+        "comparison-first-head": ("{X == a} :- {p(X)}.\n{p(a)}.\n",
+                                  (ParseError, "comparison atom not allowed in rule head")),
+        "negated-comparison": ("{p(1)}.\n{q(X)} :- {p(X)}, not {X != 1}.\n",
+                               (ParseError, "comparison atom cannot be negated; "
+                                            "use the complementary operator")),
+        "trailing-gap": ("{p(a)}.\n{q(X)} :- {p(X), q x}.\n",
+                         (ParseError, "expected '}', found 'x'")),
+        "gap": ("{p(a)}. % a\n{{q(b)}.\n", (ParseError, "expected atom, found '{'")),
+    }
 
-    def test_text_read_before_and_after_the_stop_is_one_object(self, monkeypatch):
-        text = "{a, b} :- not {c}.\n{d(X)} :- {a, b}, {e(X)}.\n{c} :- not { a, b }, {a, b}.\n{e(1)}.\n"
-        assert self.stops(text)
-        assert outcome(parse_program, text) == self.token_parser(monkeypatch, parse_program, text)
-        first, second, third, _ = parse_program(text).rules
-        assert first.head is second.body[0].atom is third.body[1].atom
-        assert third.body[0].atom is not first.head and third.body[0].atom == first.head
-        assert first.body[0].atom is third.head
+    @pytest.mark.parametrize("where", REFUSED)
+    def test_a_refused_text_is_read_whole_by_the_token_parser(self, where, monkeypatch):
+        """Wherever the statement reader refuses a text, the token parser
+        scans it once from its start, with no set-atom, arity or rule of the
+        reader's, and gives the program or error it gives alone."""
+        text, (kind, message) = self.REFUSED[where]
+        parser = _Parser(text)
+        assert not parser.read() and parser.flat_texts is None
+        got, [(tokens, set_atoms, arities, rules)] = self.refused(monkeypatch, parse_program, text)
+        assert got == self.token_parser(monkeypatch, parse_program, text)
+        assert got[:2] == (kind, message)
+        assert tokens == _Parser(text).scan()
+        assert (set_atoms, arities, rules) == ({}, {}, [])
 
-    def test_stop_in_the_second_file(self, monkeypatch):
+    def test_a_text_refused_in_its_second_file_is_read_whole(self, monkeypatch):
         loops = "{a} :- not {b}.\n{b} :- not {a}.\n"
         files = [("a.ndlp", loops), ("b.ndlp", "{c} :- {a}.\n% note\nd :- not {c}.\n{e(1)}.\n")]
-        assert self.stops("".join(t for _, t in files), ((1, "a.ndlp"), (3, "b.ndlp")))
-        want = self.token_parser(monkeypatch, parse_files, files)
-        assert outcome(parse_files, files) == want
-        assert want[1] == ["a.ndlp line 1", "a.ndlp line 2", "b.ndlp line 1", "b.ndlp line 3",
-                           "b.ndlp line 4"]
+        got, scans = self.refused(monkeypatch, parse_files, files)
+        assert got == self.token_parser(monkeypatch, parse_files, files)
+        assert got[1] == ["a.ndlp line 1", "a.ndlp line 2", "b.ndlp line 1", "b.ndlp line 3",
+                          "b.ndlp line 4"]
+        [(tokens, set_atoms, arities, rules)] = scans
+        assert tokens[1][:4] == ["{", "a", "}", ":-"] and (set_atoms, arities, rules) == ({}, {}, [])
         files[1] = ("b.ndlp", "{c} :- {a}.\n{d} :- {c}, p(.\n")
-        want = self.token_parser(monkeypatch, parse_files, files)
-        assert outcome(parse_files, files) == want
-        assert want == (ParseError, "expected term, found '.'", 2, 15, "b.ndlp")
+        got, scans = self.refused(monkeypatch, parse_files, files)
+        assert got == self.token_parser(monkeypatch, parse_files, files)
+        assert got == (ParseError, "expected term, found '.'", 2, 15, "b.ndlp")
+        assert len(scans) == 1 and scans[0][0][2][0] == 0
 
 
 class TestRoundTrip:
