@@ -32,7 +32,7 @@ The calls reach past the pins of `cli_outputs.json`. The families:
 - two-files: programs given as two files;
 - late-fault: a fault after thousands of rules.
 
-No call is in two families. A whole run, 270 calls, takes about 75 s on a
+No call is in two families. A whole run, 271 calls, takes about 75 s on a
 2-core machine.
 
 Reference: McKeeman, "Differential testing for software", Digital

@@ -576,6 +576,37 @@ MUTANTS: tuple[Mutant, ...] = (
         "bit = {e: 1 << len(slots) - i for i, e in enumerate(slots)}",
         EXPANSION,
     ),
+    # answer sets as the product of the components of NdAtoms sharing an atom
+    Mutant(
+        "components-never-united", "answersets.py",
+        "            parent[root(r)] = root(nd[0])\n",
+        "            root(r)\n",
+        EXPANSION,
+    ),
+    Mutant(
+        "negative-left-out-of-its-component", "answersets.py",
+        "atoms = [*chain.from_iterable(sides[0]), *chain.from_iterable(sides[1])]",
+        "atoms = [*chain.from_iterable(sides[0])]",
+        EXPANSION,
+    ),
+    Mutant(
+        "count-skips-a-factor", "answersets.py",
+        "total = prod(map(len, own)) * prod(map(len, grown))",
+        "total = prod(map(len, own)) * prod(map(len, grown[1:]))",
+        EXPANSION,
+    ),
+    Mutant(
+        "one-sided-key-size-rule-reversed", "answersets.py",
+        "<< size | width - m.bit_count()",
+        "<< size | m.bit_count()",
+        EXPANSION,
+    ),
+    Mutant(
+        "one-sided-key-with-signed-slots", "answersets.py",
+        "    if not signed:  # the key's positive half alone\n",
+        "    if True:\n",
+        EXPANSION,
+    ),
     # the writer's set-atoms, spelled off the atom table one comprehension
     # per list, and the ids and texts that NdAtoms from library callers get
     Mutant(

@@ -2,13 +2,14 @@
 
 import json
 import random
+import time
 from collections import Counter
 from itertools import islice, product
 
 import pytest
 
-from ndlp import cli, count, expand, least_model, enumerate_stable
-from ndlp.answersets import AnswerSet, Expansion, _model_table, expand_ids
+from ndlp import answersets, cli, count, expand, least_model, enumerate_stable
+from ndlp.answersets import AnswerSet, Expansion, _model_table, _parts, expand_ids
 from ndlp.cli import SolveReport, main
 from ndlp.corpus import corpus_text
 from ndlp.syntax import Atom, canonicalize, sort_nd_atoms
@@ -507,3 +508,132 @@ class TestMasksAgainstSortedRows:
             "{a, b}", "{a, c}", "{b}", "{b, c}"]
         assert [str(s) for s in expand(frozenset([*shared, canonicalize([d])]))] == [
             "{a, b, d}", "{a, c, d}", "{b, c, d}", "{b, d}"]
+
+
+def interleaved_chains(chains: int, pairs: int):
+    """`chains` chains of `pairs` overlapping pairs, {q00a, q01a}, {q01a,
+    q02a}, ..., one per letter, whose names interleave in key order: each
+    chain is a component of its own."""
+    return frozenset(canonicalize([Atom(pred=f"q{i:02d}{t}"), Atom(pred=f"q{i + 1:02d}{t}")])
+                     for i in range(pairs) for t in "abc"[:chains])
+
+
+def component_model(seed):
+    """A total or partial model whose shared NdAtoms fall into two or three
+    components over atom pools whose names interleave in key order (q00a,
+    q00b, q01a, ...): each a chain of two or three overlapping pairs,
+    sometimes closed into a cycle, beside a one-member fact and a pair of
+    their own.
+    A partial model adds a negative whose atom sits in a positive of one
+    pool and whose other atom no positive holds, sometimes one across two
+    pools, which joins them, and one whose atoms no positive holds."""
+    rng = random.Random(seed)
+    tags = "abc"[:rng.randint(2, 3)]
+
+    def q(i, t):
+        return Atom(pred=f"q{i:02d}{t}")
+
+    pos = {canonicalize([Atom(pred="q03x")]), canonicalize([Atom(pred="q02y"), Atom(pred="q02z")])}
+    for t in tags:
+        k = rng.randint(2, 3)
+        pos |= {canonicalize([q(i, t), q(i + 1, t)]) for i in range(k)}
+        if rng.random() < 0.5:
+            pos.add(canonicalize([q(0, t), q(k, t)]))
+    if rng.random() < 0.5:
+        return frozenset(pos)
+    t = rng.choice(tags)
+    neg = {canonicalize([q(rng.randint(0, 1), t), q(4, t)]),
+           canonicalize([Atom(pred="q01v"), Atom(pred="q01w")])}
+    if rng.random() < 0.5:
+        t, u = rng.sample(tags, 2)
+        neg.add(canonicalize([q(1, t), q(0, u)]))
+    return PartialInterpretation(pos=frozenset(pos), neg=frozenset(neg))
+
+
+class TestComponents:
+    """Answer sets as the product of the connected components of a model's
+    NdAtoms: a component of one NdAtom is a part of its own, a wider one's
+    distinct images are grown NdAtom by NdAtom, and a signed negative joins
+    the component of the positives that hold its atom."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_models_match_the_oracles(self, seed):
+        model = component_model(seed)
+        table, pos, neg = _model_table(model)
+        for minimal in (False, True):
+            for cap in (None, 1, 2, 3, 7):
+                expansion = expand_ids(table, pos, neg, cap=cap, subset_minimal=minimal)
+                where = f"seed={seed} cap={cap} minimal={minimal}"
+                assert (expansion.rows, expansion.truncated) == sorted_rows(
+                    table, pos, neg, cap, minimal), where
+            if len(table.members) < 12:  # the choice product walked by the oracle
+                whole = expand(model, subset_minimal=minimal)
+                assert (images_of(whole), whole.truncated) == capped_images(model, None, minimal)
+        assert count(model) == (len(expand(model)), True)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_each_pool_is_a_component(self, seed):
+        model = component_model(seed)
+        table, pos, neg = _model_table(model)
+        pools = [{table.texts[r][-1] for r in table.members[i]} for i in (*pos, *neg)]
+        bridged = any(len(pool) > 1 and pool <= set("abc") for pool in pools)
+        pools = set().union(*pools) & set("abc")
+        layout, own, grown = _parts(table, pos, neg)
+        assert len(grown) == len(pools) - bridged
+        assert [len(part) for part in own] == [2] * (1 + isinstance(model, PartialInterpretation))
+
+    def test_a_negative_joins_two_components(self):
+        # not {q00b, q01a} holds an atom of each chain, so the chains are
+        # one component; apart, a choice of q01a and q00b beside "not q01a"
+        # or "not q00b" would be an answer set
+        chains = interleaved_chains(2, 2)
+        bridge = canonicalize([Atom(pred="q01a"), Atom(pred="q00b")])
+        model = PartialInterpretation(pos=chains, neg=frozenset([bridge]))
+        table, pos, neg = _model_table(model)
+        assert len(_parts(table, pos, neg)[2]) == 1
+        expansion = expand(model)
+        assert (images_of(expansion), expansion.truncated) == capped_images(model)
+        assert count(model) == (len(expansion), True) == (12, True)
+
+    def test_a_negative_joins_the_component_of_its_atom(self):
+        # not q01a or not q05a, beside the chain that holds q01a
+        chain = interleaved_chains(1, 2)
+        negative = canonicalize([Atom(pred="q01a"), Atom(pred="q05a")])
+        model = PartialInterpretation(pos=chain, neg=frozenset([negative]))
+        table, pos, neg = _model_table(model)
+        assert len(_parts(table, pos, neg)[2]) == 1
+        assert [str(s) for s in expand(model)] == [
+            "{q00a, q01a, not q05a}", "{q00a, q02a, not q01a}", "{q00a, q02a, not q05a}",
+            "{q01a, not q05a}", "{q01a, q02a, not q05a}"]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_growth_order_leaves_the_rows_unchanged(self, monkeypatch, seed):
+        model = component_model(seed)
+        table, pos, neg = _model_table(model)
+        expected = {(cap, minimal): expand_ids(table, pos, neg, cap=cap, subset_minimal=minimal)
+                    for cap in (None, 2) for minimal in (False, True)}
+        rng, components = random.Random(seed), answersets._components
+
+        def shuffled(joined):
+            # every component holds two positives or more; each is handed
+            # over with its positives in another order
+            found = components(joined)
+            for component in found:
+                positives = [nd for nd in component if not nd[1]]
+                while [nd for nd in component if not nd[1]] == positives:
+                    rng.shuffle(component)
+            return found
+
+        monkeypatch.setattr(answersets, "_components", shuffled)
+        for (cap, minimal), expansion in expected.items():
+            got = expand_ids(table, pos, neg, cap=cap, subset_minimal=minimal)
+            assert (got.rows, got.truncated) == (expansion.rows, expansion.truncated)
+        assert count(model) == (len(expected[None, False]), True)
+
+    def test_three_interleaved_chains_count_without_building_the_product(self):
+        model = interleaved_chains(3, 10)
+        start = time.perf_counter()
+        assert count(model) == (232 ** 3, True) == (12487168, True)
+        assert count(model, cap=1000) == (1000, False)
+        assert time.perf_counter() - start < 1
+        assert count(interleaved_chains(1, 10)) == (232, True)
