@@ -10,8 +10,8 @@ stable semantics), 2 on usage, parse, or grounding errors. Reports are
 deterministic for a fixed input and flag set; the JSON form is byte-stable,
 with timing kept off it and on stderr.
 
-The argparse parser is built once per process. The ground rules are
-spelled out only for `ground` and `--dump-ground`.
+The argparse parser is built once per process. `ground` and
+`--dump-ground` write the ground rules from the atom table's texts.
 
 From the search to the report a model stays the sorted indices of its
 NdAtoms in the ground program, whose base is in key order: `_solve` writes
@@ -26,14 +26,14 @@ with variables from its set-atom patterns. `SolveReport.write` renders both
 formats straight to stdout in pieces: the header, each model, and the
 answer-set rows `CHUNK_ROWS` at a time, so no `AnswerSet` is built and no
 string holds the whole report. Each list of NdAtoms is one comprehension
-(`_spelled`) over the table's texts, each encoded once for JSON; over
-several models each distinct NdAtom is spelled once and each model joined
-by lookup. Each row is written from a few lookups of its
-mask into tables that hold the text of every sub-mask of a range of the
-model's slots (`_tables`), each table's entries encoded once for JSON. A
-model is expanded only when the writer reaches its answer sets, so one
-model's masks are held at a time; the truncation flag, written after them,
-is settled by then.
+(`compiled.nd_texts`) over the table's texts, each encoded once for JSON;
+over several models each distinct NdAtom is spelled once and each model
+joined by lookup. Each row is written from a few lookups of its mask into
+tables that hold the text of every sub-mask of a range of the model's
+slots (`_tables`), each table's entries encoded once for JSON. A model is
+expanded only when the writer reaches its answer sets, so one model's
+masks are held at a time; the truncation flag, written after them, is
+settled by then.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .answersets import AnswerSet, Expansion, Layout, expand_ids
-from .compiled import AtomTable, GroundProgram, table_program
+from .compiled import AtomTable, GroundProgram, nd_texts, table_program
 from .errors import NdlpError
 from .grounder import ground, ground_patterns
 from .parser import reader
@@ -92,7 +92,7 @@ class SolveReport:
         if fmt == "json":  # each member text encoded once
             texts = list(map(_encode, texts))
         write = self._json if fmt == "json" else self._text
-        stream.writelines(write(functools.partial(_spelled, texts, members), *lists))
+        stream.writelines(write(functools.partial(nd_texts, texts, members), *lists))
 
     def to_json(self) -> str:
         """`json.dumps(payload, indent=2, sort_keys=True)` of the report."""
@@ -265,20 +265,9 @@ def _json_rows(model_chunks: Iterator[tuple]) -> Iterator[str]:
     return _array(chunks(), 2, item=True)
 
 
-# `_spelled`'s layout of an NdAtom as an array item at depth 2 and 3.
+# `nd_texts`'s layout of an NdAtom as an array item at depth 2 and 3.
 _JSON_ND = {depth: (f"{_NEWLINE[depth]}[{_NEWLINE[depth + 1]}", "," + _NEWLINE[depth + 1],
                     _NEWLINE[depth] + "]") for depth in (2, 3)}
-
-
-def _spelled(texts: Sequence[str], members: Sequence[Sequence[int]], ids: Iterable[int],
-             lead: str, sep: str, close: str) -> list[str]:
-    """Each NdAtom of `ids` as `lead`, the `texts` of its `members` joined by
-    `sep`, and `close`. An NdAtom of one or two members, the most common
-    sizes, is one f-string of a lookup per member."""
-    return [f"{lead}{texts[m[0]]}{close}" if len(m) == 1 else
-            f"{lead}{texts[m[0]]}{sep}{texts[m[1]]}{close}" if len(m) == 2
-            else f"{lead}{sep.join([texts[r] for r in m])}{close}"
-            for m in map(members.__getitem__, ids)]
 
 
 def _each_model(spelled: Callable, models: list, *layout: str) -> Iterable[Iterable[str]]:
@@ -330,7 +319,7 @@ def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
                    if len(sizes) == 1 else list(map(tuple, map(map, repeat(rank), keys))))
         table = AtomTable(texts, members, functools.partial(map, Atom, texts))
         return not any(parser.negated), table_program(
-            table, parser.heads, parser.positive, parser.negated, lambda *_: tuple(parser.spell()))
+            table, parser.heads, parser.positive, parser.negated, parser.written)
     # the reader's tables of texts go before grounding, which allocates the most
     flat = parser.flat()
     if flat is not None:

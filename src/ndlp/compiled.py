@@ -6,17 +6,19 @@ int plus tuples of its positive and negated body ints, which the grounder
 emits directly for rules with variables, with per-atom lists of the rules
 that use the atom positively, that negate it and that define it.
 `make_ground_program` derives them from ground `Rule`s, in one pass that
-interns their NdAtoms by value: it compiles a program
-without variables, and it is the reference the grounder's join is tested
-against. The base is held in one form, its `AtomTable`, which
-`table_program` puts in key order: the grounder builds it from int keys
-(`AtomTable.of_keys`), its texts joined from term texts, the command line's
-loader from the names of braced rules over names, and `make_ground_program`
-from the NdAtoms (`AtomTable.of`). The one sort of the atoms that builds a
-table also orders its NdAtoms where each is one atom, as on every closure
-request and every braced loop over names: an NdAtom's place is then its
-atom's rank, and only a table with a wider NdAtom sorts the NdAtoms again.
-No `NdAtom` or `Rule` is built until `base` or `rules` is read.
+interns their NdAtoms by value: it compiles a program without variables,
+and it is the reference the grounder's join is tested against. The base
+is held in one form, its `AtomTable`, which `table_program` puts in key
+order: the grounder builds it from int keys (`AtomTable.of_keys`), its
+texts joined from term texts, the command line's loader from the names of
+braced rules over names, and `make_ground_program` from the NdAtoms
+(`AtomTable.of`). The one sort of the atoms that builds a table also
+orders its NdAtoms where each is one atom, as on every closure request and
+every braced loop over names: an NdAtom's place is then its atom's rank,
+and only a table with a wider NdAtom sorts the NdAtoms again. Each
+producer also hands over its rules' signs and origins, which
+`table_program` pairs with the written bodies. `str` writes the rules from
+the table's texts (`nd_texts`); only `base` and `rules` build syntax values.
 One batch fixpoint, `reduct_model`, gives the least model of the reduct
 against a 0/1 interpretation in linear time. It serves the least model
 (against the empty interpretation), and the tests check each stable model
@@ -50,9 +52,9 @@ from __future__ import annotations
 from functools import cached_property, partial
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .syntax import Atom, Compound, Constant, Integer, NdAtom, Rule, Term, sort_nd_atoms
+from .syntax import Atom, Compound, Constant, Integer, Literal, NdAtom, Rule, Term, sort_nd_atoms
 
 # Truth assignment codes of the propagator's negated atoms.
 OPEN, OUT, IN = 0, 1, 2
@@ -172,23 +174,32 @@ def _spell_atoms(members: list[tuple], term_keys: list) -> list[Atom]:
     return [Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in members]
 
 
+def nd_texts(texts: Sequence[str], members: Sequence[Sequence[int]], ids: Iterable[int],
+             lead: str, sep: str, close: str) -> list[str]:
+    """Each NdAtom of `ids` as `lead`, the `texts` of its `members` joined by
+    `sep`, and `close`. An NdAtom of one or two members, the most common
+    sizes, is one f-string of a lookup per member."""
+    return [f"{lead}{texts[m[0]]}{close}" if len(m) == 1 else
+            f"{lead}{texts[m[0]]}{sep}{texts[m[1]]}{close}" if len(m) == 2
+            else f"{lead}{sep.join([texts[r] for r in m])}{close}"
+            for m in map(members.__getitem__, ids)]
+
+
 class GroundProgram:
     """A variable-free program over its restricted base in key order, by
-    which the solvers sort their models, in the int form they run on. Its
-    base is held as its atom table, and the NdAtoms are built from the
-    table's atoms on first read; its rules are spelled out as `Rule` objects
-    on first read."""
+    which the solvers sort their models, in the int form they run on.
+    `base` and `rules` build its NdAtoms and `Rule`s on first read, and
+    `str` writes the rules from its atom table's texts."""
 
     def __init__(self, heads: list[int], pos: list[tuple[int, ...]], neg: list[tuple[int, ...]],
-                 spell: Callable[[GroundProgram], tuple[Rule, ...]], table: AtomTable):
+                 written: Callable[[], Iterable[tuple]], table: AtomTable):
         """Rule r is heads[r] :- pos[r], not neg[r], over the NdAtoms whose
         member ranks are `table.members`; no body tuple repeats an id.
-        `spell` returns the same rules as `Rule`s, given the program, whose
-        `base` it may read."""
+        `written()` gives each rule's body as written, its ids in literal
+        order with repeats, their signs (True for negated) and its origin."""
         self.table = table
         self.n = n = len(table.members)
-        self.heads, self.pos, self.neg = heads, pos, neg
-        self._spell = spell
+        self.heads, self.pos, self.neg, self.written = heads, pos, neg, written
         self.watchers = watchers = [[] for _ in range(n)]
         self.neg_occ = neg_occ = [[] for _ in range(n)]
         self.defining = defining = [[] for _ in range(n)]
@@ -209,14 +220,21 @@ class GroundProgram:
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
-        return self._spell(self)
+        atom = self.base.__getitem__
+        return tuple([Rule(atom(head), tuple(map(Literal, map(atom, body), signs)), origin)
+                      for head, (body, signs, origin) in zip(self.heads, self.written())])
 
     @cached_property
     def base_set(self) -> frozenset[NdAtom]:
         return frozenset(self.base)
 
     def __str__(self) -> str:
-        return "".join(f"{rule}\n" for rule in self.rules)
+        nd = nd_texts(self.table.texts, self.table.members, range(self.n), "{", ", ", "}")
+        literal = nd, ["not " + text for text in nd]  # each NdAtom's literal, by sign
+        return "".join([
+            f"{nd[head]} :- {', '.join([literal[sign][b] for b, sign in zip(body, signs)])}.\n"
+            if body else f"{nd[head]}.\n"
+            for head, (body, signs, _) in zip(self.heads, self.written())])
 
     def reduct_model(self, interp: bytes) -> bytearray:
         """Truth flags of the least model of the reduct against the 0/1
@@ -292,23 +310,27 @@ def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
     neg: list[list[int]] = []
     for rule in rules:
         heads.append(intern(rule.head, len(ids)))
-        positive: list[int] = []
-        negated: list[int] = []
+        positive, negated = [], []
         for lit in rule.body:
             (negated if lit.negated else positive).append(intern(lit.atom, len(ids)))
         pos.append(positive)
         neg.append(negated)
-    return table_program(AtomTable.of(list(ids)), heads, pos, neg, lambda *_: rules)
+
+    def written() -> Iterator[tuple[tuple[bool, ...], str | None]]:
+        for rule in rules:
+            yield tuple([lit.negated for lit in rule.body]) if rule.body else (), rule.origin
+
+    return table_program(AtomTable.of(list(ids)), heads, pos, neg, written)
 
 
-def table_program(table: AtomTable, heads: list[int], pos: list, neg: list,
-                  spell: Callable[[list[int], GroundProgram], tuple[Rule, ...]]) -> GroundProgram:
+def table_program(table: AtomTable, heads: Sequence[int], pos: Sequence, neg: Sequence,
+                  written: Callable[[], Iterable[tuple]]) -> GroundProgram:
     """The rules `heads`, `pos` and `neg` over the distinct NdAtoms of
     `table`, id i with member ranks `table.members[i]`, in key order, which
     reorders `table` in place: id i becomes `renumber[i]`, repeats dropped
-    from each body, and `spell(renumber, program)` spells the rules. When
-    every NdAtom is one atom, the atoms' ranks are that order; otherwise one
-    sort of the ranks gives it."""
+    from each body. `written()` gives each rule's signs and origin, paired
+    here with its body as given, repeats kept. When every NdAtom is one
+    atom, the atoms' ranks are that order; otherwise one sort of them does."""
     ranked = table.members
     if sum(map(len, ranked)) == len(ranked):  # one atom each, every atom's rank taken once
         renumber = list(chain.from_iterable(ranked))
@@ -325,8 +347,14 @@ def table_program(table: AtomTable, heads: list[int], pos: list, neg: list,
                 else (new(body[0]), new(body[1])) if len(body) == 2 and body[0] != body[1]
                 else tuple(dict.fromkeys(map(new, body))) for body in lists]
 
-    return GroundProgram(list(map(new, heads)), bodies(pos), bodies(neg), partial(spell, renumber),
-                         table)
+    def paired() -> Iterator[tuple[list[int], Sequence[bool], str | None]]:
+        for (signs, origin), body, negated in zip(written(), pos, neg):
+            if negated:  # the positive and negated ids interleaved by the signs
+                positive, negated = iter(body), iter(negated)
+                body = [next(negated) if sign else next(positive) for sign in signs]
+            yield list(map(new, body)), signs, origin
+
+    return GroundProgram(list(map(new, heads)), bodies(pos), bodies(neg), paired, table)
 
 
 class Propagator:

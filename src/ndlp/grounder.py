@@ -66,16 +66,15 @@ An instance is the ids of its head and positive and negated body NdAtoms,
 keyed by its slots, and goes straight into `compiled.GroundProgram`; a
 one-member head of a rule without negated literals, whose comparisons
 compare slots, is read off the row. Heads and negated literals stay
-`(pred, arg ids)` keys: grounding builds no `Atom` or `NdAtom`. One sort of
-the terms ranks them (`compiled.rank_terms`); each rule's instances sort by
-those ranks, and one sort of the member keys by them orders the atom table
-and the base, whose texts are joined from term texts. Where grounding
-created no term and no predicate has two arities, as on every closure
-request, the constants' ids are their ranks: the terms are not sorted, and
-the members sort on their own keys. Where every NdAtom is one atom, the
-members' sort orders the base as well (`compiled.table_program`). NdAtoms
-and `Rule`s are built only when read: every kept rule, with or without
-variables, is spelled from its ids, its body's layout and its origin.
+`(pred, arg ids)` keys: grounding builds no `Atom` or `NdAtom`. One sort
+of the terms ranks them (`compiled.rank_terms`); each rule's instances
+sort by those ranks, and one sort of the member keys by them orders the
+atom table and the base, whose texts are joined from term texts. Where
+grounding created no term and no predicate has two arities, as on every
+closure request, the constants' ids are their ranks: the terms are not
+sorted, and the members sort on their own keys. Where every NdAtom is one
+atom, the members' sort orders the base as well (`compiled.table_program`).
+Each kept rule is written as its ids, its signs and its origin.
 
 Every semantics runs over this *restricted* base; NdAtoms outside it are
 false (total semantics) or negative (well-founded) and never enumerated.
@@ -83,14 +82,13 @@ false (total semantics) or negative (well-founded) and never enumerated.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain, compress, islice, product, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .compiled import AtomTable, GroundProgram, make_ground_program, rank_terms, table_program
 from .errors import GroundingError
-from .syntax import (BUILTIN_PREDICATES, Constant, Integer, Literal, NdAtom, Program, Rule, Sum,
+from .syntax import (BUILTIN_PREDICATES, Constant, Integer, NdAtom, Program, Rule, Sum,
                      Term, Variable, is_time_variable)
 
 # Most instances of rules with variables one `ground()` call may record,
@@ -457,10 +455,9 @@ class _Instantiator:
         self.derived: dict[int, int] = {}
         self.round = 0
         self.queue: list[int] = []
-        # the rules without variables kept, as their spelling (body layout
-        # and origin) and the ids of their head, positive and negated body;
-        # each counts down its positive body literals not yet taken off the
-        # queue
+        # the rules without variables kept, as their signs and origin and
+        # the ids of their head, positive and negated body; each counts down
+        # its positive body literals not yet taken off the queue
         self.fixed = [(negated, origin) for _, _, negated, origin in fixed], heads, pos, neg
         self.missing = list(map(len, pos))
         # NdAtom id -> the rules without variables still waiting for it
@@ -871,7 +868,7 @@ class _Instantiator:
         kept += fixed[done:]
         heads, pos, neg = zip(*kept) if kept else ((), (), ())
         return table_program(AtomTable.of_keys(self.keys, self.term_keys, terms),
-                             heads, pos, neg, partial(_spell_rules, specs, kept))
+                             heads, pos, neg, specs.__iter__)
 
 
 def _one_arity(patterns: list[tuple]) -> bool:
@@ -879,21 +876,6 @@ def _one_arity(patterns: list[tuple]) -> bool:
     ensures but a hand-built `Program` need not."""
     arities = {(pred, len(args)) for members, _, _ in patterns for pred, args in members}
     return len(arities) == len(set(map(itemgetter(0), arities)))
-
-
-def _spell_rules(specs: list, kept: list, renumber: list, gp: GroundProgram) -> tuple[Rule, ...]:
-    """The kept rules as `Rule`s over `gp.base`, each from its ids before
-    `renumber` and its spelling: which of its body literals are negated, and
-    its origin."""
-    base = gp.base
-    atom = [base[new] for new in renumber]
-    rules = []
-    for (layout, origin), (head, pos, neg) in zip(specs, kept):
-        positive, negated = iter(pos), iter(neg)
-        body = tuple([Literal(atom[next(negated)], True) if negative
-                      else Literal(atom[next(positive)]) for negative in layout])
-        rules.append(Rule(head=atom[head], body=body, origin=origin))
-    return tuple(rules)
 
 
 def _checked(horizon: int | None) -> int | None:

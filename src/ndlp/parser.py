@@ -32,9 +32,9 @@ between them. When every set-atom holds names alone (no arguments,
 variables, comparisons or comments), its name reader builds no syntax
 value, only ids (one per set of names a set-atom sorts to) and int lists
 per rule: a ground program, which the command line builds straight from
-them (`cli._load`), and such rules can have no arity or safety fault.
-`spell` builds their `Rule`s, one `NdAtom` per distinct text, when they are
-read. Otherwise its flat reader reads every distinct set-atom text, from
+them (`cli._load`) with their signs and origins (`written`), and such
+rules can have no arity or safety fault; `spell` builds their `Rule`s for
+`parse`. Otherwise its flat reader reads every distinct set-atom text, from
 one split of them all, as flat atoms (a name, optionally with arguments,
 each a name, an integer, a variable or a variable plus an integer) or as
 one comparison of two such terms, and records each distinct member and
@@ -67,6 +67,7 @@ import re
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, ge, itemgetter, not_
+from typing import Iterator
 
 from .errors import ParseError, ProgramError
 from .syntax import (
@@ -489,11 +490,8 @@ class _Parser:
         texts, rules = self.texts, []
         index = dict(zip(self.flat_texts, count()))
         known = list(map(index.__getitem__, texts))
-        signs: dict[str, tuple[bool, ...]] = {"": ()}  # per body shape, its literals' signs
-        for (i, body), origin in zip(self.statements(), self.origins()):
-            if body not in signs:
-                signs[body] = tuple(map(_NEGATED.__getitem__, body))
-            rules.append((known[i], tuple(known[i + 1 : i + 1 + len(body)]), signs[body], origin))
+        for (i, body), (negated, origin) in zip(self.statements(), self.written()):
+            rules.append((known[i], tuple(known[i + 1 : i + 1 + len(body)]), negated, origin))
             if self.safety_error is None and (names[texts[i]] or ";" in body or "!" in body):
                 self.safe(names, texts[i], texts[i + 1 : i + 1 + len(body)], body, origin)
         horizon = self.resolve_horizon()
@@ -523,21 +521,24 @@ class _Parser:
             self.rule_origins = list(map(self.origin, firsts))
         return self.rule_origins
 
+    def written(self) -> Iterator[tuple[tuple[bool, ...], str]]:
+        """Per rule `read` took, its body literals' signs and its origin."""
+        shapes = [body for _, body in self.statements()]
+        signs = {body: tuple(map(_NEGATED.__getitem__, body)) for body in set(shapes)}
+        return zip(map(signs.__getitem__, shapes), self.origins())
+
     def walk(self, made: dict[str, NdAtom], names: dict[str, frozenset[str]] | None = None
              ) -> list[Rule]:
         """The rules `read` took, each piece's NdAtom `made[text]`; with the
         variables' `names` of each text, each rule is checked for safety."""
         texts, rules = self.texts, []
-        for (i, body), origin in zip(self.statements(), self.origins()):
-            if len(body) < 2:  # a fact or one literal
-                literals = (Literal(made[texts[i + 1]], body == ";"),) if body else ()
-            else:
-                literals = tuple([Literal(made[key], join in ";!")
-                                  for key, join in zip(texts[i + 1 : i + 1 + len(body)], body)])
+        for (i, body), (signs, origin) in zip(self.statements(), self.written()):
+            keys = texts[i + 1 : i + 1 + len(body)]
+            literals = tuple(map(Literal, map(made.__getitem__, keys), signs)) if body else ()
             rules.append(Rule(made[texts[i]], literals, origin))
             if names and self.safety_error is None and (names[texts[i]] or ";" in body
                                                         or "!" in body):
-                self.safe(names, texts[i], texts[i + 1 : i + 1 + len(body)], body, origin)
+                self.safe(names, texts[i], keys, body, origin)
         return rules
 
     def safe(self, names, head, literals: list, body: str, origin: str) -> None:

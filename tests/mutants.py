@@ -60,6 +60,7 @@ MATCHING = ("tests/test_grounder.py", "tests/test_grounding_oracle.py",
             "tests/test_grounder_metamorphic.py")
 PARSER = ("tests/test_syntax.py", "tests/test_parse_errors.py", "tests/test_loader.py")
 EXPANSION = ("tests/test_answersets.py", "tests/test_report_paths.py", "tests/test_cli.py")
+WRITTEN = ("tests/test_cli.py", "tests/test_loader.py", "tests/test_grounding_oracle.py")
 
 MUTANTS: tuple[Mutant, ...] = (
     # search and propagation
@@ -466,6 +467,26 @@ MUTANTS: tuple[Mutant, ...] = (
         "return True, table_program(",
         PARSER,
     ),
+    # the rules as written, which `rules` and `ndlp ground` read: each
+    # body's ids in literal order, repeats kept, their signs and origin
+    Mutant(
+        "written-body-read-one-literal-off", "compiled.py",
+        "yield list(map(new, body)), signs, origin",
+        "yield list(map(new, [*body[1:], *body[:1]])), signs, origin",
+        WRITTEN,
+    ),
+    Mutant(
+        "written-body-without-its-repeats", "compiled.py",
+        "zip(written(), pos, neg)",
+        "zip(written(), map(dict.fromkeys, pos), map(dict.fromkeys, neg))",
+        WRITTEN,
+    ),
+    Mutant(
+        "written-origins-shifted-by-one", "parser.py",
+        "return zip(map(signs.__getitem__, shapes), self.origins())",
+        "return zip(map(signs.__getitem__, shapes), self.origins()[1:] + [None])",
+        PARSER,
+    ),
     # the set-atom patterns: the flat reader's, and the grounder's from a
     # `Program`, and their one consumer
     Mutant(
@@ -616,13 +637,13 @@ MUTANTS: tuple[Mutant, ...] = (
         EXPANSION,
     ),
     Mutant(
-        "two-member-separator-dropped", "cli.py",
+        "two-member-separator-dropped", "compiled.py",
         'f"{lead}{texts[m[0]]}{sep}{texts[m[1]]}{close}" if len(m) == 2',
         'f"{lead}{texts[m[0]]}{texts[m[1]]}{close}" if len(m) == 2',
         EXPANSION,
     ),
     Mutant(
-        "wide-separator-dropped", "cli.py",
+        "wide-separator-dropped", "compiled.py",
         'else f"{lead}{sep.join([texts[r] for r in m])}{close}"',
         'else f"{lead}{\'\'.join([texts[r] for r in m])}{close}"',
         EXPANSION,

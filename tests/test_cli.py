@@ -484,13 +484,43 @@ class TestJsonLayout:
         assert report.to_json() == report_json(report)
 
 
+# one input per route of the loader, with repeated body literals, each
+# text a list of files: braced rules over names, flat atoms with variables
+# and a comparison, which the grounder takes as set-atom patterns, bare
+# atoms, which the token parser reads and `make_ground_program` compiles,
+# and braced rules over names in two files
+GROUND_INPUTS = {
+    "names": ["{a} :- {b}, not {c}, {b}.\n{b}.\n{c} :- not {a}, not {a, d}, not {a}.\n"],
+    "patterns": ["{q(a)}.\n{q(b)}.\n{r(b)}.\n"
+                 "{p(X)} :- {q(X)}, not {r(X)}, {q(X)}, {X != c}.\n{s(X, Y)} :- {q(X)}, {q(Y)}.\n"],
+    "bare": ["a :- b, not c, b, not c.\nb.\nc :- not a.\n"],
+    "two files": ["{a} :- {b}, not {c}.\n{b}.\n", "{c} :- not {a}, {b}, {b}.\n{b, a}.\n"],
+}
+
+
 class TestGroundCommand:
     def test_round_trip_of_ground_file(self, capsys, tmp_path):
+        """`ground` writes the rules as written, repeats and literal order
+        kept, as their `Rule`s print, on each route of the loader, and its
+        output grounds to itself."""
         source = tmp_path / "ground.ndlp"
         source.write_text("{a} :- {b}, not {c}.\n{b}.\n")
         code, out, _ = run(capsys, "ground", str(source))
         assert code == 0
         assert out == "{a} :- {b}, not {c}.\n{b}.\n"
+        for route, texts in GROUND_INPUTS.items():
+            paths = []
+            for i, text in enumerate(texts):
+                paths.append(tmp_path / f"{route}{i}.ndlp")
+                paths[-1].write_text(text)
+            paths = list(map(str, paths))
+            _, gp = _load(paths, None)
+            assert any(len(set(rule.body)) < len(rule.body) for rule in gp.rules), route
+            code, out, _ = run(capsys, "ground", *paths)
+            assert code == 0
+            assert out == "".join(f"{rule}\n" for rule in gp.rules), route
+            source.write_text(out)
+            assert run(capsys, "ground", str(source)) == (0, out, ""), route
 
     def test_robot_occurrence_rules(self, capsys):
         code, out, _ = run(

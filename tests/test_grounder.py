@@ -180,7 +180,12 @@ class TestIdempotence:
     def test_ground_program_grounds_to_itself(self, text, horizon):
         gp = ground(parse_program(text), horizon=horizon)
         again = ground(Program(rules=gp.rules), horizon=horizon)
-        assert all(a is b for a, b in zip(again.rules, gp.rules, strict=True))
+        # the same rules with the same origins, spelled over the new base
+        assert again.rules == gp.rules
+        assert [r.origin for r in again.rules] == [r.origin for r in gp.rules]
+        base = {id(nd) for nd in again.base}
+        assert all(id(rule.head) in base and {id(lit.atom) for lit in rule.body} <= base
+                   for rule in again.rules)
         assert again.base == gp.base
         assert [r.head for r in again.rules] == [r.head for r in gp.rules]
 

@@ -209,6 +209,7 @@ def check_against_product(program, horizon, label):
     live = live_instances(program, horizon)
     assert list(gp.rules) == live, label
     assert [r.origin for r in gp.rules] == [r.origin for r in live], label
+    assert str(gp) == "".join(f"{r}\n" for r in live), label
     # the ids the grounder emits are those of the same rules compiled
     want = make_ground_program(live)
     for field in ("base", "heads", "pos", "neg"):
