@@ -22,7 +22,7 @@ int masks. The writer reads member ranks and texts off the table, so the
 command line builds no `Atom` after parsing, and none at all for braced
 rules that the statement reader takes whole: `_load` builds the ground
 program of rules over names from its ids, and grounds rules over flat atoms
-with variables from its set-atom patterns. `SolveReport.write` renders both
+from its set-atom patterns. `SolveReport.write` renders both
 formats straight to stdout in pieces: the header, each model, and the
 answer-set rows `CHUNK_ROWS` at a time, so no `AnswerSet` is built and no
 string holds the whole report. Each list of NdAtoms is one comprehension
@@ -54,7 +54,7 @@ from .answersets import AnswerSet, Expansion, Layout, expand_ids
 from .compiled import AtomTable, GroundProgram, nd_texts, table_program
 from .errors import NdlpError
 from .grounder import ground, ground_patterns
-from .parser import reader
+from .parser import reader, written
 from .syntax import Atom
 from .stable import enumerate_stable
 
@@ -300,15 +300,17 @@ def _read(path: str) -> str:
 
 def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
     """Whether the files, read as one program (see `parser.reader`), negate
-    nothing, and their ground program. For braced rules over names, which
-    the statement reader takes whole, it is built from the reader's ids,
-    every rule kept, over the names' ranks, which are the base's key order
-    as they stand where every set-atom is one name, as in braced loops; for
-    braced rules over flat atoms with variables, which its flat reader
-    takes whole, it is grounded from the reader's set-atom patterns
-    (`grounder.ground_patterns`). No syntax value is built on either route;
-    any other text, which the statement reader refuses whole or takes
-    without variables, is parsed and grounded as a `Program`."""
+    nothing, and their ground program, by one route per reader. For braced
+    rules over names, which the statement reader takes whole, it is built
+    from the reader's ids, every rule kept, over the names' ranks, which are
+    the base's key order as they stand where every set-atom is one name, as
+    in braced loops; its rules as written are read again from the text
+    alone (`parser.written`), so the reader is freed once this returns. For
+    braced rules over flat atoms, which its flat reader takes whole, with
+    variables or without, it is grounded from the reader's set-atom
+    patterns (`grounder.ground_patterns`). No syntax value is built on
+    either route; any other text, which the statement reader refuses whole,
+    is parsed by the token parser and grounded as a `Program`."""
     parser = reader([(p, _read(p)) for p in paths])
     if parser.read() and (horizon is None or horizon >= 0):
         keys = list(parser.keys)  # each set-atom's names; an atom's key sorts as its name
@@ -319,7 +321,8 @@ def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
                    if len(sizes) == 1 else list(map(tuple, map(map, repeat(rank), keys))))
         table = AtomTable(texts, members, functools.partial(map, Atom, texts))
         return not any(parser.negated), table_program(
-            table, parser.heads, parser.positive, parser.negated, parser.written)
+            table, parser.heads, parser.positive, parser.negated,
+            functools.partial(written, parser.text, parser.files, parser.at, parser.shape))
     # the reader's tables of texts go before grounding, which allocates the most
     flat = parser.flat()
     if flat is not None:

@@ -35,18 +35,21 @@ comparison; a variable's name starts with an upper-case letter and a
 symbol's does not. A rule is (head, body, negated, origin), its set-atoms
 the indices of their patterns. There are two producers. The statement
 reader's flat reader builds one pattern per distinct set-atom text,
-straight from its split of the text (`parser._Parser.flat`), and the
-command line hands them over with no syntax value built (`cli._load`).
-`ground` converts a `Program`'s syntax values (`_patterns`), once per
-distinct NdAtom; a program whose atoms' texts have no upper-case letter,
-so no variable, skips that and is compiled as written by
+straight from its split of the text (`parser._Parser.flat`), with
+variables or without, and the command line hands them over with no
+syntax value built (`cli._load`). `ground` converts a `Program`'s syntax
+values (`_patterns`), once per distinct NdAtom; a program whose atoms'
+texts have no upper-case letter and no "=", so neither a variable nor a
+comparison, skips that and is compiled as written by
 `make_ground_program`, the compile of ground rules that is also the
 reference the join route is tested against.
 
 Every rule without variables is its own instance, less its comparisons,
-which are evaluated on the keys, or none when one is false. Its set-atoms
-are keyed once per pattern, and the instantiator starts from them and
-counts each such rule's positive body down instead of joining it.
+or none when one is false; ground comparisons are decided here alone, on
+the keys (`_holds`). Its set-atoms are keyed once per pattern. Where some
+rule has variables, the instantiator starts from them and counts each
+such rule's positive body down instead of joining it; where none has, no
+round runs.
 
 Matching runs on ints over fixed join plans, as Souffle compiles rules to
 loop nests over indexes (Jordan et al., CAV 2016). Each ground term has an
@@ -192,18 +195,6 @@ def _holds(members: tuple) -> bool:
     `INT+INT`, so it compares its two arguments' keys as written."""
     (op, (left, right)), = members
     return (left == right) == (op == "==")
-
-
-def _fixed_instance(rule: Rule) -> Rule | None:
-    """The one instance of a rule without variables that has comparisons:
-    the rule less its comparisons, or None when one of them is false. The
-    parser folds `INT+INT`, so a ground comparison compares its two
-    arguments as written."""
-    tests = [lit.atom.atoms[0] for lit in rule.body if lit.atom.atoms[0].is_builtin()]
-    if any((test.args[0] == test.args[1]) != (test.pred == "==") for test in tests):
-        return None
-    return Rule(rule.head, tuple([lit for lit in rule.body if not lit.atom.atoms[0].is_builtin()]),
-                rule.origin)
 
 
 class _Sum:
@@ -750,15 +741,12 @@ class _Instantiator:
         self.record(source, rows)
 
     def record(self, source: _Source, rows: Iterable[Sequence[int]]) -> None:
-        """Record the instance of each row whose slots no earlier row had;
-        each counts against MAX_GROUND_INSTANCES, kept or dropped."""
+        """Record the instance of each row, which the join finds once; each
+        counts against MAX_GROUND_INSTANCES, kept or dropped."""
         instances, width, derived, queue = source.instances, source.width, self.derived, self.queue
         indexed_in, room = self.round + 1, self.room
         pred, args, read, tests = source.head or (None, None, None, None)
         for row in rows:
-            key = tuple(row[:width])
-            if key in instances:
-                continue
             room -= 1
             if room < 0:
                 raise GroundingError(f"more than MAX_GROUND_INSTANCES = {MAX_GROUND_INSTANCES} "
@@ -774,7 +762,7 @@ class _Instantiator:
                     ids = read(row) if read else self.ground_args(args, row)
                     instance = None if ids is None else (
                         self.intern(((pred, ids),)), tuple(row[width:]), ())
-            instances[key] = instance
+            instances[tuple(row[:width])] = instance
             if instance is not None and instance[0] not in derived:
                 derived[instance[0]] = indexed_in
                 queue.append(instance[0])
@@ -889,7 +877,8 @@ def ground_patterns(patterns: list[tuple], rules: list[tuple],
     """The ground instances of every rule whose positive body can be derived,
     plus every rule without variables whose comparisons hold, of rules given
     as set-atom patterns (see the module docstring): each rule (head, body,
-    negated, origin), its set-atoms the indices of their patterns.
+    negated, origin), its set-atoms the indices of their patterns. Only
+    rules with variables need the instantiator's rounds.
 
     Missing horizon with time variables present, a non-time variable with
     no constants to range over, or more than MAX_GROUND_INSTANCES
@@ -933,37 +922,31 @@ def ground_patterns(patterns: list[tuple], rules: list[tuple],
             rule = head, tuple(compress(body, kept)), tuple(compress(negated, kept)), origin
         fixed.append(rule)
     instantiator = _Instantiator(patterns, sources, fixed, horizon, constants or [])
-    instantiator.run()
+    if sources:  # rules without variables are kept as written: rounds find no more
+        instantiator.run()
     return instantiator.program()
 
 
 def ground(program: Program, horizon: int | None = None) -> GroundProgram:
     """The ground instances of every rule whose positive body can be derived,
-    plus every rule written without variables.
+    plus every rule written without variables whose comparisons hold.
 
     `horizon` overrides the program's own `#horizon`. Missing horizon with
     time variables present, a non-time variable with no constants to range
     over, or more than MAX_GROUND_INSTANCES instances, is an error. A
-    program without variables is compiled as written
-    (`compiled.make_ground_program`), each rule less its comparisons, or
-    left out when one of them is false (`_fixed_instance`).
+    program with a variable or a comparison is grounded from its set-atom
+    patterns (`ground_patterns`); one with neither is compiled as written
+    (`compiled.make_ground_program`).
     """
     horizon = _checked(program.horizon if horizon is None else horizon)
     rules = program.rules
-    # a variable's name starts with an upper-case letter, so atoms whose
-    # texts have none hold no variable, and need no pattern
+    # a variable's name starts with an upper-case letter and only a
+    # comparison's text holds "=": atoms whose texts have neither need no pattern
     texts = [atom.text for rule in rules for atom in rule.head.atoms]
     texts += [atom.text for rule in rules for lit in rule.body for atom in lit.atom.atoms]
-    if not "".join(texts).islower():
+    text = "".join(texts)
+    if "=" in text or not text.islower():
         patterns, read = _patterns(rules)
-        if any(names for _, names, _ in patterns):
+        if any(names or test for _, names, test in patterns):
             return ground_patterns(patterns, read, horizon)
-    kept = []
-    for rule in rules:
-        for lit in rule.body:
-            if lit.atom.atoms[0].pred in BUILTIN_PREDICATES:
-                rule = _fixed_instance(rule)
-                break
-        if rule is not None:
-            kept.append(rule)
-    return make_ground_program(kept)
+    return make_ground_program(rules)

@@ -32,20 +32,21 @@ between them. When every set-atom holds names alone (no arguments,
 variables, comparisons or comments), its name reader builds no syntax
 value, only ids (one per set of names a set-atom sorts to) and int lists
 per rule: a ground program, which the command line builds straight from
-them (`cli._load`) with their signs and origins (`written`), and such
-rules can have no arity or safety fault; `spell` builds their `Rule`s for
+them (`cli._load`) with their signs and origins, read again from the text,
+the end of its lead and the rules' shape alone (`written`), and such rules
+can have no arity or safety fault; `spell` builds their `Rule`s for
 `parse`. Otherwise its flat reader reads every distinct set-atom text, from
 one split of them all, as flat atoms (a name, optionally with arguments,
 each a name, an integer, a variable or a variable plus an integer) or as
 one comparison of two such terms, and records each distinct member and
-argument text's pattern, and arities and the first arity fault as the
-token parser does. It builds no syntax value for that. When some set-atom
-has a variable, `flat` hands the command line the set-atom patterns the
-grounder reads, one per distinct text, and the rules as their indices (see
-the grounder), checked for safety. Otherwise `syntax` builds the values the
-token parser would, under the same texts, each distinct text once, and the
-rules, with the first safety fault. The statement reader refuses whole a
-text with any statement it cannot take (other directives, bare atoms,
+argument text's pattern, and arities and the first arity fault as the token
+parser does. It builds no syntax value for that. With variables or without,
+`flat` hands the command line the set-atom patterns the grounder reads, one
+per distinct text, and the rules as their indices (see the grounder),
+checked for safety; for the library's `parse`, `syntax` builds the values
+the token parser would, under the same texts, each distinct text once, and
+the rules, with the first safety fault. The statement reader refuses whole
+a text with any statement it cannot take (other directives, bare atoms,
 compound terms, comments inside a rule, `#const` and the names it stands
 for, any fault), and the token parser reads all of it and reports every
 error.
@@ -451,9 +452,9 @@ class _Parser:
                     clash = False
 
     def syntax(self) -> list[Rule]:
-        """The rules the flat reader took, checked for safety, their
-        set-atom texts' values built as `set_atom` builds them, each
-        distinct argument and member text once."""
+        """The rules the flat reader took, for the library's `parse`,
+        checked for safety, their set-atom texts' values built as `set_atom`
+        builds them, each distinct argument and member text once."""
         terms, atoms, names, made = {}, {}, self.flat_names, {}
         for text, arg in self.args.items():  # each term as `term` builds it
             if text in terms:  # a sum's variable, put in before
@@ -476,8 +477,8 @@ class _Parser:
 
     def flat(self) -> tuple[list[tuple], list[tuple], int | None] | None:
         """The set-atom patterns and rules of a text the flat reader took
-        whole, when some set-atom has a variable, and its horizon; None
-        otherwise. A set-atom's pattern is its distinct members as
+        whole, with variables or without, and its horizon; None for a text
+        it did not take. A set-atom's pattern is its distinct members as
         `(pred, args)`, each arg a variable's name, `(name, offset)` for a
         sum, a name or an int, with its variables' names and whether it is a
         comparison (see the grounder). A rule is (head, body, negated,
@@ -485,15 +486,16 @@ class _Parser:
         checked for safety, and the load faults raised as `parse` raises
         them."""
         names = self.flat_names
-        if self.flat_texts is None or not any(names.values()):
+        if self.flat_texts is None:
             return None
-        texts, rules = self.texts, []
+        texts, rules, checking = self.texts, [], any(names.values())  # no variable: all safe
         index = dict(zip(self.flat_texts, count()))
         known = list(map(index.__getitem__, texts))
         for (i, body), (negated, origin) in zip(self.statements(), self.written()):
             rules.append((known[i], tuple(known[i + 1 : i + 1 + len(body)]), negated, origin))
-            if self.safety_error is None and (names[texts[i]] or ";" in body or "!" in body):
+            if checking and (names[texts[i]] or ";" in body or "!" in body):
                 self.safe(names, texts[i], texts[i + 1 : i + 1 + len(body)], body, origin)
+                checking = self.safety_error is None  # the first fault is raised
         horizon = self.resolve_horizon()
         for fault in (self.arity_error, self.safety_error):
             if fault is not None:
@@ -818,6 +820,17 @@ def reader(files: list[tuple[str, str]]) -> _Parser:
     texts.append(files[-1][1])
     first_lines = accumulate((t.count("\n") for t in texts[:-1]), initial=1)
     return _Parser("".join(texts), tuple(zip(first_lines, (p for p, _ in files))))
+
+
+def written(text: str, files: tuple[tuple[int, str], ...], at: int, shape: str
+            ) -> Iterator[tuple[tuple[bool, ...], str]]:
+    """`_Parser.written` of the rules `read` took from `text`, from the offset
+    `at` after its lead and its `shape` alone: the pieces are split again, so
+    a ground program holding this form holds nothing else of the reader."""
+    parser = _Parser(text, files)
+    parser.at, parser.shape = at, shape
+    parser.texts, parser.connectors, _ = _pieces(text[at:])
+    return parser.written()
 
 
 def parse_files(files: list[tuple[str, str]]) -> Program:

@@ -26,13 +26,14 @@ The calls reach past the pins of `cli_outputs.json`. The families:
   with bare atoms, and the benchmark's chains shapes (140 loops, the width-2
   wf chain of 220) with tagged names;
 - large: the rows of `programs.py`, which the CI runs under its limits, the
-  runaway grounding (exit 2) and the 10 000 flat rules the grounder takes
-  as set-atom patterns among them, the 120-edge chain's calls and `solve` of
-  robot at horizon 5;
+  runaway grounding (exit 2), the 10 000 flat rules the grounder takes as
+  set-atom patterns and the 10 000 rules with a comparison and no variable,
+  braced and over bare atoms, among them, the 120-edge chain's calls and
+  `solve` of robot at horizon 5;
 - two-files: programs given as two files;
 - late-fault: a fault after thousands of rules.
 
-No call is in two families. A whole run, 271 calls, takes about 75 s on a
+No call is in two families. A whole run, 273 calls, takes about 75 s on a
 2-core machine.
 
 Reference: McKeeman, "Differential testing for software", Digital

@@ -181,8 +181,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "instance-key-missing-a-slot", "grounder.py",
-        "key = tuple(row[:width])",
-        "key = tuple(row[1:width])",
+        "instances[tuple(row[:width])] = instance",
+        "instances[tuple(row[1:width])] = instance",
         MATCHING,
     ),
     Mutant(
@@ -271,8 +271,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "dropped-instance-not-counted", "grounder.py",
-        "            instances[key] = instance\n",
-        "            instances[key] = instance\n"
+        "            instances[tuple(row[:width])] = instance\n",
+        "            instances[tuple(row[:width])] = instance\n"
         "            room += instance is None\n",
         MATCHING,
     ),
@@ -529,6 +529,26 @@ MUTANTS: tuple[Mutant, ...] = (
         "return not any(any(negated) for _, _, negated, _ in rules), ground_patterns(",
         "return True, ground_patterns(",
         PARSER,
+    ),
+    # every text the flat reader takes is grounded from its patterns, and a
+    # `Program` with a comparison too; rounds run for rules with variables
+    Mutant(
+        "flat-texts-without-variables-parsed", "parser.py",
+        "if self.flat_texts is None:",
+        "if self.flat_texts is None or not any(names.values()):",
+        PARSER,
+    ),
+    Mutant(
+        "rounds-skipped-with-rules-with-variables", "grounder.py",
+        "if sources:",
+        "if not sources:",
+        MATCHING,
+    ),
+    Mutant(
+        "comparison-programs-compiled-as-written", "grounder.py",
+        'if "=" in text or not text.islower():',
+        "if not text.islower():",
+        MATCHING,
     ),
     Mutant(
         "not-on-comparison-accepted", "parser.py",

@@ -201,6 +201,11 @@ def programs() -> dict[str, str]:
         # a comment after each fact, which the statement reader keeps in the connectors
         "commented_facts.ndlp": facts(20000).replace(".\n", ". % a fact\n"),
         "flat_rules.ndlp": flat_rules(10000),
+        # 10 000 facts p(i), each with a rule q(i) :- p(i), i != 0 that holds a
+        # comparison and no variable, braced and over bare atoms
+        "compared.ndlp": "".join(f"{{p({i})}}.\n{{q({i})}} :- {{p({i})}}, {{{i} != 0}}.\n"
+                                 for i in range(n)),
+        "bare_compared.ndlp": "".join(f"p({i}).\nq({i}) :- p({i}), {i} != 0.\n" for i in range(n)),
         "flat_patterns.ndlp": flat_rules(10000, "{q(a, c0)}.\n"),
         # a rule without variables whose body holds 10 000 facts
         "ground_body.ndlp": "".join(f"{{g{i}}}.\n" for i in range(n)) + "{h} :- " + ", ".join(
@@ -282,6 +287,14 @@ LEAST = ("solve", "--semantics", "least")
 # - 5 s on the 10 000 flat rules that end in a flat fact, which the grounder
 #   takes as set-atom patterns: a pattern or a rule's slots mapped in time
 #   quadratic in the number of rules, or syntax values built for them;
+# - 5 s and 66 MiB on the 10 000 braced facts and rules with a comparison and
+#   no variable, which the grounder also takes as set-atom patterns: syntax
+#   values built for them and compiled as written (72 MiB that way, 61 MiB
+#   through the patterns, measured on a 2-core machine);
+# - 10 s on the same facts and rules over bare atoms, which the token parser
+#   reads and `ground` grounds from patterns for their comparisons (1.6-2.1 s
+#   measured, against 1.0-1.1 s when they were compiled as written): that
+#   route turned quadratic in the number of rules;
 # - 5 s on the 10 000 edges with two-member heads, whose atoms come in no
 #   term created in grounding: the set-atoms' sort, which their two-member
 #   set-atoms still take, or the sort of their members, turned quadratic;
@@ -333,6 +346,8 @@ ROWS: tuple[Row, ...] = (
     Row(("ground",), ("flat_patterns.ndlp",), 5),
     Row(STABLE_ONE, ("flat_patterns.ndlp",), 5),
     Row(("ground",), ("ground_body.ndlp",), 5),
+    Row(("ground",), ("compared.ndlp",), 5, rss_mib=66),
+    Row(("ground",), ("bare_compared.ndlp",), 10),
     Row(("ground",), ("closure.ndlp",), 5),
     Row(LEAST, ("closure.ndlp",), 5),
     Row((*LEAST, "--format", "json"), ("closure.ndlp",), 5),

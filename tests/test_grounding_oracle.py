@@ -14,6 +14,7 @@ import pytest
 from ndlp import enumerate_stable, ground, least_model, parse_program, well_founded_model
 from ndlp.corpus import corpus_text
 from ndlp.compiled import make_ground_program
+from ndlp.grounder import _Instantiator
 
 from conftest import random_nonground_program
 from oracles import live_instances, product_ground
@@ -62,8 +63,9 @@ COUNT_DOWN = {
         "{h(X)} :- {p(f(X))}.\n{p(f(a))}.\n{p(f(g(b)))}.\n{p(a)}.\n",
 }
 
-# Programs without variables are compiled in one pass that no case above
-# reaches, since each of those has a rule with variables.
+# Programs without variables, which no case above is, since each of those
+# has a rule with variables: one without a comparison is compiled in one
+# pass, one with a comparison grounded from its patterns with no round run.
 VARIABLE_FREE = {
     "true and false comparisons":
         "{h} :- {g}, {a == a}.\n{k} :- {g}, {a != a}.\n{m} :- {a != b}, not {k}.\n"
@@ -201,6 +203,10 @@ LOOKUPS_AND_RANKS = {
     "fast-path head under a false and a true comparison":
         "{q(X, Y)} :- {r(X)}, {r(Y)}, {X != Y}.\n{e(X)} :- {r(X)}, {s(Y)}, {X == Y}.\n"
         "{r(a)}.\n{r(b)}.\n{s(b)}.\n{s(c)}.\n",
+    # q(a) binds X to a, whose X+1 has no value, so the bound set-literal
+    # grounds to no NdAtom; q(1) finds {p(2), s(1)}
+    "bound set-literal whose sum has no value":
+        "{q(a)}.\n{q(1)}.\n{p(2), s(1)}.\n{p(b), s(a)}.\n{r(X)} :- {q(X)}, {p(X+1), s(X)}.\n",
 }
 
 
@@ -279,3 +285,26 @@ def test_lookups_and_rank_order_ground_to_live_product_instances(case):
 @pytest.mark.parametrize("variant", robot_variants(), ids=str)
 def test_robot_variants_ground_to_live_product_instances(variant):
     check_against_product(parse_program(robot_variant(*variant)), None, str(variant))
+
+
+def test_the_join_finds_each_instance_once(monkeypatch):
+    """No row reaches `_Instantiator.record` with the slots of a row recorded
+    before, over the random programs and the robot variants: the join finds
+    each instance once, so `record` keeps no check for repeats."""
+    record, rows = _Instantiator.record, []
+
+    def once(self, source, found):
+        def checked():
+            for row in found:
+                assert tuple(row[:source.width]) not in source.instances, source.origin
+                rows.append(None)
+                yield row
+        record(self, source, checked())
+
+    monkeypatch.setattr(_Instantiator, "record", once)
+    for seed in range(9000, 9000 + CASES):
+        text, horizon = random_nonground_program(seed)
+        ground(parse_program(text), horizon)
+    for variant in robot_variants():
+        ground(parse_program(robot_variant(*variant)))
+    assert len(rows) > 2_000  # 2 937 rows

@@ -12,15 +12,16 @@ errors.
 
 import json
 import random
+import weakref
 from collections import Counter
 from functools import partial
 from operator import attrgetter
 
 import pytest
 
-from ndlp import GroundingError, ParseError, ProgramError, ground, grounder
+from ndlp import GroundingError, ParseError, ProgramError, cli, ground, grounder
 from ndlp.cli import _load, _read, main
-from ndlp.corpus import corpus_path
+from ndlp.corpus import corpus_path, corpus_text
 from ndlp.parser import _Parser, parse_files
 from ndlp.syntax import Atom, Literal, NdAtom, Rule
 
@@ -91,7 +92,7 @@ def taken(paths):
 
 def patterned(paths):
     """Whether its flat reader takes the one file whole, and hands the
-    grounder set-atom patterns, some with variables."""
+    grounder set-atom patterns, with variables or without."""
     parser = _Parser(_read(paths[0]))
     parser.read()
     try:
@@ -124,7 +125,21 @@ def shapes():
             + [closure_text(graph_edges(rng, n, n // 4)) for n in (4, 12, 18)])
 
 
-@pytest.mark.parametrize("text", shapes(), ids=lambda text: f"{len(text)} chars")
+# facts and rules without variables, some with a comparison that holds and
+# one with a comparison that fails
+COMPARED = ("{p(1)}.\n{p(2)}.\n{q(1)} :- {p(1)}, {1 != 2}.\n{q(2)} :- {p(2)}, {2 == 1}.\n"
+            "{r} :- {q(1)}.\n")
+
+
+# texts the flat reader takes that hold no variable: comparisons that hold
+# and fail, an arity fault, a `#horizon`, and the teaching example
+WITHOUT_VARIABLES = [COMPARED, "{p(1)}.\n{p(1, 2)}.\n{q} :- {p(1)}, {1 != 2}.\n",
+                     "#horizon 1.\n{a} :- {1 == 1}, not {b}.\n{b} :- {2 != 2}.\n",
+                     corpus_text("teaching.ndlp")]
+
+
+@pytest.mark.parametrize("text", shapes() + WITHOUT_VARIABLES,
+                         ids=lambda text: f"{len(text)} chars")
 def test_loader_agrees_with_the_library_on_planning_and_closure(text, tmp_path):
     paths = written(tmp_path, [text])
     assert patterned(paths)
@@ -210,13 +225,19 @@ def test_solve_of_braced_loops_builds_no_syntax_value(tmp_path, monkeypatch, cap
 
 
 def test_planning_and_closure_build_no_syntax_value(tmp_path, monkeypatch, capsys):
-    """The flat reader hands the grounder set-atom patterns, so `expand` of
-    the planning example and least `solve` of a closure chain build no
-    `Atom`, `NdAtom`, `Literal` or `Rule`, with `--dump-ground` or without:
-    the ground rules are written from the atom table."""
+    """The flat reader hands the grounder set-atom patterns, with variables
+    or without, so `expand` of the planning example and of the teaching
+    example, and least `solve` of a closure chain and of facts with
+    comparisons, build no `Atom`, `NdAtom`, `Literal` or `Rule`, with
+    `--dump-ground` or without: the ground rules are written from the atom
+    table."""
+    closure, compared = ([path] for path in written(
+        tmp_path, [closure_text(chain_edges(13)), COMPARED]))
+    assert patterned(compared) and patterned([str(corpus_path("teaching.ndlp"))])
     for argv, paths in ((["expand"], [str(corpus_path("robot.ndlp"))]),
-                        (["solve", "--semantics", "least"],
-                         written(tmp_path, [closure_text(chain_edges(13))]))):
+                        (["expand"], [str(corpus_path("teaching.ndlp"))]),
+                        (["solve", "--semantics", "least"], closure),
+                        (["solve", "--semantics", "least"], compared)):
         _, gp = _load(paths, None)
         want = "".join(f"{rule}\n" for rule in gp.rules)
         with monkeypatch.context() as patched:
@@ -226,6 +247,29 @@ def test_planning_and_closure_build_no_syntax_value(tmp_path, monkeypatch, capsy
             assert main([*argv, "--dump-ground", *paths]) == 0
             assert not built
         assert capsys.readouterr().out.startswith(want)
+
+
+def test_name_route_holds_no_reader(tmp_path, monkeypatch):
+    """The ground program of braced rules over names holds its rules as
+    written through the text, the files, the offset after the lead and the
+    shape alone: the statement reader, with its keys, ids, int lists and
+    pieces, is freed once `_load` returns, and the rules read after it keep
+    their signs and origins, which name the files."""
+    readers = []
+
+    def kept(files, read=cli.reader):
+        parser = read(files)
+        readers.append(weakref.ref(parser))
+        return parser
+
+    monkeypatch.setattr(cli, "reader", kept)
+    paths = written(tmp_path, ["#horizon 2.\n% loops\n" + LOOPS[:LOOPS.index("{a4}")],
+                                "{c} :- {a0}, not {b1}.\n"])
+    assert all(taken([path]) for path in paths)
+    positive, gp = _load(paths, None)
+    assert len(readers) == 1 and readers[0]() is None
+    assert (view(gp), positive) == library(paths, None)
+    assert gp.rules[-1].origin == f"{paths[1]} line 1"
 
 
 # well-founded programs whose false and undefined set-atoms have two and
