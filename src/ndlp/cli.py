@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 from .answersets import AnswerSet, Expansion, Layout, expand_ids
 from .compiled import AtomTable, GroundProgram, nd_texts, table_program
 from .errors import NdlpError
-from .grounder import ground, ground_patterns
+from .grounder import _checked, ground, ground_patterns
 from .parser import reader, written
 from .syntax import Atom
 from .stable import enumerate_stable
@@ -304,15 +304,17 @@ def _load(paths: list[str], horizon: int | None) -> tuple[bool, GroundProgram]:
     rules over names, which the statement reader takes whole, it is built
     from the reader's ids, every rule kept, over the names' ranks, which are
     the base's key order as they stand where every set-atom is one name, as
-    in braced loops; its rules as written are read again from the text
-    alone (`parser.written`), so the reader is freed once this returns. For
-    braced rules over flat atoms, which its flat reader takes whole, with
-    variables or without, it is grounded from the reader's set-atom
-    patterns (`grounder.ground_patterns`). No syntax value is built on
-    either route; any other text, which the statement reader refuses whole,
-    is parsed by the token parser and grounded as a `Program`."""
+    in braced loops, after the horizon check `ground` makes; its rules as
+    written are read again from the text alone (`parser.written`), so the
+    reader is freed once this returns. For braced rules over flat atoms,
+    which its flat reader takes whole, with variables or without, it is
+    grounded from the reader's set-atom patterns
+    (`grounder.ground_patterns`). No syntax value is built on either route.
+    The token parser reads only a text the statement reader refuses whole,
+    and its `Program` is grounded."""
     parser = reader([(p, _read(p)) for p in paths])
-    if parser.read() and (horizon is None or horizon >= 0):
+    if parser.read():
+        _checked(horizon)
         keys = list(parser.keys)  # each set-atom's names; an atom's key sorts as its name
         texts = sorted(set(chain.from_iterable(keys)))
         rank = dict(zip(texts, range(len(texts)))).__getitem__

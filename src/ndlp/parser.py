@@ -24,32 +24,31 @@ the grounder); any other is an error. Comparisons must be the sole member
 of a positive body NdAtom. Function symbols nest at most MAX_TERM_DEPTH
 levels deep.
 
-Three readers share origins, and each text is taken whole by one of them.
-The statement reader takes a text in which every statement is a braced
-rule: after the first comments and at most one `#horizon` with an integer
-value, it splits the text once into set-atom texts and the connectors
-between them. When every set-atom holds names alone (no arguments,
-variables, comparisons or comments), its name reader builds no syntax
-value, only ids (one per set of names a set-atom sorts to) and int lists
-per rule: a ground program, which the command line builds straight from
-them (`cli._load`) with their signs and origins, read again from the text,
-the end of its lead and the rules' shape alone (`written`), and such rules
-can have no arity or safety fault; `spell` builds their `Rule`s for
-`parse`. Otherwise its flat reader reads every distinct set-atom text, from
-one split of them all, as flat atoms (a name, optionally with arguments,
-each a name, an integer, a variable or a variable plus an integer) or as
-one comparison of two such terms, and records each distinct member and
-argument text's pattern, and arities and the first arity fault as the token
-parser does. It builds no syntax value for that. With variables or without,
-`flat` hands the command line the set-atom patterns the grounder reads, one
-per distinct text, and the rules as their indices (see the grounder),
-checked for safety; for the library's `parse`, `syntax` builds the values
-the token parser would, under the same texts, each distinct text once, and
-the rules, with the first safety fault. The statement reader refuses whole
-a text with any statement it cannot take (other directives, bare atoms,
-compound terms, comments inside a rule, `#const` and the names it stands
-for, any fault), and the token parser reads all of it and reports every
-error.
+Three readers share origins. `parse`, behind `parse_program` and
+`parse_files`, is the token parser alone, which reads a whole text and
+reports every error. The statement reader's two readers serve the command
+line's loader (`cli._load`) alone, which hands what they read to the
+grounder; neither builds a syntax value. The statement reader takes a text
+in which every statement is a braced rule: after the first comments and at
+most one `#horizon` with an integer value, it splits the text once into
+set-atom texts and the connectors between them. When every set-atom holds
+names alone (no arguments, variables, comparisons or comments), its name
+reader makes only ids (one per set of names a set-atom sorts to) and int
+lists per rule: a ground program, which the loader builds straight from
+them with their signs and origins, read again from the text, the end of
+its lead and the rules' shape alone (`written`), and such rules can have no
+arity or safety fault. Otherwise its flat reader reads every distinct
+set-atom text, from one split of them all, as flat atoms (a name,
+optionally with arguments, each a name, an integer, a variable or a
+variable plus an integer) or as one comparison of two such terms, and
+records each distinct member and argument text's pattern, and arities and
+the first arity fault as the token parser does. With variables or without,
+`flat` hands the loader the set-atom patterns the grounder reads, one per
+distinct text, and the rules as their indices (see the grounder), checked
+for safety. The statement reader refuses whole a text with any statement it
+cannot take (other directives, bare atoms, compound terms, comments inside
+a rule, `#const` and the names it stands for, any fault), and the loader
+hands it to the token parser.
 
 A token keeps its kind, text and start offset; lines and columns are worked
 out only for a `ParseError` and a rule's `origin`. Within one parse, each
@@ -66,7 +65,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import add, ge, itemgetter, not_
 from typing import Iterator
 
@@ -197,7 +196,6 @@ class _Parser:
     def __init__(self, text: str, files: tuple[tuple[int, str], ...] = ()):
         self.text = text
         self.files = files  # (first line, path) of each file joined into `text`
-        self.whole: bool | None = None  # what `read` returned, once it has read
         # the statement reader's ids by sorted names and by text, per rule its head,
         # positive and negated ids, and the offset of its first piece and the texts,
         # connectors and shape of its pieces
@@ -220,9 +218,8 @@ class _Parser:
         self.terms: dict[str, Term] = {}
         self.atoms: dict[str, Atom] = {}
         # the flat reader's member and argument texts, each mapped to its
-        # pattern (see `flat`), and each member text to its arguments' texts
+        # pattern (see `flat`)
         self.members: dict[str, tuple[str, tuple]] = {}
-        self.member_args: dict[str, list[str]] = {}
         self.args: dict[str, object] = {}
         # NdAtom texts: (value, its variables' names, whether it is a comparison)
         self.set_atoms: dict[str, tuple[NdAtom, frozenset[str], bool]] = {}
@@ -300,15 +297,13 @@ class _Parser:
         """Read the text as braced rules from the `_pieces` after its first
         comments and `#horizon`, whole or not at all. True when every
         set-atom holds names alone: then `keys`, `ids` and the rule lists
-        hold the rules, and the pieces stay for `spell`. When a set-atom
-        holds more than names, `build` reads every one into patterns and
-        `check` records their arities; `flat` or `syntax` makes the rules.
+        hold the rules, which `at` and `shape` place for `written`. When a
+        set-atom holds more than names, `build` reads every one into
+        patterns and `check` records their arities; `flat` makes the rules.
         A text with a gap, a connector out of place or a set-atom it cannot
-        read is refused with nothing written that the token parser reads."""
+        read is refused with nothing written that the token parser reads.
+        Read once per parser."""
         text, ids, keys, joins = self.text, self.ids, self.keys, {}
-        if self.whole is not None:  # read already
-            return self.whole
-        self.whole = False
         lead = _LEAD.match(text)
         at = self.at = lead.end()
         if at < len(text) and not _HEAD.match(text, at):  # past flat atoms: refused at once
@@ -347,8 +342,7 @@ class _Parser:
             self.horizon = "INT", lead[1], lead.start(1)
         if names is None:
             self.check(made)
-        self.whole = names is not None
-        return self.whole
+        return names is not None
 
     def build(self, new: list[str], texts: list[str], shape: str) -> dict[str, list[str]] | None:
         """The member texts of each of the distinct texts `new`, read from
@@ -385,8 +379,7 @@ class _Parser:
         """Whether a member's text, with its predicate (a name or a
         comparison operator) and its arguments' texts joined by ",", reads
         as `atom` reads it: then it goes into `members` as its pattern
-        `(pred, args)` (see `flat`) and into `member_args` with its
-        arguments' texts, and each argument into `args`."""
+        `(pred, args)` (see `flat`), and each argument into `args`."""
         if pred not in BUILTIN_PREDICATES:
             if pred == "not" or not (pred[1:2] if pred[0] == "-" else pred[0]).islower():
                 return False
@@ -398,7 +391,6 @@ class _Parser:
             if None in pattern:
                 return False
         self.members[key] = pred, pattern
-        self.member_args[key] = texts
         return True
 
     def arg_of(self, text: str):
@@ -450,30 +442,6 @@ class _Parser:
                     origin = self.origins()[self.shape.count(".", 0, self.texts.index(key))]
                     self.arity_error = ProgramError(f"{fault} ({origin})")
                     clash = False
-
-    def syntax(self) -> list[Rule]:
-        """The rules the flat reader took, for the library's `parse`,
-        checked for safety, their set-atom texts' values built as `set_atom`
-        builds them, each distinct argument and member text once."""
-        terms, atoms, names, made = {}, {}, self.flat_names, {}
-        for text, arg in self.args.items():  # each term as `term` builds it
-            if text in terms:  # a sum's variable, put in before
-                continue
-            if type(arg) is str:
-                terms[text] = Variable(arg) if arg[0].isupper() else Constant(arg)
-            elif type(arg) is int:
-                terms[text] = Integer(arg)
-            else:
-                base = terms.get(arg[0]) or terms.setdefault(arg[0], Variable(arg[0]))
-                terms[text] = Sum(base, arg[1])
-        term = terms.__getitem__
-        for (key, (pred, _)), texts in zip(self.members.items(), self.member_args.values()):
-            if key not in atoms:
-                atoms[key] = Atom(pred, tuple(map(term, texts)))
-        for key, keys in self.flat_texts.items():
-            made[key] = NdAtom((atoms[keys[0]],)) if len(keys) == 1 \
-                else canonicalize(map(atoms.__getitem__, keys))
-        return self.walk(made, names if any(names.values()) else None)
 
     def flat(self) -> tuple[list[tuple], list[tuple], int | None] | None:
         """The set-atom patterns and rules of a text the flat reader took
@@ -529,20 +497,6 @@ class _Parser:
         signs = {body: tuple(map(_NEGATED.__getitem__, body)) for body in set(shapes)}
         return zip(map(signs.__getitem__, shapes), self.origins())
 
-    def walk(self, made: dict[str, NdAtom], names: dict[str, frozenset[str]] | None = None
-             ) -> list[Rule]:
-        """The rules `read` took, each piece's NdAtom `made[text]`; with the
-        variables' `names` of each text, each rule is checked for safety."""
-        texts, rules = self.texts, []
-        for (i, body), (signs, origin) in zip(self.statements(), self.written()):
-            keys = texts[i + 1 : i + 1 + len(body)]
-            literals = tuple(map(Literal, map(made.__getitem__, keys), signs)) if body else ()
-            rules.append(Rule(made[texts[i]], literals, origin))
-            if names and self.safety_error is None and (names[texts[i]] or ";" in body
-                                                        or "!" in body):
-                self.safe(names, texts[i], keys, body, origin)
-        return rules
-
     def safe(self, names, head, literals: list, body: str, origin: str) -> None:
         """Check the rule at `origin` for safety as `rule` does, given its
         head and body literals as keys of `names`, which holds each one's
@@ -554,14 +508,6 @@ class _Parser:
             else:
                 bound.update(names[key])
         self.unsafe(unsafe, bound, origin)
-
-    def spell(self) -> list[Rule]:
-        """The rules `read` took over names as `Rule`s, one `NdAtom` per
-        distinct text."""
-        keys = list(self.keys)
-        atoms = {name: Atom(name) for name in dict.fromkeys(chain.from_iterable(keys))}
-        made = {key: NdAtom(tuple(map(atoms.__getitem__, keys[i]))) for key, i in self.ids.items()}
-        return self.walk(made)
 
     # -- grammar ------------------------------------------------------------
 
@@ -576,22 +522,16 @@ class _Parser:
         return consts
 
     def parse(self) -> Program:
-        """The program: the rules `read` takes whole, spelled or built from
-        its patterns; of any other text, the token parser's, which reads it
-        all and reports every error."""
-        if self.read():
-            self.rules = self.spell()
-        elif self.flat_texts is not None:
-            self.rules = self.syntax()
-        else:
-            self.kinds, self.values, self.starts = self.scan()
-            self.consts = self.read_consts()
-            kinds = self.kinds
-            while kinds[self.pos] != "EOF":
-                if kinds[self.pos] == "DIRECTIVE":
-                    self.directive()
-                else:
-                    self.rule()
+        """The program, as the token parser reads the whole text, reporting
+        every error."""
+        self.kinds, self.values, self.starts = self.scan()
+        self.consts = self.read_consts()
+        kinds = self.kinds
+        while kinds[self.pos] != "EOF":
+            if kinds[self.pos] == "DIRECTIVE":
+                self.directive()
+            else:
+                self.rule()
         horizon = self.resolve_horizon()
         for fault in (self.arity_error, self.safety_error):
             if fault is not None:
@@ -801,7 +741,7 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse_program(text: str) -> Program:
-    """Parse program text into a canonical AST.
+    """Parse program text into a canonical AST, with the token parser.
 
     NdAtoms come out canonicalized, rule order is preserved, and bare atoms
     are sugar for singleton NdAtoms.

@@ -2,7 +2,8 @@
 
 Each call runs `python -m ndlp.cli` in a subprocess once per tree, with
 `PYTHONPATH` set to the tree's `src` directory, in a temporary directory
-holding the call's program files. Its stdout, its stderr without the
+holding the call's program files; a call of the `library` family runs
+`python -c LIBRARY` there instead. Its stdout, its stderr without the
 `solved in` timing line, and its exit code must be the same under both
 trees. The script prints the first difference with its call and exits 1,
 or the number of calls compared and exits 0. Stdlib only, and not
@@ -31,9 +32,15 @@ The calls reach past the pins of `cli_outputs.json`. The families:
   braced and over bare atoms, among them, the 120-edge chain's calls and
   `solve` of robot at horizon 5;
 - two-files: programs given as two files;
-- late-fault: a fault after thousands of rules.
+- late-fault: a fault after thousands of rules;
+- library: `parse_program`'s rules with their origins, `str(ground(...))`
+  with the ground rules' origins, and for a positive program `count` of
+  its least model (`LIBRARY`), on the corpus, 140 and 1 200 braced loops,
+  the 14-node closure chain, robot at horizons 1-3 and 18 pairs: the
+  library's own reader of braced texts, which the command line's calls do
+  not reach.
 
-No call is in two families. A whole run, 273 calls, takes about 75 s on a
+No call is in two families. A whole run, 289 calls, takes about 75 s on a
 2-core machine.
 
 Reference: McKeeman, "Differential testing for software", Digital
@@ -54,11 +61,28 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from programs import (EXAMPLES, ROWS, chain_edges, closure_text, graph_edges, loops, neg_chain,
-                      robot_variant, robot_variants, text)
+from programs import (EXAMPLES, ROOT, ROWS, chain_edges, closure_text, graph_edges, loops,
+                      neg_chain, programs, robot_variant, robot_variants, text)
 
 ROBOT = EXAMPLES + "robot.ndlp"
 TIMEOUT_S = 120
+# What a `library` call runs, given a horizon ("-" for the program's own)
+# and one file.
+LIBRARY = """\
+import sys
+from ndlp import count, ground, least_model, parse_program
+_, horizon, path = sys.argv
+with open(path, encoding="utf-8") as handle:
+    program = parse_program(handle.read())
+for rule in program.rules:
+    print(rule, rule.origin, sep="  % ")
+gp = ground(program, horizon=None if horizon == "-" else int(horizon))
+print(gp, end="")
+for rule in gp.rules:
+    print(rule.origin)
+if program.is_positive():
+    print(*count(least_model(gp)))
+"""
 
 
 class Call(NamedTuple):
@@ -68,8 +92,9 @@ class Call(NamedTuple):
 
     def __str__(self) -> str:
         sizes = ", ".join(f"{name} ({text.count(chr(10))} lines)" for name, text in self.files)
-        return f"[{self.family}] ndlp {' '.join(self.argv)} {' '.join(n for n, _ in self.files)}" \
-               f"  -- {sizes}"
+        command = "python -c LIBRARY" if self.family == "library" else "ndlp"
+        return f"[{self.family}] {command} {' '.join(self.argv)} " \
+               f"{' '.join(n for n, _ in self.files)}  -- {sizes}"
 
 
 def relabel(rng: random.Random, edges, nodes: int) -> list[tuple[int, int]]:
@@ -214,6 +239,17 @@ def late_fault_calls() -> list[Call]:
     return calls
 
 
+def library_calls() -> list[Call]:
+    """The library's reader of braced texts, which `parse_program` runs."""
+    texts = [(path.name, text(EXAMPLES + path.name), "-")
+             for path in sorted((ROOT / EXAMPLES).glob("*.ndlp"))]
+    texts += [("loops.ndlp", loops(140), "-"), ("loops.ndlp", loops(1200), "-"),
+              ("closure.ndlp", closure_text(chain_edges(13)), "-"),
+              *(("robot.ndlp", text(ROBOT), str(horizon)) for horizon in (1, 2, 3)),
+              ("pairs.ndlp", programs()["pairs.ndlp"], "-")]
+    return [Call("library", (horizon,), ((name, program),)) for name, program, horizon in texts]
+
+
 FAMILIES = {
     "closure": closure_calls,
     "large-closure": large_closure_calls,
@@ -223,6 +259,7 @@ FAMILIES = {
     "large": large_calls,
     "two-files": two_files_calls,
     "late-fault": late_fault_calls,
+    "library": library_calls,
 }
 
 
@@ -242,7 +279,8 @@ def execute(src: Path, call: Call, directory: str, stdout: Path) -> Result:
     """Run `call` against `src`, its stdout into the file `stdout`: some
     reports run to hundreds of megabytes."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-m", "ndlp.cli", *call.argv, *[name for name, _ in call.files]]
+    command = ("-c", LIBRARY) if call.family == "library" else ("-m", "ndlp.cli")
+    argv = [sys.executable, *command, *call.argv, *[name for name, _ in call.files]]
     with open(stdout, "wb") as out:
         try:
             done = subprocess.run(argv, cwd=directory, env=env, stdout=out,

@@ -384,10 +384,10 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # the statement reader's flat reader
     Mutant(
-        # the values `parse` builds from the reader's patterns
+        # a sum's pattern arg read as its variable alone
         "flat-sum-offset-dropped", "parser.py",
-        "terms[text] = Sum(base, arg[1])",
-        "terms[text] = base",
+        "made = base, int(offset)",
+        "made = base",
         PARSER,
     ),
     Mutant(

@@ -3,11 +3,12 @@
 `cli._load` builds the ground program of a text the statement reader takes
 whole straight from the name reader's ids, or grounds it from the flat
 reader's set-atom patterns, and spells its `Rule`s only when they are read;
-any other text goes through the token parser and `ground`. On random
-programs, one file and two, and on the planning and closure shapes, both
-routes must give the same ground program, the same spelled rules with their
-origins and sharing, the same answer to the least-model check and the same
-errors.
+any other text goes through the token parser and `ground`. The library
+reads every text with the token parser alone, so each comparison sets the
+statement reader against an independent reader. On random programs, one
+file and two, and on the planning and closure shapes, both must give the
+same ground program, the same spelled rules with their origins and
+sharing, the same answer to the least-model check and the same errors.
 """
 
 import json
@@ -101,19 +102,27 @@ def patterned(paths):
         return True
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_loader_agrees_with_the_library(seed, tmp_path):
-    rng = random.Random(500 + seed)
+# (seed, programs, one with faults in how many, bounds on the programs the
+# name reader and the flat reader take); the "reader" rows hold more
+# programs with faults, for the statement reader's refusals
+RANDOM = [pytest.param(500 + seed, 80, 4, (10, 70), (5, 40), id=str(seed)) for seed in range(4)]
+RANDOM += [pytest.param(seed, 150, 3, (30, 120), (10, 60), id=f"reader-{seed}")
+           for seed in range(8)]
+
+
+@pytest.mark.parametrize("seed,cases,faults,names_taken,flat_taken", RANDOM)
+def test_loader_agrees_with_the_library(seed, cases, faults, names_taken, flat_taken, tmp_path):
+    rng = random.Random(seed)
     names = flat = 0
-    for case in range(80):
-        paths = written(tmp_path, [PROGRAMS.program(rng, faults=case % 4 == 0)])
+    for case in range(cases):
+        paths = written(tmp_path, [PROGRAMS.program(rng, faults=case % faults == 0)])
         names += taken(paths)
         flat += patterned(paths)
         for horizon in (None, 2, -1) if case % 5 == 0 else (None,):
             assert loaded(paths, horizon) == library(paths, horizon), (_read(paths[0]), horizon)
     # each of the loader's routes runs on a share of the programs
-    assert 10 <= names <= 70, names
-    assert 5 <= flat <= 40, flat
+    assert names_taken[0] <= names <= names_taken[1], names
+    assert flat_taken[0] <= flat <= flat_taken[1], flat
 
 
 def shapes():
@@ -148,14 +157,17 @@ def test_loader_agrees_with_the_library_on_planning_and_closure(text, tmp_path):
 
 
 # the name route's shapes: braced loops, one atom per set-atom, whose atoms'
-# ranks are their places in the base, and the braced negation chain of
-# two-member set-atoms, which sorts the set-atoms; their bare forms go
-# through the token parser and `make_ground_program`'s table of NdAtoms
+# ranks are their places in the base, also after a `#horizon`, which the
+# route checks against a negative `--horizon` as the grounder does, and the
+# braced negation chain of two-member set-atoms, which sorts the set-atoms;
+# their bare forms go through the token parser and `make_ground_program`'s
+# table of NdAtoms
 NAME_SHAPES = [(text(n), braced) for braced, text in
                ((True, loops), (True, partial(loops, one_line=True)),
                 (False, partial(loops, bare=True)), (True, neg_chain),
                 (False, partial(neg_chain, bare=True)))
                for n in (1, 12, 140)]
+NAME_SHAPES.append(("#horizon 2.\n" + loops(12), True))
 
 
 @pytest.mark.parametrize("text,braced", NAME_SHAPES, ids=lambda x: f"{str(x)[:24]!r}")
@@ -187,11 +199,14 @@ def test_grounding_errors_agree_with_the_library(text, horizon, message, tmp_pat
         == (GroundingError, message, None, None, None)
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_loader_agrees_with_the_library_on_two_files(seed, tmp_path):
-    rng = random.Random(600 + seed)
-    for case in range(50):
-        paths = written(tmp_path, [PROGRAMS.program(rng, faults=case % 5 == 0) for _ in range(2)])
+@pytest.mark.parametrize("seed,cases,faults", [
+    *(pytest.param(600 + seed, 50, 5, id=str(seed)) for seed in range(2)),
+    *(pytest.param(100 + seed, 60, 4, id=f"reader-{seed}") for seed in range(2))])
+def test_loader_agrees_with_the_library_on_two_files(seed, cases, faults, tmp_path):
+    rng = random.Random(seed)
+    for case in range(cases):
+        paths = written(tmp_path, [PROGRAMS.program(rng, faults=case % faults == 0)
+                                   for _ in range(2)])
         assert loaded(paths, None) == library(paths, None), list(map(_read, paths))
 
 

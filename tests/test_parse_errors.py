@@ -2,7 +2,9 @@
 column.
 
 The values were recorded from the parser as it stood before its tokens lost
-their stored line and column. The table covers each `raise` in
+their stored line and column. Each program's error is also raised by the
+command line's loader (`cli._load`), whose statement reader reads the texts
+it takes, with no library call behind it. The table covers each `raise` in
 `ndlp.parser` and the order in which faults win when a program has several:
 every `ParseError`, the horizon's resolution included, comes before the
 load checks, and an arity clash anywhere comes before an unsafe rule.
@@ -11,6 +13,7 @@ load checks, and an arity clash anywhere comes before an unsafe rule.
 import pytest
 
 from ndlp import ParseError, ProgramError, parse_program, parse_rule
+from ndlp.cli import _load
 
 DEEP_HEAD = "{p(" + "f(" * 101 + "a" + ")" * 101 + ")}."
 DEEP_BODY = "{a}.\n{q(" + "g(" * 100 + "b" + ")" * 100 + ")} :- {" + "h(" * 102 + "c" + ")" * 102 + "}."
@@ -127,10 +130,20 @@ PINNED = [
 
 
 @pytest.mark.parametrize("text, how, kind, message, line, column", PINNED)
-def test_error_is_unchanged(text, how, kind, message, line, column):
+def test_error_is_unchanged(text, how, kind, message, line, column, tmp_path):
+    """The library raises each error; the command line's loader raises each
+    program's error too, from whichever reader takes its file."""
     with pytest.raises(kind) as caught:
         (parse_rule if how == "rule" else parse_program)(text)
     err = caught.value
     assert type(err) is kind
     assert (err.message, err.line, err.column) == (message, line, column)
     assert str(err) == (message if line is None else f"{line}:{column}: {message}")
+    if how == "program":
+        path = tmp_path / "program.ndlp"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(kind) as caught:
+            _load([str(path)], None)
+        err = caught.value
+        assert type(err) is kind
+        assert (err.message, err.line, err.column) == (message, line, column)

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 import ndlp
 from ndlp import ParseError, ProgramError, canonicalize, parse_program, parse_rule
+from ndlp.cli import _load
 from ndlp.corpus import CORPUS_NAMES, corpus_path, corpus_text
 import ndlp.parser as parser_module
 from ndlp.parser import _Parser, _keys, parse_files, tokenize
@@ -481,13 +482,16 @@ def outcome(parse, *args):
 
 
 class TestStatementReader:
-    """`parse_program` and `parse_files` against the token parser alone, on
-    random programs: mostly braced rules, which the statement reader takes,
-    over names or flat atoms (arguments, sums, comparisons, a leading
-    `#horizon`), with CRLF line ends, comments between statements and inside
-    set-atoms, bare atoms, directives, compound terms, variables, names the
-    word builder must refuse, and every kind of fault, which the token
-    parser reports."""
+    """The statement reader, which serves the command line's loader alone:
+    what it takes whole, where it refuses a text, and that a refused text
+    reaches the token parser with nothing of the reader's. `program` makes
+    the random programs the loader's agreement tests read
+    (`tests/test_loader.py`): mostly braced rules, which the statement
+    reader takes, over names or flat atoms (arguments, sums, comparisons, a
+    leading `#horizon`), with CRLF line ends, comments between statements
+    and inside set-atoms, bare atoms, directives, compound terms, variables,
+    names the word builder must refuse, and every kind of fault, which the
+    token parser reports."""
 
     NAMES = ["a", "b", "c2", "-a", "-b_1", "nota", "x_y", "\u00e9t\u00e9", "\u00aa", "p"]
     # flat atoms, which the flat reader takes, and atoms with compound terms,
@@ -559,33 +563,25 @@ class TestStatementReader:
         return "".join(pieces)
 
     @staticmethod
-    def token_parser(monkeypatch, parse, *args):
-        with monkeypatch.context() as patched:
-            patched.setattr(_Parser, "read", lambda self: False)
-            return outcome(parse, *args)
+    def loaded(files):
+        """The program of a text the statement reader refuses, read as the
+        command line's loader reads it: by the token parser of the parser
+        that refused it."""
+        parser = parser_module.reader(files)
+        assert not parser.read() and parser.flat() is None
+        return parser.parse()
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_readers_agree(self, seed, monkeypatch):
-        rng = random.Random(seed)
-        names = flat = 0  # the programs each of the statement reader's readers takes whole
-        for case in range(150):
-            text = self.program(rng, faults=case % 3 == 0)
-            want = self.token_parser(monkeypatch, parse_program, text)
-            assert outcome(parse_program, text) == want, repr(text)
-            parser = _Parser(text)
-            names += parser.read()
-            flat += parser.flat_texts is not None
-        # each reader reads a share of the programs
-        assert 30 <= names <= 120, names
-        assert 10 <= flat <= 60, flat
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_readers_agree_on_two_files(self, seed, monkeypatch):
-        rng = random.Random(100 + seed)
-        for case in range(60):
-            files = [(f"f{i}.ndlp", self.program(rng, faults=case % 4 == 0)) for i in range(2)]
-            want = self.token_parser(monkeypatch, parse_files, files)
-            assert outcome(parse_files, files) == want, repr(files)
+    def test_library_reads_with_the_token_parser_alone(self, monkeypatch):
+        """`parse_program` and `parse_files` never run the statement reader,
+        on texts it would take whole over names and over flat atoms."""
+        monkeypatch.setattr(_Parser, "read", lambda self: pytest.fail("read ran"))
+        loops = "{a} :- not {b}.\n{b} :- not {a}.\n"
+        flat = closure_text(chain_edges(3))
+        for text in (loops, flat):
+            assert parse_program(text).rules
+        files = [("a.ndlp", loops), ("b.ndlp", flat)]
+        assert [rule.origin for rule in parse_files(files).rules][1:3] == [
+            "a.ndlp line 2", "b.ndlp line 1"]
 
     def test_equal_texts_are_one_object(self):
         text = "{a, b} :- not {c}.\n{c} :- not {a, b}, {b, -d}, {-d}.\r\n{-d} :- {b, -d}.\n"
@@ -600,23 +596,26 @@ class TestStatementReader:
 
     def test_planning_and_closure_shapes_are_read_whole(self, monkeypatch):
         """The planning example, its 24 variants and closure chains are
-        flat: the statement reader takes each whole, and the token parser
+        flat: the statement reader takes each whole, its flat reader gives
+        the rules with the token parser's origins, and the token parser
         scans none of them."""
-        scans = []
-        monkeypatch.setattr(_Parser, "scan", lambda self: scans.append(self.text))
         texts = [corpus_text("robot.ndlp"), *(robot_variant(*shape) for shape in robot_variants()),
                  closure_text(chain_edges(13)), closure_text(chain_edges(30), "_t")]
-        for text in texts:
+        origins = [[rule.origin for rule in parse_program(text).rules] for text in texts]
+        scans = []
+        monkeypatch.setattr(_Parser, "scan", lambda self: scans.append(self.text))
+        for text, want in zip(texts, origins):
             parser = _Parser(text)
             assert not parser.read() and parser.flat_texts is not None
-            assert list(parser.parse().rules) == parser.rules != []
+            assert [origin for *_, origin in parser.flat()[1]] == want != []
         assert scans == []
 
-    def test_reader_gives_up_at_the_first_text_it_cannot_build(self, monkeypatch):
+    def test_reader_gives_up_at_the_first_text_it_cannot_build(self, monkeypatch, tmp_path):
         """The reader checks all distinct texts for names in one pass and,
         when that pass fails, splits them all into members once; it gives
         up at the first text it cannot build. A program it takes whole is
-        never scanned, and the token parser scans any other once."""
+        never scanned by the command line's loader, and the token parser
+        scans any other once."""
         checked, split, scans = [], [], []
         word_check, scan, member = _keys, _Parser.scan, parser_module._MEMBER
 
@@ -631,14 +630,17 @@ class TestStatementReader:
         monkeypatch.setattr(_Parser, "scan", lambda self: scans.append(1) or scan(self))
         loops = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n"
                         for i in range(500))
+        path = tmp_path / "program.ndlp"
+        path.write_text("{s(X)} :- not {t(X)}.\n" + loops)
         with pytest.raises(ProgramError, match=r"unsafe variable X in rule \(line 1\)"):
-            parse_program("{s(X)} :- not {t(X)}.\n" + loops)
+            _load([str(path)], None)
         assert (len(checked), len(split), scans) == (1, 1, [])
         checked.clear()
         split.clear()
         more = loops.replace("{a", "{c").replace("{b", "{d")
+        path.write_text(loops + "{s, Two} :- not {t}.\n" + more)
         with pytest.raises(ParseError, match="expected comparison operator"):
-            parse_program(loops + "{s, Two} :- not {t}.\n" + more)
+            _load([str(path)], None)
         assert [len(texts) for texts in checked] == [2002] and len(scans) == 1
         assert len(split) == 1 and split[0].count("}") == 2001
         parser = _Parser(loops + "{s, Two} :- not {t}.\n")
@@ -660,22 +662,22 @@ class TestStatementReader:
         parser = _Parser("% edges\n#horizon 2.\n" + facts)
         assert not parser.read() and parser.flat_texts is not None
         assert split == [len(facts)] and parser.shape.count(".") == 20_000
-        assert outcome(parse_program, facts)[1][:2] == ["line 1", "line 2"]
-        for text in ("{a}.\n(b).", "{a}. % (\n{b}.", "{a}.\n{b} :- {c(f(X))}."):
-            assert outcome(parse_program, text) == self.token_parser(monkeypatch, parse_program, text)
+        assert [origin for *_, origin in parser.flat()[1][:2]] == ["line 3", "line 4"]
+        for text in ("{a}.\n(b).", "{a}.\n{b} :- {c(f(X))}."):
+            assert outcome(self.loaded, [("", text)]) == outcome(parse_program, text)
+        parser = _Parser("{a}. % (\n{b}.")  # a "(" in a comment: taken over names
+        assert parser.read() and [origin for _, origin in parser.written()] == ["line 1", "line 2"]
 
-    def refused(self, monkeypatch, parse, *args):
-        """What `parse` gives on a text the statement reader refuses, and,
-        per scan, its tokens and the set-atoms, arities and rules the token
-        parser then starts from; `spell` or `syntax` running fails the test."""
+    def refused(self, monkeypatch, files):
+        """What the loader's parser gives on files the statement reader
+        refuses (`loaded`), and, per scan, its tokens and the set-atoms,
+        arities and rules the token parser then starts from."""
         scans, scan = [], _Parser.scan
         with monkeypatch.context() as patched:
             patched.setattr(_Parser, "scan", lambda self: scans.append(
                 (scan(self), dict(self.set_atoms), dict(self.arities), list(self.rules)))
                 or scans[-1][0])
-            for name in ("spell", "syntax"):
-                patched.setattr(_Parser, name, lambda self, name=name: pytest.fail(f"{name} ran"))
-            return outcome(parse, *args), scans
+            return outcome(self.loaded, files), scans
 
     LOOPS = "".join(f"{{a{i}}} :- not {{b{i}}}.\n{{b{i}}} :- not {{a{i}}}.\n" for i in range(250))
     REFUSED = {
@@ -711,8 +713,8 @@ class TestStatementReader:
         text, (kind, message) = self.REFUSED[where]
         parser = _Parser(text)
         assert not parser.read() and parser.flat_texts is None
-        got, [(tokens, set_atoms, arities, rules)] = self.refused(monkeypatch, parse_program, text)
-        assert got == self.token_parser(monkeypatch, parse_program, text)
+        got, [(tokens, set_atoms, arities, rules)] = self.refused(monkeypatch, [("", text)])
+        assert got == outcome(parse_program, text)
         assert got[:2] == (kind, message)
         assert tokens == _Parser(text).scan()
         assert (set_atoms, arities, rules) == ({}, {}, [])
@@ -720,15 +722,15 @@ class TestStatementReader:
     def test_a_text_refused_in_its_second_file_is_read_whole(self, monkeypatch):
         loops = "{a} :- not {b}.\n{b} :- not {a}.\n"
         files = [("a.ndlp", loops), ("b.ndlp", "{c} :- {a}.\n% note\nd :- not {c}.\n{e(1)}.\n")]
-        got, scans = self.refused(monkeypatch, parse_files, files)
-        assert got == self.token_parser(monkeypatch, parse_files, files)
+        got, scans = self.refused(monkeypatch, files)
+        assert got == outcome(parse_files, files)
         assert got[1] == ["a.ndlp line 1", "a.ndlp line 2", "b.ndlp line 1", "b.ndlp line 3",
                           "b.ndlp line 4"]
         [(tokens, set_atoms, arities, rules)] = scans
         assert tokens[1][:4] == ["{", "a", "}", ":-"] and (set_atoms, arities, rules) == ({}, {}, [])
         files[1] = ("b.ndlp", "{c} :- {a}.\n{d} :- {c}, p(.\n")
-        got, scans = self.refused(monkeypatch, parse_files, files)
-        assert got == self.token_parser(monkeypatch, parse_files, files)
+        got, scans = self.refused(monkeypatch, files)
+        assert got == outcome(parse_files, files)
         assert got == (ParseError, "expected term, found '.'", 2, 15, "b.ndlp")
         assert len(scans) == 1 and scans[0][0][2][0] == 0
 
